@@ -19,9 +19,7 @@ _EXPORTS = {
         "Spectrum",
         "SubResStructure",
         "contraction_factor",
-        "degree_bound",
         "enumerate_types",
-        "spectral_gap_lambda",
     ],
     "polymap": [
         "GradedSpace",
@@ -47,10 +45,8 @@ _EXPORTS = {
         "SeriesBudgetError",
         "SeriesStagnationError",
         "SolverContext",
-        "assemble_Q",
         "solve_homogeneous_degree",
         "solve_normal_form",
-        "twisted_transfer",
     ],
     "verify": [
         "CommutingExtension",

@@ -189,15 +189,10 @@ class Spectrum:
         )
 
 
-def degree_bound(spectrum: Spectrum) -> int:
-    """Largest degree a sub-resonance term can have: floor(chi_1 / chi_ell)."""
-    return spectrum.degree_bound
-
-
 def enumerate_types(spectrum: Spectrum, n: int) -> frozenset[Type]:
     """All admissible types (i, s) of homogeneous degree |s| = n.
 
-    Empty for every n > degree_bound(spectrum).
+    Empty for every n > spectrum.degree_bound.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -210,11 +205,6 @@ def enumerate_types(spectrum: Spectrum, n: int) -> frozenset[Type]:
             if chi[i - 1] <= w + tol:
                 out.add((i, s))
     return frozenset(out)
-
-
-def spectral_gap_lambda(spectrum: Spectrum) -> float:
-    """max over non-admissible types of (-chi_i + sum_j s_j chi_j); always < 0."""
-    return spectrum.spectral_gap
 
 
 def contraction_factor(spectrum: Spectrum, n: int) -> float:

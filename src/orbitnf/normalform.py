@@ -10,22 +10,29 @@ allowed to keep.  P_n lives in the sub-resonance (admissible) slots; the
 non-admissible part of H_n is determined uniquely by the twisted transfer
 fixed point
 
-    H(k) = Q(k) + Phi_k(H(k+1)),    Phi_k(R) = A_k^{-1} o R o A_k,
+    H(k) = Q(k) + Phi_k(H(k+1)),    Phi_k(R) = A_k^{-1} o R o A_k.
 
-summed as a transported series.  In coefficient coordinates Phi_k is the
-two-sided matrix action c -> mask * (Ainv_k @ c @ subst_k) where subst_k is
-the monomial substitution matrix of A_k and mask keeps non-admissible slots.
-The series is truncated once a power of the one-period transfer certifies a
-contraction, which bounds the dropped tail.
+In coefficient coordinates Phi_k is the two-sided matrix action
+c -> mask * (Ainv_k @ c @ subst_k) where subst_k is the monomial substitution
+matrix of A_k and mask keeps non-admissible slots.
 
-A finite-window variant solves the same equations backward from a zero
-terminal condition; it accepts flag-preserving (block-triangular) linear
-parts and applies the admissible-slot projection after every transport,
-which is exactly the quotient by the sub-resonance directions.
+One loop, ``_degree_loop``, runs the recursion.  Each degree assembles the
+sources once as coefficient arrays, hands their twisted versions Q(k) to a
+transfer solver, adds the admissible part of the lift, and finishes in
+coefficient space: term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k).  The
+admissible part of term_k is P_n(k); the rest must vanish.  Three transfer
+solvers plug into it:
+
+* the transported series (``solve_normal_form``), truncated once a power of
+  the one-period transfer certifies a contraction, which bounds the tail;
+* the dense oracle ``verify.direct_solve_oracle``, one linear solve;
+* the backward sweep of ``solve_window`` along a finite orbit window from a
+  zero terminal condition.  It accepts flag-preserving (block-triangular)
+  linear parts; the mask after every transport is exactly the quotient by
+  the sub-resonance directions.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,13 +45,13 @@ from .polymap import (
     _poly_mul,
     _poly_pow,
     compose_truncated,
-    lyapunov_opnorm,
-    project_subresonance,
 )
 
 MAX_SERIES_CERT_POWER = 64
 
 LiftPolicy = Callable[[int, int], "PolyMap | None"]
+# (degree operator, twisted sources Q(k)) -> (conjugator terms, diagnostics)
+Transfer = Callable[["_DegreeOperator", list[np.ndarray]], tuple[list[np.ndarray], dict]]
 
 
 class SeriesBudgetError(RuntimeError):
@@ -70,17 +77,6 @@ def _monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(rec((), degree)))
 
 
-def twisted_transfer(pmap: PolyMap, linear: np.ndarray, inverse: np.ndarray | None = None,
-                     max_degree: int | None = None) -> PolyMap:
-    """Exact polynomial form of Phi(R) = A^{-1} o R o A."""
-    A = np.asarray(linear, dtype=float)
-    Ainv = np.linalg.inv(A) if inverse is None else np.asarray(inverse, dtype=float)
-    deg = pmap.degree if max_degree is None else max_degree
-    outer = PolyMap.from_linear(Ainv, pmap.target, pmap.target, 1)
-    inner = PolyMap.from_linear(A, pmap.source, pmap.source, 1)
-    return compose_truncated(outer, compose_truncated(pmap, inner, deg), deg)
-
-
 class _DegreeOperator:
     """Coefficient-space form of the degree-n transfer along the orbit.
 
@@ -94,6 +90,7 @@ class _DegreeOperator:
                  linears: Sequence[np.ndarray]):
         self.space = space
         self.n = n
+        self.degree_bound = structure.degree_bound
         self.monos = _monomials(space.dim, n)
         self.mono_index = {a: j for j, a in enumerate(self.monos)}
         admissible = structure.admissible(n)
@@ -311,102 +308,71 @@ class SolverContext:
         return self._operators[n]
 
 
-def _degree_source(ctx: SolverContext, n: int, h_maps: list[PolyMap],
-                   p_maps: list[PolyMap]) -> list[PolyMap]:
-    K = ctx.cocycle.period
-    out = []
-    for k in range(K):
-        F_k = ctx.cocycle.map_at(k)
-        lhs = compose_truncated(h_maps[(k + 1) % K], F_k, n).homogeneous_part(n)
-        rhs = compose_truncated(p_maps[k], h_maps[k], n).homogeneous_part(n)
-        out.append(lhs - rhs)
-    return out
+def _source_vecs(op: _DegreeOperator, fiber_maps: Sequence[PolyMap],
+                 h_maps: list[PolyMap], p_maps: list[PolyMap]) -> list[np.ndarray]:
+    """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n as coefficient arrays."""
+    n, C = op.n, len(h_maps)
+    return [op.vec(compose_truncated(h_maps[(k + 1) % C], f, n).homogeneous_part(n)
+                   - compose_truncated(p_maps[k], h_maps[k], n).homogeneous_part(n))
+            for k, f in enumerate(fiber_maps)]
 
 
-def assemble_Q(ctx: SolverContext, n: int, h_maps: list[PolyMap],
-               p_maps: list[PolyMap]) -> tuple[list[PolyMap], list[PolyMap]]:
-    """Degree-n sources S(k) and their masked twisted versions Q(k)."""
-    s_list = _degree_source(ctx, n, h_maps, p_maps)
-    op = ctx.operator(n)
-    q_list = [op.polymap(op.source(k, op.vec(s))) for k, s in enumerate(s_list)]
-    return s_list, q_list
+def solve_homogeneous_degree(op: _DegreeOperator, fiber_maps: Sequence[PolyMap],
+                             h_maps: list[PolyMap], p_maps: list[PolyMap],
+                             transfer: Transfer, lift_policy: LiftPolicy | None = None
+                             ) -> tuple[list[np.ndarray], list[np.ndarray], dict]:
+    """One degree of the conjugacy equation, solved in coefficient space.
 
-
-def apply_lift(ctx: SolverContext, n: int, Hn: list[PolyMap]) -> list[PolyMap]:
-    """Add the admissible part of the lift policy to the degree-n conjugator."""
-    if ctx.lift_policy is None or n > ctx.structure.degree_bound:
-        return Hn
-    out = list(Hn)
-    for k in range(ctx.cocycle.period):
-        lift = ctx.lift_policy(k, n)
-        if lift is None:
-            continue
-        lift_n = lift.homogeneous_part(n)
-        s_part, _ = project_subresonance(lift_n, ctx.structure)
-        if s_part.coeffs:
-            out[k] = out[k] + s_part
-    return out
-
-
-def finalize_degree(ctx: SolverContext, n: int, s_list: list[PolyMap],
-                    Hn: list[PolyMap]) -> tuple[list[PolyMap], float, float]:
-    """Normal form terms implied by a degree-n conjugator, plus residues.
-
-    Returns (P_n, admissible violation, defect): below the degree bound the
-    non-admissible residue of the defining formula is the violation; above it
-    the whole formula value is a defect since P_n is forced to vanish.
+    Returns the degree-n conjugator terms (one array per conjugator), the
+    normal form terms P_n (one per map) and the degree's diagnostics.  Below
+    the degree bound the non-admissible residue of the finished equation is
+    the admissible violation; above it P_n vanishes and the residue is the
+    defect.
     """
-    K = ctx.cocycle.period
-    space = ctx.cocycle.space
-    d = ctx.structure.degree_bound
-    Pn = []
-    violation = 0.0
-    defect = 0.0
-    for k in range(K):
-        A_map = PolyMap.from_linear(ctx._linears[k], space, space, 1)
-        term = s_list[k] + compose_truncated(Hn[(k + 1) % K], A_map, n) \
-            - compose_truncated(A_map, Hn[k], n)
-        if n <= d:
-            s_part, n_part = project_subresonance(term, ctx.structure)
-            Pn.append(s_part)
-            violation = max(violation, n_part.coeff_max())
-        else:
-            Pn.append(PolyMap.zero(space, space, n))
-            defect = max(defect, term.coeff_max())
-    return Pn, violation, defect
+    n = op.n
+    s_vecs = _source_vecs(op, fiber_maps, h_maps, p_maps)
+    h_vecs, info = transfer(op, [op.source(k, s) for k, s in enumerate(s_vecs)])
+    if lift_policy is not None:
+        for k in range(len(h_vecs)):
+            lift = lift_policy(k, n)
+            if lift is not None:
+                h_vecs[k] = h_vecs[k] + ~op.mask * op.vec(lift.homogeneous_part(n))
+    C = len(h_vecs)
+    terms = [s + h_vecs[(k + 1) % C] @ op.substs[k] - op.linears[k] @ h_vecs[k]
+             for k, s in enumerate(s_vecs)]
+    residue = max(float(np.max(np.abs(op.mask * t))) for t in terms)
+    below = n <= op.degree_bound
+    diag = dict(info, degree=n,
+                source_norm=max(float(np.linalg.norm(s)) for s in s_vecs),
+                solution_norm=max(float(np.linalg.norm(h)) for h in h_vecs),
+                admissible_violation=residue if below else None,
+                defect=None if below else residue)
+    return h_vecs, [~op.mask * t for t in terms], diag
 
 
-def solve_homogeneous_degree(ctx: SolverContext, n: int, h_maps: list[PolyMap],
-                             p_maps: list[PolyMap]
-                             ) -> tuple[list[PolyMap], list[PolyMap], dict]:
-    """One degree of the normal form: new H_n, P_n and series diagnostics."""
-    K = ctx.cocycle.period
-    d = ctx.structure.degree_bound
-    op = ctx.operator(n)
+def _degree_loop(fiber_maps: Sequence[PolyMap], n_conj: int,
+                 operator: Callable[[int], _DegreeOperator], order: int,
+                 transfer: Transfer, lift_policy: LiftPolicy | None = None
+                 ) -> tuple[list[PolyMap], list[PolyMap], list[dict]]:
+    """Degrees 2..order along fiber_maps: conjugators, normal forms, diagnostics.
 
-    s_list = _degree_source(ctx, n, h_maps, p_maps)
-    s_vecs = [op.vec(s) for s in s_list]
-    q_vecs = [op.source(k, sv) for k, sv in enumerate(s_vecs)]
-    h_vecs, info = _run_series(op, q_vecs, ctx.series_tol, ctx.max_series_terms, K)
-    Hn = apply_lift(ctx, n, [op.polymap(v) for v in h_vecs])
-
-    diag = dict(info)
-    diag["degree"] = n
-    diag["source_norm"] = max((s.coeff_l2() for s in s_list), default=0.0)
-    diag["solution_norm"] = max((h.coeff_l2() for h in Hn), default=0.0)
-    diag["contraction_factor"] = contraction_factor(ctx.spectrum, n) if n >= 2 else None
-
-    Pn, violation, defect = finalize_degree(ctx, n, s_list, Hn)
-    diag["admissible_violation"] = violation if n <= d else None
-    diag["defect"] = defect if n > d else None
-
-    lyap = 0.0
-    for k in range(K):
-        if Hn[k].coeffs:
-            lyap = max(lyap, lyapunov_opnorm(Hn[k], ctx.frames[k], ctx.frames[k],
-                                             samples=512, refine=2, seed=0))
-    diag["lyapunov_norm"] = lyap
-    return Hn, Pn, diag
+    There are n_conj conjugators: the period on a periodic orbit, where the
+    index k+1 wraps, or one more than the maps on a window.
+    """
+    space = fiber_maps[0].source
+    h_maps = [PolyMap.identity(space, order) for _ in range(n_conj)]
+    p_maps = [PolyMap.from_linear(f.linear_matrix(), space, space, 1) for f in fiber_maps]
+    diags = []
+    for n in range(2, order + 1):
+        op = operator(n)
+        h_vecs, p_vecs, diag = solve_homogeneous_degree(
+            op, fiber_maps, h_maps, p_maps, transfer, lift_policy)
+        for maps, vecs in ((h_maps, h_vecs), (p_maps, p_vecs)):
+            for k, v in enumerate(vecs):
+                if v.any():
+                    maps[k] = maps[k] + op.polymap(v)
+        diags.append(diag)
+    return h_maps, p_maps, diags
 
 
 @dataclass(eq=False)
@@ -436,27 +402,21 @@ class NormalFormResult:
 
 
 def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
-    """Run the degree loop 2..order and assemble the result."""
+    """Run the degree loop 2..order with the transported series."""
     K = ctx.cocycle.period
-    space = ctx.cocycle.space
-    d = ctx.structure.degree_bound
-    h_maps = [PolyMap.identity(space, ctx.order) for _ in range(K)]
-    p_maps = [PolyMap.from_linear(ctx._linears[k], space, space, 1) for k in range(K)]
 
-    degree_diags = []
-    for n in range(2, ctx.order + 1):
-        Hn, Pn, diag = solve_homogeneous_degree(ctx, n, h_maps, p_maps)
-        for k in range(K):
-            if Hn[k].coeffs:
-                h_maps[k] = h_maps[k] + Hn[k]
-            if n <= d and Pn[k].coeffs:
-                p_maps[k] = p_maps[k] + Pn[k]
-        degree_diags.append(diag)
+    def series(op, q_vecs):
+        h_vecs, info = _run_series(op, q_vecs, ctx.series_tol, ctx.max_series_terms, K)
+        info["contraction_factor"] = contraction_factor(ctx.spectrum, op.n)
+        return h_vecs, info
 
+    h_maps, p_maps, degree_diags = _degree_loop(
+        [ctx.cocycle.map_at(k) for k in range(K)], K, ctx.operator, ctx.order,
+        series, ctx.lift_policy)
     diagnostics = {
         "order": ctx.order,
         "period": K,
-        "degree_bound": d,
+        "degree_bound": ctx.structure.degree_bound,
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
         "degrees": degree_diags,
@@ -512,22 +472,9 @@ def solve_window(fiber_maps: Sequence[PolyMap], structure: SubResStructure,
             )
         linears.append(A)
 
-    d = structure.degree_bound
-    h = [PolyMap.identity(space, order) for _ in range(W + 1)]
-    p = [PolyMap.from_linear(A, space, space, 1) for A in linears]
-    per_degree = []
-    for n in range(2, order + 1):
-        op = _DegreeOperator(space, structure, n, linears)
-        s_vecs = []
-        for k in range(W):
-            lhs = compose_truncated(h[k + 1], fiber_maps[k], n).homogeneous_part(n)
-            rhs = compose_truncated(p[k], h[k], n).homogeneous_part(n)
-            s_vecs.append(op.vec(lhs - rhs))
-        q_vecs = [op.source(k, sv) for k, sv in enumerate(s_vecs)]
+    def sweep(op, q_vecs):
         q_scale = max(1.0, max(float(np.linalg.norm(q)) for q in q_vecs))
-
-        R = [None] * (W + 1)
-        R[W] = np.zeros_like(q_vecs[0])
+        R = [np.zeros_like(q_vecs[0])] * (W + 1)
         max_norm = 0.0
         for k in range(W - 1, -1, -1):
             R[k] = q_vecs[k] + op.apply(k, R[k + 1])
@@ -535,18 +482,11 @@ def solve_window(fiber_maps: Sequence[PolyMap], structure: SubResStructure,
             max_norm = max(max_norm, nrm)
             if nrm > growth_guard * q_scale:
                 raise SeriesStagnationError(
-                    f"window sweep diverged at degree {n}, step {k}"
+                    f"window sweep diverged at degree {op.n}, step {k}"
                 )
-        Hn = [op.polymap(R[k]) for k in range(W + 1)]
-        for k in range(W):
-            A_map = PolyMap.from_linear(linears[k], space, space, 1)
-            term = op.polymap(s_vecs[k]) + compose_truncated(Hn[k + 1], A_map, n) \
-                - compose_truncated(A_map, Hn[k], n)
-            if n <= d:
-                s_part, _ = project_subresonance(term, structure)
-                if s_part.coeffs:
-                    p[k] = p[k] + s_part
-            if Hn[k].coeffs:
-                h[k] = h[k] + Hn[k]
-        per_degree.append({"degree": n, "max_sweep_norm": max_norm})
+        return R, {"max_sweep_norm": max_norm}
+
+    h, p, per_degree = _degree_loop(
+        fiber_maps, W + 1, lambda n: _DegreeOperator(space, structure, n, linears),
+        order, sweep)
     return h, p, {"window": W, "per_degree": per_degree}

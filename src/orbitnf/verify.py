@@ -21,7 +21,7 @@ from a different direction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +29,8 @@ import numpy as np
 from .normalform import (
     NormalFormResult,
     SolverContext,
-    _degree_source,
-    apply_lift,
-    finalize_degree,
+    _degree_loop,
+    _DegreeOperator,
     solve_window,
 )
 from .polymap import (
@@ -144,24 +143,23 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
                           result.order, exact, samples, exact_tol)
 
 
-def direct_solve_oracle(ctx: SolverContext, n: int, h_maps: list[PolyMap],
-                        p_maps: list[PolyMap]) -> list[PolyMap]:
+def direct_solve_oracle(op: _DegreeOperator, q_vecs: list[np.ndarray]
+                        ) -> tuple[list[np.ndarray], dict]:
     """Degree-n conjugator via one dense solve coupling all orbit points.
 
-    Stacks the non-admissible coefficient slots of every point into a single
-    vector and solves (I - T) x = q where T is the one-step masked transfer.
-    Shares nothing with the series iteration beyond the source assembly, so
-    agreement is evidence for both.  The lift policy is not applied here.
+    A transfer for the shared degree loop: takes the degree operator and the
+    twisted sources Q(k), returns one coefficient array per orbit point and
+    no diagnostics.  Stacks the non-admissible coefficient slots of every
+    point into a single vector and solves (I - T) x = q where T is the
+    one-step masked transfer.  Shares with the series only the loop around
+    the transfer (source assembly, lift, finishing), so agreement is evidence
+    for both transfers.
     """
-    K = ctx.cocycle.period
-    op = ctx.operator(n)
-    s_list = _degree_source(ctx, n, h_maps, p_maps)
-    q_vecs = [op.source(k, op.vec(s)) for k, s in enumerate(s_list)]
-
+    K = len(q_vecs)
     idx = np.flatnonzero(op.mask.ravel())
     nn = idx.size
     if nn == 0:
-        return [op.polymap(np.zeros_like(q)) for q in q_vecs]
+        return [np.zeros_like(q) for q in q_vecs], {}
 
     L = np.zeros((K * nn, K * nn))
     rhs = np.zeros(K * nn)
@@ -175,7 +173,7 @@ def direct_solve_oracle(ctx: SolverContext, n: int, h_maps: list[PolyMap],
     sv = np.linalg.svd(L, compute_uv=False)
     if sv[-1] < 1e-12 * max(1.0, sv[0]):
         raise ValueError(
-            f"the degree-{n} transfer system is numerically singular; a "
+            f"the degree-{op.n} transfer system is numerically singular; a "
             "resonant type appears to be classified as non-resonant (widen "
             "resonance_tol or shrink epsilon)"
         )
@@ -185,27 +183,16 @@ def direct_solve_oracle(ctx: SolverContext, n: int, h_maps: list[PolyMap],
     for k in range(K):
         flat = np.zeros(op.mask.size)
         flat[idx] = x[k * nn:(k + 1) * nn]
-        out.append(op.polymap(flat.reshape(op.mask.shape)))
-    return out
+        out.append(flat.reshape(op.mask.shape))
+    return out, {}
 
 
 def direct_normal_form(ctx: SolverContext) -> tuple[list[PolyMap], list[PolyMap]]:
     """Full degree loop with the dense oracle in place of the series."""
     K = ctx.cocycle.period
-    space = ctx.cocycle.space
-    d = ctx.structure.degree_bound
-    h_maps = [PolyMap.identity(space, ctx.order) for _ in range(K)]
-    p_maps = [PolyMap.from_linear(ctx._linears[k], space, space, 1)
-              for k in range(K)]
-    for n in range(2, ctx.order + 1):
-        Hn = apply_lift(ctx, n, direct_solve_oracle(ctx, n, h_maps, p_maps))
-        s_list = _degree_source(ctx, n, h_maps, p_maps)
-        Pn, _, _ = finalize_degree(ctx, n, s_list, Hn)
-        for k in range(K):
-            if Hn[k].coeffs:
-                h_maps[k] = h_maps[k] + Hn[k]
-            if n <= d and Pn[k].coeffs:
-                p_maps[k] = p_maps[k] + Pn[k]
+    h_maps, p_maps, _ = _degree_loop(
+        [ctx.cocycle.map_at(k) for k in range(K)], K, ctx.operator, ctx.order,
+        direct_solve_oracle, ctx.lift_policy)
     return h_maps, p_maps
 
 

@@ -280,3 +280,12 @@ class TestVerifyCommand:
                      "--tol-override", "checks.chart.tol=1e-30"])
         assert code == 1
         assert "chart" in capsys.readouterr().err
+
+
+class TestPackageExports:
+    def test_every_public_name_resolves(self):
+        import orbitnf
+
+        for name in orbitnf.__all__:
+            assert getattr(orbitnf, name) is not None, name
+        assert set(orbitnf.__all__) == set(orbitnf._ORIGIN) | {"__version__"}

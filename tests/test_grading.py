@@ -9,9 +9,7 @@ from orbitnf.grading import (
     Spectrum,
     SubResStructure,
     contraction_factor,
-    degree_bound,
     enumerate_types,
-    spectral_gap_lambda,
 )
 
 
@@ -51,18 +49,18 @@ def brute_lambda(chi, tol, max_degree):
 
 class TestDegreeBound:
     def test_two_to_one(self):
-        assert degree_bound(spec((-2.0, -1.0))) == 2
+        assert spec((-2.0, -1.0)).degree_bound == 2
 
     def test_scalar(self):
-        assert degree_bound(spec((-1.0,))) == 1
+        assert spec((-1.0,)).degree_bound == 1
 
     def test_three_blocks(self):
-        assert degree_bound(spec((-3.5, -1.2, -1.0))) == 3
+        assert spec((-3.5, -1.2, -1.0)).degree_bound == 3
 
     def test_float_ratio_at_exact_resonance(self):
         # ratio representable only approximately; tolerance keeps the floor stable
         s = spec((-0.3, -0.1))
-        assert degree_bound(s) == 3
+        assert s.degree_bound == 3
 
 
 class TestEnumerateTypes:
@@ -89,7 +87,7 @@ class TestEnumerateTypes:
     @pytest.mark.parametrize("chi", [(-2.0, -1.0), (-1.0, -0.4), (-3.5, -1.2, -1.0)])
     def test_empty_above_degree_bound(self, chi):
         s = spec(chi)
-        d = degree_bound(s)
+        d = s.degree_bound
         for n in range(d + 1, d + 4):
             assert enumerate_types(s, n) == frozenset()
 
@@ -101,33 +99,33 @@ class TestEnumerateTypes:
             if any(b - a < 0.05 for a, b in zip(chi, chi[1:])):
                 continue
             s = spec(chi, eps=0.0)
-            for n in range(1, degree_bound(s) + 1):
+            for n in range(1, s.degree_bound + 1):
                 for i, stype in enumerate_types(s, n):
                     assert all(stype[j] == 0 for j in range(i - 1))
 
     def test_scaling_invariance(self):
         base = (-2.0, -1.0, -0.75)
         s0 = spec(base)
-        d0 = degree_bound(s0)
+        d0 = s0.degree_bound
         sets0 = {n: enumerate_types(s0, n) for n in range(1, d0 + 2)}
         for c in (0.5, 2.0, 7.3):
             sc = spec(tuple(c * x for x in base))
-            assert degree_bound(sc) == d0
+            assert sc.degree_bound == d0
             for n, types in sets0.items():
                 assert enumerate_types(sc, n) == types
 
 
 class TestSpectralGap:
     def test_examples(self):
-        assert spectral_gap_lambda(spec((-2.0, -1.0))) == pytest.approx(-1.0, abs=1e-12)
-        assert spectral_gap_lambda(spec((-1.0,))) == pytest.approx(-1.0, abs=1e-12)
-        assert spectral_gap_lambda(spec((-1.0, -0.4))) == pytest.approx(-0.2, abs=1e-12)
+        assert spec((-2.0, -1.0)).spectral_gap == pytest.approx(-1.0, abs=1e-12)
+        assert spec((-1.0,)).spectral_gap == pytest.approx(-1.0, abs=1e-12)
+        assert spec((-1.0, -0.4)).spectral_gap == pytest.approx(-0.2, abs=1e-12)
 
     def test_attained_at_expected_type(self):
         # for (-1, -0.4) the max sits at the non-admissible type (1, (0, 3))
         chi = (-1.0, -0.4)
         assert -chi[0] + 3 * chi[1] == pytest.approx(
-            spectral_gap_lambda(spec(chi)), abs=1e-12
+            spec(chi).spectral_gap, abs=1e-12
         )
 
     def test_matches_bruteforce_random(self):
@@ -140,7 +138,7 @@ class TestSpectralGap:
                 continue
             count += 1
             s = spec(chi, eps=0.0)
-            lam = spectral_gap_lambda(s)
+            lam = s.spectral_gap
             # enumerating far past where -chi_1 + n*chi_ell < lam is enough
             max_deg = int(math.ceil((abs(lam) - chi[0]) / abs(chi[-1]))) + 2
             assert lam == pytest.approx(

@@ -9,11 +9,11 @@ from orbitnf.normalform import (
     NormalFormResult,
     SolverContext,
     _DegreeOperator,
-    assemble_Q,
+    _run_series,
+    _source_vecs,
     solve_homogeneous_degree,
     solve_normal_form,
     solve_window,
-    twisted_transfer,
 )
 from orbitnf.polymap import GradedSpace, PolyMap, compose_truncated, project_subresonance
 
@@ -52,20 +52,43 @@ def nonresonant2_cocycle():
     return OrbitCocycle(S11, (PolyMap(S11, S11, 2, np.zeros(2), coeffs),))
 
 
+def twisted_reference(pmap, linear, max_degree=None):
+    """Phi(R) = A^{-1} o R o A by dict composition, independent of the operator."""
+    A = np.asarray(linear, dtype=float)
+    deg = pmap.degree if max_degree is None else max_degree
+    outer = PolyMap.from_linear(np.linalg.inv(A), pmap.target, pmap.target, 1)
+    inner = PolyMap.from_linear(A, pmap.source, pmap.source, 1)
+    return compose_truncated(outer, compose_truncated(pmap, inner, deg), deg)
+
+
+def koenigs_start(ctx):
+    """Operator inputs before degree 2: identity conjugator, linear normal form."""
+    h = [PolyMap.identity(S1, ctx.order)]
+    p = [PolyMap.from_linear(np.array([[0.5]]), S1, S1, 1)]
+    return [ctx.cocycle.map_at(0)], h, p
+
+
 class TestTwistedTransfer:
     def test_scalar_quadratic(self):
         a = math.exp(-0.7)
         R = PolyMap(S1, S1, 2, np.zeros(1), {(0, (2,)): 1.0})
-        out = twisted_transfer(R, np.array([[a]]))
+        out = twisted_reference(R, np.array([[a]]))
         # Ainv R(At) = a^{-1} a^2 t^2 = a t^2
         assert out.coeffs[(0, (2,))] == pytest.approx(a, rel=1e-14)
+        structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
+        op = _DegreeOperator(S1, structure, 2, [np.array([[a]])])
+        assert op.apply(0, op.vec(R))[0, 0] == pytest.approx(a, rel=1e-14)
 
     def test_cross_block_linear_scale(self):
         A = np.diag([math.exp(-2.0), math.exp(-1.0)])
         R = PolyMap(S11, S11, 1, np.zeros(2), {(1, (1, 0)): 1.0})
-        out = twisted_transfer(R, A)
+        out = twisted_reference(R, A)
         # target block 2, source block 1: factor exp(chi_1 - chi_2) = e^{-1}
         assert out.coeffs[(1, (1, 0))] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
+        op = _DegreeOperator(S11, structure, 1, [A])
+        via_matrix = op.apply(0, op.vec(R))
+        assert via_matrix[1, op.mono_index[(1, 0)]] == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_matches_matrix_operator(self):
         rng = np.random.default_rng(17)
@@ -86,7 +109,7 @@ class TestTwistedTransfer:
                     coeffs[(i, alpha)] = float(rng.uniform(-1, 1))
             R = PolyMap(space, space, n, np.zeros(3), coeffs)
             via_matrix = op.apply(0, op.vec(R))
-            full = twisted_transfer(R, A, max_degree=n)
+            full = twisted_reference(R, A, max_degree=n)
             _, n_part = project_subresonance(full, structure)
             assert np.max(np.abs(via_matrix - op.vec(n_part))) <= 1e-13
 
@@ -95,21 +118,78 @@ class TestSources:
     def test_koenigs_q2(self):
         c = koenigs_cocycle()
         ctx = SolverContext.prepare(c, 0.05, 6)
-        h = [PolyMap.identity(S1, 6)]
-        p = [PolyMap.from_linear(np.array([[0.5]]), S1, S1, 1)]
-        s_list, q_list = assemble_Q(ctx, 2, h, p)
-        assert s_list[0].coeffs == {(0, (2,)): 0.1}
-        assert q_list[0].coeffs[(0, (2,))] == pytest.approx(0.2, abs=1e-15)
+        maps, h, p = koenigs_start(ctx)
+        op = ctx.operator(2)
+        s_vecs = _source_vecs(op, maps, h, p)
+        assert op.polymap(s_vecs[0]).coeffs == {(0, (2,)): 0.1}
+        q = op.source(0, s_vecs[0])
+        assert q[0, op.mono_index[(2,)]] == pytest.approx(0.2, abs=1e-15)
 
     def test_koenigs_q3_after_degree2(self):
         c = koenigs_cocycle()
         ctx = SolverContext.prepare(c, 0.05, 6)
-        h = [PolyMap.identity(S1, 6)]
-        p = [PolyMap.from_linear(np.array([[0.5]]), S1, S1, 1)]
-        H2, P2, _ = solve_homogeneous_degree(ctx, 2, h, p)
-        h[0] = h[0] + H2[0]
-        _, q_list = assemble_Q(ctx, 3, h, p)
-        assert q_list[0].coeffs[(0, (3,))] == pytest.approx(0.08, abs=1e-12)
+        maps, h, p = koenigs_start(ctx)
+        op2 = ctx.operator(2)
+        series = lambda op, q: _run_series(op, q, ctx.series_tol, ctx.max_series_terms, 1)
+        H2, P2, _ = solve_homogeneous_degree(op2, maps, h, p, series)
+        h[0] = h[0] + op2.polymap(H2[0])
+        op3 = ctx.operator(3)
+        q = op3.source(0, _source_vecs(op3, maps, h, p)[0])
+        assert q[0, op3.mono_index[(3,)]] == pytest.approx(0.08, abs=1e-12)
+
+
+def window_case(seed):
+    """Two flag-preserving maps over dims (2, 1) and conjugators with degree-2 terms."""
+    rng = np.random.default_rng(seed)
+    space = GradedSpace((2, 1))
+    structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.05))
+    quad = _DegreeOperator(space, structure, 2, [np.eye(3)]).monos
+
+    def random_quadratic():
+        return PolyMap(space, space, 2, np.zeros(3),
+                       {(i, a): float(rng.uniform(-1, 1)) for i in range(3) for a in quad})
+
+    linears, maps = [], []
+    for _ in range(2):
+        # block upper triangular with a full fast block: flag preserving, not adapted
+        A = np.triu(rng.uniform(-0.3, 0.3, (3, 3)), 1) + np.diag([0.14, 0.13, 0.37])
+        A[1, 0] = rng.uniform(-0.1, 0.1)
+        linears.append(A)
+        maps.append(PolyMap.from_linear(A, space, space, 2) + random_quadratic())
+    h_maps = [PolyMap.identity(space, 3) + random_quadratic() for _ in range(3)]
+    p_maps = [PolyMap.from_linear(A, space, space, 1) for A in linears]
+    return space, structure, maps, linears, h_maps, p_maps, rng
+
+
+class TestFinishDegree:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_compose_reference(self, n):
+        space, structure, maps, linears, h_maps, p_maps, rng = window_case(5 + n)
+        op = _DegreeOperator(space, structure, n, linears)
+        h_vecs = [rng.uniform(-1, 1, op.mask.shape) for _ in range(3)]
+
+        def given(op_, q_vecs):
+            return [h.copy() for h in h_vecs], {}
+
+        _, p_vecs, diag = solve_homogeneous_degree(op, maps, h_maps, p_maps, given)
+        residue = 0.0
+        for k in range(2):
+            A_map = PolyMap.from_linear(linears[k], space, space, 1)
+            Hk, Hnext = op.polymap(h_vecs[k]), op.polymap(h_vecs[k + 1])
+            source = (compose_truncated(h_maps[k + 1], maps[k], n).homogeneous_part(n)
+                      - compose_truncated(p_maps[k], h_maps[k], n).homogeneous_part(n))
+            term = source + compose_truncated(Hnext, A_map, n) \
+                - compose_truncated(A_map, Hk, n)
+            s_part, n_part = project_subresonance(term, structure)
+            assert np.max(np.abs(p_vecs[k] - op.vec(s_part))) <= 1e-13
+            residue = max(residue, n_part.coeff_max())
+        if n <= structure.degree_bound:
+            assert p_vecs[0].any()
+            assert diag["defect"] is None
+            assert abs(diag["admissible_violation"] - residue) <= 1e-13
+        else:
+            assert diag["admissible_violation"] is None
+            assert abs(diag["defect"] - residue) <= 1e-13
 
 
 class TestScalarSolves:

@@ -6,7 +6,7 @@ import pytest
 
 from orbitnf.cocycle import LyapunovFrame, OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure
-from orbitnf.normalform import SolverContext, solve_normal_form
+from orbitnf.normalform import SolverContext, _source_vecs, solve_normal_form
 from orbitnf.polymap import GradedSpace, PolyMap, compose_truncated
 from orbitnf.verify import (
     CommutingExtension,
@@ -141,13 +141,22 @@ class TestConjugacyResidual:
         json.dumps(rep.to_dict())
 
 
+def degree_inputs(ctx, n, h_maps, p_maps):
+    """Degree-n operator and twisted sources Q(k), the oracle's arguments."""
+    op = ctx.operator(n)
+    maps = [ctx.cocycle.map_at(k) for k in range(ctx.cocycle.period)]
+    s_vecs = _source_vecs(op, maps, h_maps, p_maps)
+    return op, [op.source(k, s) for k, s in enumerate(s_vecs)]
+
+
 class TestDirectOracle:
     def test_degree2_koenigs_value(self, koenigs):
         _, ctx, _ = koenigs
         h0 = [PolyMap.identity(S1, ctx.order)]
         p0 = [PolyMap.from_linear(np.array([[0.5]]), S1, S1, 1)]
-        Hn = direct_solve_oracle(ctx, 2, h0, p0)
-        assert abs(Hn[0].coeffs[(0, (2,))] - 0.4) <= 1e-12
+        Hn, _ = direct_solve_oracle(*degree_inputs(ctx, 2, h0, p0))
+        op = ctx.operator(2)
+        assert abs(Hn[0][0, op.mono_index[(2,)]] - 0.4) <= 1e-12
 
     def test_series_matches_direct_koenigs(self, koenigs):
         _, ctx, res = koenigs
@@ -159,6 +168,19 @@ class TestDirectOracle:
 
     def test_series_matches_direct_nonresonant2(self, nonresonant2):
         _, ctx, res = nonresonant2
+        assert series_vs_direct(ctx, res) <= 1e-10
+
+    def test_series_matches_direct_lifted(self):
+        c = resonant2_cocycle()
+
+        def lift(k, n):
+            if n == 2:
+                return PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): 0.3})
+            return None
+
+        ctx = SolverContext.prepare(c, 0.05, 4, lift_policy=lift)
+        res = solve_normal_form(ctx)
+        assert res.conjugator[0].coeffs[(0, (0, 2))] == pytest.approx(0.3, abs=1e-14)
         assert series_vs_direct(ctx, res) <= 1e-10
 
     def test_misclassified_resonance_detected(self):
@@ -178,7 +200,7 @@ class TestDirectOracle:
         h0 = [PolyMap.identity(S11, 2)]
         p0 = [PolyMap.from_linear(A, S11, S11, 1)]
         with pytest.raises(ValueError, match="singular"):
-            direct_solve_oracle(ctx, 2, h0, p0)
+            direct_solve_oracle(*degree_inputs(ctx, 2, h0, p0))
 
 
 class TestGauge:
