@@ -45,7 +45,8 @@ class OrbitCocycle:
 
     Map k sends the fiber at orbit point k to the fiber at point k+1 (mod K
     when periodic).  All maps share one graded coordinate space, fix the
-    origin, and have invertible linear parts.
+    origin, and have invertible linear parts.  The linear parts are
+    extracted once and handed out as read-only arrays.
     """
 
     space: GradedSpace
@@ -56,14 +57,15 @@ class OrbitCocycle:
         self.fiber_maps = tuple(self.fiber_maps)
         if not self.fiber_maps:
             raise ValueError("cocycle needs at least one fiber map")
-        for k, pm in enumerate(self.fiber_maps):
+        self._linears = tuple(pm.linear_matrix() for pm in self.fiber_maps)
+        for k, (pm, A) in enumerate(zip(self.fiber_maps, self._linears)):
             if pm.source != self.space or pm.target != self.space:
                 raise ValueError(f"fiber map {k} is not over the cocycle space")
             if np.any(pm.constant != 0.0):
                 raise ValueError(f"fiber map {k} does not fix the origin")
-            A = pm.linear_matrix()
             if np.linalg.cond(A) > 1e12:
                 raise ValueError(f"fiber map {k} has a non-invertible linear part")
+            A.setflags(write=False)
 
     @property
     def period(self) -> int:
@@ -88,16 +90,13 @@ class OrbitCocycle:
         return self.fiber_maps[self._index(k)]
 
     def linear(self, k: int) -> np.ndarray:
-        return self.map_at(k).linear_matrix()
+        return self._linears[self._index(k)]
 
     def monodromy(self, base: int = 0) -> np.ndarray:
         """Product of the linear parts over one period, starting at base."""
         if not self.periodic:
             raise ValueError("monodromy requires a periodic cocycle")
-        M = np.eye(self.dim)
-        for j in range(self.period):
-            M = self.linear(base + j) @ M
-        return M
+        return self.linear_iterate(base, self.period)
 
     def linear_iterate(self, base: int, n: int) -> np.ndarray:
         """Matrix of the n-step linear cocycle from orbit point base."""
@@ -524,6 +523,8 @@ def sandwich_check(
     count = 0
     for k in range(K):
         Fk = frames[k]
+        iterates = {n: cocycle.linear_iterate(k, n)
+                    for n in range(-n_max, n_max + 1) if n != 0}
         lam_min = min(lam_min, float(np.linalg.eigvalsh(Fk.gram)[0]))
         for _ in range(samples):
             w = rng.standard_normal(cocycle.dim)
@@ -544,7 +545,7 @@ def sandwich_check(
                 for n in range(-n_max, n_max + 1):
                     if n == 0:
                         continue
-                    v = cocycle.linear_iterate(k, n) @ u
+                    v = iterates[n] @ u
                     r = math.log(frames[(k + n) % K].norm(v) / nu)
                     hi = chi * n + eps * abs(n)
                     lo = chi * n - eps * abs(n)

@@ -14,7 +14,10 @@ fixed point
 
 In coefficient coordinates Phi_k is the two-sided matrix action
 c -> mask * (Ainv_k @ c @ subst_k) where subst_k is the monomial substitution
-matrix of A_k and mask keeps non-admissible slots.
+matrix of A_k and mask keeps non-admissible slots.  With block-diagonal A_k
+this factors by type: the slots of type (i, s) move among themselves as
+X -> Ainv_k[i] X subst_k[s], the paper's per-type operator, and the series
+certificate and the dense oracle work type by type.
 
 One loop, ``_degree_loop``, runs the recursion.  Each degree assembles the
 sources once as coefficient arrays, hands their twisted versions Q(k) to a
@@ -33,21 +36,18 @@ solvers plug into it:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import (
-    GradedSpace,
-    PolyMap,
-    _poly_mul,
-    _poly_pow,
-    compose_truncated,
-)
+from .polymap import GradedSpace, PolyMap, compose_truncated
 
 MAX_SERIES_CERT_POWER = 64
+# a window sweep whose norm outgrows its sources by this factor has diverged
+WINDOW_GROWTH_GUARD = 1e9
 
 LiftPolicy = Callable[[int, int], "PolyMap | None"]
 # (degree operator, twisted sources Q(k)) -> (conjugator terms, diagnostics)
@@ -66,24 +66,54 @@ class SeriesStagnationError(RuntimeError):
     """
 
 
-def _monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    def rec(prefix, remaining):
-        if len(prefix) == dim - 1:
-            yield prefix + (remaining,)
-            return
-        for p in range(remaining + 1):
-            yield from rec(prefix + (p,), remaining - p)
+@lru_cache(maxsize=None)
+def _mono_table(dim: int, degree: int):
+    """Sorted degree-n monomials, their index, and the substitution recurrence.
 
-    return tuple(sorted(rec((), degree)))
+    For degree >= 1, first[a] is the first coordinate j with alpha_a[j] > 0;
+    lower[b, l] is the index of beta_b - e_l one degree down, or the length
+    of that table (a zero pad column) when beta_b[l] == 0.
+    """
+    if degree == 0:
+        return ((0,) * dim,), {(0,) * dim: 0}, None, None
+    below = _mono_table(dim, degree - 1)[1]
+    monos = tuple(sorted({a[:l] + (a[l] + 1,) + a[l + 1:] for a in below for l in range(dim)}))
+    first = np.array([next(j for j, p in enumerate(a) if p) for a in monos])
+    lower = np.array([[below.get(a[:l] + (a[l] - 1,) + a[l + 1:], len(below))
+                       for l in range(dim)] for a in monos])
+    return monos, {a: j for j, a in enumerate(monos)}, first, lower
+
+
+def _substs(As: np.ndarray, n: int) -> np.ndarray:
+    """substs[k, a, b] = coefficient of t^beta_b in (A_k t)^alpha_a, degree n.
+
+    Built up the degrees by (At)^alpha = (At)^(alpha - e_j) (At)_j, j = first[a],
+    for every A_k of the (K, dim, dim) stack at once.
+    """
+    K, dim = As.shape[:2]
+    S = np.ones((K, 1, 1))
+    for d in range(1, n + 1):
+        _, _, first, lower = _mono_table(dim, d)
+        prev = np.concatenate([S, np.zeros((K, S.shape[1], 1))], axis=2)
+        prev = prev[:, lower[np.arange(len(first)), first]]
+        S = sum(As[:, first, l, None] * prev[:, :, lower[:, l]] for l in range(dim))
+    return S
 
 
 class _DegreeOperator:
     """Coefficient-space form of the degree-n transfer along the orbit.
 
     Coefficients of a homogeneous degree-n map sit in an (m, n_mono) array;
-    column order is the sorted monomial list.  mask is True on slots whose
-    type is non-admissible, so mask * c is the projection that drops the
-    sub-resonance directions.
+    column order is the sorted monomial list.  ``types`` lists the
+    non-admissible types (i, s) as (rows, cols): the coordinate slice of
+    block i and the columns of the monomials with block degrees s.  mask is
+    True exactly on those slots, so mask * c drops the sub-resonance part.
+
+    With block-diagonal A_k, subst_k maps the monomials of each block degree
+    s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
+    X -> Ainv_k[i] X subst_k[s].  The series certificate and the dense oracle
+    use these blocks; ``apply`` keeps the full product, which also transports
+    the block-triangular (flag-preserving) linear parts of a window.
     """
 
     def __init__(self, space: GradedSpace, structure: SubResStructure, n: int,
@@ -91,43 +121,21 @@ class _DegreeOperator:
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
-        self.monos = _monomials(space.dim, n)
-        self.mono_index = {a: j for j, a in enumerate(self.monos)}
+        self.monos, self.mono_index = _mono_table(space.dim, n)[:2]
         admissible = structure.admissible(n)
-        mask = np.ones((space.dim, len(self.monos)), dtype=bool)
-        for i in range(space.dim):
-            bi = space.block_of_coord[i]
-            for j, alpha in enumerate(self.monos):
-                if (bi, space.block_degrees(alpha)) in admissible:
-                    mask[i, j] = False
-        self.mask = mask
-        self.linears = [np.asarray(A, dtype=float) for A in linears]
-        self.ainvs = [np.linalg.inv(A) for A in self.linears]
-        self.substs = [self._subst(A) for A in self.linears]
-
-    def _subst(self, A: np.ndarray) -> np.ndarray:
-        """subst[a, b] = coefficient of t^beta_b in (A t)^alpha_a."""
-        dim = self.space.dim
-        forms = []
-        for j in range(dim):
-            form = {}
-            for l in range(dim):
-                if A[j, l] != 0.0:
-                    key = tuple(1 if idx == l else 0 for idx in range(dim))
-                    form[key] = float(A[j, l])
-            forms.append(form)
-        pow_caches = [dict() for _ in range(dim)]
-        subst = np.zeros((len(self.monos), len(self.monos)))
-        one = {(0,) * dim: 1.0}
-        for a, alpha in enumerate(self.monos):
-            acc = one
-            for j, p in enumerate(alpha):
-                if p == 0:
-                    continue
-                acc = _poly_mul(acc, _poly_pow(forms[j], p, self.n, pow_caches[j]), self.n)
-            for beta, c in acc.items():
-                subst[a, self.mono_index[beta]] = c
-        return subst
+        by_degrees: dict[tuple[int, ...], list[int]] = {}
+        for j, alpha in enumerate(self.monos):
+            by_degrees.setdefault(space.block_degrees(alpha), []).append(j)
+        self.types = [(space.block_slice(i), np.array(cols))
+                      for s, cols in sorted(by_degrees.items())
+                      for i in range(1, space.n_blocks + 1)
+                      if (i, s) not in admissible]
+        self.mask = np.zeros((space.dim, len(self.monos)), dtype=bool)
+        for rows, cols in self.types:
+            self.mask[rows, cols] = True
+        self.linears = np.asarray(linears, dtype=float)
+        self.ainvs = np.linalg.inv(self.linears)
+        self.substs = _substs(self.linears, n)
 
     def vec(self, pmap: PolyMap) -> np.ndarray:
         c = np.zeros((self.space.dim, len(self.monos)))
@@ -152,30 +160,34 @@ class _DegreeOperator:
         """Masked twisted source Q(k) = proj_N(Ainv_k o proj_N(S))."""
         return self.mask * (self.ainvs[k] @ (self.mask * s_vec))
 
-    def phi_matrix(self, k: int) -> np.ndarray:
-        """Dense matrix of apply(k, .) on row-major flattened coefficients."""
-        M = np.kron(self.ainvs[k], self.substs[k].T)
-        return self.mask.ravel()[:, None] * M
+    def type_blocks(self, k: int, rows: slice, cols: np.ndarray):
+        """(Ainv_k[i], subst_k[s]) of one type: Phi_k acts as X -> Ainv X subst."""
+        return self.ainvs[k][rows, rows], self.substs[k][np.ix_(cols, cols)]
 
 
 def _series_certificate(op: _DegreeOperator, period: int) -> tuple[int, float]:
-    """Smallest power-of-two q with every q-period transfer norm below one."""
-    phis = [op.phi_matrix(k) for k in range(period)]
-    psis = []
-    for p in range(period):
-        P = np.eye(phis[0].shape[0])
-        for j in range(period):
-            P = P @ phis[(p + j) % period]
-        psis.append(P)
+    """Smallest power-of-two q with every q-period transfer norm below one.
+
+    Over one period from point p a type moves as X -> A X S with
+    A = Ainv_p[i] Ainv_{p+1}[i] ... and S = ... subst_{p+1}[s] subst_p[s], the
+    Kronecker product of A and S^T, whose norm is ||A||_2 ||S||_2.  As no
+    type feeds another, the maximum over types and phases is exact.
+    """
+    pairs = []
+    for rows, cols in op.types:
+        for p in range(period):
+            blocks = [op.type_blocks((p + j) % period, rows, cols) for j in range(period)]
+            pairs.append((reduce(np.matmul, [a for a, _ in blocks]),
+                          reduce(np.matmul, [s for _, s in blocks[::-1]])))
     q = 1
     while q <= MAX_SERIES_CERT_POWER:
         rho = 0.0
-        for P in psis:
-            s = np.linalg.norm(P, ord=2)
-            rho = max(rho, float(s) if np.isfinite(s) else np.inf)
+        for A, S in pairs:
+            r = np.linalg.norm(A, ord=2) * np.linalg.norm(S, ord=2)
+            rho = max(rho, float(r) if np.isfinite(r) else np.inf)
         if rho < 1.0:
             return q, rho
-        psis = [P @ P for P in psis]
+        pairs = [(A @ A, S @ S) for A, S in pairs]
         q *= 2
     raise SeriesStagnationError(
         "transported series has no certified contraction up to "
@@ -241,8 +253,9 @@ class SolverContext:
     """Everything the degree loop needs, validated once.
 
     The periodic solver requires a grading-adapted cocycle: the coordinate
-    blocks are the splitting, so the linear parts must be block diagonal and
-    their block sizes must match the spectrum multiplicities.
+    blocks are the splitting, so the linear parts must be block diagonal (up
+    to 1e-12 relative) and their block sizes must match the spectrum
+    multiplicities.  That is what splits the degree operators type by type.
     """
 
     cocycle: OrbitCocycle
@@ -253,7 +266,6 @@ class SolverContext:
     series_tol: float = 1e-13
     max_series_terms: int = 10_000
     lift_policy: LiftPolicy | None = None
-    require_adapted: bool = True
 
     def __post_init__(self):
         if not self.cocycle.periodic:
@@ -270,21 +282,16 @@ class SolverContext:
             raise ValueError("need one frame per orbit point")
         if self.order >= 2:
             contraction_factor(self.spectrum, self.order)
-        if self.require_adapted:
-            space = self.cocycle.space
-            for k in range(self.cocycle.period):
-                A = self.cocycle.linear(k)
-                off = A.copy()
-                for i in range(1, space.n_blocks + 1):
-                    sl = space.block_slice(i)
-                    off[sl, sl] = 0.0
-                if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
-                    raise ValueError(
-                        f"fiber map {k} is not grading-adapted "
-                        "(linear part has off-block entries)"
-                    )
+        block = np.array(self.cocycle.space.block_of_coord)
+        for k in range(self.cocycle.period):
+            A = self.cocycle.linear(k)
+            off = A[block[:, None] != block[None, :]]
+            if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
+                raise ValueError(
+                    f"fiber map {k} is not grading-adapted "
+                    "(linear part has off-block entries)"
+                )
         self._operators: dict[int, _DegreeOperator] = {}
-        self._linears = [self.cocycle.linear(k) for k in range(self.cocycle.period)]
 
     @classmethod
     def prepare(cls, cocycle: OrbitCocycle, epsilon: float, order: int, *,
@@ -303,7 +310,8 @@ class SolverContext:
     def operator(self, n: int) -> _DegreeOperator:
         if n not in self._operators:
             self._operators[n] = _DegreeOperator(
-                self.cocycle.space, self.structure, n, self._linears
+                self.cocycle.space, self.structure, n,
+                [self.cocycle.linear(k) for k in range(self.cocycle.period)]
             )
         return self._operators[n]
 
@@ -432,18 +440,13 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
 
 
 def _flag_preserving_check(space: GradedSpace, A: np.ndarray, tol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for i in range(space.dim):
-        for j in range(space.dim):
-            if space.block_of_coord[i] > space.block_of_coord[j]:
-                if abs(A[i, j]) > tol * scale:
-                    return False
-    return True
+    block = np.array(space.block_of_coord)
+    below = A[block[:, None] > block[None, :]]
+    return not np.any(np.abs(below) > tol * max(1.0, float(np.max(np.abs(A)))))
 
 
 def solve_window(fiber_maps: Sequence[PolyMap], structure: SubResStructure,
-                 order: int, *, growth_guard: float = 1e9
-                 ) -> tuple[list[PolyMap], list[PolyMap], dict]:
+                 order: int) -> tuple[list[PolyMap], list[PolyMap], dict]:
     """Normal form along a finite orbit window, zero terminal condition.
 
     Accepts flag-preserving linear parts (block triangular against the
@@ -480,7 +483,7 @@ def solve_window(fiber_maps: Sequence[PolyMap], structure: SubResStructure,
             R[k] = q_vecs[k] + op.apply(k, R[k + 1])
             nrm = float(np.linalg.norm(R[k]))
             max_norm = max(max_norm, nrm)
-            if nrm > growth_guard * q_scale:
+            if nrm > WINDOW_GROWTH_GUARD * q_scale:
                 raise SeriesStagnationError(
                     f"window sweep diverged at degree {op.n}, step {k}"
                 )

@@ -13,7 +13,6 @@ over Lyapunov unit spheres for the nonlinear operator norms.  All iteration
 orders are fixed so repeated runs produce identical floats.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -229,9 +228,6 @@ class PolyMap:
     def coeff_max(self) -> float:
         vals = [abs(c) for c in self.coeffs.values()]
         return max(vals, default=0.0)
-
-    def coeff_l2(self) -> float:
-        return math.sqrt(sum(c * c for c in self.coeffs.values()))
 
     def nonlinear_coeff_max(self) -> float:
         vals = [abs(c) for (_, alpha), c in self.coeffs.items() if sum(alpha) >= 2]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cocycle import OrbitCocycle
 from .grading import Spectrum, SubResStructure
-from .normalform import _monomials
+from .normalform import _mono_table
 from .polymap import GradedSpace, PolyMap
 
 BUILTIN_DESCRIPTIONS = {
@@ -128,7 +128,7 @@ def random_cocycle(rng: np.random.Generator, exponents, dims, period: int, *,
                     alpha = tuple(1 if l == j else 0 for l in range(dim))
                     coeffs[(i, alpha)] = float(A[i, j])
         for n in range(2, degree + 1):
-            for alpha in _monomials(dim, n):
+            for alpha in _mono_table(dim, n)[0]:
                 for i in range(dim):
                     if admissible_only and not structure.is_admissible(
                             space.block_of_coord[i],

@@ -5,8 +5,8 @@ from a different direction:
 
 * ``conjugacy_residual`` evaluates both sides of the conjugacy on sampled
   points and fits the decay order of the mismatch.
-* ``direct_solve_oracle`` solves each degree as one dense linear system over
-  all orbit points, no series, no contraction argument.
+* ``direct_solve_oracle`` solves each degree type by type, one dense linear
+  system over all orbit points per type, no series, no contraction argument.
 * ``gauge_compare`` measures whether two solutions differ by a sub-resonance
   coordinate change only, which is the uniqueness statement.
 * ``centralizer_check`` conjugates a commuting family and tests that it lands
@@ -145,45 +145,43 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
 
 def direct_solve_oracle(op: _DegreeOperator, q_vecs: list[np.ndarray]
                         ) -> tuple[list[np.ndarray], dict]:
-    """Degree-n conjugator via one dense solve coupling all orbit points.
+    """Degree-n conjugator via dense solves coupling all orbit points.
 
     A transfer for the shared degree loop: takes the degree operator and the
     twisted sources Q(k), returns one coefficient array per orbit point and
-    no diagnostics.  Stacks the non-admissible coefficient slots of every
-    point into a single vector and solves (I - T) x = q where T is the
-    one-step masked transfer.  Shares with the series only the loop around
-    the transfer (source assembly, lift, finishing), so agreement is evidence
-    for both transfers.
+    no diagnostics.  Each non-admissible type (i, s) is one dense solve of
+    the K-cyclic system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The
+    singularity test takes the extreme singular values over all types, which
+    are those of the full system: it is block diagonal in the types up to a
+    permutation.  Shares with the series only the loop around the transfer
+    (source assembly, lift, finishing), so agreement is evidence for both.
     """
     K = len(q_vecs)
-    idx = np.flatnonzero(op.mask.ravel())
-    nn = idx.size
-    if nn == 0:
-        return [np.zeros_like(q) for q in q_vecs], {}
+    systems = []
+    for rows, cols in op.types:
+        nn = (rows.stop - rows.start) * len(cols)
+        L = np.eye(K * nn)
+        for k in range(K):
+            ainv, subst = op.type_blocks(k, rows, cols)
+            nxt = (k + 1) % K
+            L[k * nn:(k + 1) * nn, nxt * nn:(nxt + 1) * nn] -= np.kron(ainv, subst.T)
+        rhs = np.concatenate([q[rows, cols].ravel() for q in q_vecs])
+        systems.append((rows, cols, L, rhs, np.linalg.svd(L, compute_uv=False)))
 
-    L = np.zeros((K * nn, K * nn))
-    rhs = np.zeros(K * nn)
-    for k in range(K):
-        rows = slice(k * nn, (k + 1) * nn)
-        L[rows, rows] = np.eye(nn)
-        nxt = (k + 1) % K
-        L[rows, nxt * nn:(nxt + 1) * nn] -= op.phi_matrix(k)[np.ix_(idx, idx)]
-        rhs[rows] = q_vecs[k].ravel()[idx]
-
-    sv = np.linalg.svd(L, compute_uv=False)
-    if sv[-1] < 1e-12 * max(1.0, sv[0]):
+    sv_min = min((float(sv[-1]) for *_, sv in systems), default=1.0)
+    sv_max = max((float(sv[0]) for *_, sv in systems), default=1.0)
+    if sv_min < 1e-12 * max(1.0, sv_max):
         raise ValueError(
             f"the degree-{op.n} transfer system is numerically singular; a "
             "resonant type appears to be classified as non-resonant (widen "
             "resonance_tol or shrink epsilon)"
         )
-    x = np.linalg.solve(L, rhs)
 
-    out = []
-    for k in range(K):
-        flat = np.zeros(op.mask.size)
-        flat[idx] = x[k * nn:(k + 1) * nn]
-        out.append(flat.reshape(op.mask.shape))
+    out = [np.zeros_like(q) for q in q_vecs]
+    for rows, cols, L, rhs, _ in systems:
+        x = np.linalg.solve(L, rhs).reshape(K, rows.stop - rows.start, len(cols))
+        for k in range(K):
+            out[k][rows, cols] = x[k]
     return out, {}
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ import pytest
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
+    MAX_SERIES_CERT_POWER,
     NormalFormResult,
     SolverContext,
     _DegreeOperator,
     _run_series,
+    _series_certificate,
     _source_vecs,
     solve_homogeneous_degree,
     solve_normal_form,
     solve_window,
 )
 from orbitnf.polymap import GradedSpace, PolyMap, compose_truncated, project_subresonance
+from orbitnf.scenarios import random_cocycle
+from orbitnf.verify import direct_solve_oracle
 
 S1 = GradedSpace((1,))
 S11 = GradedSpace((1, 1))
@@ -61,6 +66,74 @@ def twisted_reference(pmap, linear, max_degree=None):
     return compose_truncated(outer, compose_truncated(pmap, inner, deg), deg)
 
 
+def dense_phi(op, k):
+    """Dense matrix of op.apply(k, .) on row-major flattened coefficients."""
+    return op.mask.ravel()[:, None] * np.kron(op.ainvs[k], op.substs[k].T)
+
+
+def dense_certificate(op, period):
+    """(q, rho) from products and norms of the dense one-step matrices."""
+    phis = [dense_phi(op, k) for k in range(period)]
+    psis = []
+    for p in range(period):
+        P = np.eye(phis[0].shape[0])
+        for j in range(period):
+            P = P @ phis[(p + j) % period]
+        psis.append(P)
+    q = 1
+    while q <= MAX_SERIES_CERT_POWER:
+        rho = max(float(np.linalg.norm(P, ord=2)) for P in psis)
+        if rho < 1.0:
+            return q, rho
+        psis = [P @ P for P in psis]
+        q *= 2
+    raise AssertionError("dense reference found no contraction")
+
+
+def dense_oracle(op, q_vecs):
+    """(I - T) x = q over the non-admissible slots of every orbit point at once."""
+    K = len(q_vecs)
+    idx = np.flatnonzero(op.mask.ravel())
+    nn = idx.size
+    L = np.eye(K * nn)
+    rhs = np.zeros(K * nn)
+    for k in range(K):
+        nxt = (k + 1) % K
+        L[k * nn:(k + 1) * nn, nxt * nn:(nxt + 1) * nn] -= dense_phi(op, k)[np.ix_(idx, idx)]
+        rhs[k * nn:(k + 1) * nn] = q_vecs[k].ravel()[idx]
+    x = np.linalg.solve(L, rhs)
+    out = []
+    for k in range(K):
+        flat = np.zeros(op.mask.size)
+        flat[idx] = x[k * nn:(k + 1) * nn]
+        out.append(flat.reshape(op.mask.shape))
+    return out
+
+
+def rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+def sheared_operator(period, n):
+    """Operator over dims (2, 1) whose fast block is a sheared rotation.
+
+    The fast blocks of different steps do not commute, so the order of the
+    one-period product matters, and the shear makes some one-period norms
+    exceed one, so the certificate needs q > 1.
+    """
+    space = GradedSpace((2, 1))
+    structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.05))
+    linears = []
+    for k in range(period):
+        A = np.zeros((3, 3))
+        A[:2, :2] = math.exp(-2.0) * rotation(0.3 + 0.5 * k) @ np.array([[1.0, 1.0],
+                                                                         [0.0, 1.0]])
+        A[2, 2] = math.exp(-1.0 + 0.1 * k)
+        linears.append(A)
+    return _DegreeOperator(space, structure, n, linears)
+
+
 def koenigs_start(ctx):
     """Operator inputs before degree 2: identity conjugator, linear normal form."""
     h = [PolyMap.identity(S1, ctx.order)]
@@ -92,26 +165,87 @@ class TestTwistedTransfer:
 
     def test_matches_matrix_operator(self):
         rng = np.random.default_rng(17)
-        space = GradedSpace((2, 1))
-        spec = Spectrum((-2.0, -1.0), (2, 1), 0.05)
-        structure = SubResStructure.from_spectrum(spec)
-        theta = 0.4
-        blockA = 0.1 * np.array([[math.cos(theta), -math.sin(theta)],
-                                 [math.sin(theta), math.cos(theta)]])
-        A = np.zeros((3, 3))
-        A[:2, :2] = blockA
-        A[2, 2] = math.exp(-1.0)
+        for dims, exponents in (((2, 1), (-2.0, -1.0)), ((2, 3), (-2.0, -0.8))):
+            space = GradedSpace(dims)
+            structure = SubResStructure.from_spectrum(Spectrum(exponents, dims, 0.03))
+            A = np.zeros((space.dim, space.dim))
+            A[:2, :2] = 0.1 * rotation(0.4)
+            Q, _ = np.linalg.qr(rng.standard_normal((dims[1], dims[1])))
+            A[2:, 2:] = math.exp(exponents[1]) * Q
+            for n in (2, 3, 4, 5):
+                op = _DegreeOperator(space, structure, n, [A])
+                coeffs = {}
+                for i in range(space.dim):
+                    for alpha in op.monos:
+                        coeffs[(i, alpha)] = float(rng.uniform(-1, 1))
+                R = PolyMap(space, space, n, np.zeros(space.dim), coeffs)
+                via_matrix = op.apply(0, op.vec(R))
+                full = twisted_reference(R, A, max_degree=n)
+                _, n_part = project_subresonance(full, structure)
+                assert np.max(np.abs(via_matrix - op.vec(n_part))) <= 1e-13
+
+
+class TestTypedOperator:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dense_operator_is_type_diagonal(self, n):
+        op = sheared_operator(2, n)
+        label = -np.ones(op.mask.shape, dtype=int)
+        for t, (rows, cols) in enumerate(op.types):
+            label[rows, cols] = t
+        assert np.array_equal(label >= 0, op.mask)
+        label = label.ravel()
+        rng = np.random.default_rng(n)
+        for k in range(2):
+            phi = dense_phi(op, k)
+            c = rng.uniform(-1, 1, op.mask.shape)
+            assert np.max(np.abs(phi @ c.ravel() - op.apply(k, c).ravel())) <= 1e-13
+            assert not phi[label[:, None] != label[None, :]].any()
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_certificate_matches_dense_reference(self, period):
+        qs = []
+        for n in (2, 3, 4):
+            op = sheared_operator(period, n)
+            q, rho = _series_certificate(op, period)
+            q_ref, rho_ref = dense_certificate(op, period)
+            assert q == q_ref
+            assert abs(rho - rho_ref) <= 1e-14 * rho_ref
+            qs.append(q)
+        if period > 1:
+            assert max(qs) > 1
+
+    def test_certificate_all_admissible_degree(self):
+        # a single block at degree 1 keeps every type: nothing to transfer
+        space = GradedSpace((2,))
+        structure = SubResStructure.from_spectrum(Spectrum((-1.0,), (2,), 0.05))
+        op = _DegreeOperator(space, structure, 1,
+                             [0.4 * rotation(0.7), 0.3 * rotation(-0.2)])
+        assert op.types == [] and not op.mask.any()
+        assert _series_certificate(op, 2) == (1, 0.0) == dense_certificate(op, 2)
+
+    def test_certificate_memory_on_ladder_degree5(self):
+        coc = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 3), 2, amp=0.05)
+        op = SolverContext.prepare(coc, 0.03, 5).operator(5)
+        tracemalloc.start()
+        try:
+            q, rho = _series_certificate(op, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        q_ref, rho_ref = dense_certificate(op, 2)
+        assert q == q_ref
+        assert abs(rho - rho_ref) <= 1e-14 * rho_ref
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_oracle_matches_dense_solve(self, period):
+        rng = np.random.default_rng(period)
         for n in (2, 3):
-            op = _DegreeOperator(space, structure, n, [A])
-            coeffs = {}
-            for i in range(3):
-                for alpha in op.monos:
-                    coeffs[(i, alpha)] = float(rng.uniform(-1, 1))
-            R = PolyMap(space, space, n, np.zeros(3), coeffs)
-            via_matrix = op.apply(0, op.vec(R))
-            full = twisted_reference(R, A, max_degree=n)
-            _, n_part = project_subresonance(full, structure)
-            assert np.max(np.abs(via_matrix - op.vec(n_part))) <= 1e-13
+            op = sheared_operator(period, n)
+            q_vecs = [op.mask * rng.uniform(-1, 1, op.mask.shape) for _ in range(period)]
+            h_vecs, _ = direct_solve_oracle(op, q_vecs)
+            for h, h_ref in zip(h_vecs, dense_oracle(op, q_vecs)):
+                assert np.max(np.abs(h - h_ref)) <= 1e-12 * max(1.0, np.max(np.abs(h_ref)))
 
 
 class TestSources:
