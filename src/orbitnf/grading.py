@@ -42,10 +42,6 @@ def _weight(chi: tuple[float, ...], s: tuple[int, ...]) -> float:
     return sum(sj * cj for sj, cj in zip(s, chi))
 
 
-def _is_admissible(chi: tuple[float, ...], tol: float, i: int, s: tuple[int, ...]) -> bool:
-    return chi[i - 1] <= _weight(chi, s) + tol
-
-
 def _degree_bound(chi: tuple[float, ...], tol: float) -> int:
     # chi_i <= |s| chi_ell + tol for any admissible type, so |s| is capped by
     # chi_1/chi_ell + tol/|chi_ell|; using the same tol keeps the bound
@@ -165,9 +161,6 @@ class Spectrum:
     @property
     def n_blocks(self) -> int:
         return len(self.exponents)
-
-    def is_admissible(self, i: int, s: tuple[int, ...]) -> bool:
-        return _is_admissible(self.exponents, self.resonance_tol, i, s)
 
     def to_dict(self) -> dict:
         return {

@@ -19,12 +19,12 @@ this factors by type: the slots of type (i, s) move among themselves as
 X -> Ainv_k[i] X subst_k[s], the paper's per-type operator, and the series
 certificate and the dense oracle work type by type.
 
-One loop, ``_degree_loop``, runs the recursion.  Each degree assembles the
-sources once as coefficient arrays, hands their twisted versions Q(k) to a
-transfer solver, adds the admissible part of the lift, and finishes in
-coefficient space: term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k).  The
-admissible part of term_k is P_n(k); the rest must vanish.  Three transfer
-solvers plug into it:
+One loop, ``_degree_loop``, runs the recursion on jet stacks of the
+conjugators and normal forms.  Each degree assembles all its sources in one
+stacked composition, hands the twisted sources Q(k) to a transfer solver,
+adds the admissible part of the lift, and finishes in coefficient space:
+term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose admissible part
+is P_n(k) and whose rest must vanish.  Three transfer solvers plug into it:
 
 * the transported series (``solve_normal_form``), truncated once a power of
   the one-period transfer certifies a contraction, which bounds the tail;
@@ -36,22 +36,24 @@ solvers plug into it:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import GradedSpace, PolyMap, compose_truncated
+from .polymap import (GradedSpace, PolyMap, _linear_jets, _mono_table, _powers,
+                      admissible_mask, compose_jets, degree_cols, jet_width, stack_jets,
+                      top_degree)
 
 MAX_SERIES_CERT_POWER = 64
 # a window sweep whose norm outgrows its sources by this factor has diverged
 WINDOW_GROWTH_GUARD = 1e9
 
 LiftPolicy = Callable[[int, int], "PolyMap | None"]
-# (degree operator, twisted sources Q(k)) -> (conjugator terms, diagnostics)
-Transfer = Callable[["_DegreeOperator", list[np.ndarray]], tuple[list[np.ndarray], dict]]
+# (degree operator, stacked twisted sources Q(k)) -> (conjugator terms, diagnostics)
+Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[Sequence[np.ndarray], dict]]
 
 
 class SeriesBudgetError(RuntimeError):
@@ -66,48 +68,15 @@ class SeriesStagnationError(RuntimeError):
     """
 
 
-@lru_cache(maxsize=None)
-def _mono_table(dim: int, degree: int):
-    """Sorted degree-n monomials, their index, and the substitution recurrence.
-
-    For degree >= 1, first[a] is the first coordinate j with alpha_a[j] > 0;
-    lower[b, l] is the index of beta_b - e_l one degree down, or the length
-    of that table (a zero pad column) when beta_b[l] == 0.
-    """
-    if degree == 0:
-        return ((0,) * dim,), {(0,) * dim: 0}, None, None
-    below = _mono_table(dim, degree - 1)[1]
-    monos = tuple(sorted({a[:l] + (a[l] + 1,) + a[l + 1:] for a in below for l in range(dim)}))
-    first = np.array([next(j for j, p in enumerate(a) if p) for a in monos])
-    lower = np.array([[below.get(a[:l] + (a[l] - 1,) + a[l + 1:], len(below))
-                       for l in range(dim)] for a in monos])
-    return monos, {a: j for j, a in enumerate(monos)}, first, lower
-
-
-def _substs(As: np.ndarray, n: int) -> np.ndarray:
-    """substs[k, a, b] = coefficient of t^beta_b in (A_k t)^alpha_a, degree n.
-
-    Built up the degrees by (At)^alpha = (At)^(alpha - e_j) (At)_j, j = first[a],
-    for every A_k of the (K, dim, dim) stack at once.
-    """
-    K, dim = As.shape[:2]
-    S = np.ones((K, 1, 1))
-    for d in range(1, n + 1):
-        _, _, first, lower = _mono_table(dim, d)
-        prev = np.concatenate([S, np.zeros((K, S.shape[1], 1))], axis=2)
-        prev = prev[:, lower[np.arange(len(first)), first]]
-        S = sum(As[:, first, l, None] * prev[:, :, lower[:, l]] for l in range(dim))
-    return S
-
-
 class _DegreeOperator:
     """Coefficient-space form of the degree-n transfer along the orbit.
 
-    Coefficients of a homogeneous degree-n map sit in an (m, n_mono) array;
-    column order is the sorted monomial list.  ``types`` lists the
-    non-admissible types (i, s) as (rows, cols): the coordinate slice of
-    block i and the columns of the monomials with block degrees s.  mask is
-    True exactly on those slots, so mask * c drops the sub-resonance part.
+    Coefficients of a homogeneous degree-n map sit in an (m, n_mono) array,
+    the degree-n columns of a jet.  mask is True exactly on the
+    non-admissible slots, so mask * c drops the sub-resonance part, and
+    ``types`` lists those slots by type (i, s) as (rows, cols): the
+    coordinate slice of block i and the columns of the monomials with block
+    degrees s.  substs[k, a, b] is the coefficient of t^beta_b in (A_k t)^alpha_a.
 
     With block-diagonal A_k, subst_k maps the monomials of each block degree
     s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
@@ -121,44 +90,27 @@ class _DegreeOperator:
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
-        self.monos, self.mono_index = _mono_table(space.dim, n)[:2]
-        admissible = structure.admissible(n)
+        self.mask = ~admissible_mask(space, space, n, structure.admissible(n))
         by_degrees: dict[tuple[int, ...], list[int]] = {}
-        for j, alpha in enumerate(self.monos):
+        for j, alpha in enumerate(_mono_table(space.dim, n)[0]):
             by_degrees.setdefault(space.block_degrees(alpha), []).append(j)
         self.types = [(space.block_slice(i), np.array(cols))
-                      for s, cols in sorted(by_degrees.items())
+                      for _, cols in sorted(by_degrees.items())
                       for i in range(1, space.n_blocks + 1)
-                      if (i, s) not in admissible]
-        self.mask = np.zeros((space.dim, len(self.monos)), dtype=bool)
-        for rows, cols in self.types:
-            self.mask[rows, cols] = True
+                      if self.mask[space.block_slice(i).start, cols[0]]]
         self.linears = np.asarray(linears, dtype=float)
         self.ainvs = np.linalg.inv(self.linears)
-        self.substs = _substs(self.linears, n)
-
-    def vec(self, pmap: PolyMap) -> np.ndarray:
-        c = np.zeros((self.space.dim, len(self.monos)))
-        for (i, alpha), v in pmap.coeffs.items():
-            c[i, self.mono_index[alpha]] = v
-        return c
-
-    def polymap(self, c: np.ndarray) -> PolyMap:
-        coeffs = {}
-        for i in range(self.space.dim):
-            for j, alpha in enumerate(self.monos):
-                if c[i, j] != 0.0:
-                    coeffs[(i, alpha)] = float(c[i, j])
-        return PolyMap(self.space, self.space, self.n,
-                       np.zeros(self.space.dim), coeffs)
+        # the degree-n powers of the linear parts are the substitution matrices
+        for _, _, self.substs in _powers(_linear_jets(self.linears), space.dim, n, n):
+            pass
 
     def apply(self, k: int, c: np.ndarray) -> np.ndarray:
         """Masked transfer of a coefficient array through step k."""
         return self.mask * (self.ainvs[k] @ c @ self.substs[k])
 
-    def source(self, k: int, s_vec: np.ndarray) -> np.ndarray:
-        """Masked twisted source Q(k) = proj_N(Ainv_k o proj_N(S))."""
-        return self.mask * (self.ainvs[k] @ (self.mask * s_vec))
+    def source(self, s_vecs: np.ndarray) -> np.ndarray:
+        """Masked twisted sources Q(k) = proj_N(Ainv_k o proj_N(S(k))) of a stack."""
+        return self.mask * (self.ainvs @ (self.mask * s_vecs))
 
     def type_blocks(self, k: int, rows: slice, cols: np.ndarray):
         """(Ainv_k[i], subst_k[s]) of one type: Phi_k acts as X -> Ainv X subst."""
@@ -171,7 +123,8 @@ def _series_certificate(op: _DegreeOperator, period: int) -> tuple[int, float]:
     Over one period from point p a type moves as X -> A X S with
     A = Ainv_p[i] Ainv_{p+1}[i] ... and S = ... subst_{p+1}[s] subst_p[s], the
     Kronecker product of A and S^T, whose norm is ||A||_2 ||S||_2.  As no
-    type feeds another, the maximum over types and phases is exact.
+    type feeds another, the maximum over types and phases is exact.  Powers
+    whose entries overflow give rho = inf and stop the search at once.
     """
     pairs = []
     for rows, cols in op.types:
@@ -180,23 +133,25 @@ def _series_certificate(op: _DegreeOperator, period: int) -> tuple[int, float]:
             pairs.append((reduce(np.matmul, [a for a, _ in blocks]),
                           reduce(np.matmul, [s for _, s in blocks[::-1]])))
     q = 1
-    while q <= MAX_SERIES_CERT_POWER:
-        rho = 0.0
-        for A, S in pairs:
-            r = np.linalg.norm(A, ord=2) * np.linalg.norm(S, ord=2)
-            rho = max(rho, float(r) if np.isfinite(r) else np.inf)
-        if rho < 1.0:
-            return q, rho
-        pairs = [(A @ A, S @ S) for A, S in pairs]
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = float(max((np.linalg.norm(A, ord=2) * np.linalg.norm(S, ord=2)
+                             if np.isfinite(A).all() and np.isfinite(S).all() else np.inf
+                             for A, S in pairs), default=0.0))
+            if rho < 1.0:
+                return q, rho
+            if not np.isfinite(rho) or 2 * q > MAX_SERIES_CERT_POWER:
+                raise SeriesStagnationError(
+                    f"transported series for degree {op.n} has no certified "
+                    f"contraction: the {q}-period transfer norm is rho = {rho:.3g} "
+                    f"(at most {MAX_SERIES_CERT_POWER} periods tried); epsilon and "
+                    "spectrum are inconsistent with this cocycle"
+                )
+            pairs = [(A @ A, S @ S) for A, S in pairs]
         q *= 2
-    raise SeriesStagnationError(
-        "transported series has no certified contraction up to "
-        f"{MAX_SERIES_CERT_POWER} periods; epsilon and spectrum are inconsistent "
-        "with this cocycle"
-    )
 
 
-def _run_series(op: _DegreeOperator, q_vecs: list[np.ndarray], series_tol: float,
+def _run_series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
                 max_terms: int, period: int) -> tuple[list[np.ndarray], dict]:
     info = {
         "short_circuit": False,
@@ -316,46 +271,53 @@ class SolverContext:
         return self._operators[n]
 
 
-def _source_vecs(op: _DegreeOperator, fiber_maps: Sequence[PolyMap],
-                 h_maps: list[PolyMap], p_maps: list[PolyMap]) -> list[np.ndarray]:
-    """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n as coefficient arrays."""
-    n, C = op.n, len(h_maps)
-    return [op.vec(compose_truncated(h_maps[(k + 1) % C], f, n).homogeneous_part(n)
-                   - compose_truncated(p_maps[k], h_maps[k], n).homogeneous_part(n))
-            for k, f in enumerate(fiber_maps)]
+def _source_vecs(op: _DegreeOperator, fibers: np.ndarray, conj: np.ndarray,
+                 nf: np.ndarray) -> np.ndarray:
+    """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n, one stacked composition.
+
+    fibers, conj and nf are jet stacks of the fiber maps F_k, the conjugators
+    H (k+1 wraps modulo their number) and the normal forms P_k; in the loop
+    the degree-n parts of H and P are still zero.
+    """
+    K, m, n = len(fibers), op.space.dim, op.n
+    width = jet_width(m, n)
+    nxt = (np.arange(K) + 1) % len(conj)
+    comp = compose_jets(np.concatenate([conj[nxt, :, :width], nf[:, :, :width]]),
+                        np.concatenate([fibers[:, :, :width], conj[:K, :, :width]]),
+                        m, n)[..., degree_cols(m, n)]
+    return comp[:K] - comp[K:]
 
 
-def solve_homogeneous_degree(op: _DegreeOperator, fiber_maps: Sequence[PolyMap],
-                             h_maps: list[PolyMap], p_maps: list[PolyMap],
-                             transfer: Transfer, lift_policy: LiftPolicy | None = None
-                             ) -> tuple[list[np.ndarray], list[np.ndarray], dict]:
+def solve_homogeneous_degree(op: _DegreeOperator, fibers: np.ndarray, conj: np.ndarray,
+                             nf: np.ndarray, transfer: Transfer,
+                             lift_policy: LiftPolicy | None = None
+                             ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One degree of the conjugacy equation, solved in coefficient space.
 
-    Returns the degree-n conjugator terms (one array per conjugator), the
-    normal form terms P_n (one per map) and the degree's diagnostics.  Below
-    the degree bound the non-admissible residue of the finished equation is
-    the admissible violation; above it P_n vanishes and the residue is the
-    defect.
+    Takes jet stacks as ``_source_vecs`` does.  Returns the degree-n
+    conjugator terms (one array per conjugator), the normal form terms P_n
+    (one per map) and the degree's diagnostics.  Below the degree bound the
+    non-admissible residue of the finished equation is the admissible
+    violation; above it P_n vanishes and the residue is the defect.
     """
-    n = op.n
-    s_vecs = _source_vecs(op, fiber_maps, h_maps, p_maps)
-    h_vecs, info = transfer(op, [op.source(k, s) for k, s in enumerate(s_vecs)])
+    n, K, C = op.n, len(fibers), len(conj)
+    s_vecs = _source_vecs(op, fibers, conj, nf)
+    h_vecs, info = transfer(op, op.source(s_vecs))
+    h_vecs = np.array(h_vecs)
     if lift_policy is not None:
-        for k in range(len(h_vecs)):
+        for k in range(C):
             lift = lift_policy(k, n)
             if lift is not None:
-                h_vecs[k] = h_vecs[k] + ~op.mask * op.vec(lift.homogeneous_part(n))
-    C = len(h_vecs)
-    terms = [s + h_vecs[(k + 1) % C] @ op.substs[k] - op.linears[k] @ h_vecs[k]
-             for k, s in enumerate(s_vecs)]
-    residue = max(float(np.max(np.abs(op.mask * t))) for t in terms)
+                h_vecs[k] += ~op.mask * lift.part(n)
+    terms = s_vecs + h_vecs[(np.arange(K) + 1) % C] @ op.substs - op.linears @ h_vecs[:K]
+    residue = float(np.max(np.abs(op.mask * terms)))
     below = n <= op.degree_bound
     diag = dict(info, degree=n,
-                source_norm=max(float(np.linalg.norm(s)) for s in s_vecs),
-                solution_norm=max(float(np.linalg.norm(h)) for h in h_vecs),
+                source_norm=float(np.linalg.norm(s_vecs, axis=(1, 2)).max()),
+                solution_norm=float(np.linalg.norm(h_vecs, axis=(1, 2)).max()),
                 admissible_violation=residue if below else None,
                 defect=None if below else residue)
-    return h_vecs, [~op.mask * t for t in terms], diag
+    return h_vecs, ~op.mask * terms, diag
 
 
 def _degree_loop(fiber_maps: Sequence[PolyMap], n_conj: int,
@@ -365,21 +327,25 @@ def _degree_loop(fiber_maps: Sequence[PolyMap], n_conj: int,
     """Degrees 2..order along fiber_maps: conjugators, normal forms, diagnostics.
 
     There are n_conj conjugators: the period on a periodic orbit, where the
-    index k+1 wraps, or one more than the maps on a window.
+    index k+1 wraps, or one more than the maps on a window.  Conjugators and
+    normal forms grow as jet stacks, one degree block at a time.
     """
     space = fiber_maps[0].source
-    h_maps = [PolyMap.identity(space, order) for _ in range(n_conj)]
-    p_maps = [PolyMap.from_linear(f.linear_matrix(), space, space, 1) for f in fiber_maps]
+    fibers = stack_jets(fiber_maps, order)
+    conj = stack_jets([PolyMap.identity(space, 1)] * n_conj, order)
+    nf = stack_jets([f.truncated(1) for f in fiber_maps], order)
     diags = []
     for n in range(2, order + 1):
         op = operator(n)
         h_vecs, p_vecs, diag = solve_homogeneous_degree(
-            op, fiber_maps, h_maps, p_maps, transfer, lift_policy)
-        for maps, vecs in ((h_maps, h_vecs), (p_maps, p_vecs)):
-            for k, v in enumerate(vecs):
-                if v.any():
-                    maps[k] = maps[k] + op.polymap(v)
+            op, fibers, conj, nf, transfer, lift_policy)
+        cols = degree_cols(space.dim, n)
+        conj[:, :, cols] = h_vecs
+        nf[:, :, cols] = p_vecs
         diags.append(diag)
+    h_maps = [PolyMap.from_jet(space, space, order, h) for h in conj]
+    p_maps = [PolyMap.from_jet(space, space, order, p).truncated(top_degree(p, space.dim))
+              for p in nf]
     return h_maps, p_maps, diags
 
 
@@ -476,7 +442,7 @@ def solve_window(fiber_maps: Sequence[PolyMap], structure: SubResStructure,
         linears.append(A)
 
     def sweep(op, q_vecs):
-        q_scale = max(1.0, max(float(np.linalg.norm(q)) for q in q_vecs))
+        q_scale = max(1.0, float(np.linalg.norm(q_vecs, axis=(1, 2)).max()))
         R = [np.zeros_like(q_vecs[0])] * (W + 1)
         max_norm = 0.0
         for k in range(W - 1, -1, -1):

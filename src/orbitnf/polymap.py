@@ -1,20 +1,23 @@
 """Truncated polynomial maps between graded coordinate spaces.
 
-A PolyMap stores a polynomial map R^m -> R^m' as a constant vector plus a
-sparse dict of monomial coefficients keyed by (target coordinate, multi-index)
-and truncated at a fixed total degree.  Coordinates are grouped into blocks by
-a GradedSpace; the block structure is what turns plain monomials into typed
-terms (target block, per-block degrees) so that sub-resonance projections are
-a matter of key bookkeeping.
+A PolyMap stores a map R^m -> R^m' truncated at a total degree as one dense
+jet of shape (m', jet_width(m, degree)): column 0 is the constant and the
+columns ``degree_cols(m, n)`` the degree-n part, one per monomial in the
+sorted order of ``_mono_table``.  A dict keyed by (target coordinate,
+multi-index) is only the input and output format.  The blocks of a
+GradedSpace type every slot (target block, per-block degrees), and
+``admissible_mask`` classifies the slots of a degree once for all callers.
 
-The algebra here is deliberately plain: sorted-dict convolution for products,
-degree-by-degree series reversion for truncated inverses, and sampled suprema
-over Lyapunov unit spheres for the nonlinear operator norms.  All iteration
-orders are fixed so repeated runs produce identical floats.
+``compose_jets`` is the one composition kernel, on stacks of jets, built on
+the power recurrence G^alpha = G^(alpha - e_j) G_j.  Inverses are series
+reversion; operator norms are sampled suprema over Lyapunov unit spheres.
+Iteration orders are fixed, so repeated runs give identical floats.
 """
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,6 +25,10 @@ from .grading import SubResStructure, Type
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[int, MultiIndex]
+
+# compose_jets builds the powers of at most this many bytes of stack entries
+# at once, which bounds its working memory on large jets
+POWER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,7 @@ class GradedSpace:
         if not self.block_dims or any(m < 1 for m in self.block_dims):
             raise ValueError("block dimensions must be positive")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(self.block_dims)
 
@@ -50,15 +57,16 @@ class GradedSpace:
     @cached_property
     def block_of_coord(self) -> tuple[int, ...]:
         """1-based block index of every coordinate."""
-        out = []
-        for b, m in enumerate(self.block_dims, start=1):
-            out.extend([b] * m)
-        return tuple(out)
+        return tuple(b for b, m in enumerate(self.block_dims, start=1) for _ in range(m))
+
+    @cached_property
+    def _block_slices(self) -> tuple[slice, ...]:
+        ends = np.cumsum(self.block_dims)
+        return tuple(slice(int(e) - m, int(e)) for e, m in zip(ends, self.block_dims))
 
     def block_slice(self, i: int) -> slice:
         """Coordinate slice of 1-based block i."""
-        start = sum(self.block_dims[: i - 1])
-        return slice(start, start + self.block_dims[i - 1])
+        return self._block_slices[i - 1]
 
     def block_degrees(self, alpha: MultiIndex) -> tuple[int, ...]:
         """Per-block total degrees s of a multi-index."""
@@ -69,93 +77,215 @@ class GradedSpace:
         return tuple(s)
 
 
-def _zero_alpha(dim: int) -> MultiIndex:
-    return (0,) * dim
+# -- monomial tables -----------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _mono_table(dim: int, degree: int):
+    """Sorted degree-n monomials, their index, and the power recurrence.
+
+    For degree >= 1, first[a] is the first coordinate j with alpha_a[j] > 0
+    and parent[a] the index of alpha_a - e_j one degree down.
+    """
+    if degree == 0:
+        return ((0,) * dim,), {(0,) * dim: 0}, None, None
+    below = _mono_table(dim, degree - 1)[1]
+    monos = tuple(sorted({a[:l] + (a[l] + 1,) + a[l + 1:] for a in below for l in range(dim)}))
+    first = np.array([next(j for j, p in enumerate(a) if p) for a in monos])
+    parent = np.array([below[a[:j] + (a[j] - 1,) + a[j + 1:]] for a, j in zip(monos, first)])
+    return monos, {a: j for j, a in enumerate(monos)}, first, parent
 
 
-# -- scalar polynomial helpers: dict multi-index -> coefficient ---------------
+def jet_width(dim: int, degree: int) -> int:
+    """Number of monomials of degree 0..degree in dim variables."""
+    return math.comb(dim + degree, dim)
 
-def _poly_mul(a: dict, b: dict, max_degree: int) -> dict:
-    out: dict[MultiIndex, float] = {}
-    for ka in sorted(a):
-        ca = a[ka]
-        if ca == 0.0:
-            continue
-        da = sum(ka)
-        for kb in sorted(b):
-            if da + sum(kb) > max_degree:
-                continue
-            cb = b[kb]
-            if cb == 0.0:
-                continue
-            key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, 0.0) + ca * cb
+
+def degree_cols(dim: int, n: int) -> slice:
+    """Jet columns of the degree-n monomials."""
+    return slice(jet_width(dim, n - 1) if n else 0, jet_width(dim, n))
+
+
+def top_degree(jets: np.ndarray, dim: int) -> int:
+    """Highest degree with a nonzero coefficient in a jet or stack of jets."""
+    nz = np.flatnonzero(jets.reshape(-1, jets.shape[-1]).any(axis=0))
+    n = 0
+    while nz.size and jet_width(dim, n) <= nz[-1]:
+        n += 1
+    return n
+
+
+def _fit(jets: np.ndarray, width: int) -> np.ndarray:
+    """Copy truncated or zero-padded to `width` columns."""
+    out = np.zeros(jets.shape[:-1] + (width,))
+    w = min(width, jets.shape[-1])
+    out[..., :w] = jets[..., :w]
     return out
 
 
-def _poly_pow(p: dict, k: int, max_degree: int, cache: dict) -> dict:
-    if k == 0:
-        dim = len(next(iter(p))) if p else 0
-        return {_zero_alpha(dim): 1.0}
-    if k in cache:
-        return cache[k]
-    out = _poly_pow(p, k - 1, max_degree, cache)
-    out = _poly_mul(out, p, max_degree)
-    cache[k] = out
+def _linear_jets(matrices: np.ndarray) -> np.ndarray:
+    """Degree-1 jets of a stack of matrices (degree-1 columns run e_{m-1}..e_0)."""
+    out = np.zeros(matrices.shape[:-1] + (1 + matrices.shape[-1],))
+    out[..., 1:] = matrices[..., ::-1]
     return out
 
 
-@dataclass
+@lru_cache(maxsize=None)
+def _shifts(dim: int, degree: int):
+    """Product tables of jets truncated at `degree`.
+
+    For the monomial gamma_g, room[g] counts the monomials eps with
+    |eps| + |gamma_g| <= degree (a prefix of the jet columns) and pos[g][e]
+    is the column of eps_e + gamma_g.
+    """
+    exps = np.array([a for n in range(degree + 1) for a in _mono_table(dim, n)[0]])
+    key = exps @ (degree + 1) ** np.arange(dim)
+    order = np.argsort(key)
+    pos, room = [], []
+    for g, total in enumerate(exps.sum(axis=1)):
+        r = jet_width(dim, degree - int(total))
+        pos.append(order[np.searchsorted(key[order], key[:r] + key[g])])
+        room.append(r)
+    return pos, room
+
+
+def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
+    """Powers G_s^alpha of the inner jets, one degree |alpha| = k = 1..top at a time.
+
+    Yields (k, lo, power): power[s, a] holds the jet columns lo onwards of
+    G_s^alpha_a through `degree`, alpha_a the degree-k monomials in sorted
+    order.  Only the degrees a power can reach are kept, from k times the
+    inner valuation to k times the inner degree.  Each power is the one
+    below times a component, G^alpha = G^(alpha - e_j) G_j with j = first[a],
+    and each product shifts that power along the monomials of G_j.
+    """
+    S = inner.shape[0]
+    G = _fit(inner, jet_width(dim, degree))
+    cols = np.flatnonzero(G.any(axis=(0, 1)))
+    step = top_degree(G, dim)
+    low = 0 if G[..., 0].any() else 1
+    if low:
+        top = min(top, degree)  # powers of maps fixing the origin vanish beyond it
+    pos, room = _shifts(dim, degree)
+    for k in range(1, top + 1):
+        _, _, first, parent = _mono_table(inner.shape[1], k)
+        lo = degree_cols(dim, k * low).start
+        hi = max(lo, jet_width(dim, min(degree, k * step)))
+        if k == 1:
+            power = G[:, first, lo:hi]
+        else:
+            prev, power = power, np.zeros((S, len(first), hi - lo))
+            for g in cols:
+                r = min(room[g], prev_lo + prev.shape[2])
+                if r > prev_lo:
+                    term = prev[:, parent, :r - prev_lo]
+                    term *= G[:, first, g, None]
+                    power[..., pos[g][prev_lo:r] - lo] += term
+        yield k, lo, power
+        prev_lo = lo
+
+
+def compose_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """Taylor coefficients of outer[s] o inner[s] through `degree`, for every s.
+
+    inner has shape (S, m, w) over `dim` variables and may carry constants;
+    outer has shape (S, p, jet_width(m, D)).  Returns
+    (S, p, jet_width(dim, degree)).  Each outer degree
+    is added as soon as its powers exist, so one degree of powers is kept at
+    a time, for as many stack entries as fit in POWER_BYTES.
+    """
+    S, m = inner.shape[:2]
+    width = jet_width(dim, degree)
+    top = top_degree(outer, m)
+    out = np.zeros((S, outer.shape[-2], width))
+    out[..., 0] = outer[..., 0]
+    rows = max(1, POWER_BYTES // (8 * width * len(_mono_table(m, top)[0])))
+    for s in range(0, S, rows):
+        for k, lo, power in _powers(inner[s:s + rows], dim, degree, top):
+            out[s:s + rows, :, lo:lo + power.shape[2]] += (
+                outer[s:s + rows, :, degree_cols(m, k)] @ power)
+    return out
+
+
+def stack_jets(maps, degree: int) -> np.ndarray:
+    """Jets of maps over one source, truncated or padded to `degree`, stacked."""
+    width = jet_width(maps[0].source.dim, degree)
+    return np.stack([_fit(pm.jet, width) for pm in maps])
+
+
+@lru_cache(maxsize=None)
+def admissible_mask(target: GradedSpace, source: GradedSpace, n: int,
+                    types: frozenset[Type]) -> np.ndarray:
+    """True on the degree-n slots whose type (i, s) is in `types`, the
+    admissible types ``SubResStructure.admissible(n)``; read-only, shape
+    (target.dim, number of degree-n monomials)."""
+    s = [source.block_degrees(a) for a in _mono_table(source.dim, n)[0]]
+    mask = np.array([[(b, sj) in types for sj in s] for b in target.block_of_coord])
+    mask.setflags(write=False)
+    return mask
+
+
 class PolyMap:
     """Polynomial map truncated at total degree `degree`.
 
-    Treat instances as immutable values: every operation returns a new map.
+    Instances are immutable values: every operation returns a new map.
 
     Attributes
     ----------
     source, target : GradedSpace
     degree : int
-        Truncation order; stored multi-indices have total degree 1..degree.
+        Truncation order; terms have total degree 1..degree.
+    jet : ndarray, shape (target.dim, jet_width(source.dim, degree))
+        Read-only coefficients: column 0 the constant, ``degree_cols(m, n)``
+        the degree-n part.
     constant : ndarray, shape (target.dim,)
         Value at the origin (zero for fiber maps and coordinate changes).
-    coeffs : dict
-        (target coordinate, multi-index) -> coefficient; exact zeros pruned.
+    coeffs : mapping
+        Read-only (target coordinate, multi-index) -> coefficient view of
+        the nonconstant terms; exact zeros left out.
     """
 
-    source: GradedSpace
-    target: GradedSpace
-    degree: int
-    constant: np.ndarray
-    coeffs: dict[TermKey, float]
-
-    def __post_init__(self):
-        self.constant = np.asarray(self.constant, dtype=float)
-        if self.constant.shape != (self.target.dim,):
+    def __init__(self, source: GradedSpace, target: GradedSpace, degree: int,
+                 constant, coeffs: dict[TermKey, float]):
+        constant = np.asarray(constant, dtype=float)
+        if constant.shape != (target.dim,):
             raise ValueError("constant term has wrong shape")
-        if self.degree < 1:
+        if degree < 1:
             raise ValueError("truncation degree must be >= 1")
-        for (i, alpha), c in self.coeffs.items():
-            if not 0 <= i < self.target.dim:
+        jet = np.zeros((target.dim, jet_width(source.dim, degree)))
+        jet[:, 0] = constant
+        for (i, alpha), c in coeffs.items():
+            if not 0 <= i < target.dim:
                 raise ValueError(f"target index {i} out of range")
-            if len(alpha) != self.source.dim:
+            if len(alpha) != source.dim:
                 raise ValueError(f"multi-index {alpha} has wrong length")
             deg = sum(alpha)
-            if not 1 <= deg <= self.degree:
-                raise ValueError(f"term {alpha} of degree {deg} outside 1..{self.degree}")
+            if not 1 <= deg <= degree:
+                raise ValueError(f"term {alpha} of degree {deg} outside 1..{degree}")
+            col = _mono_table(source.dim, deg)[1].get(tuple(alpha))
+            if col is None:
+                raise ValueError(f"multi-index {alpha} is not a monomial")
+            jet[i, degree_cols(source.dim, deg).start + col] = c
+        self._set(source, target, degree, jet)
+
+    def _set(self, source, target, degree, jet):
+        self.source, self.target, self.degree, self.jet = source, target, int(degree), jet
+        jet.setflags(write=False)
+
+    @classmethod
+    def from_jet(cls, source: GradedSpace, target: GradedSpace, degree: int,
+                 jet: np.ndarray) -> "PolyMap":
+        """Wrap a jet of shape (target.dim, jet_width(source.dim, degree))."""
+        if jet.shape != (target.dim, jet_width(source.dim, degree)):
+            raise ValueError("jet has wrong shape")
+        pm = cls.__new__(cls)
+        pm._set(source, target, degree, jet)
+        return pm
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, source: GradedSpace, target: GradedSpace, degree: int) -> "PolyMap":
-        return cls(source, target, degree, np.zeros(target.dim), {})
-
-    @classmethod
     def identity(cls, space: GradedSpace, degree: int) -> "PolyMap":
-        coeffs = {}
-        for i in range(space.dim):
-            alpha = tuple(1 if j == i else 0 for j in range(space.dim))
-            coeffs[(i, alpha)] = 1.0
-        return cls(space, space, degree, np.zeros(space.dim), coeffs)
+        return cls.from_linear(np.eye(space.dim), space, space, degree)
 
     @classmethod
     def from_linear(cls, matrix, source: GradedSpace, target: GradedSpace,
@@ -163,75 +293,70 @@ class PolyMap:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (target.dim, source.dim):
             raise ValueError("linear part has wrong shape")
-        coeffs = {}
-        for i in range(target.dim):
-            for j in range(source.dim):
-                if matrix[i, j] != 0.0:
-                    alpha = tuple(1 if k == j else 0 for k in range(source.dim))
-                    coeffs[(i, alpha)] = float(matrix[i, j])
-        return cls(source, target, degree, np.zeros(target.dim), coeffs)
+        return cls.from_jet(source, target, degree,
+                            _fit(_linear_jets(matrix), jet_width(source.dim, degree)))
 
     # -- basic queries ----------------------------------------------------------
 
+    @property
+    def constant(self) -> np.ndarray:
+        return self.jet[:, 0]
+
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        out = {}
+        for n in range(1, self.degree + 1):
+            monos = _mono_table(self.source.dim, n)[0]
+            part = self.part(n)
+            for i, j in zip(*np.nonzero(part)):
+                out[(int(i), monos[j])] = float(part[i, j])
+        return MappingProxyType(out)
+
+    def part(self, n: int) -> np.ndarray:
+        """Degree-n coefficients, shape (target.dim, number of monomials)."""
+        cols = degree_cols(self.source.dim, n)
+        if n > self.degree:
+            return np.zeros((self.target.dim, cols.stop - cols.start))
+        return self.jet[:, cols]
+
     def evaluate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = self.constant.copy()
-        for (i, alpha) in sorted(self.coeffs):
-            c = self.coeffs[(i, alpha)]
-            mono = 1.0
-            for coord, power in enumerate(alpha):
-                if power:
-                    mono *= t[coord] ** power
-            out[i] += c * mono
-        return out
+        return self.evaluate_batch(np.asarray(t, dtype=float)[None, :])[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of `points`, shape (N, source.dim) -> (N, target.dim)."""
         points = np.asarray(points, dtype=float)
         out = np.tile(self.constant, (points.shape[0], 1))
-        for (i, alpha) in sorted(self.coeffs):
-            c = self.coeffs[(i, alpha)]
-            mono = np.ones(points.shape[0])
-            for coord, power in enumerate(alpha):
-                if power:
-                    mono = mono * points[:, coord] ** power
-            out[:, i] += c * mono
+        vals = np.ones((points.shape[0], 1))
+        for n in range(1, self.degree + 1):
+            _, _, first, parent = _mono_table(self.source.dim, n)
+            vals = vals[:, parent] * points[:, first]
+            out += vals @ self.part(n).T
         return out
 
     def linear_matrix(self) -> np.ndarray:
-        A = np.zeros((self.target.dim, self.source.dim))
-        for (i, alpha), c in self.coeffs.items():
-            if sum(alpha) == 1:
-                A[i, alpha.index(1)] = c
-        return A
-
-    def homogeneous_part(self, n: int) -> "PolyMap":
-        coeffs = {k: c for k, c in self.coeffs.items() if sum(k[1]) == n}
-        return PolyMap(self.source, self.target, max(self.degree, n),
-                       np.zeros(self.target.dim), coeffs)
+        return self.jet[:, 1:1 + self.source.dim][:, ::-1].copy()
 
     def truncated(self, max_degree: int) -> "PolyMap":
-        coeffs = {k: c for k, c in self.coeffs.items() if sum(k[1]) <= max_degree}
-        return PolyMap(self.source, self.target, max_degree, self.constant.copy(), coeffs)
+        return PolyMap.from_jet(self.source, self.target, max_degree,
+                                _fit(self.jet, jet_width(self.source.dim, max_degree)))
 
     def with_constant(self, vec) -> "PolyMap":
-        return PolyMap(self.source, self.target, self.degree,
-                       np.asarray(vec, dtype=float), dict(self.coeffs))
+        jet = self.jet.copy()
+        jet[:, 0] = vec
+        return PolyMap.from_jet(self.source, self.target, self.degree, jet)
 
     def term_type(self, i: int, alpha: MultiIndex) -> Type:
         """Homogeneous type (target block, per-block source degrees) of a term."""
         return (self.target.block_of_coord[i], self.source.block_degrees(alpha))
 
     def max_degree_present(self) -> int:
-        return max((sum(alpha) for (_, alpha) in self.coeffs), default=0)
+        return top_degree(self.jet, self.source.dim)
 
     def coeff_max(self) -> float:
-        vals = [abs(c) for c in self.coeffs.values()]
-        return max(vals, default=0.0)
+        return float(np.max(np.abs(self.jet[:, 1:]), initial=0.0))
 
     def nonlinear_coeff_max(self) -> float:
-        vals = [abs(c) for (_, alpha), c in self.coeffs.items() if sum(alpha) >= 2]
-        return max(vals, default=0.0)
+        return float(np.max(np.abs(self.jet[:, 1 + self.source.dim:]), initial=0.0))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -239,26 +364,15 @@ class PolyMap:
         if self.source != other.source or self.target != other.target:
             raise ValueError("polymap gradings do not match")
         degree = max(self.degree, other.degree)
-        coeffs = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = coeffs.get(k, 0.0) + sign * c
-            if v == 0.0:
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = v
-        return PolyMap(self.source, self.target, degree,
-                       self.constant + sign * other.constant, coeffs)
+        width = jet_width(self.source.dim, degree)
+        return PolyMap.from_jet(self.source, self.target, degree,
+                                _fit(self.jet, width) + sign * _fit(other.jet, width))
 
     def __add__(self, other: "PolyMap") -> "PolyMap":
         return self._binop(other, 1.0)
 
     def __sub__(self, other: "PolyMap") -> "PolyMap":
         return self._binop(other, -1.0)
-
-    def scaled(self, factor: float) -> "PolyMap":
-        coeffs = {k: factor * c for k, c in self.coeffs.items() if factor * c != 0.0}
-        return PolyMap(self.source, self.target, self.degree,
-                       factor * self.constant, coeffs)
 
     # -- serialization ------------------------------------------------------------
 
@@ -298,45 +412,8 @@ def compose_truncated(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMa
     """
     if inner.target.block_dims != outer.source.block_dims:
         raise ValueError("inner target grading must match outer source grading")
-    dim = inner.source.dim
-    zero = _zero_alpha(dim)
-
-    # inner components as scalar polynomials, constants included
-    comp: list[dict] = []
-    for j in range(outer.source.dim):
-        p: dict[MultiIndex, float] = {}
-        if inner.constant[j] != 0.0:
-            p[zero] = float(inner.constant[j])
-        for (i, alpha), c in inner.coeffs.items():
-            if i == j:
-                p[alpha] = p.get(alpha, 0.0) + c
-        comp.append(p)
-
-    pow_cache: list[dict] = [dict() for _ in range(outer.source.dim)]
-    const = outer.constant.copy()
-    coeffs: dict[TermKey, float] = {}
-    for (i, alpha) in sorted(outer.coeffs):
-        c = outer.coeffs[(i, alpha)]
-        prod = {zero: c}
-        for j, power in enumerate(alpha):
-            if power == 0:
-                continue
-            if not comp[j]:
-                prod = {}
-                break
-            prod = _poly_mul(prod, _poly_pow(comp[j], power, max_degree, pow_cache[j]),
-                             max_degree)
-        for beta in sorted(prod):
-            v = prod[beta]
-            if v == 0.0:
-                continue
-            if sum(beta) == 0:
-                const[i] += v
-            else:
-                key = (i, beta)
-                coeffs[key] = coeffs.get(key, 0.0) + v
-    coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
-    return PolyMap(inner.source, outer.target, max_degree, const, coeffs)
+    jet = compose_jets(outer.jet[None], inner.jet[None], inner.source.dim, max_degree)[0]
+    return PolyMap.from_jet(inner.source, outer.target, max_degree, jet)
 
 
 def invert_truncated(pmap: PolyMap, max_degree: int) -> PolyMap:
@@ -349,25 +426,22 @@ def invert_truncated(pmap: PolyMap, max_degree: int) -> PolyMap:
         raise ValueError("inverse needs matching source and target gradings")
     if np.any(pmap.constant != 0.0):
         raise ValueError("inverse requires a map fixing the origin")
-    A = pmap.linear_matrix()
     try:
-        Ainv = np.linalg.inv(A)
+        Ainv = np.linalg.inv(pmap.linear_matrix())
     except np.linalg.LinAlgError as exc:
         raise ValueError("linear part is singular") from exc
-    inv = PolyMap.from_linear(Ainv, pmap.source, pmap.target, max_degree)
+    dim = pmap.source.dim
+    jet = _fit(_linear_jets(Ainv), jet_width(dim, max_degree))
     for n in range(2, max_degree + 1):
-        defect = compose_truncated(pmap, inv, n).homogeneous_part(n)
-        if not defect.coeffs:
-            continue
-        correction = compose_truncated(
-            PolyMap.from_linear(Ainv, pmap.source, pmap.target, n), defect, n)
-        inv = inv - correction.truncated(max_degree)
-    return inv
+        cols = degree_cols(dim, n)
+        defect = compose_jets(pmap.jet[None], jet[None, :, :cols.stop], dim, n)[0, :, cols]
+        jet[:, cols] = -(Ainv @ defect)
+    return PolyMap.from_jet(pmap.source, pmap.target, max_degree, jet)
 
 
 def project_subresonance(pmap: PolyMap, structure: SubResStructure
                          ) -> tuple[PolyMap, PolyMap]:
-    """Split into (sub-resonance part, non-resonance part), term by term.
+    """Split into (sub-resonance part, non-resonance part), slot by slot.
 
     A term of homogeneous type (i, s) goes to the first component exactly when
     the type is admissible for `structure`; degrees above the degree bound are
@@ -376,18 +450,14 @@ def project_subresonance(pmap: PolyMap, structure: SubResStructure
     """
     if pmap.source.n_blocks != structure.n_blocks:
         raise ValueError("grading does not match the sub-resonance structure")
-    s_coeffs: dict[TermKey, float] = {}
-    n_coeffs: dict[TermKey, float] = {}
-    for key, c in pmap.coeffs.items():
-        i, alpha = key
-        if structure.is_admissible(*pmap.term_type(i, alpha)):
-            s_coeffs[key] = c
-        else:
-            n_coeffs[key] = c
-    s_part = PolyMap(pmap.source, pmap.target, pmap.degree, pmap.constant.copy(), s_coeffs)
-    n_part = PolyMap(pmap.source, pmap.target, pmap.degree,
-                     np.zeros(pmap.target.dim), n_coeffs)
-    return s_part, n_part
+    keep = np.zeros(pmap.jet.shape, dtype=bool)
+    keep[:, 0] = True
+    for n in range(1, min(pmap.degree, structure.degree_bound) + 1):
+        keep[:, degree_cols(pmap.source.dim, n)] = admissible_mask(
+            pmap.target, pmap.source, n, structure.admissible(n))
+    s_jet = np.where(keep, pmap.jet, 0.0)
+    return (PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, s_jet),
+            PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, pmap.jet - s_jet))
 
 
 def _sqrt_gram(gram: np.ndarray) -> np.ndarray:
@@ -410,14 +480,12 @@ def lyapunov_opnorm(pmap: PolyMap, frame_src, frame_dst, samples: int = 4096,
 
     frame_src / frame_dst expose a `gram` attribute (LyapunovFrame does).
     """
-    degs = {sum(alpha) for (_, alpha) in pmap.coeffs}
-    if np.any(pmap.constant != 0.0):
-        raise ValueError("operator norms are defined for homogeneous maps")
-    if len(degs) > 1:
+    degs = [n for n in range(1, pmap.degree + 1) if pmap.part(n).any()]
+    if np.any(pmap.constant != 0.0) or len(degs) > 1:
         raise ValueError("operator norms are defined for homogeneous maps")
     if not degs:
         return 0.0
-    n = degs.pop()
+    n = degs[0]
     L_src = _sqrt_gram(frame_src.gram)
     L_dst = _sqrt_gram(frame_dst.gram)
     if n == 1:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .cocycle import OrbitCocycle
 from .grading import Spectrum, SubResStructure
-from .normalform import _mono_table
-from .polymap import GradedSpace, PolyMap
+from .polymap import GradedSpace, PolyMap, admissible_mask, degree_cols
 
 BUILTIN_DESCRIPTIONS = {
     "koenigs": "scalar contraction 0.5 t + 0.1 t^2, order-6 linearization",
@@ -121,23 +120,16 @@ def random_cocycle(rng: np.random.Generator, exponents, dims, period: int, *,
             sl = space.block_slice(i + 1)
             A[sl, sl] = math.exp(chi + deltas[k, i]) * random_orthogonal(
                 rng, dims[i])
-        coeffs = {}
-        for i in range(dim):
-            for j in range(dim):
-                if A[i, j] != 0.0:
-                    alpha = tuple(1 if l == j else 0 for l in range(dim))
-                    coeffs[(i, alpha)] = float(A[i, j])
+        jet = PolyMap.from_linear(A, space, space, degree).jet.copy()
         for n in range(2, degree + 1):
-            for alpha in _mono_table(dim, n)[0]:
-                for i in range(dim):
-                    if admissible_only and not structure.is_admissible(
-                            space.block_of_coord[i],
-                            space.block_degrees(alpha)):
-                        continue
-                    c = amp * rng.uniform(-1.0, 1.0)
-                    if c != 0.0:
-                        coeffs[(i, alpha)] = c
-        maps.append(PolyMap(space, space, degree, np.zeros(dim), coeffs))
+            cols = degree_cols(dim, n)
+            keep = (admissible_mask(space, space, n, structure.admissible(n)) if admissible_only
+                    else np.ones((dim, cols.stop - cols.start), dtype=bool))
+            # one draw per kept slot, monomial-major, which fixes every scenario
+            drawn = np.zeros(keep.T.shape)
+            drawn[keep.T] = amp * rng.uniform(-1.0, 1.0, size=int(keep.sum()))
+            jet[:, cols] = drawn.T
+        maps.append(PolyMap.from_jet(space, space, degree, jet))
     return OrbitCocycle(space, tuple(maps))
 
 

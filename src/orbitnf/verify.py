@@ -26,41 +26,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .normalform import (
-    NormalFormResult,
-    SolverContext,
-    _degree_loop,
-    _DegreeOperator,
-    solve_window,
-)
-from .polymap import (
-    PolyMap,
-    compose_truncated,
-    invert_truncated,
-    project_subresonance,
-)
+from .normalform import (NormalFormResult, SolverContext, _degree_loop, _DegreeOperator,
+                         solve_window)
+from .polymap import (PolyMap, compose_jets, compose_truncated, invert_truncated, jet_width,
+                      project_subresonance, stack_jets)
 
 
 def _coeff_diff(a: PolyMap, b: PolyMap) -> float:
     """Largest coefficient mismatch, constants included."""
-    worst = float(np.max(np.abs(a.constant - b.constant)))
-    for key in set(a.coeffs) | set(b.coeffs):
-        worst = max(worst, abs(a.coeffs.get(key, 0.0) - b.coeffs.get(key, 0.0)))
-    return worst
-
-
-def _beyond_degree_max(pmap: PolyMap, degree: int) -> float:
-    return max((abs(v) for (_, alpha), v in pmap.coeffs.items()
-                if sum(alpha) > degree), default=0.0)
+    return float(np.max(np.abs((a - b).jet)))
 
 
 def _npart_split(pmap: PolyMap, structure) -> tuple[float, float]:
     """(non-admissible max up to the degree bound, anything above it)."""
-    d = structure.degree_bound
+    width = jet_width(pmap.source.dim, structure.degree_bound)
     _, n_part = project_subresonance(pmap, structure)
-    low = max((abs(v) for (_, alpha), v in n_part.coeffs.items()
-               if sum(alpha) <= d), default=0.0)
-    return low, _beyond_degree_max(pmap, d)
+    return (float(np.max(np.abs(n_part.jet[:, :width]))),
+            float(np.max(np.abs(pmap.jet[:, width:]), initial=0.0)))
 
 
 @dataclass
@@ -143,7 +125,7 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
                           result.order, exact, samples, exact_tol)
 
 
-def direct_solve_oracle(op: _DegreeOperator, q_vecs: list[np.ndarray]
+def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
                         ) -> tuple[list[np.ndarray], dict]:
     """Degree-n conjugator via dense solves coupling all orbit points.
 
@@ -492,14 +474,16 @@ def chart_consistency(ctx: SolverContext, result: NormalFormResult,
     if window is None:
         window = default_chart_window(ctx)
 
-    recentered = []
-    cur = y.copy()
-    for j in range(window):
-        f = cocycle.map_at(base + j)
-        shifted = compose_truncated(
-            f, PolyMap.identity(space, 1).with_constant(cur), f.degree)
-        cur = shifted.constant.copy()
-        recentered.append(shifted.with_constant(np.zeros(space.dim)))
+    # the orbit c_j of the offset point, then every map recentred on it,
+    # t -> f_j(c_j + t) - c_{j+1}, in one stacked composition
+    maps = [cocycle.map_at(base + j) for j in range(window)]
+    shifts = stack_jets([PolyMap.identity(space, 1)] * window, 1)
+    shifts[0, :, 0] = y
+    for j in range(1, window):
+        shifts[j, :, 0] = maps[j - 1].evaluate(shifts[j - 1, :, 0])
+    jets = compose_jets(stack_jets(maps, cocycle.degree), shifts, space.dim, cocycle.degree)
+    jets[:, :, 0] = 0.0
+    recentered = [PolyMap.from_jet(space, space, cocycle.degree, jet) for jet in jets]
 
     h_win, _, _ = solve_window(recentered, ctx.structure, order)
     to_local = invert_truncated(result.conjugator[base % cocycle.period],
@@ -507,13 +491,7 @@ def chart_consistency(ctx: SolverContext, result: NormalFormResult,
     g = compose_truncated(h_win[0], to_local, order)
 
     low, _ = _npart_split(g.with_constant(np.zeros(space.dim)), ctx.structure)
-
-    d = ctx.structure.degree_bound
-    admissible = {key: v for key, v in g.coeffs.items()
-                  if sum(key[1]) <= d
-                  and ctx.structure.is_admissible(
-                      space.block_of_coord[key[0]], space.block_degrees(key[1]))}
-    g_sub = PolyMap(space, space, max(d, 1), g.constant.copy(), admissible)
+    g_sub, _ = project_subresonance(g, ctx.structure)
 
     if eval_radius is None:
         eval_radius = max(float(np.linalg.norm(y)), 1e-2)

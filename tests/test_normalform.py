@@ -1,14 +1,17 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from dict_reference import reference_compose
 
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
     MAX_SERIES_CERT_POWER,
     NormalFormResult,
+    SeriesStagnationError,
     SolverContext,
     _DegreeOperator,
     _run_series,
@@ -18,7 +21,16 @@ from orbitnf.normalform import (
     solve_normal_form,
     solve_window,
 )
-from orbitnf.polymap import GradedSpace, PolyMap, compose_truncated, project_subresonance
+from orbitnf.polymap import (
+    GradedSpace,
+    PolyMap,
+    _mono_table,
+    compose_truncated,
+    degree_cols,
+    jet_width,
+    project_subresonance,
+    stack_jets,
+)
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import direct_solve_oracle
 
@@ -63,7 +75,19 @@ def twisted_reference(pmap, linear, max_degree=None):
     deg = pmap.degree if max_degree is None else max_degree
     outer = PolyMap.from_linear(np.linalg.inv(A), pmap.target, pmap.target, 1)
     inner = PolyMap.from_linear(A, pmap.source, pmap.source, 1)
-    return compose_truncated(outer, compose_truncated(pmap, inner, deg), deg)
+    return reference_compose(outer, reference_compose(pmap, inner, deg), deg)
+
+
+def homogeneous(space, n, c):
+    """The degree-n map with coefficient array c."""
+    jet = np.zeros((space.dim, jet_width(space.dim, n)))
+    jet[:, degree_cols(space.dim, n)] = c
+    return PolyMap.from_jet(space, space, n, jet)
+
+
+def jet_stacks(maps, h_maps, p_maps, degree):
+    """Jet stacks of the fiber maps, conjugators and normal forms."""
+    return [stack_jets(group, degree) for group in (maps, h_maps, p_maps)]
 
 
 def dense_phi(op, k):
@@ -150,7 +174,7 @@ class TestTwistedTransfer:
         assert out.coeffs[(0, (2,))] == pytest.approx(a, rel=1e-14)
         structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
         op = _DegreeOperator(S1, structure, 2, [np.array([[a]])])
-        assert op.apply(0, op.vec(R))[0, 0] == pytest.approx(a, rel=1e-14)
+        assert op.apply(0, R.part(2))[0, 0] == pytest.approx(a, rel=1e-14)
 
     def test_cross_block_linear_scale(self):
         A = np.diag([math.exp(-2.0), math.exp(-1.0)])
@@ -160,8 +184,9 @@ class TestTwistedTransfer:
         assert out.coeffs[(1, (1, 0))] == pytest.approx(math.exp(-1.0), rel=1e-14)
         structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
         op = _DegreeOperator(S11, structure, 1, [A])
-        via_matrix = op.apply(0, op.vec(R))
-        assert via_matrix[1, op.mono_index[(1, 0)]] == pytest.approx(math.exp(-1.0), rel=1e-14)
+        via_matrix = op.apply(0, R.part(1))
+        assert via_matrix[1, _mono_table(2, 1)[1][(1, 0)]] == pytest.approx(math.exp(-1.0),
+                                                                         rel=1e-14)
 
     def test_matches_matrix_operator(self):
         rng = np.random.default_rng(17)
@@ -176,13 +201,13 @@ class TestTwistedTransfer:
                 op = _DegreeOperator(space, structure, n, [A])
                 coeffs = {}
                 for i in range(space.dim):
-                    for alpha in op.monos:
+                    for alpha in _mono_table(space.dim, n)[0]:
                         coeffs[(i, alpha)] = float(rng.uniform(-1, 1))
                 R = PolyMap(space, space, n, np.zeros(space.dim), coeffs)
-                via_matrix = op.apply(0, op.vec(R))
+                via_matrix = op.apply(0, R.part(n))
                 full = twisted_reference(R, A, max_degree=n)
                 _, n_part = project_subresonance(full, structure)
-                assert np.max(np.abs(via_matrix - op.vec(n_part))) <= 1e-13
+                assert np.max(np.abs(via_matrix - n_part.part(n))) <= 1e-13
 
 
 class TestTypedOperator:
@@ -237,6 +262,20 @@ class TestTypedOperator:
         assert q == q_ref
         assert abs(rho - rho_ref) <= 1e-14 * rho_ref
 
+    def test_certificate_overflow_stops_at_once(self):
+        # the q-period norms grow like e^{8q}: squaring overflows near q = 64
+        # and must end the search with a named error, not a numpy warning
+        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.02))
+        A = np.zeros((3, 3))
+        A[:2, :2] = math.exp(-2.0) * np.array([[1.0, 1.2], [0.0, 1.0]])
+        A[2, 2] = math.exp(-12.0)
+        op = _DegreeOperator(GradedSpace((2, 1)), structure, 2, [A])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesStagnationError,
+                               match=r"degree 2 .* 64-period transfer norm is rho = inf"):
+                _series_certificate(op, 1)
+
     @pytest.mark.parametrize("period", [1, 2, 3])
     def test_oracle_matches_dense_solve(self, period):
         rng = np.random.default_rng(period)
@@ -254,10 +293,10 @@ class TestSources:
         ctx = SolverContext.prepare(c, 0.05, 6)
         maps, h, p = koenigs_start(ctx)
         op = ctx.operator(2)
-        s_vecs = _source_vecs(op, maps, h, p)
-        assert op.polymap(s_vecs[0]).coeffs == {(0, (2,)): 0.1}
-        q = op.source(0, s_vecs[0])
-        assert q[0, op.mono_index[(2,)]] == pytest.approx(0.2, abs=1e-15)
+        s_vecs = _source_vecs(op, *jet_stacks(maps, h, p, ctx.order))
+        assert homogeneous(S1, 2, s_vecs[0]).coeffs == {(0, (2,)): 0.1}
+        q = op.source(s_vecs)[0]
+        assert q[0, _mono_table(1, 2)[1][(2,)]] == pytest.approx(0.2, abs=1e-15)
 
     def test_koenigs_q3_after_degree2(self):
         c = koenigs_cocycle()
@@ -265,11 +304,11 @@ class TestSources:
         maps, h, p = koenigs_start(ctx)
         op2 = ctx.operator(2)
         series = lambda op, q: _run_series(op, q, ctx.series_tol, ctx.max_series_terms, 1)
-        H2, P2, _ = solve_homogeneous_degree(op2, maps, h, p, series)
-        h[0] = h[0] + op2.polymap(H2[0])
+        H2, P2, _ = solve_homogeneous_degree(op2, *jet_stacks(maps, h, p, ctx.order), series)
+        h[0] = h[0] + homogeneous(S1, 2, H2[0])
         op3 = ctx.operator(3)
-        q = op3.source(0, _source_vecs(op3, maps, h, p)[0])
-        assert q[0, op3.mono_index[(3,)]] == pytest.approx(0.08, abs=1e-12)
+        q = op3.source(_source_vecs(op3, *jet_stacks(maps, h, p, ctx.order)))[0]
+        assert q[0, _mono_table(1, 3)[1][(3,)]] == pytest.approx(0.08, abs=1e-12)
 
 
 def window_case(seed):
@@ -277,7 +316,7 @@ def window_case(seed):
     rng = np.random.default_rng(seed)
     space = GradedSpace((2, 1))
     structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.05))
-    quad = _DegreeOperator(space, structure, 2, [np.eye(3)]).monos
+    quad = _mono_table(3, 2)[0]
 
     def random_quadratic():
         return PolyMap(space, space, 2, np.zeros(3),
@@ -305,17 +344,18 @@ class TestFinishDegree:
         def given(op_, q_vecs):
             return [h.copy() for h in h_vecs], {}
 
-        _, p_vecs, diag = solve_homogeneous_degree(op, maps, h_maps, p_maps, given)
+        _, p_vecs, diag = solve_homogeneous_degree(
+            op, *jet_stacks(maps, h_maps, p_maps, 3), given)
         residue = 0.0
         for k in range(2):
             A_map = PolyMap.from_linear(linears[k], space, space, 1)
-            Hk, Hnext = op.polymap(h_vecs[k]), op.polymap(h_vecs[k + 1])
-            source = (compose_truncated(h_maps[k + 1], maps[k], n).homogeneous_part(n)
-                      - compose_truncated(p_maps[k], h_maps[k], n).homogeneous_part(n))
-            term = source + compose_truncated(Hnext, A_map, n) \
-                - compose_truncated(A_map, Hk, n)
+            Hk, Hnext = homogeneous(space, n, h_vecs[k]), homogeneous(space, n, h_vecs[k + 1])
+            source = homogeneous(space, n, reference_compose(h_maps[k + 1], maps[k], n).part(n)
+                                 - reference_compose(p_maps[k], h_maps[k], n).part(n))
+            term = source + reference_compose(Hnext, A_map, n) \
+                - reference_compose(A_map, Hk, n)
             s_part, n_part = project_subresonance(term, structure)
-            assert np.max(np.abs(p_vecs[k] - op.vec(s_part))) <= 1e-13
+            assert np.max(np.abs(p_vecs[k] - s_part.part(n))) <= 1e-13
             residue = max(residue, n_part.coeff_max())
         if n <= structure.degree_bound:
             assert p_vecs[0].any()

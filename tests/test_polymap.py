@@ -4,14 +4,24 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from dict_reference import (
+    dict_compose,
+    dict_evaluate,
+    dict_invert,
+    gap,
+)
+from orbitnf import polymap
 from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
+    _mono_table,
+    compose_jets,
     compose_truncated,
     invert_truncated,
     lyapunov_opnorm,
     project_subresonance,
+    stack_jets,
 )
 
 Frame = namedtuple("Frame", ["gram"])
@@ -359,6 +369,103 @@ class TestSerialization:
 class TestTermTypes:
     def test_types(self):
         space = GradedSpace((1, 2))
-        P = PolyMap.zero(space, space, 3)
+        P = PolyMap.identity(space, 3)
         assert P.term_type(0, (0, 1, 1)) == (1, (0, 2))
         assert P.term_type(2, (1, 0, 2)) == (2, (1, 2))
+
+
+def random_pair(rng, space, degree, n_terms, constant=False, linear=None):
+    """(constant, terms) with n_terms random terms of degrees 1..degree per
+    coordinate, plus `linear` as the linear part when given."""
+    dim = space.dim
+    terms = {}
+    if linear is not None:
+        for i in range(dim):
+            for j in range(dim):
+                terms[(i, tuple(int(l == j) for l in range(dim)))] = float(linear[i, j])
+    for i in range(dim):
+        for _ in range(n_terms):
+            n = int(rng.integers(1 if linear is None else 2, degree + 1))
+            monos = _mono_table(dim, n)[0]
+            terms[(i, monos[int(rng.integers(len(monos)))])] = float(rng.uniform(-0.5, 0.5))
+    const = rng.uniform(-0.3, 0.3, dim) if constant else np.zeros(dim)
+    return const, terms
+
+
+def to_polymap(space, degree, pair):
+    return PolyMap(space, space, degree, pair[0], pair[1])
+
+
+# the dims-(2,3) maps stay sparse so the dict reference remains quick
+REFERENCE_CASES = [(dims, M) for dims in ((1,), (1, 1), (2, 1), (2, 3)) for M in range(2, 7)]
+
+
+def n_terms(dims):
+    return 2 if dims == (2, 3) else 4
+
+
+class TestDictReference:
+    """Dense jets against the dict algebra, to 1e-13 relative."""
+
+    @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
+    def test_compose_with_inner_constant(self, dims, order):
+        rng = np.random.default_rng(sum(dims) * 10 + order)
+        space = GradedSpace(dims)
+        outer = random_pair(rng, space, order, n_terms(dims), constant=True)
+        # recentred inner map, t -> c + t + ..., as in the chart check
+        inner = random_pair(rng, space, order, n_terms(dims), constant=True,
+                            linear=np.eye(space.dim))
+        got = compose_truncated(to_polymap(space, order, outer),
+                                to_polymap(space, order, inner), order)
+        assert gap(got, dict_compose(outer, inner, space.dim, order)) <= 1e-13
+
+    @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
+    def test_stacked_kernel(self, dims, order, monkeypatch):
+        rng = np.random.default_rng(1000 + sum(dims) * 10 + order)
+        space = GradedSpace(dims)
+        pairs = [(random_pair(rng, space, order, n_terms(dims), constant=s == 0),
+                  random_pair(rng, space, order, n_terms(dims), constant=s == 1))
+                 for s in range(3)]
+        outer = stack_jets([to_polymap(space, order, o) for o, _ in pairs], order)
+        inner = stack_jets([to_polymap(space, order, i) for _, i in pairs], order)
+        jets = compose_jets(outer, inner, space.dim, order)
+        # one stack entry at a time gives the same floats
+        monkeypatch.setattr(polymap, "POWER_BYTES", 1)
+        assert np.array_equal(compose_jets(outer, inner, space.dim, order), jets)
+        for jet, (o, i) in zip(jets, pairs):
+            got = PolyMap.from_jet(space, space, order, jet)
+            assert gap(got, dict_compose(o, i, space.dim, order)) <= 1e-13
+
+    @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
+    def test_invert(self, dims, order):
+        rng = np.random.default_rng(2000 + sum(dims) * 10 + order)
+        space = GradedSpace(dims)
+        A = np.eye(space.dim) + rng.uniform(-0.2, 0.2, (space.dim, space.dim))
+        pair = random_pair(rng, space, order, n_terms(dims), linear=A)
+        got = invert_truncated(to_polymap(space, order, pair), order)
+        assert gap(got, dict_invert(pair, space.dim, order)) <= 1e-13
+
+    @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
+    def test_evaluate_batch(self, dims, order):
+        rng = np.random.default_rng(3000 + sum(dims) * 10 + order)
+        space = GradedSpace(dims)
+        pair = random_pair(rng, space, order, n_terms(dims), constant=True)
+        pts = rng.uniform(-1.0, 1.0, (9, space.dim))
+        ref = dict_evaluate(pair, pts)
+        got = to_polymap(space, order, pair).evaluate_batch(pts)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
+    def test_project_subresonance(self, dims, order):
+        rng = np.random.default_rng(4000 + sum(dims) * 10 + order)
+        space = GradedSpace(dims)
+        chi = (-2.0, -1.0) if len(dims) == 2 else (-1.0,)
+        st = SubResStructure.from_spectrum(Spectrum(chi, dims, 0.02))
+        const, terms = random_pair(rng, space, order, 6, constant=True)
+        s_part, n_part = project_subresonance(to_polymap(space, order, (const, terms)), st)
+        admissible = {key: c for key, c in terms.items()
+                      if st.is_admissible(space.block_of_coord[key[0]],
+                                          space.block_degrees(key[1]))}
+        assert s_part.coeffs == admissible
+        assert n_part.coeffs == {k: c for k, c in terms.items() if k not in admissible}
+        assert np.array_equal(s_part.constant, const) and not n_part.constant.any()
