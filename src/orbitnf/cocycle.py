@@ -365,18 +365,56 @@ def _decay_certificate(period_maps: list[np.ndarray], eps_per_period: float) -> 
     )
 
 
-def _block_gram(
-    restrictions: list[np.ndarray],
-    chi: float,
-    eps: float,
-    start: int,
-    tail_tol: float,
-) -> tuple[np.ndarray, int, float]:
-    """Two-sided weighted Gram sum of one block, truncated with certificate.
+def _chunked_sum(steps: list[np.ndarray], eps: float, n0: int, q: int, rho: float,
+                 carried: float, tail_tol: float) -> tuple[np.ndarray, int, float, float]:
+    """One direction of a block's Gram series, summed in whole certified chunks.
+
+    steps are the K one-step maps in the order this direction applies them
+    and Z_n their n-step product; the series is exp(-eps n) Z_n^T Z_n over
+    n >= n0.  Periodicity gives Z_{j+tK} = Z_j R^t with R = Z_K, so period t
+    adds exp(-eps t K) (R^t)^T S R^t, S being the sum over the first period.
+    The powers R^t come by doubling, O(log horizon) array operations in all.
+    The sum stops after the first chunk of q periods whose trace times
+    rho/(1-rho) is at most tail_tol times the running trace, which starts
+    from carried.  Returns (gram, last n summed, running trace, tail bound).
+    """
+    K, mc = len(steps), steps[0].shape[0]
+    prods = [np.eye(mc)]
+    for A in steps:
+        prods.append(A @ prods[-1])
+    S = sum(math.exp(-eps * n) * (prods[n].T @ prods[n]) for n in range(n0, n0 + K))
+    R = prods[K]
+    # whole chunks that end at n <= MAX_GRAM_STEPS
+    max_periods = (MAX_GRAM_STEPS + 1 - n0) // (q * K) * q
+    pows = np.eye(mc)[None]
+    while True:
+        t = min(len(pows), max_periods) // q * q
+        if t:
+            weights = np.exp(-eps * K * np.arange(t))
+            SP = S @ pows[:t]
+            traces = weights * np.einsum("tji,tji->t", pows[:t], SP)
+            chunk_traces = traces.reshape(-1, q).sum(axis=1)
+            totals = carried + np.cumsum(chunk_traces)
+            tails = chunk_traces * rho / (1.0 - rho)
+            done = np.flatnonzero(tails <= tail_tol * totals)
+            if done.size:
+                c = int(done[0])
+                t = (c + 1) * q
+                G = np.einsum("tji,tjl->il", weights[:t, None, None] * pows[:t], SP[:t])
+                return G, n0 + t * K - 1, float(totals[c]), float(tails[c])
+        if len(pows) >= max_periods:
+            raise TailCertificationError("gram series did not settle within the step budget")
+        pows = np.concatenate([pows, pows @ (pows[-1] @ R)])[:max_periods]
+
+
+def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
+                 tail_tol: float) -> list[tuple[np.ndarray, int, float]]:
+    """Two-sided weighted Gram sums of one block, one per start phase.
 
     Sums exp(-eps |n|) Z_n^T Z_n where Z_n is the n-step block cocycle from
-    orbit point start, normalized by exp(-chi n).  The certificate bounds the
+    the start point, normalized by exp(-chi n).  The certificate bounds the
     dropped tail in trace norm by the last summed chunk times rho/(1-rho).
+    Returns (gram, horizon, tail bound relative to the trace) per start.
     """
     K = len(restrictions)
     mc = restrictions[0].shape[0]
@@ -390,42 +428,17 @@ def _block_gram(
             P = fwd[(p + j) % K] @ P
         period_maps.append(P)
     q, rho = _decay_certificate(period_maps, eps * K)
-    chunk_len = q * K
 
-    G = np.zeros((mc, mc))
-    total_trace = 0.0
-    tails = []
-    horizon = 0
-    for direction, step_maps, n0 in ((1, fwd, 0), (-1, bwd, 1)):
-        Z = np.eye(mc)
-        if direction == -1:
-            Z = bwd[(start - 1) % K] @ Z
-        n = n0
-        chunk_trace = 0.0
-        steps_in_chunk = 0
-        while True:
-            W = math.exp(-eps * n) * (Z.T @ Z)
-            G += W
-            tr = float(np.trace(W))
-            total_trace += tr
-            chunk_trace += tr
-            steps_in_chunk += 1
-            if steps_in_chunk == chunk_len:
-                tail = chunk_trace * rho / (1.0 - rho)
-                if tail <= tail_tol * total_trace:
-                    tails.append(tail)
-                    horizon = max(horizon, n)
-                    break
-                chunk_trace = 0.0
-                steps_in_chunk = 0
-            n += 1
-            if n > MAX_GRAM_STEPS:
-                raise TailCertificationError("gram series did not settle within the step budget")
-            if direction == 1:
-                Z = step_maps[(start + n - 1) % K] @ Z
-            else:
-                Z = step_maps[(start - n) % K] @ Z
-    return 0.5 * (G + G.T), horizon, sum(tails) / max(total_trace, 1e-300)
+    out = []
+    for start in range(K):
+        G_f, n_f, total, tail_f = _chunked_sum(
+            [fwd[(start + j) % K] for j in range(K)], eps, 0, q, rho, 0.0, tail_tol)
+        # the running trace carries over into the backward direction
+        G_b, n_b, total, tail_b = _chunked_sum(
+            [bwd[(start - 1 - j) % K] for j in range(K)], eps, 1, q, rho, total, tail_tol)
+        G = G_f + G_b
+        out.append((0.5 * (G + G.T), max(n_f, n_b), (tail_f + tail_b) / max(total, 1e-300)))
+    return out
 
 
 def lyapunov_frames(
@@ -454,17 +467,16 @@ def lyapunov_frames(
     for i in range(1, space.n_blocks + 1):
         sl = space.block_slice(i)
         restrictions = _block_restrictions(cocycle, bases, sl)
-        per_block.append((sl, restrictions, spectrum.exponents[i - 1]))
+        grams = _block_grams(restrictions, spectrum.exponents[i - 1], spectrum.epsilon, tail_tol)
+        per_block.append((sl, grams))
 
     frames = []
     for k in range(cocycle.period):
         G_blocks = np.zeros((m, m))
         horizon = 0
         tail = 0.0
-        for sl, restrictions, chi in per_block:
-            Gb, steps, rel_tail = _block_gram(
-                restrictions, chi, spectrum.epsilon, k, tail_tol
-            )
+        for sl, grams in per_block:
+            Gb, steps, rel_tail = grams[k]
             G_blocks[sl, sl] = Gb
             horizon = max(horizon, steps)
             tail = max(tail, rel_tail)

@@ -393,6 +393,7 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
         "degree_bound": ctx.structure.degree_bound,
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
+        "frames": [{"horizon": f.horizon, "tail_bound": f.tail_bound} for f in ctx.frames],
         "degrees": degree_diags,
     }
     return NormalFormResult(

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from orbitnf import cli, normalform
 from orbitnf.cli import (
     CHECK_ORDER,
     ConfigError,
@@ -11,8 +13,10 @@ from orbitnf.cli import (
     list_builtins,
     main,
     resolve_config,
+    run_checks,
     run_scenario,
 )
+from orbitnf.normalform import SolverContext, solve_normal_form
 from orbitnf.scenarios import builtin_names
 
 
@@ -94,6 +98,16 @@ class TestReportFormat:
                  for t in h["terms"]}
         assert coeff[(2,)] == pytest.approx(0.4, abs=1e-12)
 
+    def test_frame_truncation_in_diagnostics(self, koenigs_run):
+        _, report = koenigs_run
+        frames = report["result"]["diagnostics"]["frames"]
+        assert len(frames) == len(report["k_eps"])
+        for entry in frames:
+            assert set(entry) == {"horizon", "tail_bound"}
+            assert entry["horizon"] > 0
+            # each time direction stops at tail_tol of the running trace
+            assert 0.0 < entry["tail_bound"] <= 2.0 * report["config"]["tail_tol"]
+
     def test_seventeen_digit_floats(self, koenigs_run):
         out, _ = koenigs_run
         text = (out / "report.json").read_text()
@@ -141,6 +155,41 @@ class TestDeterminism:
         assert rep_a["cocycle"] != rep_b["cocycle"]
         assert rep_a["config"]["rng_seed"] == 1
         assert rep_b["config"]["rng_seed"] == 2
+
+
+class TestGaugeCheck:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_reuses_the_lyapunov_stage(self, name, monkeypatch):
+        _, cocycle, config = resolve_config(name)
+        ctx = cli._prepare_context(cocycle, config)
+        result = solve_normal_form(ctx)
+        calls = []
+        for binding in ("monodromy_spectrum", "lyapunov_frames"):
+            def counted(*args, _fn=getattr(normalform, binding), _name=binding, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(normalform, binding, counted)
+        entries, _ = run_checks(ctx, result, cocycle, config)
+        gauge = entries[CHECK_ORDER.index("gauge")]
+        assert gauge["enabled"] and gauge["passed"]
+        assert calls == []
+
+        # the same details as a lifted context prepared from scratch
+        def prepare_lifted(ctx, lift_policy):
+            return SolverContext.prepare(
+                cocycle, float(config["epsilon"]), int(config["order"]),
+                resonance_tol=float(config["resonance_tol"]),
+                cluster_tol=float(config["cluster_tol"]),
+                tail_tol=float(config["tail_tol"]),
+                series_tol=float(config["series_tol"]),
+                max_series_terms=int(config.get("max_series_terms", 10_000)),
+                lift_policy=lift_policy)
+
+        monkeypatch.setattr(cli, "dataclasses", SimpleNamespace(replace=prepare_lifted))
+        fresh, _ = cli._check_gauge(ctx, result, cocycle, config,
+                                    config["checks"]["gauge"], int(config["rng_seed"]))
+        assert calls == ["monodromy_spectrum", "lyapunov_frames"]
+        assert canonical_json(fresh) == canonical_json(gauge["details"])
 
 
 class TestErrorExits:

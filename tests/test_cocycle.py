@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import gram_reference
+from orbitnf import cocycle as cocycle_module
 from orbitnf.cocycle import (
     ClusterGapError,
     LyapunovFrame,
     NonContractingError,
     OrbitCocycle,
+    TailCertificationError,
+    _block_grams,
+    _decay_certificate,
     finite_time_exponents,
     lyapunov_frames,
     monodromy_spectrum,
@@ -241,6 +246,74 @@ class TestLyapunovFrames:
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError):
             LyapunovFrame(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+
+
+def skewed_block_cocycle(rng, dim, period, chi, wobble=0.2):
+    """Non-normal block cocycle M_{p+1} O_p M_p^{-1} scaled by e^{chi + delta_p}.
+
+    The wobbles delta_p sum to zero over the period, so every eigenvalue of
+    the monodromy has modulus e^{chi K}: one cluster, exponent chi.
+    """
+    conj = [np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) for _ in range(period)]
+    deltas = rng.uniform(-wobble, wobble, period)
+    deltas -= deltas.mean()
+    out = []
+    for p in range(period):
+        O, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        out.append(math.exp(chi + deltas[p]) * conj[(p + 1) % period] @ O
+                   @ np.linalg.inv(conj[p]))
+    return out
+
+
+def jordan_block(shear):
+    return [np.array([[math.exp(-1.0), shear], [0.0, math.exp(-1.0)]])]
+
+
+def assert_grams_match_reference(restrictions, chi, eps, tail_tol=1e-12):
+    grams = _block_grams(restrictions, chi, eps, tail_tol)
+    assert len(grams) == len(restrictions)
+    for start, (G, horizon, tail) in enumerate(grams):
+        G_ref, horizon_ref, tail_ref = gram_reference.block_gram(
+            restrictions, chi, eps, start, tail_tol)
+        assert horizon == horizon_ref
+        assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
+        assert abs(tail - tail_ref) <= 1e-12 * tail_ref
+    return grams
+
+
+class TestBlockGrams:
+    @pytest.mark.parametrize("period", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_stepwise_reference(self, period, dim):
+        rng = np.random.default_rng(100 * period + dim)
+        restrictions = skewed_block_cocycle(rng, dim, period, chi=-0.7)
+        assert_grams_match_reference(restrictions, -0.7, 0.05)
+
+    @pytest.mark.parametrize("shear,q", [(1.0, 128), (3.0, 256), (10.0, 256)])
+    def test_jordan_blocks_with_long_chunks(self, shear, q):
+        restrictions = jordan_block(shear)
+        assert _decay_certificate([math.exp(1.0) * restrictions[0]], 0.1)[0] == q
+        ((_, horizon, _),) = assert_grams_match_reference(restrictions, -1.0, 0.1)
+        assert horizon >= q
+
+    def test_step_budget_raises_in_both(self, monkeypatch):
+        restrictions = skewed_block_cocycle(np.random.default_rng(5), 2, 3, chi=-0.5)
+        horizons = [h for _, h, _ in _block_grams(restrictions, -0.5, 0.05, 1e-12)]
+        # a budget of exactly the longest horizon still settles every start ...
+        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(horizons))
+        assert_grams_match_reference(restrictions, -0.5, 0.05)
+        # ... one step less does not, in either implementation
+        start = int(np.argmax(horizons))
+        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(horizons) - 1)
+        with pytest.raises(TailCertificationError):
+            _block_grams(restrictions, -0.5, 0.05, 1e-12)
+        with pytest.raises(TailCertificationError):
+            gram_reference.block_gram(restrictions, -0.5, 0.05, start, 1e-12)
+        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", 10)
+        with pytest.raises(TailCertificationError):
+            _block_grams(jordan_block(1.0), -1.0, 0.1, 1e-12)
+        with pytest.raises(TailCertificationError):
+            gram_reference.block_gram(jordan_block(1.0), -1.0, 0.1, 0, 1e-12)
 
 
 class TestSandwich:
