@@ -51,6 +51,7 @@ _EXPORTS = {
     "verify": [
         "CommutingExtension",
         "chart_consistency",
+        "chart_transitions",
         "centralizer_check",
         "conjugacy_residual",
         "direct_normal_form",

@@ -23,7 +23,6 @@ and files are written atomically (temp file, then rename).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -39,7 +38,7 @@ from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
 from .verify import (
     _coeff_diff,
     centralizer_check,
-    chart_consistency,
+    chart_transitions,
     conjugacy_residual,
     flag_invariance,
     gauge_compare,
@@ -282,18 +281,9 @@ def _check_oracle(ctx, result, cocycle, config, cfg, seed):
 
 
 def _check_sandwich(ctx, result, cocycle, config, cfg, seed):
-    rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames, seed=seed + 3)
-    tol = float(cfg["tol"])
-    passed = rep.keps_ok and rep.max_violation <= tol
-    details = {
-        "max_violation": rep.max_violation,
-        "keps_ok": rep.keps_ok,
-        "lambda_min_gram": rep.lambda_min_gram,
-        "n_max": rep.n_max,
-        "n_samples": rep.n_samples,
-        "tol": tol,
-    }
-    return details, passed
+    rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames, seed=seed + 3,
+                         tol=float(cfg["tol"]))
+    return rep.to_dict(), rep.passed
 
 
 def _first_admissible_slot(structure, space):
@@ -335,8 +325,9 @@ def _check_gauge(ctx, result, cocycle, config, cfg, seed):
     def lift(k, n):
         return bump if n == degree else None
 
-    # spectrum, structure and frames depend only on the cocycle and config
-    result_alt = solve_normal_form(dataclasses.replace(ctx, lift_policy=lift))
+    # spectrum, structure, frames and degree operators depend only on the
+    # cocycle and config
+    result_alt = solve_normal_form(ctx.with_lift(lift))
     rep = gauge_compare(result, result_alt, tol=tol)
     details = rep.to_dict()
     details["delta"] = delta
@@ -394,14 +385,9 @@ def _check_flag(ctx, result, cocycle, config, cfg, seed):
 
 def _check_chart(ctx, result, cocycle, config, cfg, seed):
     tol = float(cfg["tol"])
-    reports = []
-    all_ok = True
-    for point in cfg.get("points", []):
-        rep = chart_consistency(ctx, result, np.asarray(point, dtype=float),
-                                seed=seed + 2, tol=tol)
-        reports.append(rep.to_dict())
-        all_ok = all_ok and rep.passed
-    return {"points": reports, "tol": tol}, all_ok
+    reports = chart_transitions(ctx, result, cfg.get("points", []), seed=seed + 2, tol=tol)
+    return ({"points": [rep.to_dict() for rep in reports], "tol": tol},
+            all(rep.passed for rep in reports))
 
 
 _CHECK_RUNNERS = {
@@ -535,20 +521,14 @@ def _cmd_spectrum(args) -> int:
                                            overrides=args.tol_override)
     ctx = _prepare_context(cocycle, config)
     rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames,
-                         seed=int(config["rng_seed"]) + 3)
+                         seed=int(config["rng_seed"]) + 3,
+                         tol=float(config["checks"]["sandwich"]["tol"]))
     payload = {
         "name": name,
         "spectrum": ctx.spectrum.to_dict(),
         "structure": ctx.structure.to_dict(),
         "k_eps": [frame.k_eps for frame in ctx.frames],
-        "sandwich": {
-            "max_violation": rep.max_violation,
-            "keps_ok": rep.keps_ok,
-            "lambda_min_gram": rep.lambda_min_gram,
-            "n_max": rep.n_max,
-            "n_samples": rep.n_samples,
-            "passed": rep.passed,
-        },
+        "sandwich": rep.to_dict(),
     }
     print(canonical_json(payload))
     return 0

@@ -15,7 +15,7 @@ degree-by-degree solver leans on.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -414,7 +414,9 @@ def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
     Sums exp(-eps |n|) Z_n^T Z_n where Z_n is the n-step block cocycle from
     the start point, normalized by exp(-chi n).  The certificate bounds the
     dropped tail in trace norm by the last summed chunk times rho/(1-rho).
-    Returns (gram, horizon, tail bound relative to the trace) per start.
+    Each time direction stops at tail_tol/2 of the running trace, so the two
+    tails together stay within tail_tol of the total.  Returns (gram,
+    horizon, tail bound relative to the trace) per start.
     """
     K = len(restrictions)
     mc = restrictions[0].shape[0]
@@ -432,10 +434,10 @@ def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
     out = []
     for start in range(K):
         G_f, n_f, total, tail_f = _chunked_sum(
-            [fwd[(start + j) % K] for j in range(K)], eps, 0, q, rho, 0.0, tail_tol)
+            [fwd[(start + j) % K] for j in range(K)], eps, 0, q, rho, 0.0, tail_tol / 2)
         # the running trace carries over into the backward direction
         G_b, n_b, total, tail_b = _chunked_sum(
-            [bwd[(start - 1 - j) % K] for j in range(K)], eps, 1, q, rho, total, tail_tol)
+            [bwd[(start - 1 - j) % K] for j in range(K)], eps, 1, q, rho, total, tail_tol / 2)
         G = G_f + G_b
         out.append((0.5 * (G + G.T), max(n_f, n_b), (tail_f + tail_b) / max(total, 1e-300)))
     return out
@@ -502,10 +504,14 @@ class SandwichReport:
     lambda_min_gram: float
     n_max: int
     n_samples: int
+    tol: float = 1e-6
 
     @property
     def passed(self) -> bool:
-        return self.keps_ok and self.max_violation <= 1e-6
+        return self.keps_ok and self.max_violation <= self.tol
+
+    def to_dict(self) -> dict:
+        return dict(asdict(self), passed=self.passed)
 
 
 def sandwich_check(
@@ -515,12 +521,14 @@ def sandwich_check(
     n_max: int | None = None,
     samples: int = 8,
     seed: int = 0,
+    tol: float = 1e-6,
 ) -> SandwichReport:
     """Verify exp((chi_i - eps) n) <= growth <= exp((chi_i + eps) n) sampled.
 
     Block vectors are pushed n steps both ways through the linear cocycle and
     their frame norms compared against the advertised exponential envelope.
     Also confirms the euclidean comparison ||u|| <= ||u||_eps <= k_eps ||u||.
+    The report passes when the comparison holds and no violation exceeds tol.
     """
     K = cocycle.period
     if n_max is None:
@@ -569,4 +577,5 @@ def sandwich_check(
         lambda_min_gram=float(lam_min),
         n_max=n_max,
         n_samples=count,
+        tol=tol,
     )

@@ -29,21 +29,27 @@ is P_n(k) and whose rest must vanish.  Three transfer solvers plug into it:
 * the transported series (``solve_normal_form``), truncated once a power of
   the one-period transfer certifies a contraction, which bounds the tail;
 * the dense oracle ``verify.direct_solve_oracle``, one linear solve;
-* the backward sweep of ``solve_window`` along a finite orbit window from a
-  zero terminal condition.  It accepts flag-preserving (block-triangular)
-  linear parts; the mask after every transport is exactly the quotient by
+* the sweep of ``solve_window`` along finite orbit windows from a zero
+  terminal condition, a suffix scan composed by doubling.  It accepts
+  flag-preserving (block-triangular) linear parts, whose steps send no
+  admissible slot to a non-admissible one, so the sweep needs no mask
+  between steps: masking the transported sums is exactly the quotient by
   the sub-resonance directions.
+
+The loop runs on jet stacks with any number of batch axes between the orbit
+axis and the coefficients, so the windows of several chart points are
+solved in one pass.
 """
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import (GradedSpace, PolyMap, _linear_jets, _mono_table, _powers,
+from .polymap import (GradedSpace, PolyMap, _fit, _linear_jets, _mono_table, _powers,
                       admissible_mask, compose_jets, degree_cols, jet_width, stack_jets,
                       top_degree)
 
@@ -81,8 +87,10 @@ class _DegreeOperator:
     With block-diagonal A_k, subst_k maps the monomials of each block degree
     s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
     X -> Ainv_k[i] X subst_k[s].  The series certificate and the dense oracle
-    use these blocks; ``apply`` keeps the full product, which also transports
-    the block-triangular (flag-preserving) linear parts of a window.
+    use these blocks; ``apply`` keeps the full product.  A window operator
+    holds block-triangular (flag-preserving) linear parts of shape
+    (W, P, m, m), one per step and window, and ainvs and substs keep those
+    leading axes.
     """
 
     def __init__(self, space: GradedSpace, structure: SubResStructure, n: int,
@@ -101,8 +109,15 @@ class _DegreeOperator:
         self.linears = np.asarray(linears, dtype=float)
         self.ainvs = np.linalg.inv(self.linears)
         # the degree-n powers of the linear parts are the substitution matrices
-        for _, _, self.substs in _powers(_linear_jets(self.linears), space.dim, n, n):
+        jets = _linear_jets(self.linears).reshape(-1, space.dim, space.dim + 1)
+        for _, _, substs in _powers(jets, space.dim, n, n):
             pass
+        self.substs = substs.reshape(self.linears.shape[:-2] + substs.shape[1:])
+
+    @cached_property
+    def certificate(self) -> tuple[int, float]:
+        """``_series_certificate`` over one period of the linear parts, computed once."""
+        return _series_certificate(self, len(self.linears))
 
     def apply(self, k: int, c: np.ndarray) -> np.ndarray:
         """Masked transfer of a coefficient array through step k."""
@@ -165,7 +180,7 @@ def _run_series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
         info["short_circuit"] = True
         return [np.zeros_like(q) for q in q_vecs], info
 
-    q_cert, rho = _series_certificate(op, period)
+    q_cert, rho = op.certificate
     info["certificate_q"] = q_cert
     info["certificate_rho"] = rho
     chunk_len = q_cert * period
@@ -262,6 +277,16 @@ class SolverContext:
                    series_tol=series_tol, max_series_terms=max_series_terms,
                    lift_policy=lift_policy)
 
+    def with_lift(self, lift_policy: LiftPolicy | None) -> "SolverContext":
+        """The same problem under another lift policy.
+
+        The degree operators and their certificates depend only on the
+        cocycle and the structure, so the new context shares them.
+        """
+        other = replace(self, lift_policy=lift_policy)
+        other._operators = self._operators
+        return other
+
     def operator(self, n: int) -> _DegreeOperator:
         if n not in self._operators:
             self._operators[n] = _DegreeOperator(
@@ -276,15 +301,16 @@ def _source_vecs(op: _DegreeOperator, fibers: np.ndarray, conj: np.ndarray,
     """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n, one stacked composition.
 
     fibers, conj and nf are jet stacks of the fiber maps F_k, the conjugators
-    H (k+1 wraps modulo their number) and the normal forms P_k; in the loop
-    the degree-n parts of H and P are still zero.
+    H (k+1 wraps modulo their number) and the normal forms P_k, with the same
+    batch axes; in the loop the degree-n parts of H and P are still zero.
     """
     K, m, n = len(fibers), op.space.dim, op.n
     width = jet_width(m, n)
     nxt = (np.arange(K) + 1) % len(conj)
-    comp = compose_jets(np.concatenate([conj[nxt, :, :width], nf[:, :, :width]]),
-                        np.concatenate([fibers[:, :, :width], conj[:K, :, :width]]),
-                        m, n)[..., degree_cols(m, n)]
+    outer = np.concatenate([conj[nxt, ..., :width], nf[..., :width]])
+    inner = np.concatenate([fibers[..., :width], conj[:K, ..., :width]])
+    comp = compose_jets(outer.reshape(-1, m, width), inner.reshape(-1, m, width), m, n)
+    comp = comp[..., degree_cols(m, n)].reshape(outer.shape[:-1] + (-1,))
     return comp[:K] - comp[K:]
 
 
@@ -313,36 +339,50 @@ def solve_homogeneous_degree(op: _DegreeOperator, fibers: np.ndarray, conj: np.n
     residue = float(np.max(np.abs(op.mask * terms)))
     below = n <= op.degree_bound
     diag = dict(info, degree=n,
-                source_norm=float(np.linalg.norm(s_vecs, axis=(1, 2)).max()),
-                solution_norm=float(np.linalg.norm(h_vecs, axis=(1, 2)).max()),
+                source_norm=float(np.linalg.norm(s_vecs, axis=(-2, -1)).max()),
+                solution_norm=float(np.linalg.norm(h_vecs, axis=(-2, -1)).max()),
                 admissible_violation=residue if below else None,
                 defect=None if below else residue)
     return h_vecs, ~op.mask * terms, diag
 
 
-def _degree_loop(fiber_maps: Sequence[PolyMap], n_conj: int,
+def _degree_loop(fibers: np.ndarray, n_conj: int,
                  operator: Callable[[int], _DegreeOperator], order: int,
                  transfer: Transfer, lift_policy: LiftPolicy | None = None
-                 ) -> tuple[list[PolyMap], list[PolyMap], list[dict]]:
-    """Degrees 2..order along fiber_maps: conjugators, normal forms, diagnostics.
+                 ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """Degrees 2..order along a jet stack of fiber maps, shape (K, ..., m, w).
 
-    There are n_conj conjugators: the period on a periodic orbit, where the
-    index k+1 wraps, or one more than the maps on a window.  Conjugators and
-    normal forms grow as jet stacks, one degree block at a time.
+    Returns the conjugator and normal form jet stacks through `order` and
+    the per-degree diagnostics.  There are n_conj conjugators: the period on
+    a periodic orbit, where the index k+1 wraps, or one more than the maps
+    on a window.  Axes between the first and the last two are batch axes.
+    Conjugators and normal forms grow one degree block at a time.
     """
-    space = fiber_maps[0].source
-    fibers = stack_jets(fiber_maps, order)
-    conj = stack_jets([PolyMap.identity(space, 1)] * n_conj, order)
-    nf = stack_jets([f.truncated(1) for f in fiber_maps], order)
+    m = fibers.shape[-2]
+    fibers = _fit(fibers, jet_width(m, order))
+    conj = np.zeros((n_conj,) + fibers.shape[1:])
+    conj[..., :m + 1] = _linear_jets(np.eye(m))
+    nf = np.zeros_like(fibers)
+    nf[..., :m + 1] = fibers[..., :m + 1]
     diags = []
     for n in range(2, order + 1):
         op = operator(n)
         h_vecs, p_vecs, diag = solve_homogeneous_degree(
             op, fibers, conj, nf, transfer, lift_policy)
-        cols = degree_cols(space.dim, n)
-        conj[:, :, cols] = h_vecs
-        nf[:, :, cols] = p_vecs
+        cols = degree_cols(m, n)
+        conj[..., cols] = h_vecs
+        nf[..., cols] = p_vecs
         diags.append(diag)
+    return conj, nf, diags
+
+
+def _orbit_loop(ctx: "SolverContext", transfer: Transfer
+                ) -> tuple[list[PolyMap], list[PolyMap], list[dict]]:
+    """The degree loop around the orbit of ctx: conjugators, normal forms, diagnostics."""
+    space, order = ctx.cocycle.space, ctx.order
+    conj, nf, diags = _degree_loop(stack_jets(ctx.cocycle.fiber_maps, order),
+                                   ctx.cocycle.period, ctx.operator, order, transfer,
+                                   ctx.lift_policy)
     h_maps = [PolyMap.from_jet(space, space, order, h) for h in conj]
     p_maps = [PolyMap.from_jet(space, space, order, p).truncated(top_degree(p, space.dim))
               for p in nf]
@@ -384,9 +424,7 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
         info["contraction_factor"] = contraction_factor(ctx.spectrum, op.n)
         return h_vecs, info
 
-    h_maps, p_maps, degree_diags = _degree_loop(
-        [ctx.cocycle.map_at(k) for k in range(K)], K, ctx.operator, ctx.order,
-        series, ctx.lift_policy)
+    h_maps, p_maps, degree_diags = _orbit_loop(ctx, series)
     diagnostics = {
         "order": ctx.order,
         "period": K,
@@ -406,57 +444,84 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
     )
 
 
-def _flag_preserving_check(space: GradedSpace, A: np.ndarray, tol: float = 1e-10) -> bool:
-    block = np.array(space.block_of_coord)
-    below = A[block[:, None] > block[None, :]]
-    return not np.any(np.abs(below) > tol * max(1.0, float(np.max(np.abs(A)))))
+def _window_sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """R_k = q_k + mask * (Ainv_k R_{k+1} subst_k) for k < W and R_W = 0, by doubling.
 
-
-def solve_window(fiber_maps: Sequence[PolyMap], structure: SubResStructure,
-                 order: int) -> tuple[list[PolyMap], list[PolyMap], dict]:
-    """Normal form along a finite orbit window, zero terminal condition.
-
-    Accepts flag-preserving linear parts (block triangular against the
-    grading).  Every transport is followed by the projection that drops
-    admissible slots, which solves the conjugacy equation in the quotient by
-    the sub-resonance directions; the dropped part is exactly what the
-    degree-n normal form term absorbs.  Reliable near the window start; the
-    terminal truncation error decays at the per-degree contraction rate.
+    A flag-preserving step sends no admissible slot to a non-admissible one,
+    so the interior masks drop out and R_k is the masked suffix sum of
+    Ainv_k..Ainv_{j-1} q_j subst_{j-1}..subst_k over j >= k.  Level s of the
+    scan holds at every k the (Ainv-product, subst-product) pair of steps
+    k..k+s-1 and the sum over those steps, and adds the sum at k+s, carried
+    through the pair, to the sum at k: ceil(log2 W) levels of batched
+    matmuls.  Masking each level's sums keeps the expanding admissible types
+    out of them.  Each new pair is rebalanced by a power of two, which is
+    exact, since the Ainv-products alone overflow on long windows.  Every
+    R_k is then checked against WINDOW_GROWTH_GUARD times its window's
+    largest source, and a non-finite value counts as divergence.
     """
-    fiber_maps = list(fiber_maps)
-    if not fiber_maps:
-        raise ValueError("window needs at least one fiber map")
-    space = fiber_maps[0].source
-    W = len(fiber_maps)
-    linears = []
-    for k, pm in enumerate(fiber_maps):
-        if pm.source != space or pm.target != space:
-            raise ValueError(f"window map {k} is not over a common space")
-        if np.max(np.abs(pm.constant)) > 0.0:
-            raise ValueError(f"window map {k} does not fix the origin")
-        A = pm.linear_matrix()
-        if not _flag_preserving_check(space, A):
-            raise ValueError(
-                f"window map {k} has a below-flag linear entry; the projected "
-                "sweep is only valid for flag-preserving cocycles"
-            )
-        linears.append(A)
+    W = len(q_vecs)
+    L, M, R = op.ainvs, op.substs, q_vecs.copy()
+    with np.errstate(all="ignore"):
+        s = 1
+        while s < W:
+            R[:W - s] += np.where(op.mask, L[:W - s] @ R[s:] @ M[:W - s], 0.0)
+            if 2 * s < W:
+                L, M = L[:W - 2 * s] @ L[s:W - s], M[s:W - s] @ M[:W - 2 * s]
+                e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
+                     - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
+                L, M = np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
+            s *= 2
+        norms = np.linalg.norm(R, axis=(-2, -1))
+        q_scale = np.maximum(1.0, np.linalg.norm(q_vecs, axis=(-2, -1)).max(axis=0))
+        diverged = ~(norms <= WINDOW_GROWTH_GUARD * q_scale)
+    if diverged.any():
+        raise SeriesStagnationError(
+            f"window sweep diverged at degree {op.n}, step {np.nonzero(diverged)[0].max()}"
+        )
+    return np.concatenate([R, np.zeros_like(R[:1])]), {"max_sweep_norm": float(norms.max())}
 
-    def sweep(op, q_vecs):
-        q_scale = max(1.0, float(np.linalg.norm(q_vecs, axis=(1, 2)).max()))
-        R = [np.zeros_like(q_vecs[0])] * (W + 1)
-        max_norm = 0.0
-        for k in range(W - 1, -1, -1):
-            R[k] = q_vecs[k] + op.apply(k, R[k + 1])
-            nrm = float(np.linalg.norm(R[k]))
-            max_norm = max(max_norm, nrm)
-            if nrm > WINDOW_GROWTH_GUARD * q_scale:
-                raise SeriesStagnationError(
-                    f"window sweep diverged at degree {op.n}, step {k}"
-                )
-        return R, {"max_sweep_norm": max_norm}
 
-    h, p, per_degree = _degree_loop(
-        fiber_maps, W + 1, lambda n: _DegreeOperator(space, structure, n, linears),
-        order, sweep)
-    return h, p, {"window": W, "per_degree": per_degree}
+def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructure,
+                 order: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Normal forms along finite orbit windows, zero terminal condition.
+
+    jets is a window-major stack of fiber jets over `space`, shape
+    (W, P, m, w): entry [k, p] is step k of window p, and every map fixes
+    the origin.  Returns the conjugator stack H(0..W), shape
+    (W+1, P, m, jet_width(m, order)), the normal form stack P(0..W-1) of
+    shape (W, P, m, jet_width(m, order)) and diagnostics.
+
+    Accepts flag-preserving linear parts: block triangular against the
+    grading, with below-flag entries of at most 1e-10 relative, which are
+    then taken as zero.  The transported sum is projected onto the
+    non-admissible slots, which solves the conjugacy equation in the
+    quotient by the sub-resonance directions; the dropped part is exactly
+    what the degree-n normal form term absorbs.  Reliable near the window
+    start; the terminal truncation error decays at the per-degree
+    contraction rate.
+    """
+    jets = np.array(jets, dtype=float)
+    m = space.dim
+    if jets.ndim != 4 or not len(jets) or jets.shape[2] != m:
+        raise ValueError(f"a window is a (W, P, {m}, width) jet stack with W >= 1")
+    moved = jets[..., 0].any(axis=(1, 2))
+    if moved.any():
+        raise ValueError(f"window map {np.argmax(moved)} does not fix the origin")
+    linears = jets[..., 1:1 + m][..., ::-1]
+    block = np.array(space.block_of_coord)
+    below = block[:, None] > block[None, :]
+    scale = np.maximum(1.0, np.abs(linears).max(axis=(-2, -1)))
+    flagged = (np.abs(linears[..., below]) > 1e-10 * scale[..., None]).any(axis=(1, 2))
+    if flagged.any():
+        raise ValueError(
+            f"window map {np.argmax(flagged)} has a below-flag linear entry; the "
+            "projected sweep is only valid for flag-preserving cocycles"
+        )
+    # the scan relies on exact zeros below the flag; linears is a view, so
+    # the jets lose those entries too
+    linears[..., below] = 0.0
+
+    conj, nf, per_degree = _degree_loop(
+        jets, len(jets) + 1, lambda n: _DegreeOperator(space, structure, n, linears),
+        order, _window_sweep)
+    return conj, nf, {"window": len(jets), "per_degree": per_degree}

@@ -322,15 +322,23 @@ class PolyMap:
     def evaluate(self, t) -> np.ndarray:
         return self.evaluate_batch(np.asarray(t, dtype=float)[None, :])[0]
 
+    @cached_property
+    def _eval_plan(self) -> tuple:
+        """Per degree n >= 1: the power recurrence of its monomials and its
+        coefficients transposed."""
+        return tuple(_mono_table(self.source.dim, n)[2:] + (self.part(n).T,)
+                     for n in range(1, self.degree + 1))
+
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of `points`, shape (N, source.dim) -> (N, target.dim)."""
         points = np.asarray(points, dtype=float)
-        out = np.tile(self.constant, (points.shape[0], 1))
-        vals = np.ones((points.shape[0], 1))
-        for n in range(1, self.degree + 1):
-            _, _, first, parent = _mono_table(self.source.dim, n)
-            vals = vals[:, parent] * points[:, first]
-            out += vals @ self.part(n).T
+        out = np.empty((points.shape[0], self.target.dim))
+        out[:] = self.constant
+        vals = None
+        for first, parent, coeffs in self._eval_plan:
+            # the degree-1 monomials are the coordinates themselves
+            vals = points[:, first] if vals is None else vals[:, parent] * points[:, first]
+            out += vals @ coeffs
         return out
 
     def linear_matrix(self) -> np.ndarray:

@@ -13,9 +13,9 @@ from a different direction:
   in the sub-resonance group.
 * ``flag_invariance`` differentiates the normal form exactly and looks for
   below-flag Jacobian entries.
-* ``chart_consistency`` rebuilds the normal form in a chart centered at a
-  nearby non-periodic point and tests that the transition between the two
-  charts is a sub-resonance map.
+* ``chart_transitions`` rebuilds the normal form in charts centered at
+  nearby non-periodic points, all in one window solve, and tests that each
+  transition to the periodic chart is a sub-resonance map.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .normalform import (NormalFormResult, SolverContext, _degree_loop, _DegreeOperator,
+from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, compose_jets, compose_truncated, invert_truncated, jet_width,
-                      project_subresonance, stack_jets)
+from .polymap import (PolyMap, _linear_jets, compose_jets, compose_truncated,
+                      invert_truncated, jet_width, project_subresonance, stack_jets)
 
 
 def _coeff_diff(a: PolyMap, b: PolyMap) -> float:
@@ -169,10 +169,7 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
 
 def direct_normal_form(ctx: SolverContext) -> tuple[list[PolyMap], list[PolyMap]]:
     """Full degree loop with the dense oracle in place of the series."""
-    K = ctx.cocycle.period
-    h_maps, p_maps, _ = _degree_loop(
-        [ctx.cocycle.map_at(k) for k in range(K)], K, ctx.operator, ctx.order,
-        direct_solve_oracle, ctx.lift_policy)
+    h_maps, p_maps, _ = _orbit_loop(ctx, direct_solve_oracle)
     return h_maps, p_maps
 
 
@@ -444,14 +441,15 @@ def default_chart_window(ctx: SolverContext) -> int:
     return (ctx.order - 1) * t_base + K + 2
 
 
-def chart_consistency(ctx: SolverContext, result: NormalFormResult,
-                      offset, *, base: int = 0, window: int | None = None,
+def chart_transitions(ctx: SolverContext, result: NormalFormResult,
+                      offsets, *, base: int = 0, window: int | None = None,
                       eval_radius: float | None = None, samples: int = 64,
-                      seed: int = 0, tol: float = 1e-7) -> ChartReport:
-    """Normal form chart at a nearby point versus the periodic chart.
+                      seed: int = 0, tol: float = 1e-7) -> list[ChartReport]:
+    """Normal form charts at nearby points versus the periodic chart.
 
-    Recenter the cocycle along the forward orbit of the offset point, run the
-    window solver with zero terminal data, and form the transition
+    offsets has shape (P, m).  Recenter the cocycle along the forward orbit
+    of every offset point, run the window solver on all P windows at once
+    with zero terminal data, and form each transition
 
         G = H_window(0) o (H_base^{-1} - offset).
 
@@ -468,39 +466,52 @@ def chart_consistency(ctx: SolverContext, result: NormalFormResult,
     whenever the cocycle maps themselves have admissible coefficients only.
     """
     cocycle = ctx.cocycle
-    space = cocycle.space
+    space, m, K = cocycle.space, cocycle.dim, cocycle.period
     order = result.order
-    y = np.asarray(offset, dtype=float).reshape(space.dim)
+    ys = np.asarray(offsets, dtype=float).reshape(-1, m)
+    P = len(ys)
+    if not P:
+        return []
     if window is None:
         window = default_chart_window(ctx)
 
-    # the orbit c_j of the offset point, then every map recentred on it,
-    # t -> f_j(c_j + t) - c_{j+1}, in one stacked composition
-    maps = [cocycle.map_at(base + j) for j in range(window)]
-    shifts = stack_jets([PolyMap.identity(space, 1)] * window, 1)
-    shifts[0, :, 0] = y
+    # the orbits c_j of the offset points, one evaluation per step for all
+    steps = (base + np.arange(window)) % K
+    centers = np.empty((window, P, m))
+    centers[0] = ys
     for j in range(1, window):
-        shifts[j, :, 0] = maps[j - 1].evaluate(shifts[j - 1, :, 0])
-    jets = compose_jets(stack_jets(maps, cocycle.degree), shifts, space.dim, cocycle.degree)
-    jets[:, :, 0] = 0.0
-    recentered = [PolyMap.from_jet(space, space, cocycle.degree, jet) for jet in jets]
+        centers[j] = cocycle.fiber_maps[steps[j - 1]].evaluate_batch(centers[j - 1])
+    # every map recentred on its point, t -> f_j(c_j + t) - c_{j+1}, in one composition
+    shifts = np.repeat(_linear_jets(np.eye(m))[None], window * P, axis=0)
+    shifts[:, :, 0] = centers.reshape(-1, m)
+    outer = np.repeat(stack_jets(cocycle.fiber_maps, cocycle.degree)[steps], P, axis=0)
+    jets = compose_jets(outer, shifts, m, cocycle.degree).reshape(window, P, m, -1)
+    jets[..., 0] = 0.0
 
-    h_win, _, _ = solve_window(recentered, ctx.structure, order)
-    to_local = invert_truncated(result.conjugator[base % cocycle.period],
-                                order).with_constant(-y)
-    g = compose_truncated(h_win[0], to_local, order)
+    h_win, _, _ = solve_window(jets, space, ctx.structure, order)
+    to_local = np.repeat(invert_truncated(result.conjugator[base % K], order).jet[None],
+                         P, axis=0)
+    to_local[:, :, 0] = -ys
+    g_jets = compose_jets(h_win[0], to_local, m, order)
 
-    low, _ = _npart_split(g.with_constant(np.zeros(space.dim)), ctx.structure)
-    g_sub, _ = project_subresonance(g, ctx.structure)
-
-    if eval_radius is None:
-        eval_radius = max(float(np.linalg.norm(y)), 1e-2)
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, space.dim))
+    dirs = rng.standard_normal((samples, m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = eval_radius * dirs
-    deviation = float(np.max(np.abs(g.evaluate_batch(pts)
-                                    - g_sub.evaluate_batch(pts))))
+    reports = []
+    for y, g_jet in zip(ys, g_jets):
+        g = PolyMap.from_jet(space, space, order, g_jet)
+        low, _ = _npart_split(g.with_constant(np.zeros(m)), ctx.structure)
+        g_sub, _ = project_subresonance(g, ctx.structure)
+        radius = max(float(np.linalg.norm(y)), 1e-2) if eval_radius is None else eval_radius
+        pts = radius * dirs
+        deviation = float(np.max(np.abs(g.evaluate_batch(pts) - g_sub.evaluate_batch(pts))))
+        reports.append(ChartReport(g, tuple(float(v) for v in y), window, low, deviation,
+                                   radius, samples, tol))
+    return reports
 
-    return ChartReport(g, tuple(float(v) for v in y), window, low, deviation,
-                       eval_radius, samples, tol)
+
+def chart_consistency(ctx: SolverContext, result: NormalFormResult, offset,
+                      **kwargs) -> ChartReport:
+    """``chart_transitions`` at one offset point."""
+    return chart_transitions(ctx, result, np.reshape(offset, (1, ctx.cocycle.dim)),
+                             **kwargs)[0]

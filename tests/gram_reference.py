@@ -3,7 +3,8 @@
 This is the frame sum as the package took it before the chunk powers were
 built by doubling: every step n multiplies the block cocycle once more and
 adds exp(-eps |n|) Z_n^T Z_n, and after every chunk of q periods the decay
-certificate decides whether to stop.  The tests check
+certificate decides whether to stop, each time direction at half the
+requested relative tail.  The tests check
 ``orbitnf.cocycle._block_grams`` against it.  The step budget is read from
 ``orbitnf.cocycle`` at call time, so a test that patches it there limits both.
 """
@@ -53,7 +54,7 @@ def block_gram(restrictions: list[np.ndarray], chi: float, eps: float, start: in
             steps_in_chunk += 1
             if steps_in_chunk == chunk_len:
                 tail = chunk_trace * rho / (1.0 - rho)
-                if tail <= tail_tol * total_trace:
+                if tail <= tail_tol / 2 * total_trace:
                     tails.append(tail)
                     horizon = max(horizon, n)
                     break

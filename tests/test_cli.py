@@ -1,6 +1,5 @@
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,8 +104,8 @@ class TestReportFormat:
         for entry in frames:
             assert set(entry) == {"horizon", "tail_bound"}
             assert entry["horizon"] > 0
-            # each time direction stops at tail_tol of the running trace
-            assert 0.0 < entry["tail_bound"] <= 2.0 * report["config"]["tail_tol"]
+            # each time direction stops at half of tail_tol of the running trace
+            assert 0.0 < entry["tail_bound"] <= report["config"]["tail_tol"]
 
     def test_seventeen_digit_floats(self, koenigs_run):
         out, _ = koenigs_run
@@ -185,11 +184,35 @@ class TestGaugeCheck:
                 max_series_terms=int(config.get("max_series_terms", 10_000)),
                 lift_policy=lift_policy)
 
-        monkeypatch.setattr(cli, "dataclasses", SimpleNamespace(replace=prepare_lifted))
+        monkeypatch.setattr(SolverContext, "with_lift", prepare_lifted)
         fresh, _ = cli._check_gauge(ctx, result, cocycle, config,
                                     config["checks"]["gauge"], int(config["rng_seed"]))
         assert calls == ["monodromy_spectrum", "lyapunov_frames"]
         assert canonical_json(fresh) == canonical_json(gauge["details"])
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_reuses_the_degree_operators(self, name, monkeypatch):
+        _, cocycle, config = resolve_config(name)
+        gauge_cfg, seed = config["checks"]["gauge"], int(config["rng_seed"])
+        calls = []
+
+        def counted(op, period, _fn=normalform._series_certificate):
+            calls.append(op.n)
+            return _fn(op, period)
+
+        monkeypatch.setattr(normalform, "_series_certificate", counted)
+        ctx = cli._prepare_context(cocycle, config)
+        result = solve_normal_form(ctx)
+        first = list(calls)
+        details, passed = cli._check_gauge(ctx, result, cocycle, config, gauge_cfg, seed)
+        assert passed
+        # the lifted solve certifies only degrees the first solve short-circuited
+        assert not set(calls[len(first):]) & set(first)
+        assert len(calls) == len(set(calls))
+        # the same details as a context that has solved nothing
+        fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result,
+                                    cocycle, config, gauge_cfg, seed)
+        assert canonical_json(details) == canonical_json(fresh)
 
 
 class TestErrorExits:
@@ -302,6 +325,20 @@ class TestSpectrumCommand:
                                 "k_eps", "sandwich"}
         assert payload["spectrum"]["exponents"] == [-2, -1]
         assert payload["sandwich"]["passed"] is True
+        assert payload["sandwich"]["tol"] == 1e-6
+
+    def test_sandwich_tolerance_override(self, tmp_path, capsys):
+        # a negative tolerance fails even a zero violation, so both commands
+        # must read the configured value for the verdicts to flip
+        override = ["--tol-override", "checks.sandwich.tol=-1.0"]
+        assert main(["spectrum", "resonant2"] + override) == 0
+        sandwich = json.loads(capsys.readouterr().out)["sandwich"]
+        assert sandwich["tol"] == -1.0 and sandwich["passed"] is False
+        assert main(["run", "resonant2", "--out-dir", str(tmp_path)] + override) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        check = report["checks"][CHECK_ORDER.index("sandwich")]
+        assert check["passed"] is False
+        assert check["details"] == sandwich
 
     def test_scalar_comparison_factor(self, capsys):
         assert main(["spectrum", "koenigs"]) == 0

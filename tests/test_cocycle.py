@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -326,6 +327,25 @@ class TestSandwich:
         assert rep.keps_ok
         assert rep.lambda_min_gram >= 1.0 - 1e-6
         assert rep.passed
+
+    def test_tolerance_decides_the_verdict(self):
+        # in euclidean frames the per-step rates chi +- 0.03 leave the
+        # envelope of eps = 0.01 by 0.02
+        a1 = [math.exp(-2.0 + 0.03), math.exp(-2.0 - 0.03)]
+        a2 = [math.exp(-1.0 - 0.03), math.exp(-1.0 + 0.03)]
+        c = linear_cocycle(
+            [np.diag([a1[0], a2[0]]), np.diag([a1[1], a2[1]])], block_dims=(1, 1)
+        )
+        spec, _ = monodromy_spectrum(c, epsilon=0.05)
+        frames = (LyapunovFrame.euclidean(2),) * 2
+        narrow = dataclasses.replace(spec, epsilon=0.01)
+        violation = sandwich_check(c, narrow, frames, seed=5).max_violation
+        assert violation == pytest.approx(0.02, abs=1e-12)
+        for tol, verdict in ((0.5 * violation, False), (2.0 * violation, True)):
+            rep = sandwich_check(c, narrow, frames, seed=5, tol=tol)
+            assert rep.max_violation == violation
+            assert rep.passed is verdict
+            assert rep.to_dict()["tol"] == tol and rep.to_dict()["passed"] is verdict
 
     def test_period2_wobble(self):
         # per-step rates chi +- 0.03 stay inside the eps = 0.05 envelope

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+import window_reference
 from dict_reference import reference_compose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
@@ -13,10 +16,12 @@ from orbitnf.normalform import (
     NormalFormResult,
     SeriesStagnationError,
     SolverContext,
+    _degree_loop,
     _DegreeOperator,
     _run_series,
     _series_certificate,
     _source_vecs,
+    _window_sweep,
     solve_homogeneous_degree,
     solve_normal_form,
     solve_window,
@@ -34,6 +39,7 @@ from orbitnf.polymap import (
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import direct_solve_oracle
 
+SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 S1 = GradedSpace((1,))
 S11 = GradedSpace((1, 1))
 
@@ -513,17 +519,23 @@ class TestValidation:
             SolverContext(c, spec, structure, frames, 4)
 
 
+def window_jets(maps, degree):
+    """Window-major jet stack of one window, shape (W, 1, m, w)."""
+    return stack_jets(maps, degree)[:, None]
+
+
 class TestWindow:
     def test_matches_periodic_solution(self):
         c = koenigs_cocycle()
         ctx = SolverContext.prepare(c, 0.05, 4)
         res = solve_normal_form(ctx)
-        window = [c.map_at(0)] * 80
-        h, p, diag = solve_window(window, ctx.structure, 4)
+        h, p, diag = solve_window(window_jets([c.map_at(0)] * 80, 2), S1, ctx.structure, 4)
+        assert h.shape == (81, 1, 1, jet_width(1, 4)) and p.shape == (80, 1, 1, jet_width(1, 4))
+        assert diag["window"] == 80
         href = res.conjugator[0]
-        diff = h[0] - href
+        diff = PolyMap.from_jet(S1, S1, 4, h[0, 0]) - href
         assert diff.coeff_max() <= 1e-10
-        assert p[0].nonlinear_coeff_max() <= 1e-12
+        assert PolyMap.from_jet(S1, S1, 4, p[0, 0]).nonlinear_coeff_max() <= 1e-12
 
     def test_below_flag_window_rejected(self):
         c = nonresonant2_cocycle()
@@ -534,17 +546,127 @@ class TestWindow:
         y = np.array([0.1, 0.0])
         shifted = compose_truncated(F, PolyMap.identity(S11, 2).with_constant(y), 2)
         recentered = shifted.with_constant(np.zeros(2))
-        with pytest.raises(ValueError):
-            solve_window([recentered], structure, 3)
+        with pytest.raises(ValueError, match="window map 0 has a below-flag"):
+            solve_window(window_jets([recentered], 2), S11, structure, 3)
+        # the offending step is named, and a map off the origin is refused
+        with pytest.raises(ValueError, match="window map 2 has a below-flag"):
+            solve_window(window_jets([F, F, recentered], 2), S11, structure, 3)
+        with pytest.raises(ValueError, match="window map 1 does not fix the origin"):
+            solve_window(window_jets([F, shifted], 2), S11, structure, 3)
 
     def test_terminal_zero_decays(self):
         c = scalar_cocycle([{1: 0.5, 2: 0.1}, {1: 0.4}])
         ctx = SolverContext.prepare(c, 0.05, 3)
         res = solve_normal_form(ctx)
         window = [c.map_at(k) for k in range(60)]
-        h, _, _ = solve_window(window, ctx.structure, 3)
-        assert (h[0] - res.conjugator[0]).coeff_max() <= 1e-10
-        assert (h[1] - res.conjugator[1]).coeff_max() <= 1e-10
+        h, _, _ = solve_window(window_jets(window, 2), S1, ctx.structure, 3)
+        for k in (0, 1):
+            diff = PolyMap.from_jet(S1, S1, 3, h[k, 0]) - res.conjugator[k]
+            assert diff.coeff_max() <= 1e-10
+
+    @pytest.mark.parametrize("steps", [64, 2000])
+    def test_expanding_window_diverges_without_warnings(self, steps):
+        # a = 2 makes the degree-2 transfer Ainv X subst = 2 X: the sweep grows
+        # like 2^steps, past the guard at 64 steps and past the float range at 2000
+        expanding = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 2.0, (0, (2,)): 0.3})
+        structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesStagnationError, match="degree 2"):
+                solve_window(window_jets([expanding] * steps, 2), S1, structure, 3)
+
+
+WINDOW_SPECTRA = {
+    (1,): (-0.7,),
+    (1, 1): (-2.0, -0.8),
+    (2, 1): (-2.0, -1.0),
+    (1, 2): (-1.5, -0.5),
+}
+
+
+def flag_preserving_linears(rng, dims, exponents, shape):
+    """Block upper triangular matrices of the given leading shape.
+
+    Diagonal block i is exp(chi_i + delta) times an orthogonal matrix with
+    |delta| <= 0.05, the blocks above the flag are uniform in [-0.5, 0.5].
+    """
+    space = GradedSpace(dims)
+    block = np.array(space.block_of_coord)
+    out = rng.uniform(-0.5, 0.5, shape + (space.dim, space.dim))
+    out[..., block[:, None] > block[None, :]] = 0.0
+    for i, chi in enumerate(exponents, start=1):
+        sl = space.block_slice(i)
+        Q, _ = np.linalg.qr(rng.standard_normal(shape + (dims[i - 1],) * 2))
+        scale = np.exp(chi + rng.uniform(-0.05, 0.05, shape))
+        out[..., sl, sl] = scale[..., None, None] * Q
+    return out
+
+
+class TestWindowSweep:
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("W", [1, 2, 3, 7, 64, 588])
+    @pytest.mark.parametrize("dims", list(WINDOW_SPECTRA))
+    def test_scan_matches_stepwise_reference(self, dims, W, P):
+        rng = np.random.default_rng(1000 * W + 10 * P + len(dims) + dims[0])
+        space = GradedSpace(dims)
+        structure = SubResStructure.from_spectrum(Spectrum(WINDOW_SPECTRA[dims], dims, 0.02))
+        linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (W, P))
+        for n in (2, 3, 4, 5):
+            op = _DegreeOperator(space, structure, n, linears)
+            q_vecs = op.mask * rng.uniform(-1, 1, (W, P) + op.mask.shape)
+            R, info = _window_sweep(op, q_vecs)
+            R_ref, info_ref = window_reference.window_sweep(op, q_vecs)
+            assert R.shape == R_ref.shape == (W + 1, P) + op.mask.shape
+            assert not R[W].any() and not (~op.mask * R).any()
+            assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
+            assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"],
+                                                           rel=1e-13)
+
+    def test_past_the_balancing_range_reports_divergence(self):
+        # the admissible type (1, (0, 2)) grows like e^{0.4 k}: over the 4096-step
+        # products of a 5000-step window no power-of-two balancing keeps both
+        # factors finite, so the scan must stop instead of returning garbage
+        dims, exponents = (1, 1), (-2.0, -0.8)
+        rng = np.random.default_rng(3)
+        structure = SubResStructure.from_spectrum(Spectrum(exponents, dims, 0.02))
+        op = _DegreeOperator(GradedSpace(dims), structure, 2,
+                             flag_preserving_linears(rng, dims, exponents, (5000, 1)))
+        q_vecs = op.mask * rng.uniform(-1, 1, (5000, 1) + op.mask.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesStagnationError, match="degree 2"):
+                _window_sweep(op, q_vecs)
+        # the first 4000 steps fit: their longest product spans 2048 steps
+        R, _ = _window_sweep(op, q_vecs[:4000])
+        R_ref, _ = window_reference.window_sweep(op, q_vecs[:4000])
+        assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
+
+    def test_solve_window_matches_stepwise_reference(self):
+        rng = np.random.default_rng(7)
+        space, structure, maps, linears, _, _, _ = window_case(11)
+        W, P = 40, 3
+        steps = rng.integers(0, len(maps), (W, P))
+        jets = stack_jets(maps, 2)[steps]
+        h, p, diag = solve_window(jets, space, structure, 4)
+        h_ref, p_ref, diags_ref = _degree_loop(
+            jets, W + 1, lambda n: _DegreeOperator(space, structure, n,
+                                                   np.array(linears)[steps]),
+            4, window_reference.window_sweep)
+        assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
+        assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
+        assert [d["degree"] for d in diag["per_degree"]] == [2, 3, 4]
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from(list(WINDOW_SPECTRA)), st.integers(1, 5))
+    def test_step_keeps_admissible_slots_admissible(self, data, dims, n):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        space = GradedSpace(dims)
+        structure = SubResStructure.from_spectrum(Spectrum(WINDOW_SPECTRA[dims], dims, 0.02))
+        op = _DegreeOperator(space, structure, n,
+                             flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (1,)))
+        X = ~op.mask * rng.uniform(-1, 1, op.mask.shape)
+        assert not (op.mask * (op.ainvs[0] @ X @ op.substs[0])).any()
 
 
 class TestResultShape:

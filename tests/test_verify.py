@@ -12,6 +12,7 @@ from orbitnf.verify import (
     CommutingExtension,
     centralizer_check,
     chart_consistency,
+    chart_transitions,
     conjugacy_residual,
     default_chart_window,
     direct_solve_oracle,
@@ -347,6 +348,25 @@ class TestChartConsistency:
         w = default_chart_window(ctx)
         assert w > 2 * ctx.cocycle.period
         assert isinstance(w, int)
+
+    @pytest.mark.parametrize("case,offsets,base", [
+        ("koenigs", [[0.05], [-0.05], [0.02], [-0.02]], 0),
+        ("period2", [[0.03], [-0.03], [0.01]], 1),
+        ("resonant2", [[0.05, 0.05], [-0.02, 0.03]], 0),
+    ])
+    def test_stacked_points_equal_one_point_calls(self, request, case, offsets, base):
+        _, ctx, res = request.getfixturevalue(case)
+        stacked = chart_transitions(ctx, res, np.array(offsets), base=base, seed=4)
+        assert len(stacked) == len(offsets)
+        for y, rep in zip(offsets, stacked):
+            one = chart_consistency(ctx, res, y, base=base, seed=4)
+            assert rep.offset == one.offset == tuple(y)
+            assert rep.window == one.window
+            assert rep.passed and one.passed
+            assert np.max(np.abs(rep.transition.jet - one.transition.jet)) <= 1e-15
+            assert abs(rep.npart_max - one.npart_max) <= 1e-15
+            assert abs(rep.deviation_max - one.deviation_max) <= 1e-15
+            assert rep.eval_radius == one.eval_radius
 
     def test_short_window_fails_honestly(self, koenigs):
         # an absurdly short window leaves the terminal truncation visible
