@@ -36,6 +36,7 @@ from .normalform import NormalFormResult, SolverContext, solve_normal_form
 from .polymap import PolyMap
 from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
 from .verify import (
+    CommutingExtension,
     _coeff_diff,
     centralizer_check,
     chart_transitions,
@@ -350,23 +351,26 @@ def _check_gauge(ctx, result, cocycle, config, cfg, seed):
 
 
 def _check_centralizer(ctx, result, cocycle, config, cfg, seed):
-    from .polymap import compose_truncated
+    from .polymap import invert_truncated
 
     tol = float(cfg["tol"])
-    K = cocycle.period
+    order = result.order
+    inverses = [invert_truncated(h, order) for h in result.conjugator]
+    # F^p and P^p for p = 1, 2, ...: each power is the one below composed once more
+    chain = [(iterate_extension(cocycle, 1, order), CommutingExtension(1, result.normal_form))]
     runs = []
     all_ok = True
     for power in cfg.get("powers", [2, 3]):
         power = int(power)
-        ext = iterate_extension(cocycle, power, result.order)
-        rep = centralizer_check(cocycle, result, ext, tol=tol)
-        gap = 0.0
-        for k in range(K):
-            expected = result.normal_form[k]
-            for j in range(1, power):
-                expected = compose_truncated(
-                    result.normal_form[(k + j) % K], expected, result.order)
-            gap = max(gap, _coeff_diff(rep.maps[k], expected))
+        if power < 1:
+            raise ValueError("power must be at least 1")
+        while len(chain) < power:
+            ext, nf_power = chain[-1]
+            chain.append((ext.then(cocycle.fiber_maps, order),
+                          nf_power.then(result.normal_form, order)))
+        ext, nf_power = chain[power - 1]
+        rep = centralizer_check(cocycle, result, ext, tol=tol, inverses=inverses)
+        gap = max(_coeff_diff(c, e) for c, e in zip(rep.maps, nf_power.maps))
         entry = rep.to_dict()
         entry["power"] = power
         entry["vs_normal_form_power"] = gap

@@ -42,7 +42,7 @@ solved in one pass.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +56,10 @@ from .polymap import (GradedSpace, PolyMap, _fit, _linear_jets, _mono_table, _po
 MAX_SERIES_CERT_POWER = 64
 # a window sweep whose norm outgrows its sources by this factor has diverged
 WINDOW_GROWTH_GUARD = 1e9
+# the window scan doubles inside chunks of at most this many steps, so no
+# product spans more, and the expanding admissible types the products carry
+# stay inside the float range
+WINDOW_CHUNK = 2048
 
 LiftPolicy = Callable[[int, int], "PolyMap | None"]
 # (degree operator, stacked twisted sources Q(k)) -> (conjugator terms, diagnostics)
@@ -127,32 +131,48 @@ class _DegreeOperator:
         """Masked twisted sources Q(k) = proj_N(Ainv_k o proj_N(S(k))) of a stack."""
         return self.mask * (self.ainvs @ (self.mask * s_vecs))
 
-    def type_blocks(self, k: int, rows: slice, cols: np.ndarray):
-        """(Ainv_k[i], subst_k[s]) of one type: Phi_k acts as X -> Ainv X subst."""
-        return self.ainvs[k][rows, rows], self.substs[k][np.ix_(cols, cols)]
-
 
 def _series_certificate(op: _DegreeOperator, period: int) -> tuple[int, float]:
     """Smallest power-of-two q with every q-period transfer norm below one.
 
-    Over one period from point p a type moves as X -> A X S with
+    Over one period from point p a type (i, s) moves as X -> A X S with
     A = Ainv_p[i] Ainv_{p+1}[i] ... and S = ... subst_{p+1}[s] subst_p[s], the
-    Kronecker product of A and S^T, whose norm is ||A||_2 ||S||_2.  As no
-    type feeds another, the maximum over types and phases is exact.  Powers
-    whose entries overflow give rho = inf and stop the search at once.
+    Kronecker product of A and S^T, whose norm is ||A||_2 ||S||_2.  A depends
+    only on i and S^T = subst_p[s]^T subst_{p+1}[s]^T ... only on s, so each
+    factor is formed once, in one stack per kind and size, and rho is the
+    largest product of two factor norms over types and phases.  As no type
+    feeds another, the maximum is exact.  Powers whose entries overflow give
+    rho = inf and stop the search at once.
     """
-    pairs = []
-    for rows, cols in op.types:
-        for p in range(period):
-            blocks = [op.type_blocks((p + j) % period, rows, cols) for j in range(period)]
-            pairs.append((reduce(np.matmul, [a for a, _ in blocks]),
-                          reduce(np.matmul, [s for _, s in blocks[::-1]])))
+    mats = (op.ainvs[:period], np.swapaxes(op.substs[:period], -1, -2))
+    keys = [((0, tuple(range(rows.start, rows.stop))), (1, tuple(cols)))
+            for rows, cols in op.types]
+    factors = list(dict.fromkeys(key for pair in keys for key in pair))
+    pairs = np.array([[factors.index(key) for key in pair] for pair in keys],
+                     dtype=int).reshape(-1, 2)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for f, (kind, idx) in enumerate(factors):
+        groups.setdefault((kind, len(idx)), []).append(f)
+    stacks = []
+    for (kind, _), members in groups.items():
+        idx = np.array([factors[f][1] for f in members])
+        X = mats[kind][:, idx[:, :, None], idx[:, None, :]]
+        P = X
+        for j in range(1, period):
+            P = P @ X[(np.arange(period) + j) % period]
+        stacks.append((members, P))
+    norms = np.empty((len(factors), period))
     q = 1
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            rho = float(max((np.linalg.norm(A, ord=2) * np.linalg.norm(S, ord=2)
-                             if np.isfinite(A).all() and np.isfinite(S).all() else np.inf
-                             for A, S in pairs), default=0.0))
+            for members, P in stacks:
+                finite = np.isfinite(P).all(axis=(-2, -1))
+                P = np.where(finite[..., None, None], P, 0.0)
+                norms[members] = np.where(finite, np.linalg.norm(P, ord=2, axis=(-2, -1)),
+                                          np.inf).T
+            # an infinite norm times an underflowed zero is still no contraction
+            rho = float(np.nan_to_num(norms[pairs[:, 0]] * norms[pairs[:, 1]], nan=np.inf)
+                        .max(initial=0.0))
             if rho < 1.0:
                 return q, rho
             if not np.isfinite(rho) or 2 * q > MAX_SERIES_CERT_POWER:
@@ -162,12 +182,12 @@ def _series_certificate(op: _DegreeOperator, period: int) -> tuple[int, float]:
                     f"(at most {MAX_SERIES_CERT_POWER} periods tried); epsilon and "
                     "spectrum are inconsistent with this cocycle"
                 )
-            pairs = [(A @ A, S @ S) for A, S in pairs]
+            stacks = [(members, P @ P) for members, P in stacks]
         q *= 2
 
 
 def _run_series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
-                max_terms: int, period: int) -> tuple[list[np.ndarray], dict]:
+                max_terms: int, period: int) -> tuple[np.ndarray, dict]:
     info = {
         "short_circuit": False,
         "series_terms": 0,
@@ -176,46 +196,43 @@ def _run_series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
         "tail_bound": 0.0,
         "measured_period_ratio": None,
     }
-    if all(not np.any(q) for q in q_vecs):
+    if not q_vecs.any():
         info["short_circuit"] = True
-        return [np.zeros_like(q) for q in q_vecs], info
+        return np.zeros_like(q_vecs), info
 
     q_cert, rho = op.certificate
     info["certificate_q"] = q_cert
     info["certificate_rho"] = rho
     chunk_len = q_cert * period
+    nxt = (np.arange(period) + 1) % period
 
-    H = [np.zeros_like(q) for q in q_vecs]
-    terms = [q.copy() for q in q_vecs]
-    chunk = [0.0] * period
+    H = np.zeros_like(q_vecs)
+    terms = np.empty((chunk_len,) + q_vecs.shape)  # the current chunk, normed at its end
+    terms[0] = q_vecs
     prev_chunk = None
     n_terms = 0
-    steps_in_chunk = 0
     while True:
-        for k in range(period):
-            H[k] += terms[k]
-            chunk[k] += float(np.linalg.norm(terms[k]))
+        term = terms[n_terms % chunk_len]
+        H += term
         n_terms += 1
-        steps_in_chunk += 1
-        if steps_in_chunk == chunk_len:
-            tail = max(chunk) * rho / (1.0 - rho)
-            scale = max(1.0, max(float(np.linalg.norm(h)) for h in H))
+        if n_terms % chunk_len == 0:
+            chunk = np.linalg.norm(terms, axis=(-2, -1)).sum(axis=0)
+            tail = float(chunk.max()) * rho / (1.0 - rho)
+            scale = max(1.0, float(np.linalg.norm(H, axis=(-2, -1)).max()))
             if tail <= series_tol * scale:
                 info["series_terms"] = n_terms
                 info["tail_bound"] = tail
-                if prev_chunk is not None:
-                    ratios = [c / p for c, p in zip(chunk, prev_chunk) if p > 0.0]
-                    if ratios:
-                        info["measured_period_ratio"] = max(ratios) ** (1.0 / q_cert)
+                if prev_chunk is not None and (prev_chunk > 0.0).any():
+                    seen = prev_chunk > 0.0
+                    ratio = float((chunk[seen] / prev_chunk[seen]).max())
+                    info["measured_period_ratio"] = ratio ** (1.0 / q_cert)
                 return H, info
             prev_chunk = chunk
-            chunk = [0.0] * period
-            steps_in_chunk = 0
         if n_terms > max_terms:
             raise SeriesBudgetError(
                 f"series for degree {op.n} did not settle within {max_terms} terms"
             )
-        terms = [op.apply(k, terms[(k + 1) % period]) for k in range(period)]
+        terms[n_terms % chunk_len] = op.mask * (op.ainvs @ term[nxt] @ op.substs)
 
 
 @dataclass(eq=False)
@@ -449,28 +466,32 @@ def _window_sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, 
 
     A flag-preserving step sends no admissible slot to a non-admissible one,
     so the interior masks drop out and R_k is the masked suffix sum of
-    Ainv_k..Ainv_{j-1} q_j subst_{j-1}..subst_k over j >= k.  Level s of the
-    scan holds at every k the (Ainv-product, subst-product) pair of steps
-    k..k+s-1 and the sum over those steps, and adds the sum at k+s, carried
-    through the pair, to the sum at k: ceil(log2 W) levels of batched
-    matmuls.  Masking each level's sums keeps the expanding admissible types
-    out of them.  Each new pair is rebalanced by a power of two, which is
-    exact, since the Ainv-products alone overflow on long windows.  Every
-    R_k is then checked against WINDOW_GROWTH_GUARD times its window's
-    largest source, and a non-finite value counts as divergence.
+    Ainv_k..Ainv_{j-1} q_j subst_{j-1}..subst_k over j >= k.  Chunks of
+    WINDOW_CHUNK steps are scanned last first, each closed by the chunk
+    after it.  Level s of a scan holds at every k the (Ainv-product,
+    subst-product) pair of steps k..k+s-1 and the sum over those steps, and
+    adds the sum at k+s, carried through the pair, to the sum at k.  Masking
+    each level's sums keeps the expanding admissible types out of them.
+    Each new pair is rebalanced by a power of two, which is exact, since the
+    Ainv-products alone overflow on long windows.  Every R_k is then checked
+    against WINDOW_GROWTH_GUARD times its window's largest source, and a
+    non-finite value counts as divergence.
     """
     W = len(q_vecs)
-    L, M, R = op.ainvs, op.substs, q_vecs.copy()
+    R = np.concatenate([q_vecs, np.zeros_like(q_vecs[:1])])
     with np.errstate(all="ignore"):
-        s = 1
-        while s < W:
-            R[:W - s] += np.where(op.mask, L[:W - s] @ R[s:] @ M[:W - s], 0.0)
-            if 2 * s < W:
-                L, M = L[:W - 2 * s] @ L[s:W - s], M[s:W - s] @ M[:W - 2 * s]
-                e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
-                     - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
-                L, M = np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
-            s *= 2
+        for b0 in reversed(range(0, W, WINDOW_CHUNK)):
+            n = min(WINDOW_CHUNK, W - b0) + 1
+            L, M, Rc = op.ainvs[b0:], op.substs[b0:], R[b0:b0 + n]
+            s = 1
+            while s < n:
+                Rc[:n - s] += np.where(op.mask, L[:n - s] @ Rc[s:] @ M[:n - s], 0.0)
+                if 2 * s < n:
+                    L, M = L[:n - 2 * s] @ L[s:n - s], M[s:n - s] @ M[:n - 2 * s]
+                    e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
+                         - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
+                    L, M = np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
+                s *= 2
         norms = np.linalg.norm(R, axis=(-2, -1))
         q_scale = np.maximum(1.0, np.linalg.norm(q_vecs, axis=(-2, -1)).max(axis=0))
         diverged = ~(norms <= WINDOW_GROWTH_GUARD * q_scale)
@@ -478,7 +499,7 @@ def _window_sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, 
         raise SeriesStagnationError(
             f"window sweep diverged at degree {op.n}, step {np.nonzero(diverged)[0].max()}"
         )
-    return np.concatenate([R, np.zeros_like(R[:1])]), {"max_sweep_norm": float(norms.max())}
+    return R, {"max_sweep_norm": float(norms.max())}
 
 
 def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructure,

@@ -9,9 +9,12 @@ GradedSpace type every slot (target block, per-block degrees), and
 ``admissible_mask`` classifies the slots of a degree once for all callers.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
-the power recurrence G^alpha = G^(alpha - e_j) G_j.  Inverses are series
-reversion; operator norms are sampled suprema over Lyapunov unit spheres.
-Iteration orders are fixed, so repeated runs give identical floats.
+the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
+coordinate j with the multiplication matrix of G_j.  It keeps one degree of
+powers and one such matrix at a time for as many stack entries as fit in
+POWER_BYTES.  Inverses are series reversion; operator norms are sampled
+suprema over Lyapunov unit spheres.  Iteration orders are fixed, so
+repeated runs give identical floats.
 """
 
 import math
@@ -29,6 +32,10 @@ TermKey = tuple[int, MultiIndex]
 # compose_jets builds the powers of at most this many bytes of stack entries
 # at once, which bounds its working memory on large jets
 POWER_BYTES = 1 << 18
+# multiply-adds per matrix product in the power kernel; BLAS runs products
+# this small without filling its packing buffers, which would add their
+# pages to the peak memory
+PRODUCT_MACS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -130,22 +137,27 @@ def _linear_jets(matrices: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _shifts(dim: int, degree: int):
-    """Product tables of jets truncated at `degree`.
+def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int]):
+    """Scatter plan of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
 
-    For the monomial gamma_g, room[g] counts the monomials eps with
-    |eps| + |gamma_g| <= degree (a prefix of the jet columns) and pos[g][e]
-    is the column of eps_e + gamma_g.
+    Mul_j[e, col(eps_e + gamma_g)] = G_j[g] on jets truncated at `degree`.
+    For the column windows rows of p and cols of the product, returns
+    (flat, src, shape) with Mul_j.flat[flat] = G_j[src], the rows ending
+    with the last that meets the window.
     """
     exps = np.array([a for n in range(degree + 1) for a in _mono_table(dim, n)[0]])
+    total = exps.sum(axis=1)
+    # with the columns ordered by degree, eps_e fits beside gamma_g for a prefix of e
+    room = np.array([jet_width(dim, degree - int(t)) for t in total])
+    src = np.repeat(np.arange(len(exps)), room)
+    e = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
     key = exps @ (degree + 1) ** np.arange(dim)
     order = np.argsort(key)
-    pos, room = [], []
-    for g, total in enumerate(exps.sum(axis=1)):
-        r = jet_width(dim, degree - int(total))
-        pos.append(order[np.searchsorted(key[order], key[:r] + key[g])])
-        room.append(r)
-    return pos, room
+    col = order[np.searchsorted(key[order], key[e] + key[src])]
+    keep = (e >= rows[0]) & (e < rows[1]) & (col >= cols[0]) & (col < cols[1])
+    e, col, src = e[keep] - rows[0], col[keep] - cols[0], src[keep]
+    width = cols[1] - cols[0]
+    return e * width + col, src, (int(e.max(initial=-1)) + 1, width)
 
 
 def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
@@ -155,31 +167,37 @@ def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
     G_s^alpha_a through `degree`, alpha_a the degree-k monomials in sorted
     order.  Only the degrees a power can reach are kept, from k times the
     inner valuation to k times the inner degree.  Each power is the one
-    below times a component, G^alpha = G^(alpha - e_j) G_j with j = first[a],
-    and each product shifts that power along the monomials of G_j.
+    below times a component, G^alpha = G^(alpha - e_j) G_j with j = first[a]:
+    for each j one batched product with the multiplication matrix of G_j,
+    at most jet_width(dim, degree)^2 entries per stack entry.
     """
-    S = inner.shape[0]
+    S, m = inner.shape[:2]
     G = _fit(inner, jet_width(dim, degree))
-    cols = np.flatnonzero(G.any(axis=(0, 1)))
     step = top_degree(G, dim)
     low = 0 if G[..., 0].any() else 1
     if low:
         top = min(top, degree)  # powers of maps fixing the origin vanish beyond it
-    pos, room = _shifts(dim, degree)
     for k in range(1, top + 1):
-        _, _, first, parent = _mono_table(inner.shape[1], k)
+        _, _, first, parent = _mono_table(m, k)
         lo = degree_cols(dim, k * low).start
         hi = max(lo, jet_width(dim, min(degree, k * step)))
         if k == 1:
             power = G[:, first, lo:hi]
         else:
-            prev, power = power, np.zeros((S, len(first), hi - lo))
-            for g in cols:
-                r = min(room[g], prev_lo + prev.shape[2])
-                if r > prev_lo:
-                    term = prev[:, parent, :r - prev_lo]
-                    term *= G[:, first, g, None]
-                    power[..., pos[g][prev_lo:r] - lo] += term
+            flat, src, (rows, cols) = _mul_plan(dim, degree, (prev_lo, prev_lo + power.shape[2]),
+                                                (lo, hi))
+            prev, power = power, np.empty((S, len(first), cols))
+            # every G_j fills the same entries, so one matrix serves all j
+            mul = np.zeros((S, rows, cols))
+            chunk = max(1, PRODUCT_MACS // max(1, rows * cols))
+            for j in range(m):
+                mul.reshape(S, -1)[:, flat] = G[:, j, src]
+                # the monomials with first[a] = j are one run of the sorted order
+                a, b = np.flatnonzero(first == j)[[0, -1]] + [0, 1]
+                for c in range(a, b, chunk):
+                    d = min(b, c + chunk)
+                    np.matmul(prev[:, parent[c:d], :rows], mul, out=power[:, c:d])
+            del prev, mul  # freed before the caller and the next degree allocate
         yield k, lo, power
         prev_lo = lo
 
@@ -189,16 +207,16 @@ def compose_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) ->
 
     inner has shape (S, m, w) over `dim` variables and may carry constants;
     outer has shape (S, p, jet_width(m, D)).  Returns
-    (S, p, jet_width(dim, degree)).  Each outer degree
-    is added as soon as its powers exist, so one degree of powers is kept at
-    a time, for as many stack entries as fit in POWER_BYTES.
+    (S, p, jet_width(dim, degree)).  Each outer degree is added as soon as
+    its powers exist, so one degree of powers and one multiplication matrix
+    are kept at a time, for as many stack entries as fit in POWER_BYTES.
     """
     S, m = inner.shape[:2]
     width = jet_width(dim, degree)
     top = top_degree(outer, m)
     out = np.zeros((S, outer.shape[-2], width))
     out[..., 0] = outer[..., 0]
-    rows = max(1, POWER_BYTES // (8 * width * len(_mono_table(m, top)[0])))
+    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_mono_table(m, top)[0]))))
     for s in range(0, S, rows):
         for k, lo, power in _powers(inner[s:s + rows], dim, degree, top):
             out[s:s + rows, :, lo:lo + power.shape[2]] += (

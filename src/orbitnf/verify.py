@@ -130,8 +130,8 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     """Degree-n conjugator via dense solves coupling all orbit points.
 
     A transfer for the shared degree loop: takes the degree operator and the
-    twisted sources Q(k), returns one coefficient array per orbit point and
-    no diagnostics.  Each non-admissible type (i, s) is one dense solve of
+    twisted sources Q(k), returns their stack of coefficient arrays and no
+    diagnostics.  Each non-admissible type (i, s) is one dense solve of
     the K-cyclic system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The
     singularity test takes the extreme singular values over all types, which
     are those of the full system: it is block diagonal in the types up to a
@@ -144,10 +144,10 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
         nn = (rows.stop - rows.start) * len(cols)
         L = np.eye(K * nn)
         for k in range(K):
-            ainv, subst = op.type_blocks(k, rows, cols)
             nxt = (k + 1) % K
-            L[k * nn:(k + 1) * nn, nxt * nn:(nxt + 1) * nn] -= np.kron(ainv, subst.T)
-        rhs = np.concatenate([q[rows, cols].ravel() for q in q_vecs])
+            L[k * nn:(k + 1) * nn, nxt * nn:(nxt + 1) * nn] -= np.kron(
+                op.ainvs[k][rows, rows], op.substs[k][np.ix_(cols, cols)].T)
+        rhs = np.asarray(q_vecs)[:, rows, cols].ravel()
         systems.append((rows, cols, L, rhs, np.linalg.svd(L, compute_uv=False)))
 
     sv_min = min((float(sv[-1]) for *_, sv in systems), default=1.0)
@@ -159,11 +159,9 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
             "resonance_tol or shrink epsilon)"
         )
 
-    out = [np.zeros_like(q) for q in q_vecs]
+    out = np.zeros_like(q_vecs)
     for rows, cols, L, rhs, _ in systems:
-        x = np.linalg.solve(L, rhs).reshape(K, rows.stop - rows.start, len(cols))
-        for k in range(K):
-            out[k][rows, cols] = x[k]
+        out[:, rows, cols] = np.linalg.solve(L, rhs).reshape(K, rows.stop - rows.start, -1)
     return out, {}
 
 
@@ -253,19 +251,22 @@ class CommutingExtension:
             if pm.source != space or pm.target != space:
                 raise ValueError("extension maps are not over a common space")
 
+    def then(self, maps, order: int) -> "CommutingExtension":
+        """The family one step further along the orbit: maps[k+shift] o G_k."""
+        K = len(self.maps)
+        return CommutingExtension(self.shift + 1, tuple(
+            compose_truncated(maps[(k + self.shift) % K], g, order)
+            for k, g in enumerate(self.maps)))
+
 
 def iterate_extension(cocycle, power: int, order: int) -> CommutingExtension:
     """The cocycle composed with itself ``power`` times, truncated at order."""
     if power < 1:
         raise ValueError("power must be at least 1")
-    K = cocycle.period
-    maps = []
-    for k in range(K):
-        g = cocycle.map_at(k).truncated(order)
-        for j in range(1, power):
-            g = compose_truncated(cocycle.map_at((k + j) % K), g, order)
-        maps.append(g)
-    return CommutingExtension(power, tuple(maps))
+    ext = CommutingExtension(1, tuple(pm.truncated(order) for pm in cocycle.fiber_maps))
+    for _ in range(1, power):
+        ext = ext.then(cocycle.fiber_maps, order)
+    return ext
 
 
 @dataclass
@@ -298,13 +299,15 @@ class CentralizerReport:
 def centralizer_check(cocycle, result: NormalFormResult,
                       extension: CommutingExtension,
                       commute_tol: float = 1e-10,
-                      tol: float = 1e-9) -> CentralizerReport:
+                      tol: float = 1e-9, inverses=None) -> CentralizerReport:
     """Conjugate a commuting family by H and test group membership.
 
     First verifies the commutation relation G_{k+1} o F_k = F_{k+shift} o G_k
     degreewise up to the solve order, then checks that every conjugated map
     C_k = H_{k+shift} o G_k o H_k^{-1} has admissible coefficients only and
-    nothing above the degree bound.
+    nothing above the degree bound.  ``inverses`` holds the H_k^{-1} at the
+    result order when a caller checks several families; they are inverted
+    here otherwise.
     """
     K = cocycle.period
     if result.period != K or len(extension.maps) != K:
@@ -326,12 +329,12 @@ def centralizer_check(cocycle, result: NormalFormResult,
             f"{order}: residual {comm:.3e}"
         )
 
+    if inverses is None:
+        inverses = [invert_truncated(h, order) for h in result.conjugator]
     conjugated = []
     npart = beyond = 0.0
     for k in range(K):
-        inner = compose_truncated(extension.maps[k],
-                                  invert_truncated(result.conjugator[k], order),
-                                  order)
+        inner = compose_truncated(extension.maps[k], inverses[k], order)
         c = compose_truncated(result.conjugator[(k + shift) % K], inner, order)
         low, high = _npart_split(c, result.structure)
         npart = max(npart, low)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import transfer_reference
 import window_reference
 from dict_reference import reference_compose
 from hypothesis import given, settings
@@ -293,6 +294,54 @@ class TestTypedOperator:
                 assert np.max(np.abs(h - h_ref)) <= 1e-12 * max(1.0, np.max(np.abs(h_ref)))
 
 
+# the benchmark's scaling ladder: (dims, period, order, epsilon)
+LADDER = [((2, 2), 2, 4, 0.04), ((1, 1, 1), 3, 5, 0.02), ((2, 2), 2, 6, 0.04),
+          ((2, 3), 2, 5, 0.03), ((3, 3), 1, 4, 0.03)]
+LADDER_EXPONENTS = {2: (-2.0, -0.8), 3: (-1.2, -0.8, -0.4)}
+
+
+def ladder_context(dims, period, order, epsilon):
+    coc = random_cocycle(np.random.default_rng(1), LADDER_EXPONENTS[len(dims)], dims,
+                         period, amp=0.05)
+    return SolverContext.prepare(coc, epsilon, order)
+
+
+def ladder_operators():
+    """(operator, period) for every degree of every ladder row."""
+    out = []
+    for dims, period, order, epsilon in LADDER:
+        ctx = ladder_context(dims, period, order, epsilon)
+        out += [(ctx.operator(n), period) for n in range(2, order + 1)]
+    return out
+
+
+class TestBatchedTransfer:
+    """The batched certificate and series against the per-type, per-phase loops."""
+
+    @staticmethod
+    def check(op, period, seed):
+        q, rho = _series_certificate(op, period)
+        q_ref, rho_ref = transfer_reference.series_certificate(op, period)
+        assert q == q_ref
+        assert abs(rho - rho_ref) <= 1e-14 * rho_ref
+        rng = np.random.default_rng(seed)
+        q_vecs = op.mask * rng.uniform(-1, 1, (period,) + op.mask.shape)
+        H, info = _run_series(op, q_vecs, 1e-13, 10_000, period)
+        H_ref, info_ref = transfer_reference.run_series(op, q_vecs, 1e-13, 10_000, period)
+        assert info["series_terms"] == info_ref["series_terms"]
+        assert (info["certificate_q"], info["certificate_rho"]) == (q, rho)
+        assert np.max(np.abs(H - np.array(H_ref))) <= 1e-15 * np.max(np.abs(H_ref))
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_sheared_operator(self, period):
+        for n in (2, 3, 4):
+            self.check(sheared_operator(period, n), period, 10 * period + n)
+
+    def test_ladder_operators(self):
+        for t, (op, period) in enumerate(ladder_operators()):
+            self.check(op, period, t)
+
+
 class TestSources:
     def test_koenigs_q2(self):
         c = koenigs_cocycle()
@@ -315,6 +364,28 @@ class TestSources:
         op3 = ctx.operator(3)
         q = op3.source(_source_vecs(op3, *jet_stacks(maps, h, p, ctx.order)))[0]
         assert q[0, _mono_table(1, 3)[1][(3,)]] == pytest.approx(0.08, abs=1e-12)
+
+    def test_source_composition_memory_on_ladder_degree5(self):
+        # one row of the stack at a time, one multiplication matrix at a time:
+        # all rows at once, or the m matrices of a degree side by side, exceed it
+        ctx = ladder_context((2, 3), 2, 5, 0.03)
+        res = solve_normal_form(ctx)
+        cols = degree_cols(5, 5)
+        stacks = [stack_jets(ctx.cocycle.fiber_maps, 5)]
+        for maps in (res.conjugator, res.normal_form):
+            jets = stack_jets(maps, 5)
+            jets[..., cols] = 0.0
+            stacks.append(jets)
+        op = ctx.operator(5)
+        expected = _source_vecs(op, *stacks)
+        tracemalloc.start()
+        try:
+            s_vecs = _source_vecs(op, *stacks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.array_equal(s_vecs, expected)
 
 
 def window_case(seed):
@@ -564,10 +635,11 @@ class TestWindow:
             diff = PolyMap.from_jet(S1, S1, 3, h[k, 0]) - res.conjugator[k]
             assert diff.coeff_max() <= 1e-10
 
-    @pytest.mark.parametrize("steps", [64, 2000])
+    @pytest.mark.parametrize("steps", [64, 2000, 5000])
     def test_expanding_window_diverges_without_warnings(self, steps):
         # a = 2 makes the degree-2 transfer Ainv X subst = 2 X: the sweep grows
-        # like 2^steps, past the guard at 64 steps and past the float range at 2000
+        # like 2^steps, past the guard at 64 steps and past the float range at
+        # 2000; at 5000 the overflow crosses from one scan chunk into the next
         expanding = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 2.0, (0, (2,)): 0.3})
         structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
         with warnings.catch_warnings():
@@ -622,24 +694,23 @@ class TestWindowSweep:
             assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"],
                                                            rel=1e-13)
 
-    def test_past_the_balancing_range_reports_divergence(self):
-        # the admissible type (1, (0, 2)) grows like e^{0.4 k}: over the 4096-step
-        # products of a 5000-step window no power-of-two balancing keeps both
-        # factors finite, so the scan must stop instead of returning garbage
+    @pytest.mark.parametrize("W", [5000, 9000])
+    def test_long_windows_match_stepwise_reference(self, W):
+        # the admissible type (1, (0, 2)) grows like e^{0.4 k}: a product over
+        # 4096 steps leaves the float range under any power-of-two balancing,
+        # so the scan must work in chunks whose products stay far shorter
         dims, exponents = (1, 1), (-2.0, -0.8)
         rng = np.random.default_rng(3)
         structure = SubResStructure.from_spectrum(Spectrum(exponents, dims, 0.02))
         op = _DegreeOperator(GradedSpace(dims), structure, 2,
-                             flag_preserving_linears(rng, dims, exponents, (5000, 1)))
-        q_vecs = op.mask * rng.uniform(-1, 1, (5000, 1) + op.mask.shape)
+                             flag_preserving_linears(rng, dims, exponents, (W, 1)))
+        q_vecs = op.mask * rng.uniform(-1, 1, (W, 1) + op.mask.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SeriesStagnationError, match="degree 2"):
-                _window_sweep(op, q_vecs)
-        # the first 4000 steps fit: their longest product spans 2048 steps
-        R, _ = _window_sweep(op, q_vecs[:4000])
-        R_ref, _ = window_reference.window_sweep(op, q_vecs[:4000])
+            R, info = _window_sweep(op, q_vecs)
+        R_ref, info_ref = window_reference.window_sweep(op, q_vecs)
         assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
+        assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"], rel=1e-13)
 
     def test_solve_window_matches_stepwise_reference(self):
         rng = np.random.default_rng(7)

@@ -396,12 +396,14 @@ def to_polymap(space, degree, pair):
     return PolyMap(space, space, degree, pair[0], pair[1])
 
 
-# the dims-(2,3) maps stay sparse so the dict reference remains quick
-REFERENCE_CASES = [(dims, M) for dims in ((1,), (1, 1), (2, 1), (2, 3)) for M in range(2, 7)]
+# every ladder dimension up to its order; the dims-(2,3) and (3,3) maps stay
+# sparse so the dict reference remains quick
+REFERENCE_CASES = ([(dims, M) for dims in ((1,), (1, 1), (2, 1), (2, 3)) for M in range(2, 7)]
+                   + [(dims, M) for dims in ((1, 1, 1), (3, 3)) for M in range(2, 6)])
 
 
 def n_terms(dims):
-    return 2 if dims == (2, 3) else 4
+    return 2 if sum(dims) > 4 else 4
 
 
 class TestDictReference:
@@ -459,7 +461,7 @@ class TestDictReference:
     def test_project_subresonance(self, dims, order):
         rng = np.random.default_rng(4000 + sum(dims) * 10 + order)
         space = GradedSpace(dims)
-        chi = (-2.0, -1.0) if len(dims) == 2 else (-1.0,)
+        chi = {1: (-1.0,), 2: (-2.0, -1.0), 3: (-1.2, -0.8, -0.4)}[len(dims)]
         st = SubResStructure.from_spectrum(Spectrum(chi, dims, 0.02))
         const, terms = random_pair(rng, space, order, 6, constant=True)
         s_part, n_part = project_subresonance(to_polymap(space, order, (const, terms)), st)

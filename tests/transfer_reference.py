@@ -1,0 +1,83 @@
+"""Reference series certificate and transported series, one type and one phase at a time.
+
+These are the transfer loops as the package took them before the degree
+step was batched: the certificate forms the one-period products of every
+(type, phase) pair and takes two spectral norms per pair, and the series
+moves each phase through its own transfer step and norms each term on its
+own.  The tests check ``orbitnf.normalform._series_certificate`` and
+``_run_series`` against them.
+"""
+
+from functools import reduce
+
+import numpy as np
+
+from orbitnf.normalform import (MAX_SERIES_CERT_POWER, SeriesBudgetError,
+                                SeriesStagnationError)
+
+
+def series_certificate(op, period: int) -> tuple[int, float]:
+    """Smallest power-of-two q with every q-period type norm ||A||_2 ||S||_2 below one."""
+    pairs = []
+    for rows, cols in op.types:
+        for p in range(period):
+            blocks = [(op.ainvs[(p + j) % period][rows, rows],
+                       op.substs[(p + j) % period][np.ix_(cols, cols)])
+                      for j in range(period)]
+            pairs.append((reduce(np.matmul, [a for a, _ in blocks]),
+                          reduce(np.matmul, [s for _, s in blocks[::-1]])))
+    q = 1
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = float(max((np.linalg.norm(A, ord=2) * np.linalg.norm(S, ord=2)
+                             if np.isfinite(A).all() and np.isfinite(S).all() else np.inf
+                             for A, S in pairs), default=0.0))
+            if rho < 1.0:
+                return q, rho
+            if not np.isfinite(rho) or 2 * q > MAX_SERIES_CERT_POWER:
+                raise SeriesStagnationError(f"degree {op.n}: rho = {rho:.3g} at q = {q}")
+            pairs = [(A @ A, S @ S) for A, S in pairs]
+        q *= 2
+
+
+def run_series(op, q_vecs, series_tol: float, max_terms: int,
+               period: int) -> tuple[list[np.ndarray], dict]:
+    """The transported series with the reference certificate, phase by phase."""
+    info = {"short_circuit": False, "series_terms": 0, "certificate_q": None,
+            "certificate_rho": None, "tail_bound": 0.0, "measured_period_ratio": None}
+    if all(not np.any(q) for q in q_vecs):
+        info["short_circuit"] = True
+        return [np.zeros_like(q) for q in q_vecs], info
+    q_cert, rho = series_certificate(op, period)
+    info["certificate_q"] = q_cert
+    info["certificate_rho"] = rho
+    chunk_len = q_cert * period
+    H = [np.zeros_like(q) for q in q_vecs]
+    terms = [q.copy() for q in q_vecs]
+    chunk = [0.0] * period
+    prev_chunk = None
+    n_terms = steps_in_chunk = 0
+    while True:
+        for k in range(period):
+            H[k] += terms[k]
+            chunk[k] += float(np.linalg.norm(terms[k]))
+        n_terms += 1
+        steps_in_chunk += 1
+        if steps_in_chunk == chunk_len:
+            tail = max(chunk) * rho / (1.0 - rho)
+            scale = max(1.0, max(float(np.linalg.norm(h)) for h in H))
+            if tail <= series_tol * scale:
+                info["series_terms"] = n_terms
+                info["tail_bound"] = tail
+                if prev_chunk is not None:
+                    ratios = [c / p for c, p in zip(chunk, prev_chunk) if p > 0.0]
+                    if ratios:
+                        info["measured_period_ratio"] = max(ratios) ** (1.0 / q_cert)
+                return H, info
+            prev_chunk = chunk
+            chunk = [0.0] * period
+            steps_in_chunk = 0
+        if n_terms > max_terms:
+            raise SeriesBudgetError(f"series for degree {op.n} did not settle")
+        terms = [op.mask * (op.ainvs[k] @ terms[(k + 1) % period] @ op.substs[k])
+                 for k in range(period)]
