@@ -26,7 +26,6 @@ _EXPORTS = {
         "PolyMap",
         "compose_truncated",
         "invert_truncated",
-        "lyapunov_opnorm",
         "project_subresonance",
     ],
     "cocycle": [

@@ -282,8 +282,7 @@ def _check_oracle(ctx, result, cocycle, config, cfg, seed):
 
 
 def _check_sandwich(ctx, result, cocycle, config, cfg, seed):
-    rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames, seed=seed + 3,
-                         tol=float(cfg["tol"]))
+    rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames, tol=float(cfg["tol"]))
     return rep.to_dict(), rep.passed
 
 
@@ -525,7 +524,6 @@ def _cmd_spectrum(args) -> int:
                                            overrides=args.tol_override)
     ctx = _prepare_context(cocycle, config)
     rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames,
-                         seed=int(config["rng_seed"]) + 3,
                          tol=float(config["checks"]["sandwich"]["tol"]))
     payload = {
         "name": name,

@@ -12,9 +12,8 @@ GradedSpace type every slot (target block, per-block degrees), and
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
 coordinate j with the multiplication matrix of G_j.  It keeps one degree of
 powers and one such matrix at a time for as many stack entries as fit in
-POWER_BYTES.  Inverses are series reversion; operator norms are sampled
-suprema over Lyapunov unit spheres.  Iteration orders are fixed, so
-repeated runs give identical floats.
+POWER_BYTES.  Inverses are series reversion.  Iteration orders are fixed,
+so repeated runs give identical floats.
 """
 
 import math
@@ -485,64 +484,3 @@ def project_subresonance(pmap: PolyMap, structure: SubResStructure
     return (PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, s_jet),
             PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, pmap.jet - s_jet))
 
-
-def _sqrt_gram(gram: np.ndarray) -> np.ndarray:
-    """Cholesky factor L with gram = L @ L.T; raises on degenerate frames."""
-    try:
-        return np.linalg.cholesky(np.asarray(gram, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("degenerate frame: Gram matrix is not positive definite") from exc
-
-
-def lyapunov_opnorm(pmap: PolyMap, frame_src, frame_dst, samples: int = 4096,
-                    refine: int = 3, seed: int = 0) -> float:
-    """Operator norm of a homogeneous PolyMap between Lyapunov norms.
-
-    sup of ||pmap(u)|| in the target frame over the unit sphere of the source
-    frame.  Exact (via singular values) for degree 1; for higher degrees a
-    sampled supremum with `refine` rounds of local refinement around the best
-    sample, aimed at ~1e-3 relative accuracy.  Diagnostics quality, not a
-    certified bound.
-
-    frame_src / frame_dst expose a `gram` attribute (LyapunovFrame does).
-    """
-    degs = [n for n in range(1, pmap.degree + 1) if pmap.part(n).any()]
-    if np.any(pmap.constant != 0.0) or len(degs) > 1:
-        raise ValueError("operator norms are defined for homogeneous maps")
-    if not degs:
-        return 0.0
-    n = degs[0]
-    L_src = _sqrt_gram(frame_src.gram)
-    L_dst = _sqrt_gram(frame_dst.gram)
-    if n == 1:
-        A = pmap.linear_matrix()
-        M = L_dst.T @ A @ np.linalg.inv(L_src.T)
-        return float(np.linalg.norm(M, 2))
-
-    rng = np.random.default_rng(seed)
-    dim = pmap.source.dim
-
-    def norms_dst(values: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(values @ L_dst, axis=1)
-
-    def unit_src(points: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(points @ L_src, axis=1)
-        keep = norms > 0
-        return points[keep] / norms[keep, None]
-
-    pts = unit_src(rng.standard_normal((samples, dim)))
-    vals = norms_dst(pmap.evaluate_batch(pts))
-    best_idx = int(np.argmax(vals))
-    best_val = float(vals[best_idx])
-    best_pt = pts[best_idx]
-    radius = 0.3
-    for _ in range(refine):
-        cloud = best_pt[None, :] + radius * rng.standard_normal((512, dim))
-        cloud = unit_src(cloud)
-        vals = norms_dst(pmap.evaluate_batch(cloud))
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_val:
-            best_val = float(vals[idx])
-            best_pt = cloud[idx]
-        radius /= 8.0
-    return best_val

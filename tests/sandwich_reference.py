@@ -1,0 +1,62 @@
+"""Reference sandwich check: the frame-norm growth of sampled block vectors.
+
+This is the check as the package ran it before the envelopes were exact:
+per orbit point it draws `samples` random vectors of every block, pushes
+each one n = +-1..+-n_max steps through the linear cocycle one iterate at a
+time, and compares log(||Phi u||_{k+n} / ||u||_k) against the advertised
+envelope.  The comparison factor is tested on `samples` random ambient
+vectors.  The tests check ``orbitnf.cocycle.sandwich_check`` and
+``orbitnf.cocycle.log_envelopes`` against it: every sampled ratio lies
+inside the exact envelope, so the exact violation is never the smaller.
+"""
+
+import math
+
+import numpy as np
+
+from orbitnf.polymap import GradedSpace
+
+
+def sandwich_sample(cocycle, spectrum, frames, n_max=None, samples=8, seed=0):
+    """(max violation, keps_ok, ratios): ratios maps (k, block, n) to the
+    sampled log ratios of that orbit point, block and step."""
+    K = cocycle.period
+    if n_max is None:
+        n_max = max(2 * K, 12)
+    space = GradedSpace(spectrum.multiplicities)
+    rng = np.random.default_rng(seed)
+    eps = spectrum.epsilon
+
+    max_violation = 0.0
+    keps_ok = True
+    ratios = {}
+    for k in range(K):
+        Fk = frames[k]
+        iterates = {n: cocycle.linear_iterate(k, n)
+                    for n in range(-n_max, n_max + 1) if n != 0}
+        for _ in range(samples):
+            w = rng.standard_normal(cocycle.dim)
+            ew = float(np.linalg.norm(w))
+            gw = Fk.norm(w)
+            if gw < ew * (1.0 - 1e-9) or gw > Fk.k_eps * ew * (1.0 + 1e-9):
+                keps_ok = False
+        for i in range(1, space.n_blocks + 1):
+            sl = space.block_slice(i)
+            chi = spectrum.exponents[i - 1]
+            Vb = Fk.basis[:, sl]
+            for _ in range(samples):
+                c = rng.standard_normal(Vb.shape[1])
+                u = Vb @ c
+                nu = Fk.norm(u)
+                if nu == 0.0:
+                    continue
+                for n in range(-n_max, n_max + 1):
+                    if n == 0:
+                        continue
+                    v = iterates[n] @ u
+                    r = math.log(frames[(k + n) % K].norm(v) / nu)
+                    ratios.setdefault((k, i, n), []).append(r)
+                    hi = chi * n + eps * abs(n)
+                    lo = chi * n - eps * abs(n)
+                    max_violation = max(max_violation, r - hi, lo - r)
+    return max(max_violation, 0.0), keps_ok, ratios

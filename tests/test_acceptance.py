@@ -205,7 +205,7 @@ def test_08_lyapunov_machinery(solved):
     sandwich_worst = 0.0
     sandwich_ok = True
     for s in solved.values():
-        rep = sandwich_check(s.cocycle, s.ctx.spectrum, s.ctx.frames, seed=3)
+        rep = sandwich_check(s.cocycle, s.ctx.spectrum, s.ctx.frames)
         sandwich_worst = max(sandwich_worst, rep.max_violation)
         sandwich_ok = sandwich_ok and rep.keps_ok
     ok = (mono_err <= 1e-8 and keps_err <= 1e-6

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gram_reference
+import sandwich_reference
 from orbitnf import cocycle as cocycle_module
 from orbitnf.cocycle import (
     ClusterGapError,
@@ -15,11 +18,14 @@ from orbitnf.cocycle import (
     _block_grams,
     _decay_certificate,
     finite_time_exponents,
+    log_envelopes,
     lyapunov_frames,
     monodromy_spectrum,
     sandwich_check,
 )
+from orbitnf.grading import Spectrum
 from orbitnf.polymap import GradedSpace, PolyMap
+from orbitnf.scenarios import random_cocycle
 
 
 def rotation(theta):
@@ -322,10 +328,12 @@ class TestSandwich:
         c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
         spec, bases = monodromy_spectrum(c, epsilon=0.1)
         frames = lyapunov_frames(c, spec, bases)
-        rep = sandwich_check(c, spec, frames, seed=2)
+        rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-8
         assert rep.keps_ok
         assert rep.lambda_min_gram >= 1.0 - 1e-6
+        # one (point, block, n) envelope per block and n = +-1..+-12
+        assert rep.n_envelopes == 2 * 24
         assert rep.passed
 
     def test_tolerance_decides_the_verdict(self):
@@ -339,10 +347,10 @@ class TestSandwich:
         spec, _ = monodromy_spectrum(c, epsilon=0.05)
         frames = (LyapunovFrame.euclidean(2),) * 2
         narrow = dataclasses.replace(spec, epsilon=0.01)
-        violation = sandwich_check(c, narrow, frames, seed=5).max_violation
+        violation = sandwich_check(c, narrow, frames).max_violation
         assert violation == pytest.approx(0.02, abs=1e-12)
         for tol, verdict in ((0.5 * violation, False), (2.0 * violation, True)):
-            rep = sandwich_check(c, narrow, frames, seed=5, tol=tol)
+            rep = sandwich_check(c, narrow, frames, tol=tol)
             assert rep.max_violation == violation
             assert rep.passed is verdict
             assert rep.to_dict()["tol"] == tol and rep.to_dict()["passed"] is verdict
@@ -357,7 +365,7 @@ class TestSandwich:
         spec, bases = monodromy_spectrum(c, epsilon=0.05)
         assert spec.exponents == pytest.approx((-2.0, -1.0), abs=1e-12)
         frames = lyapunov_frames(c, spec, bases)
-        rep = sandwich_check(c, spec, frames, seed=5)
+        rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-6
         assert rep.keps_ok
 
@@ -372,5 +380,65 @@ class TestSandwich:
         spec, bases = monodromy_spectrum(c, epsilon=0.05)
         assert spec.multiplicities == (2, 1)
         frames = lyapunov_frames(c, spec, bases)
-        rep = sandwich_check(c, spec, frames, seed=9)
+        rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-6
+
+    def test_violation_sampling_misses(self):
+        # one 2-dimensional block whose per-step rates are chi +- 0.03 along
+        # the two axes: in euclidean frames one step leaves the envelope of
+        # eps = 0.01 by exactly 0.02, but only along the axes themselves
+        A0 = np.diag([math.exp(-1.0 + 0.03), math.exp(-1.0 - 0.03)])
+        A1 = np.diag([math.exp(-1.0 - 0.03), math.exp(-1.0 + 0.03)])
+        c = linear_cocycle([A0, A1])
+        spec, _ = monodromy_spectrum(c, epsilon=0.01)
+        assert spec.multiplicities == (2,)
+        frames = (LyapunovFrame.euclidean(2),) * 2
+        rep = sandwich_check(c, spec, frames)
+        assert rep.max_violation == pytest.approx(0.02, abs=1e-12)
+        assert rep.passed is False
+        sampled, _, _ = sandwich_reference.sandwich_sample(c, spec, frames)
+        assert sampled < 0.02 - 1e-6
+
+    def test_narrow_gram_deficit_fails_comparison(self):
+        # a frame whose Gram dips just below 1 along one eigenvector, a
+        # direction random vectors all but never hit
+        c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
+        spec, bases = monodromy_spectrum(c, epsilon=0.1)
+        (frame,) = lyapunov_frames(c, spec, bases)
+        lam, U = np.linalg.eigh(frame.gram)
+        lam[0] = 1.0 - 1e-8
+        narrow = (LyapunovFrame((U * lam) @ U.T, frame.basis),)
+        rep = sandwich_check(c, spec, narrow)
+        assert rep.lambda_min_gram == pytest.approx(1.0 - 1e-8, abs=1e-12)
+        assert rep.keps_ok is False and rep.passed is False
+        assert sandwich_reference.sandwich_sample(c, spec, narrow)[1] is True
+
+
+EXPONENTS = {1: (-1.0,), 2: (-2.0, -0.8), 3: (-1.2, -0.8, -0.4)}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_envelopes_contain_every_sampled_ratio(period, dims, seed, built_frames):
+    rng = np.random.default_rng(seed)
+    exponents = EXPONENTS[len(dims)]
+    c = random_cocycle(rng, exponents, dims, period, degree=1, wobble=0.3)
+    if built_frames:
+        spec, bases = monodromy_spectrum(c, epsilon=0.05)
+        frames = lyapunov_frames(c, spec, bases)
+    else:
+        # any positive definite Grams over the coordinate blocks
+        spec = Spectrum(exponents, tuple(dims), 0.05)
+        m = c.dim
+        frames = tuple(LyapunovFrame(np.eye(m) + C @ C.T, np.eye(m))
+                       for C in rng.standard_normal((period, m, m)))
+    n_max = 4
+    steps, envelopes = log_envelopes(c, frames, spec.multiplicities, n_max)
+    rep = sandwich_check(c, spec, frames, n_max=n_max)
+    sampled, keps_ok, ratios = sandwich_reference.sandwich_sample(c, spec, frames, n_max=n_max)
+    for (k, i, n), values in ratios.items():
+        lo, hi = envelopes[i - 1][k, list(steps).index(n)]
+        assert lo - 1e-12 <= min(values) and max(values) <= hi + 1e-12
+    assert rep.max_violation >= sampled - 1e-12
+    assert keps_ok or not rep.keps_ok

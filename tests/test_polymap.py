@@ -11,6 +11,7 @@ from dict_reference import (
     gap,
 )
 from orbitnf import polymap
+from orbitnf.cocycle import LyapunovFrame, OrbitCocycle, log_envelopes
 from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.polymap import (
     GradedSpace,
@@ -19,12 +20,12 @@ from orbitnf.polymap import (
     compose_jets,
     compose_truncated,
     invert_truncated,
-    lyapunov_opnorm,
     project_subresonance,
     stack_jets,
 )
 
-Frame = namedtuple("Frame", ["gram"])
+# a frame that skips the Gram validation of LyapunovFrame
+Frame = namedtuple("Frame", ["gram", "basis"])
 
 S1 = GradedSpace((1,))
 S11 = GradedSpace((1, 1))
@@ -273,54 +274,29 @@ class TestProjectSubresonance:
 
 
 class TestLyapunovOpnorm:
+    """Lyapunov operator norms of linear maps: the largest singular value
+    that cocycle.log_envelopes computes, with the least one beside it."""
+
     def test_linear_exact(self):
-        e = Frame(np.eye(1))
-        P = scalar_map({1: 0.5}, 1)
-        assert lyapunov_opnorm(P, e, e) == pytest.approx(0.5, abs=1e-14)
-
-    def test_scalar_quadratic(self):
-        e = Frame(np.eye(1))
-        P = scalar_map({2: 0.3}, 2)
-        assert lyapunov_opnorm(P, e, e) == pytest.approx(0.3, rel=1e-6)
-
-    def test_source_norm_rescaling(self):
-        # doubling the source norm scales a quadratic norm by 1/4
-        src = Frame(4.0 * np.eye(1))
-        dst = Frame(np.eye(1))
-        P = scalar_map({2: 0.3}, 2)
-        assert lyapunov_opnorm(P, src, dst) == pytest.approx(0.075, rel=1e-6)
+        c = OrbitCocycle(S1, (scalar_map({1: 0.5}, 1),))
+        steps, (env,) = log_envelopes(c, (LyapunovFrame.euclidean(1),), (1,), 1)
+        assert list(steps) == [-1, 1]
+        # (least, greatest) ratio one step back and one step forward
+        assert np.exp(env[0, 0]) == pytest.approx([2.0, 2.0], abs=1e-14)
+        assert np.exp(env[0, 1]) == pytest.approx([0.5, 0.5], abs=1e-14)
 
     def test_linear_under_gram_weights(self):
         # ||A u||_dst / ||u||_src with diagonal Grams has a closed form
-        src = Frame(np.diag([4.0, 1.0]))
-        dst = Frame(np.diag([1.0, 9.0]))
+        space = GradedSpace((2,))
         A = np.array([[0.2, 0.0], [0.0, 0.5]])
-        P = PolyMap.from_linear(A, S11, S11, 1)
-        expected = max(0.2 / 2.0, 0.5 * 3.0)
-        assert lyapunov_opnorm(P, src, dst) == pytest.approx(expected, abs=1e-12)
-
-    def test_quadratic_2d_known_max(self):
-        # P(u) = (u1^2 + u2^2) e1 has norm exactly 1 on the euclidean sphere
-        e = Frame(np.eye(2))
-        P = PolyMap(S11, S11, 2, np.zeros(2), {(0, (2, 0)): 1.0, (0, (0, 2)): 1.0})
-        assert lyapunov_opnorm(P, e, e) == pytest.approx(1.0, rel=1e-9)
-
-    def test_composition_norm_inequality(self):
-        rng = np.random.default_rng(21)
-        e = Frame(np.eye(2))
-        for _ in range(10):
-            P = PolyMap(S11, S11, 2, np.zeros(2), {
-                (i, alpha): float(rng.uniform(-1, 1))
-                for i in range(2) for alpha in [(2, 0), (1, 1), (0, 2)]
-            })
-            R = PolyMap(S11, S11, 2, np.zeros(2), {
-                (i, alpha): float(rng.uniform(-1, 1))
-                for i in range(2) for alpha in [(2, 0), (1, 1), (0, 2)]
-            })
-            C = compose_truncated(R, P, 4)
-            lhs = lyapunov_opnorm(C, e, e, samples=2048)
-            rhs = lyapunov_opnorm(R, e, e) * lyapunov_opnorm(P, e, e) ** 2
-            assert lhs <= rhs * 1.05 + 1e-12
+        c = OrbitCocycle(space, (PolyMap.from_linear(A, space, space, 1),
+                                 PolyMap.from_linear(np.eye(2), space, space, 1)))
+        frames = (LyapunovFrame(np.diag([4.0, 1.0]), np.eye(2)),
+                  LyapunovFrame(np.diag([1.0, 9.0]), np.eye(2)))
+        steps, (env,) = log_envelopes(c, frames, (2,), 1)
+        lo, hi = np.exp(env[0, list(steps).index(1)])
+        assert hi == pytest.approx(max(0.2 / 2.0, 0.5 * 3.0), abs=1e-12)
+        assert lo == pytest.approx(min(0.2 / 2.0, 0.5 * 3.0), abs=1e-12)
 
     def test_homogeneous_scaling(self):
         rng = np.random.default_rng(2)
@@ -332,17 +308,13 @@ class TestLyapunovOpnorm:
         for c in (0.5, 2.0):
             assert np.allclose(P.evaluate(c * u), c ** 3 * P.evaluate(u), rtol=1e-12)
 
-    def test_rejects_inhomogeneous(self):
-        e = Frame(np.eye(1))
-        P = scalar_map({1: 1.0, 2: 1.0}, 2)
-        with pytest.raises(ValueError):
-            lyapunov_opnorm(P, e, e)
-
     def test_degenerate_frame_rejected(self):
-        bad = Frame(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-        P = PolyMap.identity(S11, 1)
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError):
-            lyapunov_opnorm(P, bad, bad)
+            LyapunovFrame(bad, np.eye(2))
+        c = OrbitCocycle(S11, (PolyMap.identity(S11, 1),))
+        with pytest.raises(ValueError):
+            log_envelopes(c, (Frame(bad, np.eye(2)),), (1, 1), 1)
 
 
 class TestSerialization:
