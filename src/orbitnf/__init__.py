@@ -5,10 +5,12 @@ a periodic orbit that conjugates a cocycle of contracting polynomial fiber
 maps to a normal form P containing only sub-resonance terms of the Lyapunov
 spectrum.  The pipeline is
 
-    OrbitCocycle -> monodromy_spectrum -> SubResStructure -> lyapunov_frames
-                 -> SolverContext -> solve_normal_form -> verification
+    OrbitCocycle -> monodromy_spectrum -> SubResStructure -> SolverContext
+                 -> solve_normal_form -> verification
 
-with a JSON-driven CLI (`orbitnf run/list/spectrum/verify`) on top.
+with a JSON-driven CLI (`orbitnf run/list/spectrum/verify`) on top.  The
+Lyapunov frames are no solver input: ``SolverContext.frames`` builds them with
+``lyapunov_frames`` on first read, for the sandwich check and the report.
 """
 
 __version__ = "0.1.0"

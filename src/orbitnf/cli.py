@@ -222,9 +222,32 @@ def resolve_config(arg: str, *, seed: int | None = None,
     return name, cocycle, config
 
 
+def _is_int(value, low: int | None = None) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and (low is None or value >= low)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+# (check, key, test, rule) for the check parameters that need more than a cast
+_CHECK_PARAMS = (
+    ("residual", "radii",
+     lambda v: isinstance(v, list) and all(_is_number(r) and r > 0.0 for r in v)
+     and len(set(v)) >= 2,
+     "a list of at least two distinct positive numbers"),
+    ("residual", "samples", lambda v: _is_int(v, 1), "an integer >= 1"),
+    ("flag", "samples", lambda v: _is_int(v, 1), "an integer >= 1"),
+    ("centralizer", "powers",
+     lambda v: isinstance(v, list) and all(_is_int(p, 1) for p in v),
+     "a list of integers >= 1"),
+)
+
+
 def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
-    order = config.get("order")
-    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+    if not _is_int(config.get("order"), 1):
         raise ConfigError("order must be an integer >= 1")
     for key in ("epsilon", "resonance_tol", "cluster_tol",
                 "tail_tol", "series_tol"):
@@ -232,11 +255,9 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
                 or not value > 0.0:
             raise ConfigError(f"{key} must be a positive number")
-    if isinstance(config.get("rng_seed"), bool) \
-            or not isinstance(config.get("rng_seed"), int):
+    if not _is_int(config.get("rng_seed")):
         raise ConfigError("rng_seed must be an integer")
-    terms = config.get("max_series_terms", 10_000)
-    if isinstance(terms, bool) or not isinstance(terms, int) or terms < 1:
+    if not _is_int(config.get("max_series_terms", 10_000), 1):
         raise ConfigError("max_series_terms must be an integer >= 1")
     checks = config.get("checks")
     if not isinstance(checks, dict):
@@ -248,11 +269,17 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
         if not isinstance(entry, dict) or not isinstance(
                 entry.get("enabled", False), bool):
             raise ConfigError(f"check {check_name!r} needs an 'enabled' flag")
+    for check_name, key, valid, rule in _CHECK_PARAMS:
+        entry = checks.get(check_name, {})
+        if key in entry and not valid(entry[key]):
+            raise ConfigError(f"checks.{check_name}.{key} must be {rule}")
     points = checks.get("chart", {}).get("points", [])
-    for point in points:
-        if len(point) != cocycle.dim:
-            raise ConfigError(
-                f"chart point {point!r} does not match dimension {cocycle.dim}")
+    if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == cocycle.dim and all(map(_is_number, p))
+            for p in points):
+        raise ConfigError(
+            f"checks.chart.points must be a list of points, each a list of "
+            f"{cocycle.dim} numbers")
 
 
 def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
@@ -325,8 +352,8 @@ def _check_gauge(ctx, result, cocycle, config, cfg, seed):
     def lift(k, n):
         return bump if n == degree else None
 
-    # spectrum, structure, frames and degree operators depend only on the
-    # cocycle and config
+    # spectrum, structure and degree operators depend only on the cocycle
+    # and config
     result_alt = solve_normal_form(ctx.with_lift(lift))
     rep = gauge_compare(result, result_alt, tol=tol)
     details = rep.to_dict()
@@ -360,9 +387,6 @@ def _check_centralizer(ctx, result, cocycle, config, cfg, seed):
     runs = []
     all_ok = True
     for power in cfg.get("powers", [2, 3]):
-        power = int(power)
-        if power < 1:
-            raise ValueError("power must be at least 1")
         while len(chain) < power:
             ext, nf_power = chain[-1]
             chain.append((ext.then(cocycle.fiber_maps, order),
@@ -444,12 +468,16 @@ def _format_residuals_csv(details: dict | None) -> str:
 
 def _assemble_report(name, config, cocycle, ctx, result, checks, passed):
     echo = {k: v for k, v in config.items() if k != "out_dir"}
+    solved = result.to_dict()
+    # the frames are no solver input, so their truncation records join here
+    solved["diagnostics"] = dict(solved["diagnostics"], frames=[
+        {"horizon": f.horizon, "tail_bound": f.tail_bound} for f in ctx.frames])
     return {
         "name": name,
         "config": echo,
         "cocycle": cocycle.to_dict(),
         "k_eps": [frame.k_eps for frame in ctx.frames],
-        "result": result.to_dict(),
+        "result": solved,
         "checks": checks,
         "passed": passed,
     }

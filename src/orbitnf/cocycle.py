@@ -10,8 +10,9 @@ The frames built here carry the epsilon-weighted inner product: per block a
 two-sided geometric sum of pushforward Grams, truncated once a per-period
 contraction certificate bounds the dropped tail below a requested tolerance.
 Under that inner product one step of the cocycle moves block i vectors by a
-factor inside [exp(chi_i - eps), exp(chi_i + eps)], which is what the
-degree-by-degree solver leans on.  The sandwich check tests the n-step
+factor inside [exp(chi_i - eps), exp(chi_i + eps)], the paper's proof that
+the twisted transfer contracts; the solver takes that contraction from exact
+transfer norms instead.  The sandwich check tests the n-step
 version of that bound exactly: the extreme singular values of every
 frame-weighted n-step block map, taken in one batched SVD per block.
 """
@@ -312,10 +313,6 @@ class LyapunovFrame:
     def norm(self, u: np.ndarray) -> float:
         u = np.asarray(u, dtype=float)
         return float(math.sqrt(u @ self.gram @ u))
-
-    def norm_batch(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
-        return np.sqrt(np.einsum("ij,jk,ik->i", U, self.gram, U))
 
 
 def _block_restrictions(

@@ -243,13 +243,18 @@ class SolverContext:
     blocks are the splitting, so the linear parts must be block diagonal (up
     to 1e-12 relative) and their block sizes must match the spectrum
     multiplicities.  That is what splits the degree operators type by type.
+
+    The solve takes its contraction from exact per-type operator norms, not
+    from the Lyapunov frames: ``frames`` builds them from ``bases`` and
+    ``tail_tol`` on first read, for the sandwich check and the report.
     """
 
     cocycle: OrbitCocycle
     spectrum: Spectrum
     structure: SubResStructure
-    frames: tuple[LyapunovFrame, ...]
     order: int
+    bases: tuple[np.ndarray, ...] = ()
+    tail_tol: float = 1e-12
     series_tol: float = 1e-13
     max_series_terms: int = 10_000
     lift_policy: LiftPolicy | None = None
@@ -265,8 +270,6 @@ class SolverContext:
             raise ValueError(
                 "spectrum multiplicities do not match the coordinate grading"
             )
-        if len(self.frames) != self.cocycle.period:
-            raise ValueError("need one frame per orbit point")
         if self.order >= 2:
             contraction_factor(self.spectrum, self.order)
         block = np.array(self.cocycle.space.block_of_coord)
@@ -286,13 +289,17 @@ class SolverContext:
                 tail_tol: float = 1e-12, series_tol: float = 1e-13,
                 max_series_terms: int = 10_000,
                 lift_policy: LiftPolicy | None = None) -> "SolverContext":
-        """Extract spectrum and frames from the cocycle, then build a context."""
+        """Extract spectrum and splitting from the cocycle, then build a context."""
         spectrum, bases = monodromy_spectrum(cocycle, epsilon, resonance_tol, cluster_tol)
-        frames = lyapunov_frames(cocycle, spectrum, bases, tail_tol)
         structure = SubResStructure.from_spectrum(spectrum)
-        return cls(cocycle, spectrum, structure, frames, order,
+        return cls(cocycle, spectrum, structure, order, bases, tail_tol,
                    series_tol=series_tol, max_series_terms=max_series_terms,
                    lift_policy=lift_policy)
+
+    @cached_property
+    def frames(self) -> tuple[LyapunovFrame, ...]:
+        """The epsilon-weighted frames at every orbit point, built once."""
+        return lyapunov_frames(self.cocycle, self.spectrum, self.bases, self.tail_tol)
 
     def with_lift(self, lift_policy: LiftPolicy | None) -> "SolverContext":
         """The same problem under another lift policy.
@@ -448,7 +455,6 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
         "degree_bound": ctx.structure.degree_bound,
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
-        "frames": [{"horizon": f.horizon, "tail_bound": f.tail_bound} for f in ctx.frames],
         "degrees": degree_diags,
     }
     return NormalFormResult(

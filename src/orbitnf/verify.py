@@ -21,7 +21,7 @@ from a different direction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,23 @@ from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbi
                          solve_window)
 from .polymap import (PolyMap, _linear_jets, compose_jets, compose_truncated,
                       invert_truncated, jet_width, project_subresonance, stack_jets)
+
+
+# field metadata of the polynomial maps a report keeps but does not serialize
+_MAPS = {"serialized": False}
+
+
+class _Report:
+    """The ``to_dict`` of the check reports: every field but the maps, and ``passed``."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            if f.metadata.get("serialized", True):
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        out["passed"] = self.passed
+        return out
 
 
 def _coeff_diff(a: PolyMap, b: PolyMap) -> float:
@@ -46,7 +63,7 @@ def _npart_split(pmap: PolyMap, structure) -> tuple[float, float]:
 
 
 @dataclass
-class ResidualReport:
+class ResidualReport(_Report):
     """Sampled conjugacy defect H_{k+1} o F_k - P_k o H_k at several radii."""
 
     radii: tuple[float, ...]
@@ -62,18 +79,6 @@ class ResidualReport:
         if self.exact:
             return True
         return self.slope is not None and self.slope >= self.order + 0.9
-
-    def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "max_residuals": list(self.max_residuals),
-            "slope": self.slope,
-            "order": self.order,
-            "exact": self.exact,
-            "samples": self.samples,
-            "exact_tol": self.exact_tol,
-            "passed": self.passed,
-        }
 
 
 def conjugacy_residual(cocycle, result: NormalFormResult,
@@ -184,10 +189,10 @@ def series_vs_direct(ctx: SolverContext, result: NormalFormResult) -> float:
 
 
 @dataclass
-class GaugeReport:
+class GaugeReport(_Report):
     """Transition G with H = G o H_alt, tested against the sub-resonance group."""
 
-    transition: tuple[PolyMap, ...]
+    transition: tuple[PolyMap, ...] = field(metadata=_MAPS)
     npart_max: float
     beyond_degree_max: float
     alignment_max: float
@@ -197,15 +202,6 @@ class GaugeReport:
     def passed(self) -> bool:
         return (self.npart_max <= self.tol
                 and self.beyond_degree_max <= self.tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "npart_max": self.npart_max,
-            "beyond_degree_max": self.beyond_degree_max,
-            "alignment_max": self.alignment_max,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
@@ -270,10 +266,10 @@ def iterate_extension(cocycle, power: int, order: int) -> CommutingExtension:
 
 
 @dataclass
-class CentralizerReport:
+class CentralizerReport(_Report):
     """Conjugated commuting family, tested against the sub-resonance group."""
 
-    maps: tuple[PolyMap, ...]
+    maps: tuple[PolyMap, ...] = field(metadata=_MAPS)
     shift: int
     commutation_residual: float
     npart_max: float
@@ -284,16 +280,6 @@ class CentralizerReport:
     def passed(self) -> bool:
         return (self.npart_max <= self.tol
                 and self.beyond_degree_max <= self.tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "shift": self.shift,
-            "commutation_residual": self.commutation_residual,
-            "npart_max": self.npart_max,
-            "beyond_degree_max": self.beyond_degree_max,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def centralizer_check(cocycle, result: NormalFormResult,
@@ -345,7 +331,7 @@ def centralizer_check(cocycle, result: NormalFormResult,
 
 
 @dataclass
-class FlagReport:
+class FlagReport(_Report):
     """Largest below-flag Jacobian entry found on sampled points."""
 
     max_below_flag: float
@@ -356,15 +342,6 @@ class FlagReport:
     @property
     def passed(self) -> bool:
         return self.max_below_flag <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "max_below_flag": self.max_below_flag,
-            "samples": self.samples,
-            "radius": self.radius,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def flag_invariance(maps, samples: int = 100, seed: int = 0,
@@ -404,10 +381,10 @@ def flag_invariance(maps, samples: int = 100, seed: int = 0,
 
 
 @dataclass
-class ChartReport:
+class ChartReport(_Report):
     """Transition between normal form charts at a periodic and a nearby point."""
 
-    transition: PolyMap
+    transition: PolyMap = field(metadata=_MAPS)
     offset: tuple[float, ...]
     window: int
     npart_max: float
@@ -420,18 +397,6 @@ class ChartReport:
     def passed(self) -> bool:
         return (self.npart_max <= self.tol
                 and self.deviation_max <= self.tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": list(self.offset),
-            "window": self.window,
-            "npart_max": self.npart_max,
-            "deviation_max": self.deviation_max,
-            "eval_radius": self.eval_radius,
-            "samples": self.samples,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 def default_chart_window(ctx: SolverContext) -> int:

@@ -156,12 +156,26 @@ class TestDeterminism:
         assert rep_b["config"]["rng_seed"] == 2
 
 
+class TestLyapunovStage:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_run_builds_spectrum_and_frames_once(self, name, tmp_path, monkeypatch):
+        calls = []
+        for binding in ("monodromy_spectrum", "lyapunov_frames"):
+            def counted(*args, _fn=getattr(normalform, binding), _name=binding, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(normalform, binding, counted)
+        assert run_scenario(name, out_dir=str(tmp_path)) == 0
+        assert sorted(calls) == ["lyapunov_frames", "monodromy_spectrum"]
+
+
 class TestGaugeCheck:
     @pytest.mark.parametrize("name", builtin_names())
     def test_reuses_the_lyapunov_stage(self, name, monkeypatch):
         _, cocycle, config = resolve_config(name)
         ctx = cli._prepare_context(cocycle, config)
         result = solve_normal_form(ctx)
+        ctx.frames  # the sandwich check reads them; built once per context
         calls = []
         for binding in ("monodromy_spectrum", "lyapunov_frames"):
             def counted(*args, _fn=getattr(normalform, binding), _name=binding, **kwargs):
@@ -187,7 +201,8 @@ class TestGaugeCheck:
         monkeypatch.setattr(SolverContext, "with_lift", prepare_lifted)
         fresh, _ = cli._check_gauge(ctx, result, cocycle, config,
                                     config["checks"]["gauge"], int(config["rng_seed"]))
-        assert calls == ["monodromy_spectrum", "lyapunov_frames"]
+        # the re-solve reads no frames, so a fresh context builds none
+        assert calls == ["monodromy_spectrum"]
         assert canonical_json(fresh) == canonical_json(gauge["details"])
 
     @pytest.mark.parametrize("name", builtin_names())
@@ -251,6 +266,31 @@ class TestErrorExits:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "koenigs", "order": 0}))
         assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("override, key", [
+        ("checks.residual.radii=[]", "checks.residual.radii"),
+        ("checks.residual.radii=[0.1]", "checks.residual.radii"),
+        ("checks.residual.radii=[0.1, 0.1]", "checks.residual.radii"),
+        ("checks.residual.radii=[0.1, -0.01]", "checks.residual.radii"),
+        ("checks.residual.samples=0", "checks.residual.samples"),
+        ("checks.flag.samples=2.5", "checks.flag.samples"),
+        ("checks.centralizer.powers=3", "checks.centralizer.powers"),
+        ("checks.centralizer.powers=[2, 0]", "checks.centralizer.powers"),
+    ])
+    def test_malformed_check_parameter_exit_2(self, override, key, tmp_path, capsys):
+        code = main(["run", "resonant2", "--out-dir", str(tmp_path),
+                     "--tol-override", override])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("points", [[0.05], [[0.05]], [[0.05, "a"]], 0.05])
+    def test_malformed_chart_points_exit_2(self, points, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "resonant2", "checks": {
+            "chart": {"enabled": True, "points": points}}}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert "checks.chart.points" in capsys.readouterr().err
 
     def test_failing_check_named_exit_1(self, tmp_path, capsys):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),

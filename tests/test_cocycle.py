@@ -243,13 +243,6 @@ class TestLyapunovFrames:
         with pytest.raises(ValueError):
             lyapunov_frames(c, spec0, bases)
 
-    def test_norm_batch_matches(self):
-        fr = LyapunovFrame(np.diag([4.0, 1.0]), np.eye(2))
-        U = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        nb = fr.norm_batch(U)
-        for row, val in zip(U, nb):
-            assert fr.norm(row) == pytest.approx(val, rel=1e-14)
-
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError):
             LyapunovFrame(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))

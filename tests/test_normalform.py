@@ -10,6 +10,7 @@ from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitnf import normalform
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
@@ -575,19 +576,32 @@ class TestValidation:
         c = OrbitCocycle(S11, (pm,))
         spec = Spectrum((-2.0, -1.0), (1, 1), 0.05)
         structure = SubResStructure.from_spectrum(spec)
-        from orbitnf.cocycle import LyapunovFrame
-        frames = (LyapunovFrame.euclidean(2),)
         with pytest.raises(ValueError):
-            SolverContext(c, spec, structure, frames, 4)
+            SolverContext(c, spec, structure, 4)
 
     def test_grading_mismatch_rejected(self):
         c = resonant2_cocycle()
         spec = Spectrum((-1.5,), (2,), 0.05)
         structure = SubResStructure.from_spectrum(spec)
-        from orbitnf.cocycle import LyapunovFrame
-        frames = (LyapunovFrame.euclidean(2),)
         with pytest.raises(ValueError):
-            SolverContext(c, spec, structure, frames, 4)
+            SolverContext(c, spec, structure, 4)
+
+
+class TestLazyFrames:
+    def test_solve_builds_no_frames(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=normalform.lyapunov_frames, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(normalform, "lyapunov_frames", counted)
+        ctx = ladder_context(*LADDER[0])
+        solve_normal_form(ctx)
+        assert calls == []
+        frames = ctx.frames
+        assert ctx.frames is frames and len(calls) == 1
+        assert len(frames) == ctx.cocycle.period
 
 
 def window_jets(maps, degree):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitnf.cocycle import LyapunovFrame, OrbitCocycle
+from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.normalform import SolverContext, _source_vecs, solve_normal_form
 from orbitnf.polymap import GradedSpace, PolyMap, _mono_table, compose_truncated, stack_jets
@@ -195,8 +195,7 @@ class TestDirectOracle:
                         resonance_tol=1e-15)
         structure = SubResStructure.from_spectrum(spec)
         assert structure.degree_bound == 1
-        ctx = SolverContext(c, spec, structure,
-                            (LyapunovFrame.euclidean(2),), order=2)
+        ctx = SolverContext(c, spec, structure, order=2)
         h0 = [PolyMap.identity(S11, 2)]
         p0 = [PolyMap.from_linear(A, S11, S11, 1)]
         with pytest.raises(ValueError, match="singular"):
