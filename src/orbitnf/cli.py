@@ -252,9 +252,10 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
     for key in ("epsilon", "resonance_tol", "cluster_tol",
                 "tail_tol", "series_tol"):
         value = config.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not value > 0.0:
-            raise ConfigError(f"{key} must be a positive number")
+        if not _is_number(value) or not value > 0.0:
+            raise ConfigError(f"{key} must be a finite positive number")
+    if not isinstance(config.get("out_dir", ""), str):
+        raise ConfigError("out_dir must be a string")
     if not _is_int(config.get("rng_seed")):
         raise ConfigError("rng_seed must be an integer")
     if not _is_int(config.get("max_series_terms", 10_000), 1):
@@ -269,6 +270,9 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
         if not isinstance(entry, dict) or not isinstance(
                 entry.get("enabled", False), bool):
             raise ConfigError(f"check {check_name!r} needs an 'enabled' flag")
+        for key in ("tol", "exact_tol"):
+            if key in entry and not _is_number(entry[key]):
+                raise ConfigError(f"checks.{check_name}.{key} must be a finite number")
     for check_name, key, valid, rule in _CHECK_PARAMS:
         entry = checks.get(check_name, {})
         if key in entry and not valid(entry[key]):
@@ -483,16 +487,9 @@ def _assemble_report(name, config, cocycle, ctx, result, checks, passed):
     }
 
 
-def _default_out_dir(name: str) -> str:
-    return os.path.join("orbitnf_out", name)
-
-
-def _resolve_out_dir(args, config, name: str) -> str:
-    if getattr(args, "out_dir", None):
-        return args.out_dir
-    if config.get("out_dir"):
-        return str(config["out_dir"])
-    return _default_out_dir(name)
+def _resolve_out_dir(out_dir: str | None, config: dict, name: str) -> str:
+    """The --out-dir argument, else the config's out_dir, else orbitnf_out/<name>."""
+    return out_dir or config.get("out_dir") or os.path.join("orbitnf_out", name)
 
 
 def _report_failures(checks) -> list[str]:
@@ -510,7 +507,7 @@ def run_scenario(config_arg: str, *, out_dir: str | None = None,
     checks, residual_details = run_checks(ctx, result, cocycle, config)
     passed = all(c["passed"] for c in checks if c["enabled"])
 
-    directory = out_dir or config.get("out_dir") or _default_out_dir(name)
+    directory = _resolve_out_dir(out_dir, config, name)
     os.makedirs(directory, exist_ok=True)
     report = _assemble_report(name, config, cocycle, ctx, result,
                               checks, passed)
@@ -535,8 +532,7 @@ def list_builtins() -> dict[str, str]:
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    out_dir = getattr(args, "out_dir", None)
-    return run_scenario(args.config, out_dir=out_dir, seed=args.seed,
+    return run_scenario(args.config, out_dir=args.out_dir, seed=args.seed,
                         overrides=args.tol_override)
 
 
@@ -567,7 +563,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     name, cocycle, config = resolve_config(args.config, seed=args.seed,
                                            overrides=args.tol_override)
-    directory = _resolve_out_dir(args, config, name)
+    directory = _resolve_out_dir(args.out_dir, config, name)
     report_path = os.path.join(directory, "report.json")
     if not os.path.exists(report_path):
         raise ConfigError(f"no cached report at {report_path}")

@@ -7,14 +7,16 @@ eigenvalues, cluster them into blocks, and recover the invariant splitting as
 null spaces of annihilating polynomials of the monodromy.
 
 The frames built here carry the epsilon-weighted inner product: per block a
-two-sided geometric sum of pushforward Grams, truncated once a per-period
-contraction certificate bounds the dropped tail below a requested tolerance.
-Under that inner product one step of the cocycle moves block i vectors by a
-factor inside [exp(chi_i - eps), exp(chi_i + eps)], the paper's proof that
-the twisted transfer contracts; the solver takes that contraction from exact
-transfer norms instead.  The sandwich check tests the n-step
-version of that bound exactly: the extreme singular values of every
-frame-weighted n-step block map, taken in one batched SVD per block.
+two-sided weighted sum of pushforward Grams.  Over a periodic orbit each time
+direction is a geometric series in the one-period map, summed by Smith's
+doubling until the squared norm of the doubled map bounds the dropped tail
+below a requested tolerance.  Under that inner product one step of the
+cocycle moves block i vectors by a factor inside [exp(chi_i - eps),
+exp(chi_i + eps)], the paper's proof that the twisted transfer contracts;
+the solver takes that contraction from exact transfer norms instead.  The
+sandwich check tests the n-step version of that bound exactly: the extreme
+singular values of every frame-weighted n-step block map, taken in one
+batched SVD per block.
 """
 
 import math
@@ -26,7 +28,6 @@ import numpy as np
 from .grading import Spectrum
 from .polymap import GradedSpace, PolyMap
 
-MAX_CERT_POWER = 256
 MAX_GRAM_STEPS = 200_000
 
 
@@ -336,110 +337,59 @@ def _block_restrictions(
     return out
 
 
-def _decay_certificate(period_maps: list[np.ndarray], eps_per_period: float) -> tuple[int, float]:
-    """Smallest power-of-two q with weighted q-period growth below one.
-
-    Checks both time directions: max_p sigma_max(P_p^{+-q})^2 < exp(eps q K)
-    where P_p is the per-period product normalized to unit exponent.
-    """
-    forward = [P.copy() for P in period_maps]
-    backward = [np.linalg.inv(P) for P in period_maps]
-    q = 1
-    while q <= MAX_CERT_POWER:
-        worst = -np.inf
-        for P in forward + backward:
-            s = np.linalg.norm(P, ord=2)
-            if not np.isfinite(s):
-                worst = np.inf
-                break
-            worst = max(worst, 2.0 * math.log(max(s, 1e-300)) - eps_per_period * q)
-        if worst < 0.0:
-            return q, math.exp(worst)
-        forward = [P @ P for P in forward]
-        backward = [P @ P for P in backward]
-        q *= 2
-    raise TailCertificationError(
-        "no power up to "
-        f"{MAX_CERT_POWER} periods certifies decay; epsilon is too small for this cocycle"
-    )
-
-
-def _chunked_sum(steps: list[np.ndarray], eps: float, n0: int, q: int, rho: float,
-                 carried: float, tail_tol: float) -> tuple[np.ndarray, int, float, float]:
-    """One direction of a block's Gram series, summed in whole certified chunks.
-
-    steps are the K one-step maps in the order this direction applies them
-    and Z_n their n-step product; the series is exp(-eps n) Z_n^T Z_n over
-    n >= n0.  Periodicity gives Z_{j+tK} = Z_j R^t with R = Z_K, so period t
-    adds exp(-eps t K) (R^t)^T S R^t, S being the sum over the first period.
-    The powers R^t come by doubling, O(log horizon) array operations in all.
-    The sum stops after the first chunk of q periods whose trace times
-    rho/(1-rho) is at most tail_tol times the running trace, which starts
-    from carried.  Returns (gram, last n summed, running trace, tail bound).
-    """
-    K, mc = len(steps), steps[0].shape[0]
-    prods = [np.eye(mc)]
-    for A in steps:
-        prods.append(A @ prods[-1])
-    S = sum(math.exp(-eps * n) * (prods[n].T @ prods[n]) for n in range(n0, n0 + K))
-    R = prods[K]
-    # whole chunks that end at n <= MAX_GRAM_STEPS
-    max_periods = (MAX_GRAM_STEPS + 1 - n0) // (q * K) * q
-    pows = np.eye(mc)[None]
-    while True:
-        t = min(len(pows), max_periods) // q * q
-        if t:
-            weights = np.exp(-eps * K * np.arange(t))
-            SP = S @ pows[:t]
-            traces = weights * np.einsum("tji,tji->t", pows[:t], SP)
-            chunk_traces = traces.reshape(-1, q).sum(axis=1)
-            totals = carried + np.cumsum(chunk_traces)
-            tails = chunk_traces * rho / (1.0 - rho)
-            done = np.flatnonzero(tails <= tail_tol * totals)
-            if done.size:
-                c = int(done[0])
-                t = (c + 1) * q
-                G = np.einsum("tji,tjl->il", weights[:t, None, None] * pows[:t], SP[:t])
-                return G, n0 + t * K - 1, float(totals[c]), float(tails[c])
-        if len(pows) >= max_periods:
-            raise TailCertificationError("gram series did not settle within the step budget")
-        pows = np.concatenate([pows, pows @ (pows[-1] @ R)])[:max_periods]
-
-
 def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
                  tail_tol: float) -> list[tuple[np.ndarray, int, float]]:
     """Two-sided weighted Gram sums of one block, one per start phase.
 
     Sums exp(-eps |n|) Z_n^T Z_n where Z_n is the n-step block cocycle from
-    the start point, normalized by exp(-chi n).  The certificate bounds the
-    dropped tail in trace norm by the last summed chunk times rho/(1-rho).
-    Each time direction stops at tail_tol/2 of the running trace, so the two
-    tails together stay within tail_tol of the total.  Returns (gram,
-    horizon, tail bound relative to the trace) per start.
+    the start point, normalized by exp(-chi n).  Row s of a (2K, mc, mc)
+    stack is the forward series from phase s (n >= 0), row K + s the
+    backward one (n <= -1).  In either direction the product of the first
+    n + K steps is Z_{n+K} = Z_n R with R the one-period map, so each series is sum_t c^t (R^t)^T S R^t with c = exp(-eps K) and S the
+    sum over its first period.  Smith's doubling sums it: from G = S and
+    M = sqrt(c) R, each G <- G + M^T G M, M <- M M doubles the T periods
+    summed.  The dropped tail sum_{k>=1} (M^k)^T G M^k has trace at most
+    theta/(1-theta) tr G with theta = ||M||_2^2, so every row stops at
+    tail_tol/2 of its own trace and the two directions together stay within
+    tail_tol.  Returns (gram, horizon T K, tail bound relative to the trace)
+    per start.
     """
-    K = len(restrictions)
-    mc = restrictions[0].shape[0]
-    fwd = [math.exp(-chi) * restrictions[p] for p in range(K)]
-    bwd = [np.linalg.inv(f) for f in fwd]
-
-    period_maps = []
-    for p in range(K):
-        P = np.eye(mc)
-        for j in range(K):
-            P = fwd[(p + j) % K] @ P
-        period_maps.append(P)
-    q, rho = _decay_certificate(period_maps, eps * K)
-
-    out = []
-    for start in range(K):
-        G_f, n_f, total, tail_f = _chunked_sum(
-            [fwd[(start + j) % K] for j in range(K)], eps, 0, q, rho, 0.0, tail_tol / 2)
-        # the running trace carries over into the backward direction
-        G_b, n_b, total, tail_b = _chunked_sum(
-            [bwd[(start - 1 - j) % K] for j in range(K)], eps, 1, q, rho, total, tail_tol / 2)
-        G = G_f + G_b
-        out.append((0.5 * (G + G.T), max(n_f, n_b), (tail_f + tail_b) / max(total, 1e-300)))
-    return out
+    K, mc = len(restrictions), restrictions[0].shape[0]
+    fwd = math.exp(-chi) * np.stack(restrictions)
+    bwd = np.linalg.inv(fwd)
+    phase = np.arange(K)
+    n = np.arange(K + 1)
+    # forward rows sum n = 0..K-1, backward rows n = 1..K
+    weights = np.exp(-eps * n) * np.repeat([n < K, n > 0], K, axis=0)
+    Z = np.broadcast_to(np.eye(mc), (2 * K, mc, mc))
+    S = np.zeros((2 * K, mc, mc))
+    for j in range(K + 1):
+        S += weights[:, j, None, None] * (Z.transpose(0, 2, 1) @ Z)
+        if j < K:
+            Z = np.concatenate([fwd[(phase + j) % K], bwd[(phase - j - 1) % K]]) @ Z
+    G, M, T = S, math.exp(-eps * K / 2) * Z, 1
+    half = tail_tol / 2
+    # theta tr G bounds the entries of the next M^T G M and M M, so the
+    # doubling stops on an overflowing (inf) theta tr G before they can
+    with np.errstate(over="ignore"):
+        while True:
+            theta = np.linalg.norm(M, 2, axis=(1, 2)) ** 2
+            # theta / (1 - theta) <= tail_tol / 2 in every row
+            if np.all(theta <= half / (1.0 + half)):
+                break
+            if 2 * T * K > MAX_GRAM_STEPS or not np.all(
+                    np.isfinite(theta * np.trace(G, axis1=1, axis2=2))):
+                raise TailCertificationError(
+                    f"gram series not certified within the step budget {MAX_GRAM_STEPS}: "
+                    f"theta = {float(np.max(theta)):.3g} after {T * K} steps; "
+                    "epsilon is too small for this cocycle")
+            G = G + M.transpose(0, 2, 1) @ G @ M
+            M = M @ M
+            T *= 2
+    traces = np.trace(G, axis1=1, axis2=2)
+    rel_tails = (theta / (1.0 - theta) * traces).reshape(2, K).sum(0) / traces.reshape(2, K).sum(0)
+    G = G[:K] + G[K:]
+    return [(0.5 * (g + g.T), T * K, float(t)) for g, t in zip(G, rel_tails)]
 
 
 def lyapunov_frames(

@@ -1,12 +1,13 @@
 """Reference Gram series of one block, summed one orbit step at a time.
 
-This is the frame sum as the package took it before the chunk powers were
-built by doubling: every step n multiplies the block cocycle once more and
-adds exp(-eps |n|) Z_n^T Z_n, and after every chunk of q periods the decay
+This is the frame sum as the package took it before the series was summed
+by doubling: every step n multiplies the block cocycle once more and adds
+exp(-eps |n|) Z_n^T Z_n, and after every chunk of q periods a decay
 certificate decides whether to stop, each time direction at half the
-requested relative tail.  The tests check
-``orbitnf.cocycle._block_grams`` against it.  The step budget is read from
-``orbitnf.cocycle`` at call time, so a test that patches it there limits both.
+requested relative tail.  The certificate is kept here, so the reference
+shares no summation code with ``orbitnf.cocycle._block_grams``, which the
+tests check against it.  The step budget is read from ``orbitnf.cocycle`` at
+call time, so a test that patches it there limits both.
 """
 
 import math
@@ -14,7 +15,29 @@ import math
 import numpy as np
 
 from orbitnf import cocycle
-from orbitnf.cocycle import TailCertificationError, _decay_certificate
+from orbitnf.cocycle import TailCertificationError
+
+MAX_CERT_POWER = 256
+
+
+def decay_certificate(period_maps: list[np.ndarray], eps_per_period: float) -> tuple[int, float]:
+    """Smallest power-of-two q with weighted q-period growth below one.
+
+    Checks both time directions: max_p sigma_max(P_p^{+-q})^2 < exp(eps q K)
+    where P_p is the per-period product normalized to unit exponent.
+    Returns (q, rho), rho the largest weighted q-period growth.
+    """
+    forward = [P.copy() for P in period_maps]
+    backward = [np.linalg.inv(P) for P in period_maps]
+    q = 1
+    while q <= MAX_CERT_POWER:
+        worst = max(2.0 * math.log(np.linalg.norm(P, ord=2)) for P in forward + backward)
+        if worst < eps_per_period * q:
+            return q, math.exp(worst - eps_per_period * q)
+        forward = [P @ P for P in forward]
+        backward = [P @ P for P in backward]
+        q *= 2
+    raise TailCertificationError(f"no power up to {MAX_CERT_POWER} periods certifies decay")
 
 
 def block_gram(restrictions: list[np.ndarray], chi: float, eps: float, start: int,
@@ -31,7 +54,7 @@ def block_gram(restrictions: list[np.ndarray], chi: float, eps: float, start: in
         for j in range(K):
             P = fwd[(p + j) % K] @ P
         period_maps.append(P)
-    q, rho = _decay_certificate(period_maps, eps * K)
+    q, rho = decay_certificate(period_maps, eps * K)
     chunk_len = q * K
 
     G = np.zeros((mc, mc))

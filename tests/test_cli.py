@@ -276,6 +276,9 @@ class TestErrorExits:
         ("checks.flag.samples=2.5", "checks.flag.samples"),
         ("checks.centralizer.powers=3", "checks.centralizer.powers"),
         ("checks.centralizer.powers=[2, 0]", "checks.centralizer.powers"),
+        ("checks.residual.exact_tol=Infinity", "checks.residual.exact_tol"),
+        ("checks.sandwich.tol=NaN", "checks.sandwich.tol"),
+        ("checks.oracle.tol=\"small\"", "checks.oracle.tol"),
     ])
     def test_malformed_check_parameter_exit_2(self, override, key, tmp_path, capsys):
         code = main(["run", "resonant2", "--out-dir", str(tmp_path),
@@ -291,6 +294,34 @@ class TestErrorExits:
             "chart": {"enabled": True, "points": points}}}))
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "checks.chart.points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, key", [
+        ("series_tol=Infinity", "series_tol"),
+        ("resonance_tol=Infinity", "resonance_tol"),
+        ("tail_tol=Infinity", "tail_tol"),
+        ("cluster_tol=Infinity", "cluster_tol"),
+        ("epsilon=NaN", "epsilon"),
+    ])
+    def test_non_finite_tolerance_exit_2(self, override, key, tmp_path, capsys):
+        code = main(["run", "koenigs_period2", "--out-dir", str(tmp_path),
+                     "--tol-override", override])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_check_tol_fails_the_check(self, tmp_path, capsys):
+        # a negative tol stays valid: it makes the check fail on purpose
+        code = main(["run", "resonant2", "--out-dir", str(tmp_path),
+                     "--tol-override", "checks.sandwich.tol=-1.0"])
+        assert code == 1
+        assert "sandwich" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_non_string_out_dir_exit_2(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "resonant2", "out_dir": 5}))
+        assert main([command, str(cfg)]) == 2
+        assert "out_dir" in capsys.readouterr().err
 
     def test_failing_check_named_exit_1(self, tmp_path, capsys):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),
@@ -394,6 +425,14 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         for name in CHECK_ORDER:
             assert f"{name}:" in text
+
+    def test_run_and_verify_share_the_config_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "from_config"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "resonant2", "out_dir": str(out)}))
+        assert main(["run", str(cfg)]) == 0
+        assert (out / "report.json").exists()
+        assert main(["verify", str(cfg)]) == 0
 
     def test_verify_missing_report_exit_2(self, tmp_path, capsys):
         code = main(["verify", "koenigs", "--out-dir", str(tmp_path)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from orbitnf.cocycle import (
     OrbitCocycle,
     TailCertificationError,
     _block_grams,
-    _decay_certificate,
     finite_time_exponents,
     log_envelopes,
     lyapunov_frames,
@@ -44,6 +44,12 @@ def linear_cocycle(matrices, block_dims=None):
 def scalar_closed_form(eps):
     # sum over all integers of exp(-eps |n|)
     return 2.0 / (1.0 - math.exp(-eps)) - 1.0
+
+
+def kronecker_gram(S, R, c):
+    """Solution G of G = S + c R^T G R, the full one-direction series of a K = 1 block."""
+    m = len(S)
+    return np.linalg.solve(np.eye(m * m) - c * np.kron(R.T, R.T), S.ravel()).reshape(m, m)
 
 
 class TestOrbitCocycle:
@@ -236,6 +242,26 @@ class TestLyapunovFrames:
         assert frames[0].tail_bound <= 1e-10
         assert frames[0].horizon > 10
 
+    @pytest.mark.parametrize("shear", [1.0, 10.0, 100.0])
+    def test_slow_jordan_blocks_certified(self, shear):
+        # at eps = 0.02 the weighted period map first contracts after ~1000
+        # periods, past the 256 a fixed decay certificate allowed
+        eps = 0.02
+        A = np.array([[math.exp(-1.0), shear], [0.0, math.exp(-1.0)]])
+        c = linear_cocycle([A])
+        spec, bases = monodromy_spectrum(c, epsilon=eps)
+        frames = lyapunov_frames(c, spec, bases)
+        rep = sandwich_check(c, spec, frames)
+        assert rep.max_violation <= 1e-8
+        assert rep.keps_ok and rep.passed
+        R = math.exp(-spec.exponents[0]) * A
+        R_inv = np.linalg.inv(R)
+        G = (kronecker_gram(np.eye(2), R, math.exp(-eps))
+             + kronecker_gram(math.exp(-eps) * R_inv.T @ R_inv, R_inv, math.exp(-eps)))
+        B_inv = np.linalg.inv(frames[0].basis)
+        expected = B_inv.T @ (2.0 * G) @ B_inv
+        assert np.max(np.abs(frames[0].gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_zero_epsilon_rejected(self):
         c = linear_cocycle([np.array([[0.5]])])
         spec, bases = monodromy_spectrum(c, epsilon=0.05)
@@ -272,12 +298,16 @@ def jordan_block(shear):
 def assert_grams_match_reference(restrictions, chi, eps, tail_tol=1e-12):
     grams = _block_grams(restrictions, chi, eps, tail_tol)
     assert len(grams) == len(restrictions)
+    K = len(restrictions)
     for start, (G, horizon, tail) in enumerate(grams):
-        G_ref, horizon_ref, tail_ref = gram_reference.block_gram(
-            restrictions, chi, eps, start, tail_tol)
-        assert horizon == horizon_ref
-        assert np.max(np.abs(G - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
-        assert abs(tail - tail_ref) <= 1e-12 * tail_ref
+        G_ref, _, tail_ref = gram_reference.block_gram(restrictions, chi, eps, start, tail_tol)
+        # T periods summed by doubling, T a power of two
+        assert horizon % K == 0 and (horizon // K).bit_count() == 1
+        assert 0.0 < tail <= tail_tol
+        # both sums fall short of the full series by at most their certified
+        # tails (relative to the trace), up to rounding of the stepwise sum
+        gap = np.max(np.abs(G - G_ref))
+        assert gap <= (tail + tail_ref) * np.trace(G_ref) + 1e-13 * np.max(np.abs(G_ref))
     return grams
 
 
@@ -292,21 +322,25 @@ class TestBlockGrams:
     @pytest.mark.parametrize("shear,q", [(1.0, 128), (3.0, 256), (10.0, 256)])
     def test_jordan_blocks_with_long_chunks(self, shear, q):
         restrictions = jordan_block(shear)
-        assert _decay_certificate([math.exp(1.0) * restrictions[0]], 0.1)[0] == q
-        ((_, horizon, _),) = assert_grams_match_reference(restrictions, -1.0, 0.1)
-        assert horizon >= q
+        assert gram_reference.decay_certificate([math.exp(1.0) * restrictions[0]], 0.1)[0] == q
+        assert_grams_match_reference(restrictions, -1.0, 0.1)
 
     def test_step_budget_raises_in_both(self, monkeypatch):
         restrictions = skewed_block_cocycle(np.random.default_rng(5), 2, 3, chi=-0.5)
-        horizons = [h for _, h, _ in _block_grams(restrictions, -0.5, 0.05, 1e-12)]
-        # a budget of exactly the longest horizon still settles every start ...
-        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(horizons))
-        assert_grams_match_reference(restrictions, -0.5, 0.05)
-        # ... one step less does not, in either implementation
-        start = int(np.argmax(horizons))
-        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(horizons) - 1)
-        with pytest.raises(TailCertificationError):
+        # every start doubles to the same number of periods
+        (horizon,) = {h for _, h, _ in _block_grams(restrictions, -0.5, 0.05, 1e-12)}
+        ref_horizons = [gram_reference.block_gram(restrictions, -0.5, 0.05, start, 1e-12)[1]
+                        for start in range(3)]
+        # a budget of exactly the horizon still settles ...
+        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", horizon)
+        _block_grams(restrictions, -0.5, 0.05, 1e-12)
+        # ... half of it does not, as the last doubling would pass it
+        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", horizon // 2)
+        with pytest.raises(TailCertificationError, match=f"step budget {horizon // 2}"):
             _block_grams(restrictions, -0.5, 0.05, 1e-12)
+        # the stepwise reference settles on its own horizon, not one step less
+        start = int(np.argmax(ref_horizons))
+        monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(ref_horizons) - 1)
         with pytest.raises(TailCertificationError):
             gram_reference.block_gram(restrictions, -0.5, 0.05, start, 1e-12)
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", 10)
@@ -314,6 +348,18 @@ class TestBlockGrams:
             _block_grams(jordan_block(1.0), -1.0, 0.1, 1e-12)
         with pytest.raises(TailCertificationError):
             gram_reference.block_gram(jordan_block(1.0), -1.0, 0.1, 0, 1e-12)
+
+    def test_epsilon_below_cluster_spread_raises(self):
+        # one cluster with exponents -1 +- 0.01: at eps = 0.005 the weighted
+        # period map grows in both time directions, so theta never falls below 1
+        restrictions = [np.diag([math.exp(-0.99), math.exp(-1.01)])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailCertificationError) as info:
+                _block_grams(restrictions, -1.0, 0.005, 1e-12)
+        message = str(info.value)
+        assert "theta = " in message
+        assert f"step budget {cocycle_module.MAX_GRAM_STEPS}" in message
 
 
 class TestSandwich:
