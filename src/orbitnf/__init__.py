@@ -36,7 +36,6 @@ _EXPORTS = {
         "NonContractingError",
         "OrbitCocycle",
         "TailCertificationError",
-        "finite_time_exponents",
         "lyapunov_frames",
         "monodromy_spectrum",
         "sandwich_check",

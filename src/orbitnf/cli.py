@@ -240,6 +240,8 @@ _CHECK_PARAMS = (
      "a list of at least two distinct positive numbers"),
     ("residual", "samples", lambda v: _is_int(v, 1), "an integer >= 1"),
     ("flag", "samples", lambda v: _is_int(v, 1), "an integer >= 1"),
+    ("flag", "radius", lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
+    ("gauge", "delta", lambda v: _is_number(v) and v != 0.0, "a finite nonzero number"),
     ("centralizer", "powers",
      lambda v: isinstance(v, list) and all(_is_int(p, 1) for p in v),
      "a list of integers >= 1"),

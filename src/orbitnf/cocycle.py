@@ -13,7 +13,7 @@ doubling until the squared norm of the doubled map bounds the dropped tail
 below a requested tolerance.  Under that inner product one step of the
 cocycle moves block i vectors by a factor inside [exp(chi_i - eps),
 exp(chi_i + eps)], the paper's proof that the twisted transfer contracts;
-the solver takes that contraction from exact transfer norms instead.  The
+the solver bounds its tail by norms of the transfer itself instead.  The
 sandwich check tests the n-step version of that bound exactly: the extreme
 singular values of every frame-weighted n-step block map, taken in one
 batched SVD per block.
@@ -47,15 +47,14 @@ class TailCertificationError(RuntimeError):
 class OrbitCocycle:
     """Fiber maps F_0, ..., F_{K-1} over a length-K orbit.
 
-    Map k sends the fiber at orbit point k to the fiber at point k+1 (mod K
-    when periodic).  All maps share one graded coordinate space, fix the
-    origin, and have invertible linear parts.  The linear parts are
-    extracted once and handed out as read-only arrays.
+    Map k sends the fiber at orbit point k to the fiber at point k+1 (mod K).
+    All maps share one graded coordinate space, fix the origin, and have
+    invertible linear parts.  The linear parts are extracted once and handed
+    out as read-only arrays.
     """
 
     space: GradedSpace
     fiber_maps: tuple[PolyMap, ...]
-    periodic: bool = True
 
     def __post_init__(self):
         self.fiber_maps = tuple(self.fiber_maps)
@@ -83,23 +82,14 @@ class OrbitCocycle:
     def degree(self) -> int:
         return max(pm.degree for pm in self.fiber_maps)
 
-    def _index(self, k: int) -> int:
-        if self.periodic:
-            return k % self.period
-        if not 0 <= k < self.period:
-            raise IndexError(f"step {k} outside the stored orbit window")
-        return k
-
     def map_at(self, k: int) -> PolyMap:
-        return self.fiber_maps[self._index(k)]
+        return self.fiber_maps[k % self.period]
 
     def linear(self, k: int) -> np.ndarray:
-        return self._linears[self._index(k)]
+        return self._linears[k % self.period]
 
     def monodromy(self, base: int = 0) -> np.ndarray:
         """Product of the linear parts over one period, starting at base."""
-        if not self.periodic:
-            raise ValueError("monodromy requires a periodic cocycle")
         return self.linear_iterate(base, self.period)
 
     def linear_iterate(self, base: int, n: int) -> np.ndarray:
@@ -117,15 +107,16 @@ class OrbitCocycle:
     def to_dict(self) -> dict:
         return {
             "block_dims": list(self.space.block_dims),
-            "periodic": self.periodic,
             "fiber_maps": [pm.to_dict() for pm in self.fiber_maps],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "OrbitCocycle":
+        if data.get("periodic", True) is not True:
+            raise ValueError("cocycle key 'periodic' must be true: only periodic "
+                             "orbits are supported")
         space = GradedSpace(tuple(data["block_dims"]))
-        maps = tuple(PolyMap.from_dict(d) for d in data["fiber_maps"])
-        return cls(space, maps, bool(data.get("periodic", True)))
+        return cls(space, tuple(PolyMap.from_dict(d) for d in data["fiber_maps"]))
 
 
 def _cluster_chain(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -213,8 +204,6 @@ def monodromy_spectrum(
     for every orbit point, an orthonormal basis matrix whose column blocks
     span the splitting, transported by the cocycle with per-block QR.
     """
-    if not cocycle.periodic:
-        raise ValueError("spectrum extraction requires a periodic cocycle")
     K = cocycle.period
     M = cocycle.monodromy(0)
     eigs = np.linalg.eigvals(M)
@@ -253,27 +242,6 @@ def monodromy_spectrum(
             cols.append(_qr_positive(A @ prev[:, sl]))
         bases.append(np.hstack(cols))
     return spectrum, tuple(bases)
-
-
-def finite_time_exponents(cocycle: OrbitCocycle, horizon: int, base: int = 0) -> np.ndarray:
-    """QR-accumulated finite-time Lyapunov exponents, sorted ascending."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if not cocycle.periodic and base + horizon > cocycle.period:
-        raise ValueError("horizon exceeds the stored orbit window")
-    m = cocycle.dim
-    Q = np.eye(m)
-    acc = np.zeros(m)
-    for j in range(horizon):
-        Z = cocycle.linear(base + j) @ Q
-        Q, R = np.linalg.qr(Z)
-        d = np.diag(R)
-        if np.any(d == 0.0):
-            raise NonContractingError("degenerate pushforward in QR accumulation")
-        acc += np.log(np.abs(d))
-        sgn = np.sign(d)
-        Q = Q * sgn
-    return np.sort(acc / horizon)
 
 
 @dataclass(eq=False)
@@ -405,8 +373,6 @@ def lyapunov_frames(
     """
     if spectrum.epsilon <= 0.0:
         raise ValueError("frames need a positive epsilon")
-    if not cocycle.periodic:
-        raise ValueError("frames are built over a periodic cocycle")
     if len(bases) != cocycle.period:
         raise ValueError("need one basis per orbit point")
     space = GradedSpace(spectrum.multiplicities)

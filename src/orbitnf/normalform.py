@@ -17,7 +17,7 @@ c -> mask * (Ainv_k @ c @ subst_k) where subst_k is the monomial substitution
 matrix of A_k and mask keeps non-admissible slots.  With block-diagonal A_k
 this factors by type: the slots of type (i, s) move among themselves as
 X -> Ainv_k[i] X subst_k[s], the paper's per-type operator, and the series
-certificate and the dense oracle work type by type.
+and the dense oracle work type by type.
 
 One loop, ``_degree_loop``, runs the recursion on jet stacks of the
 conjugators and normal forms.  Each degree assembles all its sources in one
@@ -26,8 +26,9 @@ adds the admissible part of the lift, and finishes in coefficient space:
 term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose admissible part
 is P_n(k) and whose rest must vanish.  Three transfer solvers plug into it:
 
-* the transported series (``solve_normal_form``), truncated once a power of
-  the one-period transfer certifies a contraction, which bounds the tail;
+* the transported series (``solve_normal_form``): per type, a geometric
+  series in the one-period transfer, summed by Smith's doubling until the
+  norms of the doubled factors bound the dropped tail;
 * the dense oracle ``verify.direct_solve_oracle``, one linear solve;
 * the sweep of ``solve_window`` along finite orbit windows from a zero
   terminal condition, a suffix scan composed by doubling.  It accepts
@@ -53,7 +54,6 @@ from .polymap import (GradedSpace, PolyMap, _fit, _linear_jets, _mono_table, _po
                       admissible_mask, compose_jets, degree_cols, jet_width, stack_jets,
                       top_degree)
 
-MAX_SERIES_CERT_POWER = 64
 # a window sweep whose norm outgrows its sources by this factor has diverged
 WINDOW_GROWTH_GUARD = 1e9
 # the window scan doubles inside chunks of at most this many steps, so no
@@ -90,8 +90,8 @@ class _DegreeOperator:
 
     With block-diagonal A_k, subst_k maps the monomials of each block degree
     s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
-    X -> Ainv_k[i] X subst_k[s].  The series certificate and the dense oracle
-    use these blocks; ``apply`` keeps the full product.  A window operator
+    X -> Ainv_k[i] X subst_k[s].  The series and the dense oracle use these
+    blocks; ``apply`` keeps the full product.  A window operator
     holds block-triangular (flag-preserving) linear parts of shape
     (W, P, m, m), one per step and window, and ainvs and substs keep those
     leading axes.
@@ -118,11 +118,6 @@ class _DegreeOperator:
             pass
         self.substs = substs.reshape(self.linears.shape[:-2] + substs.shape[1:])
 
-    @cached_property
-    def certificate(self) -> tuple[int, float]:
-        """``_series_certificate`` over one period of the linear parts, computed once."""
-        return _series_certificate(self, len(self.linears))
-
     def apply(self, k: int, c: np.ndarray) -> np.ndarray:
         """Masked transfer of a coefficient array through step k."""
         return self.mask * (self.ainvs[k] @ c @ self.substs[k])
@@ -132,107 +127,80 @@ class _DegreeOperator:
         return self.mask * (self.ainvs @ (self.mask * s_vecs))
 
 
-def _series_certificate(op: _DegreeOperator, period: int) -> tuple[int, float]:
-    """Smallest power-of-two q with every q-period transfer norm below one.
+def _rebalance(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each pair (L, M) of two stacks by 2^-e and 2^e, which leaves L X M exact.
 
-    Over one period from point p a type (i, s) moves as X -> A X S with
-    A = Ainv_p[i] Ainv_{p+1}[i] ... and S = ... subst_{p+1}[s] subst_p[s], the
-    Kronecker product of A and S^T, whose norm is ||A||_2 ||S||_2.  A depends
-    only on i and S^T = subst_p[s]^T subst_{p+1}[s]^T ... only on s, so each
-    factor is formed once, in one stack per kind and size, and rho is the
-    largest product of two factor norms over types and phases.  As no type
-    feeds another, the maximum is exact.  Powers whose entries overflow give
-    rho = inf and stop the search at once.
+    e halves the gap between the binary exponents of their largest entries,
+    so a long product of expanding L and contracting M stays in float range.
     """
-    mats = (op.ainvs[:period], np.swapaxes(op.substs[:period], -1, -2))
-    keys = [((0, tuple(range(rows.start, rows.stop))), (1, tuple(cols)))
-            for rows, cols in op.types]
-    factors = list(dict.fromkeys(key for pair in keys for key in pair))
-    pairs = np.array([[factors.index(key) for key in pair] for pair in keys],
-                     dtype=int).reshape(-1, 2)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for f, (kind, idx) in enumerate(factors):
-        groups.setdefault((kind, len(idx)), []).append(f)
-    stacks = []
-    for (kind, _), members in groups.items():
-        idx = np.array([factors[f][1] for f in members])
-        X = mats[kind][:, idx[:, :, None], idx[:, None, :]]
-        P = X
-        for j in range(1, period):
-            P = P @ X[(np.arange(period) + j) % period]
-        stacks.append((members, P))
-    norms = np.empty((len(factors), period))
-    q = 1
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for members, P in stacks:
-                finite = np.isfinite(P).all(axis=(-2, -1))
-                P = np.where(finite[..., None, None], P, 0.0)
-                norms[members] = np.where(finite, np.linalg.norm(P, ord=2, axis=(-2, -1)),
-                                          np.inf).T
-            # an infinite norm times an underflowed zero is still no contraction
-            rho = float(np.nan_to_num(norms[pairs[:, 0]] * norms[pairs[:, 1]], nan=np.inf)
-                        .max(initial=0.0))
-            if rho < 1.0:
-                return q, rho
-            if not np.isfinite(rho) or 2 * q > MAX_SERIES_CERT_POWER:
+    e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
+         - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
+    return np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
+
+
+def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
+            max_terms: int) -> tuple[np.ndarray, dict]:
+    """Fixed point H(k) = Q(k) + Phi_k(H(k+1)) around the orbit, by Smith's doubling.
+
+    A type (i, s) moves alone, X -> Ainv_k[i] X subst_k[s], so from phase p
+    its part of H is sum_t A^t G B^t with G the first-period sum, A =
+    Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
+    The types are stacked, zero-padded to one shape, and every step
+    G <- G + A G B, A <- A A, B <- B B doubles the T periods summed.  The
+    dropped tail sum_{j>=1} A^j G B^j of a type has norm at most
+    rho/(1-rho) ||G||_F with rho = ||A||_F ||B||_F, so the doubling stops once
+    the root sum of squares of those bounds over the types is within
+    series_tol * max(1, ||H(p)||_F) at every phase p (NaN never passes).  A
+    non-finite rho ||G||_F or ||H(p)||_F, which the next step would overflow,
+    raises SeriesStagnationError; more than max_terms terms, at the first
+    period or at a doubling, raise SeriesBudgetError.
+    """
+    K = len(q_vecs)
+    info = {"short_circuit": not q_vecs.any(), "series_terms": 0, "tail_bound": 0.0}
+    if info["short_circuit"]:
+        return np.zeros_like(q_vecs), info
+    sizes = [(rows.stop - rows.start, len(cols)) for rows, cols in op.types]
+    d, c = np.max(sizes, axis=0)
+    Q = np.zeros((len(sizes), K, d, c))
+    X = np.zeros((len(sizes), K, d, d))
+    Y = np.zeros((len(sizes), K, c, c))
+    for t, ((rows, cols), (dt, ct)) in enumerate(zip(op.types, sizes)):
+        Q[t, :, :dt, :ct] = q_vecs[:, rows, cols]
+        X[t, :, :dt, :dt] = op.ainvs[:, rows, rows]
+        Y[t, :, :ct, :ct] = op.substs[:, cols[:, None], cols]
+    nxt = (np.arange(K) + 1) % K
+    G, A, B = Q, X, Y
+    for _ in range(K - 1):
+        G = Q + X @ G[:, nxt] @ Y
+        A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
+    T = 1
+    with np.errstate(all="ignore"):
+        while True:
+            rho = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
+            g = np.linalg.norm(G, axis=(-2, -1))
+            h = np.linalg.norm(g, axis=0)
+            if not (np.all(np.isfinite(rho * g)) and np.all(np.isfinite(h))):
                 raise SeriesStagnationError(
                     f"transported series for degree {op.n} has no certified "
-                    f"contraction: the {q}-period transfer norm is rho = {rho:.3g} "
-                    f"(at most {MAX_SERIES_CERT_POWER} periods tried); epsilon and "
-                    "spectrum are inconsistent with this cocycle"
-                )
-            stacks = [(members, P @ P) for members, P in stacks]
-        q *= 2
-
-
-def _run_series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
-                max_terms: int, period: int) -> tuple[np.ndarray, dict]:
-    info = {
-        "short_circuit": False,
-        "series_terms": 0,
-        "certificate_q": None,
-        "certificate_rho": None,
-        "tail_bound": 0.0,
-        "measured_period_ratio": None,
-    }
-    if not q_vecs.any():
-        info["short_circuit"] = True
-        return np.zeros_like(q_vecs), info
-
-    q_cert, rho = op.certificate
-    info["certificate_q"] = q_cert
-    info["certificate_rho"] = rho
-    chunk_len = q_cert * period
-    nxt = (np.arange(period) + 1) % period
-
+                    f"contraction: the {T}-period transfer norm reached "
+                    f"rho = {float(np.max(rho)):.3g}; epsilon and spectrum are "
+                    "inconsistent with this cocycle")
+            bound = np.where(rho < 1.0, rho / (1.0 - rho), np.inf) * g
+            tail = np.linalg.norm(bound, axis=0)
+            if T * K <= max_terms and np.all(tail <= series_tol * np.maximum(1.0, h)):
+                break
+            if 2 * T * K > max_terms:
+                raise SeriesBudgetError(
+                    f"series for degree {op.n} did not settle within {max_terms} "
+                    f"terms (rho = {float(np.max(rho)):.3g} after {T * K})")
+            G = G + A @ G @ B
+            A, B = _rebalance(A @ A, B @ B)
+            T *= 2
     H = np.zeros_like(q_vecs)
-    terms = np.empty((chunk_len,) + q_vecs.shape)  # the current chunk, normed at its end
-    terms[0] = q_vecs
-    prev_chunk = None
-    n_terms = 0
-    while True:
-        term = terms[n_terms % chunk_len]
-        H += term
-        n_terms += 1
-        if n_terms % chunk_len == 0:
-            chunk = np.linalg.norm(terms, axis=(-2, -1)).sum(axis=0)
-            tail = float(chunk.max()) * rho / (1.0 - rho)
-            scale = max(1.0, float(np.linalg.norm(H, axis=(-2, -1)).max()))
-            if tail <= series_tol * scale:
-                info["series_terms"] = n_terms
-                info["tail_bound"] = tail
-                if prev_chunk is not None and (prev_chunk > 0.0).any():
-                    seen = prev_chunk > 0.0
-                    ratio = float((chunk[seen] / prev_chunk[seen]).max())
-                    info["measured_period_ratio"] = ratio ** (1.0 / q_cert)
-                return H, info
-            prev_chunk = chunk
-        if n_terms > max_terms:
-            raise SeriesBudgetError(
-                f"series for degree {op.n} did not settle within {max_terms} terms"
-            )
-        terms[n_terms % chunk_len] = op.mask * (op.ainvs @ term[nxt] @ op.substs)
+    for t, ((rows, cols), (dt, ct)) in enumerate(zip(op.types, sizes)):
+        H[:, rows, cols] = G[t, :, :dt, :ct]
+    info.update(series_terms=T * K, tail_bound=float(tail.max()))
+    return H, info
 
 
 @dataclass(eq=False)
@@ -244,8 +212,8 @@ class SolverContext:
     to 1e-12 relative) and their block sizes must match the spectrum
     multiplicities.  That is what splits the degree operators type by type.
 
-    The solve takes its contraction from exact per-type operator norms, not
-    from the Lyapunov frames: ``frames`` builds them from ``bases`` and
+    The solve bounds its series tails by per-type transfer norms, not by
+    the Lyapunov frames: ``frames`` builds them from ``bases`` and
     ``tail_tol`` on first read, for the sandwich check and the report.
     """
 
@@ -260,8 +228,6 @@ class SolverContext:
     lift_policy: LiftPolicy | None = None
 
     def __post_init__(self):
-        if not self.cocycle.periodic:
-            raise ValueError("the periodic solver needs a periodic cocycle")
         if self.order < max(1, self.structure.degree_bound):
             raise ValueError(
                 f"order {self.order} is below the degree bound {self.structure.degree_bound}"
@@ -304,8 +270,8 @@ class SolverContext:
     def with_lift(self, lift_policy: LiftPolicy | None) -> "SolverContext":
         """The same problem under another lift policy.
 
-        The degree operators and their certificates depend only on the
-        cocycle and the structure, so the new context shares them.
+        The degree operators depend only on the cocycle and the structure,
+        so the new context shares them.
         """
         other = replace(self, lift_policy=lift_policy)
         other._operators = self._operators
@@ -444,7 +410,7 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
     K = ctx.cocycle.period
 
     def series(op, q_vecs):
-        h_vecs, info = _run_series(op, q_vecs, ctx.series_tol, ctx.max_series_terms, K)
+        h_vecs, info = _series(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
         info["contraction_factor"] = contraction_factor(ctx.spectrum, op.n)
         return h_vecs, info
 
@@ -493,10 +459,7 @@ def _window_sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, 
             while s < n:
                 Rc[:n - s] += np.where(op.mask, L[:n - s] @ Rc[s:] @ M[:n - s], 0.0)
                 if 2 * s < n:
-                    L, M = L[:n - 2 * s] @ L[s:n - s], M[s:n - s] @ M[:n - 2 * s]
-                    e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
-                         - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
-                    L, M = np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
+                    L, M = _rebalance(L[:n - 2 * s] @ L[s:n - s], M[s:n - s] @ M[:n - 2 * s])
                 s *= 2
         norms = np.linalg.norm(R, axis=(-2, -1))
         q_scale = np.maximum(1.0, np.linalg.norm(q_vecs, axis=(-2, -1)).max(axis=0))

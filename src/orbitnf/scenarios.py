@@ -136,11 +136,11 @@ def random_cocycle(rng: np.random.Generator, exponents, dims, period: int, *,
 def build_builtin(name: str, seed: int = 0) -> Scenario:
     if name == "koenigs":
         cocycle = _scalar_cocycle([{1: 0.5, 2: 0.1}])
-        config = _base_config(name, 0.05, 6, series_tol=1e-15, seed=seed,
+        config = _base_config(name, 0.05, 6, seed=seed,
                               chart_points=([0.05], [-0.05], [0.02], [-0.02]))
     elif name == "koenigs_period2":
         cocycle = _scalar_cocycle([{1: 0.5, 2: 0.1}, {1: 0.4}])
-        config = _base_config(name, 0.05, 5, series_tol=1e-15, seed=seed,
+        config = _base_config(name, 0.05, 5, seed=seed,
                               chart_points=([0.03], [-0.03]))
     elif name == "resonant2":
         cocycle = _two_block_cocycle({

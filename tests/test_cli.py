@@ -211,19 +211,19 @@ class TestGaugeCheck:
         gauge_cfg, seed = config["checks"]["gauge"], int(config["rng_seed"])
         calls = []
 
-        def counted(op, period, _fn=normalform._series_certificate):
-            calls.append(op.n)
-            return _fn(op, period)
+        class Counted(normalform._DegreeOperator):
+            def __init__(self, space, structure, n, linears):
+                calls.append(n)
+                super().__init__(space, structure, n, linears)
 
-        monkeypatch.setattr(normalform, "_series_certificate", counted)
+        monkeypatch.setattr(normalform, "_DegreeOperator", Counted)
         ctx = cli._prepare_context(cocycle, config)
         result = solve_normal_form(ctx)
-        first = list(calls)
+        assert calls == list(range(2, ctx.order + 1))
         details, passed = cli._check_gauge(ctx, result, cocycle, config, gauge_cfg, seed)
         assert passed
-        # the lifted solve certifies only degrees the first solve short-circuited
-        assert not set(calls[len(first):]) & set(first)
-        assert len(calls) == len(set(calls))
+        # the lifted solve builds no operator of its own
+        assert calls == list(range(2, ctx.order + 1))
         # the same details as a context that has solved nothing
         fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result,
                                     cocycle, config, gauge_cfg, seed)
@@ -279,6 +279,10 @@ class TestErrorExits:
         ("checks.residual.exact_tol=Infinity", "checks.residual.exact_tol"),
         ("checks.sandwich.tol=NaN", "checks.sandwich.tol"),
         ("checks.oracle.tol=\"small\"", "checks.oracle.tol"),
+        ("checks.flag.radius=Infinity", "checks.flag.radius"),
+        ("checks.flag.radius=0", "checks.flag.radius"),
+        ("checks.gauge.delta=Infinity", "checks.gauge.delta"),
+        ("checks.gauge.delta=0", "checks.gauge.delta"),
     ])
     def test_malformed_check_parameter_exit_2(self, override, key, tmp_path, capsys):
         code = main(["run", "resonant2", "--out-dir", str(tmp_path),
@@ -372,7 +376,7 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "scenario": scenario, "name": "inline_test",
-            "epsilon": 0.05, "order": 4, "series_tol": 1e-15}))
+            "epsilon": 0.05, "order": 4}))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())

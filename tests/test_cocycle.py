@@ -17,7 +17,6 @@ from orbitnf.cocycle import (
     OrbitCocycle,
     TailCertificationError,
     _block_grams,
-    finite_time_exponents,
     log_envelopes,
     lyapunov_frames,
     monodromy_spectrum,
@@ -75,13 +74,14 @@ class TestOrbitCocycle:
         assert np.allclose(back @ fwd, np.eye(2), atol=1e-12)
         assert np.allclose(c.linear_iterate(1, -1), np.linalg.inv(A0), atol=1e-13)
 
-    def test_aperiodic_window(self):
+    def test_aperiodic_dict_rejected(self):
         c = linear_cocycle([np.diag([0.5, 0.5])])
-        c = OrbitCocycle(c.space, c.fiber_maps, periodic=False)
-        with pytest.raises(IndexError):
-            c.linear(1)
-        with pytest.raises(ValueError):
-            c.monodromy()
+        assert c.linear(3) is c.linear(0)
+        d = c.to_dict()
+        assert "periodic" not in d
+        assert OrbitCocycle.from_dict(dict(d, periodic=True)).period == 1
+        with pytest.raises(ValueError, match="periodic"):
+            OrbitCocycle.from_dict(dict(d, periodic=False))
 
     def test_serialization_roundtrip(self):
         c = linear_cocycle([np.diag([0.2, 0.5]), np.diag([0.3, 0.6])], block_dims=(1, 1))
@@ -172,31 +172,6 @@ class TestMonodromySpectrum:
         spec, bases = monodromy_spectrum(c, epsilon=0.05, cluster_tol=1e-6)
         assert spec.multiplicities == (2,)
         assert spec.exponents[0] == pytest.approx(math.log(0.5), abs=1e-9)
-
-
-class TestFiniteTimeExponents:
-    def test_diagonal_exact(self):
-        c = linear_cocycle([np.diag([0.5, 0.5])])
-        ex = finite_time_exponents(c, 10)
-        assert np.allclose(ex, [math.log(0.5)] * 2, atol=1e-14)
-
-    def test_period2_converges(self):
-        c = linear_cocycle([np.diag([0.2, 0.5]), np.diag([0.3, 0.6])])
-        ex = finite_time_exponents(c, 200)
-        assert np.allclose(ex, [math.log(0.06) / 2, math.log(0.30) / 2], atol=5e-3)
-
-    def test_rotated_jordan_converges(self):
-        J = np.array([[math.exp(-1.0), 1.0], [0.0, math.exp(-1.0)]])
-        Q = rotation(0.3)
-        c = linear_cocycle([Q @ J @ Q.T])
-        ex = finite_time_exponents(c, 400)
-        assert np.allclose(ex, [-1.0, -1.0], atol=2e-2)
-
-    def test_aperiodic_bound(self):
-        c = linear_cocycle([np.diag([0.5, 0.5])])
-        c = OrbitCocycle(c.space, c.fiber_maps, periodic=False)
-        with pytest.raises(ValueError):
-            finite_time_exponents(c, 2)
 
 
 class TestLyapunovFrames:

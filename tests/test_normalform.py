@@ -14,14 +14,13 @@ from orbitnf import normalform
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
-    MAX_SERIES_CERT_POWER,
     NormalFormResult,
+    SeriesBudgetError,
     SeriesStagnationError,
     SolverContext,
     _degree_loop,
     _DegreeOperator,
-    _run_series,
-    _series_certificate,
+    _series,
     _source_vecs,
     _window_sweep,
     solve_homogeneous_degree,
@@ -113,7 +112,7 @@ def dense_certificate(op, period):
             P = P @ phis[(p + j) % period]
         psis.append(P)
     q = 1
-    while q <= MAX_SERIES_CERT_POWER:
+    while q <= transfer_reference.MAX_SERIES_CERT_POWER:
         rho = max(float(np.linalg.norm(P, ord=2)) for P in psis)
         if rho < 1.0:
             return q, rho
@@ -152,7 +151,7 @@ def sheared_operator(period, n):
 
     The fast blocks of different steps do not commute, so the order of the
     one-period product matters, and the shear makes some one-period norms
-    exceed one, so the certificate needs q > 1.
+    exceed one, so the reference certificate needs q > 1.
     """
     space = GradedSpace((2, 1))
     structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.05))
@@ -239,7 +238,7 @@ class TestTypedOperator:
         qs = []
         for n in (2, 3, 4):
             op = sheared_operator(period, n)
-            q, rho = _series_certificate(op, period)
+            q, rho = transfer_reference.series_certificate(op, period)
             q_ref, rho_ref = dense_certificate(op, period)
             assert q == q_ref
             assert abs(rho - rho_ref) <= 1e-14 * rho_ref
@@ -254,35 +253,51 @@ class TestTypedOperator:
         op = _DegreeOperator(space, structure, 1,
                              [0.4 * rotation(0.7), 0.3 * rotation(-0.2)])
         assert op.types == [] and not op.mask.any()
-        assert _series_certificate(op, 2) == (1, 0.0) == dense_certificate(op, 2)
+        q, rho = transfer_reference.series_certificate(op, 2)
+        assert (q, rho) == (1, 0.0) == dense_certificate(op, 2)
+        H, info = _series(op, np.zeros((2,) + op.mask.shape), 1e-13, 10_000)
+        assert info["short_circuit"] and info["series_terms"] == 0 and not H.any()
 
     def test_certificate_memory_on_ladder_degree5(self):
         coc = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 3), 2, amp=0.05)
         op = SolverContext.prepare(coc, 0.03, 5).operator(5)
+        q_vecs = op.mask * np.random.default_rng(5).uniform(-1, 1, (2,) + op.mask.shape)
         tracemalloc.start()
         try:
-            q, rho = _series_certificate(op, 2)
+            H, info = _series(op, q_vecs, 1e-13, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
-        q_ref, rho_ref = dense_certificate(op, 2)
-        assert q == q_ref
-        assert abs(rho - rho_ref) <= 1e-14 * rho_ref
+        assert_series_matches_reference(op, q_vecs, H, info)
 
     def test_certificate_overflow_stops_at_once(self):
-        # the q-period norms grow like e^{8q}: squaring overflows near q = 64
-        # and must end the search with a named error, not a numpy warning
+        # the T-period norms grow like e^{8T}: the doubling overflows near
+        # T = 64 and must end with a named error, not a numpy warning
         structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.02))
         A = np.zeros((3, 3))
         A[:2, :2] = math.exp(-2.0) * np.array([[1.0, 1.2], [0.0, 1.0]])
         A[2, 2] = math.exp(-12.0)
         op = _DegreeOperator(GradedSpace((2, 1)), structure, 2, [A])
+        q_vecs = op.mask * np.ones((1,) + op.mask.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SeriesStagnationError,
-                               match=r"degree 2 .* 64-period transfer norm is rho = inf"):
-                _series_certificate(op, 1)
+            with pytest.raises(SeriesStagnationError, match=r"degree 2 .* rho = "):
+                _series(op, q_vecs, 1e-13, 10_000)
+
+    def test_expanding_type_without_source_refused(self):
+        # linear parts diag(0.5, 0.1) against declared exponents (-2, -1): the
+        # type (2, x1^2) grows by 2.5 a period.  With no source its tail
+        # bound is 0 * inf = NaN, which must not pass the stop test, though
+        # every other type certifies at T = 64
+        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
+        op = _DegreeOperator(S11, structure, 2, [np.diag([0.5, 0.1])])
+        q_vecs = op.mask * np.ones((1,) + op.mask.shape)
+        q_vecs[0, 1, _mono_table(2, 2)[1][(2, 0)]] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesStagnationError, match="degree 2"):
+                _series(op, q_vecs, 1e-13, 10_000)
 
     @pytest.mark.parametrize("period", [1, 2, 3])
     def test_oracle_matches_dense_solve(self, period):
@@ -316,22 +331,32 @@ def ladder_operators():
     return out
 
 
+def assert_series_matches_reference(op, q_vecs, H, info, series_tol=1e-13):
+    """H from ``_series`` against the stepwise reference, within both tails.
+
+    Also checks the diagnostics: T K terms with T a power of two, and a tail
+    within series_tol of the largest solution norm.
+    """
+    period = len(q_vecs)
+    H_ref, info_ref = transfer_reference.run_series(op, q_vecs, series_tol, 10_000, period)
+    gap = info["tail_bound"] + info_ref["tail_bound"] + 1e-15 * np.max(np.abs(H_ref))
+    assert np.max(np.abs(H - np.array(H_ref))) <= gap
+    assert not (~op.mask * H).any()
+    T, rest = divmod(info["series_terms"], period)
+    assert rest == 0 and T & (T - 1) == 0
+    h_norm = float(np.linalg.norm(H, axis=(-2, -1)).max())
+    assert 0.0 < info["tail_bound"] <= series_tol * max(1.0, h_norm)
+
+
 class TestBatchedTransfer:
-    """The batched certificate and series against the per-type, per-phase loops."""
+    """The doubled series against the per-type, per-phase loops."""
 
     @staticmethod
     def check(op, period, seed):
-        q, rho = _series_certificate(op, period)
-        q_ref, rho_ref = transfer_reference.series_certificate(op, period)
-        assert q == q_ref
-        assert abs(rho - rho_ref) <= 1e-14 * rho_ref
         rng = np.random.default_rng(seed)
         q_vecs = op.mask * rng.uniform(-1, 1, (period,) + op.mask.shape)
-        H, info = _run_series(op, q_vecs, 1e-13, 10_000, period)
-        H_ref, info_ref = transfer_reference.run_series(op, q_vecs, 1e-13, 10_000, period)
-        assert info["series_terms"] == info_ref["series_terms"]
-        assert (info["certificate_q"], info["certificate_rho"]) == (q, rho)
-        assert np.max(np.abs(H - np.array(H_ref))) <= 1e-15 * np.max(np.abs(H_ref))
+        H, info = _series(op, q_vecs, 1e-13, 10_000)
+        assert_series_matches_reference(op, q_vecs, H, info)
 
     @pytest.mark.parametrize("period", [1, 2, 3])
     def test_sheared_operator(self, period):
@@ -341,6 +366,43 @@ class TestBatchedTransfer:
     def test_ladder_operators(self):
         for t, (op, period) in enumerate(ladder_operators()):
             self.check(op, period, t)
+
+    def test_term_budget(self):
+        op = sheared_operator(2, 2)
+        q_vecs = op.mask * np.random.default_rng(3).uniform(-1, 1, (2,) + op.mask.shape)
+        H, info = _series(op, q_vecs, 1e-13, 10_000)
+        terms = info["series_terms"]
+        H_cap, info_cap = _series(op, q_vecs, 1e-13, terms)
+        assert np.array_equal(H, H_cap) and info_cap == info
+        for cap in (terms - 1, 1):
+            # one term is below the period: not even the first period fits
+            with pytest.raises(SeriesBudgetError, match=f"degree 2 .* within {cap} terms"):
+                _series(op, q_vecs, 1e-13, cap)
+
+    def test_every_phase_certified(self):
+        # X -> a_k X at degree 2 with a = (0.5, 0.01) and sources at phase 0
+        # only: H(1) = 0.01 H(0), so after T periods the tail bound is
+        # 0.005^T at phase 0 and 0.01 * 0.005^T at phase 1.  At T = 4 only
+        # phase 1 is within 1e-11; both are at T = 8, 16 terms.
+        structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
+        op = _DegreeOperator(S1, structure, 2, [np.array([[0.5]]), np.array([[0.01]])])
+        q_vecs = np.zeros((2,) + op.mask.shape)
+        q_vecs[0] = 1.0
+        H, info = _series(op, q_vecs, 1e-11, 10_000)
+        assert info["series_terms"] == 16
+        assert info["tail_bound"] == pytest.approx(0.005 ** 8, rel=1e-12)
+        exact = np.array([1.0, 0.01]) / (1.0 - 0.005)
+        assert np.max(np.abs(H[:, 0, 0] - exact)) <= 1e-15
+
+    def test_nan_source_never_certifies(self):
+        op = sheared_operator(1, 2)
+        q_vecs = op.mask * np.ones((1,) + op.mask.shape)
+        rows, cols = op.types[0]
+        q_vecs[0, rows.start, cols[0]] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesStagnationError, match="degree 2"):
+                _series(op, q_vecs, 1e-13, 10_000)
 
 
 class TestSources:
@@ -359,7 +421,7 @@ class TestSources:
         ctx = SolverContext.prepare(c, 0.05, 6)
         maps, h, p = koenigs_start(ctx)
         op2 = ctx.operator(2)
-        series = lambda op, q: _run_series(op, q, ctx.series_tol, ctx.max_series_terms, 1)
+        series = lambda op, q: _series(op, q, ctx.series_tol, ctx.max_series_terms)
         H2, P2, _ = solve_homogeneous_degree(op2, *jet_stacks(maps, h, p, ctx.order), series)
         h[0] = h[0] + homogeneous(S1, 2, H2[0])
         op3 = ctx.operator(3)
@@ -489,10 +551,15 @@ class TestScalarSolves:
         res = solve_normal_form(ctx)
         d2 = res.diagnostics["degrees"][0]
         assert d2["degree"] == 2
-        assert d2["certificate_rho"] < 1.0
         assert d2["tail_bound"] <= 1e-13 * max(1.0, d2["solution_norm"])
-        factor = contraction_factor(ctx.spectrum, 2)
-        assert d2["measured_period_ratio"] <= factor * 1.05
+        # X -> X / 2 per period and H = 0.4: the tail bound 0.4 / 2^T first
+        # drops below 1e-13 at T = 64, exactly
+        assert d2["series_terms"] == 64
+        assert d2["tail_bound"] == pytest.approx(0.4 * 0.5 ** 64, rel=1e-12)
+        assert {"certificate_q", "certificate_rho", "measured_period_ratio"}.isdisjoint(d2)
+        # the one-period transfer contracts at the spectral rate
+        q, rho = transfer_reference.series_certificate(ctx.operator(2), 1)
+        assert q == 1 and rho <= contraction_factor(ctx.spectrum, 2) * 1.05
         # the defect is the series truncation residue, bounded by series_tol
         assert d2["defect"] <= 10.0 * ctx.series_tol
 

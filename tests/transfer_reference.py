@@ -1,19 +1,22 @@
 """Reference series certificate and transported series, one type and one phase at a time.
 
 These are the transfer loops as the package took them before the degree
-step was batched: the certificate forms the one-period products of every
-(type, phase) pair and takes two spectral norms per pair, and the series
-moves each phase through its own transfer step and norms each term on its
-own.  The tests check ``orbitnf.normalform._series_certificate`` and
-``_run_series`` against them.
+series was summed by doubling: the certificate forms the one-period
+products of every (type, phase) pair, squares them until the product of
+their spectral norms is below one, and the series moves each phase through
+its own transfer step, one term at a time, until the certified tail of a
+q-period chunk is below the tolerance.  The certificate's power cap is kept
+here, so the reference shares no code with the package.  The tests check
+``orbitnf.normalform._series`` against them.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from orbitnf.normalform import (MAX_SERIES_CERT_POWER, SeriesBudgetError,
-                                SeriesStagnationError)
+from orbitnf.normalform import SeriesBudgetError, SeriesStagnationError
+
+MAX_SERIES_CERT_POWER = 64
 
 
 def series_certificate(op, period: int) -> tuple[int, float]:
@@ -42,20 +45,20 @@ def series_certificate(op, period: int) -> tuple[int, float]:
 
 def run_series(op, q_vecs, series_tol: float, max_terms: int,
                period: int) -> tuple[list[np.ndarray], dict]:
-    """The transported series with the reference certificate, phase by phase."""
-    info = {"short_circuit": False, "series_terms": 0, "certificate_q": None,
-            "certificate_rho": None, "tail_bound": 0.0, "measured_period_ratio": None}
+    """The transported series with the reference certificate, phase by phase.
+
+    The tail bound is rho/(1-rho) times the largest chunk norm, a bound on
+    the Frobenius norm of every phase's dropped tail.
+    """
+    info = {"short_circuit": False, "series_terms": 0, "tail_bound": 0.0}
     if all(not np.any(q) for q in q_vecs):
         info["short_circuit"] = True
         return [np.zeros_like(q) for q in q_vecs], info
     q_cert, rho = series_certificate(op, period)
-    info["certificate_q"] = q_cert
-    info["certificate_rho"] = rho
     chunk_len = q_cert * period
     H = [np.zeros_like(q) for q in q_vecs]
     terms = [q.copy() for q in q_vecs]
     chunk = [0.0] * period
-    prev_chunk = None
     n_terms = steps_in_chunk = 0
     while True:
         for k in range(period):
@@ -69,12 +72,7 @@ def run_series(op, q_vecs, series_tol: float, max_terms: int,
             if tail <= series_tol * scale:
                 info["series_terms"] = n_terms
                 info["tail_bound"] = tail
-                if prev_chunk is not None:
-                    ratios = [c / p for c, p in zip(chunk, prev_chunk) if p > 0.0]
-                    if ratios:
-                        info["measured_period_ratio"] = max(ratios) ** (1.0 / q_cert)
                 return H, info
-            prev_chunk = chunk
             chunk = [0.0] * period
             steps_in_chunk = 0
         if n_terms > max_terms:
