@@ -20,9 +20,15 @@ X -> Ainv_k[i] X subst_k[s], the paper's per-type operator, and the series
 and the dense oracle work type by type.
 
 One loop, ``_degree_loop``, runs the recursion on jet stacks of the
-conjugators and normal forms.  Each degree assembles all its sources in one
-stacked composition, hands the twisted sources Q(k) to a transfer solver,
-adds the admissible part of the lift, and finishes in coefficient space:
+conjugators and normal forms.  The powers of the fiber maps are formed once,
+in the composition table of the orbit (or window) stack: composing on the
+right of F_k is linear, so [H(k+1) o F_k]_n is a sum of products of the
+degree-d parts of H with blocks of the table, and the table's diagonal
+blocks are the substitution matrices of the degree operators.  Only
+P_k o H(k) is a composition per degree, whose powers of H stop at the top
+degree of P.  Each degree hands the twisted sources Q(k) to a transfer
+solver, adds the admissible part of the lift, and finishes in coefficient
+space:
 term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose admissible part
 is P_n(k) and whose rest must vanish.  Three transfer solvers plug into it:
 
@@ -50,8 +56,8 @@ import numpy as np
 
 from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import (GradedSpace, PolyMap, _fit, _linear_jets, _mono_table, _powers,
-                      admissible_mask, compose_jets, degree_cols, jet_width, stack_jets,
+from .polymap import (GradedSpace, PolyMap, _linear_jets, _mono_table, admissible_mask,
+                      compose_jets, composition_table, degree_cols, jet_width, stack_jets,
                       top_degree)
 
 # a window sweep whose norm outgrows its sources by this factor has diverged
@@ -88,6 +94,11 @@ class _DegreeOperator:
     coordinate slice of block i and the columns of the monomials with block
     degrees s.  substs[k, a, b] is the coefficient of t^beta_b in (A_k t)^alpha_a.
 
+    The operator reads the composition table of the fiber maps
+    (``polymap.composition_table``), which ``_source_vecs`` also reads: the
+    linear parts A_k come from its degree-1 block T_1 and subst_k is the
+    leading square of its degree-n block T_n.
+
     With block-diagonal A_k, subst_k maps the monomials of each block degree
     s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
     X -> Ainv_k[i] X subst_k[s].  The series and the dense oracle use these
@@ -98,7 +109,7 @@ class _DegreeOperator:
     """
 
     def __init__(self, space: GradedSpace, structure: SubResStructure, n: int,
-                 linears: Sequence[np.ndarray]):
+                 table: tuple[np.ndarray, ...]):
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
@@ -110,13 +121,12 @@ class _DegreeOperator:
                       for _, cols in sorted(by_degrees.items())
                       for i in range(1, space.n_blocks + 1)
                       if self.mask[space.block_slice(i).start, cols[0]]]
-        self.linears = np.asarray(linears, dtype=float)
+        self.table = table
+        m = space.dim
+        # the degree-1 monomials and columns run e_{m-1}..e_0
+        self.linears = np.ascontiguousarray(table[0][..., ::-1, m - 1::-1])
         self.ainvs = np.linalg.inv(self.linears)
-        # the degree-n powers of the linear parts are the substitution matrices
-        jets = _linear_jets(self.linears).reshape(-1, space.dim, space.dim + 1)
-        for _, _, substs in _powers(jets, space.dim, n, n):
-            pass
-        self.substs = substs.reshape(self.linears.shape[:-2] + substs.shape[1:])
+        self.substs = np.ascontiguousarray(table[n - 1][..., :self.mask.shape[1]])
 
     def apply(self, k: int, c: np.ndarray) -> np.ndarray:
         """Masked transfer of a coefficient array through step k."""
@@ -215,6 +225,8 @@ class SolverContext:
     The solve bounds its series tails by per-type transfer norms, not by
     the Lyapunov frames: ``frames`` builds them from ``bases`` and
     ``tail_tol`` on first read, for the sandwich check and the report.
+    The composition table of the fiber maps and the degree operators read
+    from it are built on first use in a solve.
     """
 
     cocycle: OrbitCocycle
@@ -247,7 +259,9 @@ class SolverContext:
                     f"fiber map {k} is not grading-adapted "
                     "(linear part has off-block entries)"
                 )
-        self._operators: dict[int, _DegreeOperator] = {}
+        # the composition table under "table" and the degree operator of
+        # every degree n under n, shared with the with_lift contexts
+        self._built: dict = {}
 
     @classmethod
     def prepare(cls, cocycle: OrbitCocycle, epsilon: float, order: int, *,
@@ -270,42 +284,53 @@ class SolverContext:
     def with_lift(self, lift_policy: LiftPolicy | None) -> "SolverContext":
         """The same problem under another lift policy.
 
-        The degree operators depend only on the cocycle and the structure,
-        so the new context shares them.
+        The composition table and the degree operators depend only on the
+        cocycle, the structure and the order, so the new context shares them.
         """
         other = replace(self, lift_policy=lift_policy)
-        other._operators = self._operators
+        other._built = self._built
         return other
 
+    def table(self) -> tuple[np.ndarray, ...]:
+        """Composition table of the fiber maps through `order`, built once."""
+        if "table" not in self._built:
+            self._built["table"] = composition_table(
+                stack_jets(self.cocycle.fiber_maps, self.order), self.cocycle.dim, self.order)
+        return self._built["table"]
+
     def operator(self, n: int) -> _DegreeOperator:
-        if n not in self._operators:
-            self._operators[n] = _DegreeOperator(
-                self.cocycle.space, self.structure, n,
-                [self.cocycle.linear(k) for k in range(self.cocycle.period)]
-            )
-        return self._operators[n]
+        if n not in self._built:
+            self._built[n] = _DegreeOperator(self.cocycle.space, self.structure, n,
+                                             self.table())
+        return self._built[n]
 
 
-def _source_vecs(op: _DegreeOperator, fibers: np.ndarray, conj: np.ndarray,
-                 nf: np.ndarray) -> np.ndarray:
-    """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n, one stacked composition.
+def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray) -> np.ndarray:
+    """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n.
 
-    fibers, conj and nf are jet stacks of the fiber maps F_k, the conjugators
-    H (k+1 wraps modulo their number) and the normal forms P_k, with the same
-    batch axes; in the loop the degree-n parts of H and P are still zero.
+    conj and nf are jet stacks of the conjugators H (k+1 wraps modulo their
+    number) and the normal forms P_k, with the batch axes of the fiber maps
+    F_k; in the loop the degree-n parts of H and P are still zero.  The
+    first term is linear in H, the sum over d <= n of H_d(k+1) times the
+    degree-n columns of the composition table's degree-d block; the second
+    is one stacked composition, whose powers of H stop at P's top degree.
     """
-    K, m, n = len(fibers), op.space.dim, op.n
-    width = jet_width(m, n)
+    K, m, n = len(op.linears), op.space.dim, op.n
+    cols = degree_cols(m, n)
     nxt = (np.arange(K) + 1) % len(conj)
-    outer = np.concatenate([conj[nxt, ..., :width], nf[..., :width]])
-    inner = np.concatenate([fibers[..., :width], conj[:K, ..., :width]])
-    comp = compose_jets(outer.reshape(-1, m, width), inner.reshape(-1, m, width), m, n)
-    comp = comp[..., degree_cols(m, n)].reshape(outer.shape[:-1] + (-1,))
-    return comp[:K] - comp[K:]
+    hf = 0.0
+    for d in range(1, n + 1):
+        lo = cols.start - degree_cols(m, d).start
+        block = op.table[d - 1][..., lo:lo + op.mask.shape[1]]
+        hf = hf + conj[nxt, ..., degree_cols(m, d)] @ block
+    width = jet_width(m, n)
+    ph = compose_jets(nf[..., :width].reshape(-1, m, width),
+                      conj[:K, ..., :width].reshape(-1, m, width), m, n)
+    return hf - ph[..., cols].reshape(hf.shape)
 
 
-def solve_homogeneous_degree(op: _DegreeOperator, fibers: np.ndarray, conj: np.ndarray,
-                             nf: np.ndarray, transfer: Transfer,
+def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
+                             transfer: Transfer,
                              lift_policy: LiftPolicy | None = None
                              ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One degree of the conjugacy equation, solved in coefficient space.
@@ -316,8 +341,8 @@ def solve_homogeneous_degree(op: _DegreeOperator, fibers: np.ndarray, conj: np.n
     non-admissible residue of the finished equation is the admissible
     violation; above it P_n vanishes and the residue is the defect.
     """
-    n, K, C = op.n, len(fibers), len(conj)
-    s_vecs = _source_vecs(op, fibers, conj, nf)
+    n, K, C = op.n, len(op.linears), len(conj)
+    s_vecs = _source_vecs(op, conj, nf)
     h_vecs, info = transfer(op, op.source(s_vecs))
     h_vecs = np.array(h_vecs)
     if lift_policy is not None:
@@ -328,7 +353,8 @@ def solve_homogeneous_degree(op: _DegreeOperator, fibers: np.ndarray, conj: np.n
     terms = s_vecs + h_vecs[(np.arange(K) + 1) % C] @ op.substs - op.linears @ h_vecs[:K]
     residue = float(np.max(np.abs(op.mask * terms)))
     below = n <= op.degree_bound
-    diag = dict(info, degree=n,
+    diag = dict(info, degree=n, monomials=op.mask.shape[1], slots=op.mask.size,
+                admissible_slots=int(op.mask.size - op.mask.sum()), types=len(op.types),
                 source_norm=float(np.linalg.norm(s_vecs, axis=(-2, -1)).max()),
                 solution_norm=float(np.linalg.norm(h_vecs, axis=(-2, -1)).max()),
                 admissible_violation=residue if below else None,
@@ -342,23 +368,22 @@ def _degree_loop(fibers: np.ndarray, n_conj: int,
                  ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Degrees 2..order along a jet stack of fiber maps, shape (K, ..., m, w).
 
-    Returns the conjugator and normal form jet stacks through `order` and
-    the per-degree diagnostics.  There are n_conj conjugators: the period on
+    operator(n) reads the composition table of those fiber maps.  Returns
+    the conjugator and normal form jet stacks through `order` and the
+    per-degree diagnostics.  There are n_conj conjugators: the period on
     a periodic orbit, where the index k+1 wraps, or one more than the maps
     on a window.  Axes between the first and the last two are batch axes.
     Conjugators and normal forms grow one degree block at a time.
     """
     m = fibers.shape[-2]
-    fibers = _fit(fibers, jet_width(m, order))
-    conj = np.zeros((n_conj,) + fibers.shape[1:])
-    conj[..., :m + 1] = _linear_jets(np.eye(m))
-    nf = np.zeros_like(fibers)
+    nf = np.zeros(fibers.shape[:-1] + (jet_width(m, order),))
     nf[..., :m + 1] = fibers[..., :m + 1]
+    conj = np.zeros((n_conj,) + nf.shape[1:])
+    conj[..., :m + 1] = _linear_jets(np.eye(m))
     diags = []
     for n in range(2, order + 1):
         op = operator(n)
-        h_vecs, p_vecs, diag = solve_homogeneous_degree(
-            op, fibers, conj, nf, transfer, lift_policy)
+        h_vecs, p_vecs, diag = solve_homogeneous_degree(op, conj, nf, transfer, lift_policy)
         cols = degree_cols(m, n)
         conj[..., cols] = h_vecs
         nf[..., cols] = p_vecs
@@ -421,6 +446,7 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
         "degree_bound": ctx.structure.degree_bound,
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
+        "table_bytes": sum(T.nbytes for T in ctx.table()),
         "degrees": degree_diags,
     }
     return NormalFormResult(
@@ -511,7 +537,8 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     # the jets lose those entries too
     linears[..., below] = 0.0
 
+    table = composition_table(jets, m, order)
     conj, nf, per_degree = _degree_loop(
-        jets, len(jets) + 1, lambda n: _DegreeOperator(space, structure, n, linears),
+        jets, len(jets) + 1, lambda n: _DegreeOperator(space, structure, n, table),
         order, _window_sweep)
     return conj, nf, {"window": len(jets), "per_degree": per_degree}

@@ -12,8 +12,14 @@ GradedSpace type every slot (target block, per-block degrees), and
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
 coordinate j with the multiplication matrix of G_j.  It keeps one degree of
 powers and one such matrix at a time for as many stack entries as fit in
-POWER_BYTES.  Inverses are series reversion.  Iteration orders are fixed,
-so repeated runs give identical floats.
+POWER_BYTES.  ``composition_table`` keeps all the powers of maps that are
+composed on the right again and again: composing H o G is then linear in H,
+jet(H o G) = sum_k H_k @ T_k, with one block T_k per degree k and
+sum_k n_mono(k) (jet_width(M) - jet_width(k - 1)) floats per map through
+order M.  The index plans of the multiplication matrices are listed once per
+dimension and degree and cut once per column window.  Inverses are series
+reversion.  Iteration orders are fixed, so repeated runs give identical
+floats.
 """
 
 import math
@@ -29,7 +35,8 @@ MultiIndex = tuple[int, ...]
 TermKey = tuple[int, MultiIndex]
 
 # compose_jets builds the powers of at most this many bytes of stack entries
-# at once, which bounds its working memory on large jets
+# at once, which bounds its working memory on large jets; a composition table
+# keeps all of its powers and is not bounded by it
 POWER_BYTES = 1 << 18
 # multiply-adds per matrix product in the power kernel; BLAS runs products
 # this small without filling its packing buffers, which would add their
@@ -136,13 +143,11 @@ def _linear_jets(matrices: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int]):
-    """Scatter plan of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
+def _mul_pairs(dim: int, degree: int):
+    """Every entry of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
 
-    Mul_j[e, col(eps_e + gamma_g)] = G_j[g] on jets truncated at `degree`.
-    For the column windows rows of p and cols of the product, returns
-    (flat, src, shape) with Mul_j.flat[flat] = G_j[src], the rows ending
-    with the last that meets the window.
+    Mul_j[e, col(eps_e + gamma_g)] = G_j[g] on jets truncated at `degree`;
+    returns the arrays (e, col, g) of those entries.
     """
     exps = np.array([a for n in range(degree + 1) for a in _mono_table(dim, n)[0]])
     total = exps.sum(axis=1)
@@ -153,10 +158,28 @@ def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int
     key = exps @ (degree + 1) ** np.arange(dim)
     order = np.argsort(key)
     col = order[np.searchsorted(key[order], key[e] + key[src])]
+    return e, col, src
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int]):
+    """Scatter plan of Mul_j cut to the column windows rows of p and cols of
+    the product: (flat, src, shape) with Mul_j.flat[flat] = G_j[src], the
+    rows ending with the last that meets the window."""
+    e, col, src = _mul_pairs(dim, degree)
     keep = (e >= rows[0]) & (e < rows[1]) & (col >= cols[0]) & (col < cols[1])
     e, col, src = e[keep] - rows[0], col[keep] - cols[0], src[keep]
     width = cols[1] - cols[0]
     return e * width + col, src, (int(e.max(initial=-1)) + 1, width)
+
+
+@lru_cache(maxsize=None)
+def _first_runs(m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of the degree-k monomials whose first variable is j,
+    for each j: each is one run of the sorted order."""
+    first = _mono_table(m, k)[2]
+    return tuple((int(a), int(b) + 1)
+                 for a, b in (np.flatnonzero(first == j)[[0, -1]] for j in range(m)))
 
 
 def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
@@ -168,7 +191,11 @@ def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
     inner valuation to k times the inner degree.  Each power is the one
     below times a component, G^alpha = G^(alpha - e_j) G_j with j = first[a]:
     for each j one batched product with the multiplication matrix of G_j,
-    at most jet_width(dim, degree)^2 entries per stack entry.
+    at most jet_width(dim, degree)^2 entries per stack entry.  For inner
+    maps fixing the origin the degree-k columns, which read only the
+    degree k-1 columns one degree down, are a product of their own, the
+    same as for the linear parts alone, so they are the powers of the
+    linear parts to the bit, whatever the higher terms.
     """
     S, m = inner.shape[:2]
     G = _fit(inner, jet_width(dim, degree))
@@ -188,14 +215,21 @@ def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
             prev, power = power, np.empty((S, len(first), cols))
             # every G_j fills the same entries, so one matrix serves all j
             mul = np.zeros((S, rows, cols))
-            chunk = max(1, PRODUCT_MACS // max(1, rows * cols))
-            for j in range(m):
+            blocks = [(rows, 0, cols)]
+            if low:
+                # the degree-k columns read only the degree k-1 rows; a product
+                # of their own keeps them the powers of the linear parts
+                diag = min(cols, jet_width(dim, k) - lo)
+                blocks = [(lo - prev_lo, 0, diag), (rows, diag, cols)]
+            blocks = [(r, c0, c1, max(1, PRODUCT_MACS // max(1, r * (c1 - c0))))
+                      for r, c0, c1 in blocks if c0 < c1]
+            for j, (a, b) in enumerate(_first_runs(m, k)):
                 mul.reshape(S, -1)[:, flat] = G[:, j, src]
-                # the monomials with first[a] = j are one run of the sorted order
-                a, b = np.flatnonzero(first == j)[[0, -1]] + [0, 1]
-                for c in range(a, b, chunk):
-                    d = min(b, c + chunk)
-                    np.matmul(prev[:, parent[c:d], :rows], mul, out=power[:, c:d])
+                for r, c0, c1, chunk in blocks:
+                    for c in range(a, b, chunk):
+                        d = min(b, c + chunk)
+                        np.matmul(prev[:, parent[c:d], :r], mul[:, :r, c0:c1],
+                                  out=power[:, c:d, c0:c1])
             del prev, mul  # freed before the caller and the next degree allocate
         yield k, lo, power
         prev_lo = lo
@@ -221,6 +255,35 @@ def compose_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) ->
             out[s:s + rows, :, lo:lo + power.shape[2]] += (
                 outer[s:s + rows, :, degree_cols(m, k)] @ power)
     return out
+
+
+def composition_table(jets: np.ndarray, dim: int, order: int) -> tuple[np.ndarray, ...]:
+    """Powers of maps fixing the origin: composing on their right is linear.
+
+    jets is a stack of shape (..., m, w) over `dim` variables with zero
+    constants.  Returns the blocks T_1..T_order, T_k of shape
+    (..., number of degree-k monomials in m variables,
+    jet_width(dim, order) - jet_width(dim, k - 1)): row a is the jet of
+    G^alpha_a from its degree-k columns on, alpha_a the sorted degree-k
+    monomials.  So the degree-n part of H o G is the sum over k <= n of
+    H_k @ T_k[..., degree-n columns], H_k the degree-k coefficients of H,
+    and the leading columns of T_n, the degree-n block, are the substitution
+    matrix of the linear parts.  One ``_powers`` pass per chunk of stack
+    entries that fits in POWER_BYTES, as in ``compose_jets``.
+    """
+    lead, (m, w) = jets.shape[:-2], jets.shape[-2:]
+    inner = jets.reshape(-1, m, w)
+    if inner[..., 0].any():
+        raise ValueError("a composition table needs maps fixing the origin")
+    width = jet_width(dim, order)
+    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_mono_table(m, order)[0]))))
+    table = []
+    for s in range(0, len(inner), rows):
+        for k, lo, power in _powers(inner[s:s + rows], dim, order, order):
+            if not s:  # allocated as the powers arrive, which keeps the peak down
+                table.append(np.zeros((len(inner),) + power.shape[1:2] + (width - lo,)))
+            table[k - 1][s:s + rows, :, :power.shape[2]] = power
+    return tuple(T.reshape(lead + T.shape[1:]) for T in table)
 
 
 def stack_jets(maps, degree: int) -> np.ndarray:

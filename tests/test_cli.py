@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitnf import cli, normalform
+from orbitnf import cli, normalform, verify
 from orbitnf.cli import (
     CHECK_ORDER,
     ConfigError,
@@ -209,21 +209,31 @@ class TestGaugeCheck:
     def test_reuses_the_degree_operators(self, name, monkeypatch):
         _, cocycle, config = resolve_config(name)
         gauge_cfg, seed = config["checks"]["gauge"], int(config["rng_seed"])
-        calls = []
+        calls, tables = [], []
 
         class Counted(normalform._DegreeOperator):
-            def __init__(self, space, structure, n, linears):
+            def __init__(self, space, structure, n, table):
                 calls.append(n)
-                super().__init__(space, structure, n, linears)
+                super().__init__(space, structure, n, table)
+
+        def counted_table(*args, _fn=normalform.composition_table):
+            tables.append(args[1:])
+            return _fn(*args)
 
         monkeypatch.setattr(normalform, "_DegreeOperator", Counted)
+        monkeypatch.setattr(normalform, "composition_table", counted_table)
         ctx = cli._prepare_context(cocycle, config)
+        assert tables == []  # built on first use in the solve, not when prepared
         result = solve_normal_form(ctx)
         assert calls == list(range(2, ctx.order + 1))
+        assert tables == [(cocycle.dim, ctx.order)]
         details, passed = cli._check_gauge(ctx, result, cocycle, config, gauge_cfg, seed)
         assert passed
-        # the lifted solve builds no operator of its own
+        # the lifted solve builds no operator and no table of its own, and
+        # neither does the dense oracle's degree loop
+        verify.direct_normal_form(ctx)
         assert calls == list(range(2, ctx.order + 1))
+        assert tables == [(cocycle.dim, ctx.order)]
         # the same details as a context that has solved nothing
         fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result,
                                     cocycle, config, gauge_cfg, seed)

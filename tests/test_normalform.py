@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -30,7 +31,10 @@ from orbitnf.normalform import (
 from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
+    _linear_jets,
     _mono_table,
+    admissible_mask,
+    composition_table,
     compose_truncated,
     degree_cols,
     jet_width,
@@ -38,7 +42,7 @@ from orbitnf.polymap import (
     stack_jets,
 )
 from orbitnf.scenarios import random_cocycle
-from orbitnf.verify import direct_solve_oracle
+from orbitnf.verify import direct_normal_form, direct_solve_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 S1 = GradedSpace((1,))
@@ -92,9 +96,15 @@ def homogeneous(space, n, c):
     return PolyMap.from_jet(space, space, n, jet)
 
 
-def jet_stacks(maps, h_maps, p_maps, degree):
-    """Jet stacks of the fiber maps, conjugators and normal forms."""
-    return [stack_jets(group, degree) for group in (maps, h_maps, p_maps)]
+def jet_stacks(h_maps, p_maps, degree):
+    """Jet stacks of the conjugators and normal forms."""
+    return [stack_jets(group, degree) for group in (h_maps, p_maps)]
+
+
+def linear_operator(space, structure, n, linears):
+    """Degree-n operator of bare linear parts, over the table of those linear maps."""
+    jets = _linear_jets(np.asarray(linears, dtype=float))
+    return _DegreeOperator(space, structure, n, composition_table(jets, space.dim, n))
 
 
 def dense_phi(op, k):
@@ -162,14 +172,14 @@ def sheared_operator(period, n):
                                                                          [0.0, 1.0]])
         A[2, 2] = math.exp(-1.0 + 0.1 * k)
         linears.append(A)
-    return _DegreeOperator(space, structure, n, linears)
+    return linear_operator(space, structure, n, linears)
 
 
 def koenigs_start(ctx):
     """Operator inputs before degree 2: identity conjugator, linear normal form."""
     h = [PolyMap.identity(S1, ctx.order)]
     p = [PolyMap.from_linear(np.array([[0.5]]), S1, S1, 1)]
-    return [ctx.cocycle.map_at(0)], h, p
+    return h, p
 
 
 class TestTwistedTransfer:
@@ -180,7 +190,7 @@ class TestTwistedTransfer:
         # Ainv R(At) = a^{-1} a^2 t^2 = a t^2
         assert out.coeffs[(0, (2,))] == pytest.approx(a, rel=1e-14)
         structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
-        op = _DegreeOperator(S1, structure, 2, [np.array([[a]])])
+        op = linear_operator(S1, structure, 2, [np.array([[a]])])
         assert op.apply(0, R.part(2))[0, 0] == pytest.approx(a, rel=1e-14)
 
     def test_cross_block_linear_scale(self):
@@ -190,7 +200,7 @@ class TestTwistedTransfer:
         # target block 2, source block 1: factor exp(chi_1 - chi_2) = e^{-1}
         assert out.coeffs[(1, (1, 0))] == pytest.approx(math.exp(-1.0), rel=1e-14)
         structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
-        op = _DegreeOperator(S11, structure, 1, [A])
+        op = linear_operator(S11, structure, 1, [A])
         via_matrix = op.apply(0, R.part(1))
         assert via_matrix[1, _mono_table(2, 1)[1][(1, 0)]] == pytest.approx(math.exp(-1.0),
                                                                          rel=1e-14)
@@ -205,7 +215,7 @@ class TestTwistedTransfer:
             Q, _ = np.linalg.qr(rng.standard_normal((dims[1], dims[1])))
             A[2:, 2:] = math.exp(exponents[1]) * Q
             for n in (2, 3, 4, 5):
-                op = _DegreeOperator(space, structure, n, [A])
+                op = linear_operator(space, structure, n, [A])
                 coeffs = {}
                 for i in range(space.dim):
                     for alpha in _mono_table(space.dim, n)[0]:
@@ -250,7 +260,7 @@ class TestTypedOperator:
         # a single block at degree 1 keeps every type: nothing to transfer
         space = GradedSpace((2,))
         structure = SubResStructure.from_spectrum(Spectrum((-1.0,), (2,), 0.05))
-        op = _DegreeOperator(space, structure, 1,
+        op = linear_operator(space, structure, 1,
                              [0.4 * rotation(0.7), 0.3 * rotation(-0.2)])
         assert op.types == [] and not op.mask.any()
         q, rho = transfer_reference.series_certificate(op, 2)
@@ -278,7 +288,7 @@ class TestTypedOperator:
         A = np.zeros((3, 3))
         A[:2, :2] = math.exp(-2.0) * np.array([[1.0, 1.2], [0.0, 1.0]])
         A[2, 2] = math.exp(-12.0)
-        op = _DegreeOperator(GradedSpace((2, 1)), structure, 2, [A])
+        op = linear_operator(GradedSpace((2, 1)), structure, 2, [A])
         q_vecs = op.mask * np.ones((1,) + op.mask.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -291,7 +301,7 @@ class TestTypedOperator:
         # bound is 0 * inf = NaN, which must not pass the stop test, though
         # every other type certifies at T = 64
         structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
-        op = _DegreeOperator(S11, structure, 2, [np.diag([0.5, 0.1])])
+        op = linear_operator(S11, structure, 2, [np.diag([0.5, 0.1])])
         q_vecs = op.mask * np.ones((1,) + op.mask.shape)
         q_vecs[0, 1, _mono_table(2, 2)[1][(2, 0)]] = 0.0
         with warnings.catch_warnings():
@@ -385,7 +395,7 @@ class TestBatchedTransfer:
         # 0.005^T at phase 0 and 0.01 * 0.005^T at phase 1.  At T = 4 only
         # phase 1 is within 1e-11; both are at T = 8, 16 terms.
         structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
-        op = _DegreeOperator(S1, structure, 2, [np.array([[0.5]]), np.array([[0.01]])])
+        op = linear_operator(S1, structure, 2, [np.array([[0.5]]), np.array([[0.01]])])
         q_vecs = np.zeros((2,) + op.mask.shape)
         q_vecs[0] = 1.0
         H, info = _series(op, q_vecs, 1e-11, 10_000)
@@ -409,9 +419,9 @@ class TestSources:
     def test_koenigs_q2(self):
         c = koenigs_cocycle()
         ctx = SolverContext.prepare(c, 0.05, 6)
-        maps, h, p = koenigs_start(ctx)
+        h, p = koenigs_start(ctx)
         op = ctx.operator(2)
-        s_vecs = _source_vecs(op, *jet_stacks(maps, h, p, ctx.order))
+        s_vecs = _source_vecs(op, *jet_stacks(h, p, ctx.order))
         assert homogeneous(S1, 2, s_vecs[0]).coeffs == {(0, (2,)): 0.1}
         q = op.source(s_vecs)[0]
         assert q[0, _mono_table(1, 2)[1][(2,)]] == pytest.approx(0.2, abs=1e-15)
@@ -419,22 +429,22 @@ class TestSources:
     def test_koenigs_q3_after_degree2(self):
         c = koenigs_cocycle()
         ctx = SolverContext.prepare(c, 0.05, 6)
-        maps, h, p = koenigs_start(ctx)
+        h, p = koenigs_start(ctx)
         op2 = ctx.operator(2)
         series = lambda op, q: _series(op, q, ctx.series_tol, ctx.max_series_terms)
-        H2, P2, _ = solve_homogeneous_degree(op2, *jet_stacks(maps, h, p, ctx.order), series)
+        H2, P2, _ = solve_homogeneous_degree(op2, *jet_stacks(h, p, ctx.order), series)
         h[0] = h[0] + homogeneous(S1, 2, H2[0])
         op3 = ctx.operator(3)
-        q = op3.source(_source_vecs(op3, *jet_stacks(maps, h, p, ctx.order)))[0]
+        q = op3.source(_source_vecs(op3, *jet_stacks(h, p, ctx.order)))[0]
         assert q[0, _mono_table(1, 3)[1][(3,)]] == pytest.approx(0.08, abs=1e-12)
 
     def test_source_composition_memory_on_ladder_degree5(self):
-        # one row of the stack at a time, one multiplication matrix at a time:
-        # all rows at once, or the m matrices of a degree side by side, exceed it
+        # H o F reads the prebuilt composition table; the composition P o H
+        # holds one row of the stack and one multiplication matrix at a time
         ctx = ladder_context((2, 3), 2, 5, 0.03)
         res = solve_normal_form(ctx)
         cols = degree_cols(5, 5)
-        stacks = [stack_jets(ctx.cocycle.fiber_maps, 5)]
+        stacks = []
         for maps in (res.conjugator, res.normal_form):
             jets = stack_jets(maps, 5)
             jets[..., cols] = 0.0
@@ -478,14 +488,14 @@ class TestFinishDegree:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_compose_reference(self, n):
         space, structure, maps, linears, h_maps, p_maps, rng = window_case(5 + n)
-        op = _DegreeOperator(space, structure, n, linears)
+        op = _DegreeOperator(space, structure, n, composition_table(stack_jets(maps, 3), 3, 3))
         h_vecs = [rng.uniform(-1, 1, op.mask.shape) for _ in range(3)]
 
         def given(op_, q_vecs):
             return [h.copy() for h in h_vecs], {}
 
         _, p_vecs, diag = solve_homogeneous_degree(
-            op, *jet_stacks(maps, h_maps, p_maps, 3), given)
+            op, *jet_stacks(h_maps, p_maps, 3), given)
         residue = 0.0
         for k in range(2):
             A_map = PolyMap.from_linear(linears[k], space, space, 1)
@@ -765,7 +775,7 @@ class TestWindowSweep:
         structure = SubResStructure.from_spectrum(Spectrum(WINDOW_SPECTRA[dims], dims, 0.02))
         linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (W, P))
         for n in (2, 3, 4, 5):
-            op = _DegreeOperator(space, structure, n, linears)
+            op = linear_operator(space, structure, n, linears)
             q_vecs = op.mask * rng.uniform(-1, 1, (W, P) + op.mask.shape)
             R, info = _window_sweep(op, q_vecs)
             R_ref, info_ref = window_reference.window_sweep(op, q_vecs)
@@ -783,7 +793,7 @@ class TestWindowSweep:
         dims, exponents = (1, 1), (-2.0, -0.8)
         rng = np.random.default_rng(3)
         structure = SubResStructure.from_spectrum(Spectrum(exponents, dims, 0.02))
-        op = _DegreeOperator(GradedSpace(dims), structure, 2,
+        op = linear_operator(GradedSpace(dims), structure, 2,
                              flag_preserving_linears(rng, dims, exponents, (W, 1)))
         q_vecs = op.mask * rng.uniform(-1, 1, (W, 1) + op.mask.shape)
         with warnings.catch_warnings():
@@ -795,14 +805,14 @@ class TestWindowSweep:
 
     def test_solve_window_matches_stepwise_reference(self):
         rng = np.random.default_rng(7)
-        space, structure, maps, linears, _, _, _ = window_case(11)
+        space, structure, maps, _, _, _, _ = window_case(11)
         W, P = 40, 3
         steps = rng.integers(0, len(maps), (W, P))
         jets = stack_jets(maps, 2)[steps]
         h, p, diag = solve_window(jets, space, structure, 4)
+        table = composition_table(jets, space.dim, 4)
         h_ref, p_ref, diags_ref = _degree_loop(
-            jets, W + 1, lambda n: _DegreeOperator(space, structure, n,
-                                                   np.array(linears)[steps]),
+            jets, W + 1, lambda n: _DegreeOperator(space, structure, n, table),
             4, window_reference.window_sweep)
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
@@ -815,10 +825,46 @@ class TestWindowSweep:
         rng = np.random.default_rng(seed)
         space = GradedSpace(dims)
         structure = SubResStructure.from_spectrum(Spectrum(WINDOW_SPECTRA[dims], dims, 0.02))
-        op = _DegreeOperator(space, structure, n,
+        op = linear_operator(space, structure, n,
                              flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (1,)))
         X = ~op.mask * rng.uniform(-1, 1, op.mask.shape)
         assert not (op.mask * (op.ainvs[0] @ X @ op.substs[0])).any()
+
+
+class TestLadderAgainstOracle:
+    """Whole ladder solves against the dense oracle's degree loop (seed 1)."""
+
+    @pytest.mark.parametrize("row", LADDER + [((3, 3), 1, 5, 0.03), ((2, 2), 2, 7, 0.04)],
+                             ids=str)
+    def test_conjugators_match_the_oracle(self, row):
+        ctx = ladder_context(*row)
+        res = solve_normal_form(ctx)
+        h_direct, p_direct = direct_normal_form(ctx)
+        for got, ref in zip(res.conjugator + res.normal_form, h_direct + p_direct):
+            assert (got - ref).coeff_max() <= 1e-14
+
+    @pytest.mark.parametrize("row", LADDER, ids=str)
+    def test_problem_sizes(self, row):
+        ctx = ladder_context(*row)
+        diagnostics = solve_normal_form(ctx).diagnostics
+        space, M, st = ctx.cocycle.space, ctx.order, ctx.structure
+        m = space.dim
+        for rec in diagnostics["degrees"]:
+            n = rec["degree"]
+            sizes = [rec[key] for key in ("monomials", "slots", "admissible_slots", "types")]
+            assert all(type(v) is int for v in sizes)
+            assert rec["monomials"] == math.comb(m + n - 1, n)
+            assert rec["slots"] == m * rec["monomials"]
+            assert rec["admissible_slots"] == admissible_mask(space, space, n,
+                                                              st.admissible(n)).sum()
+            # the non-admissible types (i, s): a target block and block degrees summing to n
+            degrees = [s for s in itertools.product(range(n + 1), repeat=space.n_blocks)
+                       if sum(s) == n]
+            assert rec["types"] == sum((i, s) not in st.admissible(n)
+                                       for s in degrees for i in range(1, space.n_blocks + 1))
+        floats = sum(math.comb(m + k - 1, k) * (math.comb(m + M, m) - math.comb(m + k - 1, m))
+                     for k in range(1, M + 1))
+        assert diagnostics["table_bytes"] == 8 * ctx.cocycle.period * floats
 
 
 class TestResultShape:

@@ -16,10 +16,14 @@ from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
+    _linear_jets,
     _mono_table,
     compose_jets,
     compose_truncated,
+    composition_table,
+    degree_cols,
     invert_truncated,
+    jet_width,
     project_subresonance,
     stack_jets,
 )
@@ -443,3 +447,96 @@ class TestDictReference:
         assert s_part.coeffs == admissible
         assert n_part.coeffs == {k: c for k, c in terms.items() if k not in admissible}
         assert np.array_equal(s_part.constant, const) and not n_part.constant.any()
+
+
+def table_compose(h_jets, table, dim, order):
+    """jet(H o G) read from the composition table of G: the constant of H
+    plus the sum over k of H_k @ T_k."""
+    out = np.zeros(h_jets.shape[:-1] + (jet_width(dim, order),))
+    out[..., 0] = h_jets[..., 0]
+    for k, T in enumerate(table, start=1):
+        out[..., degree_cols(dim, k).start:] += h_jets[..., degree_cols(dim, k)] @ T
+    return out
+
+
+def table_maps(rng, space, order, count):
+    """(inner, outer) pairs: inner maps fix the origin with a random linear
+    part, outer maps carry a constant."""
+    dim = space.dim
+    return [(random_pair(rng, space, order, n_terms(space.block_dims),
+                         linear=rng.uniform(-0.6, 0.6, (dim, dim))),
+             random_pair(rng, space, order, n_terms(space.block_dims), constant=True))
+            for _ in range(count)]
+
+
+TABLE_CASES = [(dims, M) for dims in ((1,), (2, 2), (1, 1, 1), (2, 3)) for M in range(2, 7)]
+
+
+class TestCompositionTable:
+    """Composing on the right of fixed maps through their table of powers."""
+
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    @pytest.mark.parametrize("dims,order", TABLE_CASES, ids=str)
+    def test_matches_dict_reference(self, dims, order, period):
+        rng = np.random.default_rng(5000 + sum(dims) * 100 + order * 10 + period)
+        space = GradedSpace(dims)
+        pairs = table_maps(rng, space, order, period)
+        inner = stack_jets([to_polymap(space, order, i) for i, _ in pairs], order)
+        outer = stack_jets([to_polymap(space, order, o) for _, o in pairs], order)
+        table = composition_table(inner, space.dim, order)
+        got = table_compose(outer, table, space.dim, order)
+        for jet, (i, o) in zip(got, pairs):
+            ref = dict_compose(o, i, space.dim, order)
+            assert gap(PolyMap.from_jet(space, space, order, jet), ref) <= 1e-13
+
+    def test_window_stack_matches_dict_reference(self, monkeypatch):
+        # batch axes (W, P) as in the window solve; one stack entry at a
+        # time gives the same floats
+        rng = np.random.default_rng(77)
+        space, order, W, P = GradedSpace((2, 2)), 5, 3, 2
+        pairs = table_maps(rng, space, order, W * P)
+        inner = stack_jets([to_polymap(space, order, i) for i, _ in pairs], order)
+        outer = stack_jets([to_polymap(space, order, o) for _, o in pairs], order)
+        inner, outer = (x.reshape((W, P) + x.shape[1:]) for x in (inner, outer))
+        table = composition_table(inner, space.dim, order)
+        assert [T.shape[:2] for T in table] == [(W, P)] * order
+        got = table_compose(outer, table, space.dim, order).reshape(W * P, space.dim, -1)
+        for jet, (i, o) in zip(got, pairs):
+            ref = dict_compose(o, i, space.dim, order)
+            assert gap(PolyMap.from_jet(space, space, order, jet), ref) <= 1e-13
+        monkeypatch.setattr(polymap, "POWER_BYTES", 1)
+        one_at_a_time = composition_table(inner, space.dim, order)
+        assert all(np.array_equal(a, b) for a, b in zip(table, one_at_a_time))
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 2), (1, 1, 1), (2, 3), (3, 3)], ids=str)
+    def test_diagonal_blocks_are_the_linear_substitutions(self, dims):
+        # to the bit: the nonlinear terms never reach the degree-n block of T_n
+        rng = np.random.default_rng(sum(dims))
+        dim, order, K = sum(dims), 6, 3
+        jets = rng.uniform(-0.5, 0.5, (K, dim, jet_width(dim, order)))
+        jets[..., 0] = 0.0
+        table = composition_table(jets, dim, order)
+        linear = _linear_jets(jets[..., 1:1 + dim][..., ::-1])
+        for n, T in enumerate(table, start=1):
+            subst = composition_table(linear, dim, n)[n - 1]
+            assert subst.shape == (K, math.comb(dim + n - 1, n), math.comb(dim + n - 1, n))
+            assert np.array_equal(T[..., :subst.shape[-1]], subst)
+
+    def test_block_sizes(self):
+        dim, order, K = 4, 5, 2
+        rng = np.random.default_rng(3)
+        jets = rng.uniform(-0.5, 0.5, (K, dim, jet_width(dim, order)))
+        jets[..., 0] = 0.0
+        table = composition_table(jets, dim, order)
+        for k, T in enumerate(table, start=1):
+            assert T.shape == (K, math.comb(dim + k - 1, k),
+                               jet_width(dim, order) - jet_width(dim, k - 1))
+        floats = sum(math.comb(dim + k - 1, k) * (jet_width(dim, order) - jet_width(dim, k - 1))
+                     for k in range(1, order + 1))
+        assert sum(T.nbytes for T in table) == 8 * K * floats
+
+    def test_needs_maps_fixing_the_origin(self):
+        jets = np.zeros((2, 1, 4))
+        jets[1, 0, 0] = 0.1
+        with pytest.raises(ValueError, match="fixing the origin"):
+            composition_table(jets, 1, 3)

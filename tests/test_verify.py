@@ -153,8 +153,7 @@ class TestConjugacyResidual:
 def degree_inputs(ctx, n, h_maps, p_maps):
     """Degree-n operator and twisted sources Q(k), the oracle's arguments."""
     op = ctx.operator(n)
-    maps = [ctx.cocycle.map_at(k) for k in range(ctx.cocycle.period)]
-    stacks = [stack_jets(group, ctx.order) for group in (maps, h_maps, p_maps)]
+    stacks = [stack_jets(group, ctx.order) for group in (h_maps, p_maps)]
     return op, op.source(_source_vecs(op, *stacks))
 
 
