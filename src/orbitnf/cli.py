@@ -3,7 +3,9 @@
 Subcommands:
 
   run <config>       solve the scenario, run its enabled checks, write
-                     report.json and residuals.csv into the output directory
+                     report.json and residuals.csv (the largest coefficient
+                     of the conjugacy defect at each degree) into the output
+                     directory
   list               builtin scenario names with one-line descriptions
   spectrum <config>  stop after the Lyapunov stage, print spectrum, structure,
                      comparison factors and the norm sandwich check as JSON
@@ -12,8 +14,10 @@ Subcommands:
 <config> is either a builtin scenario name or a path to a JSON file.  A file
 holds an object whose "scenario" entry is a builtin name or an inline cocycle
 object (the serialization format produced in reports); remaining entries
-override the scenario defaults.  Exit status: 0 when every enabled check
-passes, 1 when a check fails (named on stderr), 2 on configuration errors.
+override the scenario defaults.  A check entry holds only the keys of its
+default (``scenarios.default_checks``); any other key is a configuration
+error.  Exit status: 0 when every enabled check passes, 1 when a check fails
+(named on stderr), 2 on configuration errors.
 
 Reports are deterministic: a fixed config and seed reproduce report.json byte
 for byte.  Numbers are printed with 17 significant digits, object keys sorted,
@@ -234,13 +238,6 @@ def _is_number(value) -> bool:
 
 # (check, key, test, rule) for the check parameters that need more than a cast
 _CHECK_PARAMS = (
-    ("residual", "radii",
-     lambda v: isinstance(v, list) and all(_is_number(r) and r > 0.0 for r in v)
-     and len(set(v)) >= 2,
-     "a list of at least two distinct positive numbers"),
-    ("residual", "samples", lambda v: _is_int(v, 1), "an integer >= 1"),
-    ("flag", "samples", lambda v: _is_int(v, 1), "an integer >= 1"),
-    ("flag", "radius", lambda v: _is_number(v) and v > 0.0, "a finite number > 0"),
     ("gauge", "delta", lambda v: _is_number(v) and v != 0.0, "a finite nonzero number"),
     ("centralizer", "powers",
      lambda v: isinstance(v, list) and all(_is_int(p, 1) for p in v),
@@ -268,13 +265,16 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
     unknown = sorted(set(checks) - set(CHECK_ORDER))
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+    allowed = default_checks()
     for check_name, entry in checks.items():
         if not isinstance(entry, dict) or not isinstance(
                 entry.get("enabled", False), bool):
             raise ConfigError(f"check {check_name!r} needs an 'enabled' flag")
-        for key in ("tol", "exact_tol"):
-            if key in entry and not _is_number(entry[key]):
-                raise ConfigError(f"checks.{check_name}.{key} must be a finite number")
+        extra = sorted(set(entry) - set(allowed[check_name]))
+        if extra:
+            raise ConfigError(f"unknown config key 'checks.{check_name}.{extra[0]}'")
+        if "tol" in entry and not _is_number(entry["tol"]):
+            raise ConfigError(f"checks.{check_name}.tol must be a finite number")
     for check_name, key, valid, rule in _CHECK_PARAMS:
         entry = checks.get(check_name, {})
         if key in entry and not valid(entry[key]):
@@ -301,10 +301,7 @@ def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
 # -- checks ---------------------------------------------------------------------
 
 def _check_residual(ctx, result, cocycle, config, cfg, seed):
-    rep = conjugacy_residual(
-        cocycle, result, radii=tuple(float(r) for r in cfg["radii"]),
-        samples=int(cfg["samples"]), seed=seed,
-        exact_tol=float(cfg["exact_tol"]))
+    rep = conjugacy_residual(cocycle, result, series_tol=ctx.series_tol)
     return rep.to_dict(), rep.passed
 
 
@@ -410,9 +407,7 @@ def _check_centralizer(ctx, result, cocycle, config, cfg, seed):
 
 
 def _check_flag(ctx, result, cocycle, config, cfg, seed):
-    rep = flag_invariance(
-        result.normal_form, samples=int(cfg["samples"]), seed=seed + 1,
-        radius=float(cfg["radius"]), tol=float(cfg["tol"]))
+    rep = flag_invariance(result.normal_form, tol=float(cfg["tol"]))
     return rep.to_dict(), rep.passed
 
 
@@ -456,19 +451,10 @@ def run_checks(ctx, result, cocycle, config):
 # -- report files ---------------------------------------------------------------
 
 def _format_residuals_csv(details: dict | None) -> str:
-    lines = ["radius,max_residual,slope_cumulative"]
+    lines = ["degree,max_residual"]
     if details is not None:
-        radii = [float(r) for r in details["radii"]]
-        values = [float(v) for v in details["max_residuals"]]
-        for i in range(len(radii)):
-            if i >= 1 and all(v > 0.0 for v in values[: i + 1]):
-                slope = float(np.polyfit(np.log(radii[: i + 1]),
-                                         np.log(values[: i + 1]), 1)[0])
-                text = _fmt_float(slope)
-            else:
-                text = "nan"
-            lines.append(
-                f"{_fmt_float(radii[i])},{_fmt_float(values[i])},{text}")
+        values = details["max_residuals"] + [details["leading_term"]]
+        lines += [f"{n},{_fmt_float(float(v))}" for n, v in enumerate(values)]
     return "\n".join(lines) + "\n"
 
 
@@ -619,7 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a config entry by dotted path, "
-                            "e.g. checks.residual.exact_tol=1e-11")
+                            "e.g. checks.oracle.tol=1e-11")
 
     p_run = sub.add_parser("run", help="solve a scenario and write reports")
     add_common(p_run)

@@ -56,9 +56,9 @@ import numpy as np
 
 from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import (GradedSpace, PolyMap, _linear_jets, _mono_table, admissible_mask,
-                      compose_jets, composition_table, degree_cols, jet_width, stack_jets,
-                      top_degree)
+from .polymap import (GradedSpace, PolyMap, _linear_jets, admissible_mask,
+                      block_degree_groups, compose_jets, composition_table, degree_cols,
+                      jet_width, stack_jets, top_degree)
 
 # a window sweep whose norm outgrows its sources by this factor has diverged
 WINDOW_GROWTH_GUARD = 1e9
@@ -114,11 +114,8 @@ class _DegreeOperator:
         self.n = n
         self.degree_bound = structure.degree_bound
         self.mask = ~admissible_mask(space, space, n, structure.admissible(n))
-        by_degrees: dict[tuple[int, ...], list[int]] = {}
-        for j, alpha in enumerate(_mono_table(space.dim, n)[0]):
-            by_degrees.setdefault(space.block_degrees(alpha), []).append(j)
-        self.types = [(space.block_slice(i), np.array(cols))
-                      for _, cols in sorted(by_degrees.items())
+        self.types = [(space.block_slice(i), cols)
+                      for _, cols in block_degree_groups(space, n)
                       for i in range(1, space.n_blocks + 1)
                       if self.mask[space.block_slice(i).start, cols[0]]]
         self.table = table

@@ -5,8 +5,10 @@ jet of shape (m', jet_width(m, degree)): column 0 is the constant and the
 columns ``degree_cols(m, n)`` the degree-n part, one per monomial in the
 sorted order of ``_mono_table``.  A dict keyed by (target coordinate,
 multi-index) is only the input and output format.  The blocks of a
-GradedSpace type every slot (target block, per-block degrees), and
-``admissible_mask`` classifies the slots of a degree once for all callers.
+GradedSpace type every slot (target block, per-block degrees).
+``block_degree_groups`` groups the monomials of a degree by their block
+degrees and ``admissible_mask`` classifies the slots of a degree, each once
+for all callers.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
@@ -293,13 +295,28 @@ def stack_jets(maps, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def block_degree_groups(space: GradedSpace, n: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """The degree-n monomials grouped by block degrees s: (s, read-only
+    columns) pairs in increasing s, the columns in sorted monomial order."""
+    onehot = np.equal.outer(space.block_of_coord, np.arange(1, space.n_blocks + 1))
+    keys, inverse = np.unique(np.array(_mono_table(space.dim, n)[0]) @ onehot, axis=0,
+                              return_inverse=True)
+    groups = tuple((tuple(map(int, s)), np.flatnonzero(inverse.ravel() == g))
+                   for g, s in enumerate(keys))
+    for _, cols in groups:
+        cols.setflags(write=False)
+    return groups
+
+
+@lru_cache(maxsize=None)
 def admissible_mask(target: GradedSpace, source: GradedSpace, n: int,
                     types: frozenset[Type]) -> np.ndarray:
     """True on the degree-n slots whose type (i, s) is in `types`, the
     admissible types ``SubResStructure.admissible(n)``; read-only, shape
     (target.dim, number of degree-n monomials)."""
-    s = [source.block_degrees(a) for a in _mono_table(source.dim, n)[0]]
-    mask = np.array([[(b, sj) in types for sj in s] for b in target.block_of_coord])
+    mask = np.zeros((target.dim, len(_mono_table(source.dim, n)[0])), dtype=bool)
+    for s, cols in block_degree_groups(source, n):
+        mask[:, cols] = np.array([(b, s) in types for b in target.block_of_coord])[:, None]
     mask.setflags(write=False)
     return mask
 

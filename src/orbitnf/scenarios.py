@@ -41,13 +41,12 @@ class Scenario:
 
 def default_checks(chart_points=()) -> dict:
     return {
-        "residual": {"enabled": True, "radii": [0.1, 0.03, 0.01],
-                     "samples": 200, "exact_tol": 1e-12},
+        "residual": {"enabled": True},
         "oracle": {"enabled": True, "tol": 1e-10},
         "sandwich": {"enabled": True, "tol": 1e-6},
         "gauge": {"enabled": True, "tol": 1e-9, "delta": 0.05},
         "centralizer": {"enabled": True, "tol": 1e-9, "powers": [2, 3]},
-        "flag": {"enabled": True, "tol": 1e-12, "samples": 100, "radius": 0.5},
+        "flag": {"enabled": True, "tol": 1e-12},
         "chart": {"enabled": bool(chart_points),
                   "points": [list(map(float, p)) for p in chart_points],
                   "tol": 1e-7},

@@ -3,16 +3,17 @@
 Every check here avoids the transported-series solver or attacks the result
 from a different direction:
 
-* ``conjugacy_residual`` evaluates both sides of the conjugacy on sampled
-  points and fits the decay order of the mismatch.
+* ``conjugacy_residual`` composes both sides of the conjugacy to one degree
+  above the solve order and bounds the coefficients of their difference
+  degree by degree.
 * ``direct_solve_oracle`` solves each degree type by type, one dense linear
   system over all orbit points per type, no series, no contraction argument.
 * ``gauge_compare`` measures whether two solutions differ by a sub-resonance
   coordinate change only, which is the uniqueness statement.
 * ``centralizer_check`` conjugates a commuting family and tests that it lands
   in the sub-resonance group.
-* ``flag_invariance`` differentiates the normal form exactly and looks for
-  below-flag Jacobian entries.
+* ``flag_invariance`` reads the below-flag derivative coefficients of the
+  normal form.
 * ``chart_transitions`` rebuilds the normal form in charts centered at
   nearby non-periodic points, all in one window solve, and tests that each
   transition to the periodic chart is a sub-resonance map.
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _linear_jets, compose_jets, compose_truncated,
+from .polymap import (PolyMap, _linear_jets, _mono_table, compose_jets, compose_truncated,
                       invert_truncated, jet_width, project_subresonance, stack_jets)
 
 
@@ -64,70 +64,76 @@ def _npart_split(pmap: PolyMap, structure) -> tuple[float, float]:
 
 @dataclass
 class ResidualReport(_Report):
-    """Sampled conjugacy defect H_{k+1} o F_k - P_k o H_k at several radii."""
+    """Conjugacy defect H_{k+1} o F_k - P_k o H_k, read degree by degree.
 
-    radii: tuple[float, ...]
-    max_residuals: tuple[float, ...]
-    slope: float | None
+    max_residuals[n] and bounds[n] are the largest coefficient of degree n
+    over the orbit and its bound, for n = 0..order; leading_term is the
+    largest coefficient of degree order + 1, the truncation's own term.
+    """
+
     order: int
-    exact: bool
-    samples: int
-    exact_tol: float = 1e-12
+    series_tol: float
+    max_residuals: tuple[float, ...]
+    bounds: tuple[float, ...]
+    leading_term: float
 
     @property
     def passed(self) -> bool:
-        if self.exact:
-            return True
-        return self.slope is not None and self.slope >= self.order + 0.9
+        return all(r <= b for r, b in zip(self.max_residuals, self.bounds))
+
+
+def _majorant(pm: PolyMap, top: int) -> np.ndarray:
+    """Per degree 0..top, the largest l1 norm of a component's coefficients."""
+    return np.array([np.abs(pm.part(n)).sum(axis=1).max() for n in range(top + 1)])
+
+
+def _compose_majorants(outer: PolyMap, inner: PolyMap, top: int) -> np.ndarray:
+    """Majorant of outer o inner through top: the two majorants composed as
+    scalar series, which bounds each degree's l1 norms."""
+    g = _majorant(inner, top)
+    out, power = np.zeros(top + 1), np.eye(1, top + 1)[0]
+    for c in _majorant(outer, top):
+        out += c * power
+        power = np.convolve(power, g)[:top + 1]
+    return out
 
 
 def conjugacy_residual(cocycle, result: NormalFormResult,
-                       radii: Sequence[float] = (1e-1, 3e-2, 1e-2),
-                       samples: int = 200, seed: int = 0,
-                       exact_tol: float = 1e-12) -> ResidualReport:
-    """Evaluate the conjugacy identity on spheres and fit its decay order.
+                       series_tol: float = 1e-13) -> ResidualReport:
+    """Largest coefficient of H_{k+1} o F_k - P_k o H_k at each degree 0..M+1.
 
-    A degree-M solve leaves a residual of order M+1 in the radius, so the
-    fitted log-log slope should exceed M + 0.9.  Cocycles that are already
-    in normal form give a residual at rounding level instead; that case is
-    reported with ``exact=True`` and no slope.
+    The identity holds as polynomials through the solve order M, so both
+    sides are composed to degree M+1 only, and every degree n <= M must stay
+    within
 
-    Both sides of the identity are polynomials, so the residual is formed
-    once as a polynomial and then sampled.  Subtracting evaluations instead
-    would difference two nearly equal numbers and bottom out near 1e-18 at
-    small radii, masking a genuine residual of order M+1.
+        series_tol sqrt(N_n) (a + a^n) max(1, h_n) + (n + 1) w_n eps c_n:
+
+    the defect that a series tail of Frobenius norm series_tol max(1, h_n)
+    leaves through A_k and its degree-n substitution (N_n degree-n
+    monomials, a the largest row l1 norm of A_k, h_n the largest Frobenius
+    norm of a degree-n part of H), plus rounding along chains of n + 1
+    products of w_n = jet_width(m, n) terms, relative to the majorant c_n of
+    both sides.  NaN never passes.
     """
     if result.period != cocycle.period:
         raise ValueError("result and cocycle have different periods")
-    K = cocycle.period
-    residual_polys = []
+    K, m, M = cocycle.period, cocycle.dim, result.order
+    n = np.arange(M + 1)
+    monos = np.array([math.comb(m + d - 1, d) for d in n])
+    chains = (n + 1) * np.array([jet_width(m, d) for d in n]) * np.finfo(float).eps
+    h_norm = np.max([[np.linalg.norm(h.part(d)) for d in n] for h in result.conjugator], axis=0)
+    residuals, bounds = np.zeros(M + 2), np.zeros(M + 1)
     for k in range(K):
-        h_next = result.conjugator[(k + 1) % K]
-        f = cocycle.map_at(k)
-        lhs = compose_truncated(h_next, f, h_next.degree * f.degree)
-        rhs = compose_truncated(
-            result.normal_form[k], result.conjugator[k],
-            max(result.normal_form[k].degree, 1) * result.conjugator[k].degree)
-        residual_polys.append(lhs - rhs)
-
-    dim = cocycle.dim
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    maxima = []
-    for r in radii:
-        pts = r * dirs
-        worst = max(float(np.max(np.abs(rp.evaluate_batch(pts))))
-                    for rp in residual_polys)
-        maxima.append(worst)
-
-    exact = all(m <= exact_tol for m in maxima)
-    slope = None
-    if not exact and all(m > 0.0 for m in maxima):
-        slope = float(np.polyfit(np.log(radii), np.log(maxima), 1)[0])
-    return ResidualReport(tuple(float(r) for r in radii), tuple(maxima), slope,
-                          result.order, exact, samples, exact_tol)
+        h_next, f = result.conjugator[(k + 1) % K], cocycle.map_at(k)
+        p, h = result.normal_form[k], result.conjugator[k]
+        defect = compose_truncated(h_next, f, M + 1) - compose_truncated(p, h, M + 1)
+        residuals = np.maximum(residuals, [np.abs(defect.part(d)).max() for d in range(M + 2)])
+        a = _majorant(f, 1)[1]
+        sides = _compose_majorants(h_next, f, M) + _compose_majorants(p, h, M)
+        bounds = np.maximum(bounds, series_tol * np.sqrt(monos) * (a + a ** n)
+                            * np.maximum(1.0, h_norm) + chains * sides)
+    return ResidualReport(M, float(series_tol), tuple(map(float, residuals[:-1])),
+                          tuple(map(float, bounds)), float(residuals[-1]))
 
 
 def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
@@ -332,11 +338,9 @@ def centralizer_check(cocycle, result: NormalFormResult,
 
 @dataclass
 class FlagReport(_Report):
-    """Largest below-flag Jacobian entry found on sampled points."""
+    """Largest below-flag derivative coefficient of the checked maps."""
 
     max_below_flag: float
-    samples: int
-    radius: float
     tol: float = 1e-12
 
     @property
@@ -344,15 +348,14 @@ class FlagReport(_Report):
         return self.max_below_flag <= self.tol
 
 
-def flag_invariance(maps, samples: int = 100, seed: int = 0,
-                    radius: float = 0.5, tol: float = 1e-12) -> FlagReport:
+def flag_invariance(maps, tol: float = 1e-12) -> FlagReport:
     """Check that the Jacobian of each map is block triangular everywhere.
 
     Sub-resonance coefficients never depend on strictly slower variables, so
     each partial derivative of a faster component with respect to a slower
-    variable must vanish identically.  The derivative is formed exactly from
-    the coefficients and evaluated on uniform samples; a genuine violation
-    shows up at the size of the offending coefficient times the radius.
+    variable must vanish identically: the derivative of c t^alpha in t_j has
+    the one coefficient c alpha_j, and the report holds the largest
+    |c| alpha_j with block[j] < block[i] over the components i.
     """
     if isinstance(maps, PolyMap):
         maps = [maps]
@@ -360,24 +363,18 @@ def flag_invariance(maps, samples: int = 100, seed: int = 0,
     if not maps:
         raise ValueError("no maps to check")
     space = maps[0].source
-    block = space.block_of_coord
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-radius, radius, size=(samples, space.dim))
+    block = np.array(space.block_of_coord)
+    below = block[None, :] < block[:, None]
 
     worst = 0.0
     for pm in maps:
         if pm.source != space:
             raise ValueError("maps are not over a common space")
-        for (i, alpha), c in pm.coeffs.items():
-            bi = block[i]
-            for j, a_j in enumerate(alpha):
-                if a_j == 0 or block[j] >= bi:
-                    continue
-                down = list(alpha)
-                down[j] -= 1
-                vals = c * a_j * np.prod(pts ** np.asarray(down), axis=1)
-                worst = max(worst, float(np.max(np.abs(vals))))
-    return FlagReport(worst, samples, radius, tol)
+        for n in range(1, pm.degree + 1):
+            exps = np.array(_mono_table(space.dim, n)[0])
+            derivs = np.abs(pm.part(n))[:, :, None] * exps * below[:, None, :]
+            worst = max(worst, float(derivs.max(initial=0.0)))
+    return FlagReport(worst, tol)
 
 
 @dataclass

@@ -117,22 +117,21 @@ def test_04_series_agrees_with_dense_solve(solved):
 
 
 def test_05_residual_decay_order(solved):
+    # the conjugacy defect vanishes through the order, to within its bound at
+    # every degree; at degree order + 1 it is the truncation's own term, or
+    # nothing where the scenario is conjugated exactly
     exact_names = ("resonant2", "nonresonant2", "random_subres")
-    sloped_names = ("koenigs", "koenigs_period2", "random_full")
     ok = True
     notes = []
-    for name in exact_names:
-        s = solved[name]
-        rep = conjugacy_residual(s.cocycle, s.result)
-        ok = ok and rep.exact and max(rep.max_residuals) <= 1e-12
-        notes.append(f"{name} exact {max(rep.max_residuals):.0e}")
-    for name in sloped_names:
-        s = solved[name]
-        rep = conjugacy_residual(s.cocycle, s.result)
-        target = s.result.order + 0.9
-        ok = ok and not rep.exact and rep.slope is not None \
-            and rep.slope >= target
-        notes.append(f"{name} slope {rep.slope:.2f}>={target:.1f}")
+    for name, s in solved.items():
+        rep = conjugacy_residual(s.cocycle, s.result, series_tol=s.ctx.series_tol)
+        ok = ok and rep.passed
+        if name in exact_names:
+            ok = ok and rep.leading_term <= 1e-12
+            notes.append(f"{name} exact {rep.leading_term:.0e}")
+        else:
+            ok = ok and rep.leading_term > 1e3 * max(rep.bounds)
+            notes.append(f"{name} order {rep.order + 1} term {rep.leading_term:.0e}")
     verdict(5, "conjugacy residual orders: " + ", ".join(notes), ok)
 
 
@@ -218,13 +217,13 @@ def test_08_lyapunov_machinery(solved):
 def test_09_flag_invariance(solved):
     worst = 0.0
     for s in solved.values():
-        rep = flag_invariance(s.result.normal_form, samples=100, seed=0)
+        rep = flag_invariance(s.result.normal_form)
         worst = max(worst, rep.max_below_flag)
     s = solved["resonant2"]
     space = s.cocycle.space
     injected = s.result.normal_form[0] + PolyMap(
         space, space, 2, np.zeros(2), {(1, (2, 0)): 0.1})
-    detected = flag_invariance([injected], samples=100, seed=0).max_below_flag
+    detected = flag_invariance([injected]).max_below_flag
     ok = worst <= 1e-12 and detected > 1e-3
     verdict(9, f"flag-invariant Jacobians on all builtins ({worst:.1e}); "
                f"injected cross term detected ({detected:.1e})", ok)

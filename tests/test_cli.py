@@ -110,7 +110,7 @@ class TestReportFormat:
     def test_seventeen_digit_floats(self, koenigs_run):
         out, _ = koenigs_run
         text = (out / "report.json").read_text()
-        assert "0.10000000000000001" in text  # the 0.1 residual radius
+        assert "0.050000000000000003" in text  # koenigs' epsilon 0.05
 
     def test_report_parses_as_json(self, koenigs_run):
         out, _ = koenigs_run
@@ -120,17 +120,15 @@ class TestReportFormat:
                                "result", "checks", "passed"}
 
     def test_csv_format(self, koenigs_run):
-        out, _ = koenigs_run
+        out, report = koenigs_run
         lines = (out / "residuals.csv").read_text().splitlines()
-        assert lines[0] == "radius,max_residual,slope_cumulative"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert float(first[0]) == pytest.approx(0.1)
-        assert first[2] == "nan"
-        last = lines[3].split(",")
-        assert float(last[2]) >= 6.9
-        for line in lines[1:]:
-            assert len(line.split(",")) == 3
+        assert lines[0] == "degree,max_residual"
+        order = report["result"]["order"]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(n) for n, _ in rows] == list(range(order + 2))
+        # nothing through the order, the truncation's own term above it
+        assert all(float(v) <= 1e-13 for _, v in rows[:-1])
+        assert float(rows[-1][1]) >= 1e-6
 
 
 class TestDeterminism:
@@ -278,6 +276,7 @@ class TestErrorExits:
         assert main(["run", str(cfg)]) == 2
 
     @pytest.mark.parametrize("override, key", [
+        # keys the checks no longer read are unknown
         ("checks.residual.radii=[]", "checks.residual.radii"),
         ("checks.residual.radii=[0.1]", "checks.residual.radii"),
         ("checks.residual.radii=[0.1, 0.1]", "checks.residual.radii"),
@@ -299,6 +298,22 @@ class TestErrorExits:
                      "--tol-override", override])
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("residual", {"radii": [0.1, 0.03, 0.01]}),
+        ("residual", {"samples": 200}),
+        ("residual", {"exact_tol": 1e-12}),
+        ("flag", {"samples": 100}),
+        ("flag", {"radius": 0.5}),
+        ("oracle", {"tolerance": 1e-10}),
+    ])
+    def test_unknown_check_key_exit_2(self, key, value, tmp_path, capsys):
+        # a config file cannot carry a key its check does not read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "resonant2", "checks": {key: value}}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert f"checks.{key}.{next(iter(value))}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("points", [[0.05], [[0.05]], [[0.05, "a"]], 0.05])
@@ -350,13 +365,13 @@ class TestErrorExits:
 class TestConfigHandling:
     def test_override_plumbs_into_report(self, tmp_path):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),
-                     "--tol-override", "checks.residual.samples=50"])
+                     "--tol-override", "checks.flag.tol=1e-11"])
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["config"]["checks"]["residual"]["samples"] == 50
-        residual = report["checks"][0]
-        assert residual["name"] == "residual"
-        assert residual["details"]["samples"] == 50
+        assert report["config"]["checks"]["flag"]["tol"] == 1e-11
+        flag = report["checks"][CHECK_ORDER.index("flag")]
+        assert flag["name"] == "flag"
+        assert flag["details"]["tol"] == 1e-11
 
     def test_config_file_overrides_builtin_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -452,6 +467,15 @@ class TestVerifyCommand:
         code = main(["verify", "koenigs", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "no cached report" in capsys.readouterr().err
+
+    def test_verify_stale_report_exit_2(self, koenigs_run, tmp_path, capsys):
+        # a cached config holding a key no check reads is named, not ignored
+        out, report = koenigs_run
+        stale = json.loads(json.dumps(report))
+        stale["config"]["checks"]["residual"]["radii"] = [0.1, 0.03, 0.01]
+        (tmp_path / "report.json").write_text(json.dumps(stale))
+        assert main(["verify", "koenigs", "--out-dir", str(tmp_path)]) == 2
+        assert "checks.residual.radii" in capsys.readouterr().err
 
     def test_verify_with_tight_tolerance_fails(self, koenigs_run, capsys):
         out, _ = koenigs_run

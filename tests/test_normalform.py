@@ -243,6 +243,26 @@ class TestTypedOperator:
             assert np.max(np.abs(phi @ c.ravel() - op.apply(k, c).ravel())) <= 1e-13
             assert not phi[label[:, None] != label[None, :]].any()
 
+    def test_types_read_the_block_degree_groups(self, monkeypatch):
+        # the types come from the cached grouping of the monomials, with no
+        # block-degree call per monomial; in sorted block degrees, then blocks
+        space = GradedSpace((2, 2, 1))
+        structure = SubResStructure.from_spectrum(Spectrum((-1.2, -0.8, -0.4), (2, 2, 1), 0.02))
+        A = np.diag(np.exp([-1.2, -1.2, -0.8, -0.8, -0.4]))
+        monos = _mono_table(space.dim, 3)[0]
+        want = [(i, [j for j, a in enumerate(monos) if space.block_degrees(a) == s])
+                for s in sorted({space.block_degrees(a) for a in monos})
+                for i in (1, 2, 3) if not structure.is_admissible(i, s)]
+        assert len(want) > 1
+
+        def per_monomial(self, alpha):
+            raise AssertionError("block degrees of one monomial")
+
+        monkeypatch.setattr(GradedSpace, "block_degrees", per_monomial)
+        op = linear_operator(space, structure, 3, [A])
+        assert [(rows, list(cols)) for rows, cols in op.types] == \
+            [(space.block_slice(i), cols) for i, cols in want]
+
     @pytest.mark.parametrize("period", [1, 2, 3])
     def test_certificate_matches_dense_reference(self, period):
         qs = []

@@ -18,6 +18,7 @@ from orbitnf.polymap import (
     PolyMap,
     _linear_jets,
     _mono_table,
+    block_degree_groups,
     compose_jets,
     compose_truncated,
     composition_table,
@@ -93,6 +94,18 @@ class TestGradedSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             GradedSpace(())
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 1), (1, 1, 1), (3, 3)], ids=str)
+    def test_block_degree_groups(self, dims):
+        space = GradedSpace(dims)
+        for n in range(4):
+            groups = block_degree_groups(space, n)
+            monos = _mono_table(space.dim, n)[0]
+            assert [s for s, _ in groups] == sorted({space.block_degrees(a) for a in monos})
+            for s, cols in groups:
+                assert list(cols) == [j for j, a in enumerate(monos)
+                                      if space.block_degrees(a) == s]
+            assert block_degree_groups(space, n) is groups
 
 
 class TestEvaluate:
@@ -396,6 +409,19 @@ class TestDictReference:
         got = compose_truncated(to_polymap(space, order, outer),
                                 to_polymap(space, order, inner), order)
         assert gap(got, dict_compose(outer, inner, space.dim, order)) <= 1e-13
+
+    @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
+    def test_compose_one_degree_above(self, dims, order):
+        # the residual check's compositions H o F and P o H of a degree-M
+        # conjugator and quadratic maps, truncated at M + 1
+        rng = np.random.default_rng(5000 + sum(dims) * 10 + order)
+        space = GradedSpace(dims)
+        h = random_pair(rng, space, order, n_terms(dims), linear=np.eye(space.dim))
+        f = random_pair(rng, space, 2, n_terms(dims), linear=0.5 * np.eye(space.dim))
+        for (outer, d_outer), (inner, d_inner) in (((h, order), (f, 2)), ((f, 2), (h, order))):
+            got = compose_truncated(to_polymap(space, d_outer, outer),
+                                    to_polymap(space, d_inner, inner), order + 1)
+            assert gap(got, dict_compose(outer, inner, space.dim, order + 1)) <= 1e-13
 
     @pytest.mark.parametrize("dims,order", REFERENCE_CASES, ids=str)
     def test_stacked_kernel(self, dims, order, monkeypatch):

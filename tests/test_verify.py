@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from dict_reference import reference_compose
 
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure
-from orbitnf.normalform import SolverContext, _source_vecs, solve_normal_form
-from orbitnf.polymap import GradedSpace, PolyMap, _mono_table, compose_truncated, stack_jets
+from orbitnf.normalform import NormalFormResult, SolverContext, _source_vecs, solve_normal_form
+from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
+                             compose_truncated, degree_cols, stack_jets)
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
     CommutingExtension,
@@ -90,45 +93,59 @@ def nonresonant2():
     return c, ctx, solve_normal_form(ctx)
 
 
+# the benchmark ladder's cocycles (seed 1): exponents (-2.0, -0.8) on two
+# blocks, (-1.2, -0.8, -0.4) on three
+LADDER_EXPONENTS = {2: (-2.0, -0.8), 3: (-1.2, -0.8, -0.4)}
+
+
+def ladder_solve(dims, period, order, epsilon, amp=0.05):
+    c = random_cocycle(np.random.default_rng(1), LADDER_EXPONENTS[len(dims)], dims,
+                       period, amp=amp)
+    return c, solve_normal_form(SolverContext.prepare(c, epsilon, order))
+
+
+def with_conjugators(res, conjugators):
+    return NormalFormResult(tuple(conjugators), res.normal_form, res.spectrum,
+                            res.structure, res.order, res.diagnostics)
+
+
+def assert_order_profile(rep):
+    """Every degree through the order within its bound, a genuine degree
+    order + 1 term above them: the defect decays at exactly that order."""
+    assert rep.passed
+    assert len(rep.max_residuals) == len(rep.bounds) == rep.order + 1
+    assert rep.leading_term > 1e3 * max(rep.bounds)
+
+
 class TestConjugacyResidual:
-    def test_koenigs_slope(self, koenigs):
+    def test_koenigs_degree_profile(self, koenigs):
         c, _, res = koenigs
         rep = conjugacy_residual(c, res)
-        assert not rep.exact
-        assert rep.slope is not None and rep.slope >= res.order + 0.9
-        assert rep.passed
-        # residual shrinks with the radius
-        assert rep.max_residuals[0] > rep.max_residuals[-1]
+        assert_order_profile(rep)
+        assert max(rep.max_residuals) <= 1e-14
 
-    def test_period2_slope(self, period2):
+    def test_period2_degree_profile(self, period2):
         c, _, res = period2
-        rep = conjugacy_residual(c, res)
-        assert rep.slope is not None and rep.slope >= res.order + 0.9
-        assert rep.passed
+        assert_order_profile(conjugacy_residual(c, res))
 
-    def test_ladder_order6_slope(self):
-        # the (2,2), K=2, M=6 ladder cocycle: a series truncated at the
-        # default tolerance left a residual floor that bent the slope to 6.55
-        c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), 2, amp=0.05)
-        res = solve_normal_form(SolverContext.prepare(c, 0.04, 6))
-        rep = conjugacy_residual(c, res)
-        assert rep.slope is not None and rep.slope >= res.order + 0.9
-        assert rep.passed
+    def test_ladder_order6_passes(self):
+        # the (2,2), K=2, M=6 ladder cocycle at the default series tolerance
+        c, res = ladder_solve((2, 2), 2, 6, 0.04)
+        assert_order_profile(conjugacy_residual(c, res))
 
     def test_resonant2_exact(self, resonant2):
         c, _, res = resonant2
         rep = conjugacy_residual(c, res)
-        assert rep.exact
-        assert rep.slope is None
         assert rep.passed
         assert max(rep.max_residuals) <= 1e-13
+        assert rep.leading_term <= 1e-13
 
     def test_nonresonant2_exact(self, nonresonant2):
         # the degree-2 conjugator solves the equation as full polynomials
         c, _, res = nonresonant2
         rep = conjugacy_residual(c, res)
-        assert rep.exact
         assert rep.passed
+        assert rep.leading_term <= 1e-13
 
     def test_linear_cocycle_residual_vanishes(self):
         c = scalar_cocycle([{1: 0.4}])
@@ -136,7 +153,8 @@ class TestConjugacyResidual:
         res = solve_normal_form(ctx)
         rep = conjugacy_residual(c, res)
         assert max(rep.max_residuals) <= 1e-14
-        assert rep.exact
+        assert rep.leading_term <= 1e-14
+        assert rep.passed
 
     def test_period_mismatch_rejected(self, koenigs, period2):
         _, _, res_p2 = period2
@@ -146,8 +164,86 @@ class TestConjugacyResidual:
 
     def test_report_serializes(self, koenigs):
         c, _, res = koenigs
-        rep = conjugacy_residual(c, res, samples=32)
+        rep = conjugacy_residual(c, res)
+        assert set(rep.to_dict()) == {"order", "series_tol", "max_residuals", "bounds",
+                                      "leading_term", "passed"}
         json.dumps(rep.to_dict())
+
+    @pytest.mark.parametrize("order", [4, 5, 6, 7])
+    @pytest.mark.parametrize("amp", [0.03, 0.04, 0.05])
+    def test_conjugator_truncated_one_degree_fails(self, order, amp):
+        # the whole degree-M part of every H_k missing; at M = 7 its defect
+        # is below 1e-12 on the sphere of radius 0.1
+        c, res = ladder_solve((2, 2), 2, order, 0.04, amp=amp)
+        cut = with_conjugators(res, (h.truncated(order - 1).truncated(order)
+                                     for h in res.conjugator))
+        rep = conjugacy_residual(c, cut)
+        assert not rep.passed
+        assert rep.max_residuals[order] > 1e3 * rep.bounds[order]
+
+    @pytest.mark.parametrize("degree", [2, 4, 6])
+    def test_under_solved_degree_fails(self, degree):
+        # every non-admissible slot of one degree of every H_k off by 1e-9
+        c, res = ladder_solve((2, 2), 2, 6, 0.04)
+        space = c.space
+        mask = ~admissible_mask(space, space, degree, res.structure.admissible(degree))
+        cols = degree_cols(space.dim, degree)
+        bad = []
+        for h in res.conjugator:
+            jet = h.jet.copy()
+            jet[:, cols] += 1e-9 * mask
+            bad.append(PolyMap.from_jet(space, space, h.degree, jet))
+        rep = conjugacy_residual(c, with_conjugators(res, bad))
+        assert not rep.passed
+        assert all(r <= b for r, b in zip(rep.max_residuals[:degree], rep.bounds))
+        assert rep.max_residuals[degree] > 10 * rep.bounds[degree]
+
+    @pytest.mark.parametrize("order", [5, 6, 7])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_random_cocycles_pass(self, order, period):
+        exponents, dims, epsilon = ((-2.0, -0.9), (1, 2), 0.04) if period % 2 else \
+            ((-1.2, -0.8, -0.4), (1, 1, 1), 0.02)
+        rng = np.random.default_rng(100 * order + period)
+        c = random_cocycle(rng, exponents, dims, period, amp=0.05)
+        res = solve_normal_form(SolverContext.prepare(c, epsilon, order))
+        assert_order_profile(conjugacy_residual(c, res))
+
+    @pytest.mark.parametrize("series_tol", [1e-11, 1e-9, 1e-7])
+    def test_bound_follows_series_tol(self, series_tol):
+        # a looser series leaves a larger defect, which its bound admits and
+        # the default series_tol's does not
+        c = koenigs_cocycle()
+        res = solve_normal_form(SolverContext.prepare(c, 0.05, 6, series_tol=series_tol))
+        rep = conjugacy_residual(c, res, series_tol=series_tol)
+        assert rep.passed
+        assert max(rep.max_residuals) > 1e-2 * series_tol
+        assert not conjugacy_residual(c, res).passed
+
+    def test_profile_matches_dict_reference(self):
+        # the two compositions through the independent dict algebra
+        c, res = ladder_solve((2, 2), 2, 4, 0.04)
+        M, K = res.order, c.period
+        rep = conjugacy_residual(c, res)
+        want = np.zeros(M + 2)
+        for k in range(K):
+            defect = (reference_compose(res.conjugator[(k + 1) % K], c.map_at(k), M + 1)
+                      - reference_compose(res.normal_form[k], res.conjugator[k], M + 1))
+            want = np.maximum(want, [np.abs(defect.part(n)).max() for n in range(M + 2)])
+        got = np.array(rep.max_residuals + (rep.leading_term,))
+        assert np.max(np.abs(got - want)) <= 1e-13 * rep.leading_term + 1e-16
+
+    def test_memory_on_ladder_33_order6(self):
+        # H o F composed to deg H * deg F = 12 would take over 1 GB; to
+        # M + 1 = 7 both compositions stay within the power kernel's chunks
+        c, res = ladder_solve((3, 3), 1, 6, 0.03)
+        tracemalloc.start()
+        try:
+            rep = conjugacy_residual(c, res)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < 40_000_000
 
 
 def degree_inputs(ctx, n, h_maps, p_maps):
@@ -300,15 +396,16 @@ class TestFlagInvariance:
         _, _, res = nonresonant2
         rep = flag_invariance(res.conjugator)
         h = 0.2 / (math.exp(-0.4) - math.exp(-2.0))
-        assert rep.max_below_flag >= h * 2 * 0.4
+        assert rep.max_below_flag == pytest.approx(2 * h, rel=1e-12)
         assert not rep.passed
 
     def test_injected_violation_detected(self, resonant2):
         _, _, res = resonant2
         bad = res.normal_form[0] + PolyMap(S11, S11, 2, np.zeros(2),
                                            {(1, (2, 0)): 0.1})
-        rep = flag_invariance(bad, samples=100, seed=3, radius=0.5)
-        assert 0.05 <= rep.max_below_flag <= 0.11
+        rep = flag_invariance(bad)
+        # d/dt_0 of 0.1 t_0^2 in the block-2 component: 0.1 * 2
+        assert rep.max_below_flag == pytest.approx(0.2, abs=1e-15)
         assert not rep.passed
 
     def test_report_serializes(self, resonant2):
