@@ -37,7 +37,7 @@ import numpy as np
 
 from .cocycle import OrbitCocycle, sandwich_check
 from .normalform import NormalFormResult, SolverContext, solve_normal_form
-from .polymap import PolyMap
+from .polymap import PolyMap, invert_jets, stack_jets
 from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
 from .verify import (
     CommutingExtension,
@@ -380,11 +380,10 @@ def _check_gauge(ctx, result, cocycle, config, cfg, seed):
 
 
 def _check_centralizer(ctx, result, cocycle, config, cfg, seed):
-    from .polymap import invert_truncated
-
     tol = float(cfg["tol"])
     order = result.order
-    inverses = [invert_truncated(h, order) for h in result.conjugator]
+    # the H_k^{-1} of every family, one stacked inverse
+    inverses = invert_jets(stack_jets(result.conjugator, order), cocycle.dim, order)
     # F^p and P^p for p = 1, 2, ...: each power is the one below composed once more
     chain = [(iterate_extension(cocycle, 1, order), CommutingExtension(1, result.normal_form))]
     runs = []

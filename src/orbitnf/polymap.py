@@ -19,9 +19,10 @@ composed on the right again and again: composing H o G is then linear in H,
 jet(H o G) = sum_k H_k @ T_k, with one block T_k per degree k and
 sum_k n_mono(k) (jet_width(M) - jet_width(k - 1)) floats per map through
 order M.  The index plans of the multiplication matrices are listed once per
-dimension and degree and cut once per column window.  Inverses are series
-reversion.  Iteration orders are fixed, so repeated runs give identical
-floats.
+dimension and degree and cut once per column window.  ``invert_jets``
+inverts a stack by series reversion, one composition per degree for the
+whole stack; ``compose_truncated`` and ``invert_truncated`` are the one-map
+forms.  Iteration orders are fixed, so repeated runs give identical floats.
 """
 
 import math
@@ -521,26 +522,37 @@ def compose_truncated(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMa
     return PolyMap.from_jet(inner.source, outer.target, max_degree, jet)
 
 
+def invert_jets(jets: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """Truncated compositional inverses R[s] with jets[s] o R[s] = t through `degree`.
+
+    jets is a stack of shape (S, m, w) over m = `dim` variables, every map
+    fixing the origin with an invertible linear part.  Built degree by degree
+    by cancelling the defect of the partial inverses, one ``compose_jets``
+    call per degree for the whole stack.
+    """
+    if np.any(jets[..., 0] != 0.0):
+        raise ValueError("inverse requires a map fixing the origin")
+    try:
+        Ainv = np.linalg.inv(jets[..., 1:1 + dim][..., ::-1])
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("linear part is singular") from exc
+    out = _fit(_linear_jets(Ainv), jet_width(dim, degree))
+    for n in range(2, degree + 1):
+        cols = degree_cols(dim, n)
+        defect = compose_jets(jets, out[..., :cols.stop], dim, n)[..., cols]
+        out[..., cols] = -(Ainv @ defect)
+    return out
+
+
 def invert_truncated(pmap: PolyMap, max_degree: int) -> PolyMap:
     """Truncated compositional inverse R with pmap(R(t)) = t through max_degree.
 
-    Requires pmap(0) = 0 and an invertible linear part; built degree by degree
-    by cancelling the defect of the partial inverse.
+    Requires pmap(0) = 0 and an invertible linear part; ``invert_jets`` of
+    the one map.
     """
     if pmap.source.block_dims != pmap.target.block_dims:
         raise ValueError("inverse needs matching source and target gradings")
-    if np.any(pmap.constant != 0.0):
-        raise ValueError("inverse requires a map fixing the origin")
-    try:
-        Ainv = np.linalg.inv(pmap.linear_matrix())
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("linear part is singular") from exc
-    dim = pmap.source.dim
-    jet = _fit(_linear_jets(Ainv), jet_width(dim, max_degree))
-    for n in range(2, max_degree + 1):
-        cols = degree_cols(dim, n)
-        defect = compose_jets(pmap.jet[None], jet[None, :, :cols.stop], dim, n)[0, :, cols]
-        jet[:, cols] = -(Ainv @ defect)
+    jet = invert_jets(pmap.jet[None], pmap.source.dim, max_degree)[0]
     return PolyMap.from_jet(pmap.source, pmap.target, max_degree, jet)
 
 

@@ -17,6 +17,11 @@ from a different direction:
 * ``chart_transitions`` rebuilds the normal form in charts centered at
   nearby non-periodic points, all in one window solve, and tests that each
   transition to the periodic chart is a sub-resonance map.
+
+The checks hold at every orbit point, and each check step is one stacked
+kernel call over the orbit, whatever the period K: one ``compose_jets``
+call on a stack of at most 2K maps, one ``invert_jets`` call for all the
+inverses, one stacked SVD and solve per system size in the oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import numpy as np
 
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _linear_jets, _mono_table, compose_jets, compose_truncated,
-                      invert_truncated, jet_width, project_subresonance, stack_jets)
+from .polymap import (PolyMap, _linear_jets, _mono_table, compose_jets, degree_cols,
+                      invert_jets, invert_truncated, jet_width, project_subresonance,
+                      stack_jets)
 
 
 # field metadata of the polynomial maps a report keeps but does not serialize
@@ -52,6 +58,22 @@ class _Report:
 def _coeff_diff(a: PolyMap, b: PolyMap) -> float:
     """Largest coefficient mismatch, constants included."""
     return float(np.max(np.abs((a - b).jet)))
+
+
+def _stack(maps) -> np.ndarray:
+    """Jets of maps over one space, stacked at the highest degree among them."""
+    return stack_jets(maps, max(pm.degree for pm in maps))
+
+
+def _maps(space, degree: int, jets: np.ndarray) -> tuple[PolyMap, ...]:
+    """PolyMaps over one space from a stack of jets."""
+    return tuple(PolyMap.from_jet(space, space, degree, jet) for jet in jets)
+
+
+def _npart_max(maps, structure) -> tuple[float, float]:
+    """``_npart_split`` maxima over maps; NaN propagates."""
+    low, high = np.array([_npart_split(pm, structure) for pm in maps]).max(axis=0)
+    return float(low), float(high)
 
 
 def _npart_split(pmap: PolyMap, structure) -> tuple[float, float]:
@@ -87,14 +109,14 @@ def _majorant(pm: PolyMap, top: int) -> np.ndarray:
     return np.array([np.abs(pm.part(n)).sum(axis=1).max() for n in range(top + 1)])
 
 
-def _compose_majorants(outer: PolyMap, inner: PolyMap, top: int) -> np.ndarray:
-    """Majorant of outer o inner through top: the two majorants composed as
-    scalar series, which bounds each degree's l1 norms."""
-    g = _majorant(inner, top)
+def _compose_majorants(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Majorant of outer o inner from their majorants through one top degree:
+    the two composed as scalar series, which bounds each degree's l1 norms."""
+    top = len(outer) - 1
     out, power = np.zeros(top + 1), np.eye(1, top + 1)[0]
-    for c in _majorant(outer, top):
+    for c in outer:
         out += c * power
-        power = np.convolve(power, g)[:top + 1]
+        power = np.convolve(power, inner)[:top + 1]
     return out
 
 
@@ -113,25 +135,32 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
     monomials, a the largest row l1 norm of A_k, h_n the largest Frobenius
     norm of a degree-n part of H), plus rounding along chains of n + 1
     products of w_n = jet_width(m, n) terms, relative to the majorant c_n of
-    both sides.  NaN never passes.
+    both sides.  Both sides of all orbit points are one stacked composition
+    of 2K entries.  NaN never passes.
     """
     if result.period != cocycle.period:
         raise ValueError("result and cocycle have different periods")
     K, m, M = cocycle.period, cocycle.dim, result.order
+    hs, ps = result.conjugator, result.normal_form
+    fs = [cocycle.map_at(k) for k in range(K)]
+    # H_{k+1} o F_k in the first K entries, P_k o H_k in the last K
+    sides = compose_jets(_stack([hs[(k + 1) % K] for k in range(K)] + list(ps)),
+                         _stack(fs + list(hs)), m, M + 1)
+    defect = sides[:K] - sides[K:]
+    residuals = [np.abs(defect[..., degree_cols(m, d)]).max() for d in range(M + 2)]
+
     n = np.arange(M + 1)
     monos = np.array([math.comb(m + d - 1, d) for d in n])
     chains = (n + 1) * np.array([jet_width(m, d) for d in n]) * np.finfo(float).eps
-    h_norm = np.max([[np.linalg.norm(h.part(d)) for d in n] for h in result.conjugator], axis=0)
-    residuals, bounds = np.zeros(M + 2), np.zeros(M + 1)
+    h_norm = np.max([[np.linalg.norm(h.part(d)) for d in n] for h in hs], axis=0)
+    h_maj = [_majorant(h, M) for h in hs]
+    bounds = np.zeros(M + 1)
     for k in range(K):
-        h_next, f = result.conjugator[(k + 1) % K], cocycle.map_at(k)
-        p, h = result.normal_form[k], result.conjugator[k]
-        defect = compose_truncated(h_next, f, M + 1) - compose_truncated(p, h, M + 1)
-        residuals = np.maximum(residuals, [np.abs(defect.part(d)).max() for d in range(M + 2)])
-        a = _majorant(f, 1)[1]
-        sides = _compose_majorants(h_next, f, M) + _compose_majorants(p, h, M)
+        a = _majorant(fs[k], 1)[1]
+        majorants = (_compose_majorants(h_maj[(k + 1) % K], _majorant(fs[k], M))
+                     + _compose_majorants(_majorant(ps[k], M), h_maj[k]))
         bounds = np.maximum(bounds, series_tol * np.sqrt(monos) * (a + a ** n)
-                            * np.maximum(1.0, h_norm) + chains * sides)
+                            * np.maximum(1.0, h_norm) + chains * majorants)
     return ResidualReport(M, float(series_tol), tuple(map(float, residuals[:-1])),
                           tuple(map(float, bounds)), float(residuals[-1]))
 
@@ -142,27 +171,34 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
 
     A transfer for the shared degree loop: takes the degree operator and the
     twisted sources Q(k), returns their stack of coefficient arrays and no
-    diagnostics.  Each non-admissible type (i, s) is one dense solve of
-    the K-cyclic system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The
+    diagnostics.  Each non-admissible type (i, s) is one dense K-cyclic
+    system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s], its K blocks
+    assembled at once by broadcasting; the systems of one size are factored
+    together, one stacked SVD and one stacked solve per size.  The
     singularity test takes the extreme singular values over all types, which
     are those of the full system: it is block diagonal in the types up to a
-    permutation.  Shares with the series only the loop around the transfer
-    (source assembly, lift, finishing), so agreement is evidence for both.
+    permutation.  The oracle stays independent of the series: it shares
+    only the loop around the transfer (source assembly, lift, finishing), so
+    agreement is evidence for both.
     """
-    K = len(q_vecs)
-    systems = []
+    K, q_vecs = len(q_vecs), np.asarray(q_vecs)
+    step = np.arange(K)
+    by_size = {}
     for rows, cols in op.types:
-        nn = (rows.stop - rows.start) * len(cols)
-        L = np.eye(K * nn)
-        for k in range(K):
-            nxt = (k + 1) % K
-            L[k * nn:(k + 1) * nn, nxt * nn:(nxt + 1) * nn] -= np.kron(
-                op.ainvs[k][rows, rows], op.substs[k][np.ix_(cols, cols)].T)
-        rhs = np.asarray(q_vecs)[:, rows, cols].ravel()
-        systems.append((rows, cols, L, rhs, np.linalg.svd(L, compute_uv=False)))
+        by_size.setdefault((rows.stop - rows.start) * len(cols), []).append((rows, cols))
+    systems = []
+    for nn, types in by_size.items():
+        L = np.tile(np.eye(K * nn), (len(types), 1, 1))
+        for system, (rows, cols) in zip(L, types):
+            # the block of step k at row k, column k + 1: Ainv_k[i] kron subst_k[s]^T
+            system.reshape(K, nn, K, nn)[step, :, (step + 1) % K, :] -= np.einsum(
+                "kij,kba->kiajb", op.ainvs[:, rows, rows],
+                op.substs[:, cols][:, :, cols]).reshape(K, nn, nn)
+        rhs = np.stack([q_vecs[:, rows, cols].reshape(-1) for rows, cols in types])
+        systems.append((types, L, rhs, np.linalg.svd(L, compute_uv=False)))
 
-    sv_min = min((float(sv[-1]) for *_, sv in systems), default=1.0)
-    sv_max = max((float(sv[0]) for *_, sv in systems), default=1.0)
+    sv_min = min((float(sv[:, -1].min()) for *_, sv in systems), default=1.0)
+    sv_max = max((float(sv[:, 0].max()) for *_, sv in systems), default=1.0)
     if sv_min < 1e-12 * max(1.0, sv_max):
         raise ValueError(
             f"the degree-{op.n} transfer system is numerically singular; a "
@@ -171,8 +207,9 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
         )
 
     out = np.zeros_like(q_vecs)
-    for rows, cols, L, rhs, _ in systems:
-        out[:, rows, cols] = np.linalg.solve(L, rhs).reshape(K, rows.stop - rows.start, -1)
+    for types, L, rhs, _ in systems:
+        for (rows, cols), x in zip(types, np.linalg.solve(L, rhs[..., None])):
+            out[:, rows, cols] = x.reshape(K, rows.stop - rows.start, -1)
     return out, {}
 
 
@@ -183,15 +220,13 @@ def direct_normal_form(ctx: SolverContext) -> tuple[list[PolyMap], list[PolyMap]
 
 
 def series_vs_direct(ctx: SolverContext, result: NormalFormResult) -> float:
-    """Largest coefficient gap between the series and dense-solve pipelines."""
+    """Largest coefficient gap between the series and dense-solve pipelines;
+    NaN propagates."""
     if result.period != ctx.cocycle.period or result.order != ctx.order:
         raise ValueError("result does not match the solver context")
     h_direct, p_direct = direct_normal_form(ctx)
-    worst = 0.0
-    for k in range(ctx.cocycle.period):
-        worst = max(worst, _coeff_diff(result.conjugator[k], h_direct[k]))
-        worst = max(worst, _coeff_diff(result.normal_form[k], p_direct[k]))
-    return worst
+    return float(np.max([_coeff_diff(a, b) for a, b in
+                         zip([*result.conjugator, *result.normal_form], h_direct + p_direct)]))
 
 
 @dataclass
@@ -214,28 +249,26 @@ def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
                   tol: float = 1e-9) -> GaugeReport:
     """Uniqueness up to gauge: two solutions must differ inside the group.
 
-    Computes G_k = H_k o H_alt_k^{-1} at every orbit point.  If both are
-    valid normal form conjugators, every G_k is a sub-resonance map: no
+    Computes G_k = H_k o H_alt_k^{-1} at every orbit point, with one stacked
+    inverse and one stacked composition over the orbit.  If both are valid
+    normal form conjugators, every G_k is a sub-resonance map: no
     non-admissible coefficients, nothing above the degree bound.
-    ``alignment_max`` is the round-trip error of recomposing G with H_alt.
+    ``alignment_max`` is the round-trip error of recomposing G with H_alt,
+    one more stacked composition.
     """
     if result.period != result_alt.period or result.order != result_alt.order:
         raise ValueError("results differ in period or order")
     order = result.order
-    structure = result.structure
-    transition = []
-    npart = beyond = align = 0.0
-    for k in range(result.period):
-        g = compose_truncated(result.conjugator[k],
-                              invert_truncated(result_alt.conjugator[k], order),
-                              order)
-        back = compose_truncated(g, result_alt.conjugator[k], order)
-        align = max(align, _coeff_diff(back, result.conjugator[k]))
-        low, high = _npart_split(g, structure)
-        npart = max(npart, low)
-        beyond = max(beyond, high)
-        transition.append(g)
-    return GaugeReport(tuple(transition), npart, beyond, align, tol)
+    space = result.conjugator[0].source
+    h_alt = _stack(result_alt.conjugator)
+    g = compose_jets(_stack(result.conjugator), invert_jets(h_alt, space.dim, order),
+                     space.dim, order)
+    back = compose_jets(g, h_alt, space.dim, order)
+    align = float(np.max([_coeff_diff(b, h) for b, h in
+                          zip(_maps(space, order, back), result.conjugator)]))
+    transition = _maps(space, order, g)
+    npart, beyond = _npart_max(transition, result.structure)
+    return GaugeReport(transition, npart, beyond, align, tol)
 
 
 @dataclass(eq=False)
@@ -254,11 +287,12 @@ class CommutingExtension:
                 raise ValueError("extension maps are not over a common space")
 
     def then(self, maps, order: int) -> "CommutingExtension":
-        """The family one step further along the orbit: maps[k+shift] o G_k."""
-        K = len(self.maps)
-        return CommutingExtension(self.shift + 1, tuple(
-            compose_truncated(maps[(k + self.shift) % K], g, order)
-            for k, g in enumerate(self.maps)))
+        """The family one step further along the orbit: maps[k+shift] o G_k,
+        one stacked composition."""
+        K, space = len(self.maps), self.maps[0].source
+        outer = _stack([maps[(k + self.shift) % K] for k in range(K)])
+        return CommutingExtension(self.shift + 1, _maps(
+            space, order, compose_jets(outer, _stack(self.maps), space.dim, order)))
 
 
 def iterate_extension(cocycle, power: int, order: int) -> CommutingExtension:
@@ -297,43 +331,40 @@ def centralizer_check(cocycle, result: NormalFormResult,
     First verifies the commutation relation G_{k+1} o F_k = F_{k+shift} o G_k
     degreewise up to the solve order, then checks that every conjugated map
     C_k = H_{k+shift} o G_k o H_k^{-1} has admissible coefficients only and
-    nothing above the degree bound.  ``inverses`` holds the H_k^{-1} at the
-    result order when a caller checks several families; they are inverted
-    here otherwise.
+    nothing above the degree bound.  The commutation is one stacked
+    composition of 2K entries, the conjugation two of K.  ``inverses`` is
+    the stack of the jets of H_k^{-1} at the result order, shape (K, m,
+    jet_width(m, order)), when a caller checks several families
+    (``polymap.invert_jets``); it is inverted here otherwise.
     """
     K = cocycle.period
     if result.period != K or len(extension.maps) != K:
         raise ValueError("extension, result and cocycle must share the period")
-    order = result.order
-    shift = extension.shift % K
+    order, m = result.order, cocycle.dim
+    space = extension.maps[0].source
+    step = np.arange(K)
 
     scale = max(1.0, max(pm.coeff_max() for pm in extension.maps))
-    comm = 0.0
-    for k in range(K):
-        lhs = compose_truncated(extension.maps[(k + 1) % K],
-                                cocycle.map_at(k), order)
-        rhs = compose_truncated(cocycle.map_at((k + extension.shift) % K),
-                                extension.maps[k], order)
-        comm = max(comm, _coeff_diff(lhs, rhs))
-    if comm > commute_tol * scale:
+    both = _stack(list(extension.maps) + [cocycle.map_at(k) for k in range(K)])
+    g, f = both[:K], both[K:]
+    # G_{k+1} o F_k in the first K entries, F_{k+shift} o G_k in the last K
+    sides = compose_jets(np.concatenate([g[(step + 1) % K], f[(step + extension.shift) % K]]),
+                         np.concatenate([f, g]), m, order)
+    comm = float(np.max(np.abs(sides[:K] - sides[K:])))
+    if not comm <= commute_tol * scale:
         raise ValueError(
             f"the family does not commute with the cocycle up to degree "
             f"{order}: residual {comm:.3e}"
         )
 
+    h = _stack(result.conjugator)
     if inverses is None:
-        inverses = [invert_truncated(h, order) for h in result.conjugator]
-    conjugated = []
-    npart = beyond = 0.0
-    for k in range(K):
-        inner = compose_truncated(extension.maps[k], inverses[k], order)
-        c = compose_truncated(result.conjugator[(k + shift) % K], inner, order)
-        low, high = _npart_split(c, result.structure)
-        npart = max(npart, low)
-        beyond = max(beyond, high)
-        conjugated.append(c)
-    return CentralizerReport(tuple(conjugated), extension.shift, comm,
-                             npart, beyond, tol)
+        inverses = invert_jets(h, m, order)
+    inner = compose_jets(_stack(extension.maps), inverses, m, order)
+    conjugated = _maps(space, order, compose_jets(h[(step + extension.shift) % K],
+                                                  inner, m, order))
+    npart, beyond = _npart_max(conjugated, result.structure)
+    return CentralizerReport(conjugated, extension.shift, comm, npart, beyond, tol)
 
 
 @dataclass

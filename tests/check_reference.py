@@ -1,0 +1,124 @@
+"""Reference checks, one orbit point at a time.
+
+These are the loop bodies of ``orbitnf.verify`` as the package ran them
+before every check step became one stacked composition over the orbit: one
+``compose_truncated`` or ``invert_truncated`` call per orbit point, and one
+``np.kron`` block per point in the dense oracle.  They return the package's
+own report types, so the tests can require the batched checks to equal them
+bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from orbitnf.polymap import compose_truncated, invert_truncated, jet_width
+from orbitnf.verify import (CentralizerReport, CommutingExtension, GaugeReport, ResidualReport,
+                            _coeff_diff, _compose_majorants, _majorant, _npart_split)
+
+
+def residual_reference(cocycle, result, series_tol: float = 1e-13) -> ResidualReport:
+    """``verify.conjugacy_residual`` with two compositions per orbit point."""
+    K, m, M = cocycle.period, cocycle.dim, result.order
+    n = np.arange(M + 1)
+    monos = np.array([math.comb(m + d - 1, d) for d in n])
+    chains = (n + 1) * np.array([jet_width(m, d) for d in n]) * np.finfo(float).eps
+    h_norm = np.max([[np.linalg.norm(h.part(d)) for d in n] for h in result.conjugator], axis=0)
+    residuals, bounds = np.zeros(M + 2), np.zeros(M + 1)
+    for k in range(K):
+        h_next, f = result.conjugator[(k + 1) % K], cocycle.map_at(k)
+        p, h = result.normal_form[k], result.conjugator[k]
+        defect = compose_truncated(h_next, f, M + 1) - compose_truncated(p, h, M + 1)
+        residuals = np.maximum(residuals, [np.abs(defect.part(d)).max() for d in range(M + 2)])
+        a = _majorant(f, 1)[1]
+        sides = (_compose_majorants(_majorant(h_next, M), _majorant(f, M))
+                 + _compose_majorants(_majorant(p, M), _majorant(h, M)))
+        bounds = np.maximum(bounds, series_tol * np.sqrt(monos) * (a + a ** n)
+                            * np.maximum(1.0, h_norm) + chains * sides)
+    return ResidualReport(M, float(series_tol), tuple(map(float, residuals[:-1])),
+                          tuple(map(float, bounds)), float(residuals[-1]))
+
+
+def oracle_reference(op, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``verify.direct_solve_oracle`` with one kron block per orbit point and
+    one SVD and solve per type."""
+    K = len(q_vecs)
+    systems = []
+    for rows, cols in op.types:
+        nn = (rows.stop - rows.start) * len(cols)
+        L = np.eye(K * nn)
+        for k in range(K):
+            nxt = (k + 1) % K
+            L[k * nn:(k + 1) * nn, nxt * nn:(nxt + 1) * nn] -= np.kron(
+                op.ainvs[k][rows, rows], op.substs[k][np.ix_(cols, cols)].T)
+        rhs = np.asarray(q_vecs)[:, rows, cols].ravel()
+        systems.append((rows, cols, L, rhs, np.linalg.svd(L, compute_uv=False)))
+
+    sv_min = min((float(sv[-1]) for *_, sv in systems), default=1.0)
+    sv_max = max((float(sv[0]) for *_, sv in systems), default=1.0)
+    if sv_min < 1e-12 * max(1.0, sv_max):
+        raise ValueError(f"the degree-{op.n} transfer system is numerically singular")
+
+    out = np.zeros_like(q_vecs)
+    for rows, cols, L, rhs, _ in systems:
+        out[:, rows, cols] = np.linalg.solve(L, rhs).reshape(K, rows.stop - rows.start, -1)
+    return out, {}
+
+
+def gauge_reference(result, result_alt, tol: float = 1e-9) -> GaugeReport:
+    """``verify.gauge_compare`` with one inverse and two compositions per orbit point."""
+    order = result.order
+    transition = []
+    npart = beyond = align = 0.0
+    for k in range(result.period):
+        g = compose_truncated(result.conjugator[k],
+                              invert_truncated(result_alt.conjugator[k], order), order)
+        back = compose_truncated(g, result_alt.conjugator[k], order)
+        align = max(align, _coeff_diff(back, result.conjugator[k]))
+        low, high = _npart_split(g, result.structure)
+        npart = max(npart, low)
+        beyond = max(beyond, high)
+        transition.append(g)
+    return GaugeReport(tuple(transition), npart, beyond, align, tol)
+
+
+def then_reference(ext: CommutingExtension, maps, order: int) -> CommutingExtension:
+    """``CommutingExtension.then`` with one composition per orbit point."""
+    K = len(ext.maps)
+    return CommutingExtension(ext.shift + 1, tuple(
+        compose_truncated(maps[(k + ext.shift) % K], g, order)
+        for k, g in enumerate(ext.maps)))
+
+
+def iterate_reference(cocycle, power: int, order: int) -> CommutingExtension:
+    """``verify.iterate_extension`` through ``then_reference``."""
+    ext = CommutingExtension(1, tuple(pm.truncated(order) for pm in cocycle.fiber_maps))
+    for _ in range(1, power):
+        ext = then_reference(ext, cocycle.fiber_maps, order)
+    return ext
+
+
+def centralizer_reference(cocycle, result, extension: CommutingExtension,
+                          tol: float = 1e-9) -> CentralizerReport:
+    """``verify.centralizer_check`` with per-point commutation, inverses and
+    conjugations."""
+    K = cocycle.period
+    order = result.order
+    shift = extension.shift % K
+    comm = 0.0
+    for k in range(K):
+        lhs = compose_truncated(extension.maps[(k + 1) % K], cocycle.map_at(k), order)
+        rhs = compose_truncated(cocycle.map_at((k + extension.shift) % K),
+                                extension.maps[k], order)
+        comm = max(comm, _coeff_diff(lhs, rhs))
+    inverses = [invert_truncated(h, order) for h in result.conjugator]
+    conjugated = []
+    npart = beyond = 0.0
+    for k in range(K):
+        inner = compose_truncated(extension.maps[k], inverses[k], order)
+        c = compose_truncated(result.conjugator[(k + shift) % K], inner, order)
+        low, high = _npart_split(c, result.structure)
+        npart = max(npart, low)
+        beyond = max(beyond, high)
+        conjugated.append(c)
+    return CentralizerReport(tuple(conjugated), extension.shift, comm, npart, beyond, tol)

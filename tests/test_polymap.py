@@ -23,6 +23,7 @@ from orbitnf.polymap import (
     compose_truncated,
     composition_table,
     degree_cols,
+    invert_jets,
     invert_truncated,
     jet_width,
     project_subresonance,
@@ -53,7 +54,7 @@ def resonant_pair_map():
 
 def random_polymap(rng, space, degree, amplitude=0.5, linear="identity"):
     dim = space.dim
-    if linear == "identity":
+    if isinstance(linear, str):
         A = np.eye(dim)
     else:
         A = np.asarray(linear, dtype=float)
@@ -202,6 +203,30 @@ class TestInvert:
         P = PolyMap.from_linear(np.zeros((1, 1)), S1, S1, 1)
         with pytest.raises(ValueError):
             invert_truncated(P, 2)
+
+    @pytest.mark.parametrize("dims", [(1,), (2,), (1, 1), (2, 1), (2, 2)])
+    def test_invert_jets_equals_invert_truncated(self, dims):
+        # maps of degrees 1..4 with random linear parts, inverted as one
+        # stack, equal each map inverted alone to the bit
+        rng = np.random.default_rng(sum(dims) * 10 + len(dims))
+        space = GradedSpace(dims)
+        m, M = space.dim, 4
+        maps = [random_polymap(rng, space, degree,
+                               linear=np.eye(m) + 0.3 * rng.standard_normal((m, m)))
+                for degree in (2, 4, 1, 3, 4)]
+        got = invert_jets(stack_jets(maps, M), m, M)
+        assert got.shape == (len(maps), m, jet_width(m, M))
+        for pm, jet in zip(maps, got):
+            assert np.array_equal(jet, invert_truncated(pm, M).jet)
+
+    def test_invert_jets_singular_entry(self):
+        # one singular linear part in the stack is a ValueError naming it,
+        # not numpy's LinAlgError
+        maps = [PolyMap.from_linear(A, S11, S11, 2)
+                for A in (np.eye(2), np.array([[1.0, 2.0], [0.5, 1.0]]), 2 * np.eye(2))]
+        with pytest.raises(ValueError, match="linear part is singular") as info:
+            invert_jets(stack_jets(maps, 2), 2, 3)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip_random(self, seed):

@@ -4,13 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from check_reference import (centralizer_reference, gauge_reference, iterate_reference,
+                             oracle_reference, residual_reference)
 from dict_reference import reference_compose
 
+from orbitnf import polymap, verify
+from orbitnf.cli import _first_admissible_slot
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure
-from orbitnf.normalform import NormalFormResult, SolverContext, _source_vecs, solve_normal_form
+from orbitnf.normalform import (NormalFormResult, SolverContext, _orbit_loop, _source_vecs,
+                                solve_normal_form)
 from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
-                             compose_truncated, degree_cols, stack_jets)
+                             compose_truncated, degree_cols, invert_jets, stack_jets)
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
     CommutingExtension,
@@ -19,6 +24,7 @@ from orbitnf.verify import (
     chart_transitions,
     conjugacy_residual,
     default_chart_window,
+    direct_normal_form,
     direct_solve_oracle,
     flag_invariance,
     gauge_compare,
@@ -301,8 +307,12 @@ class TestDirectOracle:
         ctx = SolverContext(c, spec, structure, order=2)
         h0 = [PolyMap.identity(S11, 2)]
         p0 = [PolyMap.from_linear(A, S11, S11, 1)]
+        # all six degree-2 types are 1 x 1 systems, so the singular one is
+        # found inside one stacked SVD of six
+        op, q_vecs = degree_inputs(ctx, 2, h0, p0)
+        assert [(r.stop - r.start) * len(cols) for r, cols in op.types] == [1] * 6
         with pytest.raises(ValueError, match="singular"):
-            direct_solve_oracle(*degree_inputs(ctx, 2, h0, p0))
+            direct_solve_oracle(op, q_vecs)
 
 
 class TestGauge:
@@ -347,6 +357,47 @@ class TestGauge:
             gauge_compare(res1, res2)
 
 
+def nan_at_second_point(res, degree=3):
+    """The result with the degree-3 coefficients of H_1 set to NaN."""
+    h = res.conjugator[1]
+    jet = h.jet.copy()
+    jet[:, degree_cols(h.source.dim, degree)] = np.nan
+    return with_conjugators(res, (res.conjugator[0], PolyMap.from_jet(h.source, h.target,
+                                                                      h.degree, jet)))
+
+
+class TestNaNFails:
+    """A NaN at one orbit point fails the check; a running Python max
+    starting from 0.0 dropped it whenever an earlier point was finite."""
+
+    def test_oracle(self, period2):
+        _, ctx, res = period2
+        assert math.isnan(series_vs_direct(ctx, nan_at_second_point(res)))
+
+    def test_gauge(self, period2):
+        _, _, res = period2
+        rep = gauge_compare(nan_at_second_point(res), res)
+        assert math.isnan(rep.beyond_degree_max)
+        assert not rep.passed
+
+    def test_centralizer(self, period2):
+        c, _, res = period2
+        rep = centralizer_check(c, nan_at_second_point(res), iterate_extension(c, 2, res.order))
+        assert math.isnan(rep.beyond_degree_max)
+        assert not rep.passed
+
+    def test_commutation(self, period2):
+        c, _, res = period2
+        ext = iterate_extension(c, 2, res.order)
+        g = ext.maps[1]
+        jet = g.jet.copy()
+        jet[:, -1] = np.nan
+        bad = CommutingExtension(2, (ext.maps[0], PolyMap.from_jet(g.source, g.target,
+                                                                   g.degree, jet)))
+        with pytest.raises(ValueError, match="commute"):
+            centralizer_check(c, res, bad)
+
+
 class TestCentralizer:
     def test_square_iterate_period2(self, period2):
         c, _, res = period2
@@ -381,6 +432,117 @@ class TestCentralizer:
         bogus = CommutingExtension(1, (f0, f0))
         with pytest.raises(ValueError, match="commute"):
             centralizer_check(c, res, bogus)
+
+
+# random cocycles at periods 3 and 4, where a shift k -> k + s and its
+# reverse k -> k - s differ for s = 1, 2, 3 (at K <= 2 they never do)
+BATCH_CASES = [((-2.0, -0.9), (1, 2), 0.04), ((-1.2, -0.8, -0.4), (1, 1, 1), 0.02)]
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def lifted_result(ctx, delta=0.05):
+    """The result under the gauge check's lift of its first admissible slot."""
+    degree, coord, alpha = _first_admissible_slot(ctx.structure, ctx.cocycle.space)
+    space = ctx.cocycle.space
+    bump = PolyMap(space, space, degree, np.zeros(space.dim), {(coord, alpha): delta})
+    return solve_normal_form(ctx.with_lift(lambda k, n: bump if n == degree else None))
+
+
+def random_case(period, case, order=4):
+    exponents, dims, epsilon = BATCH_CASES[case]
+    c = random_cocycle(np.random.default_rng(40 + 10 * case + period), exponents, dims,
+                       period, amp=0.05)
+    ctx = SolverContext.prepare(c, epsilon, order)
+    return c, ctx, solve_normal_form(ctx)
+
+
+@pytest.fixture(scope="module", params=[(3, 0), (3, 1), (4, 0), (4, 1)],
+                ids=["K3-dims12", "K3-dims111", "K4-dims12", "K4-dims111"])
+def batched(request):
+    return random_case(*request.param)
+
+
+class TestBatchedChecks:
+    """The stacked checks equal their one-point-at-a-time references bit for bit."""
+
+    def test_residual(self, batched):
+        c, _, res = batched
+        rep = conjugacy_residual(c, res)
+        assert rep.passed
+        assert json.dumps(rep.to_dict()) == json.dumps(residual_reference(c, res).to_dict())
+
+    def test_oracle(self, batched):
+        _, ctx, _ = batched
+        sizes = [(r.stop - r.start) * len(cols) for r, cols in ctx.operator(2).types]
+        assert len(set(sizes)) < len(sizes)  # some systems share a size
+        got, want = direct_normal_form(ctx), _orbit_loop(ctx, oracle_reference)[:2]
+        for got_maps, want_maps in zip(got, want):
+            assert all(same_bits(a.jet, b.jet) for a, b in zip(got_maps, want_maps))
+
+    def test_gauge(self, batched):
+        _, ctx, res = batched
+        res_alt = lifted_result(ctx)
+        rep, ref = gauge_compare(res, res_alt), gauge_reference(res, res_alt)
+        assert rep.passed
+        assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+        assert all(same_bits(a.jet, b.jet) for a, b in zip(rep.transition, ref.transition))
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_centralizer(self, batched, power):
+        c, _, res = batched
+        order, K = res.order, c.period
+        ext, ref_ext = iterate_extension(c, power, order), iterate_reference(c, power, order)
+        assert ext.shift == ref_ext.shift == power
+        assert all(same_bits(a.jet, b.jet) for a, b in zip(ext.maps, ref_ext.maps))
+        ref = centralizer_reference(c, res, ref_ext)
+        inverses = invert_jets(stack_jets(res.conjugator, order), c.dim, order)
+        for rep in (centralizer_check(c, res, ext),
+                    centralizer_check(c, res, ext, inverses=inverses)):
+            assert rep.passed
+            assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+            assert all(same_bits(a.jet, b.jet) for a, b in zip(rep.maps, ref.maps))
+        # C_k = H_{k+s} o G_k o H_k^-1 is the normal form's own iterate
+        # P_{k+s-1} o ... o P_k
+        for k in range(K):
+            p_power = res.normal_form[k]
+            for j in range(1, power):
+                p_power = compose_truncated(res.normal_form[(k + j) % K], p_power, order)
+            assert np.max(np.abs(rep.maps[k].jet - p_power.jet)) <= 1e-9
+
+
+class TestKernelCalls:
+    def test_calls_do_not_grow_with_the_period(self, monkeypatch):
+        calls = []
+
+        def counted(outer, *args, _fn=polymap.compose_jets):
+            calls.append(len(outer))
+            return _fn(outer, *args)
+
+        counts = {}
+        for K in (1, 4):
+            c, ctx, res = random_case(K, 0)
+            res_alt = lifted_result(ctx)
+            monkeypatch.setattr(polymap, "compose_jets", counted)
+            monkeypatch.setattr(verify, "compose_jets", counted)
+            runs = {"residual": lambda: conjugacy_residual(c, res),
+                    "gauge": lambda: gauge_compare(res, res_alt),
+                    "centralizer": lambda: centralizer_check(c, res,
+                                                             iterate_extension(c, 3, res.order))}
+            for name, run in runs.items():
+                calls.clear()
+                assert run().passed
+                counts[K, name] = len(calls)
+                assert max(calls) <= 2 * K  # stacks of at most 2K entries
+            monkeypatch.undo()
+        M = 4
+        # residual: one; gauge: M - 1 for the inverse, two compositions;
+        # centralizer: two for F^3, one commutation, M - 1, two conjugations
+        assert counts == {(K, name): n for K in (1, 4)
+                          for name, n in (("residual", 1), ("gauge", M + 1),
+                                          ("centralizer", M + 4))}
 
 
 class TestFlagInvariance:
