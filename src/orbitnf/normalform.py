@@ -133,6 +133,42 @@ class _DegreeOperator:
         """Masked twisted sources Q(k) = proj_N(Ainv_k o proj_N(S(k))) of a stack."""
         return self.mask * (self.ainvs @ (self.mask * s_vecs))
 
+    @cached_property
+    def type_index(self) -> tuple[np.ndarray, ...]:
+        """Gather indices of the types, zero-padded to the largest (rows, cols).
+
+        Returns (rows, cols, rows_pad, cols_pad, slots): rows[t] and cols[t]
+        index the coefficient rows and columns of type t, padded with index 0
+        where rows_pad and cols_pad are True; slots is (t, row, col,
+        coefficient row, coefficient column) of every slot that is not
+        padding, the scatter back.
+        """
+        starts = np.array([rows.start for rows, _ in self.types])
+        dts = np.array([rows.stop - rows.start for rows, _ in self.types])
+        cts = np.array([len(cols) for _, cols in self.types])
+        rows_pad = np.arange(dts.max()) >= dts[:, None]
+        cols_pad = np.arange(cts.max()) >= cts[:, None]
+        rows = np.where(rows_pad, 0, starts[:, None] + np.arange(dts.max()))
+        cols = np.zeros(cols_pad.shape, dtype=np.intp)
+        cols[~cols_pad] = np.concatenate([cols for _, cols in self.types])
+        t, i, j = np.nonzero(~rows_pad[:, :, None] & ~cols_pad[:, None, :])
+        return rows, cols, rows_pad, cols_pad, (t, i, j, rows[t, i], cols[t, j])
+
+
+def _gather_types(stack: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """Blocks of a (K, p, q) stack at padded (index, padding) rows and cols
+    of every type, in one fancy index: shape (types, K, rows, cols), zero on
+    the padding."""
+    (r, r_pad), (c, c_pad) = rows, cols
+    out = stack[np.arange(len(stack))[:, None, None], r[:, None, :, None], c[:, None, None, :]]
+    np.copyto(out, 0.0, where=r_pad[:, None, :, None] | c_pad[:, None, None, :])
+    return out
+
+
+def _frobenius(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Frobenius norms over `axis`, formed as np.linalg.norm forms them."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
 
 def _rebalance(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each pair (L, M) of two stacks by 2^-e and 2^e, which leaves L X M exact.
@@ -152,8 +188,10 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     A type (i, s) moves alone, X -> Ainv_k[i] X subst_k[s], so from phase p
     its part of H is sum_t A^t G B^t with G the first-period sum, A =
     Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
-    The types are stacked, zero-padded to one shape, and every step
-    G <- G + A G B, A <- A A, B <- B B doubles the T periods summed.  The
+    The types are gathered into zero-padded stacks by ``op.type_index``, one
+    fancy index per stack, and every step G <- G + A G B, A <- A A,
+    B <- B B doubles the T periods summed, each pair (A, B) first balanced
+    by a power of two taken from the norms of the stop test.  The
     dropped tail sum_{j>=1} A^j G B^j of a type has norm at most
     rho/(1-rho) ||G||_F with rho = ||A||_F ||B||_F, so the doubling stops once
     the root sum of squares of those bounds over the types is within
@@ -166,15 +204,10 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     info = {"short_circuit": not q_vecs.any(), "series_terms": 0, "tail_bound": 0.0}
     if info["short_circuit"]:
         return np.zeros_like(q_vecs), info
-    sizes = [(rows.stop - rows.start, len(cols)) for rows, cols in op.types]
-    d, c = np.max(sizes, axis=0)
-    Q = np.zeros((len(sizes), K, d, c))
-    X = np.zeros((len(sizes), K, d, d))
-    Y = np.zeros((len(sizes), K, c, c))
-    for t, ((rows, cols), (dt, ct)) in enumerate(zip(op.types, sizes)):
-        Q[t, :, :dt, :ct] = q_vecs[:, rows, cols]
-        X[t, :, :dt, :dt] = op.ainvs[:, rows, rows]
-        Y[t, :, :ct, :ct] = op.substs[:, cols[:, None], cols]
+    rows, cols, rows_pad, cols_pad, slots = op.type_index
+    Q = _gather_types(q_vecs, (rows, rows_pad), (cols, cols_pad))
+    X = _gather_types(op.ainvs, (rows, rows_pad), (rows, rows_pad))
+    Y = _gather_types(op.substs, (cols, cols_pad), (cols, cols_pad))
     nxt = (np.arange(K) + 1) % K
     G, A, B = Q, X, Y
     for _ in range(K - 1):
@@ -183,29 +216,34 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     T = 1
     with np.errstate(all="ignore"):
         while True:
-            rho = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(B, axis=(-2, -1))
-            g = np.linalg.norm(G, axis=(-2, -1))
-            h = np.linalg.norm(g, axis=0)
-            if not (np.all(np.isfinite(rho * g)) and np.all(np.isfinite(h))):
+            a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
+            rho = a * b
+            h = _frobenius(g, axis=0)
+            if not (np.isfinite(rho * g).all() and np.isfinite(h).all()):
                 raise SeriesStagnationError(
                     f"transported series for degree {op.n} has no certified "
                     f"contraction: the {T}-period transfer norm reached "
                     f"rho = {float(np.max(rho)):.3g}; epsilon and spectrum are "
                     "inconsistent with this cocycle")
-            bound = np.where(rho < 1.0, rho / (1.0 - rho), np.inf) * g
-            tail = np.linalg.norm(bound, axis=0)
-            if T * K <= max_terms and np.all(tail <= series_tol * np.maximum(1.0, h)):
+            # rho / (1 - rho) where rho < 1, else rho / 0 = inf
+            bound = rho / np.maximum(1.0 - rho, 0.0) * g
+            tail = _frobenius(bound, axis=0)
+            if T * K <= max_terms and (tail <= series_tol * np.maximum(1.0, h)).all():
                 break
             if 2 * T * K > max_terms:
                 raise SeriesBudgetError(
                     f"series for degree {op.n} did not settle within {max_terms} "
                     f"terms (rho = {float(np.max(rho)):.3g} after {T * K})")
+            # halve the gap between the binary exponents of the norms; a
+            # power of two is exact, so neither A G B nor rho moves
+            e = ((np.frexp(a)[1] - np.frexp(b)[1]) // 2)[..., None, None]
+            A, B = np.ldexp(A, -e), np.ldexp(B, e)
             G = G + A @ G @ B
-            A, B = _rebalance(A @ A, B @ B)
+            A, B = A @ A, B @ B
             T *= 2
     H = np.zeros_like(q_vecs)
-    for t, ((rows, cols), (dt, ct)) in enumerate(zip(op.types, sizes)):
-        H[:, rows, cols] = G[t, :, :dt, :ct]
+    t, i, j, hr, hc = slots
+    H[:, hr, hc] = G[t, :, i, j].T
     info.update(series_terms=T * K, tail_bound=float(tail.max()))
     return H, info
 

@@ -3,8 +3,12 @@
 A PolyMap stores a map R^m -> R^m' truncated at a total degree as one dense
 jet of shape (m', jet_width(m, degree)): column 0 is the constant and the
 columns ``degree_cols(m, n)`` the degree-n part, one per monomial in the
-sorted order of ``_mono_table``.  A dict keyed by (target coordinate,
-multi-index) is only the input and output format.  The blocks of a
+lexicographic order of the exponent rows ``_exponents(m, n)``; ``_rank``
+gives the column of an exponent row.  Every index table (the power
+recurrence, the multiplication-matrix entries, the block-degree groups) is
+read from those arrays.  A dict keyed by (target coordinate, multi-index)
+is only the input and output format, with tuple and dict views of the
+monomials (``_mono_table``) built on first use.  The blocks of a
 GradedSpace type every slot (target block, per-block degrees).
 ``block_degree_groups`` groups the monomials of a degree by their block
 degrees and ``admissible_mask`` classifies the slots of a degree, each once
@@ -96,19 +100,64 @@ class GradedSpace:
 # -- monomial tables -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _mono_table(dim: int, degree: int):
-    """Sorted degree-n monomials, their index, and the power recurrence.
+def _exponents(dim: int, n: int) -> np.ndarray:
+    """The degree-n monomials in dim variables as read-only exponent rows.
 
-    For degree >= 1, first[a] is the first coordinate j with alpha_a[j] > 0
-    and parent[a] the index of alpha_a - e_j one degree down.
+    The rows are in lexicographic order, built by recursion on the leading
+    exponent, and row a is jet column ``degree_cols(dim, n).start + a``;
+    ``_rank`` maps a row back to its index.
     """
-    if degree == 0:
-        return ((0,) * dim,), {(0,) * dim: 0}, None, None
-    below = _mono_table(dim, degree - 1)[1]
-    monos = tuple(sorted({a[:l] + (a[l] + 1,) + a[l + 1:] for a in below for l in range(dim)}))
-    first = np.array([next(j for j, p in enumerate(a) if p) for a in monos])
-    parent = np.array([below[a[:j] + (a[j] - 1,) + a[j + 1:]] for a, j in zip(monos, first)])
-    return monos, {a: j for j, a in enumerate(monos)}, first, parent
+    if dim == 1:
+        exps = np.array([[n]])
+    else:
+        tails = [_exponents(dim - 1, n - h) for h in range(n + 1)]
+        exps = np.column_stack((np.repeat(np.arange(n + 1), [len(t) for t in tails]),
+                                np.concatenate(tails)))
+    exps.setflags(write=False)
+    return exps
+
+
+@lru_cache(maxsize=None)
+def _binomials(dim: int, top: int) -> np.ndarray:
+    """C(r + p, p), the number of degree-r monomials in p + 1 variables, at
+    [p, r] for p < dim and r <= top."""
+    return np.array([[math.comb(r + p, p) for r in range(top + 1)] for p in range(dim)])
+
+
+def _rank(exps: np.ndarray) -> np.ndarray:
+    """Index of every exponent row among the monomials of its own degree.
+
+    The rows before alpha in lexicographic order first fall short of it at
+    some coordinate i.  With r = alpha_i + ... + alpha_{m-1} and p = m - 1 - i
+    coordinates after i there are C(r + p, p) - C(r - alpha_i + p, p) of
+    them, summing the monomials of degree r - v in p variables over
+    v < alpha_i.
+    """
+    m = exps.shape[-1]
+    rest = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
+    binom = _binomials(m, int(rest.max(initial=0)))
+    p = np.arange(m - 1, -1, -1)
+    return (binom[p, rest] - binom[p, rest - exps]).sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _recurrence(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The power recurrence of the degree-n monomials, n >= 1: first[a] is
+    the first coordinate j with alpha_a[j] > 0 and parent[a] the index of
+    alpha_a - e_j one degree down."""
+    exps = _exponents(dim, n)
+    first = np.argmax(exps > 0, axis=1)
+    below = exps.copy()
+    below[np.arange(len(exps)), first] -= 1
+    return first, _rank(below)
+
+
+@lru_cache(maxsize=None)
+def _mono_table(dim: int, n: int) -> tuple[tuple[MultiIndex, ...], dict[MultiIndex, int]]:
+    """Tuple and dict views of the degree-n monomials, for the dict input
+    and output of PolyMap: the multi-indices in order and their indices."""
+    monos = tuple(map(tuple, _exponents(dim, n).tolist()))
+    return monos, {a: j for j, a in enumerate(monos)}
 
 
 def jet_width(dim: int, degree: int) -> int:
@@ -150,17 +199,26 @@ def _mul_pairs(dim: int, degree: int):
     """Every entry of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
 
     Mul_j[e, col(eps_e + gamma_g)] = G_j[g] on jets truncated at `degree`;
-    returns the arrays (e, col, g) of those entries.
+    returns the arrays (e, col, g) of those entries, g in column order and e
+    over the columns of degree at most degree - |gamma_g|.  The columns of
+    one g follow from those of its parent by the power recurrence: with
+    times[j, c] the column of eps_c + e_j, col(eps_e + gamma_g) =
+    times[first[g], col(eps_e + gamma_parent[g])].
     """
-    exps = np.array([a for n in range(degree + 1) for a in _mono_table(dim, n)[0]])
-    total = exps.sum(axis=1)
-    # with the columns ordered by degree, eps_e fits beside gamma_g for a prefix of e
-    room = np.array([jet_width(dim, degree - int(t)) for t in total])
-    src = np.repeat(np.arange(len(exps)), room)
-    e = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
-    key = exps @ (degree + 1) ** np.arange(dim)
-    order = np.argsort(key)
-    col = order[np.searchsorted(key[order], key[e] + key[src])]
+    below = np.concatenate([_exponents(dim, n) for n in range(degree + 1)])[
+        :jet_width(dim, degree - 1)]
+    # starts[t] is the first column of degree t
+    starts = np.array([jet_width(dim, t - 1) for t in range(degree + 2)])
+    times = starts[below.sum(axis=1) + 1] + _rank(below + np.eye(dim, dtype=below.dtype)[:, None])
+    # cols of the degree-t monomials g, one row per g over e < jet_width(dim, degree - t)
+    blocks = [np.arange(jet_width(dim, degree))[None, :]]
+    for t in range(1, degree + 1):
+        first, parent = _recurrence(dim, t)
+        blocks.append(times[first[:, None], blocks[-1][parent, :jet_width(dim, degree - t)]])
+    col = np.concatenate([b.ravel() for b in blocks])
+    room = np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks])
+    src = np.repeat(np.arange(len(room)), room)
+    e = np.arange(len(col)) - np.repeat(np.cumsum(room) - room, room)
     return e, col, src
 
 
@@ -179,10 +237,10 @@ def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int
 @lru_cache(maxsize=None)
 def _first_runs(m: int, k: int) -> tuple[tuple[int, int], ...]:
     """(start, stop) of the degree-k monomials whose first variable is j,
-    for each j: each is one run of the sorted order."""
-    first = _mono_table(m, k)[2]
-    return tuple((int(a), int(b) + 1)
-                 for a, b in (np.flatnonzero(first == j)[[0, -1]] for j in range(m)))
+    for each j: the sorted order runs first from m - 1 down to 0."""
+    counts = np.bincount(_recurrence(m, k)[0], minlength=m)
+    stops = np.cumsum(counts[::-1])[::-1]
+    return tuple(zip((stops - counts).tolist(), stops.tolist()))
 
 
 def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
@@ -207,7 +265,7 @@ def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
     if low:
         top = min(top, degree)  # powers of maps fixing the origin vanish beyond it
     for k in range(1, top + 1):
-        _, _, first, parent = _mono_table(m, k)
+        first, parent = _recurrence(m, k)
         lo = degree_cols(dim, k * low).start
         hi = max(lo, jet_width(dim, min(degree, k * step)))
         if k == 1:
@@ -252,7 +310,7 @@ def compose_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) ->
     top = top_degree(outer, m)
     out = np.zeros((S, outer.shape[-2], width))
     out[..., 0] = outer[..., 0]
-    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_mono_table(m, top)[0]))))
+    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_exponents(m, top)))))
     for s in range(0, S, rows):
         for k, lo, power in _powers(inner[s:s + rows], dim, degree, top):
             out[s:s + rows, :, lo:lo + power.shape[2]] += (
@@ -279,7 +337,7 @@ def composition_table(jets: np.ndarray, dim: int, order: int) -> tuple[np.ndarra
     if inner[..., 0].any():
         raise ValueError("a composition table needs maps fixing the origin")
     width = jet_width(dim, order)
-    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_mono_table(m, order)[0]))))
+    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_exponents(m, order)))))
     table = []
     for s in range(0, len(inner), rows):
         for k, lo, power in _powers(inner[s:s + rows], dim, order, order):
@@ -299,14 +357,14 @@ def stack_jets(maps, degree: int) -> np.ndarray:
 def block_degree_groups(space: GradedSpace, n: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
     """The degree-n monomials grouped by block degrees s: (s, read-only
     columns) pairs in increasing s, the columns in sorted monomial order."""
-    onehot = np.equal.outer(space.block_of_coord, np.arange(1, space.n_blocks + 1))
-    keys, inverse = np.unique(np.array(_mono_table(space.dim, n)[0]) @ onehot, axis=0,
-                              return_inverse=True)
-    groups = tuple((tuple(map(int, s)), np.flatnonzero(inverse.ravel() == g))
-                   for g, s in enumerate(keys))
-    for _, cols in groups:
-        cols.setflags(write=False)
-    return groups
+    s = np.add.reduceat(_exponents(space.dim, n), [sl.start for sl in space._block_slices],
+                        axis=1)
+    # s read as digits base n + 1 orders the keys as the s themselves
+    key = s @ (n + 1) ** np.arange(space.n_blocks - 1, -1, -1)
+    order = np.argsort(key, kind="stable")
+    order.setflags(write=False)
+    bounds = [0] + (np.flatnonzero(np.diff(key[order])) + 1).tolist() + [len(order)]
+    return tuple((tuple(s[order[a]].tolist()), order[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -315,9 +373,14 @@ def admissible_mask(target: GradedSpace, source: GradedSpace, n: int,
     """True on the degree-n slots whose type (i, s) is in `types`, the
     admissible types ``SubResStructure.admissible(n)``; read-only, shape
     (target.dim, number of degree-n monomials)."""
-    mask = np.zeros((target.dim, len(_mono_table(source.dim, n)[0])), dtype=bool)
-    for s, cols in block_degree_groups(source, n):
-        mask[:, cols] = np.array([(b, s) in types for b in target.block_of_coord])[:, None]
+    groups = block_degree_groups(source, n)
+    # the group of every column, and whether block b keeps the group's type
+    group = np.empty(len(_exponents(source.dim, n)), dtype=np.intp)
+    group[np.concatenate([cols for _, cols in groups])] = np.repeat(
+        np.arange(len(groups)), [len(cols) for _, cols in groups])
+    kept = np.array([[(b, s) in types for b in range(1, target.n_blocks + 1)]
+                     for s, _ in groups])
+    mask = kept.T[np.array(target.block_of_coord) - 1][:, group]
     mask.setflags(write=False)
     return mask
 
@@ -359,10 +422,11 @@ class PolyMap:
             deg = sum(alpha)
             if not 1 <= deg <= degree:
                 raise ValueError(f"term {alpha} of degree {deg} outside 1..{degree}")
-            col = _mono_table(source.dim, deg)[1].get(tuple(alpha))
+            # a negative or fractional exponent is in no table
+            col = _mono_table(source.dim, int(deg))[1].get(tuple(alpha))
             if col is None:
                 raise ValueError(f"multi-index {alpha} is not a monomial")
-            jet[i, degree_cols(source.dim, deg).start + col] = c
+            jet[i, degree_cols(source.dim, int(deg)).start + col] = c
         self._set(source, target, degree, jet)
 
     def _set(self, source, target, degree, jet):
@@ -424,7 +488,7 @@ class PolyMap:
     def _eval_plan(self) -> tuple:
         """Per degree n >= 1: the power recurrence of its monomials and its
         coefficients transposed."""
-        return tuple(_mono_table(self.source.dim, n)[2:] + (self.part(n).T,)
+        return tuple(_recurrence(self.source.dim, n) + (self.part(n).T,)
                      for n in range(1, self.degree + 1))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
@@ -501,7 +565,10 @@ class PolyMap:
         target = GradedSpace(tuple(data["target_blocks"]))
         coeffs = {}
         for rec in data["terms"]:
-            key = (int(rec["target_index"]), tuple(int(p) for p in rec["multi_index"]))
+            # fractional exponents are kept for the constructor to reject
+            alpha = tuple(p if isinstance(p, float) and not p.is_integer() else int(p)
+                          for p in rec["multi_index"])
+            key = (int(rec["target_index"]), alpha)
             c = float(rec["coefficient"])
             if c != 0.0:
                 coeffs[key] = coeffs.get(key, 0.0) + c

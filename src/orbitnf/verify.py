@@ -33,7 +33,7 @@ import numpy as np
 
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _linear_jets, _mono_table, compose_jets, degree_cols,
+from .polymap import (PolyMap, _exponents, _linear_jets, compose_jets, degree_cols,
                       invert_jets, invert_truncated, jet_width, project_subresonance,
                       stack_jets)
 
@@ -402,7 +402,7 @@ def flag_invariance(maps, tol: float = 1e-12) -> FlagReport:
         if pm.source != space:
             raise ValueError("maps are not over a common space")
         for n in range(1, pm.degree + 1):
-            exps = np.array(_mono_table(space.dim, n)[0])
+            exps = _exponents(space.dim, n)
             derivs = np.abs(pm.part(n))[:, :, None] * exps * below[:, None, :]
             worst = max(worst, float(derivs.max(initial=0.0)))
     return FlagReport(worst, tol)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import series_reference
 import transfer_reference
 import window_reference
 from dict_reference import reference_compose
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitnf import normalform
+from orbitnf.cli import _prepare_context
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
@@ -21,6 +23,7 @@ from orbitnf.normalform import (
     SolverContext,
     _degree_loop,
     _DegreeOperator,
+    _orbit_loop,
     _series,
     _source_vecs,
     _window_sweep,
@@ -41,7 +44,7 @@ from orbitnf.polymap import (
     project_subresonance,
     stack_jets,
 )
-from orbitnf.scenarios import random_cocycle
+from orbitnf.scenarios import random_cocycle, random_scenario
 from orbitnf.verify import direct_normal_form, direct_solve_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -346,8 +349,8 @@ LADDER = [((2, 2), 2, 4, 0.04), ((1, 1, 1), 3, 5, 0.02), ((2, 2), 2, 6, 0.04),
 LADDER_EXPONENTS = {2: (-2.0, -0.8), 3: (-1.2, -0.8, -0.4)}
 
 
-def ladder_context(dims, period, order, epsilon):
-    coc = random_cocycle(np.random.default_rng(1), LADDER_EXPONENTS[len(dims)], dims,
+def ladder_context(dims, period, order, epsilon, seed=1):
+    coc = random_cocycle(np.random.default_rng(seed), LADDER_EXPONENTS[len(dims)], dims,
                          period, amp=0.05)
     return SolverContext.prepare(coc, epsilon, order)
 
@@ -433,6 +436,80 @@ class TestBatchedTransfer:
             warnings.simplefilter("error")
             with pytest.raises(SeriesStagnationError, match="degree 2"):
                 _series(op, q_vecs, 1e-13, 10_000)
+
+
+def series_inputs(ctx):
+    """(operator, twisted sources) of every degree the series solves in ctx."""
+    seen = []
+
+    def transfer(op, q_vecs):
+        seen.append((op, q_vecs.copy()))
+        return _series(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
+
+    _orbit_loop(ctx, transfer)
+    return seen
+
+
+def assert_series_as_reference(op, q_vecs, series_tol=1e-13, max_terms=10_000):
+    """_series gives the reference's bytes and diagnostics, or its error."""
+    try:
+        want = series_reference.series(op, q_vecs, series_tol, max_terms)
+    except (SeriesBudgetError, SeriesStagnationError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(exc)) as got:
+                _series(op, q_vecs, series_tol, max_terms)
+        assert str(got.value) == str(exc)
+        return
+    H, info = _series(op, q_vecs, series_tol, max_terms)
+    assert H.dtype == want[0].dtype and H.shape == want[0].shape
+    assert H.tobytes() == want[0].tobytes()
+    assert info == want[1]
+
+
+class TestSeriesReference:
+    """The batched gathers and norm-taken exponents change no bit of the series."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("row", LADDER + [((3, 3), 1, 5, 0.03), ((2, 2), 2, 7, 0.04)],
+                             ids=str)
+    def test_ladder(self, row, seed):
+        ctx = ladder_context(*row, seed=seed)
+        inputs = series_inputs(ctx)
+        assert len(inputs) == ctx.order - 1
+        for op, q_vecs in inputs:
+            assert_series_as_reference(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
+
+    def test_random_scenarios(self):
+        periods = set()
+        for index in range(12, 72):
+            scenario = random_scenario(index)
+            ctx = _prepare_context(scenario.cocycle, scenario.config)
+            periods.add(ctx.cocycle.period)
+            for op, q_vecs in series_inputs(ctx):
+                assert_series_as_reference(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
+        assert periods == {1, 2, 3, 4}
+
+    def test_nan_source(self):
+        op = sheared_operator(2, 3)
+        q_vecs = op.mask * np.ones((2,) + op.mask.shape)
+        rows, cols = op.types[-1]
+        q_vecs[1, rows.start, cols[-1]] = np.nan
+        assert_series_as_reference(op, q_vecs)
+
+    def test_source_free_expanding_type(self):
+        # diag(0.5, 0.1) against declared exponents (-2, -1): the type
+        # (2, x1^2) grows by 2.5 a period and has no source
+        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
+        op = linear_operator(S11, structure, 2, [np.diag([0.5, 0.1])])
+        q_vecs = op.mask * np.ones((1,) + op.mask.shape)
+        q_vecs[0, 1, _mono_table(2, 2)[1][(2, 0)]] = 0.0
+        assert_series_as_reference(op, q_vecs)
+
+    def test_budget(self):
+        op = sheared_operator(3, 2)
+        q_vecs = op.mask * np.ones((3,) + op.mask.shape)
+        assert_series_as_reference(op, q_vecs, 1e-13, 6)
 
 
 class TestSources:

@@ -1,9 +1,11 @@
 import math
+import re
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
+import index_reference
 from dict_reference import (
     dict_compose,
     dict_evaluate,
@@ -591,3 +593,83 @@ class TestCompositionTable:
         jets[1, 0, 0] = 0.1
         with pytest.raises(ValueError, match="fixing the origin"):
             composition_table(jets, 1, 3)
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` positive ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(1, total - parts + 2):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+class TestIndexReference:
+    """The tables read from exponent arrays equal the tuple-built ones."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_monomials_and_recurrence(self, dim):
+        for n in range(9):
+            monos, index, first, parent = index_reference.mono_table(dim, n)
+            exps = polymap._exponents(dim, n)
+            assert exps.tolist() == [list(a) for a in monos]
+            assert not exps.flags.writeable
+            assert polymap._mono_table(dim, n) == (monos, index)
+            np.testing.assert_array_equal(polymap._rank(exps), np.arange(len(monos)))
+            if n:
+                got_first, got_parent = polymap._recurrence(dim, n)
+                np.testing.assert_array_equal(got_first, first)
+                np.testing.assert_array_equal(got_parent, parent)
+                assert polymap._first_runs(dim, n) == index_reference.first_runs(dim, n)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_multiplication_entries(self, dim):
+        for degree in range(9):
+            for got, want in zip(polymap._mul_pairs(dim, degree),
+                                 index_reference.mul_pairs(dim, degree)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_block_degree_groups_every_split(self, dim):
+        for parts in range(1, dim + 1):
+            for dims in compositions(dim, parts):
+                space = GradedSpace(dims)
+                for n in range(8):
+                    got = block_degree_groups(space, n)
+                    want = index_reference.block_degree_groups(dims, n)
+                    assert [s for s, _ in got] == [s for s, _ in want]
+                    for (_, cols), (_, ref) in zip(got, want):
+                        np.testing.assert_array_equal(cols, ref)
+                        assert not cols.flags.writeable
+
+
+class TestTermValidation:
+    """Malformed terms raise through the constructor and the dict reader."""
+
+    @pytest.mark.parametrize("target, alpha, message", [
+        (0, (3, -1), "multi-index (3, -1) is not a monomial"),
+        (0, (1.5, 0.5), "multi-index (1.5, 0.5) is not a monomial"),
+        (0, (1, 0, 0), "multi-index (1, 0, 0) has wrong length"),
+        (0, (0, 0), "term (0, 0) of degree 0 outside 1..3"),
+        (0, (4, 0), "term (4, 0) of degree 4 outside 1..3"),
+        (2, (1, 1), "target index 2 out of range"),
+    ], ids=["negative", "fractional", "length", "degree0", "above", "target"])
+    def test_rejected(self, target, alpha, message):
+        space = GradedSpace((2,))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PolyMap(space, space, 3, np.zeros(2), {(target, alpha): 1.0})
+        data = PolyMap.identity(space, 3).to_dict()
+        data["terms"] = [{"target_index": target, "multi_index": list(alpha),
+                          "coefficient": 1.0}]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PolyMap.from_dict(data)
+
+    def test_integral_floats_accepted(self):
+        space = GradedSpace((2,))
+        data = PolyMap.identity(space, 3).to_dict()
+        data["terms"].append({"target_index": 1, "multi_index": [2.0, 0.0],
+                              "coefficient": 0.5})
+        assert PolyMap.from_dict(data).coeffs[(1, (2, 0))] == 0.5
+        direct = PolyMap(space, space, 3, np.zeros(2), {(1, (2.0, 0.0)): 0.5})
+        assert direct.coeffs == {(1, (2, 0)): 0.5}
