@@ -50,7 +50,6 @@ _EXPORTS = {
     ],
     "verify": [
         "CommutingExtension",
-        "chart_consistency",
         "chart_transitions",
         "centralizer_check",
         "conjugacy_residual",

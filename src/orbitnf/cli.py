@@ -300,19 +300,19 @@ def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
 
 # -- checks ---------------------------------------------------------------------
 
-def _check_residual(ctx, result, cocycle, config, cfg, seed):
-    rep = conjugacy_residual(cocycle, result, series_tol=ctx.series_tol)
+def _check_residual(ctx, result, cfg):
+    rep = conjugacy_residual(ctx.cocycle, result, series_tol=ctx.series_tol)
     return rep.to_dict(), rep.passed
 
 
-def _check_oracle(ctx, result, cocycle, config, cfg, seed):
+def _check_oracle(ctx, result, cfg):
     gap = series_vs_direct(ctx, result)
     tol = float(cfg["tol"])
     return {"max_coefficient_gap": gap, "tol": tol}, gap <= tol
 
 
-def _check_sandwich(ctx, result, cocycle, config, cfg, seed):
-    rep = sandwich_check(cocycle, ctx.spectrum, ctx.frames, tol=float(cfg["tol"]))
+def _check_sandwich(ctx, result, cfg):
+    rep = sandwich_check(ctx.cocycle, ctx.spectrum, ctx.frames, tol=float(cfg["tol"]))
     return rep.to_dict(), rep.passed
 
 
@@ -332,7 +332,7 @@ def _first_admissible_slot(structure, space):
     return None
 
 
-def _check_gauge(ctx, result, cocycle, config, cfg, seed):
+def _check_gauge(ctx, result, cfg):
     """Solve again under a lifted gauge and test the transition map.
 
     With admissible slots (degree bound >= 2) the lift adds a known delta,
@@ -342,7 +342,7 @@ def _check_gauge(ctx, result, cocycle, config, cfg, seed):
     """
     tol = float(cfg["tol"])
     delta = float(cfg.get("delta", 0.05))
-    space = cocycle.space
+    space = ctx.cocycle.space
     slot = _first_admissible_slot(ctx.structure, space)
     if slot is None:
         degree, coord, alpha = 2, 0, tuple(
@@ -379,9 +379,9 @@ def _check_gauge(ctx, result, cocycle, config, cfg, seed):
     return details, passed
 
 
-def _check_centralizer(ctx, result, cocycle, config, cfg, seed):
+def _check_centralizer(ctx, result, cfg):
     tol = float(cfg["tol"])
-    order = result.order
+    cocycle, order = ctx.cocycle, result.order
     # the H_k^{-1} of every family, one stacked inverse
     inverses = invert_jets(stack_jets(result.conjugator, order), cocycle.dim, order)
     # F^p and P^p for p = 1, 2, ...: each power is the one below composed once more
@@ -405,14 +405,14 @@ def _check_centralizer(ctx, result, cocycle, config, cfg, seed):
     return {"powers": runs, "tol": tol}, all_ok
 
 
-def _check_flag(ctx, result, cocycle, config, cfg, seed):
+def _check_flag(ctx, result, cfg):
     rep = flag_invariance(result.normal_form, tol=float(cfg["tol"]))
     return rep.to_dict(), rep.passed
 
 
-def _check_chart(ctx, result, cocycle, config, cfg, seed):
+def _check_chart(ctx, result, cfg):
     tol = float(cfg["tol"])
-    reports = chart_transitions(ctx, result, cfg.get("points", []), seed=seed + 2, tol=tol)
+    reports = chart_transitions(ctx, result, cfg.get("points", []), tol=tol)
     return ({"points": [rep.to_dict() for rep in reports], "tol": tol},
             all(rep.passed for rep in reports))
 
@@ -429,8 +429,9 @@ _CHECK_RUNNERS = {
 
 
 def run_checks(ctx, result, cocycle, config):
-    """Run the enabled checks in fixed order; returns (entries, residual details)."""
-    seed = int(config["rng_seed"])
+    """Run the enabled checks in fixed order; returns (entries, residual details).
+
+    The checks read the cocycle from ``ctx``, so ``cocycle`` is ``ctx.cocycle``."""
     entries = []
     residual_details = None
     for name in CHECK_ORDER:
@@ -438,8 +439,7 @@ def run_checks(ctx, result, cocycle, config):
         if not cfg or not cfg.get("enabled", False):
             entries.append({"name": name, "enabled": False, "passed": None})
             continue
-        details, passed = _CHECK_RUNNERS[name](
-            ctx, result, cocycle, config, cfg, seed)
+        details, passed = _CHECK_RUNNERS[name](ctx, result, cfg)
         if name == "residual":
             residual_details = details
         entries.append({"name": name, "enabled": True, "passed": passed,

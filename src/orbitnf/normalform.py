@@ -105,11 +105,12 @@ class _DegreeOperator:
     blocks; ``apply`` keeps the full product.  A window operator
     holds block-triangular (flag-preserving) linear parts of shape
     (W, P, m, m), one per step and window, and ainvs and substs keep those
-    leading axes.
+    leading axes.  Callers that build every degree from one table pass the
+    inverses ``ainvs`` of its linear parts; they are inverted here otherwise.
     """
 
     def __init__(self, space: GradedSpace, structure: SubResStructure, n: int,
-                 table: tuple[np.ndarray, ...]):
+                 table: tuple[np.ndarray, ...], ainvs: np.ndarray | None = None):
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
@@ -122,7 +123,7 @@ class _DegreeOperator:
         m = space.dim
         # the degree-1 monomials and columns run e_{m-1}..e_0
         self.linears = np.ascontiguousarray(table[0][..., ::-1, m - 1::-1])
-        self.ainvs = np.linalg.inv(self.linears)
+        self.ainvs = np.linalg.inv(self.linears) if ainvs is None else ainvs
         self.substs = np.ascontiguousarray(table[n - 1][..., :self.mask.shape[1]])
 
     def apply(self, k: int, c: np.ndarray) -> np.ndarray:
@@ -294,8 +295,9 @@ class SolverContext:
                     f"fiber map {k} is not grading-adapted "
                     "(linear part has off-block entries)"
                 )
-        # the composition table under "table" and the degree operator of
-        # every degree n under n, shared with the with_lift contexts
+        # the composition table under "table", the inverses of its linear
+        # parts under "ainvs" and the degree operator of every degree n
+        # under n, shared with the with_lift contexts
         self._built: dict = {}
 
     @classmethod
@@ -335,8 +337,11 @@ class SolverContext:
 
     def operator(self, n: int) -> _DegreeOperator:
         if n not in self._built:
-            self._built[n] = _DegreeOperator(self.cocycle.space, self.structure, n,
-                                             self.table())
+            op = _DegreeOperator(self.cocycle.space, self.structure, n, self.table(),
+                                 self._built.get("ainvs"))
+            # the first operator inverts the linear parts for every degree
+            self._built.setdefault("ainvs", op.ainvs)
+            self._built[n] = op
         return self._built[n]
 
 
@@ -572,8 +577,8 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     # the jets lose those entries too
     linears[..., below] = 0.0
 
-    table = composition_table(jets, m, order)
+    table, ainvs = composition_table(jets, m, order), np.linalg.inv(linears)
     conj, nf, per_degree = _degree_loop(
-        jets, len(jets) + 1, lambda n: _DegreeOperator(space, structure, n, table),
+        jets, len(jets) + 1, lambda n: _DegreeOperator(space, structure, n, table, ainvs),
         order, _window_sweep)
     return conj, nf, {"window": len(jets), "per_degree": per_degree}

@@ -481,9 +481,6 @@ class PolyMap:
             return np.zeros((self.target.dim, cols.stop - cols.start))
         return self.jet[:, cols]
 
-    def evaluate(self, t) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(t, dtype=float)[None, :])[0]
-
     @cached_property
     def _eval_plan(self) -> tuple:
         """Per degree n >= 1: the power recurrence of its monomials and its

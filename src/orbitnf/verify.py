@@ -15,13 +15,15 @@ from a different direction:
 * ``flag_invariance`` reads the below-flag derivative coefficients of the
   normal form.
 * ``chart_transitions`` rebuilds the normal form in charts centered at
-  nearby non-periodic points, all in one window solve, and tests that each
-  transition to the periodic chart is a sub-resonance map.
+  nearby non-periodic points, all in one window solve, and bounds the
+  non-admissible part of each transition to the periodic chart by its
+  coefficients.
 
-The checks hold at every orbit point, and each check step is one stacked
-kernel call over the orbit, whatever the period K: one ``compose_jets``
-call on a stack of at most 2K maps, one ``invert_jets`` call for all the
-inverses, one stacked SVD and solve per system size in the oracle.
+Every check reads coefficients; none samples points or takes a seed.  The
+checks hold at every orbit point, and each check step is one stacked kernel
+call over the orbit, whatever the period K: one ``compose_jets`` call per
+side of an identity on a stack of K maps, one ``invert_jets`` call for all
+the inverses, one stacked SVD and solve per system size in the oracle.
 """
 
 from __future__ import annotations
@@ -135,18 +137,18 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
     monomials, a the largest row l1 norm of A_k, h_n the largest Frobenius
     norm of a degree-n part of H), plus rounding along chains of n + 1
     products of w_n = jet_width(m, n) terms, relative to the majorant c_n of
-    both sides.  Both sides of all orbit points are one stacked composition
-    of 2K entries.  NaN never passes.
+    both sides.  Each side is one stacked composition of K entries over the
+    orbit.  NaN never passes.
     """
     if result.period != cocycle.period:
         raise ValueError("result and cocycle have different periods")
     K, m, M = cocycle.period, cocycle.dim, result.order
     hs, ps = result.conjugator, result.normal_form
     fs = [cocycle.map_at(k) for k in range(K)]
-    # H_{k+1} o F_k in the first K entries, P_k o H_k in the last K
-    sides = compose_jets(_stack([hs[(k + 1) % K] for k in range(K)] + list(ps)),
-                         _stack(fs + list(hs)), m, M + 1)
-    defect = sides[:K] - sides[K:]
+    # each side its own call: P has a lower top degree than H, and a stacked
+    # call would form the powers of H through the largest outer degree
+    defect = (compose_jets(_stack([hs[(k + 1) % K] for k in range(K)]), _stack(fs), m, M + 1)
+              - compose_jets(_stack(ps), _stack(hs), m, M + 1))
     residuals = [np.abs(defect[..., degree_cols(m, d)]).max() for d in range(M + 2)]
 
     n = np.arange(M + 1)
@@ -331,8 +333,9 @@ def centralizer_check(cocycle, result: NormalFormResult,
     First verifies the commutation relation G_{k+1} o F_k = F_{k+shift} o G_k
     degreewise up to the solve order, then checks that every conjugated map
     C_k = H_{k+shift} o G_k o H_k^{-1} has admissible coefficients only and
-    nothing above the degree bound.  The commutation is one stacked
-    composition of 2K entries, the conjugation two of K.  ``inverses`` is
+    nothing above the degree bound.  Each side of the commutation is one
+    stacked composition of K entries, and so is each step of the
+    conjugation.  ``inverses`` is
     the stack of the jets of H_k^{-1} at the result order, shape (K, m,
     jet_width(m, order)), when a caller checks several families
     (``polymap.invert_jets``); it is inverted here otherwise.
@@ -345,12 +348,9 @@ def centralizer_check(cocycle, result: NormalFormResult,
     step = np.arange(K)
 
     scale = max(1.0, max(pm.coeff_max() for pm in extension.maps))
-    both = _stack(list(extension.maps) + [cocycle.map_at(k) for k in range(K)])
-    g, f = both[:K], both[K:]
-    # G_{k+1} o F_k in the first K entries, F_{k+shift} o G_k in the last K
-    sides = compose_jets(np.concatenate([g[(step + 1) % K], f[(step + extension.shift) % K]]),
-                         np.concatenate([f, g]), m, order)
-    comm = float(np.max(np.abs(sides[:K] - sides[K:])))
+    g, f = _stack(extension.maps), _stack([cocycle.map_at(k) for k in range(K)])
+    comm = float(np.max(np.abs(compose_jets(g[(step + 1) % K], f, m, order)
+                               - compose_jets(f[(step + extension.shift) % K], g, m, order))))
     if not comm <= commute_tol * scale:
         raise ValueError(
             f"the family does not commute with the cocycle up to degree "
@@ -360,7 +360,7 @@ def centralizer_check(cocycle, result: NormalFormResult,
     h = _stack(result.conjugator)
     if inverses is None:
         inverses = invert_jets(h, m, order)
-    inner = compose_jets(_stack(extension.maps), inverses, m, order)
+    inner = compose_jets(g, inverses, m, order)
     conjugated = _maps(space, order, compose_jets(h[(step + extension.shift) % K],
                                                   inner, m, order))
     npart, beyond = _npart_max(conjugated, result.structure)
@@ -418,7 +418,6 @@ class ChartReport(_Report):
     npart_max: float
     deviation_max: float
     eval_radius: float
-    samples: int
     tol: float = 1e-7
 
     @property
@@ -439,8 +438,7 @@ def default_chart_window(ctx: SolverContext) -> int:
 
 def chart_transitions(ctx: SolverContext, result: NormalFormResult,
                       offsets, *, base: int = 0, window: int | None = None,
-                      eval_radius: float | None = None, samples: int = 64,
-                      seed: int = 0, tol: float = 1e-7) -> list[ChartReport]:
+                      tol: float = 1e-7) -> list[ChartReport]:
     """Normal form charts at nearby points versus the periodic chart.
 
     offsets has shape (P, m).  Recenter the cocycle along the forward orbit
@@ -450,16 +448,20 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
         G = H_window(0) o (H_base^{-1} - offset).
 
     G carries one chart of normal form coordinates to the other, so apart
-    from its constant it must be a sub-resonance map.  The non-admissible
-    coefficients up to the degree bound are checked directly.  The rest is
-    checked by evaluation on a sphere of radius ``eval_radius`` (the offset
-    size by default): composing order-M truncations around a shifted center
-    contaminates the top coefficients of G at size |h_{M+1}| * |offset|
-    regardless of how far the solves converged, while the function values of
-    the mismatch stay at size |h_{M+1}| * (2 |offset|)^{M+1}, so only the
-    sampled deviation from G's own sub-resonance projection is meaningful.
-    Requires the recentered linear parts to be flag preserving, which holds
-    whenever the cocycle maps themselves have admissible coefficients only.
+    from its constant it must be a sub-resonance map.  One projection splits
+    off its non-admissible part N.  ``npart_max`` is the largest coefficient
+    of N up to the degree bound.  ``deviation_max`` is the majorant
+
+        max_i sum_alpha |N_{i,alpha}| r^{|alpha|},  r = max(|offset|, 1e-2),
+
+    an upper bound of |G - proj G| on the whole cube |t_j| <= r, which
+    contains the sphere of radius r (``eval_radius``).  Composing order-M
+    truncations around a shifted center contaminates the top coefficients
+    of G at size |h_{M+1}| * |offset| regardless of how far the solves
+    converged; the weight r^{|alpha|} keeps them at the size of the function
+    values of the mismatch, |h_{M+1}| * (2 |offset|)^{M+1}.  Requires the
+    recentered linear parts to be flag preserving, which holds whenever the
+    cocycle maps themselves have admissible coefficients only.
     """
     cocycle = ctx.cocycle
     space, m, K = cocycle.space, cocycle.dim, cocycle.period
@@ -490,24 +492,14 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     to_local[:, :, 0] = -ys
     g_jets = compose_jets(h_win[0], to_local, m, order)
 
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((samples, m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    width = jet_width(m, ctx.structure.degree_bound)
+    degrees = np.repeat(np.arange(order + 1), [math.comb(m + d - 1, d) for d in range(order + 1)])
     reports = []
     for y, g_jet in zip(ys, g_jets):
         g = PolyMap.from_jet(space, space, order, g_jet)
-        low, _ = _npart_split(g.with_constant(np.zeros(m)), ctx.structure)
-        g_sub, _ = project_subresonance(g, ctx.structure)
-        radius = max(float(np.linalg.norm(y)), 1e-2) if eval_radius is None else eval_radius
-        pts = radius * dirs
-        deviation = float(np.max(np.abs(g.evaluate_batch(pts) - g_sub.evaluate_batch(pts))))
-        reports.append(ChartReport(g, tuple(float(v) for v in y), window, low, deviation,
-                                   radius, samples, tol))
+        n_part = np.abs(project_subresonance(g, ctx.structure)[1].jet)
+        radius = max(float(np.linalg.norm(y)), 1e-2)
+        reports.append(ChartReport(g, tuple(float(v) for v in y), window,
+                                   float(np.max(n_part[:, :width])),
+                                   float(np.max(n_part @ radius ** degrees)), radius, tol))
     return reports
-
-
-def chart_consistency(ctx: SolverContext, result: NormalFormResult, offset,
-                      **kwargs) -> ChartReport:
-    """``chart_transitions`` at one offset point."""
-    return chart_transitions(ctx, result, np.reshape(offset, (1, ctx.cocycle.dim)),
-                             **kwargs)[0]

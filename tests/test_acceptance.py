@@ -26,7 +26,7 @@ from orbitnf.scenarios import build_builtin, builtin_names, random_scenario
 from orbitnf.verify import (
     _coeff_diff,
     centralizer_check,
-    chart_consistency,
+    chart_transitions,
     conjugacy_residual,
     flag_invariance,
     gauge_compare,
@@ -234,13 +234,13 @@ def test_10_chart_transitions(solved):
     affine_ok = True
     worst_dev = 0.0
     for y in (0.05, -0.05, 0.02, -0.02):
-        rep = chart_consistency(s.ctx, s.result, np.array([y]), tol=1e-7)
+        rep = chart_transitions(s.ctx, s.result, np.array([[y]]), tol=1e-7)[0]
         affine_ok = affine_ok and rep.passed
         worst_dev = max(worst_dev, rep.deviation_max, rep.npart_max)
 
     r = solved["resonant2"]
-    rep2 = chart_consistency(r.ctx, r.result, np.array([0.05, 0.05]),
-                             tol=1e-7)
+    rep2 = chart_transitions(r.ctx, r.result, np.array([[0.05, 0.05]]),
+                             tol=1e-7)[0]
     d = r.ctx.structure.degree_bound
     beyond = max((abs(c) for (_, alpha), c in rep2.transition.coeffs.items()
                   if sum(alpha) > d), default=0.0)

@@ -15,7 +15,9 @@ from orbitnf.cli import (
     run_checks,
     run_scenario,
 )
+from orbitnf.cocycle import OrbitCocycle
 from orbitnf.normalform import SolverContext, solve_normal_form
+from orbitnf.polymap import GradedSpace, PolyMap
 from orbitnf.scenarios import builtin_names
 
 
@@ -153,6 +155,31 @@ class TestDeterminism:
         assert rep_a["config"]["rng_seed"] == 1
         assert rep_b["config"]["rng_seed"] == 2
 
+    @pytest.mark.parametrize("name", ["koenigs", "koenigs_period2", "resonant2",
+                                      "nonresonant2", "inline_within_block"])
+    def test_checks_take_no_seed(self, name, tmp_path):
+        # these cocycles do not depend on the seed, so neither may a check.
+        # The inline one has non-admissible squares inside its two blocks, so
+        # its chart transitions have a nonzero non-admissible part in 2-d,
+        # where a sampled deviation would move with the seed
+        if name == "inline_within_block":
+            coeffs = {(0, (1, 0)): math.exp(-2.0), (0, (0, 2)): 0.3, (0, (2, 0)): 0.1,
+                      (1, (0, 1)): math.exp(-1.0), (1, (0, 2)): 0.1}
+            space = GradedSpace((1, 1))
+            cocycle = OrbitCocycle(space, (PolyMap(space, space, 2, np.zeros(2), coeffs),))
+            name = str(tmp_path / "within_block.json")
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump({"scenario": cocycle.to_dict(), "epsilon": 0.05, "order": 6,
+                           "checks": {"chart": {"enabled": True, "points": [[0.02, -0.02]],
+                                                "tol": 1e-7}}}, fh)
+        texts = []
+        for seed in (0, 1, 7):
+            _, cocycle, config = resolve_config(name, seed=seed)
+            ctx = cli._prepare_context(cocycle, config)
+            entries, _ = run_checks(ctx, solve_normal_form(ctx), cocycle, config)
+            texts.append(canonical_json(entries))
+        assert texts[0] == texts[1] == texts[2]
+
 
 class TestLyapunovStage:
     @pytest.mark.parametrize("name", builtin_names())
@@ -197,8 +224,7 @@ class TestGaugeCheck:
                 lift_policy=lift_policy)
 
         monkeypatch.setattr(SolverContext, "with_lift", prepare_lifted)
-        fresh, _ = cli._check_gauge(ctx, result, cocycle, config,
-                                    config["checks"]["gauge"], int(config["rng_seed"]))
+        fresh, _ = cli._check_gauge(ctx, result, config["checks"]["gauge"])
         # the re-solve reads no frames, so a fresh context builds none
         assert calls == ["monodromy_spectrum"]
         assert canonical_json(fresh) == canonical_json(gauge["details"])
@@ -206,13 +232,13 @@ class TestGaugeCheck:
     @pytest.mark.parametrize("name", builtin_names())
     def test_reuses_the_degree_operators(self, name, monkeypatch):
         _, cocycle, config = resolve_config(name)
-        gauge_cfg, seed = config["checks"]["gauge"], int(config["rng_seed"])
+        gauge_cfg = config["checks"]["gauge"]
         calls, tables = [], []
 
         class Counted(normalform._DegreeOperator):
-            def __init__(self, space, structure, n, table):
+            def __init__(self, space, structure, n, table, ainvs=None):
                 calls.append(n)
-                super().__init__(space, structure, n, table)
+                super().__init__(space, structure, n, table, ainvs)
 
         def counted_table(*args, _fn=normalform.composition_table):
             tables.append(args[1:])
@@ -225,7 +251,7 @@ class TestGaugeCheck:
         result = solve_normal_form(ctx)
         assert calls == list(range(2, ctx.order + 1))
         assert tables == [(cocycle.dim, ctx.order)]
-        details, passed = cli._check_gauge(ctx, result, cocycle, config, gauge_cfg, seed)
+        details, passed = cli._check_gauge(ctx, result, gauge_cfg)
         assert passed
         # the lifted solve builds no operator and no table of its own, and
         # neither does the dense oracle's degree loop
@@ -233,8 +259,7 @@ class TestGaugeCheck:
         assert calls == list(range(2, ctx.order + 1))
         assert tables == [(cocycle.dim, ctx.order)]
         # the same details as a context that has solved nothing
-        fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result,
-                                    cocycle, config, gauge_cfg, seed)
+        fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result, gauge_cfg)
         assert canonical_json(details) == canonical_json(fresh)
 
 

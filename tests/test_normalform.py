@@ -915,6 +915,23 @@ class TestWindowSweep:
         assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
         assert [d["degree"] for d in diag["per_degree"]] == [2, 3, 4]
 
+    def test_one_inverse_per_table(self):
+        # a context and a window stack invert their linear parts once for
+        # all degrees, with the bits of an inversion per degree
+        for dims, period, order, epsilon in LADDER:
+            ctx = ladder_context(dims, period, order, epsilon)
+            ops = [ctx.operator(n) for n in range(2, order + 1)]
+            assert all(op.ainvs is ops[0].ainvs for op in ops)
+            assert np.array_equal(ops[0].ainvs, np.linalg.inv(ops[0].linears))
+        rng = np.random.default_rng(7)
+        space, structure, maps, _, _, _, _ = window_case(11)
+        jets = stack_jets(maps, 2)[rng.integers(0, len(maps), (40, 3))]
+        h, p, _ = solve_window(jets, space, structure, 4)
+        table = composition_table(jets, space.dim, 4)
+        h_ref, p_ref, _ = _degree_loop(
+            jets, 41, lambda n: _DegreeOperator(space, structure, n, table), 4, _window_sweep)
+        assert np.array_equal(h, h_ref) and np.array_equal(p, p_ref)
+
     @SETTINGS
     @given(st.data(), st.sampled_from(list(WINDOW_SPECTRA)), st.integers(1, 5))
     def test_step_keeps_admissible_slots_admissible(self, data, dims, n):

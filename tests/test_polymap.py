@@ -114,7 +114,7 @@ class TestGradedSpace:
 class TestEvaluate:
     def test_pair_example(self):
         F = resonant_pair_map()
-        out = F.evaluate(np.array([1.0, 2.0]))
+        out = F.evaluate_batch(np.array([[1.0, 2.0]]))[0]
         assert out[0] == pytest.approx(math.exp(-2.0) + 1.2, abs=1e-15)
         assert out[1] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-15)
 
@@ -125,11 +125,11 @@ class TestEvaluate:
         pts = rng.uniform(-1, 1, size=(17, 4))
         batch = P.evaluate_batch(pts)
         for row, t in zip(batch, pts):
-            assert np.allclose(row, P.evaluate(t), atol=1e-14)
+            assert np.allclose(row, P.evaluate_batch(t[None])[0], atol=1e-14)
 
     def test_constant_term(self):
         P = scalar_map({1: 2.0}, 2).with_constant([0.5])
-        assert P.evaluate(np.array([1.0]))[0] == pytest.approx(2.5)
+        assert P.evaluate_batch(np.array([[1.0]]))[0, 0] == pytest.approx(2.5)
 
 
 class TestCompose:
@@ -180,7 +180,8 @@ class TestCompose:
             for _ in range(40):
                 t = rng.standard_normal(2)
                 t *= r / np.linalg.norm(t)
-                err = np.max(np.abs(C.evaluate(t) - P.evaluate(Q.evaluate(t))))
+                err = np.max(np.abs(C.evaluate_batch(t[None])
+                                    - P.evaluate_batch(Q.evaluate_batch(t[None]))))
                 worst = max(worst, err)
             errs.append(worst)
         slope = np.polyfit(np.log(radii), np.log(errs), 1)[0]
@@ -350,7 +351,8 @@ class TestLyapunovOpnorm:
         })
         u = rng.standard_normal(2)
         for c in (0.5, 2.0):
-            assert np.allclose(P.evaluate(c * u), c ** 3 * P.evaluate(u), rtol=1e-12)
+            assert np.allclose(P.evaluate_batch(c * u[None]), c ** 3 * P.evaluate_batch(u[None]),
+                               rtol=1e-12)
 
     def test_degenerate_frame_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite

@@ -20,7 +20,6 @@ from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
     CommutingExtension,
     centralizer_check,
-    chart_consistency,
     chart_transitions,
     conjugacy_residual,
     default_chart_window,
@@ -89,6 +88,21 @@ def period2():
 def resonant2():
     c = resonant2_cocycle()
     ctx = SolverContext.prepare(c, 0.05, 4)
+    return c, ctx, solve_normal_form(ctx)
+
+
+@pytest.fixture(scope="module")
+def within_block2():
+    # resonant2 with non-admissible squares inside each block, at order 6
+    coeffs = {
+        (0, (1, 0)): math.exp(-2.0),
+        (0, (0, 2)): 0.3,
+        (0, (2, 0)): 0.1,
+        (1, (0, 1)): math.exp(-1.0),
+        (1, (0, 2)): 0.1,
+    }
+    c = OrbitCocycle(S11, (PolyMap(S11, S11, 2, np.zeros(2), coeffs),))
+    ctx = SolverContext.prepare(c, 0.05, 6)
     return c, ctx, solve_normal_form(ctx)
 
 
@@ -535,14 +549,15 @@ class TestKernelCalls:
                 calls.clear()
                 assert run().passed
                 counts[K, name] = len(calls)
-                assert max(calls) <= 2 * K  # stacks of at most 2K entries
+                assert max(calls) <= K  # stacks of at most K entries
             monkeypatch.undo()
         M = 4
-        # residual: one; gauge: M - 1 for the inverse, two compositions;
-        # centralizer: two for F^3, one commutation, M - 1, two conjugations
+        # residual: one per side; gauge: M - 1 for the inverse, two
+        # compositions; centralizer: two for F^3, one per side of the
+        # commutation, M - 1, two conjugations
         assert counts == {(K, name): n for K in (1, 4)
-                          for name, n in (("residual", 1), ("gauge", M + 1),
-                                          ("centralizer", M + 4))}
+                          for name, n in (("residual", 2), ("gauge", M + 1),
+                                          ("centralizer", M + 5))}
 
 
 class TestFlagInvariance:
@@ -579,13 +594,13 @@ class TestChartConsistency:
     @pytest.mark.parametrize("y", [0.05, -0.05, 0.02, -0.02])
     def test_koenigs_offsets(self, koenigs, y):
         _, ctx, res = koenigs
-        rep = chart_consistency(ctx, res, [y])
+        rep = chart_transitions(ctx, res, [[y]])[0]
         assert rep.passed
         assert rep.deviation_max <= 1e-9
 
     def test_zero_offset_gives_identity(self, koenigs):
         _, ctx, res = koenigs
-        rep = chart_consistency(ctx, res, [0.0])
+        rep = chart_transitions(ctx, res, [[0.0]])[0]
         g = rep.transition
         assert abs(float(g.constant[0])) <= 1e-9
         assert abs(g.coeffs.get((0, (1,)), 0.0) - 1.0) <= 1e-8
@@ -594,19 +609,19 @@ class TestChartConsistency:
 
     def test_resonant2_offset(self, resonant2):
         _, ctx, res = resonant2
-        rep = chart_consistency(ctx, res, [0.05, 0.05])
+        rep = chart_transitions(ctx, res, [[0.05, 0.05]])[0]
         assert rep.passed
         json.dumps(rep.to_dict())
 
     def test_period2_offset_off_base(self, period2):
         _, ctx, res = period2
-        rep = chart_consistency(ctx, res, [0.03], base=1)
+        rep = chart_transitions(ctx, res, [[0.03]], base=1)[0]
         assert rep.passed
 
     def test_below_flag_recentering_rejected(self, nonresonant2):
         _, ctx, res = nonresonant2
         with pytest.raises(ValueError, match="below-flag"):
-            chart_consistency(ctx, res, [0.05, 0.05])
+            chart_transitions(ctx, res, [[0.05, 0.05]])
 
     def test_window_scales_with_order(self, koenigs):
         _, ctx, _ = koenigs
@@ -621,10 +636,10 @@ class TestChartConsistency:
     ])
     def test_stacked_points_equal_one_point_calls(self, request, case, offsets, base):
         _, ctx, res = request.getfixturevalue(case)
-        stacked = chart_transitions(ctx, res, np.array(offsets), base=base, seed=4)
+        stacked = chart_transitions(ctx, res, np.array(offsets), base=base)
         assert len(stacked) == len(offsets)
         for y, rep in zip(offsets, stacked):
-            one = chart_consistency(ctx, res, y, base=base, seed=4)
+            one = chart_transitions(ctx, res, [y], base=base)[0]
             assert rep.offset == one.offset == tuple(y)
             assert rep.window == one.window
             assert rep.passed and one.passed
@@ -633,8 +648,29 @@ class TestChartConsistency:
             assert abs(rep.deviation_max - one.deviation_max) <= 1e-15
             assert rep.eval_radius == one.eval_radius
 
+    @pytest.mark.parametrize("case,offsets", [
+        ("koenigs", [[0.05], [-0.05], [0.02], [-0.02]]),
+        ("resonant2", [[0.05, 0.05], [-0.02, 0.03]]),
+        ("within_block2", [[0.05, 0.05], [0.02, -0.02], [-0.01, 0.01]]),
+    ])
+    def test_deviation_bounds_the_sphere(self, request, case, offsets):
+        # the majorant bounds |G - proj G| on the cube |t_j| <= r, so on the
+        # sphere of radius r; G - proj G is evaluated as the polynomial N,
+        # whose rounding is the only slack
+        _, ctx, res = request.getfixturevalue(case)
+        rng = np.random.default_rng(0)
+        reports = chart_transitions(ctx, res, offsets)
+        for rep in reports:
+            dirs = rng.standard_normal((4096, ctx.cocycle.dim))
+            pts = rep.eval_radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+            n_part = polymap.project_subresonance(rep.transition, ctx.structure)[1]
+            sampled = float(np.max(np.abs(n_part.evaluate_batch(pts))))
+            assert sampled <= rep.deviation_max * (1 + 1e-12)
+        if case == "within_block2":
+            assert min(rep.deviation_max for rep in reports) > 0.0
+
     def test_short_window_fails_honestly(self, koenigs):
         # an absurdly short window leaves the terminal truncation visible
         _, ctx, res = koenigs
-        rep = chart_consistency(ctx, res, [0.05], window=4)
+        rep = chart_transitions(ctx, res, [[0.05]], window=4)[0]
         assert not rep.passed
