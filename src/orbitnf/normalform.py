@@ -27,10 +27,12 @@ degree-d parts of H with blocks of the table, and the table's diagonal
 blocks are the substitution matrices of the degree operators.  Only
 P_k o H(k) is a composition per degree, whose powers of H stop at the top
 degree of P.  Each degree hands the twisted sources Q(k) to a transfer
-solver, adds the admissible part of the lift, and finishes in coefficient
-space:
+solver and finishes in coefficient space:
 term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose admissible part
-is P_n(k) and whose rest must vanish.  Three transfer solvers plug into it:
+is P_n(k) and whose rest must vanish.  H and P are unique only up to a
+sub-resonance polynomial; a solve may fix that gauge with one ``lift`` map,
+whose admissible degree-n part is added to every conjugator before the
+finish.  Three transfer solvers plug into the loop:
 
 * the transported series (``solve_normal_form``): per type, a geometric
   series in the one-period transfer, summed by Smith's doubling until the
@@ -48,7 +50,7 @@ axis and the coefficients, so the windows of several chart points are
 solved in one pass.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -56,7 +58,7 @@ import numpy as np
 
 from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import (GradedSpace, PolyMap, _linear_jets, admissible_mask,
+from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, admissible_mask,
                       block_degree_groups, compose_jets, composition_table, degree_cols,
                       jet_width, stack_jets, top_degree)
 
@@ -67,7 +69,6 @@ WINDOW_GROWTH_GUARD = 1e9
 # stay inside the float range
 WINDOW_CHUNK = 2048
 
-LiftPolicy = Callable[[int, int], "PolyMap | None"]
 # (degree operator, stacked twisted sources Q(k)) -> (conjugator terms, diagnostics)
 Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[Sequence[np.ndarray], dict]]
 
@@ -95,22 +96,21 @@ class _DegreeOperator:
     degrees s.  substs[k, a, b] is the coefficient of t^beta_b in (A_k t)^alpha_a.
 
     The operator reads the composition table of the fiber maps
-    (``polymap.composition_table``), which ``_source_vecs`` also reads: the
-    linear parts A_k come from its degree-1 block T_1 and subst_k is the
-    leading square of its degree-n block T_n.
+    (``polymap.composition_table``), which ``_source_vecs`` also reads:
+    subst_k is the leading square of its degree-n block T_n.  The linear
+    parts A_k of the same maps and their inverses ``ainvs`` are handed in,
+    formed once for every degree of the table.
 
     With block-diagonal A_k, subst_k maps the monomials of each block degree
     s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
     X -> Ainv_k[i] X subst_k[s].  The series and the dense oracle use these
-    blocks; ``apply`` keeps the full product.  A window operator
-    holds block-triangular (flag-preserving) linear parts of shape
-    (W, P, m, m), one per step and window, and ainvs and substs keep those
-    leading axes.  Callers that build every degree from one table pass the
-    inverses ``ainvs`` of its linear parts; they are inverted here otherwise.
+    blocks.  A window operator holds block-triangular (flag-preserving)
+    linear parts of shape (W, P, m, m), one per step and window, and ainvs
+    and substs keep those leading axes.
     """
 
     def __init__(self, space: GradedSpace, structure: SubResStructure, n: int,
-                 table: tuple[np.ndarray, ...], ainvs: np.ndarray | None = None):
+                 table: tuple[np.ndarray, ...], linears: np.ndarray, ainvs: np.ndarray):
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
@@ -119,16 +119,8 @@ class _DegreeOperator:
                       for _, cols in block_degree_groups(space, n)
                       for i in range(1, space.n_blocks + 1)
                       if self.mask[space.block_slice(i).start, cols[0]]]
-        self.table = table
-        m = space.dim
-        # the degree-1 monomials and columns run e_{m-1}..e_0
-        self.linears = np.ascontiguousarray(table[0][..., ::-1, m - 1::-1])
-        self.ainvs = np.linalg.inv(self.linears) if ainvs is None else ainvs
+        self.table, self.linears, self.ainvs = table, linears, ainvs
         self.substs = np.ascontiguousarray(table[n - 1][..., :self.mask.shape[1]])
-
-    def apply(self, k: int, c: np.ndarray) -> np.ndarray:
-        """Masked transfer of a coefficient array through step k."""
-        return self.mask * (self.ainvs[k] @ c @ self.substs[k])
 
     def source(self, s_vecs: np.ndarray) -> np.ndarray:
         """Masked twisted sources Q(k) = proj_N(Ainv_k o proj_N(S(k))) of a stack."""
@@ -261,8 +253,11 @@ class SolverContext:
     The solve bounds its series tails by per-type transfer norms, not by
     the Lyapunov frames: ``frames`` builds them from ``bases`` and
     ``tail_tol`` on first read, for the sandwich check and the report.
-    The composition table of the fiber maps and the degree operators read
-    from it are built on first use in a solve.
+    Their linear parts ``linears`` are stacked as the context is made.  The
+    composition table of the fiber maps (``table``), the inverses of the
+    linear parts (``ainvs``) and the degree operators (``operators``, by
+    degree) are built on first use in a solve, and every later solve on the
+    context reuses them, lifted or not.
     """
 
     cocycle: OrbitCocycle
@@ -273,7 +268,6 @@ class SolverContext:
     tail_tol: float = 1e-12
     series_tol: float = 1e-13
     max_series_terms: int = 10_000
-    lift_policy: LiftPolicy | None = None
 
     def __post_init__(self):
         if self.order < max(1, self.structure.degree_bound):
@@ -286,63 +280,50 @@ class SolverContext:
             )
         if self.order >= 2:
             contraction_factor(self.spectrum, self.order)
+        self.linears = np.stack([self.cocycle.linear(k) for k in range(self.cocycle.period)])
         block = np.array(self.cocycle.space.block_of_coord)
-        for k in range(self.cocycle.period):
-            A = self.cocycle.linear(k)
+        for k, A in enumerate(self.linears):
             off = A[block[:, None] != block[None, :]]
             if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
                 raise ValueError(
                     f"fiber map {k} is not grading-adapted "
                     "(linear part has off-block entries)"
                 )
-        # the composition table under "table", the inverses of its linear
-        # parts under "ainvs" and the degree operator of every degree n
-        # under n, shared with the with_lift contexts
-        self._built: dict = {}
+        self.operators: dict[int, _DegreeOperator] = {}
 
     @classmethod
     def prepare(cls, cocycle: OrbitCocycle, epsilon: float, order: int, *,
                 resonance_tol: float = 1e-9, cluster_tol: float = 1e-6,
                 tail_tol: float = 1e-12, series_tol: float = 1e-13,
-                max_series_terms: int = 10_000,
-                lift_policy: LiftPolicy | None = None) -> "SolverContext":
+                max_series_terms: int = 10_000) -> "SolverContext":
         """Extract spectrum and splitting from the cocycle, then build a context."""
         spectrum, bases = monodromy_spectrum(cocycle, epsilon, resonance_tol, cluster_tol)
         structure = SubResStructure.from_spectrum(spectrum)
         return cls(cocycle, spectrum, structure, order, bases, tail_tol,
-                   series_tol=series_tol, max_series_terms=max_series_terms,
-                   lift_policy=lift_policy)
+                   series_tol=series_tol, max_series_terms=max_series_terms)
 
     @cached_property
     def frames(self) -> tuple[LyapunovFrame, ...]:
         """The epsilon-weighted frames at every orbit point, built once."""
         return lyapunov_frames(self.cocycle, self.spectrum, self.bases, self.tail_tol)
 
-    def with_lift(self, lift_policy: LiftPolicy | None) -> "SolverContext":
-        """The same problem under another lift policy.
-
-        The composition table and the degree operators depend only on the
-        cocycle, the structure and the order, so the new context shares them.
-        """
-        other = replace(self, lift_policy=lift_policy)
-        other._built = self._built
-        return other
-
+    @cached_property
     def table(self) -> tuple[np.ndarray, ...]:
-        """Composition table of the fiber maps through `order`, built once."""
-        if "table" not in self._built:
-            self._built["table"] = composition_table(
-                stack_jets(self.cocycle.fiber_maps, self.order), self.cocycle.dim, self.order)
-        return self._built["table"]
+        """Composition table of the fiber maps through `order`, built on first read."""
+        return composition_table(stack_jets(self.cocycle.fiber_maps, self.order),
+                                 self.cocycle.dim, self.order)
+
+    @cached_property
+    def ainvs(self) -> np.ndarray:
+        """Inverses of the linear parts, one stacked call for every degree."""
+        return np.linalg.inv(self.linears)
 
     def operator(self, n: int) -> _DegreeOperator:
-        if n not in self._built:
-            op = _DegreeOperator(self.cocycle.space, self.structure, n, self.table(),
-                                 self._built.get("ainvs"))
-            # the first operator inverts the linear parts for every degree
-            self._built.setdefault("ainvs", op.ainvs)
-            self._built[n] = op
-        return self._built[n]
+        """The degree-n operator over the table, built on first use."""
+        if n not in self.operators:
+            self.operators[n] = _DegreeOperator(self.cocycle.space, self.structure, n,
+                                                self.table, self.linears, self.ainvs)
+        return self.operators[n]
 
 
 def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray) -> np.ndarray:
@@ -370,12 +351,12 @@ def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray) -> np.nd
 
 
 def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
-                             transfer: Transfer,
-                             lift_policy: LiftPolicy | None = None
+                             transfer: Transfer, lift: PolyMap | None = None
                              ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One degree of the conjugacy equation, solved in coefficient space.
 
-    Takes jet stacks as ``_source_vecs`` does.  Returns the degree-n
+    Takes jet stacks as ``_source_vecs`` does; the admissible degree-n part
+    of `lift` is added to every conjugator.  Returns the degree-n
     conjugator terms (one array per conjugator), the normal form terms P_n
     (one per map) and the degree's diagnostics.  Below the degree bound the
     non-admissible residue of the finished equation is the admissible
@@ -385,11 +366,8 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
     s_vecs = _source_vecs(op, conj, nf)
     h_vecs, info = transfer(op, op.source(s_vecs))
     h_vecs = np.array(h_vecs)
-    if lift_policy is not None:
-        for k in range(C):
-            lift = lift_policy(k, n)
-            if lift is not None:
-                h_vecs[k] += ~op.mask * lift.part(n)
+    if lift is not None:
+        h_vecs += ~op.mask * lift.part(n)
     terms = s_vecs + h_vecs[(np.arange(K) + 1) % C] @ op.substs - op.linears @ h_vecs[:K]
     residue = float(np.max(np.abs(op.mask * terms)))
     below = n <= op.degree_bound
@@ -404,7 +382,7 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
 
 def _degree_loop(fibers: np.ndarray, n_conj: int,
                  operator: Callable[[int], _DegreeOperator], order: int,
-                 transfer: Transfer, lift_policy: LiftPolicy | None = None
+                 transfer: Transfer, lift: PolyMap | None = None
                  ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Degrees 2..order along a jet stack of fiber maps, shape (K, ..., m, w).
 
@@ -423,7 +401,7 @@ def _degree_loop(fibers: np.ndarray, n_conj: int,
     diags = []
     for n in range(2, order + 1):
         op = operator(n)
-        h_vecs, p_vecs, diag = solve_homogeneous_degree(op, conj, nf, transfer, lift_policy)
+        h_vecs, p_vecs, diag = solve_homogeneous_degree(op, conj, nf, transfer, lift)
         cols = degree_cols(m, n)
         conj[..., cols] = h_vecs
         nf[..., cols] = p_vecs
@@ -431,13 +409,12 @@ def _degree_loop(fibers: np.ndarray, n_conj: int,
     return conj, nf, diags
 
 
-def _orbit_loop(ctx: "SolverContext", transfer: Transfer
+def _orbit_loop(ctx: "SolverContext", transfer: Transfer, lift: PolyMap | None = None
                 ) -> tuple[list[PolyMap], list[PolyMap], list[dict]]:
     """The degree loop around the orbit of ctx: conjugators, normal forms, diagnostics."""
     space, order = ctx.cocycle.space, ctx.order
     conj, nf, diags = _degree_loop(stack_jets(ctx.cocycle.fiber_maps, order),
-                                   ctx.cocycle.period, ctx.operator, order, transfer,
-                                   ctx.lift_policy)
+                                   ctx.cocycle.period, ctx.operator, order, transfer, lift)
     h_maps = [PolyMap.from_jet(space, space, order, h) for h in conj]
     p_maps = [PolyMap.from_jet(space, space, order, p).truncated(top_degree(p, space.dim))
               for p in nf]
@@ -470,8 +447,11 @@ class NormalFormResult:
         }
 
 
-def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
-    """Run the degree loop 2..order with the transported series."""
+def solve_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> NormalFormResult:
+    """Run the degree loop 2..order with the transported series.
+
+    `lift` fixes the gauge: its admissible part is added to every conjugator.
+    """
     K = ctx.cocycle.period
 
     def series(op, q_vecs):
@@ -479,14 +459,14 @@ def solve_normal_form(ctx: SolverContext) -> NormalFormResult:
         info["contraction_factor"] = contraction_factor(ctx.spectrum, op.n)
         return h_vecs, info
 
-    h_maps, p_maps, degree_diags = _orbit_loop(ctx, series)
+    h_maps, p_maps, degree_diags = _orbit_loop(ctx, series, lift)
     diagnostics = {
         "order": ctx.order,
         "period": K,
         "degree_bound": ctx.structure.degree_bound,
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
-        "table_bytes": sum(T.nbytes for T in ctx.table()),
+        "table_bytes": sum(T.nbytes for T in ctx.table),
         "degrees": degree_diags,
     }
     return NormalFormResult(
@@ -563,7 +543,7 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     moved = jets[..., 0].any(axis=(1, 2))
     if moved.any():
         raise ValueError(f"window map {np.argmax(moved)} does not fix the origin")
-    linears = jets[..., 1:1 + m][..., ::-1]
+    linears = _linear_parts(jets, m)
     block = np.array(space.block_of_coord)
     below = block[:, None] > block[None, :]
     scale = np.maximum(1.0, np.abs(linears).max(axis=(-2, -1)))
@@ -577,8 +557,10 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     # the jets lose those entries too
     linears[..., below] = 0.0
 
-    table, ainvs = composition_table(jets, m, order), np.linalg.inv(linears)
+    table, linears = composition_table(jets, m, order), np.ascontiguousarray(linears)
+    ainvs = np.linalg.inv(linears)
     conj, nf, per_degree = _degree_loop(
-        jets, len(jets) + 1, lambda n: _DegreeOperator(space, structure, n, table, ainvs),
+        jets, len(jets) + 1,
+        lambda n: _DegreeOperator(space, structure, n, table, linears, ainvs),
         order, _window_sweep)
     return conj, nf, {"window": len(jets), "per_degree": per_degree}

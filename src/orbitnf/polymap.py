@@ -194,6 +194,12 @@ def _linear_jets(matrices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _linear_parts(jets: np.ndarray, dim: int) -> np.ndarray:
+    """Linear parts of a stack of jets over `dim` variables, a view: the
+    inverse of ``_linear_jets``."""
+    return jets[..., 1:1 + dim][..., ::-1]
+
+
 @lru_cache(maxsize=None)
 def _mul_pairs(dim: int, degree: int):
     """Every entry of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
@@ -501,7 +507,7 @@ class PolyMap:
         return out
 
     def linear_matrix(self) -> np.ndarray:
-        return self.jet[:, 1:1 + self.source.dim][:, ::-1].copy()
+        return _linear_parts(self.jet, self.source.dim).copy()
 
     def truncated(self, max_degree: int) -> "PolyMap":
         return PolyMap.from_jet(self.source, self.target, max_degree,
@@ -597,7 +603,7 @@ def invert_jets(jets: np.ndarray, dim: int, degree: int) -> np.ndarray:
     if np.any(jets[..., 0] != 0.0):
         raise ValueError("inverse requires a map fixing the origin")
     try:
-        Ainv = np.linalg.inv(jets[..., 1:1 + dim][..., ::-1])
+        Ainv = np.linalg.inv(_linear_parts(jets, dim))
     except np.linalg.LinAlgError as exc:
         raise ValueError("linear part is singular") from exc
     out = _fit(_linear_jets(Ainv), jet_width(dim, degree))

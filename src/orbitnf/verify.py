@@ -215,9 +215,11 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     return out, {}
 
 
-def direct_normal_form(ctx: SolverContext) -> tuple[list[PolyMap], list[PolyMap]]:
-    """Full degree loop with the dense oracle in place of the series."""
-    h_maps, p_maps, _ = _orbit_loop(ctx, direct_solve_oracle)
+def direct_normal_form(ctx: SolverContext, lift: PolyMap | None = None
+                       ) -> tuple[list[PolyMap], list[PolyMap]]:
+    """Full degree loop with the dense oracle in place of the series, under
+    the gauge of `lift` as in ``solve_normal_form``."""
+    h_maps, p_maps, _ = _orbit_loop(ctx, direct_solve_oracle, lift)
     return h_maps, p_maps
 
 

@@ -40,14 +40,13 @@ def verdict(num: int, label: str, ok: bool) -> None:
     assert ok, f"criterion {num}: {label}"
 
 
-def prepare(cocycle, config, lift_policy=None) -> SolverContext:
+def prepare(cocycle, config) -> SolverContext:
     return SolverContext.prepare(
         cocycle, config["epsilon"], config["order"],
         resonance_tol=config["resonance_tol"],
         cluster_tol=config["cluster_tol"],
         tail_tol=config["tail_tol"],
-        series_tol=config["series_tol"],
-        lift_policy=lift_policy)
+        series_tol=config["series_tol"])
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +138,7 @@ def test_06_gauge_freedom_recovered(solved):
     s = solved["resonant2"]
     space = s.cocycle.space
     bump = PolyMap(space, space, 2, np.zeros(2), {(0, (0, 2)): 0.3})
-
-    def lift(k, n):
-        return bump if n == 2 else None
-
-    res_alt = solve_normal_form(prepare(s.cocycle, s.config, lift))
+    res_alt = solve_normal_form(prepare(s.cocycle, s.config), bump)
     rep = gauge_compare(s.result, res_alt)
     got = rep.transition[0].coeffs.get((0, (0, 2)), 0.0)
     recover_err = abs(got + 0.3)
@@ -153,12 +148,10 @@ def test_06_gauge_freedom_recovered(solved):
     for name in ("koenigs", "koenigs_period2"):
         base = solved[name]
         s1 = base.cocycle.space
-        lifts = []
-        for delta in (0.3, -0.7):
-            bump1 = PolyMap(s1, s1, 2, np.zeros(1), {(0, (2,)): delta})
-            lifts.append(lambda k, n, b=bump1: b if n == 2 else None)
-        res_a = solve_normal_form(prepare(base.cocycle, base.config, lifts[0]))
-        res_b = solve_normal_form(prepare(base.cocycle, base.config, lifts[1]))
+        res_a, res_b = (
+            solve_normal_form(prepare(base.cocycle, base.config),
+                              PolyMap(s1, s1, 2, np.zeros(1), {(0, (2,)): delta}))
+            for delta in (0.3, -0.7))
         unique_gap = max(unique_gap, max(
             _coeff_diff(h, g) for h, g in
             zip(res_a.conjugator, res_b.conjugator)))

@@ -16,7 +16,7 @@ from orbitnf.cli import (
     run_scenario,
 )
 from orbitnf.cocycle import OrbitCocycle
-from orbitnf.normalform import SolverContext, solve_normal_form
+from orbitnf.normalform import solve_normal_form
 from orbitnf.polymap import GradedSpace, PolyMap
 from orbitnf.scenarios import builtin_names
 
@@ -212,19 +212,9 @@ class TestGaugeCheck:
         assert gauge["enabled"] and gauge["passed"]
         assert calls == []
 
-        # the same details as a lifted context prepared from scratch
-        def prepare_lifted(ctx, lift_policy):
-            return SolverContext.prepare(
-                cocycle, float(config["epsilon"]), int(config["order"]),
-                resonance_tol=float(config["resonance_tol"]),
-                cluster_tol=float(config["cluster_tol"]),
-                tail_tol=float(config["tail_tol"]),
-                series_tol=float(config["series_tol"]),
-                max_series_terms=int(config.get("max_series_terms", 10_000)),
-                lift_policy=lift_policy)
-
-        monkeypatch.setattr(SolverContext, "with_lift", prepare_lifted)
-        fresh, _ = cli._check_gauge(ctx, result, config["checks"]["gauge"])
+        # the same details as a lifted solve on a context prepared from scratch
+        fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result,
+                                    config["checks"]["gauge"])
         # the re-solve reads no frames, so a fresh context builds none
         assert calls == ["monodromy_spectrum"]
         assert canonical_json(fresh) == canonical_json(gauge["details"])
@@ -236,9 +226,9 @@ class TestGaugeCheck:
         calls, tables = [], []
 
         class Counted(normalform._DegreeOperator):
-            def __init__(self, space, structure, n, table, ainvs=None):
+            def __init__(self, space, structure, n, table, linears, ainvs):
                 calls.append(n)
-                super().__init__(space, structure, n, table, ainvs)
+                super().__init__(space, structure, n, table, linears, ainvs)
 
         def counted_table(*args, _fn=normalform.composition_table):
             tables.append(args[1:])

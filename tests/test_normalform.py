@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitnf import normalform
-from orbitnf.cli import _prepare_context
+from orbitnf.cli import _first_admissible_slot, _prepare_context
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
@@ -35,6 +35,7 @@ from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
     _linear_jets,
+    _linear_parts,
     _mono_table,
     admissible_mask,
     composition_table,
@@ -45,7 +46,7 @@ from orbitnf.polymap import (
     stack_jets,
 )
 from orbitnf.scenarios import random_cocycle, random_scenario
-from orbitnf.verify import direct_normal_form, direct_solve_oracle
+from orbitnf.verify import _coeff_diff, direct_normal_form, direct_solve_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 S1 = GradedSpace((1,))
@@ -104,14 +105,26 @@ def jet_stacks(h_maps, p_maps, degree):
     return [stack_jets(group, degree) for group in (h_maps, p_maps)]
 
 
+def table_operator(space, structure, n, jets, order):
+    """Degree-n operator over the composition table of a jet stack through
+    `order`, its linear parts inverted at this degree alone."""
+    linears = np.ascontiguousarray(_linear_parts(jets, space.dim))
+    return _DegreeOperator(space, structure, n, composition_table(jets, space.dim, order),
+                           linears, np.linalg.inv(linears))
+
+
 def linear_operator(space, structure, n, linears):
     """Degree-n operator of bare linear parts, over the table of those linear maps."""
-    jets = _linear_jets(np.asarray(linears, dtype=float))
-    return _DegreeOperator(space, structure, n, composition_table(jets, space.dim, n))
+    return table_operator(space, structure, n, _linear_jets(np.asarray(linears, dtype=float)), n)
+
+
+def apply(op, k, c):
+    """Masked transfer of a coefficient array through step k."""
+    return op.mask * (op.ainvs[k] @ c @ op.substs[k])
 
 
 def dense_phi(op, k):
-    """Dense matrix of op.apply(k, .) on row-major flattened coefficients."""
+    """Dense matrix of apply(op, k, .) on row-major flattened coefficients."""
     return op.mask.ravel()[:, None] * np.kron(op.ainvs[k], op.substs[k].T)
 
 
@@ -194,7 +207,7 @@ class TestTwistedTransfer:
         assert out.coeffs[(0, (2,))] == pytest.approx(a, rel=1e-14)
         structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
         op = linear_operator(S1, structure, 2, [np.array([[a]])])
-        assert op.apply(0, R.part(2))[0, 0] == pytest.approx(a, rel=1e-14)
+        assert apply(op, 0, R.part(2))[0, 0] == pytest.approx(a, rel=1e-14)
 
     def test_cross_block_linear_scale(self):
         A = np.diag([math.exp(-2.0), math.exp(-1.0)])
@@ -204,7 +217,7 @@ class TestTwistedTransfer:
         assert out.coeffs[(1, (1, 0))] == pytest.approx(math.exp(-1.0), rel=1e-14)
         structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
         op = linear_operator(S11, structure, 1, [A])
-        via_matrix = op.apply(0, R.part(1))
+        via_matrix = apply(op, 0, R.part(1))
         assert via_matrix[1, _mono_table(2, 1)[1][(1, 0)]] == pytest.approx(math.exp(-1.0),
                                                                          rel=1e-14)
 
@@ -224,7 +237,7 @@ class TestTwistedTransfer:
                     for alpha in _mono_table(space.dim, n)[0]:
                         coeffs[(i, alpha)] = float(rng.uniform(-1, 1))
                 R = PolyMap(space, space, n, np.zeros(space.dim), coeffs)
-                via_matrix = op.apply(0, R.part(n))
+                via_matrix = apply(op, 0, R.part(n))
                 full = twisted_reference(R, A, max_degree=n)
                 _, n_part = project_subresonance(full, structure)
                 assert np.max(np.abs(via_matrix - n_part.part(n))) <= 1e-13
@@ -243,7 +256,7 @@ class TestTypedOperator:
         for k in range(2):
             phi = dense_phi(op, k)
             c = rng.uniform(-1, 1, op.mask.shape)
-            assert np.max(np.abs(phi @ c.ravel() - op.apply(k, c).ravel())) <= 1e-13
+            assert np.max(np.abs(phi @ c.ravel() - apply(op, k, c).ravel())) <= 1e-13
             assert not phi[label[:, None] != label[None, :]].any()
 
     def test_types_read_the_block_degree_groups(self, monkeypatch):
@@ -585,7 +598,7 @@ class TestFinishDegree:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_compose_reference(self, n):
         space, structure, maps, linears, h_maps, p_maps, rng = window_case(5 + n)
-        op = _DegreeOperator(space, structure, n, composition_table(stack_jets(maps, 3), 3, 3))
+        op = table_operator(space, structure, n, stack_jets(maps, 3), 3)
         h_vecs = [rng.uniform(-1, 1, op.mask.shape) for _ in range(3)]
 
         def given(op_, q_vecs):
@@ -706,14 +719,9 @@ class TestLift:
     def test_lift_changes_gauge_only(self):
         c = resonant2_cocycle()
         delta = 0.3
-
-        def lift(k, n):
-            if n == 2:
-                return PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): delta})
-            return None
-
-        ctx = SolverContext.prepare(c, 0.05, 4, lift_policy=lift)
-        res = solve_normal_form(ctx)
+        lift = PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): delta})
+        ctx = SolverContext.prepare(c, 0.05, 4)
+        res = solve_normal_form(ctx, lift)
         h = res.conjugator[0]
         assert h.coeffs[(0, (0, 2))] == pytest.approx(delta, abs=1e-14)
         # conjugacy identity still holds
@@ -723,16 +731,54 @@ class TestLift:
 
     def test_non_admissible_lift_ignored(self):
         c = resonant2_cocycle()
-
-        def lift(k, n):
-            if n == 2:
-                # below-flag quadratic is not admissible: must be dropped
-                return PolyMap(S11, S11, 2, np.zeros(2), {(1, (2, 0)): 0.5})
-            return None
-
-        ctx = SolverContext.prepare(c, 0.05, 4, lift_policy=lift)
-        res = solve_normal_form(ctx)
+        # below-flag quadratic is not admissible: must be dropped
+        lift = PolyMap(S11, S11, 2, np.zeros(2), {(1, (2, 0)): 0.5})
+        ctx = SolverContext.prepare(c, 0.05, 4)
+        res = solve_normal_form(ctx, lift)
         assert res.conjugator[0].coeffs == {(0, (1, 0)): 1.0, (1, (0, 1)): 1.0}
+
+    def test_lift_leaves_no_state_behind(self, monkeypatch):
+        # one context solves lifted, unlifted and lifted again, then runs the
+        # dense oracle lifted: one table, one operator per degree and one
+        # inversion of the linear parts serve them all, and the unlifted
+        # solve has the bits of a fresh context's
+        scenario = random_scenario(14)  # period 3, degree bound 3
+        c = scenario.cocycle
+        plain_fresh = solve_normal_form(_prepare_context(c, scenario.config))
+        ctx = _prepare_context(c, scenario.config)
+        degree, coord, alpha = _first_admissible_slot(ctx.structure, c.space)
+        lift = PolyMap(c.space, c.space, degree, np.zeros(c.dim), {(coord, alpha): 0.05})
+        built = []
+
+        class Counted(_DegreeOperator):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                built.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(normalform, "_DegreeOperator", Counted)
+        monkeypatch.setattr(normalform, "composition_table",
+                            counted("table", normalform.composition_table))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        lifted = solve_normal_form(ctx, lift)
+        assert built == ["table", "inv", *range(2, ctx.order + 1)]
+        built.clear()
+        plain = solve_normal_form(ctx)
+        lifted_again = solve_normal_form(ctx, lift)
+        h_direct, p_direct = direct_normal_form(ctx, lift)
+        assert built == []
+        for a, b in ((plain, plain_fresh), (lifted_again, lifted)):
+            for x, y in zip([*a.conjugator, *a.normal_form], [*b.conjugator, *b.normal_form]):
+                assert x.jet.tobytes() == y.jet.tobytes()
+        assert plain.conjugator[0].coeffs.get((coord, alpha), 0.0) == 0.0
+        assert all(h.coeffs[(coord, alpha)] == 0.05 for h in lifted.conjugator)
+        assert max(_coeff_diff(x, y) for x, y in
+                   zip([*lifted.conjugator, *lifted.normal_form], h_direct + p_direct)) <= 1e-10
 
 
 class TestValidation:
@@ -907,9 +953,8 @@ class TestWindowSweep:
         steps = rng.integers(0, len(maps), (W, P))
         jets = stack_jets(maps, 2)[steps]
         h, p, diag = solve_window(jets, space, structure, 4)
-        table = composition_table(jets, space.dim, 4)
         h_ref, p_ref, diags_ref = _degree_loop(
-            jets, W + 1, lambda n: _DegreeOperator(space, structure, n, table),
+            jets, W + 1, lambda n: table_operator(space, structure, n, jets, 4),
             4, window_reference.window_sweep)
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
@@ -927,9 +972,8 @@ class TestWindowSweep:
         space, structure, maps, _, _, _, _ = window_case(11)
         jets = stack_jets(maps, 2)[rng.integers(0, len(maps), (40, 3))]
         h, p, _ = solve_window(jets, space, structure, 4)
-        table = composition_table(jets, space.dim, 4)
         h_ref, p_ref, _ = _degree_loop(
-            jets, 41, lambda n: _DegreeOperator(space, structure, n, table), 4, _window_sweep)
+            jets, 41, lambda n: table_operator(space, structure, n, jets, 4), 4, _window_sweep)
         assert np.array_equal(h, h_ref) and np.array_equal(p, p_ref)
 
     @SETTINGS

@@ -19,6 +19,7 @@ from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
     _linear_jets,
+    _linear_parts,
     _mono_table,
     block_degree_groups,
     compose_jets,
@@ -383,6 +384,15 @@ class TestSerialization:
         ]
         assert data["source_blocks"] == [1]
 
+    def test_linear_parts_invert_linear_jets(self):
+        # degree-1 columns run e_{m-1}..e_0; one decoder reads them back
+        rng = np.random.default_rng(3)
+        matrices = rng.uniform(-1, 1, (2, 3, 3, 3))
+        assert np.array_equal(_linear_parts(_linear_jets(matrices), 3), matrices)
+        P = random_polymap(rng, GradedSpace((2, 1)), 3)
+        assert np.array_equal(_linear_parts(P.jet, 3), P.linear_matrix())
+        assert np.shares_memory(_linear_parts(P.jet, 3), P.jet)
+
 
 class TestTermTypes:
     def test_types(self):
@@ -571,7 +581,7 @@ class TestCompositionTable:
         jets = rng.uniform(-0.5, 0.5, (K, dim, jet_width(dim, order)))
         jets[..., 0] = 0.0
         table = composition_table(jets, dim, order)
-        linear = _linear_jets(jets[..., 1:1 + dim][..., ::-1])
+        linear = _linear_jets(_linear_parts(jets, dim))
         for n, T in enumerate(table, start=1):
             subst = composition_table(linear, dim, n)[n - 1]
             assert subst.shape == (K, math.comb(dim + n - 1, n), math.comb(dim + n - 1, n))

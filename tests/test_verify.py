@@ -19,6 +19,7 @@ from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
     CommutingExtension,
+    _coeff_diff,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
@@ -295,16 +296,13 @@ class TestDirectOracle:
 
     def test_series_matches_direct_lifted(self):
         c = resonant2_cocycle()
-
-        def lift(k, n):
-            if n == 2:
-                return PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): 0.3})
-            return None
-
-        ctx = SolverContext.prepare(c, 0.05, 4, lift_policy=lift)
-        res = solve_normal_form(ctx)
+        lift = PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): 0.3})
+        ctx = SolverContext.prepare(c, 0.05, 4)
+        res = solve_normal_form(ctx, lift)
         assert res.conjugator[0].coeffs[(0, (0, 2))] == pytest.approx(0.3, abs=1e-14)
-        assert series_vs_direct(ctx, res) <= 1e-10
+        h_direct, p_direct = direct_normal_form(ctx, lift)
+        assert max(_coeff_diff(a, b) for a, b in zip([*res.conjugator, *res.normal_form],
+                                                     h_direct + p_direct)) <= 1e-10
 
     def test_misclassified_resonance_detected(self):
         # exponents sit a hair off the 2:1 resonance; with a resonance
@@ -333,13 +331,8 @@ class TestGauge:
     def test_lift_recovered_in_transition(self, resonant2):
         c, _, res_plain = resonant2
 
-        def lift(k, n):
-            if n == 2:
-                return PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): 0.3})
-            return None
-
-        ctx_alt = SolverContext.prepare(c, 0.05, 4, lift_policy=lift)
-        res_alt = solve_normal_form(ctx_alt)
+        lift = PolyMap(S11, S11, 2, np.zeros(2), {(0, (0, 2)): 0.3})
+        res_alt = solve_normal_form(SolverContext.prepare(c, 0.05, 4), lift)
         assert conjugacy_residual(c, res_alt).passed
 
         rep = gauge_compare(res_plain, res_alt)
@@ -352,11 +345,8 @@ class TestGauge:
     def test_degree_bound_one_has_unique_solution(self, koenigs):
         c, _, res = koenigs
 
-        def lift(k, n):
-            return PolyMap(S1, S1, 2, np.zeros(1), {(0, (2,)): -0.7})
-
-        ctx_alt = SolverContext.prepare(c, 0.05, 6, lift_policy=lift)
-        res_alt = solve_normal_form(ctx_alt)
+        lift = PolyMap(S1, S1, 2, np.zeros(1), {(0, (2,)): -0.7})
+        res_alt = solve_normal_form(SolverContext.prepare(c, 0.05, 6), lift)
         # no admissible slot above degree one, so the lift is ignored
         rep = gauge_compare(res, res_alt)
         assert rep.passed
@@ -462,7 +452,7 @@ def lifted_result(ctx, delta=0.05):
     degree, coord, alpha = _first_admissible_slot(ctx.structure, ctx.cocycle.space)
     space = ctx.cocycle.space
     bump = PolyMap(space, space, degree, np.zeros(space.dim), {(coord, alpha): delta})
-    return solve_normal_form(ctx.with_lift(lambda k, n: bump if n == degree else None))
+    return solve_normal_form(ctx, bump)
 
 
 def random_case(period, case, order=4):
