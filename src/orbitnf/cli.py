@@ -32,16 +32,18 @@ import math
 import os
 import sys
 import tempfile
+from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
 from .cocycle import OrbitCocycle, sandwich_check
 from .normalform import NormalFormResult, SolverContext, solve_normal_form
-from .polymap import PolyMap, invert_jets, stack_jets
+from .polymap import PolyMap, _mono_table, degree_cols, stack_jets
 from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
 from .verify import (
     CommutingExtension,
-    _coeff_diff,
+    _coeff_gap,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
@@ -63,7 +65,7 @@ class ConfigError(ValueError):
 #
 # json.dumps cannot pin float formatting, so determinism gets its own writer:
 # 17 significant digits, -0.0 normalized, non-finite values rejected, keys
-# sorted, two-space indent.
+# sorted, two-space indent, each value written by the writer of its type.
 
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
@@ -73,41 +75,47 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_quoted = lru_cache(maxsize=4096)(json.dumps)
+
+
+def _canon_list(obj, pad: str) -> str:
+    inner = pad + "  "
+    body = ",\n".join(inner + _canon(v, inner) for v in obj)
+    return f"[\n{body}\n{pad}]" if obj else "[]"
+
+
+def _canon_dict(obj, pad: str) -> str:
+    for key in obj:
+        if not isinstance(key, (str, int)):
+            raise ValueError(f"cannot use {type(key).__name__} as object key")
+    inner = pad + "  "
+    body = ",\n".join(f"{inner}{_quoted(k)}: {_canon(v, inner)}" for k, v in
+                      sorted(((str(k), v) for k, v in obj.items()), key=itemgetter(0)))
+    return f"{{\n{body}\n{pad}}}" if obj else "{}"
+
+
+# numpy values are converted, and subclasses matched in isinstance order: bool before int
+_WRITERS = {
+    type(None): lambda obj, pad: "null",
+    bool: lambda obj, pad: "true" if obj else "false",
+    int: lambda obj, pad: str(obj),
+    float: lambda obj, pad: _fmt_float(obj),
+    str: lambda obj, pad: _quoted(obj),
+    list: _canon_list,
+    tuple: _canon_list,
+    dict: _canon_dict,
+}
+
+
 def _canon(obj, pad: str) -> str:
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    inner_pad = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(inner_pad + _canon(v, inner_pad) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in obj:
-            if not isinstance(key, (str, int)):
-                raise ValueError(f"cannot use {type(key).__name__} as object key")
-            items.append((str(key), obj[key]))
-        items.sort(key=lambda kv: kv[0])
-        body = ",\n".join(
-            f"{inner_pad}{json.dumps(k)}: " + _canon(v, inner_pad)
-            for k, v in items)
-        return "{\n" + body + "\n" + pad + "}"
-    raise ValueError(f"cannot serialize {type(obj).__name__} in report payload")
+    write = _WRITERS.get(type(obj))
+    if write is None:
+        if isinstance(obj, (np.generic, np.ndarray)):
+            obj = obj.tolist()
+        write = next((w for kind, w in _WRITERS.items() if isinstance(obj, kind)), None)
+        if write is None:
+            raise ValueError(f"cannot serialize {type(obj).__name__} in report payload")
+    return write(obj, pad)
 
 
 def canonical_json(obj) -> str:
@@ -358,15 +366,14 @@ def _check_gauge(ctx, result, cfg):
     details["delta"] = delta
     details["slot"] = [degree, coord, list(alpha)]
     if slot is None:
-        diff = max(_coeff_diff(h, h_alt) for h, h_alt in
-                   zip(result.conjugator, result_alt.conjugator))
+        diff = _coeff_gap(result.conjugator, result_alt.conjugator)
         details["mode"] = "unique"
         details["conjugator_gap"] = diff
         passed = rep.passed and diff <= 1e-12
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
-        err = max(abs(g.coeffs.get((coord, alpha), 0.0) + delta)
-                  for g in rep.transition)
+        col = degree_cols(space.dim, degree).start + _mono_table(space.dim, degree)[1][alpha]
+        err = float(np.max(np.abs(stack_jets(rep.transition, degree)[:, coord, col] + delta)))
         details["mode"] = "recover"
         details["recovery_error"] = err
         passed = rep.passed and err <= tol
@@ -377,27 +384,20 @@ def _check_gauge(ctx, result, cfg):
 def _check_centralizer(ctx, result, cfg):
     tol = float(cfg["tol"])
     cocycle, order = ctx.cocycle, result.order
-    # the H_k^{-1} of every family, one stacked inverse
-    inverses = invert_jets(stack_jets(result.conjugator, order), cocycle.dim, order)
+    powers = cfg.get("powers", [2, 3])
     # F^p and P^p for p = 1, 2, ...: each power is the one below composed once more
     chain = [(iterate_extension(cocycle, 1, order), CommutingExtension(1, result.normal_form))]
+    while len(chain) < max(powers, default=0):
+        ext, nf_power = chain[-1]
+        chain.append((ext.then(cocycle.fiber_maps, order),
+                      nf_power.then(result.normal_form, order)))
+    reports = centralizer_check(cocycle, result, [chain[p - 1][0] for p in powers], tol=tol)
     runs = []
-    all_ok = True
-    for power in cfg.get("powers", [2, 3]):
-        while len(chain) < power:
-            ext, nf_power = chain[-1]
-            chain.append((ext.then(cocycle.fiber_maps, order),
-                          nf_power.then(result.normal_form, order)))
-        ext, nf_power = chain[power - 1]
-        rep = centralizer_check(cocycle, result, ext, tol=tol, inverses=inverses)
-        gap = max(_coeff_diff(c, e) for c, e in zip(rep.maps, nf_power.maps))
-        entry = rep.to_dict()
-        entry["power"] = power
-        entry["vs_normal_form_power"] = gap
-        entry["passed"] = rep.passed and gap <= tol
-        all_ok = all_ok and entry["passed"]
-        runs.append(entry)
-    return {"powers": runs, "tol": tol}, all_ok
+    for power, rep in zip(powers, reports):
+        gap = _coeff_gap(rep.maps, chain[power - 1][1].maps)
+        runs.append(dict(rep.to_dict(), power=power, vs_normal_form_power=gap,
+                         passed=rep.passed and gap <= tol))
+    return {"powers": runs, "tol": tol}, all(entry["passed"] for entry in runs)
 
 
 def _check_flag(ctx, result, cfg):

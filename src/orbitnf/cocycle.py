@@ -319,8 +319,10 @@ def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
     summed.  The dropped tail sum_{k>=1} (M^k)^T G M^k has trace at most
     theta/(1-theta) tr G with theta = ||M||_2^2, so every row stops at
     tail_tol/2 of its own trace and the two directions together stay within
-    tail_tol.  Returns (gram, horizon T K, tail bound relative to the trace)
-    per start.
+    tail_tol.  As theta >= ||M||_F^2 / mc, a doubling forms no theta (no
+    SVD) while ||M||_F^2 > 2 mc stop in some row and 2 ||M||_F^2 tr G, a bound
+    of theta tr G, is finite in all.  Returns (gram, horizon T K, tail bound
+    relative to the trace) per start.
     """
     K, mc = len(restrictions), restrictions[0].shape[0]
     fwd = math.exp(-chi) * np.stack(restrictions)
@@ -336,25 +338,25 @@ def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
         if j < K:
             Z = np.concatenate([fwd[(phase + j) % K], bwd[(phase - j - 1) % K]]) @ Z
     G, M, T = S, math.exp(-eps * K / 2) * Z, 1
-    half = tail_tol / 2
+    stop = tail_tol / (2.0 + tail_tol)  # theta / (1 - theta) <= tail_tol / 2
     # theta tr G bounds the entries of the next M^T G M and M M, so the
     # doubling stops on an overflowing (inf) theta tr G before they can
     with np.errstate(over="ignore"):
         while True:
-            theta = np.linalg.norm(M, 2, axis=(1, 2)) ** 2
-            # theta / (1 - theta) <= tail_tol / 2 in every row
-            if np.all(theta <= half / (1.0 + half)):
-                break
-            if 2 * T * K > MAX_GRAM_STEPS or not np.all(
-                    np.isfinite(theta * np.trace(G, axis1=1, axis2=2))):
-                raise TailCertificationError(
-                    f"gram series not certified within the step budget {MAX_GRAM_STEPS}: "
-                    f"theta = {float(np.max(theta)):.3g} after {T * K} steps; "
-                    "epsilon is too small for this cocycle")
+            frob, traces = (M * M).sum(axis=(1, 2)), np.trace(G, axis1=1, axis2=2)
+            if not (frob.max() > 2.0 * mc * stop and 2 * T * K <= MAX_GRAM_STEPS
+                    and np.all(np.isfinite(2.0 * frob * traces))):
+                theta = np.linalg.norm(M, 2, axis=(1, 2)) ** 2
+                if np.all(theta <= stop):
+                    break
+                if 2 * T * K > MAX_GRAM_STEPS or not np.all(np.isfinite(theta * traces)):
+                    raise TailCertificationError(
+                        f"gram series not certified within the step budget {MAX_GRAM_STEPS}: "
+                        f"theta = {float(np.max(theta)):.3g} after {T * K} steps; "
+                        "epsilon is too small for this cocycle")
             G = G + M.transpose(0, 2, 1) @ G @ M
             M = M @ M
             T *= 2
-    traces = np.trace(G, axis1=1, axis2=2)
     rel_tails = (theta / (1.0 - theta) * traces).reshape(2, K).sum(0) / traces.reshape(2, K).sum(0)
     G = G[:K] + G[K:]
     return [(0.5 * (g + g.T), T * K, float(t)) for g, t in zip(G, rel_tails)]

@@ -12,7 +12,7 @@ monomials (``_mono_table``) built on first use.  The blocks of a
 GradedSpace type every slot (target block, per-block degrees).
 ``block_degree_groups`` groups the monomials of a degree by their block
 degrees and ``admissible_mask`` classifies the slots of a degree, each once
-for all callers.
+for all callers; ``subresonance_mask`` joins the masks of a jet's degrees.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
@@ -637,12 +637,19 @@ def project_subresonance(pmap: PolyMap, structure: SubResStructure
     """
     if pmap.source.n_blocks != structure.n_blocks:
         raise ValueError("grading does not match the sub-resonance structure")
-    keep = np.zeros(pmap.jet.shape, dtype=bool)
-    keep[:, 0] = True
-    for n in range(1, min(pmap.degree, structure.degree_bound) + 1):
-        keep[:, degree_cols(pmap.source.dim, n)] = admissible_mask(
-            pmap.target, pmap.source, n, structure.admissible(n))
-    s_jet = np.where(keep, pmap.jet, 0.0)
+    s_jet = np.where(subresonance_mask(pmap.target, pmap.source, pmap.degree, structure),
+                     pmap.jet, 0.0)
     return (PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, s_jet),
             PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, pmap.jet - s_jet))
 
+
+def subresonance_mask(target: GradedSpace, source: GradedSpace, degree: int,
+                      structure: SubResStructure) -> np.ndarray:
+    """True on the slots of the sub-resonance part of a jet through `degree`:
+    the constant and the admissible slots up to the degree bound."""
+    keep = np.zeros((target.dim, jet_width(source.dim, degree)), dtype=bool)
+    keep[:, 0] = True
+    for n in range(1, min(degree, structure.degree_bound) + 1):
+        cols = degree_cols(source.dim, n)
+        keep[:, cols] = admissible_mask(target, source, n, structure.admissible(n))
+    return keep

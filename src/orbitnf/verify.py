@@ -21,9 +21,10 @@ from a different direction:
 
 Every check reads coefficients; none samples points or takes a seed.  The
 checks hold at every orbit point, and each check step is one stacked kernel
-call over the orbit, whatever the period K: one ``compose_jets`` call per
-side of an identity on a stack of K maps, one ``invert_jets`` call for all
-the inverses, one stacked SVD and solve per system size in the oracle.
+call whatever the period K: one ``compose_jets`` call per side of an
+identity on K maps (K per family for all centralizer families at once), one
+``invert_jets`` call for all inverses, and one assembly, SVD and solve per
+system shape in the oracle.  Read-outs are numpy maxima: NaN fails.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import numpy as np
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
 from .polymap import (PolyMap, _exponents, _linear_jets, compose_jets, degree_cols,
-                      invert_jets, invert_truncated, jet_width, project_subresonance,
-                      stack_jets)
+                      invert_jets, invert_truncated, jet_width, stack_jets, subresonance_mask)
 
 
 # field metadata of the polynomial maps a report keeps but does not serialize
@@ -57,14 +57,15 @@ class _Report:
         return out
 
 
-def _coeff_diff(a: PolyMap, b: PolyMap) -> float:
-    """Largest coefficient mismatch, constants included."""
-    return float(np.max(np.abs((a - b).jet)))
-
-
 def _stack(maps) -> np.ndarray:
     """Jets of maps over one space, stacked at the highest degree among them."""
     return stack_jets(maps, max(pm.degree for pm in maps))
+
+
+def _coeff_gap(a, b) -> float:
+    """Largest coefficient mismatch of two sequences of maps, pair by pair; NaN propagates."""
+    jets = _stack([*a, *b])
+    return float(np.max(np.abs(jets[:len(a)] - jets[len(a):])))
 
 
 def _maps(space, degree: int, jets: np.ndarray) -> tuple[PolyMap, ...]:
@@ -72,18 +73,13 @@ def _maps(space, degree: int, jets: np.ndarray) -> tuple[PolyMap, ...]:
     return tuple(PolyMap.from_jet(space, space, degree, jet) for jet in jets)
 
 
-def _npart_max(maps, structure) -> tuple[float, float]:
-    """``_npart_split`` maxima over maps; NaN propagates."""
-    low, high = np.array([_npart_split(pm, structure) for pm in maps]).max(axis=0)
-    return float(low), float(high)
-
-
-def _npart_split(pmap: PolyMap, structure) -> tuple[float, float]:
-    """(non-admissible max up to the degree bound, anything above it)."""
-    width = jet_width(pmap.source.dim, structure.degree_bound)
-    _, n_part = project_subresonance(pmap, structure)
-    return (float(np.max(np.abs(n_part.jet[:, :width]))),
-            float(np.max(np.abs(pmap.jet[:, width:]), initial=0.0)))
+def _npart_max(jets: np.ndarray, space, degree: int, structure) -> tuple[float, float]:
+    """(largest non-admissible coefficient up to the degree bound, largest
+    coefficient above it) of a stack of jets through `degree`; NaN propagates."""
+    n_part = jets - np.where(subresonance_mask(space, space, degree, structure), jets, 0.0)
+    width = jet_width(space.dim, structure.degree_bound)
+    return (float(np.max(np.abs(n_part[..., :width]))),
+            float(np.max(np.abs(jets[..., width:]), initial=0.0)))
 
 
 @dataclass
@@ -106,9 +102,10 @@ class ResidualReport(_Report):
         return all(r <= b for r, b in zip(self.max_residuals, self.bounds))
 
 
-def _majorant(pm: PolyMap, top: int) -> np.ndarray:
-    """Per degree 0..top, the largest l1 norm of a component's coefficients."""
-    return np.array([np.abs(pm.part(n)).sum(axis=1).max() for n in range(top + 1)])
+def _majorants(jets: np.ndarray, dim: int, top: int) -> np.ndarray:
+    """(S, top + 1): per map and degree, the largest l1 norm of a component's coefficients."""
+    return np.stack([np.abs(jets[..., degree_cols(dim, n)]).sum(-1).max(-1)
+                     for n in range(top + 1)], axis=-1)
 
 
 def _compose_majorants(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -143,24 +140,24 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
     if result.period != cocycle.period:
         raise ValueError("result and cocycle have different periods")
     K, m, M = cocycle.period, cocycle.dim, result.order
-    hs, ps = result.conjugator, result.normal_form
-    fs = [cocycle.map_at(k) for k in range(K)]
+    h, p, f = _stack(result.conjugator), _stack(result.normal_form), _stack(cocycle.fiber_maps)
     # each side its own call: P has a lower top degree than H, and a stacked
     # call would form the powers of H through the largest outer degree
-    defect = (compose_jets(_stack([hs[(k + 1) % K] for k in range(K)]), _stack(fs), m, M + 1)
-              - compose_jets(_stack(ps), _stack(hs), m, M + 1))
+    defect = (compose_jets(h[(np.arange(K) + 1) % K], f, m, M + 1)
+              - compose_jets(p, h, m, M + 1))
     residuals = [np.abs(defect[..., degree_cols(m, d)]).max() for d in range(M + 2)]
 
     n = np.arange(M + 1)
     monos = np.array([math.comb(m + d - 1, d) for d in n])
     chains = (n + 1) * np.array([jet_width(m, d) for d in n]) * np.finfo(float).eps
-    h_norm = np.max([[np.linalg.norm(h.part(d)) for d in n] for h in hs], axis=0)
-    h_maj = [_majorant(h, M) for h in hs]
+    h_norm = np.max([[np.linalg.norm(hk.part(d)) for d in n]
+                     for hk in result.conjugator], axis=0)
+    h_maj, f_maj, p_maj = (_majorants(x, m, M) for x in (h, f, p))
     bounds = np.zeros(M + 1)
     for k in range(K):
-        a = _majorant(fs[k], 1)[1]
-        majorants = (_compose_majorants(h_maj[(k + 1) % K], _majorant(fs[k], M))
-                     + _compose_majorants(_majorant(ps[k], M), h_maj[k]))
+        a = f_maj[k, 1]
+        majorants = (_compose_majorants(h_maj[(k + 1) % K], f_maj[k])
+                     + _compose_majorants(p_maj[k], h_maj[k]))
         bounds = np.maximum(bounds, series_tol * np.sqrt(monos) * (a + a ** n)
                             * np.maximum(1.0, h_norm) + chains * majorants)
     return ResidualReport(M, float(series_tol), tuple(map(float, residuals[:-1])),
@@ -174,30 +171,32 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     A transfer for the shared degree loop: takes the degree operator and the
     twisted sources Q(k), returns their stack of coefficient arrays and no
     diagnostics.  Each non-admissible type (i, s) is one dense K-cyclic
-    system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s], its K blocks
-    assembled at once by broadcasting; the systems of one size are factored
-    together, one stacked SVD and one stacked solve per size.  The
-    singularity test takes the extreme singular values over all types, which
-    are those of the full system: it is block diagonal in the types up to a
-    permutation.  The oracle stays independent of the series: it shares
-    only the loop around the transfer (source assembly, lift, finishing), so
-    agreement is evidence for both.
+    system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The types of one
+    shape (rows, cols) go together: one gather each for their blocks of
+    Ainv, subst and Q, one einsum and one assignment for all their Kronecker
+    blocks, one stacked SVD and one stacked solve.  The singularity test
+    takes the extreme singular values over all types, which are those of the
+    full system: it is block diagonal in the types up to a permutation.  The
+    oracle stays independent of the series: it shares only the loop around
+    the transfer (source assembly, lift, finishing), so agreement is
+    evidence for both.
     """
     K, q_vecs = len(q_vecs), np.asarray(q_vecs)
     step = np.arange(K)
-    by_size = {}
-    for rows, cols in op.types:
-        by_size.setdefault((rows.stop - rows.start) * len(cols), []).append((rows, cols))
+    rows, cols = op.type_index[:2]
+    shapes = [(r.stop - r.start, len(c)) for r, c in op.types]
     systems = []
-    for nn, types in by_size.items():
-        L = np.tile(np.eye(K * nn), (len(types), 1, 1))
-        for system, (rows, cols) in zip(L, types):
-            # the block of step k at row k, column k + 1: Ainv_k[i] kron subst_k[s]^T
-            system.reshape(K, nn, K, nn)[step, :, (step + 1) % K, :] -= np.einsum(
-                "kij,kba->kiajb", op.ainvs[:, rows, rows],
-                op.substs[:, cols][:, :, cols]).reshape(K, nn, nn)
-        rhs = np.stack([q_vecs[:, rows, cols].reshape(-1) for rows, cols in types])
-        systems.append((types, L, rhs, np.linalg.svd(L, compute_uv=False)))
+    for r, c in dict.fromkeys(shapes):
+        t = [j for j, shape in enumerate(shapes) if shape == (r, c)]
+        R, C = rows[t, :r, None], cols[t, None, :c]
+        nn = r * c
+        L = np.tile(np.eye(K * nn), (len(t), 1, 1))
+        # the block of step k at row k, column k + 1: Ainv_k[i] kron subst_k[s]^T
+        L.reshape(len(t), K, nn, K, nn)[:, step, :, (step + 1) % K] -= np.einsum(
+            "ktij,ktba->ktiajb", op.ainvs[:, R, R.transpose(0, 2, 1)],
+            op.substs[:, C.transpose(0, 2, 1), C]).reshape(K, len(t), nn, nn)
+        rhs = q_vecs[:, R, C].transpose(1, 0, 2, 3).reshape(len(t), K * nn)
+        systems.append((R, C, L, rhs, np.linalg.svd(L, compute_uv=False)))
 
     sv_min = min((float(sv[:, -1].min()) for *_, sv in systems), default=1.0)
     sv_max = max((float(sv[:, 0].max()) for *_, sv in systems), default=1.0)
@@ -209,9 +208,9 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
         )
 
     out = np.zeros_like(q_vecs)
-    for types, L, rhs, _ in systems:
-        for (rows, cols), x in zip(types, np.linalg.solve(L, rhs[..., None])):
-            out[:, rows, cols] = x.reshape(K, rows.stop - rows.start, -1)
+    for R, C, L, rhs, _ in systems:
+        out[:, R, C] = np.linalg.solve(L, rhs[..., None]).reshape(
+            len(L), K, R.shape[1], C.shape[2]).transpose(1, 0, 2, 3)
     return out, {}
 
 
@@ -229,8 +228,7 @@ def series_vs_direct(ctx: SolverContext, result: NormalFormResult) -> float:
     if result.period != ctx.cocycle.period or result.order != ctx.order:
         raise ValueError("result does not match the solver context")
     h_direct, p_direct = direct_normal_form(ctx)
-    return float(np.max([_coeff_diff(a, b) for a, b in
-                         zip([*result.conjugator, *result.normal_form], h_direct + p_direct)]))
+    return _coeff_gap([*result.conjugator, *result.normal_form], h_direct + p_direct)
 
 
 @dataclass
@@ -264,15 +262,11 @@ def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
         raise ValueError("results differ in period or order")
     order = result.order
     space = result.conjugator[0].source
-    h_alt = _stack(result_alt.conjugator)
-    g = compose_jets(_stack(result.conjugator), invert_jets(h_alt, space.dim, order),
-                     space.dim, order)
-    back = compose_jets(g, h_alt, space.dim, order)
-    align = float(np.max([_coeff_diff(b, h) for b, h in
-                          zip(_maps(space, order, back), result.conjugator)]))
-    transition = _maps(space, order, g)
-    npart, beyond = _npart_max(transition, result.structure)
-    return GaugeReport(transition, npart, beyond, align, tol)
+    h, h_alt = _stack(result.conjugator), _stack(result_alt.conjugator)
+    g = compose_jets(h, invert_jets(h_alt, space.dim, order), space.dim, order)
+    align = float(np.max(np.abs(compose_jets(g, h_alt, space.dim, order) - h)))
+    return GaugeReport(_maps(space, order, g), *_npart_max(g, space, order, result.structure),
+                       align, tol)
 
 
 @dataclass(eq=False)
@@ -326,47 +320,45 @@ class CentralizerReport(_Report):
                 and self.beyond_degree_max <= self.tol)
 
 
-def centralizer_check(cocycle, result: NormalFormResult,
-                      extension: CommutingExtension,
+def centralizer_check(cocycle, result: NormalFormResult, extensions,
                       commute_tol: float = 1e-10,
-                      tol: float = 1e-9, inverses=None) -> CentralizerReport:
-    """Conjugate a commuting family by H and test group membership.
+                      tol: float = 1e-9) -> list[CentralizerReport]:
+    """Conjugate commuting families by H and test group membership.
 
-    First verifies the commutation relation G_{k+1} o F_k = F_{k+shift} o G_k
-    degreewise up to the solve order, then checks that every conjugated map
-    C_k = H_{k+shift} o G_k o H_k^{-1} has admissible coefficients only and
-    nothing above the degree bound.  Each side of the commutation is one
-    stacked composition of K entries, and so is each step of the
-    conjugation.  ``inverses`` is
-    the stack of the jets of H_k^{-1} at the result order, shape (K, m,
-    jet_width(m, order)), when a caller checks several families
-    (``polymap.invert_jets``); it is inverted here otherwise.
+    Verifies the commutation G_{k+1} o F_k = F_{k+shift} o G_k of every
+    family degreewise up to the solve order, raising on the first that
+    fails, then checks that every C_k = H_{k+shift} o G_k o H_k^{-1} has
+    admissible coefficients only and nothing above the degree bound.  All
+    families form one stack of K maps each: each side of the commutation and
+    each conjugation step is one composition, and the inverse is one
+    ``invert_jets`` call, tiled per family.  Returns one report per family.
     """
     K = cocycle.period
-    if result.period != K or len(extension.maps) != K:
+    if result.period != K or any(len(ext.maps) != K for ext in extensions):
         raise ValueError("extension, result and cocycle must share the period")
-    order, m = result.order, cocycle.dim
-    space = extension.maps[0].source
-    step = np.arange(K)
+    if not extensions:
+        return []
+    order, m, n_fam = result.order, cocycle.dim, len(extensions)
+    space = extensions[0].maps[0].source
+    # entry K j + k of a stack is family j at orbit point k
+    point = np.tile(np.arange(K), n_fam)
+    family = np.repeat(K * np.arange(n_fam), K)
+    shifted = (point + np.repeat([ext.shift for ext in extensions], K)) % K
 
-    scale = max(1.0, max(pm.coeff_max() for pm in extension.maps))
-    g, f = _stack(extension.maps), _stack([cocycle.map_at(k) for k in range(K)])
-    comm = float(np.max(np.abs(compose_jets(g[(step + 1) % K], f, m, order)
-                               - compose_jets(f[(step + extension.shift) % K], g, m, order))))
-    if not comm <= commute_tol * scale:
-        raise ValueError(
-            f"the family does not commute with the cocycle up to degree "
-            f"{order}: residual {comm:.3e}"
-        )
+    g, f = _stack([pm for ext in extensions for pm in ext.maps]), _stack(cocycle.fiber_maps)
+    comm = np.abs(compose_jets(g[family + (point + 1) % K], f[point], m, order)
+                  - compose_jets(f[shifted], g, m, order)).reshape(n_fam, -1).max(axis=1)
+    for ext, residual in zip(extensions, comm):
+        if not residual <= commute_tol * max(1.0, max(pm.coeff_max() for pm in ext.maps)):
+            raise ValueError(f"the family does not commute with the cocycle up to "
+                             f"degree {order}: residual {residual:.3e}")
 
     h = _stack(result.conjugator)
-    if inverses is None:
-        inverses = invert_jets(h, m, order)
-    inner = compose_jets(g, inverses, m, order)
-    conjugated = _maps(space, order, compose_jets(h[(step + extension.shift) % K],
-                                                  inner, m, order))
-    npart, beyond = _npart_max(conjugated, result.structure)
-    return CentralizerReport(conjugated, extension.shift, comm, npart, beyond, tol)
+    inner = compose_jets(g, np.tile(invert_jets(h, m, order), (n_fam, 1, 1)), m, order)
+    conjugated = compose_jets(h[shifted], inner, m, order).reshape(n_fam, K, m, -1)
+    return [CentralizerReport(_maps(space, order, c), ext.shift, float(residual),
+                              *_npart_max(c, space, order, result.structure), tol)
+            for ext, residual, c in zip(extensions, comm, conjugated)]
 
 
 @dataclass
@@ -396,18 +388,15 @@ def flag_invariance(maps, tol: float = 1e-12) -> FlagReport:
     if not maps:
         raise ValueError("no maps to check")
     space = maps[0].source
+    if any(pm.source != space for pm in maps):
+        raise ValueError("maps are not over a common space")
     block = np.array(space.block_of_coord)
     below = block[None, :] < block[:, None]
-
-    worst = 0.0
-    for pm in maps:
-        if pm.source != space:
-            raise ValueError("maps are not over a common space")
-        for n in range(1, pm.degree + 1):
-            exps = _exponents(space.dim, n)
-            derivs = np.abs(pm.part(n))[:, :, None] * exps * below[:, None, :]
-            worst = max(worst, float(derivs.max(initial=0.0)))
-    return FlagReport(worst, tol)
+    jets, m = _stack(maps), space.dim
+    worst = [(np.abs(jets[..., degree_cols(m, n), None]) * _exponents(m, n)
+              * below[:, None, :]).max(initial=0.0)
+             for n in range(1, max(pm.degree for pm in maps) + 1)]
+    return FlagReport(float(np.max(worst)), tol)
 
 
 @dataclass
@@ -496,10 +485,11 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
 
     width = jet_width(m, ctx.structure.degree_bound)
     degrees = np.repeat(np.arange(order + 1), [math.comb(m + d - 1, d) for d in range(order + 1)])
+    keep = subresonance_mask(space, space, order, ctx.structure)
     reports = []
     for y, g_jet in zip(ys, g_jets):
         g = PolyMap.from_jet(space, space, order, g_jet)
-        n_part = np.abs(project_subresonance(g, ctx.structure)[1].jet)
+        n_part = np.abs(g_jet - np.where(keep, g_jet, 0.0))
         radius = max(float(np.linalg.norm(y)), 1e-2)
         reports.append(ChartReport(g, tuple(float(v) for v in y), window,
                                    float(np.max(n_part[:, :width])),

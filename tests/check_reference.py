@@ -12,9 +12,27 @@ import math
 
 import numpy as np
 
-from orbitnf.polymap import compose_truncated, invert_truncated, jet_width
+from orbitnf.polymap import compose_truncated, invert_truncated, jet_width, project_subresonance
 from orbitnf.verify import (CentralizerReport, CommutingExtension, GaugeReport, ResidualReport,
-                            _coeff_diff, _compose_majorants, _majorant, _npart_split)
+                            _compose_majorants)
+
+
+def coeff_diff(a, b) -> float:
+    """Largest coefficient mismatch of two maps, constants included."""
+    return float(np.max(np.abs((a - b).jet)))
+
+
+def npart_split(pmap, structure) -> tuple[float, float]:
+    """(non-admissible max up to the degree bound, anything above it)."""
+    width = jet_width(pmap.source.dim, structure.degree_bound)
+    _, n_part = project_subresonance(pmap, structure)
+    return (float(np.max(np.abs(n_part.jet[:, :width]))),
+            float(np.max(np.abs(pmap.jet[:, width:]), initial=0.0)))
+
+
+def majorant(pm, top: int) -> np.ndarray:
+    """Per degree 0..top, the largest l1 norm of a component's coefficients."""
+    return np.array([np.abs(pm.part(n)).sum(axis=1).max() for n in range(top + 1)])
 
 
 def residual_reference(cocycle, result, series_tol: float = 1e-13) -> ResidualReport:
@@ -30,9 +48,9 @@ def residual_reference(cocycle, result, series_tol: float = 1e-13) -> ResidualRe
         p, h = result.normal_form[k], result.conjugator[k]
         defect = compose_truncated(h_next, f, M + 1) - compose_truncated(p, h, M + 1)
         residuals = np.maximum(residuals, [np.abs(defect.part(d)).max() for d in range(M + 2)])
-        a = _majorant(f, 1)[1]
-        sides = (_compose_majorants(_majorant(h_next, M), _majorant(f, M))
-                 + _compose_majorants(_majorant(p, M), _majorant(h, M)))
+        a = majorant(f, 1)[1]
+        sides = (_compose_majorants(majorant(h_next, M), majorant(f, M))
+                 + _compose_majorants(majorant(p, M), majorant(h, M)))
         bounds = np.maximum(bounds, series_tol * np.sqrt(monos) * (a + a ** n)
                             * np.maximum(1.0, h_norm) + chains * sides)
     return ResidualReport(M, float(series_tol), tuple(map(float, residuals[:-1])),
@@ -74,8 +92,8 @@ def gauge_reference(result, result_alt, tol: float = 1e-9) -> GaugeReport:
         g = compose_truncated(result.conjugator[k],
                               invert_truncated(result_alt.conjugator[k], order), order)
         back = compose_truncated(g, result_alt.conjugator[k], order)
-        align = max(align, _coeff_diff(back, result.conjugator[k]))
-        low, high = _npart_split(g, result.structure)
+        align = max(align, coeff_diff(back, result.conjugator[k]))
+        low, high = npart_split(g, result.structure)
         npart = max(npart, low)
         beyond = max(beyond, high)
         transition.append(g)
@@ -110,14 +128,14 @@ def centralizer_reference(cocycle, result, extension: CommutingExtension,
         lhs = compose_truncated(extension.maps[(k + 1) % K], cocycle.map_at(k), order)
         rhs = compose_truncated(cocycle.map_at((k + extension.shift) % K),
                                 extension.maps[k], order)
-        comm = max(comm, _coeff_diff(lhs, rhs))
+        comm = max(comm, coeff_diff(lhs, rhs))
     inverses = [invert_truncated(h, order) for h in result.conjugator]
     conjugated = []
     npart = beyond = 0.0
     for k in range(K):
         inner = compose_truncated(extension.maps[k], inverses[k], order)
         c = compose_truncated(result.conjugator[(k + shift) % K], inner, order)
-        low, high = _npart_split(c, result.structure)
+        low, high = npart_split(c, result.structure)
         npart = max(npart, low)
         beyond = max(beyond, high)
         conjugated.append(c)

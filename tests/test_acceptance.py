@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from check_reference import coeff_diff
 
 from orbitnf.cli import main
 from orbitnf.cocycle import (
@@ -24,7 +25,6 @@ from orbitnf.normalform import SolverContext, solve_normal_form
 from orbitnf.polymap import GradedSpace, PolyMap, compose_truncated
 from orbitnf.scenarios import build_builtin, builtin_names, random_scenario
 from orbitnf.verify import (
-    _coeff_diff,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
@@ -78,7 +78,7 @@ def test_01_scalar_linearization_coefficients():
 def test_02_resonant_map_left_unchanged(solved):
     s = solved["resonant2"]
     ident = PolyMap.identity(s.cocycle.space, s.result.order)
-    h_gap = max(_coeff_diff(h, ident) for h in s.result.conjugator)
+    h_gap = max(coeff_diff(h, ident) for h in s.result.conjugator)
     p = s.result.normal_form[0]
     p_exact = (p.coeffs == s.cocycle.fiber_maps[0].coeffs
                and not p.constant.any())
@@ -153,7 +153,7 @@ def test_06_gauge_freedom_recovered(solved):
                               PolyMap(s1, s1, 2, np.zeros(1), {(0, (2,)): delta}))
             for delta in (0.3, -0.7))
         unique_gap = max(unique_gap, max(
-            _coeff_diff(h, g) for h, g in
+            coeff_diff(h, g) for h, g in
             zip(res_a.conjugator, res_b.conjugator)))
     ok = recover_ok and unique_gap <= 1e-12
     verdict(6, f"gauge: lifted delta recovered (error {recover_err:.1e}), "
@@ -166,13 +166,13 @@ def test_07_second_iterate_conjugation(solved):
     for s in solved.values():
         K = s.cocycle.period
         ext = iterate_extension(s.cocycle, 2, s.result.order)
-        rep = centralizer_check(s.cocycle, s.result, ext)
+        (rep,) = centralizer_check(s.cocycle, s.result, [ext])
         all_in_group = all_in_group and rep.passed
         for k in range(K):
             expected = compose_truncated(
                 s.result.normal_form[(k + 1) % K],
                 s.result.normal_form[k], s.result.order)
-            worst = max(worst, _coeff_diff(rep.maps[k], expected))
+            worst = max(worst, coeff_diff(rep.maps[k], expected))
     ok = worst <= 1e-9 and all_in_group
     verdict(7, f"second iterate conjugates to the squared normal form "
                f"on all builtins (gap {worst:.1e})", ok)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from canon_reference import canon_reference
 
 from orbitnf import cli, normalform, verify
 from orbitnf.cli import (
@@ -57,6 +58,46 @@ class TestCanonicalJson:
     def test_bools_and_null(self):
         assert json.loads(canonical_json([True, False, None])) == \
             [True, False, None]
+
+    def test_equals_isinstance_chain(self, koenigs_run):
+        """Dispatch on the exact type writes what the isinstance chain wrote,
+        for subclasses of the builtin types and numpy values too."""
+        class Name(str):
+            pass
+
+        class Count(int):
+            pass
+
+        class Ratio(float):
+            pass
+
+        class Items(list):
+            pass
+
+        class Table(dict):
+            pass
+
+        _, report = koenigs_run
+        payloads = [
+            report,
+            {"a": [], "b": {}, "c": (), 3: "\u00e9\n\"", True: None, "d": -0.0, "e": 1e-300},
+            {Name("k"): Count(3), "f": Ratio(0.5), "l": Items([1, 2.5]),
+             "t": Table({"x": np.float32(0.1), 2: np.int64(7)})},
+            np.arange(4.0).reshape(2, 2),
+            [np.bool_(False), np.str_("s"), (1, [2, {"z": 3, "y": [4.5]}])],
+        ]
+        for payload in payloads:
+            assert canonical_json(payload) == canon_reference(payload)
+
+    def test_rejections_keep_their_messages(self):
+        for payload in (float("nan"), [1.0, -math.inf], {1.5: 1}, {(1,): 2},
+                        {"a": {None: 1}}, object(), {"s": {1, 2}}, np.float64("nan"),
+                        [np.complex128(1j)]):
+            with pytest.raises(ValueError) as got:
+                canonical_json(payload)
+            with pytest.raises(ValueError) as want:
+                canon_reference(payload)
+            assert str(got.value) == str(want.value)
 
 
 class TestListCommand:

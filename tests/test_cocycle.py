@@ -17,6 +17,7 @@ from orbitnf.cocycle import (
     OrbitCocycle,
     TailCertificationError,
     _block_grams,
+    _block_restrictions,
     log_envelopes,
     lyapunov_frames,
     monodromy_spectrum,
@@ -24,7 +25,7 @@ from orbitnf.cocycle import (
 )
 from orbitnf.grading import Spectrum
 from orbitnf.polymap import GradedSpace, PolyMap
-from orbitnf.scenarios import random_cocycle
+from orbitnf.scenarios import random_cocycle, random_scenario
 
 
 def rotation(theta):
@@ -270,7 +271,36 @@ def jordan_block(shear):
     return [np.array([[math.exp(-1.0), shear], [0.0, math.exp(-1.0)]])]
 
 
+def counted_grams(grams_fn, *args):
+    """(grams or the type and message of the error, number of 2-norm
+    evaluations) of one block's gram sums."""
+    ords, norm = [], np.linalg.norm
+
+    def counted(x, ord=None, *rest, **kwargs):
+        ords.append(ord)
+        return norm(x, ord, *rest, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "norm", counted)
+        try:
+            out = [(G.tobytes(), horizon, tail) for G, horizon, tail in grams_fn(*args)]
+        except TailCertificationError as exc:
+            out = (type(exc), str(exc))
+    return out, ords.count(2)
+
+
+def assert_equals_doubling_reference(restrictions, chi, eps, tail_tol=1e-12, contracting=True):
+    """Bit for bit the grams, horizons, tail bounds or errors of the doubling
+    with a 2-norm at every step, with at most two 2-norms per contracting block."""
+    got, norms = counted_grams(_block_grams, restrictions, chi, eps, tail_tol)
+    want, _ = counted_grams(gram_reference.doubling_block_grams, restrictions, chi, eps, tail_tol)
+    assert got == want
+    if contracting:
+        assert norms <= 2
+
+
 def assert_grams_match_reference(restrictions, chi, eps, tail_tol=1e-12):
+    assert_equals_doubling_reference(restrictions, chi, eps, tail_tol)
     grams = _block_grams(restrictions, chi, eps, tail_tol)
     assert len(grams) == len(restrictions)
     K = len(restrictions)
@@ -309,10 +339,12 @@ class TestBlockGrams:
         # a budget of exactly the horizon still settles ...
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", horizon)
         _block_grams(restrictions, -0.5, 0.05, 1e-12)
+        assert_equals_doubling_reference(restrictions, -0.5, 0.05)
         # ... half of it does not, as the last doubling would pass it
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", horizon // 2)
         with pytest.raises(TailCertificationError, match=f"step budget {horizon // 2}"):
             _block_grams(restrictions, -0.5, 0.05, 1e-12)
+        assert_equals_doubling_reference(restrictions, -0.5, 0.05, contracting=False)
         # the stepwise reference settles on its own horizon, not one step less
         start = int(np.argmax(ref_horizons))
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(ref_horizons) - 1)
@@ -321,6 +353,7 @@ class TestBlockGrams:
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", 10)
         with pytest.raises(TailCertificationError):
             _block_grams(jordan_block(1.0), -1.0, 0.1, 1e-12)
+        assert_equals_doubling_reference(jordan_block(1.0), -1.0, 0.1, contracting=False)
         with pytest.raises(TailCertificationError):
             gram_reference.block_gram(jordan_block(1.0), -1.0, 0.1, 0, 1e-12)
 
@@ -335,6 +368,22 @@ class TestBlockGrams:
         message = str(info.value)
         assert "theta = " in message
         assert f"step budget {cocycle_module.MAX_GRAM_STEPS}" in message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_equals_doubling_reference(restrictions, -1.0, 0.005, contracting=False)
+
+    def test_random_scenario_blocks_equal_doubling_reference(self):
+        for index in range(12, 72):
+            scenario = random_scenario(index)
+            c, config = scenario.cocycle, scenario.config
+            spectrum, bases = monodromy_spectrum(c, float(config["epsilon"]),
+                                                 float(config["resonance_tol"]),
+                                                 float(config["cluster_tol"]))
+            space = GradedSpace(spectrum.multiplicities)
+            for i, chi in enumerate(spectrum.exponents, start=1):
+                assert_equals_doubling_reference(
+                    _block_restrictions(c, bases, space.block_slice(i)), chi,
+                    spectrum.epsilon, float(config["tail_tol"]))
 
 
 class TestSandwich:

@@ -8,6 +8,7 @@ import pytest
 import series_reference
 import transfer_reference
 import window_reference
+from check_reference import coeff_diff
 from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ from orbitnf.polymap import (
     stack_jets,
 )
 from orbitnf.scenarios import random_cocycle, random_scenario
-from orbitnf.verify import _coeff_diff, direct_normal_form, direct_solve_oracle
+from orbitnf.verify import direct_normal_form, direct_solve_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 S1 = GradedSpace((1,))
@@ -777,7 +778,7 @@ class TestLift:
                 assert x.jet.tobytes() == y.jet.tobytes()
         assert plain.conjugator[0].coeffs.get((coord, alpha), 0.0) == 0.0
         assert all(h.coeffs[(coord, alpha)] == 0.05 for h in lifted.conjugator)
-        assert max(_coeff_diff(x, y) for x, y in
+        assert max(coeff_diff(x, y) for x, y in
                    zip([*lifted.conjugator, *lifted.normal_form], h_direct + p_direct)) <= 1e-10
 
 

@@ -4,12 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from check_reference import (centralizer_reference, gauge_reference, iterate_reference,
-                             oracle_reference, residual_reference)
+from check_reference import (centralizer_reference, coeff_diff, gauge_reference,
+                             iterate_reference, oracle_reference, residual_reference)
 from dict_reference import reference_compose
 
 from orbitnf import polymap, verify
-from orbitnf.cli import _first_admissible_slot
+from orbitnf.cli import _check_centralizer, _first_admissible_slot
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.normalform import (NormalFormResult, SolverContext, _orbit_loop, _source_vecs,
@@ -19,7 +19,6 @@ from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
     CommutingExtension,
-    _coeff_diff,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
@@ -301,7 +300,7 @@ class TestDirectOracle:
         res = solve_normal_form(ctx, lift)
         assert res.conjugator[0].coeffs[(0, (0, 2))] == pytest.approx(0.3, abs=1e-14)
         h_direct, p_direct = direct_normal_form(ctx, lift)
-        assert max(_coeff_diff(a, b) for a, b in zip([*res.conjugator, *res.normal_form],
+        assert max(coeff_diff(a, b) for a, b in zip([*res.conjugator, *res.normal_form],
                                                      h_direct + p_direct)) <= 1e-10
 
     def test_misclassified_resonance_detected(self):
@@ -386,7 +385,7 @@ class TestNaNFails:
 
     def test_centralizer(self, period2):
         c, _, res = period2
-        rep = centralizer_check(c, nan_at_second_point(res), iterate_extension(c, 2, res.order))
+        (rep,) = centralizer_check(c, nan_at_second_point(res), [iterate_extension(c, 2, res.order)])
         assert math.isnan(rep.beyond_degree_max)
         assert not rep.passed
 
@@ -399,14 +398,52 @@ class TestNaNFails:
         bad = CommutingExtension(2, (ext.maps[0], PolyMap.from_jet(g.source, g.target,
                                                                    g.degree, jet)))
         with pytest.raises(ValueError, match="commute"):
-            centralizer_check(c, res, bad)
+            centralizer_check(c, res, [bad])
+        # the first family that fails is named by its own residual
+        with pytest.raises(ValueError, match="residual nan"):
+            centralizer_check(c, res, [ext, bad])
+
+
+def nan_in_normal_form(res, k):
+    """The result with the linear coefficients of P_k set to NaN."""
+    p = res.normal_form[k]
+    jet = p.jet.copy()
+    jet[:, degree_cols(p.source.dim, 1)] = np.nan
+    forms = list(res.normal_form)
+    forms[k] = PolyMap.from_jet(p.source, p.target, p.degree, jet)
+    return NormalFormResult(res.conjugator, tuple(forms), res.spectrum, res.structure,
+                            res.order, res.diagnostics)
+
+
+class TestNaNInNormalForm:
+    """A NaN in a later P_k fails the flag check and the centralizer entry
+    that reads it, though the maps at earlier points are finite."""
+
+    @pytest.fixture(scope="class")
+    def period3(self):
+        return random_case(3, 0)
+
+    def test_flag(self, period3):
+        _, _, res = period3
+        rep = flag_invariance(nan_in_normal_form(res, 2).normal_form)
+        assert math.isnan(rep.max_below_flag)
+        assert not rep.passed
+
+    def test_centralizer_power(self, period3):
+        # P^2 at point 0 is P_1 o P_0, finite; points 1 and 2 read P_2
+        _, ctx, res = period3
+        details, passed = _check_centralizer(ctx, nan_in_normal_form(res, 2),
+                                             {"tol": 1e-9, "powers": [2]})
+        (entry,) = details["powers"]
+        assert math.isnan(entry["vs_normal_form_power"])
+        assert not entry["passed"] and not passed
 
 
 class TestCentralizer:
     def test_square_iterate_period2(self, period2):
         c, _, res = period2
         ext = iterate_extension(c, 2, res.order)
-        rep = centralizer_check(c, res, ext)
+        (rep,) = centralizer_check(c, res, [ext])
         assert rep.passed
         assert rep.commutation_residual <= 1e-12
         # conjugated square equals the squared normal form
@@ -420,13 +457,13 @@ class TestCentralizer:
 
     def test_cube_iterate_period2(self, period2):
         c, _, res = period2
-        rep = centralizer_check(c, res, iterate_extension(c, 3, res.order))
+        (rep,) = centralizer_check(c, res, [iterate_extension(c, 3, res.order)])
         assert rep.passed
         assert rep.shift == 3
 
     def test_square_iterate_koenigs(self, koenigs):
         c, _, res = koenigs
-        rep = centralizer_check(c, res, iterate_extension(c, 2, res.order))
+        (rep,) = centralizer_check(c, res, [iterate_extension(c, 2, res.order)])
         assert rep.passed
         json.dumps(rep.to_dict())
 
@@ -435,7 +472,7 @@ class TestCentralizer:
         f0 = c.map_at(0).truncated(res.order)
         bogus = CommutingExtension(1, (f0, f0))
         with pytest.raises(ValueError, match="commute"):
-            centralizer_check(c, res, bogus)
+            centralizer_check(c, res, [bogus])
 
 
 # random cocycles at periods 3 and 4, where a shift k -> k + s and its
@@ -463,8 +500,9 @@ def random_case(period, case, order=4):
     return c, ctx, solve_normal_form(ctx)
 
 
-@pytest.fixture(scope="module", params=[(3, 0), (3, 1), (4, 0), (4, 1)],
-                ids=["K3-dims12", "K3-dims111", "K4-dims12", "K4-dims111"])
+@pytest.fixture(scope="module", params=[(3, 0), (3, 1), (4, 0), (4, 1), (1, 0), (2, 1)],
+                ids=["K3-dims12", "K3-dims111", "K4-dims12", "K4-dims111", "K1-dims12",
+                     "K2-dims111"])
 def batched(request):
     return random_case(*request.param)
 
@@ -494,27 +532,29 @@ class TestBatchedChecks:
         assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
         assert all(same_bits(a.jet, b.jet) for a, b in zip(rep.transition, ref.transition))
 
-    @pytest.mark.parametrize("power", [2, 3])
-    def test_centralizer(self, batched, power):
+    @pytest.mark.parametrize("powers", [[2], [3], [2, 3]], ids=["2", "3", "2-3"])
+    def test_centralizer(self, batched, powers):
+        """All families in one stack equal the per-family reference."""
         c, _, res = batched
         order, K = res.order, c.period
-        ext, ref_ext = iterate_extension(c, power, order), iterate_reference(c, power, order)
-        assert ext.shift == ref_ext.shift == power
-        assert all(same_bits(a.jet, b.jet) for a, b in zip(ext.maps, ref_ext.maps))
-        ref = centralizer_reference(c, res, ref_ext)
-        inverses = invert_jets(stack_jets(res.conjugator, order), c.dim, order)
-        for rep in (centralizer_check(c, res, ext),
-                    centralizer_check(c, res, ext, inverses=inverses)):
+        exts = [iterate_extension(c, power, order) for power in powers]
+        reports = centralizer_check(c, res, exts)
+        assert len(reports) == len(powers)
+        for power, ext, rep in zip(powers, exts, reports):
+            ref_ext = iterate_reference(c, power, order)
+            assert ext.shift == ref_ext.shift == rep.shift == power
+            assert all(same_bits(a.jet, b.jet) for a, b in zip(ext.maps, ref_ext.maps))
+            ref = centralizer_reference(c, res, ref_ext)
             assert rep.passed
             assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
             assert all(same_bits(a.jet, b.jet) for a, b in zip(rep.maps, ref.maps))
-        # C_k = H_{k+s} o G_k o H_k^-1 is the normal form's own iterate
-        # P_{k+s-1} o ... o P_k
-        for k in range(K):
-            p_power = res.normal_form[k]
-            for j in range(1, power):
-                p_power = compose_truncated(res.normal_form[(k + j) % K], p_power, order)
-            assert np.max(np.abs(rep.maps[k].jet - p_power.jet)) <= 1e-9
+            # C_k = H_{k+s} o G_k o H_k^-1 is the normal form's own iterate
+            # P_{k+s-1} o ... o P_k
+            for k in range(K):
+                p_power = res.normal_form[k]
+                for j in range(1, power):
+                    p_power = compose_truncated(res.normal_form[(k + j) % K], p_power, order)
+                assert np.max(np.abs(rep.maps[k].jet - p_power.jet)) <= 1e-9
 
 
 class TestKernelCalls:
@@ -533,8 +573,8 @@ class TestKernelCalls:
             monkeypatch.setattr(verify, "compose_jets", counted)
             runs = {"residual": lambda: conjugacy_residual(c, res),
                     "gauge": lambda: gauge_compare(res, res_alt),
-                    "centralizer": lambda: centralizer_check(c, res,
-                                                             iterate_extension(c, 3, res.order))}
+                    "centralizer": lambda: centralizer_check(
+                        c, res, [iterate_extension(c, 3, res.order)])[0]}
             for name, run in runs.items():
                 calls.clear()
                 assert run().passed
@@ -548,6 +588,29 @@ class TestKernelCalls:
         assert counts == {(K, name): n for K in (1, 4)
                           for name, n in (("residual", 2), ("gauge", M + 1),
                                           ("centralizer", M + 5))}
+
+    def test_centralizer_calls_follow_the_largest_power(self, monkeypatch):
+        """Every listed power shares each step of the check, so the number of
+        kernel calls depends on the largest power only."""
+        calls = []
+
+        def counted(outer, *args, _fn=polymap.compose_jets):
+            calls.append(len(outer))
+            return _fn(outer, *args)
+
+        c, ctx, res = random_case(3, 0)
+        monkeypatch.setattr(polymap, "compose_jets", counted)
+        monkeypatch.setattr(verify, "compose_jets", counted)
+        counts = set()
+        for powers in ([3], [2, 3], [1, 2, 3], [3, 2, 3]):
+            calls.clear()
+            assert _check_centralizer(ctx, res, {"tol": 1e-9, "powers": powers})[1]
+            counts.add(len(calls))
+            assert max(calls) == len(powers) * c.period  # all powers in one stack
+        M = 4
+        # two each for F^3 and P^3, one per side of the commutation, M - 1
+        # for the inverse, two conjugations
+        assert counts == {M + 7}
 
 
 class TestFlagInvariance:
