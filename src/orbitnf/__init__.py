@@ -10,7 +10,8 @@ spectrum.  The pipeline is
 
 with a JSON-driven CLI (`orbitnf run/list/spectrum/verify`) on top.  The
 Lyapunov frames are no solver input: ``SolverContext.frames`` builds them with
-``lyapunov_frames`` on first read, for the sandwich check and the report.
+``lyapunov_frames`` on first read, one ``LyapunovFrames`` of (K, m, m) stacks,
+for the sandwich check and the report.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +33,7 @@ _EXPORTS = {
     ],
     "cocycle": [
         "ClusterGapError",
-        "LyapunovFrame",
+        "LyapunovFrames",
         "NonContractingError",
         "OrbitCocycle",
         "TailCertificationError",

@@ -456,13 +456,15 @@ def _assemble_report(name, config, cocycle, ctx, result, checks, passed):
     echo = {k: v for k, v in config.items() if k != "out_dir"}
     solved = result.to_dict()
     # the frames are no solver input, so their truncation records join here
+    frames = ctx.frames
     solved["diagnostics"] = dict(solved["diagnostics"], frames=[
-        {"horizon": f.horizon, "tail_bound": f.tail_bound} for f in ctx.frames])
+        {"horizon": h, "tail_bound": t}
+        for h, t in zip(frames.horizon.tolist(), frames.tail_bound.tolist())])
     return {
         "name": name,
         "config": echo,
         "cocycle": cocycle.to_dict(),
-        "k_eps": [frame.k_eps for frame in ctx.frames],
+        "k_eps": frames.k_eps.tolist(),
         "result": solved,
         "checks": checks,
         "passed": passed,
@@ -535,7 +537,7 @@ def _cmd_spectrum(args) -> int:
         "name": name,
         "spectrum": ctx.spectrum.to_dict(),
         "structure": ctx.structure.to_dict(),
-        "k_eps": [frame.k_eps for frame in ctx.frames],
+        "k_eps": ctx.frames.k_eps.tolist(),
         "sandwich": rep.to_dict(),
     }
     print(canonical_json(payload))

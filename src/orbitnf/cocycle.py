@@ -1,22 +1,27 @@
 """Polynomial cocycles over a periodic orbit and their Lyapunov data.
 
 An OrbitCocycle is a finite sequence of polynomial fiber maps, one per orbit
-point, composed cyclically.  From the monodromy (the product of the linear
-parts around one period) we extract Lyapunov exponents as log moduli of
-eigenvalues, cluster them into blocks, and recover the invariant splitting as
-null spaces of annihilating polynomials of the monodromy.
+point, composed cyclically; its linear parts are one (K, m, m) stack.  From
+the monodromy (the product of the linear parts around one period) we extract
+Lyapunov exponents as log moduli of eigenvalues, cluster them into blocks,
+and recover the invariant splitting as null spaces of annihilating
+polynomials of the monodromy, transported along the orbit into a (K, m, m)
+stack of bases.
 
-The frames built here carry the epsilon-weighted inner product: per block a
-two-sided weighted sum of pushforward Grams.  Over a periodic orbit each time
-direction is a geometric series in the one-period map, summed by Smith's
-doubling until the squared norm of the doubled map bounds the dropped tail
-below a requested tolerance.  Under that inner product one step of the
-cocycle moves block i vectors by a factor inside [exp(chi_i - eps),
-exp(chi_i + eps)], the paper's proof that the twisted transfer contracts;
-the solver bounds its tail by norms of the transfer itself instead.  The
-sandwich check tests the n-step version of that bound exactly: the extreme
-singular values of every frame-weighted n-step block map, taken in one
-batched SVD per block.
+The frames built here, one LyapunovFrames object of (K, m, m) stacks, carry
+the epsilon-weighted inner product: per block a two-sided weighted sum of
+pushforward Grams.  Over a periodic orbit each time direction is a geometric
+series in the one-period map, summed by Smith's doubling until the squared
+norm of the doubled map bounds the dropped tail below a requested tolerance.
+Under that inner product one step of the cocycle moves block i vectors by a
+factor inside [exp(chi_i - eps), exp(chi_i + eps)], the paper's proof that
+the twisted transfer contracts; the solver bounds its tail by norms of the
+transfer itself instead.  The sandwich check tests the n-step version of
+that bound exactly: the extreme singular values of every frame-weighted
+n-step block map, taken in one batched SVD per block.  Every Gram is
+factorised once, when its LyapunovFrames is made: one stacked Cholesky
+factorisation and one stacked eigvalsh serve the envelopes, the comparison
+factors and the sandwich check.
 """
 
 import math
@@ -49,8 +54,8 @@ class OrbitCocycle:
 
     Map k sends the fiber at orbit point k to the fiber at point k+1 (mod K).
     All maps share one graded coordinate space, fix the origin, and have
-    invertible linear parts.  The linear parts are extracted once and handed
-    out as read-only arrays.
+    invertible linear parts.  The linear parts are extracted once into the
+    read-only (K, m, m) stack ``linears``.
     """
 
     space: GradedSpace
@@ -60,15 +65,18 @@ class OrbitCocycle:
         self.fiber_maps = tuple(self.fiber_maps)
         if not self.fiber_maps:
             raise ValueError("cocycle needs at least one fiber map")
-        self._linears = tuple(pm.linear_matrix() for pm in self.fiber_maps)
-        for k, (pm, A) in enumerate(zip(self.fiber_maps, self._linears)):
+        for k, pm in enumerate(self.fiber_maps):
             if pm.source != self.space or pm.target != self.space:
                 raise ValueError(f"fiber map {k} is not over the cocycle space")
             if np.any(pm.constant != 0.0):
                 raise ValueError(f"fiber map {k} does not fix the origin")
-            if np.linalg.cond(A) > 1e12:
-                raise ValueError(f"fiber map {k} has a non-invertible linear part")
-            A.setflags(write=False)
+        self.linears = np.stack([pm.linear_matrix() for pm in self.fiber_maps])
+        # condition number sigma_max / sigma_min of 1e12 or more, zero maps included
+        sigma = np.linalg.svd(self.linears, compute_uv=False)
+        singular = np.flatnonzero(sigma[:, 0] >= 1e12 * sigma[:, -1])
+        if singular.size:
+            raise ValueError(f"fiber map {singular[0]} has a non-invertible linear part")
+        self.linears.setflags(write=False)
 
     @property
     def period(self) -> int:
@@ -86,7 +94,7 @@ class OrbitCocycle:
         return self.fiber_maps[k % self.period]
 
     def linear(self, k: int) -> np.ndarray:
-        return self._linears[k % self.period]
+        return self.linears[k % self.period]
 
     def monodromy(self, base: int = 0) -> np.ndarray:
         """Product of the linear parts over one period, starting at base."""
@@ -196,13 +204,14 @@ def monodromy_spectrum(
     epsilon: float,
     resonance_tol: float = 1e-9,
     cluster_tol: float = 1e-6,
-) -> tuple[Spectrum, tuple[np.ndarray, ...]]:
+) -> tuple[Spectrum, np.ndarray]:
     """Lyapunov spectrum and invariant block bases along the orbit.
 
     Exponents are log moduli of monodromy eigenvalues divided by the period,
-    clustered with relative tolerance cluster_tol.  Returns the spectrum and,
-    for every orbit point, an orthonormal basis matrix whose column blocks
-    span the splitting, transported by the cocycle with per-block QR.
+    clustered with relative tolerance cluster_tol.  Returns the spectrum and
+    the read-only (K, m, m) stack of orthonormal basis matrices, one per
+    orbit point, whose column blocks span the splitting, transported by the
+    cocycle with per-block QR.
     """
     K = cocycle.period
     M = cocycle.monodromy(0)
@@ -230,83 +239,70 @@ def monodromy_spectrum(
     multiplicities = tuple(len(c) for c in clusters)
     spectrum = Spectrum(exponents, multiplicities, epsilon, resonance_tol)
 
-    B0 = np.hstack([_cluster_basis(M, eigs, c) for c in clusters])
     space = GradedSpace(multiplicities)
-    bases = [B0]
+    bases = np.empty((K, cocycle.dim, cocycle.dim))
+    bases[0] = np.hstack([_cluster_basis(M, eigs, c) for c in clusters])
     for k in range(K - 1):
-        A = cocycle.linear(k)
-        prev = bases[-1]
-        cols = []
         for i in range(1, space.n_blocks + 1):
             sl = space.block_slice(i)
-            cols.append(_qr_positive(A @ prev[:, sl]))
-        bases.append(np.hstack(cols))
-    return spectrum, tuple(bases)
+            bases[k + 1, :, sl] = _qr_positive(cocycle.linears[k] @ bases[k, :, sl])
+    bases.setflags(write=False)
+    return spectrum, bases
 
 
 @dataclass(eq=False)
-class LyapunovFrame:
-    """Epsilon-weighted inner product at one orbit point.
+class LyapunovFrames:
+    """Epsilon-weighted inner products at every orbit point, as (K, m, m) stacks.
 
-    gram is the ambient SPD matrix of the inner product, basis the orthonormal
-    block basis of the splitting it was built in.  k_eps bounds the comparison
-    with the euclidean norm from above; the lower bound is 1 by construction.
-    horizon and tail_bound record how the defining series was truncated.
+    grams[k] is the ambient SPD matrix of the inner product at point k,
+    symmetrised on entry (the norm reads only the symmetric part), and
+    bases[k] the orthonormal block basis of the splitting it was built in;
+    horizon and tail_bound record per point how the defining series was
+    truncated.  The Grams are factorised once: one stacked Cholesky
+    factorisation, grams = cholesky cholesky^T, is the positive-definiteness
+    test, and one stacked eigvalsh gives lambda_min, the least eigenvalue,
+    and k_eps, the square root of the greatest, which bounds the comparison
+    with the euclidean norm from above.
     """
 
-    gram: np.ndarray
-    basis: np.ndarray
-    horizon: int = 0
-    tail_bound: float = 0.0
+    grams: np.ndarray
+    bases: np.ndarray
+    horizon: np.ndarray | int = 0
+    tail_bound: np.ndarray | float = 0.0
 
     def __post_init__(self):
-        G = np.asarray(self.gram, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("gram must be a square matrix")
-        if not np.allclose(G, G.T, atol=1e-10 * max(1.0, float(np.max(np.abs(G))))):
-            raise ValueError("gram must be symmetric")
-        self.gram = 0.5 * (G + G.T)
+        G = np.asarray(self.grams, dtype=float)
+        if G.ndim != 3 or G.shape[1] != G.shape[2] or np.shape(self.bases) != G.shape:
+            raise ValueError("grams and bases must be (K, m, m) stacks of one shape")
+        self.grams = 0.5 * (G + G.transpose(0, 2, 1))
+        self.horizon = np.broadcast_to(self.horizon, len(G))
+        self.tail_bound = np.broadcast_to(self.tail_bound, len(G))
         try:
-            np.linalg.cholesky(self.gram)
+            self.cholesky = np.linalg.cholesky(self.grams)
         except np.linalg.LinAlgError:
             raise ValueError("gram matrix is not positive definite") from None
-
-    @classmethod
-    def euclidean(cls, dim: int) -> "LyapunovFrame":
-        return cls(np.eye(dim), np.eye(dim))
-
-    @cached_property
-    def k_eps(self) -> float:
-        return float(math.sqrt(np.linalg.eigvalsh(self.gram)[-1]))
-
-    def norm(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(math.sqrt(u @ self.gram @ u))
+        eigs = np.linalg.eigvalsh(self.grams)
+        self.lambda_min, self.k_eps = eigs[:, 0], np.sqrt(eigs[:, -1])
+        self.grams.setflags(write=False)
+        self.cholesky.setflags(write=False)
 
 
-def _block_restrictions(
-    cocycle: OrbitCocycle, bases: tuple[np.ndarray, ...], block_slice: slice
-) -> list[np.ndarray]:
-    """Per-step matrices of the cocycle restricted to one invariant block."""
-    K = cocycle.period
-    out = []
-    for p in range(K):
-        A = cocycle.linear(p)
-        V = bases[p][:, block_slice]
-        W = bases[(p + 1) % K][:, block_slice]
-        C = W.T @ A @ V
-        residual = np.linalg.norm(A @ V - W @ C)
-        if residual > 1e-8 * max(1.0, float(np.linalg.norm(A))):
-            raise ValueError(
-                f"block basis is not invariant under fiber map {p} "
-                f"(residual {residual:.3e})"
-            )
-        out.append(C)
-    return out
+def _block_restrictions(cocycle: OrbitCocycle, bases: np.ndarray,
+                        block_slice: slice) -> np.ndarray:
+    """(K, mc, mc) stack of the cocycle's steps restricted to one invariant block."""
+    A, V = cocycle.linears, bases[:, :, block_slice]
+    W = np.roll(V, -1, axis=0)
+    C = W.transpose(0, 2, 1) @ A @ V
+    residual = np.linalg.norm(A @ V - W @ C, axis=(1, 2))
+    moved = np.flatnonzero(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(A, axis=(1, 2))))
+    if moved.size:
+        raise ValueError(f"block basis is not invariant under fiber map {moved[0]} "
+                         f"(residual {residual[moved[0]]:.3e})")
+    return C
 
 
-def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
-                 tail_tol: float) -> list[tuple[np.ndarray, int, float]]:
+def _block_grams(restrictions: np.ndarray, chi: float, eps: float,
+                 tail_tol: float) -> tuple[np.ndarray, int, np.ndarray]:
     """Two-sided weighted Gram sums of one block, one per start phase.
 
     Sums exp(-eps |n|) Z_n^T Z_n where Z_n is the n-step block cocycle from
@@ -321,11 +317,11 @@ def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
     tail_tol/2 of its own trace and the two directions together stay within
     tail_tol.  As theta >= ||M||_F^2 / mc, a doubling forms no theta (no
     SVD) while ||M||_F^2 > 2 mc stop in some row and 2 ||M||_F^2 tr G, a bound
-    of theta tr G, is finite in all.  Returns (gram, horizon T K, tail bound
-    relative to the trace) per start.
+    of theta tr G, is finite in all.  Returns the (K, mc, mc) stack of grams
+    by start, the horizon T K and the (K,) tail bounds relative to the trace.
     """
-    K, mc = len(restrictions), restrictions[0].shape[0]
-    fwd = math.exp(-chi) * np.stack(restrictions)
+    fwd = math.exp(-chi) * np.asarray(restrictions)
+    K, mc = fwd.shape[:2]
     bwd = np.linalg.inv(fwd)
     phase = np.arange(K)
     n = np.arange(K + 1)
@@ -359,15 +355,15 @@ def _block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
             T *= 2
     rel_tails = (theta / (1.0 - theta) * traces).reshape(2, K).sum(0) / traces.reshape(2, K).sum(0)
     G = G[:K] + G[K:]
-    return [(0.5 * (g + g.T), T * K, float(t)) for g, t in zip(G, rel_tails)]
+    return 0.5 * (G + G.transpose(0, 2, 1)), T * K, rel_tails
 
 
 def lyapunov_frames(
     cocycle: OrbitCocycle,
     spectrum: Spectrum,
-    bases: tuple[np.ndarray, ...],
+    bases: np.ndarray,
     tail_tol: float = 1e-12,
-) -> tuple[LyapunovFrame, ...]:
+) -> LyapunovFrames:
     """Build the epsilon-weighted frames at every orbit point.
 
     The ambient Gram is dim * blockdiag(per-block sums) pulled back through
@@ -375,41 +371,28 @@ def lyapunov_frames(
     """
     if spectrum.epsilon <= 0.0:
         raise ValueError("frames need a positive epsilon")
-    if len(bases) != cocycle.period:
+    K, m = cocycle.period, cocycle.dim
+    if np.shape(bases) != (K, m, m):
         raise ValueError("need one basis per orbit point")
     space = GradedSpace(spectrum.multiplicities)
-    if space.dim != cocycle.dim:
+    if space.dim != m:
         raise ValueError("spectrum multiplicities do not match the cocycle dimension")
 
-    m = cocycle.dim
-    per_block = []
-    for i in range(1, space.n_blocks + 1):
+    G_blocks, horizon, tail = np.zeros((K, m, m)), 0, np.zeros(K)
+    for i, chi in enumerate(spectrum.exponents, start=1):
         sl = space.block_slice(i)
-        restrictions = _block_restrictions(cocycle, bases, sl)
-        grams = _block_grams(restrictions, spectrum.exponents[i - 1], spectrum.epsilon, tail_tol)
-        per_block.append((sl, grams))
-
-    frames = []
-    for k in range(cocycle.period):
-        G_blocks = np.zeros((m, m))
-        horizon = 0
-        tail = 0.0
-        for sl, grams in per_block:
-            Gb, steps, rel_tail = grams[k]
-            G_blocks[sl, sl] = Gb
-            horizon = max(horizon, steps)
-            tail = max(tail, rel_tail)
-        B = bases[k]
-        Binv = np.linalg.inv(B)
-        G_amb = Binv.T @ (m * G_blocks) @ Binv
-        G_amb = 0.5 * (G_amb + G_amb.T)
-        lam_min = float(np.linalg.eigvalsh(G_amb)[0])
-        if lam_min < 1.0 - 1e-6:
-            raise ValueError(
-                f"frame gram fails to dominate the euclidean product (lambda_min {lam_min:.6g})"
-            )
-        frames.append(LyapunovFrame(G_amb, B.copy(), horizon, tail))
-    return tuple(frames)
+        grams, steps, rel_tails = _block_grams(_block_restrictions(cocycle, bases, sl), chi,
+                                               spectrum.epsilon, tail_tol)
+        G_blocks[:, sl, sl] = grams
+        horizon, tail = max(horizon, steps), np.maximum(tail, rel_tails)
+    Binv = np.linalg.inv(bases)
+    G_amb = Binv.transpose(0, 2, 1) @ (m * G_blocks) @ Binv
+    frames = LyapunovFrames(G_amb, bases, horizon, tail)
+    low = np.flatnonzero(frames.lambda_min < 1.0 - 1e-6)
+    if low.size:
+        raise ValueError(f"frame gram fails to dominate the euclidean product "
+                         f"(lambda_min {frames.lambda_min[low[0]]:.6g})")
+    return frames
 
 
 @dataclass(frozen=True)
@@ -433,7 +416,7 @@ class SandwichReport:
 
 def log_envelopes(
     cocycle: OrbitCocycle,
-    frames: tuple[LyapunovFrame, ...],
+    frames: LyapunovFrames,
     block_dims: tuple[int, ...],
     n_max: int,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -441,19 +424,18 @@ def log_envelopes(
 
     For orbit point k, block i and step n, the log of the least and the
     greatest ratio ||Phi(k, n) u||_{k+n} / ||u||_k over the block-i vectors u
-    of frames[k].basis.  With G_k = L_k L_k^T and R_{k,i} the triangular
-    factor of L_k^T V_{k,i}, so that ||V c||_k = ||R c||, these are the log
-    extreme singular values of L_{k+n}^T Phi(k, n) V_{k,i} R_{k,i}^{-1}.
-    Returns the steps -n_max..-1, 1..n_max and, per block, an array of shape
-    (K, 2 n_max, 2) holding (log sigma_min, log sigma_max).  Raises
-    np.linalg.LinAlgError (a ValueError) on a Gram that is not positive
-    definite.
+    of frames.bases[k].  With the frames' Cholesky factors G_k = L_k L_k^T
+    and R_{k,i} the triangular factor of L_k^T V_{k,i}, so that ||V c||_k =
+    ||R c||, these are the log extreme singular values of
+    L_{k+n}^T Phi(k, n) V_{k,i} R_{k,i}^{-1}.  Returns the steps
+    -n_max..-1, 1..n_max and, per block, an array of shape (K, 2 n_max, 2)
+    holding (log sigma_min, log sigma_max).
     """
     K = cocycle.period
-    if len(frames) != K:
+    if len(frames.grams) != K:
         raise ValueError("need one frame per orbit point")
     steps = np.r_[-n_max:0, 1:n_max + 1]
-    A = np.stack([cocycle.linear(k) for k in range(K)])
+    A = cocycle.linears
     A_inv = np.linalg.inv(A)
     points = np.arange(K)
     # Phi(k, n) = A_{k+n-1} Phi(k, n-1) forward, A_{k-n}^{-1} Phi(k, 1-n) backward
@@ -462,13 +444,12 @@ def log_envelopes(
         fwd.append(A[(points + n - 1) % K] @ fwd[-1])
         bwd.append(A_inv[(points - n) % K] @ bwd[-1])
     phi = np.stack(bwd[::-1] + fwd, axis=1)
-    LT = np.linalg.cholesky(np.stack([f.gram for f in frames])).transpose(0, 2, 1)
+    LT = frames.cholesky.transpose(0, 2, 1)
     pushed = LT[(points[:, None] + steps) % K] @ phi
-    basis = np.stack([f.basis for f in frames])
     space = GradedSpace(tuple(block_dims))
     envelopes = []
     for i in range(1, space.n_blocks + 1):
-        V = basis[:, :, space.block_slice(i)]
+        V = frames.bases[:, :, space.block_slice(i)]
         R = np.linalg.qr(LT @ V, mode="r")
         sigma = np.linalg.svd(pushed @ (V @ np.linalg.inv(R))[:, None], compute_uv=False)
         envelopes.append(np.log(sigma[..., [-1, 0]]))
@@ -478,7 +459,7 @@ def log_envelopes(
 def sandwich_check(
     cocycle: OrbitCocycle,
     spectrum: Spectrum,
-    frames: tuple[LyapunovFrame, ...],
+    frames: LyapunovFrames,
     n_max: int | None = None,
     tol: float = 1e-6,
 ) -> SandwichReport:
@@ -489,19 +470,19 @@ def sandwich_check(
     exponential envelope.  The euclidean comparison ||u|| <= ||u||_eps holds
     when the least Gram eigenvalue is at least 1 (within 1e-9 in the norm);
     ||u||_eps <= k_eps ||u|| holds by the definition of k_eps.  The report
-    passes when the comparison holds and no violation exceeds tol.
+    passes when the comparison holds and no violation exceeds tol; a NaN
+    violation fails it.
     """
     K = cocycle.period
     if n_max is None:
         n_max = max(2 * K, 12)
     steps, envelopes = log_envelopes(cocycle, frames, spectrum.multiplicities, n_max)
     slack = spectrum.epsilon * np.abs(steps)
-    max_violation = 0.0
-    for chi, env in zip(spectrum.exponents, envelopes):
-        max_violation = max(max_violation,
-                            float(np.max(env[..., 1] - (chi * steps + slack))),
-                            float(np.max((chi * steps - slack) - env[..., 0])))
-    lam_min = float(np.min(np.linalg.eigvalsh(np.stack([f.gram for f in frames]))[:, 0]))
+    env, chi = np.stack(envelopes), np.array(spectrum.exponents)[:, None, None]
+    violations = np.stack([env[..., 1] - (chi * steps + slack),
+                           (chi * steps - slack) - env[..., 0]])
+    max_violation = float(np.max(violations, initial=0.0))
+    lam_min = float(np.min(frames.lambda_min))
     return SandwichReport(
         max_violation=max_violation,
         keps_ok=lam_min >= (1.0 - 1e-9) ** 2,

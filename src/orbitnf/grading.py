@@ -172,15 +172,6 @@ class Spectrum:
             "spectral_gap": self.spectral_gap,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Spectrum":
-        return cls(
-            exponents=tuple(data["exponents"]),
-            multiplicities=tuple(data["multiplicities"]),
-            epsilon=float(data["epsilon"]),
-            resonance_tol=float(data["resonance_tol"]),
-        )
-
 
 def enumerate_types(spectrum: Spectrum, n: int) -> frozenset[Type]:
     """All admissible types (i, s) of homogeneous degree |s| = n.

@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cocycle import LyapunovFrame, OrbitCocycle, lyapunov_frames, monodromy_spectrum
+from .cocycle import LyapunovFrames, OrbitCocycle, lyapunov_frames, monodromy_spectrum
 from .grading import Spectrum, SubResStructure, contraction_factor
 from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, admissible_mask,
                       block_degree_groups, compose_jets, composition_table, degree_cols,
@@ -247,14 +247,14 @@ class SolverContext:
 
     The periodic solver requires a grading-adapted cocycle: the coordinate
     blocks are the splitting, so the linear parts must be block diagonal (up
-    to 1e-12 relative) and their block sizes must match the spectrum
-    multiplicities.  That is what splits the degree operators type by type.
+    to 1e-12 relative), their block sizes must match the spectrum
+    multiplicities, and block i must carry exponent chi_i: every eigenvalue
+    of its monodromy has log modulus / K nearest chi_i among the exponents.  That is what splits the degree operators type by type.
 
     The solve bounds its series tails by per-type transfer norms, not by
     the Lyapunov frames: ``frames`` builds them from ``bases`` and
     ``tail_tol`` on first read, for the sandwich check and the report.
-    Their linear parts ``linears`` are stacked as the context is made.  The
-    composition table of the fiber maps (``table``), the inverses of the
+    The composition table of the fiber maps (``table``), the inverses of the
     linear parts (``ainvs``) and the degree operators (``operators``, by
     degree) are built on first use in a solve, and every later solve on the
     context reuses them, lifted or not.
@@ -264,7 +264,7 @@ class SolverContext:
     spectrum: Spectrum
     structure: SubResStructure
     order: int
-    bases: tuple[np.ndarray, ...] = ()
+    bases: np.ndarray = ()
     tail_tol: float = 1e-12
     series_tol: float = 1e-13
     max_series_terms: int = 10_000
@@ -280,15 +280,25 @@ class SolverContext:
             )
         if self.order >= 2:
             contraction_factor(self.spectrum, self.order)
-        self.linears = np.stack([self.cocycle.linear(k) for k in range(self.cocycle.period)])
-        block = np.array(self.cocycle.space.block_of_coord)
-        for k, A in enumerate(self.linears):
-            off = A[block[:, None] != block[None, :]]
-            if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
+        A, space = np.abs(self.cocycle.linears), self.cocycle.space
+        block = np.array(space.block_of_coord)
+        off = np.max(A * (block[:, None] != block[None, :]), axis=(1, 2))
+        mixed = np.flatnonzero(off > 1e-12 * np.maximum(1.0, np.max(A, axis=(1, 2))))
+        if mixed.size:
+            raise ValueError(f"fiber map {mixed[0]} is not grading-adapted "
+                             "(linear part has off-block entries)")
+        chi = np.array(self.spectrum.exponents)
+        M = self.cocycle.monodromy(0)
+        for i in range(1, space.n_blocks + 1):
+            sl = space.block_slice(i)
+            rates = np.log(np.abs(np.linalg.eigvals(M[sl, sl]))) / self.cocycle.period
+            astray = rates[np.abs(rates[:, None] - chi).argmin(axis=1) != i - 1]
+            if astray.size:
                 raise ValueError(
-                    f"fiber map {k} is not grading-adapted "
-                    "(linear part has off-block entries)"
-                )
+                    f"coordinate block {i} does not carry its exponent chi_{i} = "
+                    f"{chi[i - 1]:.6g}: its monodromy has the rate {astray[0]:.6g} (log "
+                    "modulus / period), nearest another exponent; order the coordinate "
+                    "blocks by increasing exponent")
         self.operators: dict[int, _DegreeOperator] = {}
 
     @classmethod
@@ -303,7 +313,7 @@ class SolverContext:
                    series_tol=series_tol, max_series_terms=max_series_terms)
 
     @cached_property
-    def frames(self) -> tuple[LyapunovFrame, ...]:
+    def frames(self) -> LyapunovFrames:
         """The epsilon-weighted frames at every orbit point, built once."""
         return lyapunov_frames(self.cocycle, self.spectrum, self.bases, self.tail_tol)
 
@@ -316,13 +326,13 @@ class SolverContext:
     @cached_property
     def ainvs(self) -> np.ndarray:
         """Inverses of the linear parts, one stacked call for every degree."""
-        return np.linalg.inv(self.linears)
+        return np.linalg.inv(self.cocycle.linears)
 
     def operator(self, n: int) -> _DegreeOperator:
         """The degree-n operator over the table, built on first use."""
         if n not in self.operators:
             self.operators[n] = _DegreeOperator(self.cocycle.space, self.structure, n,
-                                                self.table, self.linears, self.ainvs)
+                                                self.table, self.cocycle.linears, self.ainvs)
         return self.operators[n]
 
 

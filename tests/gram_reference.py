@@ -96,7 +96,7 @@ def block_gram(restrictions: list[np.ndarray], chi: float, eps: float, start: in
 
 
 def doubling_block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
-                         tail_tol: float) -> list[tuple[np.ndarray, int, float]]:
+                         tail_tol: float) -> tuple[np.ndarray, int, np.ndarray]:
     """``orbitnf.cocycle._block_grams`` with the 2-norm theta = ||M||_2^2 of
     every row formed at every doubling: the stop and budget tests exactly as
     the package took them before it skipped theta where ||M||_F^2 rules out a
@@ -132,4 +132,4 @@ def doubling_block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
     traces = np.trace(G, axis1=1, axis2=2)
     rel_tails = (theta / (1.0 - theta) * traces).reshape(2, K).sum(0) / traces.reshape(2, K).sum(0)
     G = G[:K] + G[K:]
-    return [(0.5 * (g + g.T), T * K, float(t)) for g, t in zip(G, rel_tails)]
+    return 0.5 * (G + G.transpose(0, 2, 1)), T * K, rel_tails

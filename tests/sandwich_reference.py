@@ -14,7 +14,19 @@ import math
 
 import numpy as np
 
+from orbitnf.cocycle import LyapunovFrames
 from orbitnf.polymap import GradedSpace
+
+
+def euclidean_frames(period, dim):
+    """Frames whose Grams and bases are all the identity."""
+    eye = np.broadcast_to(np.eye(dim), (period, dim, dim))
+    return LyapunovFrames(eye, eye)
+
+
+def frame_norm(frames, k, u):
+    """||u||_k, read from the Gram at orbit point k alone."""
+    return math.sqrt(u @ frames.grams[k] @ u)
 
 
 def sandwich_sample(cocycle, spectrum, frames, n_max=None, samples=8, seed=0):
@@ -31,30 +43,29 @@ def sandwich_sample(cocycle, spectrum, frames, n_max=None, samples=8, seed=0):
     keps_ok = True
     ratios = {}
     for k in range(K):
-        Fk = frames[k]
         iterates = {n: cocycle.linear_iterate(k, n)
                     for n in range(-n_max, n_max + 1) if n != 0}
         for _ in range(samples):
             w = rng.standard_normal(cocycle.dim)
             ew = float(np.linalg.norm(w))
-            gw = Fk.norm(w)
-            if gw < ew * (1.0 - 1e-9) or gw > Fk.k_eps * ew * (1.0 + 1e-9):
+            gw = frame_norm(frames, k, w)
+            if gw < ew * (1.0 - 1e-9) or gw > frames.k_eps[k] * ew * (1.0 + 1e-9):
                 keps_ok = False
         for i in range(1, space.n_blocks + 1):
             sl = space.block_slice(i)
             chi = spectrum.exponents[i - 1]
-            Vb = Fk.basis[:, sl]
+            Vb = frames.bases[k][:, sl]
             for _ in range(samples):
                 c = rng.standard_normal(Vb.shape[1])
                 u = Vb @ c
-                nu = Fk.norm(u)
+                nu = frame_norm(frames, k, u)
                 if nu == 0.0:
                     continue
                 for n in range(-n_max, n_max + 1):
                     if n == 0:
                         continue
                     v = iterates[n] @ u
-                    r = math.log(frames[(k + n) % K].norm(v) / nu)
+                    r = math.log(frame_norm(frames, (k + n) % K, v) / nu)
                     ratios.setdefault((k, i, n), []).append(r)
                     hi = chi * n + eps * abs(n)
                     lo = chi * n - eps * abs(n)

@@ -191,7 +191,7 @@ def test_08_lyapunov_machinery(solved):
         np.array([[math.exp(-1.0)]]), space1, space1, 1),))
     spec1, bases1 = monodromy_spectrum(scalar, epsilon=0.1)
     frames1 = lyapunov_frames(scalar, spec1, bases1)
-    keps_err = abs(frames1[0].k_eps
+    keps_err = abs(frames1.k_eps[0]
                    - math.sqrt(2.0 / (1.0 - math.exp(-0.1)) - 1.0))
 
     sandwich_worst = 0.0

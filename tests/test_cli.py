@@ -234,6 +234,17 @@ class TestLyapunovStage:
         assert run_scenario(name, out_dir=str(tmp_path)) == 0
         assert sorted(calls) == ["lyapunov_frames", "monodromy_spectrum"]
 
+    @pytest.mark.parametrize("name", ["koenigs_period2", "random_full"])
+    def test_run_factorises_each_gram_once(self, name, tmp_path, monkeypatch):
+        calls = []
+        for fn in ("eigvalsh", "cholesky"):
+            def counted(*args, _fn=getattr(np.linalg, fn), _name=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, fn, counted)
+        assert run_scenario(name, out_dir=str(tmp_path)) == 0
+        assert sorted(calls) == ["cholesky", "eigvalsh"]
+
 
 class TestGaugeCheck:
     @pytest.mark.parametrize("name", builtin_names())
@@ -407,6 +418,21 @@ class TestErrorExits:
         cfg.write_text(json.dumps({"scenario": "resonant2", "out_dir": 5}))
         assert main([command, str(cfg)]) == 2
         assert "out_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "run"])
+    def test_misordered_blocks_exit_2(self, command, tmp_path, capsys):
+        # block 1 contracts at the rate -0.5, block 2 at -2: the blocks are
+        # out of exponent order, which every entry point names as the cause
+        coeffs = {(0, (1, 0)): math.exp(-0.5), (0, (0, 2)): 0.3, (1, (0, 1)): math.exp(-2.0)}
+        space = GradedSpace((1, 1))
+        cocycle = OrbitCocycle(space, (PolyMap(space, space, 2, np.zeros(2), coeffs),))
+        cfg = tmp_path / "swapped.json"
+        cfg.write_text(json.dumps({"scenario": cocycle.to_dict(), "epsilon": 0.05, "order": 6}))
+        out = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(cfg)] + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coordinate block 1 does not carry its exponent chi_1 = -2:" in captured.err
 
     def test_failing_check_named_exit_1(self, tmp_path, capsys):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),

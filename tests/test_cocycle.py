@@ -12,7 +12,7 @@ import sandwich_reference
 from orbitnf import cocycle as cocycle_module
 from orbitnf.cocycle import (
     ClusterGapError,
-    LyapunovFrame,
+    LyapunovFrames,
     NonContractingError,
     OrbitCocycle,
     TailCertificationError,
@@ -25,7 +25,7 @@ from orbitnf.cocycle import (
 )
 from orbitnf.grading import Spectrum
 from orbitnf.polymap import GradedSpace, PolyMap
-from orbitnf.scenarios import random_cocycle, random_scenario
+from orbitnf.scenarios import build_builtin, random_cocycle, random_scenario
 
 
 def rotation(theta):
@@ -64,6 +64,12 @@ class TestOrbitCocycle:
         singular = PolyMap(space, space, 1, np.zeros(1), {(0, (1,)): 0.0})
         with pytest.raises(ValueError):
             OrbitCocycle(space, (singular,))
+        # the one stacked conditioning test names the first bad map
+        plane = GradedSpace((2,))
+        maps = [PolyMap.from_linear(np.diag(d), plane, plane, 1)
+                for d in ([0.5, 0.5], [0.5, 1e-13], np.zeros(2))]
+        with pytest.raises(ValueError, match="fiber map 1 has a non-invertible"):
+            OrbitCocycle(plane, maps)
 
     def test_linear_iterate_composition(self):
         A0 = np.diag([0.2, 0.5]) @ rotation(0.3)
@@ -77,7 +83,9 @@ class TestOrbitCocycle:
 
     def test_aperiodic_dict_rejected(self):
         c = linear_cocycle([np.diag([0.5, 0.5])])
-        assert c.linear(3) is c.linear(0)
+        # linear(k) is a read-only view of the stack, taken modulo the period
+        assert c.linears.shape == (1, 2, 2) and not c.linears.flags.writeable
+        assert np.shares_memory(c.linear(3), c.linears[0])
         d = c.to_dict()
         assert "periodic" not in d
         assert OrbitCocycle.from_dict(dict(d, periodic=True)).period == 1
@@ -181,14 +189,14 @@ class TestLyapunovFrames:
         spec, bases = monodromy_spectrum(c, epsilon=0.1)
         frames = lyapunov_frames(c, spec, bases)
         expected = math.sqrt(scalar_closed_form(0.1))
-        assert frames[0].k_eps == pytest.approx(expected, rel=1e-9)
-        assert frames[0].tail_bound <= 1e-10
+        assert frames.k_eps[0] == pytest.approx(expected, rel=1e-9)
+        assert frames.tail_bound[0] <= 1e-10
 
     def test_two_block_diagonal(self):
         c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
         spec, bases = monodromy_spectrum(c, epsilon=0.1)
         frames = lyapunov_frames(c, spec, bases)
-        G = frames[0].gram
+        G = frames.grams[0]
         S = scalar_closed_form(0.1)
         assert abs(G[0, 1]) <= 1e-12
         assert G[0, 0] == pytest.approx(2.0 * S, rel=1e-9)
@@ -201,22 +209,24 @@ class TestLyapunovFrames:
         )
         spec, bases = monodromy_spectrum(c, epsilon=0.05)
         frames = lyapunov_frames(c, spec, bases)
-        assert len(frames) == 2
-        for fr in frames:
-            lam = np.linalg.eigvalsh(fr.gram)
+        assert frames.grams.shape == (2, 2, 2)
+        for k, G in enumerate(frames.grams):
+            lam = np.linalg.eigvalsh(G)
             assert lam[0] >= 1.0 - 1e-6
+            assert frames.lambda_min[k] == lam[0]
             for _ in range(20):
                 u = rng.standard_normal(2)
-                assert fr.norm(u) >= np.linalg.norm(u) * (1.0 - 1e-9)
-                assert fr.norm(u) <= fr.k_eps * np.linalg.norm(u) * (1.0 + 1e-9)
+                norm = sandwich_reference.frame_norm(frames, k, u)
+                assert norm >= np.linalg.norm(u) * (1.0 - 1e-9)
+                assert norm <= frames.k_eps[k] * np.linalg.norm(u) * (1.0 + 1e-9)
 
     def test_jordan_block_certified(self):
         A = np.array([[math.exp(-1.0), 1.0], [0.0, math.exp(-1.0)]])
         c = linear_cocycle([A])
         spec, bases = monodromy_spectrum(c, epsilon=0.1)
         frames = lyapunov_frames(c, spec, bases)
-        assert frames[0].tail_bound <= 1e-10
-        assert frames[0].horizon > 10
+        assert frames.tail_bound[0] <= 1e-10
+        assert frames.horizon[0] > 10
 
     @pytest.mark.parametrize("shear", [1.0, 10.0, 100.0])
     def test_slow_jordan_blocks_certified(self, shear):
@@ -234,9 +244,25 @@ class TestLyapunovFrames:
         R_inv = np.linalg.inv(R)
         G = (kronecker_gram(np.eye(2), R, math.exp(-eps))
              + kronecker_gram(math.exp(-eps) * R_inv.T @ R_inv, R_inv, math.exp(-eps)))
-        B_inv = np.linalg.inv(frames[0].basis)
+        B_inv = np.linalg.inv(frames.bases[0])
         expected = B_inv.T @ (2.0 * G) @ B_inv
-        assert np.max(np.abs(frames[0].gram - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(frames.grams[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_one_stacked_factorisation_equals_per_point(self):
+        # each Gram is factorised once, in (K, m, m) stacks that give the
+        # bits of one factorisation per orbit point
+        c = random_cocycle(np.random.default_rng(3), (-2.0, -0.8), (2, 1), 3,
+                           degree=1, wobble=0.3)
+        spec, bases = monodromy_spectrum(c, epsilon=0.05)
+        assert bases.shape == (3, 3, 3) and not bases.flags.writeable
+        frames = lyapunov_frames(c, spec, bases)
+        assert frames.bases is bases
+        assert frames.horizon.shape == frames.tail_bound.shape == (3,)
+        for k, G in enumerate(frames.grams):
+            lam = np.linalg.eigvalsh(G)
+            assert frames.lambda_min[k] == lam[0]
+            assert frames.k_eps[k] == math.sqrt(lam[-1])
+            assert frames.cholesky[k].tobytes() == np.linalg.cholesky(G).tobytes()
 
     def test_zero_epsilon_rejected(self):
         c = linear_cocycle([np.array([[0.5]])])
@@ -246,8 +272,8 @@ class TestLyapunovFrames:
             lyapunov_frames(c, spec0, bases)
 
     def test_indefinite_gram_rejected(self):
-        with pytest.raises(ValueError):
-            LyapunovFrame(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="not positive definite"):
+            LyapunovFrames(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.eye(2)[None])
 
 
 def skewed_block_cocycle(rng, dim, period, chi, wobble=0.2):
@@ -283,7 +309,8 @@ def counted_grams(grams_fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "norm", counted)
         try:
-            out = [(G.tobytes(), horizon, tail) for G, horizon, tail in grams_fn(*args)]
+            G, horizon, tails = grams_fn(*args)
+            out = (G.tobytes(), horizon, tails.tobytes())
         except TailCertificationError as exc:
             out = (type(exc), str(exc))
     return out, ords.count(2)
@@ -301,10 +328,10 @@ def assert_equals_doubling_reference(restrictions, chi, eps, tail_tol=1e-12, con
 
 def assert_grams_match_reference(restrictions, chi, eps, tail_tol=1e-12):
     assert_equals_doubling_reference(restrictions, chi, eps, tail_tol)
-    grams = _block_grams(restrictions, chi, eps, tail_tol)
-    assert len(grams) == len(restrictions)
+    grams, horizon, tails = _block_grams(restrictions, chi, eps, tail_tol)
     K = len(restrictions)
-    for start, (G, horizon, tail) in enumerate(grams):
+    assert grams.shape[0] == K and tails.shape == (K,)
+    for start, (G, tail) in enumerate(zip(grams, tails)):
         G_ref, _, tail_ref = gram_reference.block_gram(restrictions, chi, eps, start, tail_tol)
         # T periods summed by doubling, T a power of two
         assert horizon % K == 0 and (horizon // K).bit_count() == 1
@@ -333,7 +360,7 @@ class TestBlockGrams:
     def test_step_budget_raises_in_both(self, monkeypatch):
         restrictions = skewed_block_cocycle(np.random.default_rng(5), 2, 3, chi=-0.5)
         # every start doubles to the same number of periods
-        (horizon,) = {h for _, h, _ in _block_grams(restrictions, -0.5, 0.05, 1e-12)}
+        _, horizon, _ = _block_grams(restrictions, -0.5, 0.05, 1e-12)
         ref_horizons = [gram_reference.block_gram(restrictions, -0.5, 0.05, start, 1e-12)[1]
                         for start in range(3)]
         # a budget of exactly the horizon still settles ...
@@ -408,7 +435,7 @@ class TestSandwich:
             [np.diag([a1[0], a2[0]]), np.diag([a1[1], a2[1]])], block_dims=(1, 1)
         )
         spec, _ = monodromy_spectrum(c, epsilon=0.05)
-        frames = (LyapunovFrame.euclidean(2),) * 2
+        frames = sandwich_reference.euclidean_frames(2, 2)
         narrow = dataclasses.replace(spec, epsilon=0.01)
         violation = sandwich_check(c, narrow, frames).max_violation
         assert violation == pytest.approx(0.02, abs=1e-12)
@@ -455,22 +482,41 @@ class TestSandwich:
         c = linear_cocycle([A0, A1])
         spec, _ = monodromy_spectrum(c, epsilon=0.01)
         assert spec.multiplicities == (2,)
-        frames = (LyapunovFrame.euclidean(2),) * 2
+        frames = sandwich_reference.euclidean_frames(2, 2)
         rep = sandwich_check(c, spec, frames)
         assert rep.max_violation == pytest.approx(0.02, abs=1e-12)
         assert rep.passed is False
         sampled, _, _ = sandwich_reference.sandwich_sample(c, spec, frames)
         assert sampled < 0.02 - 1e-6
 
+    def test_nan_envelope_fails(self, monkeypatch):
+        # a NaN in one envelope is a violation that fails the check, not
+        # one that a running maximum drops
+        scenario = build_builtin("koenigs_period2")
+        c = scenario.cocycle
+        spec, bases = monodromy_spectrum(c, float(scenario.config["epsilon"]))
+        frames = lyapunov_frames(c, spec, bases)
+        assert sandwich_check(c, spec, frames).passed
+
+        def with_nan(*args, _fn=cocycle_module.log_envelopes):
+            steps, envelopes = _fn(*args)
+            envelopes[0][1, 0, 1] = np.nan
+            return steps, envelopes
+
+        monkeypatch.setattr(cocycle_module, "log_envelopes", with_nan)
+        rep = sandwich_check(c, spec, frames)
+        assert math.isnan(rep.max_violation)
+        assert rep.passed is False and rep.to_dict()["passed"] is False
+
     def test_narrow_gram_deficit_fails_comparison(self):
         # a frame whose Gram dips just below 1 along one eigenvector, a
         # direction random vectors all but never hit
         c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
         spec, bases = monodromy_spectrum(c, epsilon=0.1)
-        (frame,) = lyapunov_frames(c, spec, bases)
-        lam, U = np.linalg.eigh(frame.gram)
+        frames = lyapunov_frames(c, spec, bases)
+        lam, U = np.linalg.eigh(frames.grams[0])
         lam[0] = 1.0 - 1e-8
-        narrow = (LyapunovFrame((U * lam) @ U.T, frame.basis),)
+        narrow = LyapunovFrames(((U * lam) @ U.T)[None], frames.bases)
         rep = sandwich_check(c, spec, narrow)
         assert rep.lambda_min_gram == pytest.approx(1.0 - 1e-8, abs=1e-12)
         assert rep.keps_ok is False and rep.passed is False
@@ -494,8 +540,9 @@ def test_envelopes_contain_every_sampled_ratio(period, dims, seed, built_frames)
         # any positive definite Grams over the coordinate blocks
         spec = Spectrum(exponents, tuple(dims), 0.05)
         m = c.dim
-        frames = tuple(LyapunovFrame(np.eye(m) + C @ C.T, np.eye(m))
-                       for C in rng.standard_normal((period, m, m)))
+        C = rng.standard_normal((period, m, m))
+        frames = LyapunovFrames(np.eye(m) + C @ C.transpose(0, 2, 1),
+                                np.broadcast_to(np.eye(m), (period, m, m)))
     n_max = 4
     steps, envelopes = log_envelopes(c, frames, spec.multiplicities, n_max)
     rep = sandwich_check(c, spec, frames, n_max=n_max)

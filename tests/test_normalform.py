@@ -800,6 +800,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolverContext(c, spec, structure, 4)
 
+    def test_misordered_blocks_rejected(self):
+        # coordinate block 1 contracts at the rate -0.5 and block 2 at -2,
+        # so the sorted exponents (-2, -0.5) belong to the blocks swapped
+        coeffs = {(0, (1, 0)): math.exp(-0.5), (0, (0, 2)): 0.3, (1, (0, 1)): math.exp(-2.0)}
+        c = OrbitCocycle(S11, (PolyMap(S11, S11, 2, np.zeros(2), coeffs),))
+        with pytest.raises(ValueError, match="coordinate block 1 does not carry its "
+                                             "exponent chi_1 = -2:"):
+            SolverContext.prepare(c, 0.05, 6)
+
     def test_grading_mismatch_rejected(self):
         c = resonant2_cocycle()
         spec = Spectrum((-1.5,), (2,), 0.05)
@@ -822,7 +831,7 @@ class TestLazyFrames:
         assert calls == []
         frames = ctx.frames
         assert ctx.frames is frames and len(calls) == 1
-        assert len(frames) == ctx.cocycle.period
+        assert frames.grams.shape == (ctx.cocycle.period, ctx.cocycle.dim, ctx.cocycle.dim)
 
 
 def window_jets(maps, degree):

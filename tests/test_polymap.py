@@ -1,6 +1,5 @@
 import math
 import re
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,8 +11,9 @@ from dict_reference import (
     dict_invert,
     gap,
 )
+from sandwich_reference import euclidean_frames
 from orbitnf import polymap
-from orbitnf.cocycle import LyapunovFrame, OrbitCocycle, log_envelopes
+from orbitnf.cocycle import LyapunovFrames, OrbitCocycle, log_envelopes
 from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.polymap import (
     GradedSpace,
@@ -32,9 +32,6 @@ from orbitnf.polymap import (
     project_subresonance,
     stack_jets,
 )
-
-# a frame that skips the Gram validation of LyapunovFrame
-Frame = namedtuple("Frame", ["gram", "basis"])
 
 S1 = GradedSpace((1,))
 S11 = GradedSpace((1, 1))
@@ -325,7 +322,7 @@ class TestLyapunovOpnorm:
 
     def test_linear_exact(self):
         c = OrbitCocycle(S1, (scalar_map({1: 0.5}, 1),))
-        steps, (env,) = log_envelopes(c, (LyapunovFrame.euclidean(1),), (1,), 1)
+        steps, (env,) = log_envelopes(c, euclidean_frames(1, 1), (1,), 1)
         assert list(steps) == [-1, 1]
         # (least, greatest) ratio one step back and one step forward
         assert np.exp(env[0, 0]) == pytest.approx([2.0, 2.0], abs=1e-14)
@@ -337,8 +334,8 @@ class TestLyapunovOpnorm:
         A = np.array([[0.2, 0.0], [0.0, 0.5]])
         c = OrbitCocycle(space, (PolyMap.from_linear(A, space, space, 1),
                                  PolyMap.from_linear(np.eye(2), space, space, 1)))
-        frames = (LyapunovFrame(np.diag([4.0, 1.0]), np.eye(2)),
-                  LyapunovFrame(np.diag([1.0, 9.0]), np.eye(2)))
+        frames = LyapunovFrames(np.stack([np.diag([4.0, 1.0]), np.diag([1.0, 9.0])]),
+                                np.broadcast_to(np.eye(2), (2, 2, 2)))
         steps, (env,) = log_envelopes(c, frames, (2,), 1)
         lo, hi = np.exp(env[0, list(steps).index(1)])
         assert hi == pytest.approx(max(0.2 / 2.0, 0.5 * 3.0), abs=1e-12)
@@ -357,11 +354,11 @@ class TestLyapunovOpnorm:
 
     def test_degenerate_frame_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(ValueError):
-            LyapunovFrame(bad, np.eye(2))
-        c = OrbitCocycle(S11, (PolyMap.identity(S11, 1),))
-        with pytest.raises(ValueError):
-            log_envelopes(c, (Frame(bad, np.eye(2)),), (1, 1), 1)
+        with pytest.raises(ValueError, match="not positive definite"):
+            LyapunovFrames(bad[None], np.eye(2)[None])
+        # the one stacked Cholesky factorisation rejects it at any orbit point
+        with pytest.raises(ValueError, match="not positive definite"):
+            LyapunovFrames(np.stack([np.eye(2), bad]), np.broadcast_to(np.eye(2), (2, 2, 2)))
 
 
 class TestSerialization:
