@@ -203,15 +203,14 @@ def resolve_config(arg: str, *, seed: int | None = None,
     """Load, merge, override and validate; returns (name, cocycle, config)."""
     raw = load_raw_config(arg)
     scenario = raw.get("scenario")
+    seed = _valid_seed(raw.get("rng_seed", 0) if seed is None else seed)
     if isinstance(scenario, str):
-        build_seed = seed if seed is not None else int(raw.get("rng_seed", 0))
         try:
-            built = build_builtin(scenario, seed=build_seed)
+            built = build_builtin(scenario, seed=seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         name, cocycle = scenario, built.cocycle
         config = _merge(built.config, raw)
-        config["rng_seed"] = build_seed
     elif isinstance(scenario, dict):
         try:
             cocycle = OrbitCocycle.from_dict(scenario)
@@ -219,17 +218,15 @@ def resolve_config(arg: str, *, seed: int | None = None,
             raise ConfigError(f"bad inline cocycle: {exc}") from None
         name = str(raw.get("name", "inline"))
         config = _merge(_inline_defaults(raw), raw)
-        if seed is not None:
-            config["rng_seed"] = seed
     else:
         raise ConfigError(
             "scenario must be a builtin name or an inline cocycle object")
+    config["rng_seed"] = seed
 
     apply_overrides(config, overrides)
-    if isinstance(scenario, str) and int(config["rng_seed"]) != build_seed:
+    if isinstance(scenario, str) and config["rng_seed"] != seed:
         # an override changed the seed after the cocycle was built
-        built = build_builtin(scenario, seed=int(config["rng_seed"]))
-        cocycle = built.cocycle
+        cocycle = build_builtin(scenario, seed=_valid_seed(config["rng_seed"])).cocycle
     validate_config(config, cocycle)
     return name, cocycle, config
 
@@ -237,6 +234,12 @@ def resolve_config(arg: str, *, seed: int | None = None,
 def _is_int(value, low: int | None = None) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) \
         and (low is None or value >= low)
+
+
+def _valid_seed(value):
+    if not _is_int(value, 0):
+        raise ConfigError(f"rng_seed must be an integer >= 0, got {value!r}")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -263,8 +266,7 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
             raise ConfigError(f"{key} must be a finite positive number")
     if not isinstance(config.get("out_dir", ""), str):
         raise ConfigError("out_dir must be a string")
-    if not _is_int(config.get("rng_seed")):
-        raise ConfigError("rng_seed must be an integer")
+    _valid_seed(config.get("rng_seed"))
     if not _is_int(config.get("max_series_terms", 10_000), 1):
         raise ConfigError("max_series_terms must be an integer >= 1")
     checks = config.get("checks")
@@ -294,6 +296,18 @@ def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
         raise ConfigError(
             f"checks.chart.points must be a list of points, each a list of "
             f"{cocycle.dim} numbers")
+    # an enabled check must have something to test: a power, a point, and a
+    # lifted coefficient that a solve ignoring the lift cannot recover within tol
+    enabled = {name: entry for name, entry in checks.items() if entry.get("enabled", False)}
+    if "centralizer" in enabled and not enabled["centralizer"].get("powers", [2, 3]):
+        raise ConfigError("checks.centralizer.powers must not be empty while the check is enabled")
+    if "chart" in enabled and not points:
+        raise ConfigError("checks.chart.points must not be empty while the check is enabled")
+    gauge = enabled.get("gauge", {})
+    if "tol" in gauge and not abs(gauge.get("delta", 0.05)) > gauge["tol"]:
+        raise ConfigError(
+            "checks.gauge.delta must exceed checks.gauge.tol in magnitude while the "
+            "check is enabled: a solve that ignores the lift misses it by |delta|")
 
 
 def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:

@@ -8,16 +8,27 @@ the type is admissible (a sub-resonance) when
     chi_i <= s_1 chi_1 + ... + s_ell chi_ell   (up to resonance_tol).
 
 Admissible types are the ones a normal form is allowed to keep; everything
-else can be removed degree by degree.  This module owns the enumeration of
-admissible types, the degree bound d = floor(chi_1 / chi_ell), the spectral
-gap lambda = max over non-admissible types of (-chi_i + sum_j s_j chi_j) < 0,
+else can be removed degree by degree.  This module owns the degree bound
+d = floor(chi_1 / chi_ell), the admissible types, the spectral gap
+lambda = max over non-admissible types of (-chi_i + sum_j s_j chi_j) < 0,
 and the per-degree contraction factor exp(lambda + (n+1) eps) that drives the
-series solver.
+series solver.  The admissible types, the spectral gap and the check of
+resonance_tol read one table per spectrum,
+``Spectrum.resonance_table``: for each degree n = 1..d+1, degree after
+degree, the block degrees s (the exponent rows ``_exponents(ell, n)``, which
+also index the monomials of a jet), their weights s.chi and the admissible
+mask.  Degree d+1 is the last one needed: no type of degree n >= d+1 is
+admissible, and the value -chi_i + s.chi of a type of degree n is at most
+-chi_1 + n chi_ell, which falls as n grows, so the gap is attained at a
+degree <= d+1.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 # (target block, per-block source degrees), blocks 1-based to match the
 # ordering of the exponents.
@@ -28,45 +39,33 @@ class ContractionBudgetError(ValueError):
     """epsilon is too large for the spectral gap: exp(lambda + (n+1) eps) >= 1."""
 
 
-def _compositions(total: int, parts: int):
-    """Yield all tuples of `parts` nonnegative ints summing to `total`, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+@lru_cache(maxsize=None)
+def _exponents(dim: int, n: int) -> np.ndarray:
+    """The degree-n monomials in dim variables as read-only exponent rows.
+
+    The rows are in lexicographic order, built by recursion on the leading
+    exponent, and row a is jet column ``degree_cols(dim, n).start + a``;
+    ``polymap._rank`` maps a row back to its index.  With one variable per
+    block they are the block degrees s of the types of degree n.
+    """
+    if dim == 1:
+        exps = np.array([[n]])
+    else:
+        tails = [_exponents(dim - 1, n - h) for h in range(n + 1)]
+        exps = np.column_stack((np.repeat(np.arange(n + 1), [len(t) for t in tails]),
+                                np.concatenate(tails)))
+    exps.setflags(write=False)
+    return exps
 
 
-def _weight(chi: tuple[float, ...], s: tuple[int, ...]) -> float:
-    return sum(sj * cj for sj, cj in zip(s, chi))
+class ResonanceTable(NamedTuple):
+    """The types (i, s) of degrees 1..d+1, degree after degree: ``degrees[a]``
+    is s, ``weights[a]`` is s.chi and ``admissible[a, i - 1]`` is
+    chi_i <= s.chi + resonance_tol."""
 
-
-def _degree_bound(chi: tuple[float, ...], tol: float) -> int:
-    # chi_i <= |s| chi_ell + tol for any admissible type, so |s| is capped by
-    # chi_1/chi_ell + tol/|chi_ell|; using the same tol keeps the bound
-    # consistent with admissibility at exact integer ratios.
-    return int(math.floor(chi[0] / chi[-1] + tol / abs(chi[-1])))
-
-
-def _spectral_gap(chi: tuple[float, ...], tol: float) -> float:
-    ell = len(chi)
-    best = None
-    n = 1
-    while True:
-        for s in _compositions(n, ell):
-            w = _weight(chi, s)
-            for i in range(1, ell + 1):
-                if not (chi[i - 1] <= w + tol):
-                    v = -chi[i - 1] + w
-                    if best is None or v > best:
-                        best = v
-        # every type of degree m has value <= -chi_1 + m*chi_ell, decreasing in m
-        if best is not None and -chi[0] + (n + 1) * chi[-1] < best:
-            return best
-        n += 1
-        if n > 10_000:  # unreachable for valid spectra; guards infinite loops
-            raise RuntimeError("spectral gap enumeration failed to terminate")
+    degrees: np.ndarray
+    weights: np.ndarray
+    admissible: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,41 +121,50 @@ class Spectrum:
             )
 
     def _check_resonance_tol(self):
-        chi = self.exponents
-        d = _degree_bound(chi, self.resonance_tol)
-        values = []
-        for n in range(1, d + 2):
-            for s in _compositions(n, len(chi)):
-                w = _weight(chi, s)
-                for c in chi:
-                    values.append(c - w)
-        values.sort()
-        scale = max(1.0, max(abs(v) for v in values))
-        float_noise = 64 * 2.2e-16 * scale
-        min_gap = None
-        for a, b in zip(values, values[1:]):
-            gap = b - a
-            if gap <= float_noise:
-                continue  # same resonance value up to float noise
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
-        if min_gap is not None and self.resonance_tol >= min_gap:
+        table = self.resonance_table
+        # sorted, not np.sort: the first np.sort call of a process maps in
+        # about 0.25 MB of numpy's sort kernels, which nothing else here needs
+        values = np.array(sorted((np.array(self.exponents) - table.weights[:, None])
+                                 .ravel().tolist()))
+        float_noise = 64 * 2.2e-16 * max(1.0, float(np.abs(values).max()))
+        gaps = np.diff(values)
+        gaps = gaps[gaps > float_noise]  # a gap within float noise joins equal values
+        if gaps.size and self.resonance_tol >= gaps.min():
             raise ValueError(
                 "resonance_tol=%g does not separate distinct resonance values "
-                "(least gap %g over degrees <= d+1)" % (self.resonance_tol, min_gap)
+                "(least gap %g over degrees <= d+1)" % (self.resonance_tol, gaps.min())
+            )
+        if table.admissible[table.degrees.sum(axis=1) > self.degree_bound].any():
+            # chi_1 = (d+1) chi_ell up to rounding, which the floor of the
+            # degree bound read as a smaller ratio
+            raise ValueError(
+                "resonance_tol=%g is below the rounding of chi_1/chi_ell: a type of "
+                "degree d+1 = %d is admissible" % (self.resonance_tol, self.degree_bound + 1)
             )
 
     @cached_property
     def degree_bound(self) -> int:
-        return _degree_bound(self.exponents, self.resonance_tol)
+        # chi_i <= |s| chi_ell + tol for any admissible type, so |s| is capped by
+        # chi_1/chi_ell + tol/|chi_ell|; using the same tol keeps the bound
+        # consistent with admissibility at exact integer ratios.
+        chi = self.exponents
+        return int(math.floor(chi[0] / chi[-1] + self.resonance_tol / abs(chi[-1])))
+
+    @cached_property
+    def resonance_table(self) -> ResonanceTable:
+        chi = np.array(self.exponents)
+        degrees = np.concatenate([_exponents(len(chi), n)
+                                  for n in range(1, self.degree_bound + 2)])
+        # s_j chi_j added in block order, as a scalar loop would (np.cumsum
+        # would too, but maps in its accumulate kernels on first use)
+        weights = sum(degrees[:, j] * c for j, c in enumerate(self.exponents))
+        return ResonanceTable(degrees, weights, chi <= weights[:, None] + self.resonance_tol)
 
     @cached_property
     def spectral_gap(self) -> float:
-        return _spectral_gap(self.exponents, self.resonance_tol)
-
-    @property
-    def dim(self) -> int:
-        return sum(self.multiplicities)
+        table = self.resonance_table
+        margins = table.weights[:, None] - np.array(self.exponents)
+        return float(margins[~table.admissible].max())
 
     @property
     def n_blocks(self) -> int:
@@ -180,15 +188,10 @@ def enumerate_types(spectrum: Spectrum, n: int) -> frozenset[Type]:
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    chi = spectrum.exponents
-    tol = spectrum.resonance_tol
-    out = set()
-    for s in _compositions(n, len(chi)):
-        w = _weight(chi, s)
-        for i in range(1, len(chi) + 1):
-            if chi[i - 1] <= w + tol:
-                out.add((i, s))
-    return frozenset(out)
+    table = spectrum.resonance_table
+    rows, blocks = np.nonzero(table.admissible & (table.degrees.sum(axis=1) == n)[:, None])
+    degrees = table.degrees.tolist()
+    return frozenset((i + 1, tuple(degrees[a])) for a, i in zip(rows.tolist(), blocks.tolist()))
 
 
 def contraction_factor(spectrum: Spectrum, n: int) -> float:
@@ -236,9 +239,6 @@ class SubResStructure:
     def admissible(self, n: int) -> frozenset[Type]:
         """Admissible types of degree n (empty above the degree bound)."""
         return self.types_by_degree.get(n, frozenset())
-
-    def is_admissible(self, i: int, s: tuple[int, ...]) -> bool:
-        return (i, s) in self.types_by_degree.get(sum(s), frozenset())
 
     def to_dict(self) -> dict:
         return {

@@ -3,10 +3,11 @@
 A PolyMap stores a map R^m -> R^m' truncated at a total degree as one dense
 jet of shape (m', jet_width(m, degree)): column 0 is the constant and the
 columns ``degree_cols(m, n)`` the degree-n part, one per monomial in the
-lexicographic order of the exponent rows ``_exponents(m, n)``; ``_rank``
-gives the column of an exponent row.  Every index table (the power
-recurrence, the multiplication-matrix entries, the block-degree groups) is
-read from those arrays.  A dict keyed by (target coordinate, multi-index)
+lexicographic order of the exponent rows ``_exponents(m, n)``, which
+``grading`` owns because one variable per block makes them the block degrees
+of its types; ``_rank`` gives the column of an exponent row.  Every index
+table (the power recurrence, the multiplication-matrix entries, the
+block-degree groups) is read from those arrays.  A dict keyed by (target coordinate, multi-index)
 is only the input and output format, with tuple and dict views of the
 monomials (``_mono_table``) built on first use.  The blocks of a
 GradedSpace type every slot (target block, per-block degrees).
@@ -36,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .grading import SubResStructure, Type
+from .grading import SubResStructure, Type, _exponents
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[int, MultiIndex]
@@ -98,24 +99,6 @@ class GradedSpace:
 
 
 # -- monomial tables -----------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _exponents(dim: int, n: int) -> np.ndarray:
-    """The degree-n monomials in dim variables as read-only exponent rows.
-
-    The rows are in lexicographic order, built by recursion on the leading
-    exponent, and row a is jet column ``degree_cols(dim, n).start + a``;
-    ``_rank`` maps a row back to its index.
-    """
-    if dim == 1:
-        exps = np.array([[n]])
-    else:
-        tails = [_exponents(dim - 1, n - h) for h in range(n + 1)]
-        exps = np.column_stack((np.repeat(np.arange(n + 1), [len(t) for t in tails]),
-                                np.concatenate(tails)))
-    exps.setflags(write=False)
-    return exps
-
 
 @lru_cache(maxsize=None)
 def _binomials(dim: int, top: int) -> np.ndarray:

@@ -34,10 +34,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _exponents, _linear_jets, compose_jets, degree_cols,
-                      invert_jets, invert_truncated, jet_width, stack_jets, subresonance_mask)
+from .polymap import (PolyMap, _linear_jets, compose_jets, degree_cols, invert_jets,
+                      invert_truncated, jet_width, stack_jets, subresonance_mask)
 
 
 # field metadata of the polynomial maps a report keeps but does not serialize

@@ -19,7 +19,7 @@ from orbitnf.cli import (
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.normalform import solve_normal_form
 from orbitnf.polymap import GradedSpace, PolyMap
-from orbitnf.scenarios import builtin_names
+from orbitnf.scenarios import build_builtin, builtin_names
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +305,11 @@ class TestGaugeCheck:
         assert canonical_json(details) == canonical_json(fresh)
 
 
+def drop_lift(monkeypatch):
+    """Make the runner's solves ignore the gauge lift, as a broken solver would."""
+    monkeypatch.setattr(cli, "solve_normal_form", lambda ctx, lift=None: solve_normal_form(ctx))
+
+
 class TestErrorExits:
     def test_contraction_budget_exit_2(self, tmp_path, capsys):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),
@@ -433,6 +438,58 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "coordinate block 1 does not carry its exponent chi_1 = -2:" in captured.err
+
+    @pytest.mark.parametrize("name, override, key", [
+        ("koenigs", "checks.centralizer.powers=[]", "checks.centralizer.powers"),
+        ("resonant2", "checks.chart.points=[]", "checks.chart.points"),
+    ])
+    def test_enabled_check_with_nothing_to_check_exit_2(self, name, override, key,
+                                                        tmp_path, capsys):
+        code = main(["run", name, "--out-dir", str(tmp_path), "--tol-override", override])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_disabled_check_may_be_empty(self):
+        _, _, config = resolve_config("koenigs", overrides=[
+            "checks.centralizer.enabled=false", "checks.centralizer.powers=[]",
+            "checks.chart.enabled=false", "checks.chart.points=[]",
+            "checks.gauge.enabled=false", "checks.gauge.delta=1e-10"])
+        assert config["checks"]["chart"]["points"] == []
+
+    @pytest.mark.parametrize("delta", ["1e-10", "1e-9", "-1e-9"])
+    def test_gauge_delta_within_tol_exit_2(self, delta, tmp_path, capsys, monkeypatch):
+        # with |delta| <= tol a solve that drops the lift would pass the gauge check
+        drop_lift(monkeypatch)
+        code = main(["run", "resonant2", "--out-dir", str(tmp_path),
+                     "--tol-override", f"checks.gauge.delta={delta}"])
+        assert code == 2
+        assert "checks.gauge.delta" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_gauge_check_catches_a_dropped_lift(self, tmp_path, capsys, monkeypatch):
+        drop_lift(monkeypatch)
+        assert main(["run", "resonant2", "--out-dir", str(tmp_path)]) == 1
+        assert "failed checks: gauge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2.7, "abc", True])
+    def test_config_file_seed_exit_2(self, seed, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "koenigs", "rng_seed": seed}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "rng_seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--tol-override", "rng_seed=-1"],
+                                      ["--tol-override", "rng_seed=1.5"]])
+    def test_negative_seed_exit_2(self, args, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_builtin",
+                            lambda name, seed: built.append(seed) or build_builtin(name, seed))
+        assert main(["run", "random_full", "--out-dir", str(tmp_path)] + args) == 2
+        assert "rng_seed must be an integer >= 0" in capsys.readouterr().err
+        # no cocycle is drawn from an invalid seed
+        assert all(type(seed) is int and seed >= 0 for seed in built)
 
     def test_failing_check_named_exit_1(self, tmp_path, capsys):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orbitnf.grading import (
     ContractionBudgetError,
@@ -19,6 +21,10 @@ def spec(chi, mults=None, eps=0.01, tol=1e-9):
     return Spectrum(tuple(chi), tuple(mults), eps, tol)
 
 
+def brute_degrees(n, ell):
+    return [s for s in itertools.product(range(n + 1), repeat=ell) if sum(s) == n]
+
+
 # brute-force admissibility, written independently of the library helpers
 def brute_types(chi, n, tol):
     ell = len(chi)
@@ -31,6 +37,19 @@ def brute_types(chi, n, tol):
             if chi[i - 1] <= w + tol:
                 out.add((i, s))
     return out
+
+
+def brute_separates(chi, tol):
+    """Whether tol stays below every distinct gap between the resonance values
+    chi_i - s.chi of degrees <= d+1, equal values counted up to float noise."""
+    ell = len(chi)
+    d = math.floor(chi[0] / chi[-1] + tol / abs(chi[-1]))
+    values = sorted(c - sum(a * b for a, b in zip(s, chi))
+                    for n in range(1, d + 2)
+                    for s in brute_degrees(n, ell) for c in chi)
+    noise = 64 * 2.2e-16 * max(1.0, max(abs(v) for v in values))
+    gaps = [b - a for a, b in zip(values, values[1:]) if b - a > noise]
+    return not gaps or tol < min(gaps)
 
 
 def brute_lambda(chi, tol, max_degree):
@@ -196,6 +215,67 @@ class TestSubResStructure:
         assert st.admissible(1) == {(1, (1, 0)), (1, (0, 1)), (2, (0, 1))}
         assert st.admissible(2) == {(1, (0, 2))}
         assert st.admissible(3) == frozenset()
-        assert st.is_admissible(1, (0, 2))
-        assert not st.is_admissible(2, (1, 0))
+        assert (1, (0, 2)) in st.admissible(sum((0, 2)))
+        assert (2, (1, 0)) not in st.admissible(sum((1, 0)))
         assert st.spectral_gap == pytest.approx(-1.0, abs=1e-12)
+
+
+@st.composite
+def spectra(draw):
+    """1-4 increasing negative exponents with chi_1/chi_ell at most 4, half of
+    them an exact integer ratio chi_1 = k chi_ell, and a resonance_tol that
+    some of them reject."""
+    ell = draw(st.integers(1, 4))
+    slow = -draw(st.floats(0.2, 2.0))
+    if ell == 1:
+        chi = (slow,)
+    else:
+        ratio = draw(st.integers(2, 4) | st.floats(1.1, 4.0))
+        fastest = ratio * slow
+        inner = draw(st.lists(st.floats(0.05, 0.95), min_size=ell - 2, max_size=ell - 2,
+                              unique=True))
+        chi = tuple(sorted([fastest, slow] + [fastest + t * (slow - fastest) for t in inner]))
+        assume(all(b - a > 1e-3 for a, b in zip(chi, chi[1:])))
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.05]))
+    return chi, tol
+
+
+class TestResonanceTable:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(spectra())
+    def test_matches_bruteforce(self, case):
+        # the table stops at degree d+1; the references read two degrees more
+        chi, tol = case
+        separates = brute_separates(chi, tol)
+        if not separates:
+            with pytest.raises(ValueError, match="does not separate"):
+                spec(chi, eps=0.0, tol=tol)
+            return
+        s = spec(chi, eps=0.0, tol=tol)
+        d = s.degree_bound
+        assert d == math.floor(chi[0] / chi[-1] + tol / abs(chi[-1]))
+        assert s.spectral_gap == brute_lambda(chi, tol, d + 3)
+        for n in range(1, d + 4):
+            assert enumerate_types(s, n) == brute_types(chi, n, tol)
+
+    def test_one_table_per_spectrum(self):
+        s = spec((-3.5, -1.2, -1.0))
+        table = s.resonance_table
+        assert s.resonance_table is table
+        # the block degrees of degrees 1..d+1, degree after degree
+        assert table.degrees.tolist() == [list(t) for n in range(1, s.degree_bound + 2)
+                                          for t in sorted(brute_degrees(n, 3))]
+        assert table.weights.tolist() == [sum(a * b for a, b in zip(t, s.exponents))
+                                          for t in table.degrees.tolist()]
+        assert table.admissible.tolist() == [[c <= w + s.resonance_tol for c in s.exponents]
+                                             for w in table.weights.tolist()]
+        assert not table.admissible[table.degrees.sum(axis=1) == s.degree_bound + 1].any()
+
+    def test_rounded_integer_ratio_needs_a_tolerance(self):
+        # chi_1 = 3 chi_2 in floats, but the quotient rounds below 3: with no
+        # tolerance the degree bound reads 2 while a degree-3 type is admissible
+        chi = (-5.219785163879111, -1.7399283879597038)
+        assert chi[0] == 3 * chi[1] and chi[0] / chi[1] < 3
+        with pytest.raises(ValueError, match="degree d\\+1 = 3 is admissible"):
+            spec(chi, eps=0.0, tol=0.0)
+        assert spec(chi, eps=0.0).degree_bound == 3

@@ -504,8 +504,8 @@ class TestDictReference:
         const, terms = random_pair(rng, space, order, 6, constant=True)
         s_part, n_part = project_subresonance(to_polymap(space, order, (const, terms)), st)
         admissible = {key: c for key, c in terms.items()
-                      if st.is_admissible(space.block_of_coord[key[0]],
-                                          space.block_degrees(key[1]))}
+                      if (space.block_of_coord[key[0]], space.block_degrees(key[1]))
+                      in st.admissible(sum(key[1]))}
         assert s_part.coeffs == admissible
         assert n_part.coeffs == {k: c for k, c in terms.items() if k not in admissible}
         assert np.array_equal(s_part.constant, const) and not n_part.constant.any()
