@@ -17,7 +17,8 @@ object (the serialization format produced in reports); remaining entries
 override the scenario defaults.  A check entry holds only the keys of its
 default (``scenarios.default_checks``); any other key is a configuration
 error.  Exit status: 0 when every enabled check passes, 1 when a check fails
-(named on stderr), 2 on configuration errors.
+(named on stderr, with one line per quantity that broke its bound: its
+value and the bound), 2 on configuration errors.
 
 Reports are deterministic: a fixed config and seed reproduce report.json byte
 for byte.  Numbers are printed with 17 significant digits, object keys sorted,
@@ -55,6 +56,9 @@ from .verify import (
 
 CHECK_ORDER = ("residual", "oracle", "sandwich", "gauge",
                "centralizer", "flag", "chart")
+# the gauge check's bound on the gap between two conjugators that the
+# degree bound 1 makes unique
+_UNIQUE_GAP_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -383,7 +387,7 @@ def _check_gauge(ctx, result, cfg):
         diff = _coeff_gap(result.conjugator, result_alt.conjugator)
         details["mode"] = "unique"
         details["conjugator_gap"] = diff
-        passed = rep.passed and diff <= 1e-12
+        passed = rep.passed and diff <= _UNIQUE_GAP_TOL
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
         col = degree_cols(space.dim, degree).start + _mono_table(space.dim, degree)[1][alpha]
@@ -490,9 +494,49 @@ def _resolve_out_dir(out_dir: str | None, config: dict, name: str) -> str:
     return out_dir or config.get("out_dir") or os.path.join("orbitnf_out", name)
 
 
-def _report_failures(checks) -> list[str]:
-    return [c["name"] for c in checks
-            if c["enabled"] and not c["passed"]]
+def _failed_quantities(entry: dict) -> list[str]:
+    """One line per quantity of a check entry that broke its bound: the
+    quantity, its value and the bound, as ``passed`` compares them."""
+    name, d = entry["name"], entry["details"]
+    lines = []
+    if name == "residual":
+        limits = [(f"degree {n} max", r, "bound", b)
+                  for n, (r, b) in enumerate(zip(d["max_residuals"], d["bounds"]))]
+    elif name == "oracle":
+        limits = [("max_coefficient_gap", d["max_coefficient_gap"], "tol", d["tol"])]
+    elif name == "sandwich":
+        limits = [("max_violation", d["max_violation"], "tol", d["tol"])]
+        if not d["keps_ok"]:
+            lines.append("sandwich: keps_ok false")
+    elif name == "gauge":
+        limits = [(key, d[key], "tol", d["tol"])
+                  for key in ("npart_max", "beyond_degree_max", "recovery_error") if key in d]
+        if "conjugator_gap" in d:
+            limits.append(("conjugator_gap", d["conjugator_gap"], "tol", _UNIQUE_GAP_TOL))
+    elif name == "centralizer":
+        limits = [(f"power {run['power']} {key}", run[key], "tol", run["tol"])
+                  for run in d["powers"]
+                  for key in ("npart_max", "beyond_degree_max", "vs_normal_form_power")]
+    elif name == "flag":
+        limits = [("max_below_flag", d["max_below_flag"], "tol", d["tol"])]
+    else:
+        limits = [(f"point {i} {key}", point[key], "tol", point["tol"])
+                  for i, point in enumerate(d["points"]) for key in ("npart_max", "deviation_max")]
+    return lines + [f"{name}: {label} {value:.3g} > {kind} {bound:.3g}"
+                    for label, value, kind, bound in limits if not value <= bound]
+
+
+def _report_failures(name: str, checks) -> bool:
+    """Name the failed checks and every quantity that broke its bound on
+    stderr; True when a check failed."""
+    failed = [c for c in checks if c["enabled"] and not c["passed"]]
+    if failed:
+        print(f"{name}: failed checks: " + ", ".join(c["name"] for c in failed),
+              file=sys.stderr)
+        for entry in failed:
+            for line in _failed_quantities(entry):
+                print(line, file=sys.stderr)
+    return bool(failed)
 
 
 def run_scenario(config_arg: str, *, out_dir: str | None = None,
@@ -514,9 +558,7 @@ def run_scenario(config_arg: str, *, out_dir: str | None = None,
     _atomic_write(os.path.join(directory, "residuals.csv"),
                   _format_residuals_csv(residual_details))
 
-    if not passed:
-        print(f"{name}: failed checks: " + ", ".join(_report_failures(checks)),
-              file=sys.stderr)
+    if _report_failures(name, checks):
         return 1
     print(f"{name}: all enabled checks passed; report in {directory}")
     return 0
@@ -591,12 +633,7 @@ def _cmd_verify(args) -> int:
             print(f"{entry['name']}: skipped")
         else:
             print(f"{entry['name']}: {'pass' if entry['passed'] else 'FAIL'}")
-    failures = _report_failures(checks)
-    if failures:
-        print(f"{name}: failed checks: " + ", ".join(failures),
-              file=sys.stderr)
-        return 1
-    return 0
+    return 1 if _report_failures(name, checks) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

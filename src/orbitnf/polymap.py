@@ -17,17 +17,20 @@ for all callers; ``subresonance_mask`` joins the masks of a jet's degrees.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
-coordinate j with the multiplication matrix of G_j.  It keeps one degree of
-powers and one such matrix at a time for as many stack entries as fit in
-POWER_BYTES.  ``composition_table`` keeps all the powers of maps that are
-composed on the right again and again: composing H o G is then linear in H,
+coordinate j with the multiplication matrix of G_j, reading the parent
+powers as a view.  It keeps one degree of powers and one such matrix at a
+time for as many stack entries as fit in POWER_BYTES.
+``composition_table`` keeps all the powers of maps that are composed on the
+right again and again: composing H o G is then linear in H,
 jet(H o G) = sum_k H_k @ T_k, with one block T_k per degree k and
 sum_k n_mono(k) (jet_width(M) - jet_width(k - 1)) floats per map through
 order M.  The index plans of the multiplication matrices are listed once per
-dimension and degree and cut once per column window.  ``invert_jets``
-inverts a stack by series reversion, one composition per degree for the
-whole stack; ``compose_truncated`` and ``invert_truncated`` are the one-map
-forms.  Iteration orders are fixed, so repeated runs give identical floats.
+dimension and degree and cut once per column window, and the steps of a
+power pass are planned once per shape (``_power_plan``).  ``divide_jets``
+solves Y o G = X for Y degree by degree through the table of G, and
+``invert_jets`` divides the identity; ``compose_truncated`` and
+``invert_truncated`` are the one-map forms.  Iteration orders are fixed, so
+repeated runs give identical floats.
 """
 
 import math
@@ -153,13 +156,19 @@ def degree_cols(dim: int, n: int) -> slice:
     return slice(jet_width(dim, n - 1) if n else 0, jet_width(dim, n))
 
 
+@lru_cache(maxsize=None)
+def _col_degrees(dim: int, width: int) -> np.ndarray:
+    """Total degree of each of the first `width` jet columns."""
+    n = 0
+    while jet_width(dim, n) < width:
+        n += 1
+    return np.repeat(np.arange(n + 1), [math.comb(dim + d - 1, d) for d in range(n + 1)])[:width]
+
+
 def top_degree(jets: np.ndarray, dim: int) -> int:
     """Highest degree with a nonzero coefficient in a jet or stack of jets."""
     nz = np.flatnonzero(jets.reshape(-1, jets.shape[-1]).any(axis=0))
-    n = 0
-    while nz.size and jet_width(dim, n) <= nz[-1]:
-        n += 1
-    return n
+    return int(_col_degrees(dim, jets.shape[-1])[nz[-1]]) if nz.size else 0
 
 
 def _fit(jets: np.ndarray, width: int) -> np.ndarray:
@@ -188,8 +197,9 @@ def _mul_pairs(dim: int, degree: int):
     """Every entry of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
 
     Mul_j[e, col(eps_e + gamma_g)] = G_j[g] on jets truncated at `degree`;
-    returns the arrays (e, col, g) of those entries, g in column order and e
-    over the columns of degree at most degree - |gamma_g|.  The columns of
+    returns the arrays (e, col, g) of those entries sorted by e, and for
+    each e with g in column order, e over the columns of degree at most
+    degree - |gamma_g|.  The columns of
     one g follow from those of its parent by the power recurrence: with
     times[j, c] the column of eps_c + e_j, col(eps_e + gamma_g) =
     times[first[g], col(eps_e + gamma_parent[g])].
@@ -208,16 +218,20 @@ def _mul_pairs(dim: int, degree: int):
     room = np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks])
     src = np.repeat(np.arange(len(room)), room)
     e = np.arange(len(col)) - np.repeat(np.cumsum(room) - room, room)
-    return e, col, src
+    order = np.argsort(e, kind="stable")
+    return e[order], col[order], src[order]
 
 
 @lru_cache(maxsize=None)
 def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int]):
     """Scatter plan of Mul_j cut to the column windows rows of p and cols of
     the product: (flat, src, shape) with Mul_j.flat[flat] = G_j[src], the
-    rows ending with the last that meets the window."""
+    rows ending with the last that meets the window.  The row window is a
+    slice of the entries sorted by e."""
     e, col, src = _mul_pairs(dim, degree)
-    keep = (e >= rows[0]) & (e < rows[1]) & (col >= cols[0]) & (col < cols[1])
+    window = slice(*np.searchsorted(e, rows).tolist())
+    e, col, src = e[window], col[window], src[window]
+    keep = (col >= cols[0]) & (col < cols[1])
     e, col, src = e[keep] - rows[0], col[keep] - cols[0], src[keep]
     width = cols[1] - cols[0]
     return e * width + col, src, (int(e.max(initial=-1)) + 1, width)
@@ -226,10 +240,53 @@ def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int
 @lru_cache(maxsize=None)
 def _first_runs(m: int, k: int) -> tuple[tuple[int, int], ...]:
     """(start, stop) of the degree-k monomials whose first variable is j,
-    for each j: the sorted order runs first from m - 1 down to 0."""
+    for each j: the sorted order runs first from m - 1 down to 0.  Their
+    parents are the leading stop - start monomials of degree k - 1: both
+    sets are the exponent rows with zeros before coordinate j, and
+    subtracting e_j keeps their order."""
     counts = np.bincount(_recurrence(m, k)[0], minlength=m)
     stops = np.cumsum(counts[::-1])[::-1]
     return tuple(zip((stops - counts).tolist(), stops.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _power_plan(m: int, dim: int, degree: int, top: int, low: int, step: int) -> tuple:
+    """The steps of ``_powers`` for m inner components over `dim` variables
+    through `degree`, with inner valuation `low` and inner degree `step`.
+
+    Per degree k = 1..top: (lo, hi, monomials, mul, products), the power
+    holding the jet columns lo:hi of the degree-k monomials.  For k >= 2,
+    mul is the scatter plan (flat, src, rows, cols) of the multiplication
+    matrix on the window of the power below, and products lists per
+    coordinate j the matmuls (parent rows, inner width, columns, output
+    rows): slices, the parent rows a view by ``_first_runs``.
+    """
+    plan, prev = [], None
+    for k in range(1, top + 1):
+        lo = degree_cols(dim, k * low).start
+        hi = max(lo, jet_width(dim, min(degree, k * step)))
+        runs = _first_runs(m, k)
+        mul, products = None, ()
+        if k > 1:
+            flat, src, (rows, cols) = _mul_plan(dim, degree, prev, (lo, hi))
+            # every G_j fills the same entries, so one matrix serves all j
+            mul = (flat, src, rows, cols)
+            blocks = [(rows, 0, cols)]
+            if low:
+                # the degree-k columns read only the degree k-1 rows; a product
+                # of their own keeps them the powers of the linear parts
+                diag = min(cols, jet_width(dim, k) - lo)
+                blocks = [(lo - prev[0], 0, diag), (rows, diag, cols)]
+            blocks = [(r, c0, c1, max(1, PRODUCT_MACS // max(1, r * (c1 - c0))))
+                      for r, c0, c1 in blocks if c0 < c1]
+            products = tuple(
+                (j, tuple((slice(c - a, min(b, c + chunk) - a), r, slice(c0, c1),
+                           slice(c, min(b, c + chunk)))
+                          for r, c0, c1, chunk in blocks for c in range(a, b, chunk)))
+                for j, (a, b) in enumerate(runs))
+        plan.append((lo, hi, runs[0][1], mul, products))
+        prev = (lo, hi)
+    return tuple(plan)
 
 
 def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
@@ -241,48 +298,33 @@ def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
     inner valuation to k times the inner degree.  Each power is the one
     below times a component, G^alpha = G^(alpha - e_j) G_j with j = first[a]:
     for each j one batched product with the multiplication matrix of G_j,
-    at most jet_width(dim, degree)^2 entries per stack entry.  For inner
-    maps fixing the origin the degree-k columns, which read only the
-    degree k-1 columns one degree down, are a product of their own, the
-    same as for the linear parts alone, so they are the powers of the
-    linear parts to the bit, whatever the higher terms.
+    at most jet_width(dim, degree)^2 entries per stack entry, following the
+    cached ``_power_plan``.  For inner maps fixing the origin the degree-k
+    columns, which read only the degree k-1 columns one degree down, are a
+    product of their own, the same as for the linear parts alone, so they
+    are the powers of the linear parts to the bit, whatever the higher
+    terms.
     """
     S, m = inner.shape[:2]
     G = _fit(inner, jet_width(dim, degree))
-    step = top_degree(G, dim)
     low = 0 if G[..., 0].any() else 1
     if low:
         top = min(top, degree)  # powers of maps fixing the origin vanish beyond it
-    for k in range(1, top + 1):
-        first, parent = _recurrence(m, k)
-        lo = degree_cols(dim, k * low).start
-        hi = max(lo, jet_width(dim, min(degree, k * step)))
+    plan = _power_plan(m, dim, degree, top, low, top_degree(G, dim))
+    for k, (lo, hi, monos, mul_plan, products) in enumerate(plan, start=1):
         if k == 1:
-            power = G[:, first, lo:hi]
+            power = G[:, _recurrence(m, 1)[0], lo:hi]
         else:
-            flat, src, (rows, cols) = _mul_plan(dim, degree, (prev_lo, prev_lo + power.shape[2]),
-                                                (lo, hi))
-            prev, power = power, np.empty((S, len(first), cols))
-            # every G_j fills the same entries, so one matrix serves all j
+            flat, src, rows, cols = mul_plan
+            prev, power = power, np.empty((S, monos, cols))
             mul = np.zeros((S, rows, cols))
-            blocks = [(rows, 0, cols)]
-            if low:
-                # the degree-k columns read only the degree k-1 rows; a product
-                # of their own keeps them the powers of the linear parts
-                diag = min(cols, jet_width(dim, k) - lo)
-                blocks = [(lo - prev_lo, 0, diag), (rows, diag, cols)]
-            blocks = [(r, c0, c1, max(1, PRODUCT_MACS // max(1, r * (c1 - c0))))
-                      for r, c0, c1 in blocks if c0 < c1]
-            for j, (a, b) in enumerate(_first_runs(m, k)):
+            for j, steps in products:
                 mul.reshape(S, -1)[:, flat] = G[:, j, src]
-                for r, c0, c1, chunk in blocks:
-                    for c in range(a, b, chunk):
-                        d = min(b, c + chunk)
-                        np.matmul(prev[:, parent[c:d], :r], mul[:, :r, c0:c1],
-                                  out=power[:, c:d, c0:c1])
+                for parents, r, out_cols, out_rows in steps:
+                    np.matmul(prev[:, parents, :r], mul[:, :r, out_cols],
+                              out=power[:, out_rows, out_cols])
             del prev, mul  # freed before the caller and the next degree allocate
         yield k, lo, power
-        prev_lo = lo
 
 
 def compose_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) -> np.ndarray:
@@ -575,26 +617,55 @@ def compose_truncated(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMa
     return PolyMap.from_jet(inner.source, outer.target, max_degree, jet)
 
 
+def divide_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """Right quotients Y with Y o inner = outer through `degree`: outer o inner^-1.
+
+    inner is a stack (..., m, w) over m = `dim` variables of maps fixing the
+    origin with invertible linear parts A; outer has shape (..., p, w') over
+    the same variables, its leading axes broadcasting against those of
+    inner.  Returns (..., p, jet_width(dim, degree)).
+
+    jet(Y o F) = Y_0 + sum_k Y_k @ T_k is linear in Y, T_k the blocks of
+    the ``composition_table`` of F, and the leading square of T_n is the
+    substitution matrix S_n(A), whose inverse is S_n(A^-1).  So degree by
+    degree Y_n = (X_n - sum_{k<n} Y_k T_k[degree-n columns]) S_n(A^-1), and
+    each Y_n is taken off all higher degrees of X in one product.  The
+    S_n(A^-1) are the powers of the linear maps A^-1, left out where every
+    A is the identity, as for conjugators.  One table of the divisor, which
+    keeps all its powers, takes the place of the compositions that
+    inverting it degree by degree would cost.
+    """
+    if np.any(inner[..., 0] != 0.0):
+        raise ValueError("inverse requires a map fixing the origin")
+    linear = _linear_parts(inner, dim)
+    try:
+        ainv = np.linalg.inv(linear)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("linear part is singular") from exc
+    table = composition_table(inner, dim, degree)
+    substs = None
+    if not (linear == np.eye(dim)).all():
+        substs = [power.reshape(ainv.shape[:-2] + power.shape[1:]) for _, _, power in
+                  _powers(_linear_jets(ainv).reshape(-1, dim, dim + 1), dim, degree, degree)]
+    lead = np.broadcast_shapes(outer.shape[:-2], inner.shape[:-2])
+    out = _fit(np.broadcast_to(outer, lead + outer.shape[-2:]), jet_width(dim, degree))
+    for n, T in enumerate(table, start=1):
+        cols = degree_cols(dim, n)
+        if substs is not None:
+            out[..., cols] = out[..., cols] @ substs[n - 1]
+        if n < degree:
+            out[..., cols.stop:] -= out[..., cols] @ T[..., cols.stop - cols.start:]
+    return out
+
+
 def invert_jets(jets: np.ndarray, dim: int, degree: int) -> np.ndarray:
     """Truncated compositional inverses R[s] with jets[s] o R[s] = t through `degree`.
 
     jets is a stack of shape (S, m, w) over m = `dim` variables, every map
-    fixing the origin with an invertible linear part.  Built degree by degree
-    by cancelling the defect of the partial inverses, one ``compose_jets``
-    call per degree for the whole stack.
+    fixing the origin with an invertible linear part: the identity divided
+    by each map, ``divide_jets``.
     """
-    if np.any(jets[..., 0] != 0.0):
-        raise ValueError("inverse requires a map fixing the origin")
-    try:
-        Ainv = np.linalg.inv(_linear_parts(jets, dim))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("linear part is singular") from exc
-    out = _fit(_linear_jets(Ainv), jet_width(dim, degree))
-    for n in range(2, degree + 1):
-        cols = degree_cols(dim, n)
-        defect = compose_jets(jets, out[..., :cols.stop], dim, n)[..., cols]
-        out[..., cols] = -(Ainv @ defect)
-    return out
+    return divide_jets(_linear_jets(np.eye(dim)), jets, dim, degree)
 
 
 def invert_truncated(pmap: PolyMap, max_degree: int) -> PolyMap:

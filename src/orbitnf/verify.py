@@ -23,8 +23,9 @@ Every check reads coefficients; none samples points or takes a seed.  The
 checks hold at every orbit point, and each check step is one stacked kernel
 call whatever the period K: one ``compose_jets`` call per side of an
 identity on K maps (K per family for all centralizer families at once), one
-``invert_jets`` call for all inverses, and one assembly, SVD and solve per
-system shape in the oracle.  Read-outs are numpy maxima: NaN fails.
+``divide_jets`` call where a check composes with an inverse, and one
+assembly, SVD and solve per system shape in the oracle.  Read-outs are
+numpy maxima: NaN fails.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _linear_jets, compose_jets, degree_cols, invert_jets,
-                      invert_truncated, jet_width, stack_jets, subresonance_mask)
+from .polymap import (PolyMap, _linear_jets, compose_jets, degree_cols, divide_jets,
+                      jet_width, stack_jets, subresonance_mask)
 
 
 # field metadata of the polynomial maps a report keeps but does not serialize
@@ -252,19 +253,18 @@ def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
                   tol: float = 1e-9) -> GaugeReport:
     """Uniqueness up to gauge: two solutions must differ inside the group.
 
-    Computes G_k = H_k o H_alt_k^{-1} at every orbit point, with one stacked
-    inverse and one stacked composition over the orbit.  If both are valid
-    normal form conjugators, every G_k is a sub-resonance map: no
-    non-admissible coefficients, nothing above the degree bound.
-    ``alignment_max`` is the round-trip error of recomposing G with H_alt,
-    one more stacked composition.
+    Computes G_k = H_k o H_alt_k^{-1} at every orbit point, one stacked
+    division over the orbit.  If both are valid normal form conjugators,
+    every G_k is a sub-resonance map: no non-admissible coefficients,
+    nothing above the degree bound.  ``alignment_max`` is the round-trip
+    error of recomposing G with H_alt, one stacked composition.
     """
     if result.period != result_alt.period or result.order != result_alt.order:
         raise ValueError("results differ in period or order")
     order = result.order
     space = result.conjugator[0].source
     h, h_alt = _stack(result.conjugator), _stack(result_alt.conjugator)
-    g = compose_jets(h, invert_jets(h_alt, space.dim, order), space.dim, order)
+    g = divide_jets(h, h_alt, space.dim, order)
     align = float(np.max(np.abs(compose_jets(g, h_alt, space.dim, order) - h)))
     return GaugeReport(_maps(space, order, g), *_npart_max(g, space, order, result.structure),
                        align, tol)
@@ -330,9 +330,10 @@ def centralizer_check(cocycle, result: NormalFormResult, extensions,
     family degreewise up to the solve order, raising on the first that
     fails, then checks that every C_k = H_{k+shift} o G_k o H_k^{-1} has
     admissible coefficients only and nothing above the degree bound.  All
-    families form one stack of K maps each: each side of the commutation and
-    each conjugation step is one composition, and the inverse is one
-    ``invert_jets`` call, tiled per family.  Returns one report per family.
+    families form one stack of K maps each: each side of the commutation
+    and H_{k+shift} o G_k are one composition each, and the division by
+    H_k is one ``divide_jets`` call, the table of the K conjugators shared
+    by every family.  Returns one report per family.
     """
     K = cocycle.period
     if result.period != K or any(len(ext.maps) != K for ext in extensions):
@@ -355,8 +356,8 @@ def centralizer_check(cocycle, result: NormalFormResult, extensions,
                              f"degree {order}: residual {residual:.3e}")
 
     h = _stack(result.conjugator)
-    inner = compose_jets(g, np.tile(invert_jets(h, m, order), (n_fam, 1, 1)), m, order)
-    conjugated = compose_jets(h[shifted], inner, m, order).reshape(n_fam, K, m, -1)
+    conjugated = divide_jets(compose_jets(h[shifted], g, m, order).reshape(n_fam, K, m, -1),
+                             h, m, order)
     return [CentralizerReport(_maps(space, order, c), ext.shift, float(residual),
                               *_npart_max(c, space, order, result.structure), tol)
             for ext, residual, c in zip(extensions, comm, conjugated)]
@@ -437,7 +438,9 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     of every offset point, run the window solver on all P windows at once
     with zero terminal data, and form each transition
 
-        G = H_window(0) o (H_base^{-1} - offset).
+        G = H_window(0) o (H_base^{-1} - offset),
+
+    as the quotient of H_window(0) o (t - offset) by H_base.
 
     G carries one chart of normal form coordinates to the other, so apart
     from its constant it must be a sub-resonance map.  One projection splits
@@ -479,10 +482,10 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     jets[..., 0] = 0.0
 
     h_win, _, _ = solve_window(jets, space, ctx.structure, order)
-    to_local = np.repeat(invert_truncated(result.conjugator[base % K], order).jet[None],
-                         P, axis=0)
+    to_local = np.repeat(_linear_jets(np.eye(m))[None], P, axis=0)
     to_local[:, :, 0] = -ys
-    g_jets = compose_jets(h_win[0], to_local, m, order)
+    g_jets = divide_jets(compose_jets(h_win[0], to_local, m, order),
+                         result.conjugator[base % K].jet, m, order)
 
     width = jet_width(m, ctx.structure.degree_bound)
     degrees = np.repeat(np.arange(order + 1), [math.comb(m + d - 1, d) for d in range(order + 1)])

@@ -1,8 +1,8 @@
 """Reference checks, one orbit point at a time.
 
 These are the loop bodies of ``orbitnf.verify`` as the package ran them
-before every check step became one stacked composition over the orbit: one
-``compose_truncated`` or ``invert_truncated`` call per orbit point, and one
+before every check step became one stacked kernel call over the orbit: one
+``compose_truncated`` or ``divide_jets`` call per orbit point, and one
 ``np.kron`` block per point in the dense oracle.  They return the package's
 own report types, so the tests can require the batched checks to equal them
 bit for bit.
@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from orbitnf.polymap import compose_truncated, invert_truncated, jet_width, project_subresonance
+from orbitnf.polymap import (PolyMap, compose_truncated, divide_jets, jet_width,
+                             project_subresonance)
 from orbitnf.verify import (CentralizerReport, CommutingExtension, GaugeReport, ResidualReport,
                             _compose_majorants)
 
@@ -20,6 +21,12 @@ from orbitnf.verify import (CentralizerReport, CommutingExtension, GaugeReport, 
 def coeff_diff(a, b) -> float:
     """Largest coefficient mismatch of two maps, constants included."""
     return float(np.max(np.abs((a - b).jet)))
+
+
+def divide(outer, inner, order: int) -> PolyMap:
+    """outer o inner^-1 through `order`, ``divide_jets`` of one pair of maps."""
+    jet = divide_jets(outer.jet, inner.jet, inner.source.dim, order)
+    return PolyMap.from_jet(inner.source, outer.target, order, jet)
 
 
 def npart_split(pmap, structure) -> tuple[float, float]:
@@ -84,13 +91,12 @@ def oracle_reference(op, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def gauge_reference(result, result_alt, tol: float = 1e-9) -> GaugeReport:
-    """``verify.gauge_compare`` with one inverse and two compositions per orbit point."""
+    """``verify.gauge_compare`` with one division and one composition per orbit point."""
     order = result.order
     transition = []
     npart = beyond = align = 0.0
     for k in range(result.period):
-        g = compose_truncated(result.conjugator[k],
-                              invert_truncated(result_alt.conjugator[k], order), order)
+        g = divide(result.conjugator[k], result_alt.conjugator[k], order)
         back = compose_truncated(g, result_alt.conjugator[k], order)
         align = max(align, coeff_diff(back, result.conjugator[k]))
         low, high = npart_split(g, result.structure)
@@ -118,8 +124,8 @@ def iterate_reference(cocycle, power: int, order: int) -> CommutingExtension:
 
 def centralizer_reference(cocycle, result, extension: CommutingExtension,
                           tol: float = 1e-9) -> CentralizerReport:
-    """``verify.centralizer_check`` with per-point commutation, inverses and
-    conjugations."""
+    """``verify.centralizer_check`` with per-point commutation and
+    conjugations, each a composition and a division."""
     K = cocycle.period
     order = result.order
     shift = extension.shift % K
@@ -129,12 +135,11 @@ def centralizer_reference(cocycle, result, extension: CommutingExtension,
         rhs = compose_truncated(cocycle.map_at((k + extension.shift) % K),
                                 extension.maps[k], order)
         comm = max(comm, coeff_diff(lhs, rhs))
-    inverses = [invert_truncated(h, order) for h in result.conjugator]
     conjugated = []
     npart = beyond = 0.0
     for k in range(K):
-        inner = compose_truncated(extension.maps[k], inverses[k], order)
-        c = compose_truncated(result.conjugator[(k + shift) % K], inner, order)
+        outer = compose_truncated(result.conjugator[(k + shift) % K], extension.maps[k], order)
+        c = divide(outer, result.conjugator[k], order)
         low, high = npart_split(c, result.structure)
         npart = max(npart, low)
         beyond = max(beyond, high)

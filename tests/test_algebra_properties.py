@@ -1,6 +1,7 @@
 """Property tests of the truncated polynomial algebra."""
 
 import numpy as np
+from dict_reference import as_pair, dict_invert, gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -8,7 +9,10 @@ from hypothesis.extra.numpy import arrays
 from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
+    compose_jets,
     compose_truncated,
+    divide_jets,
+    invert_jets,
     invert_truncated,
     jet_width,
 )
@@ -69,3 +73,63 @@ def test_composition_agrees_with_nested_evaluation(data, space, deg_outer, deg_i
     got = compose_truncated(outer, inner, deg_outer * deg_inner).evaluate_batch(pts)
     nested = outer.evaluate_batch(inner.evaluate_batch(pts))
     assert np.max(np.abs(got - nested)) <= 1e-12 * max(1.0, float(np.max(np.abs(nested))))
+
+
+DIVISION_DIMS = st.sampled_from([1, 2, 3, 4])
+# batch axes of the stacks: one map, an orbit, and (W, P) as in the window solve
+LEADS = [(1,), (3,), (2, 2)]
+
+
+@st.composite
+def divisors(draw, dim, order, lead):
+    """Maps fixing the origin whose linear parts D + N, D diagonal in
+    [0.6, 1.4] and N within 0.1 per entry, are far from the identity."""
+    jets = draw(arrays(np.float64, lead + (dim, jet_width(dim, order)), elements=COEFFS,
+                       fill=st.nothing()))
+    diag = draw(arrays(np.float64, lead + (dim,), elements=st.floats(0.6, 1.4)))
+    jets[..., 0] = 0.0
+    # degree-1 columns run e_{m-1}..e_0
+    jets[..., 1:1 + dim] = (0.2 * jets[..., 1:1 + dim] + diag[..., None, :] * np.eye(dim))[..., ::-1]
+    return jets
+
+
+def flat_compose(outer, inner, dim, order):
+    """compose_jets on stacks with any batch axes, inner broadcast to outer."""
+    inner = np.broadcast_to(inner, outer.shape[:-2] + inner.shape[-2:])
+    return compose_jets(outer.reshape((-1,) + outer.shape[-2:]),
+                        inner.reshape((-1,) + inner.shape[-2:]), dim, order
+                        ).reshape(outer.shape[:-1] + (jet_width(dim, order),))
+
+
+def relative_jet_gap(a, b) -> float:
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a))),
+                                              float(np.max(np.abs(b))))
+
+
+# the gradings (1,), (2,), (1, 1), (2, 1), (2, 2) and (1, 1, 1) span the
+# dimensions 1 to 4, and the kernels see only the dimension
+@SETTINGS
+@given(st.data(), DIVISION_DIMS, st.integers(1, 6))
+def test_division_inverts_composition(data, dim, order):
+    for lead in LEADS:
+        # F is shared by the leading axis of Y when `broadcast`, as the
+        # conjugators are by the centralizer families
+        for broadcast in (False, True):
+            F = data.draw(divisors(dim, order, lead[1:] if broadcast else lead))
+            Y = data.draw(arrays(np.float64, lead + (dim, jet_width(dim, order)),
+                                 elements=COEFFS, fill=st.nothing()))
+            X = flat_compose(Y, F, dim, order)
+            assert relative_jet_gap(divide_jets(X, F, dim, order), Y) <= 1e-13
+            Q = divide_jets(Y, F, dim, order)
+            assert Q.shape == Y.shape
+            assert relative_jet_gap(flat_compose(Q, F, dim, order), Y) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.data(), SPACES, st.integers(1, 5))
+def test_invert_jets_matches_the_dict_reversion(data, space, order):
+    jets = data.draw(divisors(space.dim, order, (2,)))
+    got = invert_jets(jets, space.dim, order)
+    for jet, inv in zip(jets, got):
+        ref = dict_invert(as_pair(PolyMap.from_jet(space, space, order, jet)), space.dim, order)
+        assert gap(PolyMap.from_jet(space, space, order, inv), ref) <= 1e-13

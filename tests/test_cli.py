@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -622,6 +623,74 @@ class TestVerifyCommand:
                      "--tol-override", "checks.chart.tol=1e-30"])
         assert code == 1
         assert "chart" in capsys.readouterr().err
+
+
+
+class TestFailedQuantities:
+    """A failing check names every quantity that broke its bound on stderr,
+    with its value and the bound, one line each after the failed checks."""
+
+    @staticmethod
+    def failing_run(tmp_path, capsys, name, check, tol="-1"):
+        code = main(["run", name, "--out-dir", str(tmp_path),
+                     "--tol-override", f"checks.{check}.tol={tol}"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"{name}: failed checks: {check}"
+        report = json.loads((tmp_path / "report.json").read_text())
+        return err[1:], next(c["details"] for c in report["checks"] if c["name"] == check)
+
+    @staticmethod
+    def verify_tampered(koenigs_run, tmp_path, capsys, part, term, coefficient):
+        """stderr of verify on the koenigs report with one coefficient replaced."""
+        report = json.loads(json.dumps(koenigs_run[1]))
+        report["result"][part][0]["terms"][term]["coefficient"] = coefficient
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert main(["verify", "koenigs", "--out-dir", str(tmp_path)]) == 1
+        return capsys.readouterr().err.splitlines()
+
+    def test_residual(self, koenigs_run, tmp_path, capsys):
+        top = koenigs_run[1]["result"]["conjugator"][0]["terms"][-1]["coefficient"]
+        err = self.verify_tampered(koenigs_run, tmp_path, capsys, "conjugator", -1, top + 1e-3)
+        lines = [line for line in err if line.startswith("residual:")]
+        assert lines
+        for line in lines:
+            match = re.fullmatch(r"residual: degree \d+ max (\S+) > bound (\S+)", line)
+            assert match and float(match[1]) > float(match[2])
+
+    def test_oracle(self, tmp_path, capsys):
+        lines, d = self.failing_run(tmp_path, capsys, "koenigs", "oracle")
+        assert lines == [f"oracle: max_coefficient_gap {d['max_coefficient_gap']:.3g} > tol -1"]
+
+    def test_sandwich(self, tmp_path, capsys):
+        lines, d = self.failing_run(tmp_path, capsys, "koenigs", "sandwich")
+        assert lines == [f"sandwich: max_violation {d['max_violation']:.3g} > tol -1"]
+
+    @pytest.mark.parametrize("name, mode", [("resonant2", "recover"), ("koenigs", "unique")])
+    def test_gauge(self, name, mode, tmp_path, capsys):
+        lines, d = self.failing_run(tmp_path, capsys, name, "gauge")
+        assert d["mode"] == mode
+        assert lines == [f"gauge: {key} {d[key]:.3g} > tol -1"
+                         for key in ("npart_max", "beyond_degree_max", "recovery_error")
+                         if key in d]
+
+    def test_centralizer(self, tmp_path, capsys):
+        lines, d = self.failing_run(tmp_path, capsys, "koenigs", "centralizer")
+        assert [run["power"] for run in d["powers"]] == [2, 3]
+        assert lines == [f"centralizer: power {run['power']} {key} {run[key]:.3g} > tol -1"
+                         for run in d["powers"]
+                         for key in ("npart_max", "beyond_degree_max", "vs_normal_form_power")]
+
+    def test_flag(self, koenigs_run, tmp_path, capsys):
+        err = self.verify_tampered(koenigs_run, tmp_path, capsys, "normal_form", 0, float("nan"))
+        assert "flag: max_below_flag nan > tol 1e-12" in err
+
+    def test_chart(self, tmp_path, capsys):
+        lines, d = self.failing_run(tmp_path, capsys, "koenigs", "chart", tol="1e-30")
+        assert len(lines) == len(d["points"]) == 4
+        assert lines == [f"chart: point {i} {key} {point[key]:.3g} > tol 1e-30"
+                         for i, point in enumerate(d["points"])
+                         for key in ("npart_max", "deviation_max") if point[key] > 1e-30]
 
 
 class TestPackageExports:

@@ -13,8 +13,8 @@ from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitnf import normalform
-from orbitnf.cli import _first_admissible_slot, _prepare_context
+from orbitnf import normalform, polymap
+from orbitnf.cli import _first_admissible_slot, _prepare_context, run_scenario
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
@@ -46,7 +46,7 @@ from orbitnf.polymap import (
     project_subresonance,
     stack_jets,
 )
-from orbitnf.scenarios import random_cocycle, random_scenario
+from orbitnf.scenarios import builtin_names, random_cocycle, random_scenario
 from orbitnf.verify import direct_normal_form, direct_solve_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -1033,6 +1033,42 @@ class TestLadderAgainstOracle:
         floats = sum(math.comb(m + k - 1, k) * (math.comb(m + M, m) - math.comb(m + k - 1, m))
                      for k in range(1, M + 1))
         assert diagnostics["table_bytes"] == 8 * ctx.cocycle.period * floats
+
+
+def filtered_mul_plan(dim, degree, rows, cols):
+    """``polymap._mul_plan`` filtering every entry by row and column window."""
+    e, col, src = polymap._mul_pairs(dim, degree)
+    keep = (e >= rows[0]) & (e < rows[1]) & (col >= cols[0]) & (col < cols[1])
+    e, col, src = e[keep] - rows[0], col[keep] - cols[0], src[keep]
+    width = cols[1] - cols[0]
+    return e * width + col, src, (int(e.max(initial=-1)) + 1, width)
+
+
+class TestPowerPlans:
+    def test_row_windows_cut_the_filtered_plans(self, monkeypatch, tmp_path):
+        """Every multiplication plan that the ladder rows and the builtins
+        reach, with the chart check's window solves, holds the entries
+        filtered by both windows, as sets."""
+        windows, plan = set(), polymap._mul_plan
+
+        def recorded(*args):
+            windows.add(args)
+            return plan(*args)
+
+        monkeypatch.setattr(polymap, "_mul_plan", recorded)
+        polymap._power_plan.cache_clear()  # so that every plan is built again
+        for row in LADDER:
+            solve_normal_form(ladder_context(*row))
+        for name in builtin_names():
+            assert run_scenario(name, out_dir=str(tmp_path / name)) == 0
+        assert len(windows) > 50
+        for args in windows:
+            flat, src, shape = plan(*args)
+            want_flat, want_src, want_shape = filtered_mul_plan(*args)
+            assert shape == want_shape
+            assert len(set(flat.tolist())) == len(flat)
+            assert (set(zip(flat.tolist(), src.tolist()))
+                    == set(zip(want_flat.tolist(), want_src.tolist())))
 
 
 class TestResultShape:

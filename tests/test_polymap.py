@@ -220,6 +220,26 @@ class TestInvert:
         for pm, jet in zip(maps, got):
             assert np.array_equal(jet, invert_truncated(pm, M).jet)
 
+    def test_invert_jets_divides_through_one_table(self, monkeypatch):
+        # no composition per degree: one table of the stack and the
+        # substitution matrices of the inverse linear parts
+        tables = []
+
+        def forbidden(*args):
+            raise AssertionError("invert_jets composed")
+
+        def counted_table(jets, *args, _fn=polymap.composition_table):
+            tables.append(jets.shape)
+            return _fn(jets, *args)
+
+        rng = np.random.default_rng(9)
+        maps = [random_polymap(rng, S11, 4, linear=np.eye(2) + 0.3 * rng.standard_normal((2, 2)))
+                for _ in range(3)]
+        monkeypatch.setattr(polymap, "compose_jets", forbidden)
+        monkeypatch.setattr(polymap, "composition_table", counted_table)
+        invert_jets(stack_jets(maps, 4), 2, 4)
+        assert tables == [(3, 2, jet_width(2, 4))]
+
     def test_invert_jets_singular_entry(self):
         # one singular linear part in the stack is a ValueError naming it,
         # not numpy's LinAlgError
@@ -632,12 +652,23 @@ class TestIndexReference:
                 np.testing.assert_array_equal(got_parent, parent)
                 assert polymap._first_runs(dim, n) == index_reference.first_runs(dim, n)
 
+    def test_first_runs_lead_their_parents(self):
+        # the parents of run j are the leading b - a monomials one degree
+        # down, in order, so the power kernel reads them as a view
+        for m in range(1, 9):
+            for k in range(1, 10):
+                parent = polymap._recurrence(m, k)[1]
+                for a, b in polymap._first_runs(m, k):
+                    np.testing.assert_array_equal(parent[a:b], np.arange(b - a))
+
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_multiplication_entries(self, dim):
         for degree in range(9):
-            for got, want in zip(polymap._mul_pairs(dim, degree),
-                                 index_reference.mul_pairs(dim, degree)):
-                np.testing.assert_array_equal(got, want)
+            want = index_reference.mul_pairs(dim, degree)
+            # the package keeps the entries sorted by row, stably
+            order = np.argsort(want[0], kind="stable")
+            for got, want in zip(polymap._mul_pairs(dim, degree), want):
+                np.testing.assert_array_equal(got, want[order])
 
     @pytest.mark.parametrize("dim", range(1, 7))
     def test_block_degree_groups_every_split(self, dim):

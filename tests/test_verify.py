@@ -559,11 +559,15 @@ class TestBatchedChecks:
 
 class TestKernelCalls:
     def test_calls_do_not_grow_with_the_period(self, monkeypatch):
-        calls = []
+        calls, tables = [], []
 
         def counted(outer, *args, _fn=polymap.compose_jets):
             calls.append(len(outer))
             return _fn(outer, *args)
+
+        def counted_table(jets, *args, _fn=polymap.composition_table):
+            tables.append(len(jets))
+            return _fn(jets, *args)
 
         counts = {}
         for K in (1, 4):
@@ -571,23 +575,25 @@ class TestKernelCalls:
             res_alt = lifted_result(ctx)
             monkeypatch.setattr(polymap, "compose_jets", counted)
             monkeypatch.setattr(verify, "compose_jets", counted)
+            monkeypatch.setattr(polymap, "composition_table", counted_table)
             runs = {"residual": lambda: conjugacy_residual(c, res),
                     "gauge": lambda: gauge_compare(res, res_alt),
                     "centralizer": lambda: centralizer_check(
                         c, res, [iterate_extension(c, 3, res.order)])[0]}
             for name, run in runs.items():
                 calls.clear()
+                tables.clear()
                 assert run().passed
-                counts[K, name] = len(calls)
+                counts[K, name] = (len(calls), len(tables))
                 assert max(calls) <= K  # stacks of at most K entries
+                assert all(n == K for n in tables)  # one table of the K conjugators
             monkeypatch.undo()
-        M = 4
-        # residual: one per side; gauge: M - 1 for the inverse, two
-        # compositions; centralizer: two for F^3, one per side of the
-        # commutation, M - 1, two conjugations
+        # residual: one per side; gauge: the round trip, the transition is a
+        # division through one table; centralizer: two for F^3, one per side
+        # of the commutation, one for H o G before the division by H
         assert counts == {(K, name): n for K in (1, 4)
-                          for name, n in (("residual", 2), ("gauge", M + 1),
-                                          ("centralizer", M + 5))}
+                          for name, n in (("residual", (2, 0)), ("gauge", (1, 1)),
+                                          ("centralizer", (5, 1)))}
 
     def test_centralizer_calls_follow_the_largest_power(self, monkeypatch):
         """Every listed power shares each step of the check, so the number of
@@ -607,10 +613,32 @@ class TestKernelCalls:
             assert _check_centralizer(ctx, res, {"tol": 1e-9, "powers": powers})[1]
             counts.add(len(calls))
             assert max(calls) == len(powers) * c.period  # all powers in one stack
-        M = 4
-        # two each for F^3 and P^3, one per side of the commutation, M - 1
-        # for the inverse, two conjugations
-        assert counts == {M + 7}
+        # two each for F^3 and P^3, one per side of the commutation, one for
+        # H o G before the division by H
+        assert counts == {7}
+
+
+class TestCheckMemory:
+    def test_divisions_peak_below_the_residual(self):
+        """On the (3,3) K=1 M=6 ladder row the composition table that a
+        division keeps of H takes less memory than the residual check's
+        composition H o F one degree above the solve."""
+        coc = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (3, 3), 1, amp=0.05)
+        ctx = SolverContext.prepare(coc, 0.03, 6)
+        res, res_alt = solve_normal_form(ctx), lifted_result(ctx)
+        ext = iterate_extension(coc, 2, res.order)
+        peaks = {}
+        for name, run in (("residual", lambda: conjugacy_residual(coc, res)),
+                          ("gauge", lambda: gauge_compare(res, res_alt)),
+                          ("centralizer", lambda: centralizer_check(coc, res, [ext])[0])):
+            tracemalloc.start()
+            try:
+                assert run().passed
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["gauge"] <= peaks["residual"]
+        assert peaks["centralizer"] <= peaks["residual"]
 
 
 class TestFlagInvariance:
