@@ -50,7 +50,6 @@ _EXPORTS = {
         "solve_normal_form",
     ],
     "verify": [
-        "CommutingExtension",
         "chart_transitions",
         "centralizer_check",
         "conjugacy_residual",
@@ -58,7 +57,7 @@ _EXPORTS = {
         "direct_solve_oracle",
         "flag_invariance",
         "gauge_compare",
-        "iterate_extension",
+        "iterates",
         "series_vs_direct",
     ],
     "scenarios": ["builtin_names", "build_builtin"],

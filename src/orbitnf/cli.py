@@ -40,17 +40,15 @@ import numpy as np
 
 from .cocycle import OrbitCocycle, sandwich_check
 from .normalform import NormalFormResult, SolverContext, solve_normal_form
-from .polymap import PolyMap, _mono_table, degree_cols, stack_jets
+from .polymap import PolyMap, _mono_table, degree_cols
 from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
 from .verify import (
-    CommutingExtension,
-    _coeff_gap,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
     flag_invariance,
     gauge_compare,
-    iterate_extension,
+    iterates,
     series_vs_direct,
 )
 
@@ -384,14 +382,14 @@ def _check_gauge(ctx, result, cfg):
     details["delta"] = delta
     details["slot"] = [degree, coord, list(alpha)]
     if slot is None:
-        diff = _coeff_gap(result.conjugator, result_alt.conjugator)
+        diff = float(np.max(np.abs(result.conjugator_jets - result_alt.conjugator_jets)))
         details["mode"] = "unique"
         details["conjugator_gap"] = diff
         passed = rep.passed and diff <= _UNIQUE_GAP_TOL
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
         col = degree_cols(space.dim, degree).start + _mono_table(space.dim, degree)[1][alpha]
-        err = float(np.max(np.abs(stack_jets(rep.transition, degree)[:, coord, col] + delta)))
+        err = float(np.max(np.abs(rep.transition[:, coord, col] + delta)))
         details["mode"] = "recover"
         details["recovery_error"] = err
         passed = rep.passed and err <= tol
@@ -403,23 +401,19 @@ def _check_centralizer(ctx, result, cfg):
     tol = float(cfg["tol"])
     cocycle, order = ctx.cocycle, result.order
     powers = cfg.get("powers", [2, 3])
-    # F^p and P^p for p = 1, 2, ...: each power is the one below composed once more
-    chain = [(iterate_extension(cocycle, 1, order), CommutingExtension(1, result.normal_form))]
-    while len(chain) < max(powers, default=0):
-        ext, nf_power = chain[-1]
-        chain.append((ext.then(cocycle.fiber_maps, order),
-                      nf_power.then(result.normal_form, order)))
-    reports = centralizer_check(cocycle, result, [chain[p - 1][0] for p in powers], tol=tol)
+    reports = centralizer_check(cocycle, result,
+                                list(zip(powers, iterates(cocycle.jets, powers, order))), tol=tol)
     runs = []
-    for power, rep in zip(powers, reports):
-        gap = _coeff_gap(rep.maps, chain[power - 1][1].maps)
+    for power, rep, nf_power in zip(powers, reports,
+                                    iterates(result.normal_form_jets, powers, order)):
+        gap = float(np.max(np.abs(rep.maps - nf_power)))
         runs.append(dict(rep.to_dict(), power=power, vs_normal_form_power=gap,
                          passed=rep.passed and gap <= tol))
     return {"powers": runs, "tol": tol}, all(entry["passed"] for entry in runs)
 
 
 def _check_flag(ctx, result, cfg):
-    rep = flag_invariance(result.normal_form, tol=float(cfg["tol"]))
+    rep = flag_invariance(result.normal_form_jets, result.space, tol=float(cfg["tol"]))
     return rep.to_dict(), rep.passed
 
 
@@ -619,14 +613,10 @@ def _cmd_verify(args) -> int:
 
     ctx = _prepare_context(cocycle, config)
     stored = report["result"]
-    result = NormalFormResult(
-        conjugator=tuple(PolyMap.from_dict(d) for d in stored["conjugator"]),
-        normal_form=tuple(PolyMap.from_dict(d) for d in stored["normal_form"]),
-        spectrum=ctx.spectrum,
-        structure=ctx.structure,
-        order=int(stored["order"]),
-        diagnostics=stored.get("diagnostics", {}),
-    )
+    result = NormalFormResult.from_maps(
+        [PolyMap.from_dict(d) for d in stored["conjugator"]],
+        [PolyMap.from_dict(d) for d in stored["normal_form"]],
+        ctx.spectrum, ctx.structure, int(stored["order"]), stored.get("diagnostics", {}))
     checks, _ = run_checks(ctx, result, cocycle, config)
     for entry in checks:
         if not entry["enabled"]:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .grading import Spectrum
-from .polymap import GradedSpace, PolyMap
+from .polymap import GradedSpace, PolyMap, _linear_parts, stack_jets
 
 MAX_GRAM_STEPS = 200_000
 
@@ -54,8 +54,9 @@ class OrbitCocycle:
 
     Map k sends the fiber at orbit point k to the fiber at point k+1 (mod K).
     All maps share one graded coordinate space, fix the origin, and have
-    invertible linear parts.  The linear parts are extracted once into the
-    read-only (K, m, m) stack ``linears``.
+    invertible linear parts.  The maps are stacked once into the read-only
+    (K, m, jet_width(m, degree)) jet stack ``jets``, and their linear parts
+    into the read-only (K, m, m) stack ``linears``.
     """
 
     space: GradedSpace
@@ -70,7 +71,9 @@ class OrbitCocycle:
                 raise ValueError(f"fiber map {k} is not over the cocycle space")
             if np.any(pm.constant != 0.0):
                 raise ValueError(f"fiber map {k} does not fix the origin")
-        self.linears = np.stack([pm.linear_matrix() for pm in self.fiber_maps])
+        self.jets = stack_jets(self.fiber_maps, self.degree)
+        self.jets.setflags(write=False)
+        self.linears = np.ascontiguousarray(_linear_parts(self.jets, self.dim))
         # condition number sigma_max / sigma_min of 1e12 or more, zero maps included
         sigma = np.linalg.svd(self.linears, compute_uv=False)
         singular = np.flatnonzero(sigma[:, 0] >= 1e12 * sigma[:, -1])

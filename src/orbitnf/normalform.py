@@ -47,7 +47,9 @@ finish.  Three transfer solvers plug into the loop:
 
 The loop runs on jet stacks with any number of batch axes between the orbit
 axis and the coefficients, so the windows of several chart points are
-solved in one pass.
+solved in one pass.  A periodic solve keeps its (K, m, w) stacks of H and P
+as they come out of the loop, in a ``NormalFormResult``; its PolyMap tuples
+are views of their rows, built on first read for the API and the report.
 """
 
 from dataclasses import dataclass
@@ -320,8 +322,7 @@ class SolverContext:
     @cached_property
     def table(self) -> tuple[np.ndarray, ...]:
         """Composition table of the fiber maps through `order`, built on first read."""
-        return composition_table(stack_jets(self.cocycle.fiber_maps, self.order),
-                                 self.cocycle.dim, self.order)
+        return composition_table(self.cocycle.jets, self.cocycle.dim, self.order)
 
     @cached_property
     def ainvs(self) -> np.ndarray:
@@ -420,31 +421,72 @@ def _degree_loop(fibers: np.ndarray, n_conj: int,
 
 
 def _orbit_loop(ctx: "SolverContext", transfer: Transfer, lift: PolyMap | None = None
-                ) -> tuple[list[PolyMap], list[PolyMap], list[dict]]:
-    """The degree loop around the orbit of ctx: conjugators, normal forms, diagnostics."""
-    space, order = ctx.cocycle.space, ctx.order
-    conj, nf, diags = _degree_loop(stack_jets(ctx.cocycle.fiber_maps, order),
-                                   ctx.cocycle.period, ctx.operator, order, transfer, lift)
-    h_maps = [PolyMap.from_jet(space, space, order, h) for h in conj]
-    p_maps = [PolyMap.from_jet(space, space, order, p).truncated(top_degree(p, space.dim))
-              for p in nf]
-    return h_maps, p_maps, diags
+                ) -> "NormalFormResult":
+    """The degree loop around the orbit of ctx under `transfer`, its stacks
+    wrapped as a result."""
+    conj, nf, degree_diags = _degree_loop(ctx.cocycle.jets, ctx.cocycle.period, ctx.operator,
+                                          ctx.order, transfer, lift)
+    diagnostics = {
+        "order": ctx.order,
+        "period": ctx.cocycle.period,
+        "degree_bound": ctx.structure.degree_bound,
+        "spectral_gap": ctx.structure.spectral_gap,
+        "epsilon": ctx.spectrum.epsilon,
+        "table_bytes": sum(T.nbytes for T in ctx.table),
+        "degrees": degree_diags,
+    }
+    return NormalFormResult(conj, nf, ctx.spectrum, ctx.structure, ctx.order, diagnostics)
 
 
 @dataclass(eq=False)
 class NormalFormResult:
-    """Conjugator and normal form at every orbit point, plus solve telemetry."""
+    """Conjugator and normal form at every orbit point, plus solve telemetry.
 
-    conjugator: tuple[PolyMap, ...]
-    normal_form: tuple[PolyMap, ...]
+    ``conjugator_jets`` and ``normal_form_jets`` are the read-only jet stacks
+    of H_k and P_k, shape (K, m, jet_width(m, order)), which every check
+    reads.  ``conjugator`` and ``normal_form`` are PolyMap views of their
+    rows, built on first read for the API and the report; each P_k view is
+    truncated to the degree of its top term.
+    """
+
+    conjugator_jets: np.ndarray
+    normal_form_jets: np.ndarray
     spectrum: Spectrum
     structure: SubResStructure
     order: int
     diagnostics: dict
 
+    def __post_init__(self):
+        for jets in (self.conjugator_jets, self.normal_form_jets):
+            jets.setflags(write=False)
+
+    @classmethod
+    def from_maps(cls, conjugator, normal_form, spectrum: Spectrum,
+                  structure: SubResStructure, order: int,
+                  diagnostics: dict) -> "NormalFormResult":
+        """A result over loaded maps, each sequence stacked once at `order`."""
+        return cls(stack_jets(conjugator, order), stack_jets(normal_form, order),
+                   spectrum, structure, order, diagnostics)
+
     @property
     def period(self) -> int:
-        return len(self.conjugator)
+        return len(self.conjugator_jets)
+
+    @cached_property
+    def space(self) -> GradedSpace:
+        return GradedSpace(self.spectrum.multiplicities)
+
+    @cached_property
+    def conjugator(self) -> tuple[PolyMap, ...]:
+        return tuple(PolyMap.from_jet(self.space, self.space, self.order, h)
+                     for h in self.conjugator_jets)
+
+    @cached_property
+    def normal_form(self) -> tuple[PolyMap, ...]:
+        m = self.space.dim
+        tops = [top_degree(p, m) for p in self.normal_form_jets]
+        return tuple(PolyMap.from_jet(self.space, self.space, d, p[:, :jet_width(m, d)])
+                     for p, d in zip(self.normal_form_jets, tops))
 
     def to_dict(self) -> dict:
         return {
@@ -462,31 +504,12 @@ def solve_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> Normal
 
     `lift` fixes the gauge: its admissible part is added to every conjugator.
     """
-    K = ctx.cocycle.period
-
     def series(op, q_vecs):
         h_vecs, info = _series(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
         info["contraction_factor"] = contraction_factor(ctx.spectrum, op.n)
         return h_vecs, info
 
-    h_maps, p_maps, degree_diags = _orbit_loop(ctx, series, lift)
-    diagnostics = {
-        "order": ctx.order,
-        "period": K,
-        "degree_bound": ctx.structure.degree_bound,
-        "spectral_gap": ctx.structure.spectral_gap,
-        "epsilon": ctx.spectrum.epsilon,
-        "table_bytes": sum(T.nbytes for T in ctx.table),
-        "degrees": degree_diags,
-    }
-    return NormalFormResult(
-        conjugator=tuple(h_maps),
-        normal_form=tuple(p_maps),
-        spectrum=ctx.spectrum,
-        structure=ctx.structure,
-        order=ctx.order,
-        diagnostics=diagnostics,
-    )
+    return _orbit_loop(ctx, series, lift)
 
 
 def _window_sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -538,39 +538,16 @@ class PolyMap:
         return PolyMap.from_jet(self.source, self.target, max_degree,
                                 _fit(self.jet, jet_width(self.source.dim, max_degree)))
 
-    def with_constant(self, vec) -> "PolyMap":
-        jet = self.jet.copy()
-        jet[:, 0] = vec
-        return PolyMap.from_jet(self.source, self.target, self.degree, jet)
-
-    def term_type(self, i: int, alpha: MultiIndex) -> Type:
-        """Homogeneous type (target block, per-block source degrees) of a term."""
-        return (self.target.block_of_coord[i], self.source.block_degrees(alpha))
-
     def max_degree_present(self) -> int:
         return top_degree(self.jet, self.source.dim)
 
-    def coeff_max(self) -> float:
-        return float(np.max(np.abs(self.jet[:, 1:]), initial=0.0))
-
-    def nonlinear_coeff_max(self) -> float:
-        return float(np.max(np.abs(self.jet[:, 1 + self.source.dim:]), initial=0.0))
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def _binop(self, other: "PolyMap", sign: float) -> "PolyMap":
+    def __add__(self, other: "PolyMap") -> "PolyMap":
         if self.source != other.source or self.target != other.target:
             raise ValueError("polymap gradings do not match")
         degree = max(self.degree, other.degree)
         width = jet_width(self.source.dim, degree)
         return PolyMap.from_jet(self.source, self.target, degree,
-                                _fit(self.jet, width) + sign * _fit(other.jet, width))
-
-    def __add__(self, other: "PolyMap") -> "PolyMap":
-        return self._binop(other, 1.0)
-
-    def __sub__(self, other: "PolyMap") -> "PolyMap":
-        return self._binop(other, -1.0)
+                                _fit(self.jet, width) + _fit(other.jet, width))
 
     # -- serialization ------------------------------------------------------------
 

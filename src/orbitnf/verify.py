@@ -20,12 +20,16 @@ from a different direction:
   coefficients.
 
 Every check reads coefficients; none samples points or takes a seed.  The
-checks hold at every orbit point, and each check step is one stacked kernel
-call whatever the period K: one ``compose_jets`` call per side of an
-identity on K maps (K per family for all centralizer families at once), one
-``divide_jets`` call where a check composes with an inverse, and one
-assembly, SVD and solve per system shape in the oracle.  Read-outs are
-numpy maxima: NaN fails.
+checks read the (K, m, w) jet stacks of the result
+(``NormalFormResult.conjugator_jets``, ``normal_form_jets``) and of the
+cocycle (``OrbitCocycle.jets``) and build no PolyMap: a commuting family
+is a (shift, stack) pair, and the transitions and conjugated families the
+reports keep are jets.  The checks hold at every orbit point, and each
+check step is one stacked kernel call whatever the period K: one
+``compose_jets`` call per side of an identity on K maps (K per family for
+all centralizer families at once), one ``divide_jets`` call where a check
+composes with an inverse, and one assembly, SVD and solve per system shape
+in the oracle.  Read-outs are numpy maxima: NaN fails.
 """
 
 from __future__ import annotations
@@ -38,12 +42,12 @@ import numpy as np
 from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _linear_jets, compose_jets, degree_cols, divide_jets,
-                      jet_width, stack_jets, subresonance_mask)
+from .polymap import (PolyMap, _fit, _linear_jets, compose_jets, degree_cols, divide_jets,
+                      jet_width, subresonance_mask, top_degree)
 
 
-# field metadata of the polynomial maps a report keeps but does not serialize
-_MAPS = {"serialized": False}
+# field metadata of the jets a report keeps but does not serialize
+_JETS = {"serialized": False}
 
 
 class _Report:
@@ -57,22 +61,6 @@ class _Report:
                 out[f.name] = list(value) if isinstance(value, tuple) else value
         out["passed"] = self.passed
         return out
-
-
-def _stack(maps) -> np.ndarray:
-    """Jets of maps over one space, stacked at the highest degree among them."""
-    return stack_jets(maps, max(pm.degree for pm in maps))
-
-
-def _coeff_gap(a, b) -> float:
-    """Largest coefficient mismatch of two sequences of maps, pair by pair; NaN propagates."""
-    jets = _stack([*a, *b])
-    return float(np.max(np.abs(jets[:len(a)] - jets[len(a):])))
-
-
-def _maps(space, degree: int, jets: np.ndarray) -> tuple[PolyMap, ...]:
-    """PolyMaps over one space from a stack of jets."""
-    return tuple(PolyMap.from_jet(space, space, degree, jet) for jet in jets)
 
 
 def _npart_max(jets: np.ndarray, space, degree: int, structure) -> tuple[float, float]:
@@ -142,7 +130,7 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
     if result.period != cocycle.period:
         raise ValueError("result and cocycle have different periods")
     K, m, M = cocycle.period, cocycle.dim, result.order
-    h, p, f = _stack(result.conjugator), _stack(result.normal_form), _stack(cocycle.fiber_maps)
+    h, p, f = result.conjugator_jets, result.normal_form_jets, cocycle.jets
     # each side its own call: P has a lower top degree than H, and a stacked
     # call would form the powers of H through the largest outer degree
     defect = (compose_jets(h[(np.arange(K) + 1) % K], f, m, M + 1)
@@ -152,8 +140,8 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
     n = np.arange(M + 1)
     monos = np.array([math.comb(m + d - 1, d) for d in n])
     chains = (n + 1) * np.array([jet_width(m, d) for d in n]) * np.finfo(float).eps
-    h_norm = np.max([[np.linalg.norm(hk.part(d)) for d in n]
-                     for hk in result.conjugator], axis=0)
+    h_norm = np.max([[np.linalg.norm(hk[:, degree_cols(m, d)]) for d in n] for hk in h],
+                    axis=0)
     h_maj, f_maj, p_maj = (_majorants(x, m, M) for x in (h, f, p))
     bounds = np.zeros(M + 1)
     for k in range(K):
@@ -216,28 +204,28 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     return out, {}
 
 
-def direct_normal_form(ctx: SolverContext, lift: PolyMap | None = None
-                       ) -> tuple[list[PolyMap], list[PolyMap]]:
+def direct_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> NormalFormResult:
     """Full degree loop with the dense oracle in place of the series, under
     the gauge of `lift` as in ``solve_normal_form``."""
-    h_maps, p_maps, _ = _orbit_loop(ctx, direct_solve_oracle, lift)
-    return h_maps, p_maps
+    return _orbit_loop(ctx, direct_solve_oracle, lift)
 
 
 def series_vs_direct(ctx: SolverContext, result: NormalFormResult) -> float:
-    """Largest coefficient gap between the series and dense-solve pipelines;
-    NaN propagates."""
+    """Largest coefficient gap between the series and dense-solve pipelines,
+    over both pairs of stacks; NaN propagates."""
     if result.period != ctx.cocycle.period or result.order != ctx.order:
         raise ValueError("result does not match the solver context")
-    h_direct, p_direct = direct_normal_form(ctx)
-    return _coeff_gap([*result.conjugator, *result.normal_form], h_direct + p_direct)
+    direct = direct_normal_form(ctx)
+    return float(np.max(np.abs(np.stack([result.conjugator_jets - direct.conjugator_jets,
+                                          result.normal_form_jets - direct.normal_form_jets]))))
 
 
 @dataclass
 class GaugeReport(_Report):
-    """Transition G with H = G o H_alt, tested against the sub-resonance group."""
+    """Transition G with H = G o H_alt, tested against the sub-resonance group;
+    ``transition`` is the (K, m, w) jet stack of the G_k."""
 
-    transition: tuple[PolyMap, ...] = field(metadata=_MAPS)
+    transition: np.ndarray = field(metadata=_JETS)
     npart_max: float
     beyond_degree_max: float
     alignment_max: float
@@ -261,54 +249,33 @@ def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
     """
     if result.period != result_alt.period or result.order != result_alt.order:
         raise ValueError("results differ in period or order")
-    order = result.order
-    space = result.conjugator[0].source
-    h, h_alt = _stack(result.conjugator), _stack(result_alt.conjugator)
+    order, space = result.order, result.space
+    h, h_alt = result.conjugator_jets, result_alt.conjugator_jets
     g = divide_jets(h, h_alt, space.dim, order)
     align = float(np.max(np.abs(compose_jets(g, h_alt, space.dim, order) - h)))
-    return GaugeReport(_maps(space, order, g), *_npart_max(g, space, order, result.structure),
-                       align, tol)
+    return GaugeReport(g, *_npart_max(g, space, order, result.structure), align, tol)
 
 
-@dataclass(eq=False)
-class CommutingExtension:
-    """Family G_k of fiber maps sending the fiber at point k to point k+shift."""
-
-    shift: int
-    maps: tuple[PolyMap, ...]
-
-    def __post_init__(self):
-        if not self.maps:
-            raise ValueError("extension needs at least one map")
-        space = self.maps[0].source
-        for pm in self.maps:
-            if pm.source != space or pm.target != space:
-                raise ValueError("extension maps are not over a common space")
-
-    def then(self, maps, order: int) -> "CommutingExtension":
-        """The family one step further along the orbit: maps[k+shift] o G_k,
-        one stacked composition."""
-        K, space = len(self.maps), self.maps[0].source
-        outer = _stack([maps[(k + self.shift) % K] for k in range(K)])
-        return CommutingExtension(self.shift + 1, _maps(
-            space, order, compose_jets(outer, _stack(self.maps), space.dim, order)))
-
-
-def iterate_extension(cocycle, power: int, order: int) -> CommutingExtension:
-    """The cocycle composed with itself ``power`` times, truncated at order."""
-    if power < 1:
+def iterates(jets: np.ndarray, powers, order: int) -> list[np.ndarray]:
+    """The p-fold iterates F_{k+p-1} o ... o F_k of a (K, m, w) stack of maps
+    around the orbit, through `order`, one (K, m, jet_width(m, order)) stack
+    per entry of `powers`.  Each power is the one below composed once more,
+    F^{p+1}_k = F_{k+p} o F^p_k, one stacked composition per step."""
+    if min(powers, default=1) < 1:
         raise ValueError("power must be at least 1")
-    ext = CommutingExtension(1, tuple(pm.truncated(order) for pm in cocycle.fiber_maps))
-    for _ in range(1, power):
-        ext = ext.then(cocycle.fiber_maps, order)
-    return ext
+    K, m = len(jets), jets.shape[-2]
+    chain = [_fit(jets, jet_width(m, order))]
+    while len(chain) < max(powers, default=0):
+        chain.append(compose_jets(jets[(np.arange(K) + len(chain)) % K], chain[-1], m, order))
+    return [chain[p - 1] for p in powers]
 
 
 @dataclass
 class CentralizerReport(_Report):
-    """Conjugated commuting family, tested against the sub-resonance group."""
+    """Conjugated commuting family, tested against the sub-resonance group;
+    ``maps`` is the (K, m, w) jet stack of the C_k."""
 
-    maps: tuple[PolyMap, ...] = field(metadata=_MAPS)
+    maps: np.ndarray = field(metadata=_JETS)
     shift: int
     commutation_residual: float
     npart_max: float
@@ -321,14 +288,17 @@ class CentralizerReport(_Report):
                 and self.beyond_degree_max <= self.tol)
 
 
-def centralizer_check(cocycle, result: NormalFormResult, extensions,
+def centralizer_check(cocycle, result: NormalFormResult, families,
                       commute_tol: float = 1e-10,
                       tol: float = 1e-9) -> list[CentralizerReport]:
     """Conjugate commuting families by H and test group membership.
 
-    Verifies the commutation G_{k+1} o F_k = F_{k+shift} o G_k of every
-    family degreewise up to the solve order, raising on the first that
-    fails, then checks that every C_k = H_{k+shift} o G_k o H_k^{-1} has
+    A family is a (shift, stack) pair: the (K, m, w) jet stack of maps G_k
+    sending the fiber at point k to point k + shift, as ``iterates`` makes
+    them.  Verifies the commutation G_{k+1} o F_k = F_{k+shift} o G_k of
+    every family degreewise up to the solve order, raising on the first
+    whose residual exceeds commute_tol times its largest coefficient, then
+    checks that every C_k = H_{k+shift} o G_k o H_k^{-1} has
     admissible coefficients only and nothing above the degree bound.  All
     families form one stack of K maps each: each side of the commutation
     and H_{k+shift} o G_k are one composition each, and the division by
@@ -336,31 +306,31 @@ def centralizer_check(cocycle, result: NormalFormResult, extensions,
     by every family.  Returns one report per family.
     """
     K = cocycle.period
-    if result.period != K or any(len(ext.maps) != K for ext in extensions):
-        raise ValueError("extension, result and cocycle must share the period")
-    if not extensions:
+    if result.period != K or any(len(jets) != K for _, jets in families):
+        raise ValueError("family, result and cocycle must share the period")
+    if not families:
         return []
-    order, m, n_fam = result.order, cocycle.dim, len(extensions)
-    space = extensions[0].maps[0].source
+    order, m, n_fam = result.order, cocycle.dim, len(families)
     # entry K j + k of a stack is family j at orbit point k
     point = np.tile(np.arange(K), n_fam)
     family = np.repeat(K * np.arange(n_fam), K)
-    shifted = (point + np.repeat([ext.shift for ext in extensions], K)) % K
+    shifted = (point + np.repeat([shift for shift, _ in families], K)) % K
 
-    g, f = _stack([pm for ext in extensions for pm in ext.maps]), _stack(cocycle.fiber_maps)
+    g = np.concatenate([_fit(jets, jet_width(m, order)) for _, jets in families])
+    f = cocycle.jets
     comm = np.abs(compose_jets(g[family + (point + 1) % K], f[point], m, order)
                   - compose_jets(f[shifted], g, m, order)).reshape(n_fam, -1).max(axis=1)
-    for ext, residual in zip(extensions, comm):
-        if not residual <= commute_tol * max(1.0, max(pm.coeff_max() for pm in ext.maps)):
+    for (_, jets), residual in zip(families, comm):
+        if not residual <= commute_tol * max(1.0, float(np.max(np.abs(jets[..., 1:])))):
             raise ValueError(f"the family does not commute with the cocycle up to "
                              f"degree {order}: residual {residual:.3e}")
 
-    h = _stack(result.conjugator)
+    h = result.conjugator_jets
     conjugated = divide_jets(compose_jets(h[shifted], g, m, order).reshape(n_fam, K, m, -1),
                              h, m, order)
-    return [CentralizerReport(_maps(space, order, c), ext.shift, float(residual),
-                              *_npart_max(c, space, order, result.structure), tol)
-            for ext, residual, c in zip(extensions, comm, conjugated)]
+    return [CentralizerReport(c, shift, float(residual),
+                              *_npart_max(c, cocycle.space, order, result.structure), tol)
+            for (shift, _), residual, c in zip(families, comm, conjugated)]
 
 
 @dataclass
@@ -375,37 +345,33 @@ class FlagReport(_Report):
         return self.max_below_flag <= self.tol
 
 
-def flag_invariance(maps, tol: float = 1e-12) -> FlagReport:
+def flag_invariance(jets: np.ndarray, space, tol: float = 1e-12) -> FlagReport:
     """Check that the Jacobian of each map is block triangular everywhere.
 
-    Sub-resonance coefficients never depend on strictly slower variables, so
-    each partial derivative of a faster component with respect to a slower
-    variable must vanish identically: the derivative of c t^alpha in t_j has
-    the one coefficient c alpha_j, and the report holds the largest
-    |c| alpha_j with block[j] < block[i] over the components i.
+    jets is a jet or a stack of jets over `space`.  Sub-resonance
+    coefficients never depend on strictly slower variables, so each partial
+    derivative of a faster component with respect to a slower variable must
+    vanish identically: the derivative of c t^alpha in t_j has the one
+    coefficient c alpha_j, and the report holds the largest |c| alpha_j with
+    block[j] < block[i] over the components i.
     """
-    if isinstance(maps, PolyMap):
-        maps = [maps]
-    maps = list(maps)
-    if not maps:
-        raise ValueError("no maps to check")
-    space = maps[0].source
-    if any(pm.source != space for pm in maps):
-        raise ValueError("maps are not over a common space")
+    jets, m = np.asarray(jets), space.dim
+    if jets.ndim < 2 or jets.shape[-2] != m or not jets.size:
+        raise ValueError(f"no jets over {m} coordinates to check")
     block = np.array(space.block_of_coord)
     below = block[None, :] < block[:, None]
-    jets, m = _stack(maps), space.dim
     worst = [(np.abs(jets[..., degree_cols(m, n), None]) * _exponents(m, n)
               * below[:, None, :]).max(initial=0.0)
-             for n in range(1, max(pm.degree for pm in maps) + 1)]
-    return FlagReport(float(np.max(worst)), tol)
+             for n in range(1, top_degree(jets, m) + 1)]
+    return FlagReport(float(np.max(worst, initial=0.0)), tol)
 
 
 @dataclass
 class ChartReport(_Report):
-    """Transition between normal form charts at a periodic and a nearby point."""
+    """Transition between normal form charts at a periodic and a nearby point;
+    ``transition`` is the jet of G."""
 
-    transition: PolyMap = field(metadata=_MAPS)
+    transition: np.ndarray = field(metadata=_JETS)
     offset: tuple[float, ...]
     window: int
     npart_max: float
@@ -477,7 +443,7 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     # every map recentred on its point, t -> f_j(c_j + t) - c_{j+1}, in one composition
     shifts = np.repeat(_linear_jets(np.eye(m))[None], window * P, axis=0)
     shifts[:, :, 0] = centers.reshape(-1, m)
-    outer = np.repeat(stack_jets(cocycle.fiber_maps, cocycle.degree)[steps], P, axis=0)
+    outer = np.repeat(cocycle.jets[steps], P, axis=0)
     jets = compose_jets(outer, shifts, m, cocycle.degree).reshape(window, P, m, -1)
     jets[..., 0] = 0.0
 
@@ -485,17 +451,16 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     to_local = np.repeat(_linear_jets(np.eye(m))[None], P, axis=0)
     to_local[:, :, 0] = -ys
     g_jets = divide_jets(compose_jets(h_win[0], to_local, m, order),
-                         result.conjugator[base % K].jet, m, order)
+                         result.conjugator_jets[base % K], m, order)
 
     width = jet_width(m, ctx.structure.degree_bound)
     degrees = np.repeat(np.arange(order + 1), [math.comb(m + d - 1, d) for d in range(order + 1)])
     keep = subresonance_mask(space, space, order, ctx.structure)
     reports = []
     for y, g_jet in zip(ys, g_jets):
-        g = PolyMap.from_jet(space, space, order, g_jet)
         n_part = np.abs(g_jet - np.where(keep, g_jet, 0.0))
         radius = max(float(np.linalg.norm(y)), 1e-2)
-        reports.append(ChartReport(g, tuple(float(v) for v in y), window,
+        reports.append(ChartReport(g_jet, tuple(float(v) for v in y), window,
                                    float(np.max(n_part[:, :width])),
                                    float(np.max(n_part @ radius ** degrees)), radius, tol))
     return reports

@@ -12,15 +12,17 @@ import math
 
 import numpy as np
 
-from orbitnf.polymap import (PolyMap, compose_truncated, divide_jets, jet_width,
-                             project_subresonance)
-from orbitnf.verify import (CentralizerReport, CommutingExtension, GaugeReport, ResidualReport,
-                            _compose_majorants)
+from orbitnf.polymap import (PolyMap, _fit, compose_truncated, degree_cols, divide_jets,
+                             jet_width, project_subresonance)
+from orbitnf.verify import CentralizerReport, GaugeReport, ResidualReport, _compose_majorants
 
 
 def coeff_diff(a, b) -> float:
-    """Largest coefficient mismatch of two maps, constants included."""
-    return float(np.max(np.abs((a - b).jet)))
+    """Largest coefficient mismatch of two maps, jets or stacks of jets,
+    constants included, the narrower padded with zeros; NaN propagates."""
+    a, b = (np.asarray(getattr(x, "jet", x)) for x in (a, b))
+    width = max(a.shape[-1], b.shape[-1])
+    return float(np.max(np.abs(_fit(a, width) - _fit(b, width))))
 
 
 def divide(outer, inner, order: int) -> PolyMap:
@@ -53,8 +55,9 @@ def residual_reference(cocycle, result, series_tol: float = 1e-13) -> ResidualRe
     for k in range(K):
         h_next, f = result.conjugator[(k + 1) % K], cocycle.map_at(k)
         p, h = result.normal_form[k], result.conjugator[k]
-        defect = compose_truncated(h_next, f, M + 1) - compose_truncated(p, h, M + 1)
-        residuals = np.maximum(residuals, [np.abs(defect.part(d)).max() for d in range(M + 2)])
+        defect = compose_truncated(h_next, f, M + 1).jet - compose_truncated(p, h, M + 1).jet
+        residuals = np.maximum(residuals, [np.abs(defect[:, degree_cols(m, d)]).max()
+                                           for d in range(M + 2)])
         a = majorant(f, 1)[1]
         sides = (_compose_majorants(majorant(h_next, M), majorant(f, M))
                  + _compose_majorants(majorant(p, M), majorant(h, M)))
@@ -102,46 +105,39 @@ def gauge_reference(result, result_alt, tol: float = 1e-9) -> GaugeReport:
         low, high = npart_split(g, result.structure)
         npart = max(npart, low)
         beyond = max(beyond, high)
-        transition.append(g)
-    return GaugeReport(tuple(transition), npart, beyond, align, tol)
+        transition.append(g.jet)
+    return GaugeReport(np.stack(transition), npart, beyond, align, tol)
 
 
-def then_reference(ext: CommutingExtension, maps, order: int) -> CommutingExtension:
-    """``CommutingExtension.then`` with one composition per orbit point."""
-    K = len(ext.maps)
-    return CommutingExtension(ext.shift + 1, tuple(
-        compose_truncated(maps[(k + ext.shift) % K], g, order)
-        for k, g in enumerate(ext.maps)))
+def iterate_reference(maps, power: int, order: int) -> list[PolyMap]:
+    """The power-fold iterates of maps around the orbit, ``verify.iterates``
+    with one composition per orbit point."""
+    K = len(maps)
+    family = [pm.truncated(order) for pm in maps]
+    for shift in range(1, power):
+        family = [compose_truncated(maps[(k + shift) % K], g, order)
+                  for k, g in enumerate(family)]
+    return family
 
 
-def iterate_reference(cocycle, power: int, order: int) -> CommutingExtension:
-    """``verify.iterate_extension`` through ``then_reference``."""
-    ext = CommutingExtension(1, tuple(pm.truncated(order) for pm in cocycle.fiber_maps))
-    for _ in range(1, power):
-        ext = then_reference(ext, cocycle.fiber_maps, order)
-    return ext
-
-
-def centralizer_reference(cocycle, result, extension: CommutingExtension,
+def centralizer_reference(cocycle, result, shift: int, family,
                           tol: float = 1e-9) -> CentralizerReport:
-    """``verify.centralizer_check`` with per-point commutation and
-    conjugations, each a composition and a division."""
+    """``verify.centralizer_check`` of one family of maps with per-point
+    commutation and conjugations, each a composition and a division."""
     K = cocycle.period
     order = result.order
-    shift = extension.shift % K
     comm = 0.0
     for k in range(K):
-        lhs = compose_truncated(extension.maps[(k + 1) % K], cocycle.map_at(k), order)
-        rhs = compose_truncated(cocycle.map_at((k + extension.shift) % K),
-                                extension.maps[k], order)
+        lhs = compose_truncated(family[(k + 1) % K], cocycle.map_at(k), order)
+        rhs = compose_truncated(cocycle.map_at((k + shift) % K), family[k], order)
         comm = max(comm, coeff_diff(lhs, rhs))
     conjugated = []
     npart = beyond = 0.0
     for k in range(K):
-        outer = compose_truncated(result.conjugator[(k + shift) % K], extension.maps[k], order)
+        outer = compose_truncated(result.conjugator[(k + shift) % K], family[k], order)
         c = divide(outer, result.conjugator[k], order)
         low, high = npart_split(c, result.structure)
         npart = max(npart, low)
         beyond = max(beyond, high)
-        conjugated.append(c)
-    return CentralizerReport(tuple(conjugated), extension.shift, comm, npart, beyond, tol)
+        conjugated.append(c.jet)
+    return CentralizerReport(np.stack(conjugated), shift, comm, npart, beyond, tol)

@@ -22,7 +22,7 @@ from orbitnf.cocycle import (
     sandwich_check,
 )
 from orbitnf.normalform import SolverContext, solve_normal_form
-from orbitnf.polymap import GradedSpace, PolyMap, compose_truncated
+from orbitnf.polymap import GradedSpace, PolyMap, _mono_table, compose_truncated, degree_cols
 from orbitnf.scenarios import build_builtin, builtin_names, random_scenario
 from orbitnf.verify import (
     centralizer_check,
@@ -30,7 +30,7 @@ from orbitnf.verify import (
     conjugacy_residual,
     flag_invariance,
     gauge_compare,
-    iterate_extension,
+    iterates,
     series_vs_direct,
 )
 
@@ -90,7 +90,7 @@ def test_02_resonant_map_left_unchanged(solved):
 
 def test_03_nonresonant_term_removed(solved):
     s = solved["nonresonant2"]
-    p_nonlinear = max(p.nonlinear_coeff_max() for p in s.result.normal_form)
+    p_nonlinear = max(coeff_diff(p, p.truncated(1)) for p in s.result.normal_form)
     got = s.result.conjugator[0].coeffs.get((1, (2, 0)), 0.0)
     expected = 0.2 / (math.exp(-0.4) - math.exp(-2.0))
     err = abs(got - expected)
@@ -140,7 +140,7 @@ def test_06_gauge_freedom_recovered(solved):
     bump = PolyMap(space, space, 2, np.zeros(2), {(0, (0, 2)): 0.3})
     res_alt = solve_normal_form(prepare(s.cocycle, s.config), bump)
     rep = gauge_compare(s.result, res_alt)
-    got = rep.transition[0].coeffs.get((0, (0, 2)), 0.0)
+    got = rep.transition[0, 0, degree_cols(2, 2).start + _mono_table(2, 2)[1][(0, 2)]]
     recover_err = abs(got + 0.3)
     recover_ok = rep.passed and recover_err <= 1e-9
 
@@ -152,9 +152,8 @@ def test_06_gauge_freedom_recovered(solved):
             solve_normal_form(prepare(base.cocycle, base.config),
                               PolyMap(s1, s1, 2, np.zeros(1), {(0, (2,)): delta}))
             for delta in (0.3, -0.7))
-        unique_gap = max(unique_gap, max(
-            coeff_diff(h, g) for h, g in
-            zip(res_a.conjugator, res_b.conjugator)))
+        unique_gap = max(unique_gap, coeff_diff(res_a.conjugator_jets,
+                                                res_b.conjugator_jets))
     ok = recover_ok and unique_gap <= 1e-12
     verdict(6, f"gauge: lifted delta recovered (error {recover_err:.1e}), "
                f"degree-bound-1 solutions identical (gap {unique_gap:.1e})", ok)
@@ -165,8 +164,8 @@ def test_07_second_iterate_conjugation(solved):
     all_in_group = True
     for s in solved.values():
         K = s.cocycle.period
-        ext = iterate_extension(s.cocycle, 2, s.result.order)
-        (rep,) = centralizer_check(s.cocycle, s.result, [ext])
+        family = iterates(s.cocycle.jets, [2], s.result.order)[0]
+        (rep,) = centralizer_check(s.cocycle, s.result, [(2, family)])
         all_in_group = all_in_group and rep.passed
         for k in range(K):
             expected = compose_truncated(
@@ -210,13 +209,12 @@ def test_08_lyapunov_machinery(solved):
 def test_09_flag_invariance(solved):
     worst = 0.0
     for s in solved.values():
-        rep = flag_invariance(s.result.normal_form)
+        rep = flag_invariance(s.result.normal_form_jets, s.cocycle.space)
         worst = max(worst, rep.max_below_flag)
     s = solved["resonant2"]
-    space = s.cocycle.space
-    injected = s.result.normal_form[0] + PolyMap(
-        space, space, 2, np.zeros(2), {(1, (2, 0)): 0.1})
-    detected = flag_invariance([injected]).max_below_flag
+    injected = s.result.normal_form_jets[0].copy()
+    injected[1, degree_cols(2, 2).start + _mono_table(2, 2)[1][(2, 0)]] += 0.1
+    detected = flag_invariance(injected, s.cocycle.space).max_below_flag
     ok = worst <= 1e-12 and detected > 1e-3
     verdict(9, f"flag-invariant Jacobians on all builtins ({worst:.1e}); "
                f"injected cross term detected ({detected:.1e})", ok)
@@ -235,8 +233,7 @@ def test_10_chart_transitions(solved):
     rep2 = chart_transitions(r.ctx, r.result, np.array([[0.05, 0.05]]),
                              tol=1e-7)[0]
     d = r.ctx.structure.degree_bound
-    beyond = max((abs(c) for (_, alpha), c in rep2.transition.coeffs.items()
-                  if sum(alpha) > d), default=0.0)
+    beyond = float(np.max(np.abs(rep2.transition[:, degree_cols(2, d).stop:]), initial=0.0))
     two_block_ok = beyond <= 1e-7 and rep2.npart_max <= 1e-7
     ok = affine_ok and two_block_ok
     verdict(10, f"chart transitions: koenigs affine at 4 offsets "

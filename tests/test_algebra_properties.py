@@ -1,6 +1,7 @@
 """Property tests of the truncated polynomial algebra."""
 
 import numpy as np
+from check_reference import coeff_diff
 from dict_reference import as_pair, dict_invert, gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ def polymaps(draw, space, degree, constant=False, near_identity=False):
 
 def relative_gap(a: PolyMap, b: PolyMap) -> float:
     scale = max(1.0, float(np.max(np.abs(a.jet))), float(np.max(np.abs(b.jet))))
-    return float(np.max(np.abs((a - b).jet))) / scale
+    return coeff_diff(a, b) / scale
 
 
 @SETTINGS

@@ -18,9 +18,9 @@ from orbitnf.cli import (
     run_scenario,
 )
 from orbitnf.cocycle import OrbitCocycle
-from orbitnf.normalform import solve_normal_form
-from orbitnf.polymap import GradedSpace, PolyMap
-from orbitnf.scenarios import build_builtin, builtin_names
+from orbitnf.normalform import NormalFormResult, solve_normal_form
+from orbitnf.polymap import GradedSpace, PolyMap, jet_width
+from orbitnf.scenarios import build_builtin, builtin_names, random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +624,60 @@ class TestVerifyCommand:
         assert code == 1
         assert "chart" in capsys.readouterr().err
 
+
+
+class TestStackedResult:
+    """A solved orbit is one pair of (K, m, w) jet stacks: a check pass reads
+    them and builds no PolyMap, and the PolyMap views are rows of them."""
+
+    @pytest.mark.parametrize("scenario", [build_builtin("koenigs"), random_scenario(14)],
+                             ids=["koenigs", "random_14"])
+    def test_check_pass_builds_no_polymap(self, scenario, monkeypatch):
+        ctx = cli._prepare_context(scenario.cocycle, scenario.config)
+        result = solve_normal_form(ctx)
+        built, from_jet = [], PolyMap.from_jet.__func__
+
+        def counted(cls, *args):
+            built.append(args)
+            return from_jet(cls, *args)
+
+        monkeypatch.setattr(PolyMap, "from_jet", classmethod(counted))
+        entries, _ = run_checks(ctx, result, scenario.cocycle, scenario.config)
+        monkeypatch.undo()
+        assert all(e["passed"] for e in entries if e["enabled"])
+        assert sum(e["enabled"] for e in entries) == len(CHECK_ORDER) - (
+            scenario.name != "koenigs")  # the chart check runs on koenigs
+        assert built == []
+
+        m, K, order = ctx.cocycle.dim, ctx.cocycle.period, ctx.order
+        for jets in (result.conjugator_jets, result.normal_form_jets):
+            assert jets.shape == (K, m, jet_width(m, order))
+            assert not jets.flags.writeable
+        for h, row in zip(result.conjugator, result.conjugator_jets):
+            assert h.degree == order and h.jet.tobytes() == row.tobytes()
+        for p, row in zip(result.normal_form, result.normal_form_jets):
+            width = p.jet.shape[1]
+            assert p.part(p.degree).any() and not row[:, width:].any()
+            assert p.jet.tobytes() == row[:, :width].tobytes()
+        if scenario.name != "koenigs":
+            assert max(p.degree for p in result.normal_form) < order
+
+    @pytest.mark.parametrize("name, seed", [(name, 1) for name in builtin_names()]
+                             + [("random_full", 7)])
+    def test_verify_round_trip(self, name, seed, tmp_path, capsys):
+        """The result rebuilt from report.json reproduces the stored checks
+        byte for byte."""
+        assert run_scenario(name, out_dir=str(tmp_path), seed=seed) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        cocycle = OrbitCocycle.from_dict(report["cocycle"])
+        ctx = cli._prepare_context(cocycle, report["config"])
+        stored = report["result"]
+        result = NormalFormResult.from_maps(
+            [PolyMap.from_dict(d) for d in stored["conjugator"]],
+            [PolyMap.from_dict(d) for d in stored["normal_form"]],
+            ctx.spectrum, ctx.structure, int(stored["order"]), stored["diagnostics"])
+        checks, _ = run_checks(ctx, result, cocycle, report["config"])
+        assert canonical_json(checks) == canonical_json(report["checks"])
 
 
 class TestFailedQuantities:

@@ -58,7 +58,7 @@ class TestOrbitCocycle:
         good = PolyMap.from_linear(np.array([[0.5]]), space, space, 1)
         with pytest.raises(ValueError):
             OrbitCocycle(space, ())
-        bad_const = good.with_constant([0.1])
+        bad_const = PolyMap(space, space, 1, [0.1], good.coeffs)
         with pytest.raises(ValueError):
             OrbitCocycle(space, (bad_const,))
         singular = PolyMap(space, space, 1, np.zeros(1), {(0, (1,)): 0.0})

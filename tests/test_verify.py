@@ -18,7 +18,6 @@ from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
                              compose_truncated, degree_cols, invert_jets, stack_jets)
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
-    CommutingExtension,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
@@ -27,7 +26,7 @@ from orbitnf.verify import (
     direct_solve_oracle,
     flag_invariance,
     gauge_compare,
-    iterate_extension,
+    iterates,
     series_vs_direct,
 )
 
@@ -125,8 +124,8 @@ def ladder_solve(dims, period, order, epsilon, amp=0.05):
 
 
 def with_conjugators(res, conjugators):
-    return NormalFormResult(tuple(conjugators), res.normal_form, res.spectrum,
-                            res.structure, res.order, res.diagnostics)
+    return NormalFormResult.from_maps(list(conjugators), res.normal_form, res.spectrum,
+                                      res.structure, res.order, res.diagnostics)
 
 
 def assert_order_profile(rep):
@@ -246,9 +245,10 @@ class TestConjugacyResidual:
         rep = conjugacy_residual(c, res)
         want = np.zeros(M + 2)
         for k in range(K):
-            defect = (reference_compose(res.conjugator[(k + 1) % K], c.map_at(k), M + 1)
-                      - reference_compose(res.normal_form[k], res.conjugator[k], M + 1))
-            want = np.maximum(want, [np.abs(defect.part(n)).max() for n in range(M + 2)])
+            defect = (reference_compose(res.conjugator[(k + 1) % K], c.map_at(k), M + 1).jet
+                      - reference_compose(res.normal_form[k], res.conjugator[k], M + 1).jet)
+            want = np.maximum(want, [np.abs(defect[:, degree_cols(c.dim, n)]).max()
+                                     for n in range(M + 2)])
         got = np.array(rep.max_residuals + (rep.leading_term,))
         assert np.max(np.abs(got - want)) <= 1e-13 * rep.leading_term + 1e-16
 
@@ -299,9 +299,9 @@ class TestDirectOracle:
         ctx = SolverContext.prepare(c, 0.05, 4)
         res = solve_normal_form(ctx, lift)
         assert res.conjugator[0].coeffs[(0, (0, 2))] == pytest.approx(0.3, abs=1e-14)
-        h_direct, p_direct = direct_normal_form(ctx, lift)
-        assert max(coeff_diff(a, b) for a, b in zip([*res.conjugator, *res.normal_form],
-                                                     h_direct + p_direct)) <= 1e-10
+        direct = direct_normal_form(ctx, lift)
+        assert coeff_diff(res.conjugator_jets, direct.conjugator_jets) <= 1e-10
+        assert coeff_diff(res.normal_form_jets, direct.normal_form_jets) <= 1e-10
 
     def test_misclassified_resonance_detected(self):
         # exponents sit a hair off the 2:1 resonance; with a resonance
@@ -338,7 +338,7 @@ class TestGauge:
         assert rep.passed
         assert rep.alignment_max <= 1e-12
         # H = G o H_alt, so the transition absorbs the lifted term with a sign
-        got = rep.transition[0].coeffs.get((0, (0, 2)), 0.0)
+        got = rep.transition[0, 0, degree_cols(2, 2).start + _mono_table(2, 2)[1][(0, 2)]]
         assert abs(got + 0.3) <= 1e-9
 
     def test_degree_bound_one_has_unique_solution(self, koenigs):
@@ -349,9 +349,8 @@ class TestGauge:
         # no admissible slot above degree one, so the lift is ignored
         rep = gauge_compare(res, res_alt)
         assert rep.passed
-        g = rep.transition[0]
-        assert abs(g.coeffs.get((0, (1,)), 0.0) - 1.0) <= 1e-12
-        assert g.nonlinear_coeff_max() <= 1e-10
+        assert coeff_diff(rep.transition[0], [[0.0, 1.0]]) <= 1e-10
+        assert abs(rep.transition[0, 0, 1] - 1.0) <= 1e-12
 
     def test_shape_mismatch_rejected(self, koenigs, period2):
         _, _, res1 = koenigs
@@ -367,6 +366,11 @@ def nan_at_second_point(res, degree=3):
     jet[:, degree_cols(h.source.dim, degree)] = np.nan
     return with_conjugators(res, (res.conjugator[0], PolyMap.from_jet(h.source, h.target,
                                                                       h.degree, jet)))
+
+
+def square(c, order):
+    """The family F^2 of the cocycle c around its orbit, shift 2."""
+    return 2, iterates(c.jets, [2], order)[0]
 
 
 class TestNaNFails:
@@ -385,23 +389,21 @@ class TestNaNFails:
 
     def test_centralizer(self, period2):
         c, _, res = period2
-        (rep,) = centralizer_check(c, nan_at_second_point(res), [iterate_extension(c, 2, res.order)])
+        (rep,) = centralizer_check(c, nan_at_second_point(res), [square(c, res.order)])
         assert math.isnan(rep.beyond_degree_max)
         assert not rep.passed
 
     def test_commutation(self, period2):
         c, _, res = period2
-        ext = iterate_extension(c, 2, res.order)
-        g = ext.maps[1]
-        jet = g.jet.copy()
-        jet[:, -1] = np.nan
-        bad = CommutingExtension(2, (ext.maps[0], PolyMap.from_jet(g.source, g.target,
-                                                                   g.degree, jet)))
+        family = square(c, res.order)
+        jets = family[1].copy()
+        jets[1, :, -1] = np.nan
+        bad = (2, jets)
         with pytest.raises(ValueError, match="commute"):
             centralizer_check(c, res, [bad])
         # the first family that fails is named by its own residual
         with pytest.raises(ValueError, match="residual nan"):
-            centralizer_check(c, res, [ext, bad])
+            centralizer_check(c, res, [family, bad])
 
 
 def nan_in_normal_form(res, k):
@@ -411,8 +413,8 @@ def nan_in_normal_form(res, k):
     jet[:, degree_cols(p.source.dim, 1)] = np.nan
     forms = list(res.normal_form)
     forms[k] = PolyMap.from_jet(p.source, p.target, p.degree, jet)
-    return NormalFormResult(res.conjugator, tuple(forms), res.spectrum, res.structure,
-                            res.order, res.diagnostics)
+    return NormalFormResult.from_maps(res.conjugator, forms, res.spectrum, res.structure,
+                                      res.order, res.diagnostics)
 
 
 class TestNaNInNormalForm:
@@ -425,7 +427,7 @@ class TestNaNInNormalForm:
 
     def test_flag(self, period3):
         _, _, res = period3
-        rep = flag_invariance(nan_in_normal_form(res, 2).normal_form)
+        rep = flag_invariance(nan_in_normal_form(res, 2).normal_form_jets, res.space)
         assert math.isnan(rep.max_below_flag)
         assert not rep.passed
 
@@ -442,35 +444,31 @@ class TestNaNInNormalForm:
 class TestCentralizer:
     def test_square_iterate_period2(self, period2):
         c, _, res = period2
-        ext = iterate_extension(c, 2, res.order)
-        (rep,) = centralizer_check(c, res, [ext])
+        (rep,) = centralizer_check(c, res, [square(c, res.order)])
         assert rep.passed
         assert rep.commutation_residual <= 1e-12
         # conjugated square equals the squared normal form
         for k in range(c.period):
             p2 = compose_truncated(res.normal_form[(k + 1) % c.period],
                                    res.normal_form[k], res.order)
-            diff = max(abs(rep.maps[k].coeffs.get(key, 0.0)
-                           - p2.coeffs.get(key, 0.0))
-                       for key in set(rep.maps[k].coeffs) | set(p2.coeffs))
-            assert diff <= 1e-9
+            assert coeff_diff(rep.maps[k], p2) <= 1e-9
 
     def test_cube_iterate_period2(self, period2):
         c, _, res = period2
-        (rep,) = centralizer_check(c, res, [iterate_extension(c, 3, res.order)])
+        (rep,) = centralizer_check(c, res, [(3, iterates(c.jets, [3], res.order)[0])])
         assert rep.passed
         assert rep.shift == 3
 
     def test_square_iterate_koenigs(self, koenigs):
         c, _, res = koenigs
-        (rep,) = centralizer_check(c, res, [iterate_extension(c, 2, res.order)])
+        (rep,) = centralizer_check(c, res, [square(c, res.order)])
         assert rep.passed
         json.dumps(rep.to_dict())
 
     def test_noncommuting_family_rejected(self, period2):
         c, _, res = period2
-        f0 = c.map_at(0).truncated(res.order)
-        bogus = CommutingExtension(1, (f0, f0))
+        f0 = c.map_at(0).truncated(res.order).jet
+        bogus = (1, np.stack([f0, f0]))
         with pytest.raises(ValueError, match="commute"):
             centralizer_check(c, res, [bogus])
 
@@ -520,9 +518,9 @@ class TestBatchedChecks:
         _, ctx, _ = batched
         sizes = [(r.stop - r.start) * len(cols) for r, cols in ctx.operator(2).types]
         assert len(set(sizes)) < len(sizes)  # some systems share a size
-        got, want = direct_normal_form(ctx), _orbit_loop(ctx, oracle_reference)[:2]
-        for got_maps, want_maps in zip(got, want):
-            assert all(same_bits(a.jet, b.jet) for a, b in zip(got_maps, want_maps))
+        got, want = direct_normal_form(ctx), _orbit_loop(ctx, oracle_reference)
+        assert same_bits(got.conjugator_jets, want.conjugator_jets)
+        assert same_bits(got.normal_form_jets, want.normal_form_jets)
 
     def test_gauge(self, batched):
         _, ctx, res = batched
@@ -530,31 +528,29 @@ class TestBatchedChecks:
         rep, ref = gauge_compare(res, res_alt), gauge_reference(res, res_alt)
         assert rep.passed
         assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
-        assert all(same_bits(a.jet, b.jet) for a, b in zip(rep.transition, ref.transition))
+        assert same_bits(rep.transition, ref.transition)
 
     @pytest.mark.parametrize("powers", [[2], [3], [2, 3]], ids=["2", "3", "2-3"])
     def test_centralizer(self, batched, powers):
         """All families in one stack equal the per-family reference."""
         c, _, res = batched
         order, K = res.order, c.period
-        exts = [iterate_extension(c, power, order) for power in powers]
-        reports = centralizer_check(c, res, exts)
+        families = iterates(c.jets, powers, order)
+        reports = centralizer_check(c, res, list(zip(powers, families)))
         assert len(reports) == len(powers)
-        for power, ext, rep in zip(powers, exts, reports):
-            ref_ext = iterate_reference(c, power, order)
-            assert ext.shift == ref_ext.shift == rep.shift == power
-            assert all(same_bits(a.jet, b.jet) for a, b in zip(ext.maps, ref_ext.maps))
-            ref = centralizer_reference(c, res, ref_ext)
+        for power, family, rep in zip(powers, families, reports):
+            ref_family = iterate_reference(c.fiber_maps, power, order)
+            assert rep.shift == power
+            assert same_bits(family, np.stack([pm.jet for pm in ref_family]))
+            ref = centralizer_reference(c, res, power, ref_family)
             assert rep.passed
             assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
-            assert all(same_bits(a.jet, b.jet) for a, b in zip(rep.maps, ref.maps))
+            assert same_bits(rep.maps, ref.maps)
             # C_k = H_{k+s} o G_k o H_k^-1 is the normal form's own iterate
             # P_{k+s-1} o ... o P_k
-            for k in range(K):
-                p_power = res.normal_form[k]
-                for j in range(1, power):
-                    p_power = compose_truncated(res.normal_form[(k + j) % K], p_power, order)
-                assert np.max(np.abs(rep.maps[k].jet - p_power.jet)) <= 1e-9
+            p_power = np.stack([pm.jet for pm in iterate_reference(res.normal_form, power, order)])
+            assert coeff_diff(rep.maps, p_power) <= 1e-9
+            assert same_bits(iterates(res.normal_form_jets, [power], order)[0], p_power)
 
 
 class TestKernelCalls:
@@ -579,7 +575,7 @@ class TestKernelCalls:
             runs = {"residual": lambda: conjugacy_residual(c, res),
                     "gauge": lambda: gauge_compare(res, res_alt),
                     "centralizer": lambda: centralizer_check(
-                        c, res, [iterate_extension(c, 3, res.order)])[0]}
+                        c, res, [(3, iterates(c.jets, [3], res.order)[0])])[0]}
             for name, run in runs.items():
                 calls.clear()
                 tables.clear()
@@ -626,11 +622,11 @@ class TestCheckMemory:
         coc = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (3, 3), 1, amp=0.05)
         ctx = SolverContext.prepare(coc, 0.03, 6)
         res, res_alt = solve_normal_form(ctx), lifted_result(ctx)
-        ext = iterate_extension(coc, 2, res.order)
+        family = square(coc, res.order)
         peaks = {}
         for name, run in (("residual", lambda: conjugacy_residual(coc, res)),
                           ("gauge", lambda: gauge_compare(res, res_alt)),
-                          ("centralizer", lambda: centralizer_check(coc, res, [ext])[0])):
+                          ("centralizer", lambda: centralizer_check(coc, res, [family])[0])):
             tracemalloc.start()
             try:
                 assert run().passed
@@ -644,7 +640,7 @@ class TestCheckMemory:
 class TestFlagInvariance:
     def test_normal_form_is_exactly_triangular(self, resonant2):
         _, _, res = resonant2
-        rep = flag_invariance(res.normal_form)
+        rep = flag_invariance(res.normal_form_jets, res.space)
         assert rep.max_below_flag == 0.0
         assert rep.passed
 
@@ -652,23 +648,23 @@ class TestFlagInvariance:
         # the conjugator carries the fast variable into the slow block,
         # so its Jacobian has a genuine below-flag entry
         _, _, res = nonresonant2
-        rep = flag_invariance(res.conjugator)
+        rep = flag_invariance(res.conjugator_jets, res.space)
         h = 0.2 / (math.exp(-0.4) - math.exp(-2.0))
         assert rep.max_below_flag == pytest.approx(2 * h, rel=1e-12)
         assert not rep.passed
 
     def test_injected_violation_detected(self, resonant2):
         _, _, res = resonant2
-        bad = res.normal_form[0] + PolyMap(S11, S11, 2, np.zeros(2),
-                                           {(1, (2, 0)): 0.1})
-        rep = flag_invariance(bad)
+        bad = res.normal_form_jets[0].copy()
+        bad[1, degree_cols(2, 2).start + _mono_table(2, 2)[1][(2, 0)]] += 0.1
+        rep = flag_invariance(bad, S11)
         # d/dt_0 of 0.1 t_0^2 in the block-2 component: 0.1 * 2
         assert rep.max_below_flag == pytest.approx(0.2, abs=1e-15)
         assert not rep.passed
 
     def test_report_serializes(self, resonant2):
         _, _, res = resonant2
-        json.dumps(flag_invariance(res.normal_form).to_dict())
+        json.dumps(flag_invariance(res.normal_form_jets, res.space).to_dict())
 
 
 class TestChartConsistency:
@@ -683,9 +679,9 @@ class TestChartConsistency:
         _, ctx, res = koenigs
         rep = chart_transitions(ctx, res, [[0.0]])[0]
         g = rep.transition
-        assert abs(float(g.constant[0])) <= 1e-9
-        assert abs(g.coeffs.get((0, (1,)), 0.0) - 1.0) <= 1e-8
-        assert g.nonlinear_coeff_max() <= 1e-8
+        assert abs(float(g[0, 0])) <= 1e-9
+        assert abs(g[0, 1] - 1.0) <= 1e-8
+        assert np.max(np.abs(g[:, 2:])) <= 1e-8  # the nonlinear part
         assert rep.passed
 
     def test_resonant2_offset(self, resonant2):
@@ -724,7 +720,7 @@ class TestChartConsistency:
             assert rep.offset == one.offset == tuple(y)
             assert rep.window == one.window
             assert rep.passed and one.passed
-            assert np.max(np.abs(rep.transition.jet - one.transition.jet)) <= 1e-15
+            assert coeff_diff(rep.transition, one.transition) <= 1e-15
             assert abs(rep.npart_max - one.npart_max) <= 1e-15
             assert abs(rep.deviation_max - one.deviation_max) <= 1e-15
             assert rep.eval_radius == one.eval_radius
@@ -744,7 +740,9 @@ class TestChartConsistency:
         for rep in reports:
             dirs = rng.standard_normal((4096, ctx.cocycle.dim))
             pts = rep.eval_radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-            n_part = polymap.project_subresonance(rep.transition, ctx.structure)[1]
+            space = ctx.cocycle.space
+            transition = PolyMap.from_jet(space, space, res.order, rep.transition)
+            n_part = polymap.project_subresonance(transition, ctx.structure)[1]
             sampled = float(np.max(np.abs(n_part.evaluate_batch(pts))))
             assert sampled <= rep.deviation_max * (1 + 1e-12)
         if case == "within_block2":
