@@ -16,9 +16,12 @@ holds an object whose "scenario" entry is a builtin name or an inline cocycle
 object (the serialization format produced in reports); remaining entries
 override the scenario defaults.  A check entry holds only the keys of its
 default (``scenarios.default_checks``); any other key is a configuration
-error.  Exit status: 0 when every enabled check passes, 1 when a check fails
-(named on stderr, with one line per quantity that broke its bound: its
-value and the bound), 2 on configuration errors.
+error.  Each check states its bounded quantities once, as the limits of
+``cocycle._limit``: it passes exactly when all of them hold, and the broken
+ones, each a quantity with its value and bound, are its stderr lines.  Exit
+status: 0 when every enabled check passes, 1 when a check fails (named on
+stderr, followed by its broken limits), 2 on configuration errors, a cached
+report.json that lacks a key verify reads among them.
 
 Reports are deterministic: a fixed config and seed reproduce report.json byte
 for byte.  Numbers are printed with 17 significant digits, object keys sorted,
@@ -38,7 +41,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .cocycle import OrbitCocycle, sandwich_check
+from .cocycle import OrbitCocycle, _limit, sandwich_check
 from .normalform import NormalFormResult, SolverContext, solve_normal_form
 from .polymap import PolyMap, _mono_table, degree_cols
 from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
@@ -52,8 +55,6 @@ from .verify import (
     series_vs_direct,
 )
 
-CHECK_ORDER = ("residual", "oracle", "sandwich", "gauge",
-               "centralizer", "flag", "chart")
 # the gauge check's bound on the gap between two conjugators that the
 # degree bound 1 makes unique
 _UNIQUE_GAP_TOL = 1e-12
@@ -323,21 +324,27 @@ def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
 
 
 # -- checks ---------------------------------------------------------------------
+#
+# A runner returns (details, limits): the details its report entry holds, and
+# its bounded quantities as the (line, ok) pairs of ``_limit``.  The check
+# passes exactly when every limit holds, and the broken ones are its stderr
+# lines; a nested ``passed`` reads the limits of its own part.
 
 def _check_residual(ctx, result, cfg):
     rep = conjugacy_residual(ctx.cocycle, result, series_tol=ctx.series_tol)
-    return rep.to_dict(), rep.passed
+    return rep.to_dict(), rep.limits()
 
 
 def _check_oracle(ctx, result, cfg):
     gap = series_vs_direct(ctx, result)
     tol = float(cfg["tol"])
-    return {"max_coefficient_gap": gap, "tol": tol}, gap <= tol
+    return ({"max_coefficient_gap": gap, "tol": tol},
+            [_limit("max_coefficient_gap", gap, "tol", tol)])
 
 
 def _check_sandwich(ctx, result, cfg):
     rep = sandwich_check(ctx.cocycle, ctx.spectrum, ctx.frames, tol=float(cfg["tol"]))
-    return rep.to_dict(), rep.passed
+    return rep.to_dict(), rep.limits()
 
 
 def _first_admissible_slot(structure, space):
@@ -378,23 +385,23 @@ def _check_gauge(ctx, result, cfg):
     # the re-solve reuses the table and degree operators of ctx
     result_alt = solve_normal_form(ctx, lift=bump)
     rep = gauge_compare(result, result_alt, tol=tol)
-    details = rep.to_dict()
+    details, limits = rep.to_dict(), rep.limits()
     details["delta"] = delta
     details["slot"] = [degree, coord, list(alpha)]
     if slot is None:
         diff = float(np.max(np.abs(result.conjugator_jets - result_alt.conjugator_jets)))
         details["mode"] = "unique"
         details["conjugator_gap"] = diff
-        passed = rep.passed and diff <= _UNIQUE_GAP_TOL
+        limits.append(_limit("conjugator_gap", diff, "tol", _UNIQUE_GAP_TOL))
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
         col = degree_cols(space.dim, degree).start + _mono_table(space.dim, degree)[1][alpha]
         err = float(np.max(np.abs(rep.transition[:, coord, col] + delta)))
         details["mode"] = "recover"
         details["recovery_error"] = err
-        passed = rep.passed and err <= tol
-    details["passed"] = passed
-    return details, passed
+        limits.append(_limit("recovery_error", err, "tol", tol))
+    details["passed"] = all(ok for _, ok in limits)
+    return details, limits
 
 
 def _check_centralizer(ctx, result, cfg):
@@ -403,25 +410,28 @@ def _check_centralizer(ctx, result, cfg):
     powers = cfg.get("powers", [2, 3])
     reports = centralizer_check(cocycle, result,
                                 list(zip(powers, iterates(cocycle.jets, powers, order))), tol=tol)
-    runs = []
+    runs, limits = [], []
     for power, rep, nf_power in zip(powers, reports,
                                     iterates(result.normal_form_jets, powers, order)):
         gap = float(np.max(np.abs(rep.maps - nf_power)))
+        own = rep.limits() + [_limit("vs_normal_form_power", gap, "tol", tol)]
         runs.append(dict(rep.to_dict(), power=power, vs_normal_form_power=gap,
-                         passed=rep.passed and gap <= tol))
-    return {"powers": runs, "tol": tol}, all(entry["passed"] for entry in runs)
+                         passed=all(ok for _, ok in own)))
+        limits += [(f"power {power} {line}", ok) for line, ok in own]
+    return {"powers": runs, "tol": tol}, limits
 
 
 def _check_flag(ctx, result, cfg):
     rep = flag_invariance(result.normal_form_jets, result.space, tol=float(cfg["tol"]))
-    return rep.to_dict(), rep.passed
+    return rep.to_dict(), rep.limits()
 
 
 def _check_chart(ctx, result, cfg):
     tol = float(cfg["tol"])
     reports = chart_transitions(ctx, result, cfg.get("points", []), tol=tol)
     return ({"points": [rep.to_dict() for rep in reports], "tol": tol},
-            all(rep.passed for rep in reports))
+            [(f"point {i} {line}", ok) for i, rep in enumerate(reports)
+             for line, ok in rep.limits()])
 
 
 _CHECK_RUNNERS = {
@@ -433,31 +443,34 @@ _CHECK_RUNNERS = {
     "flag": _check_flag,
     "chart": _check_chart,
 }
+CHECK_ORDER = tuple(_CHECK_RUNNERS)
 
 
 def run_checks(ctx, result, cocycle, config):
-    """Run the enabled checks in fixed order; returns (entries, residual details).
+    """Run the enabled checks in fixed order; returns (entries, failures):
+    one report entry per check, and the line ``"{check}: {limit}"`` of every
+    limit an enabled check broke, in check order.
 
     The checks read the cocycle from ``ctx``, so ``cocycle`` is ``ctx.cocycle``."""
-    entries = []
-    residual_details = None
+    entries, failures = [], []
     for name in CHECK_ORDER:
         cfg = config["checks"].get(name)
         if not cfg or not cfg.get("enabled", False):
             entries.append({"name": name, "enabled": False, "passed": None})
             continue
-        details, passed = _CHECK_RUNNERS[name](ctx, result, cfg)
-        if name == "residual":
-            residual_details = details
-        entries.append({"name": name, "enabled": True, "passed": passed,
-                        "details": details})
-    return entries, residual_details
+        details, limits = _CHECK_RUNNERS[name](ctx, result, cfg)
+        entries.append({"name": name, "enabled": True,
+                        "passed": all(ok for _, ok in limits), "details": details})
+        failures += [f"{name}: {line}" for line, ok in limits if not ok]
+    return entries, failures
 
 
 # -- report files ---------------------------------------------------------------
 
-def _format_residuals_csv(details: dict | None) -> str:
+def _format_residuals_csv(checks) -> str:
+    """The residual check's largest defect coefficient per degree, or the header alone."""
     lines = ["degree,max_residual"]
+    details = checks[CHECK_ORDER.index("residual")].get("details")
     if details is not None:
         values = details["max_residuals"] + [details["leading_term"]]
         lines += [f"{n},{_fmt_float(float(v))}" for n, v in enumerate(values)]
@@ -488,48 +501,14 @@ def _resolve_out_dir(out_dir: str | None, config: dict, name: str) -> str:
     return out_dir or config.get("out_dir") or os.path.join("orbitnf_out", name)
 
 
-def _failed_quantities(entry: dict) -> list[str]:
-    """One line per quantity of a check entry that broke its bound: the
-    quantity, its value and the bound, as ``passed`` compares them."""
-    name, d = entry["name"], entry["details"]
-    lines = []
-    if name == "residual":
-        limits = [(f"degree {n} max", r, "bound", b)
-                  for n, (r, b) in enumerate(zip(d["max_residuals"], d["bounds"]))]
-    elif name == "oracle":
-        limits = [("max_coefficient_gap", d["max_coefficient_gap"], "tol", d["tol"])]
-    elif name == "sandwich":
-        limits = [("max_violation", d["max_violation"], "tol", d["tol"])]
-        if not d["keps_ok"]:
-            lines.append("sandwich: keps_ok false")
-    elif name == "gauge":
-        limits = [(key, d[key], "tol", d["tol"])
-                  for key in ("npart_max", "beyond_degree_max", "recovery_error") if key in d]
-        if "conjugator_gap" in d:
-            limits.append(("conjugator_gap", d["conjugator_gap"], "tol", _UNIQUE_GAP_TOL))
-    elif name == "centralizer":
-        limits = [(f"power {run['power']} {key}", run[key], "tol", run["tol"])
-                  for run in d["powers"]
-                  for key in ("npart_max", "beyond_degree_max", "vs_normal_form_power")]
-    elif name == "flag":
-        limits = [("max_below_flag", d["max_below_flag"], "tol", d["tol"])]
-    else:
-        limits = [(f"point {i} {key}", point[key], "tol", point["tol"])
-                  for i, point in enumerate(d["points"]) for key in ("npart_max", "deviation_max")]
-    return lines + [f"{name}: {label} {value:.3g} > {kind} {bound:.3g}"
-                    for label, value, kind, bound in limits if not value <= bound]
-
-
-def _report_failures(name: str, checks) -> bool:
-    """Name the failed checks and every quantity that broke its bound on
-    stderr; True when a check failed."""
-    failed = [c for c in checks if c["enabled"] and not c["passed"]]
+def _report_failures(name: str, checks, failures) -> bool:
+    """Name the failed checks and then the broken limits of ``run_checks``
+    on stderr; True when a check failed."""
+    failed = [c["name"] for c in checks if c["enabled"] and not c["passed"]]
     if failed:
-        print(f"{name}: failed checks: " + ", ".join(c["name"] for c in failed),
-              file=sys.stderr)
-        for entry in failed:
-            for line in _failed_quantities(entry):
-                print(line, file=sys.stderr)
+        print(f"{name}: failed checks: " + ", ".join(failed), file=sys.stderr)
+        for line in failures:
+            print(line, file=sys.stderr)
     return bool(failed)
 
 
@@ -540,19 +519,18 @@ def run_scenario(config_arg: str, *, out_dir: str | None = None,
                                            overrides=overrides)
     ctx = _prepare_context(cocycle, config)
     result = solve_normal_form(ctx)
-    checks, residual_details = run_checks(ctx, result, cocycle, config)
-    passed = all(c["passed"] for c in checks if c["enabled"])
+    checks, failures = run_checks(ctx, result, cocycle, config)
 
     directory = _resolve_out_dir(out_dir, config, name)
     os.makedirs(directory, exist_ok=True)
     report = _assemble_report(name, config, cocycle, ctx, result,
-                              checks, passed)
+                              checks, not failures)
     _atomic_write(os.path.join(directory, "report.json"),
                   canonical_json(report) + "\n")
     _atomic_write(os.path.join(directory, "residuals.csv"),
-                  _format_residuals_csv(residual_details))
+                  _format_residuals_csv(checks))
 
-    if _report_failures(name, checks):
+    if _report_failures(name, checks, failures):
         return 1
     print(f"{name}: all enabled checks passed; report in {directory}")
     return 0
@@ -606,24 +584,28 @@ def _cmd_verify(args) -> int:
 
     # the cached run is self-contained: take its cocycle and config echo,
     # then let command line overrides adjust tolerances on top
-    cocycle = OrbitCocycle.from_dict(report["cocycle"])
-    config = _merge(report["config"], {})
+    try:
+        cocycle = OrbitCocycle.from_dict(report["cocycle"])
+        config = _merge(report["config"], {})
+        stored = report["result"]
+        maps = [[PolyMap.from_dict(d) for d in stored[part]]
+                for part in ("conjugator", "normal_form")]
+        order = int(stored["order"])
+    except KeyError as exc:
+        raise ConfigError(f"cached report {report_path} has no key {exc}") from None
     apply_overrides(config, args.tol_override)
     validate_config(config, cocycle)
 
     ctx = _prepare_context(cocycle, config)
-    stored = report["result"]
-    result = NormalFormResult.from_maps(
-        [PolyMap.from_dict(d) for d in stored["conjugator"]],
-        [PolyMap.from_dict(d) for d in stored["normal_form"]],
-        ctx.spectrum, ctx.structure, int(stored["order"]), stored.get("diagnostics", {}))
-    checks, _ = run_checks(ctx, result, cocycle, config)
+    result = NormalFormResult.from_maps(*maps, ctx.spectrum, ctx.structure, order,
+                                        stored.get("diagnostics", {}))
+    checks, failures = run_checks(ctx, result, cocycle, config)
     for entry in checks:
         if not entry["enabled"]:
             print(f"{entry['name']}: skipped")
         else:
             print(f"{entry['name']}: {'pass' if entry['passed'] else 'FAIL'}")
-    return 1 if _report_failures(name, checks) else 0
+    return 1 if _report_failures(name, checks, failures) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -22,10 +22,14 @@ n-step block map, taken in one batched SVD per block.  Every Gram is
 factorised once, when its LyapunovFrames is made: one stacked Cholesky
 factorisation and one stacked eigvalsh serve the envelopes, the comparison
 factors and the sandwich check.
+
+The check reports are defined here, the lowest module with a report: a
+``_Report`` states its bounded quantities once, as the (line, ok) limits of
+``_limit``, and passes exactly when all of them hold.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -398,8 +402,39 @@ def lyapunov_frames(
     return frames
 
 
+def _limit(label: str, value: float, kind: str, bound: float) -> tuple[str, bool]:
+    """One bounded quantity of a check: the line naming it with its value and
+    bound, and whether it holds, ``value <= bound``, which NaN never does."""
+    return f"{label} {value:.3g} > {kind} {bound:.3g}", value <= bound
+
+
+class _Report:
+    """A check report.  ``limits()`` states its bounded quantities once, by
+    default each field named in ``_bounded`` against ``tol``; the report
+    passes exactly when all of them hold.  ``to_dict`` holds every field but
+    the maps, and ``passed``."""
+
+    _bounded: tuple[str, ...] = ()
+
+    def limits(self) -> list[tuple[str, bool]]:
+        return [_limit(name, getattr(self, name), "tol", self.tol) for name in self._bounded]
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.limits())
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            if f.metadata.get("serialized", True):
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        out["passed"] = self.passed
+        return out
+
+
 @dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(_Report):
     """Exact check of the n-step norm envelopes and the comparison factor."""
 
     max_violation: float
@@ -409,12 +444,9 @@ class SandwichReport:
     n_envelopes: int
     tol: float = 1e-6
 
-    @property
-    def passed(self) -> bool:
-        return self.keps_ok and self.max_violation <= self.tol
-
-    def to_dict(self) -> dict:
-        return dict(asdict(self), passed=self.passed)
+    def limits(self) -> list[tuple[str, bool]]:
+        return [("keps_ok false", self.keps_ok),
+                _limit("max_violation", self.max_violation, "tol", self.tol)]
 
 
 def log_envelopes(

@@ -30,15 +30,20 @@ check step is one stacked kernel call whatever the period K: one
 all centralizer families at once), one ``divide_jets`` call where a check
 composes with an inverse, and one assembly, SVD and solve per system shape
 in the oracle.  Read-outs are numpy maxima: NaN fails.
+
+Each report lists its bounded quantities once, in ``limits()`` (the
+``_Report`` of ``cocycle``): its ``passed``, the verdicts of the command
+line and the stderr lines of a failing check all read that list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cocycle import _limit, _Report
 from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
@@ -48,19 +53,9 @@ from .polymap import (PolyMap, _fit, _linear_jets, compose_jets, degree_cols, di
 
 # field metadata of the jets a report keeps but does not serialize
 _JETS = {"serialized": False}
-
-
-class _Report:
-    """The ``to_dict`` of the check reports: every field but the maps, and ``passed``."""
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.metadata.get("serialized", True):
-                value = getattr(self, f.name)
-                out[f.name] = list(value) if isinstance(value, tuple) else value
-        out["passed"] = self.passed
-        return out
+# a family commutes with the cocycle when its residual is within this
+# fraction of its largest coefficient
+_COMMUTE_TOL = 1e-10
 
 
 def _npart_max(jets: np.ndarray, space, degree: int, structure) -> tuple[float, float]:
@@ -87,9 +82,9 @@ class ResidualReport(_Report):
     bounds: tuple[float, ...]
     leading_term: float
 
-    @property
-    def passed(self) -> bool:
-        return all(r <= b for r, b in zip(self.max_residuals, self.bounds))
+    def limits(self) -> list[tuple[str, bool]]:
+        return [_limit(f"degree {n} max", r, "bound", b)
+                for n, (r, b) in enumerate(zip(self.max_residuals, self.bounds))]
 
 
 def _majorants(jets: np.ndarray, dim: int, top: int) -> np.ndarray:
@@ -230,11 +225,7 @@ class GaugeReport(_Report):
     beyond_degree_max: float
     alignment_max: float
     tol: float = 1e-9
-
-    @property
-    def passed(self) -> bool:
-        return (self.npart_max <= self.tol
-                and self.beyond_degree_max <= self.tol)
+    _bounded = ("npart_max", "beyond_degree_max")
 
 
 def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
@@ -281,15 +272,10 @@ class CentralizerReport(_Report):
     npart_max: float
     beyond_degree_max: float
     tol: float = 1e-9
-
-    @property
-    def passed(self) -> bool:
-        return (self.npart_max <= self.tol
-                and self.beyond_degree_max <= self.tol)
+    _bounded = ("npart_max", "beyond_degree_max")
 
 
 def centralizer_check(cocycle, result: NormalFormResult, families,
-                      commute_tol: float = 1e-10,
                       tol: float = 1e-9) -> list[CentralizerReport]:
     """Conjugate commuting families by H and test group membership.
 
@@ -297,9 +283,9 @@ def centralizer_check(cocycle, result: NormalFormResult, families,
     sending the fiber at point k to point k + shift, as ``iterates`` makes
     them.  Verifies the commutation G_{k+1} o F_k = F_{k+shift} o G_k of
     every family degreewise up to the solve order, raising on the first
-    whose residual exceeds commute_tol times its largest coefficient, then
-    checks that every C_k = H_{k+shift} o G_k o H_k^{-1} has
-    admissible coefficients only and nothing above the degree bound.  All
+    whose residual exceeds _COMMUTE_TOL = 1e-10 times its largest
+    coefficient, then checks that every C_k = H_{k+shift} o G_k o H_k^{-1}
+    has admissible coefficients only and nothing above the degree bound.  All
     families form one stack of K maps each: each side of the commutation
     and H_{k+shift} o G_k are one composition each, and the division by
     H_k is one ``divide_jets`` call, the table of the K conjugators shared
@@ -321,7 +307,7 @@ def centralizer_check(cocycle, result: NormalFormResult, families,
     comm = np.abs(compose_jets(g[family + (point + 1) % K], f[point], m, order)
                   - compose_jets(f[shifted], g, m, order)).reshape(n_fam, -1).max(axis=1)
     for (_, jets), residual in zip(families, comm):
-        if not residual <= commute_tol * max(1.0, float(np.max(np.abs(jets[..., 1:])))):
+        if not residual <= _COMMUTE_TOL * max(1.0, float(np.max(np.abs(jets[..., 1:])))):
             raise ValueError(f"the family does not commute with the cocycle up to "
                              f"degree {order}: residual {residual:.3e}")
 
@@ -339,10 +325,7 @@ class FlagReport(_Report):
 
     max_below_flag: float
     tol: float = 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return self.max_below_flag <= self.tol
+    _bounded = ("max_below_flag",)
 
 
 def flag_invariance(jets: np.ndarray, space, tol: float = 1e-12) -> FlagReport:
@@ -378,11 +361,7 @@ class ChartReport(_Report):
     deviation_max: float
     eval_radius: float
     tol: float = 1e-7
-
-    @property
-    def passed(self) -> bool:
-        return (self.npart_max <= self.tol
-                and self.deviation_max <= self.tol)
+    _bounded = ("npart_max", "deviation_max")
 
 
 def default_chart_window(ctx: SolverContext) -> int:

@@ -294,8 +294,8 @@ class TestGaugeCheck:
         result = solve_normal_form(ctx)
         assert calls == list(range(2, ctx.order + 1))
         assert tables == [(cocycle.dim, ctx.order)]
-        details, passed = cli._check_gauge(ctx, result, gauge_cfg)
-        assert passed
+        details, limits = cli._check_gauge(ctx, result, gauge_cfg)
+        assert all(ok for _, ok in limits)
         # the lifted solve builds no operator and no table of its own, and
         # neither does the dense oracle's degree loop
         verify.direct_normal_form(ctx)
@@ -617,6 +617,23 @@ class TestVerifyCommand:
         assert main(["verify", "koenigs", "--out-dir", str(tmp_path)]) == 2
         assert "checks.residual.radii" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["cocycle", "config", "result", "result.conjugator",
+                                      "result.normal_form", "result.order"])
+    def test_verify_report_missing_a_key_exit_2(self, path, koenigs_run, tmp_path, capsys):
+        # a missing entry is a config error naming the key, not a traceback
+        # with the exit status of a failed check
+        report = json.loads(json.dumps(koenigs_run[1]))
+        *parents, key = path.split(".")
+        node = report
+        for parent in parents:
+            node = node[parent]
+        del node[key]
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert main(["verify", "koenigs", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cached report ")
+        assert err.rstrip().endswith(f"has no key {key!r}")
+
     def test_verify_with_tight_tolerance_fails(self, koenigs_run, capsys):
         out, _ = koenigs_run
         code = main(["verify", "koenigs", "--out-dir", str(out),
@@ -745,6 +762,35 @@ class TestFailedQuantities:
         assert lines == [f"chart: point {i} {key} {point[key]:.3g} > tol 1e-30"
                          for i, point in enumerate(d["points"])
                          for key in ("npart_max", "deviation_max") if point[key] > 1e-30]
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_stderr_lines_are_the_failures_of_run_checks(self, command, koenigs_run,
+                                                         tmp_path, capsys, monkeypatch):
+        """The lines after the failed checks are the broken limits that
+        run_checks returns, and every failed check has at least one."""
+        returned = []
+
+        def recorded(*args, _fn=cli.run_checks):
+            returned.append(_fn(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "run_checks", recorded)
+        if command == "run":
+            # every check with a tol fails, the residual with its own bounds passes
+            args = [arg for check in CHECK_ORDER[1:]
+                    for arg in ("--tol-override", f"checks.{check}.tol=-1")]
+            assert main(["run", "koenigs", "--out-dir", str(tmp_path)] + args) == 1
+            err = capsys.readouterr().err.splitlines()
+        else:
+            err = self.verify_tampered(koenigs_run, tmp_path, capsys,
+                                       "normal_form", 0, float("nan"))
+        ((entries, failures),) = returned
+        failed = [e["name"] for e in entries if e["enabled"] and not e["passed"]]
+        assert err == [f"koenigs: failed checks: {', '.join(failed)}"] + failures
+        assert [line.split(": ")[0] for line in failures] == sorted(
+            (line.split(": ")[0] for line in failures), key=CHECK_ORDER.index)
+        assert set(line.split(": ")[0] for line in failures) == set(failed)
+        assert len(failed) == (6 if command == "run" else 4)
 
 
 class TestPackageExports:

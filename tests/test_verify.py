@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ from dict_reference import reference_compose
 
 from orbitnf import polymap, verify
 from orbitnf.cli import _check_centralizer, _first_admissible_slot
-from orbitnf.cocycle import OrbitCocycle
+from orbitnf.cocycle import OrbitCocycle, SandwichReport
 from orbitnf.grading import Spectrum, SubResStructure
 from orbitnf.normalform import (NormalFormResult, SolverContext, _orbit_loop, _source_vecs,
                                 solve_normal_form)
@@ -18,6 +19,11 @@ from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
                              compose_truncated, degree_cols, invert_jets, stack_jets)
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
+    CentralizerReport,
+    ChartReport,
+    FlagReport,
+    GaugeReport,
+    ResidualReport,
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
@@ -434,11 +440,13 @@ class TestNaNInNormalForm:
     def test_centralizer_power(self, period3):
         # P^2 at point 0 is P_1 o P_0, finite; points 1 and 2 read P_2
         _, ctx, res = period3
-        details, passed = _check_centralizer(ctx, nan_in_normal_form(res, 2),
+        details, limits = _check_centralizer(ctx, nan_in_normal_form(res, 2),
                                              {"tol": 1e-9, "powers": [2]})
         (entry,) = details["powers"]
         assert math.isnan(entry["vs_normal_form_power"])
-        assert not entry["passed"] and not passed
+        assert not entry["passed"] and not all(ok for _, ok in limits)
+        assert [line for line, ok in limits if not ok] == [
+            "power 2 vs_normal_form_power nan > tol 1e-09"]
 
 
 class TestCentralizer:
@@ -606,7 +614,8 @@ class TestKernelCalls:
         counts = set()
         for powers in ([3], [2, 3], [1, 2, 3], [3, 2, 3]):
             calls.clear()
-            assert _check_centralizer(ctx, res, {"tol": 1e-9, "powers": powers})[1]
+            _, limits = _check_centralizer(ctx, res, {"tol": 1e-9, "powers": powers})
+            assert all(ok for _, ok in limits)
             counts.add(len(calls))
             assert max(calls) == len(powers) * c.period  # all powers in one stack
         # two each for F^3 and P^3, one per side of the commutation, one for
@@ -753,3 +762,71 @@ class TestChartConsistency:
         _, ctx, res = koenigs
         rep = chart_transitions(ctx, res, [[0.05]], window=4)[0]
         assert not rep.passed
+
+
+# one passing report of each class; every bound below is positive
+PASSING_REPORTS = {
+    "residual": ResidualReport(2, 1e-13, (0.0, 1e-16, 2e-16), (1e-15, 2e-15, 3e-15), 1e-3),
+    "gauge": GaugeReport(np.zeros((1, 1, 3)), 0.0, 1e-12, 0.0, 1e-9),
+    "centralizer": CentralizerReport(np.zeros((1, 1, 3)), 1, 0.0, 1e-12, 0.0, 1e-9),
+    "flag": FlagReport(0.0, 1e-12),
+    "chart": ChartReport(np.zeros((1, 3)), (0.01,), 100, 1e-12, 0.0, 0.01, 1e-7),
+    "sandwich": SandwichReport(0.0, True, 1.0, 12, 24, 1e-6),
+}
+
+
+def broken_limits(rep):
+    return [line for line, ok in rep.limits() if not ok]
+
+
+class TestLimits:
+    """Each report states its bounded quantities once: a quantity at NaN or
+    at twice its bound fails the report and is the one broken limit, named
+    with its value and bound."""
+
+    @pytest.mark.parametrize("name, quantity", [
+        ("residual", 0), ("residual", 1), ("residual", 2),
+        ("gauge", "npart_max"), ("gauge", "beyond_degree_max"),
+        ("centralizer", "npart_max"), ("centralizer", "beyond_degree_max"),
+        ("flag", "max_below_flag"),
+        ("chart", "npart_max"), ("chart", "deviation_max"),
+        ("sandwich", "max_violation"),
+    ])
+    @pytest.mark.parametrize("twice", [False, True], ids=["nan", "twice_bound"])
+    def test_quantity_beyond_its_bound_fails(self, name, quantity, twice):
+        rep = PASSING_REPORTS[name]
+        assert rep.passed and rep.to_dict()["passed"] is True
+        assert broken_limits(rep) == []
+        bound = rep.bounds[quantity] if name == "residual" else rep.tol
+        value = 2 * bound if twice else math.nan
+        shown = f"{value:.3g}" if twice else "nan"
+        if name == "residual":
+            values = list(rep.max_residuals)
+            values[quantity] = value
+            bad = dataclasses.replace(rep, max_residuals=tuple(values))
+            line = f"degree {quantity} max {shown} > bound {bound:.3g}"
+        else:
+            bad = dataclasses.replace(rep, **{quantity: value})
+            line = f"{quantity} {shown} > tol {bound:.3g}"
+        assert bad.passed is False and bad.to_dict()["passed"] is False
+        assert broken_limits(bad) == [line]
+
+    def test_every_bounded_quantity_is_a_limit(self):
+        counts = {name: len(rep.limits()) for name, rep in PASSING_REPORTS.items()}
+        assert counts == {"residual": 3, "gauge": 2, "centralizer": 2, "flag": 1,
+                          "chart": 2, "sandwich": 2}
+
+    def test_keps_ok_false_fails(self):
+        bad = dataclasses.replace(PASSING_REPORTS["sandwich"], keps_ok=False)
+        assert bad.passed is False and bad.to_dict()["passed"] is False
+        assert broken_limits(bad) == ["keps_ok false"]
+
+    def test_unbounded_fields_do_not_decide(self):
+        # the alignment, commutation residual and evaluation radius are reported only
+        for name, field_name in (("gauge", "alignment_max"),
+                                 ("centralizer", "commutation_residual"),
+                                 ("chart", "eval_radius"),
+                                 ("sandwich", "lambda_min_gram"),
+                                 ("residual", "leading_term")):
+            rep = dataclasses.replace(PASSING_REPORTS[name], **{field_name: math.nan})
+            assert rep.passed, name
