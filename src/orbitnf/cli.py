@@ -572,6 +572,32 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _cached_entry(report, report_path: str, path: str, kind, parse=None):
+    """parse(entry) for the entry of a cached report at a dotted path; one
+    that is missing, not of `kind` or unreadable is a ConfigError naming it."""
+    node = report
+    for key in path.split("."):
+        if not isinstance(node, dict):
+            raise ConfigError(f"cached report {report_path}: {path!r} is not in an object")
+        if key not in node:
+            raise ConfigError(f"cached report {report_path} has no key {key!r}")
+        node = node[key]
+    try:
+        if not isinstance(node, kind) or isinstance(node, bool):
+            raise TypeError(f"{type(node).__name__} is not {kind.__name__}")
+        return node if parse is None else parse(node)
+    except KeyError as exc:
+        raise ConfigError(f"cached report {report_path} has no key {exc} in {path!r}") from None
+    except (TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise ConfigError(f"cached report {report_path} has a malformed {path!r}: {exc}") from None
+
+
+def _cached_maps(maps: list) -> list:
+    if not maps:
+        raise ValueError("no maps")
+    return [PolyMap.from_dict(d) for d in maps]
+
+
 def _cmd_verify(args) -> int:
     name, cocycle, config = resolve_config(args.config, seed=args.seed,
                                            overrides=args.tol_override)
@@ -584,21 +610,19 @@ def _cmd_verify(args) -> int:
 
     # the cached run is self-contained: take its cocycle and config echo,
     # then let command line overrides adjust tolerances on top
-    try:
-        cocycle = OrbitCocycle.from_dict(report["cocycle"])
-        config = _merge(report["config"], {})
-        stored = report["result"]
-        maps = [[PolyMap.from_dict(d) for d in stored[part]]
-                for part in ("conjugator", "normal_form")]
-        order = int(stored["order"])
-    except KeyError as exc:
-        raise ConfigError(f"cached report {report_path} has no key {exc}") from None
+    def read(path, kind, parse=None):
+        return _cached_entry(report, report_path, path, kind, parse)
+
+    cocycle = read("cocycle", dict, OrbitCocycle.from_dict)
+    config = read("config", dict, dict)
+    maps = [read(f"result.{part}", list, _cached_maps) for part in ("conjugator", "normal_form")]
+    order = read("result.order", int)
+    diagnostics = read("result.diagnostics", dict) if "diagnostics" in read("result", dict) else {}
     apply_overrides(config, args.tol_override)
     validate_config(config, cocycle)
 
     ctx = _prepare_context(cocycle, config)
-    result = NormalFormResult.from_maps(*maps, ctx.spectrum, ctx.structure, order,
-                                        stored.get("diagnostics", {}))
+    result = NormalFormResult.from_maps(*maps, ctx.spectrum, ctx.structure, order, diagnostics)
     checks, failures = run_checks(ctx, result, cocycle, config)
     for entry in checks:
         if not entry["enabled"]:

@@ -40,20 +40,50 @@ class ContractionBudgetError(ValueError):
 
 
 @lru_cache(maxsize=None)
+def _first_runs(dim: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of the degree-n monomials whose first nonzero exponent
+    is at coordinate j, for each j, n >= 1.
+
+    The monomials with zeros before coordinate j are the leading
+    C(n + dim - j - 1, n) of the sorted order, and those among them with a
+    zero at j too lead those, so run j is their difference and the runs go
+    from j = dim - 1 down to 0.  Subtracting e_j maps run j onto the leading
+    stop - start monomials of degree n - 1, keeping their order.
+    """
+    stops = [math.comb(n + dim - j - 1, n) for j in range(dim)]
+    return tuple(zip(stops[1:] + [0], stops))
+
+
+@lru_cache(maxsize=None)
+def _recurrence(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The power recurrence of the degree-n monomials, n >= 1, read-only:
+    first[a] is the first coordinate j with alpha_a[j] > 0 and parent[a] the
+    index of alpha_a - e_j one degree down, both read off ``_first_runs``."""
+    runs = _first_runs(dim, n)[::-1]
+    counts = [stop - start for start, stop in runs]
+    first = np.arange(dim - 1, -1, -1).repeat(counts)
+    parent = np.arange(runs[-1][1]) - np.array([start for start, _ in runs]).repeat(counts)
+    first.setflags(write=False)
+    parent.setflags(write=False)
+    return first, parent
+
+
+@lru_cache(maxsize=None)
 def _exponents(dim: int, n: int) -> np.ndarray:
     """The degree-n monomials in dim variables as read-only exponent rows.
 
-    The rows are in lexicographic order, built by recursion on the leading
-    exponent, and row a is jet column ``degree_cols(dim, n).start + a``;
-    ``polymap._rank`` maps a row back to its index.  With one variable per
-    block they are the block degrees s of the types of degree n.
+    The rows are in lexicographic order and row a is jet column
+    ``degree_cols(dim, n).start + a``; ``polymap._rank`` maps a row back to
+    its index.  They are built degree by degree along the power recurrence,
+    alpha_a = alpha_parent[a] + e_first[a].  With one variable per block they
+    are the block degrees s of the types of degree n.
     """
-    if dim == 1:
-        exps = np.array([[n]])
+    if n == 0:
+        exps = np.zeros((1, dim), dtype=np.intp)
     else:
-        tails = [_exponents(dim - 1, n - h) for h in range(n + 1)]
-        exps = np.column_stack((np.repeat(np.arange(n + 1), [len(t) for t in tails]),
-                                np.concatenate(tails)))
+        first, parent = _recurrence(dim, n)
+        exps = _exponents(dim, n - 1)[parent]
+        exps[np.arange(len(exps)), first] += 1
     exps.setflags(write=False)
     return exps
 

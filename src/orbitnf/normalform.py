@@ -186,13 +186,15 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     The types are gathered into zero-padded stacks by ``op.type_index``, one
     fancy index per stack, and every step G <- G + A G B, A <- A A,
     B <- B B doubles the T periods summed, each pair (A, B) first balanced
-    by ``_rebalance``.  The dropped tail sum_{j>=1} A^j G B^j of a type has
-    norm at most rho/(1-rho) ||G||_F with rho = ||A||_F ||B||_F, so the
-    doubling stops once the root sum of squares of those bounds over the
-    types is within series_tol * max(1, ||H(p)||_F) at every phase p (NaN
-    never passes).  A non-finite rho ||G||_F or ||H(p)||_F, which the next
-    step would overflow, raises SeriesStagnationError; more than max_terms
-    terms, at the first period or at a doubling, raise SeriesBudgetError.
+    by a power of two read off the Frobenius norms of the stop test (the
+    first-period products by ``_rebalance``).  The dropped tail
+    sum_{j>=1} A^j G B^j of a type has norm at most rho/(1-rho) ||G||_F with
+    rho = ||A||_F ||B||_F, so the doubling stops once the root sum of
+    squares of those bounds over the types is within
+    series_tol * max(1, ||H(p)||_F) at every phase p (NaN never passes).  A
+    non-finite rho ||G||_F or ||H(p)||_F, which the next step would
+    overflow, raises SeriesStagnationError; more than max_terms terms, at
+    the first period or at a doubling, raise SeriesBudgetError.
     """
     K = len(q_vecs)
     info = {"short_circuit": not q_vecs.any(), "series_terms": 0, "tail_bound": 0.0}
@@ -228,8 +230,10 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
                 raise SeriesBudgetError(
                     f"series for degree {op.n} did not settle within {max_terms} "
                     f"terms (rho = {float(np.max(rho)):.3g} after {T * K})")
-            # a power of two is exact, so neither A G B nor rho moves
-            A, B = _rebalance(A, B)
+            # halve the gap between the binary exponents of the norms; a
+            # power of two is exact, so neither A G B nor rho moves
+            e = ((np.frexp(a)[1] - np.frexp(b)[1]) // 2)[..., None, None]
+            A, B = np.ldexp(A, -e), np.ldexp(B, e)
             G = G + A @ G @ B
             A, B = A @ A, B @ B
             T *= 2

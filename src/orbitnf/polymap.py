@@ -5,15 +5,23 @@ jet of shape (m', jet_width(m, degree)): column 0 is the constant and the
 columns ``degree_cols(m, n)`` the degree-n part, one per monomial in the
 lexicographic order of the exponent rows ``_exponents(m, n)``, which
 ``grading`` owns because one variable per block makes them the block degrees
-of its types; ``_rank`` gives the column of an exponent row.  Every index
-table (the power recurrence, the multiplication-matrix entries, the
-block-degree groups) is read from those arrays.  A dict keyed by (target coordinate, multi-index)
-is only the input and output format, with tuple and dict views of the
-monomials (``_mono_table``) built on first use.  The blocks of a
-GradedSpace type every slot (target block, per-block degrees).
-``block_degree_groups`` groups the monomials of a degree by their block
-degrees and ``admissible_mask`` classifies the slots of a degree, each once
-for all callers; ``subresonance_mask`` joins the masks of a jet's degrees.
+of its types; ``_rank`` gives the column of an exponent row.  A dict keyed
+by (target coordinate, multi-index) is only the input and output format,
+with tuple and dict views of the monomials (``_mono_table``) built on first
+use.  The blocks of a GradedSpace type every slot (target block, per-block
+degrees).
+
+The index tables are built on first use and cached for the process, none at
+import: the runs, power recurrence and exponent rows of each (dimension,
+degree) (``_first_runs``, ``_recurrence``, ``_exponents``, from grading);
+the product tables of each dimension (``_product_tables``), grown to the
+largest degree asked for; the scatter plan of each multiplication-matrix
+window (``_mul_plan``, keyed by dimension, degree, row and column degrees);
+the steps of each power pass (``_power_plan``); the column degrees of each
+jet width (``_col_degrees``); and per graded space and degree the
+block-degree groups (``block_degree_groups``) and per admissible type set
+the admissible slots (``admissible_mask``), each once for all callers.
+``subresonance_mask`` joins the masks of a jet's degrees.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
@@ -24,23 +32,24 @@ time for as many stack entries as fit in POWER_BYTES.
 right again and again: composing H o G is then linear in H,
 jet(H o G) = sum_k H_k @ T_k, with one block T_k per degree k and
 sum_k n_mono(k) (jet_width(M) - jet_width(k - 1)) floats per map through
-order M.  The index plans of the multiplication matrices are listed once per
-dimension and degree and cut once per column window, and the steps of a
-power pass are planned once per shape (``_power_plan``).  ``divide_jets``
-solves Y o G = X for Y degree by degree through the table of G, and
-``invert_jets`` divides the identity; ``compose_truncated`` and
-``invert_truncated`` are the one-map forms.  Iteration orders are fixed, so
-repeated runs give identical floats.
+order M.  The entries of the multiplication matrices are the product blocks
+of every (row degree, factor degree) pair, and a window of a power pass,
+bounded at degrees, is a union of blocks, so its plan is one slice of each
+product table.  ``divide_jets`` solves Y o G = X for Y degree by degree
+through the table of G, and ``invert_jets`` divides the identity;
+``compose_truncated`` and ``invert_truncated`` are the one-map forms.
+Iteration orders are fixed, so repeated runs give identical floats.
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
 
-from .grading import SubResStructure, Type, _exponents
+from .grading import SubResStructure, Type, _exponents, _first_runs, _recurrence
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[int, MultiIndex]
@@ -120,22 +129,10 @@ def _rank(exps: np.ndarray) -> np.ndarray:
     v < alpha_i.
     """
     m = exps.shape[-1]
-    rest = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
+    rest = exps[..., ::-1].cumsum(axis=-1)[..., ::-1]
     binom = _binomials(m, int(rest.max(initial=0)))
     p = np.arange(m - 1, -1, -1)
     return (binom[p, rest] - binom[p, rest - exps]).sum(axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _recurrence(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The power recurrence of the degree-n monomials, n >= 1: first[a] is
-    the first coordinate j with alpha_a[j] > 0 and parent[a] the index of
-    alpha_a - e_j one degree down."""
-    exps = _exponents(dim, n)
-    first = np.argmax(exps > 0, axis=1)
-    below = exps.copy()
-    below[np.arange(len(exps)), first] -= 1
-    return first, _rank(below)
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +146,11 @@ def _mono_table(dim: int, n: int) -> tuple[tuple[MultiIndex, ...], dict[MultiInd
 def jet_width(dim: int, degree: int) -> int:
     """Number of monomials of degree 0..degree in dim variables."""
     return math.comb(dim + degree, dim)
+
+
+def _col_starts(dim: int, top: int) -> list[int]:
+    """starts[d], the first jet column of degree d, for d = 0..top + 1."""
+    return [0] + [math.comb(dim + d, dim) for d in range(top + 1)]
 
 
 def degree_cols(dim: int, n: int) -> slice:
@@ -192,61 +194,78 @@ def _linear_parts(jets: np.ndarray, dim: int) -> np.ndarray:
     return jets[..., 1:1 + dim][..., ::-1]
 
 
-@lru_cache(maxsize=None)
-def _mul_pairs(dim: int, degree: int):
-    """Every entry of the multiplication matrix Mul_j, p G_j = p @ Mul_j.
+# per dimension: the largest degree asked for so far, its product tables
+# (``_product_tables``), which every smaller degree reads too, and how many
+# times the dimension's tables were built
+_products: dict[int, tuple[int, tuple[np.ndarray, ...], int]] = {}
 
-    Mul_j[e, col(eps_e + gamma_g)] = G_j[g] on jets truncated at `degree`;
-    returns the arrays (e, col, g) of those entries sorted by e, and for
-    each e with g in column order, e over the columns of degree at most
-    degree - |gamma_g|.  The columns of
-    one g follow from those of its parent by the power recurrence: with
-    times[j, c] the column of eps_c + e_j, col(eps_e + gamma_g) =
-    times[first[g], col(eps_e + gamma_parent[g])].
+
+def _product_tables(dim: int, degree: int) -> tuple[np.ndarray, ...]:
+    """The entries of the multiplication matrices Mul_j, p G_j = p @ Mul_j,
+    on jets through at least `degree`, one table per factor degree t.
+
+    Mul_j[e, col(eps_e + gamma_g)] = G_j[g]; table t holds the read-only rows
+    (col, e, g) of shape (3, rows * number of degree-t monomials), e-major
+    over the jet columns eps_e and then over the degree-t monomials gamma_g,
+    all as jet columns.  The entries of the eps_e of one degree a are the
+    product block of (a, t), so a window of row degrees and column degrees
+    reads one slice per t.  The columns of one g follow from those of its
+    parent by the power recurrence: with times[j, c] the column of
+    eps_c + e_j, col(eps_e + gamma_g) = times[first[g], col(eps_e +
+    gamma_parent[g])].  Built once per dimension, again when a higher degree
+    is asked for.
     """
-    below = np.concatenate([_exponents(dim, n) for n in range(degree + 1)])[
-        :jet_width(dim, degree - 1)]
-    # starts[t] is the first column of degree t
-    starts = np.array([jet_width(dim, t - 1) for t in range(degree + 2)])
-    times = starts[below.sum(axis=1) + 1] + _rank(below + np.eye(dim, dtype=below.dtype)[:, None])
-    # cols of the degree-t monomials g, one row per g over e < jet_width(dim, degree - t)
-    blocks = [np.arange(jet_width(dim, degree))[None, :]]
-    for t in range(1, degree + 1):
-        first, parent = _recurrence(dim, t)
-        blocks.append(times[first[:, None], blocks[-1][parent, :jet_width(dim, degree - t)]])
-    col = np.concatenate([b.ravel() for b in blocks])
-    room = np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks])
-    src = np.repeat(np.arange(len(room)), room)
-    e = np.arange(len(col)) - np.repeat(np.cumsum(room) - room, room)
-    order = np.argsort(e, kind="stable")
-    return e[order], col[order], src[order]
+    built = _products.get(dim, (-1, (), 0))
+    if built[0] < degree:
+        below = np.concatenate([_exponents(dim, n) for n in range(max(degree, 1))])
+        starts = _col_starts(dim, degree)
+        ends = starts[1:max(degree, 1) + 1]
+        times = np.repeat(ends, [b - a for a, b in zip(starts, ends)]) + _rank(
+            below + np.eye(dim, dtype=below.dtype)[:, None])
+        shapes = [(starts[degree - t + 1], starts[t + 1] - starts[t]) for t in range(degree + 1)]
+        bounds = list(accumulate([r * n for r, n in shapes], initial=0))
+        entries = np.empty((3, bounds[-1]), dtype=np.intp)
+        e = np.arange(starts[-1])
+        cols = e[:, None]
+        for t, (rows, n) in enumerate(shapes):
+            if t:
+                first, parent = _recurrence(dim, t)
+                cols = times[first, cols[:rows, parent]]
+            table = entries[:, bounds[t]:bounds[t + 1]].reshape(3, rows, n)
+            table[0] = cols
+            table[1] = e[:rows, None]
+            table[2] = e[starts[t]:starts[t + 1]]
+        entries.setflags(write=False)
+        built = _products[dim] = (degree, tuple(entries[:, a:b] for a, b in
+                                                zip(bounds, bounds[1:])), built[2] + 1)
+    return built[1]
 
 
 @lru_cache(maxsize=None)
 def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int]):
-    """Scatter plan of Mul_j cut to the column windows rows of p and cols of
-    the product: (flat, src, shape) with Mul_j.flat[flat] = G_j[src], the
-    rows ending with the last that meets the window.  The row window is a
-    slice of the entries sorted by e."""
-    e, col, src = _mul_pairs(dim, degree)
-    window = slice(*np.searchsorted(e, rows).tolist())
-    e, col, src = e[window], col[window], src[window]
-    keep = (col >= cols[0]) & (col < cols[1])
-    e, col, src = e[keep] - rows[0], col[keep] - cols[0], src[keep]
-    width = cols[1] - cols[0]
-    return e * width + col, src, (int(e.max(initial=-1)) + 1, width)
-
-
-@lru_cache(maxsize=None)
-def _first_runs(m: int, k: int) -> tuple[tuple[int, int], ...]:
-    """(start, stop) of the degree-k monomials whose first variable is j,
-    for each j: the sorted order runs first from m - 1 down to 0.  Their
-    parents are the leading stop - start monomials of degree k - 1: both
-    sets are the exponent rows with zeros before coordinate j, and
-    subtracting e_j keeps their order."""
-    counts = np.bincount(_recurrence(m, k)[0], minlength=m)
-    stops = np.cumsum(counts[::-1])[::-1]
-    return tuple(zip((stops - counts).tolist(), stops.tolist()))
+    """Scatter plan of Mul_j on jets through `degree`, cut to the rows of p of
+    degrees rows[0]..rows[1] and the product columns of degrees
+    cols[0]..cols[1]: (flat, src, shape) with Mul_j.flat[flat] = G_j[src],
+    the rows ending with the last that meets the window.  Both windows are
+    unions of degrees, so the plan is the product blocks of every (row
+    degree, factor degree) pair they hold: one slice per factor degree t of
+    ``_product_tables``, over the row degrees whose sum with t is a column
+    degree."""
+    (ra, rb), (ca, cb) = rows, cols
+    starts = _col_starts(dim, cb)
+    r0, c0 = starts[ra], starts[ca]
+    width, last = starts[cb + 1] - c0, min(rb, cb)
+    tables, blocks = _product_tables(dim, degree), []
+    for t in range(max(ca - last, 0), cb - ra + 1):
+        n = starts[t + 1] - starts[t]  # entries per row of table t
+        blocks.append(tables[t][:, n * starts[max(ra, ca - t)]:n * starts[min(last, cb - t) + 1]])
+    if not blocks:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), (0, width)
+    col, e, src = np.concatenate(blocks, axis=1)
+    flat = e * width
+    flat += col
+    flat -= r0 * width + c0
+    return flat, src.copy(), (starts[last + 1] - r0, width)
 
 
 @lru_cache(maxsize=None)
@@ -255,37 +274,44 @@ def _power_plan(m: int, dim: int, degree: int, top: int, low: int, step: int) ->
     through `degree`, with inner valuation `low` and inner degree `step`.
 
     Per degree k = 1..top: (lo, hi, monomials, mul, products), the power
-    holding the jet columns lo:hi of the degree-k monomials.  For k >= 2,
-    mul is the scatter plan (flat, src, rows, cols) of the multiplication
-    matrix on the window of the power below, and products lists per
-    coordinate j the matmuls (parent rows, inner width, columns, output
-    rows): slices, the parent rows a view by ``_first_runs``.
+    holding the jet columns lo:hi, of degrees k low to k step, of the
+    degree-k monomials.  For k >= 2, mul is the scatter plan (flat, src,
+    rows, cols) of the multiplication matrix on the window of the power
+    below, and products lists per coordinate j the matmuls (parent rows,
+    inner width, columns, output rows): slices, the parent rows a view by
+    ``_first_runs``.
     """
     plan, prev = [], None
+    starts = _col_starts(dim, max(degree, top))
     for k in range(1, top + 1):
-        lo = degree_cols(dim, k * low).start
-        hi = max(lo, jet_width(dim, min(degree, k * step)))
+        # degrees k low..k step of the power; an empty window ends below its start
+        window = (k * low, max(k * low - 1, min(degree, k * step)))
+        lo, hi = starts[window[0]], starts[window[1] + 1]
         runs = _first_runs(m, k)
         mul, products = None, ()
         if k > 1:
-            flat, src, (rows, cols) = _mul_plan(dim, degree, prev, (lo, hi))
+            flat, src, (rows, cols) = _mul_plan(dim, degree, prev[2], window)
             # every G_j fills the same entries, so one matrix serves all j
             mul = (flat, src, rows, cols)
             blocks = [(rows, 0, cols)]
             if low:
                 # the degree-k columns read only the degree k-1 rows; a product
                 # of their own keeps them the powers of the linear parts
-                diag = min(cols, jet_width(dim, k) - lo)
+                diag = min(cols, starts[k + 1] - lo)
                 blocks = [(lo - prev[0], 0, diag), (rows, diag, cols)]
-            blocks = [(r, c0, c1, max(1, PRODUCT_MACS // max(1, r * (c1 - c0))))
+            blocks = [(r, slice(c0, c1), max(1, PRODUCT_MACS // max(1, r * (c1 - c0))))
                       for r, c0, c1 in blocks if c0 < c1]
-            products = tuple(
-                (j, tuple((slice(c - a, min(b, c + chunk) - a), r, slice(c0, c1),
-                           slice(c, min(b, c + chunk)))
-                          for r, c0, c1, chunk in blocks for c in range(a, b, chunk)))
-                for j, (a, b) in enumerate(runs))
+            products = []
+            for j, (a, b) in enumerate(runs):
+                steps = []
+                for r, out_cols, chunk in blocks:
+                    for c in range(a, b, chunk):
+                        d = min(b, c + chunk)
+                        steps.append((slice(c - a, d - a), r, out_cols, slice(c, d)))
+                products.append((j, tuple(steps)))
+            products = tuple(products)
         plan.append((lo, hi, runs[0][1], mul, products))
-        prev = (lo, hi)
+        prev = (lo, hi, window)
     return tuple(plan)
 
 
@@ -341,7 +367,7 @@ def compose_jets(outer: np.ndarray, inner: np.ndarray, dim: int, degree: int) ->
     top = top_degree(outer, m)
     out = np.zeros((S, outer.shape[-2], width))
     out[..., 0] = outer[..., 0]
-    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_exponents(m, top)))))
+    rows = max(1, POWER_BYTES // (8 * width * max(width, math.comb(m + top - 1, top))))
     for s in range(0, S, rows):
         for k, lo, power in _powers(inner[s:s + rows], dim, degree, top):
             out[s:s + rows, :, lo:lo + power.shape[2]] += (
@@ -368,7 +394,7 @@ def composition_table(jets: np.ndarray, dim: int, order: int) -> tuple[np.ndarra
     if inner[..., 0].any():
         raise ValueError("a composition table needs maps fixing the origin")
     width = jet_width(dim, order)
-    rows = max(1, POWER_BYTES // (8 * width * max(width, len(_exponents(m, order)))))
+    rows = max(1, POWER_BYTES // (8 * width * max(width, math.comb(m + order - 1, order))))
     table = []
     for s in range(0, len(inner), rows):
         for k, lo, power in _powers(inner[s:s + rows], dim, order, order):
@@ -387,15 +413,18 @@ def stack_jets(maps, degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def block_degree_groups(space: GradedSpace, n: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
     """The degree-n monomials grouped by block degrees s: (s, read-only
-    columns) pairs in increasing s, the columns in sorted monomial order."""
+    columns) pairs in increasing s, the columns in sorted monomial order.
+    Every block holds a coordinate, so every s with |s| = n has a group and
+    the keys are the exponent rows ``_exponents(n_blocks, n)``."""
     s = np.add.reduceat(_exponents(space.dim, n), [sl.start for sl in space._block_slices],
                         axis=1)
     # s read as digits base n + 1 orders the keys as the s themselves
     key = s @ (n + 1) ** np.arange(space.n_blocks - 1, -1, -1)
     order = np.argsort(key, kind="stable")
     order.setflags(write=False)
-    bounds = [0] + (np.flatnonzero(np.diff(key[order])) + 1).tolist() + [len(order)]
-    return tuple((tuple(s[order[a]].tolist()), order[a:b]) for a, b in zip(bounds, bounds[1:]))
+    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(order)]
+    return tuple(zip(map(tuple, _exponents(space.n_blocks, n).tolist()),
+                     [order[a:b] for a, b in zip(bounds, bounds[1:])]))
 
 
 @lru_cache(maxsize=None)
@@ -405,13 +434,15 @@ def admissible_mask(target: GradedSpace, source: GradedSpace, n: int,
     admissible types ``SubResStructure.admissible(n)``; read-only, shape
     (target.dim, number of degree-n monomials)."""
     groups = block_degree_groups(source, n)
-    # the group of every column, and whether block b keeps the group's type
-    group = np.empty(len(_exponents(source.dim, n)), dtype=np.intp)
-    group[np.concatenate([cols for _, cols in groups])] = np.repeat(
-        np.arange(len(groups)), [len(cols) for _, cols in groups])
-    kept = np.array([[(b, s) in types for b in range(1, target.n_blocks + 1)]
-                     for s, _ in groups])
-    mask = kept.T[np.array(target.block_of_coord) - 1][:, group]
+    # whether block b keeps each group's type, spread over the group's columns
+    index = {s: g for g, (s, _) in enumerate(groups)}
+    kept = np.zeros((target.n_blocks, len(groups)), dtype=bool)
+    for i, s in types:
+        if 1 <= i <= target.n_blocks and s in index:
+            kept[i - 1, index[s]] = True
+    mask = np.empty((target.dim, math.comb(source.dim + n - 1, n)), dtype=bool)
+    mask[:, np.concatenate([cols for _, cols in groups])] = kept.repeat(
+        [len(cols) for _, cols in groups], axis=1)[np.array(target.block_of_coord) - 1]
     mask.setflags(write=False)
     return mask
 

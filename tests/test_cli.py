@@ -634,6 +634,38 @@ class TestVerifyCommand:
         assert err.startswith("config error: cached report ")
         assert err.rstrip().endswith(f"has no key {key!r}")
 
+    @pytest.mark.parametrize("path, value, key", [
+        ("result.conjugator", None, "result.conjugator"),
+        ("cocycle", [], "cocycle"),
+        ("config", "koenigs", "config"),
+        ("result", [], "result.conjugator"),
+        ("result.normal_form", {}, "result.normal_form"),
+        ("result.conjugator", [], "result.conjugator"),
+        ("result.conjugator", [None], "result.conjugator"),
+        ("result.conjugator.0.terms", None, "result.conjugator"),
+        ("result.order", None, "result.order"),
+        ("result.order", "6", "result.order"),
+        ("result.diagnostics", [], "result.diagnostics"),
+        ("cocycle.fiber_maps", None, "cocycle"),
+        ("cocycle.block_dims", 2, "cocycle"),
+    ], ids=lambda v: repr(v) if not isinstance(v, str) else v)
+    def test_verify_report_wrong_type_exit_2(self, path, value, key, koenigs_run, tmp_path,
+                                             capsys):
+        # an entry of the wrong type is a config error naming the key, not a
+        # TypeError or AttributeError with the exit status of a failed check
+        report = json.loads(json.dumps(koenigs_run[1]))
+        *parents, last = path.split(".")
+        node = report
+        for parent in parents:
+            node = node[int(parent) if parent.isdigit() else parent]
+        node[last] = value
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert main(["verify", "koenigs", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cached report ")
+        assert repr(key) in err
+        assert "Traceback" not in err
+
     def test_verify_with_tight_tolerance_fails(self, koenigs_run, capsys):
         out, _ = koenigs_run
         code = main(["verify", "koenigs", "--out-dir", str(out),

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import index_reference
 import numpy as np
 import pytest
 import series_reference
@@ -13,8 +14,8 @@ from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitnf import normalform, polymap
-from orbitnf.cli import _first_admissible_slot, _prepare_context, run_scenario
+from orbitnf import grading, normalform, polymap
+from orbitnf.cli import _first_admissible_slot, _prepare_context, run_checks, run_scenario
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
 from orbitnf.normalform import (
@@ -1035,40 +1036,126 @@ class TestLadderAgainstOracle:
         assert diagnostics["table_bytes"] == 8 * ctx.cocycle.period * floats
 
 
-def filtered_mul_plan(dim, degree, rows, cols):
-    """``polymap._mul_plan`` filtering every entry by row and column window."""
-    e, col, src = polymap._mul_pairs(dim, degree)
-    keep = (e >= rows[0]) & (e < rows[1]) & (col >= cols[0]) & (col < cols[1])
-    e, col, src = e[keep] - rows[0], col[keep] - cols[0], src[keep]
-    width = cols[1] - cols[0]
-    return e * width + col, src, (int(e.max(initial=-1)) + 1, width)
+def column_window(dim, degrees):
+    """Jet columns lo:hi of the degrees lo..hi, empty when hi < lo."""
+    lo = degree_cols(dim, degrees[0]).start
+    return lo, max(lo, jet_width(dim, degrees[1]))
+
+
+@pytest.fixture(scope="module")
+def workload_plans(tmp_path_factory):
+    """The arguments of every power plan and multiplication plan that one pass
+    of each benchmark workload asks for, every plan built again: prepare and
+    solve of the ladder rows; prepare, solve and checks of
+    random_scenario(12..23); run_scenario on the six builtins, chart check
+    and window solves included."""
+    powers, windows = set(), set()
+    power_plan, mul_plan = polymap._power_plan, polymap._mul_plan
+
+    def record_power(*args):
+        powers.add(args)
+        return power_plan(*args)
+
+    def record_window(*args):
+        windows.add(args)
+        return mul_plan(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polymap, "_power_plan", record_power)
+        patch.setattr(polymap, "_mul_plan", record_window)
+        power_plan.cache_clear()  # so that every plan is built again
+        for row in LADDER:
+            solve_normal_form(ladder_context(*row))
+        for index in range(12, 24):
+            scenario = random_scenario(index)
+            ctx = _prepare_context(scenario.cocycle, scenario.config)
+            run_checks(ctx, solve_normal_form(ctx), scenario.cocycle, scenario.config)
+        out = tmp_path_factory.mktemp("builtins")
+        for name in builtin_names():
+            assert run_scenario(name, out_dir=str(out / name)) == 0
+    return powers, windows
 
 
 class TestPowerPlans:
-    def test_row_windows_cut_the_filtered_plans(self, monkeypatch, tmp_path):
-        """Every multiplication plan that the ladder rows and the builtins
-        reach, with the chart check's window solves, holds the entries
-        filtered by both windows, as sets."""
-        windows, plan = set(), polymap._mul_plan
-
-        def recorded(*args):
-            windows.add(args)
-            return plan(*args)
-
-        monkeypatch.setattr(polymap, "_mul_plan", recorded)
-        polymap._power_plan.cache_clear()  # so that every plan is built again
-        for row in LADDER:
-            solve_normal_form(ladder_context(*row))
-        for name in builtin_names():
-            assert run_scenario(name, out_dir=str(tmp_path / name)) == 0
+    def test_row_windows_cut_the_filtered_plans(self, workload_plans):
+        """Every multiplication plan that the workloads reach holds the
+        entries of the full list filtered by both column windows, as sets."""
+        windows = workload_plans[1]
         assert len(windows) > 50
-        for args in windows:
-            flat, src, shape = plan(*args)
-            want_flat, want_src, want_shape = filtered_mul_plan(*args)
+        for dim, degree, rows, cols in windows:
+            flat, src, shape = polymap._mul_plan(dim, degree, rows, cols)
+            want_flat, want_src, want_shape = index_reference.mul_plan(
+                dim, degree, column_window(dim, rows), column_window(dim, cols))
             assert shape == want_shape
             assert len(set(flat.tolist())) == len(flat)
             assert (set(zip(flat.tolist(), src.tolist()))
                     == set(zip(want_flat.tolist(), want_src.tolist())))
+
+    def test_workload_plans_equal_the_reference(self, workload_plans):
+        """Every power plan that the workloads ask for equals the one built
+        from filtered full entry lists: the same scatter entries as a set,
+        and the same windows, matmul shapes, slices and chunks."""
+        powers = workload_plans[0]
+        assert len(powers) > 50
+        for args in powers:
+            index_reference.assert_same_plan(
+                polymap._power_plan(*args),
+                index_reference.power_plan(*args, polymap.PRODUCT_MACS))
+
+
+def index_caches():
+    """Every index-table cache of grading and polymap, by name."""
+    return {f"{f.__module__.rsplit('.', 1)[1]}.{f.__qualname__}": f
+            for module in (grading, polymap) for f in vars(module).values()
+            if hasattr(f, "cache_info")}
+
+
+class TestFirstUseBuilds:
+    """The index tables a cold solve of each ladder row builds: every cache
+    miss, and the product tables' builds.  A change that builds more of them
+    in a fresh interpreter shows here before it shows in the benchmark."""
+
+    BUILDS = {
+        ((2, 2), 2, 4, 0.04): {
+            "grading._first_runs": 8, "grading._recurrence": 8, "grading._exponents": 10,
+            "polymap._binomials": 1, "polymap._col_degrees": 3, "polymap._mul_plan": 5,
+            "polymap._power_plan": 4, "polymap.block_degree_groups": 3,
+            "polymap.admissible_mask": 3, "polymap._product_tables": 1},
+        ((1, 1, 1), 3, 5, 0.02): {
+            "grading._first_runs": 5, "grading._recurrence": 5, "grading._exponents": 6,
+            "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 9,
+            "polymap._power_plan": 5, "polymap.block_degree_groups": 4,
+            "polymap.admissible_mask": 4, "polymap._product_tables": 1},
+        ((2, 2), 2, 6, 0.04): {
+            "grading._first_runs": 12, "grading._recurrence": 12, "grading._exponents": 14,
+            "polymap._binomials": 1, "polymap._col_degrees": 5, "polymap._mul_plan": 9,
+            "polymap._power_plan": 6, "polymap.block_degree_groups": 5,
+            "polymap.admissible_mask": 5, "polymap._product_tables": 1},
+        ((2, 3), 2, 5, 0.03): {
+            "grading._first_runs": 10, "grading._recurrence": 10, "grading._exponents": 12,
+            "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 7,
+            "polymap._power_plan": 5, "polymap.block_degree_groups": 4,
+            "polymap.admissible_mask": 4, "polymap._product_tables": 1},
+        ((3, 3), 1, 4, 0.03): {
+            "grading._first_runs": 8, "grading._recurrence": 8, "grading._exponents": 10,
+            "polymap._binomials": 1, "polymap._col_degrees": 3, "polymap._mul_plan": 5,
+            "polymap._power_plan": 4, "polymap.block_degree_groups": 3,
+            "polymap.admissible_mask": 3, "polymap._product_tables": 1},
+    }
+
+    @pytest.mark.parametrize("row", LADDER, ids=str)
+    def test_cold_solve(self, row):
+        dims, period, order, epsilon = row
+        cocycle = random_cocycle(np.random.default_rng(1), LADDER_EXPONENTS[len(dims)], dims,
+                                 period, amp=0.05)
+        caches = index_caches()
+        for cache in caches.values():
+            cache.cache_clear()
+        polymap._products.clear()
+        solve_normal_form(SolverContext.prepare(cocycle, epsilon, order))
+        builds = {name: cache.cache_info().misses for name, cache in caches.items()}
+        builds["polymap._product_tables"] = sum(b for *_, b in polymap._products.values())
+        assert {name: n for name, n in builds.items() if n} == self.BUILDS[row]
 
 
 class TestResultShape:

@@ -22,6 +22,7 @@ from orbitnf.polymap import (
     _linear_jets,
     _linear_parts,
     _mono_table,
+    admissible_mask,
     block_degree_groups,
     compose_jets,
     compose_truncated,
@@ -672,25 +673,92 @@ class TestIndexReference:
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_multiplication_entries(self, dim):
-        for degree in range(9):
-            want = index_reference.mul_pairs(dim, degree)
-            # the package keeps the entries sorted by row, stably
-            order = np.argsort(want[0], kind="stable")
-            for got, want in zip(polymap._mul_pairs(dim, degree), want):
-                np.testing.assert_array_equal(got, want[order])
+        def entries(degree):
+            """The (e, col, src) entries of jets through `degree`, sorted by (e, src)."""
+            tables = polymap._product_tables(dim, degree)
+            got = np.concatenate(
+                [table[:, :math.comb(dim + degree - t, dim) * math.comb(dim + t - 1, t)]
+                 for t, table in enumerate(tables[:degree + 1])], axis=1)[[1, 0, 2]]
+            return got[:, np.lexsort((got[2], got[0]))]
 
-    @pytest.mark.parametrize("dim", range(1, 7))
+        def reference(degree):
+            e, col, src = index_reference.mul_pairs(dim, degree)
+            order = np.lexsort((src, e))
+            return np.array([e[order], col[order], src[order]])
+
+        polymap._products.pop(dim, None)
+        # tables grown to degree 8 serve every lower degree with their leading rows
+        polymap._product_tables(dim, 8)
+        for degree in range(9):
+            np.testing.assert_array_equal(entries(degree), reference(degree))
+        assert polymap._products[dim][2] == 1
+        polymap._products.pop(dim)
+        # asked for degree by degree, they are built again for each higher one
+        for degree in range(9):
+            np.testing.assert_array_equal(entries(degree), reference(degree))
+        assert polymap._products[dim][2] == 9
+        for t, table in enumerate(polymap._product_tables(dim, 8)):
+            assert not table.flags.writeable
+            # table t is e-major, its g the degree-t monomials in order
+            cols = degree_cols(dim, t)
+            g = table[2].reshape(-1, cols.stop - cols.start)
+            np.testing.assert_array_equal(g, np.broadcast_to(np.arange(cols.start, cols.stop),
+                                                             g.shape))
+            np.testing.assert_array_equal(table[1].reshape(g.shape)[:, 0], np.arange(len(g)))
+        polymap._products.pop(dim)  # degree 8 in dimension 7 is 7.7 MB
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_power_plans(self, dim):
+        # plans through degree 8, with the windows of maps with and without
+        # constants and of low and high inner degree, equal the ones built from
+        # the filtered full entry lists: the same scatter entries as a set and
+        # the same windows, matmul slices and chunks
+        for degree in range(9):
+            if math.comb(dim + degree, dim) > 1716:
+                break  # the reference filters every entry for each window
+            steps = sorted({0, 1, 2, degree - 1, degree} & set(range(degree + 1)))
+            for low, step in [(0, 0), (0, 1), (0, degree)] + [(1, s) for s in steps]:
+                top = degree + 2
+                got = polymap._power_plan(dim, dim, degree, top, low, step)
+                want = index_reference.power_plan(dim, dim, degree, top, low, step,
+                                                  polymap.PRODUCT_MACS)
+                index_reference.assert_same_plan(got, want)
+
+    @pytest.mark.parametrize("dim", range(1, 8))
     def test_block_degree_groups_every_split(self, dim):
-        for parts in range(1, dim + 1):
-            for dims in compositions(dim, parts):
-                space = GradedSpace(dims)
-                for n in range(8):
-                    got = block_degree_groups(space, n)
-                    want = index_reference.block_degree_groups(dims, n)
-                    assert [s for s, _ in got] == [s for s, _ in want]
-                    for (_, cols), (_, ref) in zip(got, want):
-                        np.testing.assert_array_equal(cols, ref)
-                        assert not cols.flags.writeable
+        # every split up to dimension 6; in dimension 7, one and two blocks and
+        # one block per coordinate
+        splits = [dims for parts in range(1, dim + 1) if dim < 7 or parts < 3
+                  for dims in compositions(dim, parts)]
+        for dims in splits + [(1,) * 7] * (dim == 7):
+            space = GradedSpace(dims)
+            for n in range(9):
+                got = block_degree_groups(space, n)
+                want = index_reference.block_degree_groups(dims, n)
+                assert [s for s, _ in got] == [s for s, _ in want]
+                for (_, cols), (_, ref) in zip(got, want):
+                    np.testing.assert_array_equal(cols, ref)
+                    assert not cols.flags.writeable
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_admissible_masks(self, dim):
+        rng = np.random.default_rng(dim)
+        for dims in dict.fromkeys([(dim,), (1,) * dim, (dim // 2 or 1, dim - (dim // 2 or 1))]):
+            if 0 in dims:
+                continue
+            space = GradedSpace(dims)
+            for n in range(9):
+                every = [(i, s) for s, _ in block_degree_groups(space, n)
+                         for i in range(1, len(dims) + 1)]
+                for share in (0.0, 0.3, 1.0):
+                    types = frozenset(t for t in every if rng.random() < share)
+                    # a type of no block or of other block degrees keeps nothing
+                    noise = {(0, (n,) + (0,) * (len(dims) - 1)), (len(dims) + 1, (n,) * len(dims)),
+                             (1, (n + 1,) * len(dims))}
+                    got = admissible_mask(space, space, n, types | noise)
+                    np.testing.assert_array_equal(
+                        got, index_reference.admissible_mask(dims, n, types))
+                    assert not got.flags.writeable
 
 
 class TestTermValidation:
