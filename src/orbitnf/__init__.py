@@ -5,7 +5,7 @@ a periodic orbit that conjugates a cocycle of contracting polynomial fiber
 maps to a normal form P containing only sub-resonance terms of the Lyapunov
 spectrum.  The pipeline is
 
-    OrbitCocycle -> monodromy_spectrum -> SubResStructure -> SolverContext
+    OrbitCocycle -> monodromy_spectrum -> Spectrum.structure -> SolverContext
                  -> solve_normal_form -> verification
 
 with a JSON-driven CLI (`orbitnf run/list/spectrum/verify`) on top.  The
@@ -22,14 +22,12 @@ _EXPORTS = {
         "Spectrum",
         "SubResStructure",
         "contraction_factor",
-        "enumerate_types",
     ],
     "polymap": [
         "GradedSpace",
         "PolyMap",
         "compose_truncated",
         "invert_truncated",
-        "project_subresonance",
     ],
     "cocycle": [
         "ClusterGapError",
@@ -61,7 +59,7 @@ _EXPORTS = {
         "series_vs_direct",
     ],
     "scenarios": ["builtin_names", "build_builtin"],
-    "cli": ["main", "run_scenario", "list_builtins"],
+    "cli": ["main", "run_scenario"],
 }
 
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

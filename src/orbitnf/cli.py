@@ -44,7 +44,7 @@ import numpy as np
 from .cocycle import OrbitCocycle, _limit, sandwich_check
 from .normalform import NormalFormResult, SolverContext, solve_normal_form
 from .polymap import PolyMap, _mono_table, degree_cols
-from .scenarios import BUILTIN_DESCRIPTIONS, build_builtin, default_checks
+from .scenarios import BUILTIN_DESCRIPTIONS, _base_config, build_builtin, default_checks
 from .verify import (
     centralizer_check,
     chart_transitions,
@@ -152,18 +152,6 @@ def _merge(base, override):
     return override
 
 
-def _inline_defaults(raw: dict) -> dict:
-    return {
-        "scenario": raw["scenario"],
-        "resonance_tol": 1e-9,
-        "cluster_tol": 1e-6,
-        "tail_tol": 1e-12,
-        "series_tol": 1e-13,
-        "rng_seed": 0,
-        "checks": default_checks(),
-    }
-
-
 def load_raw_config(arg: str) -> dict:
     if arg in BUILTIN_DESCRIPTIONS:
         return {"scenario": arg}
@@ -220,7 +208,8 @@ def resolve_config(arg: str, *, seed: int | None = None,
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline cocycle: {exc}") from None
         name = str(raw.get("name", "inline"))
-        config = _merge(_inline_defaults(raw), raw)
+        # no default epsilon or order: validation names the one a file leaves out
+        config = _merge(_base_config(scenario, None, None), raw)
     else:
         raise ConfigError(
             "scenario must be a builtin name or an inline cocycle object")
@@ -347,22 +336,6 @@ def _check_sandwich(ctx, result, cfg):
     return rep.to_dict(), rep.limits()
 
 
-def _first_admissible_slot(structure, space):
-    """Lowest-degree admissible nonlinear coefficient slot, or None for d=1."""
-    for n in range(2, structure.degree_bound + 1):
-        types = sorted(structure.admissible(n))
-        if not types:
-            continue
-        i, s = types[0]
-        coord = space.block_slice(i).start
-        alpha = [0] * space.dim
-        for j, sj in enumerate(s, start=1):
-            if sj:
-                alpha[space.block_slice(j).start] = sj
-        return n, coord, tuple(alpha)
-    return None
-
-
 def _check_gauge(ctx, result, cfg):
     """Solve again under a lifted gauge and test the transition map.
 
@@ -374,29 +347,28 @@ def _check_gauge(ctx, result, cfg):
     tol = float(cfg["tol"])
     delta = float(cfg.get("delta", 0.05))
     space = ctx.cocycle.space
-    slot = _first_admissible_slot(ctx.structure, space)
-    if slot is None:
-        degree, coord, alpha = 2, 0, tuple(
-            2 if i == 0 else 0 for i in range(space.dim))
-    else:
-        degree, coord, alpha = slot
-    bump = PolyMap(space, space, degree, np.zeros(space.dim),
-                   {(coord, alpha): delta})
+    # t_j^2 into coordinate 0, t_j the first coordinate of the slowest block: the
+    # smallest type of degree 2, admissible when any type of degree >= 2 is, as
+    # s.chi <= 2 chi_ell for |s| >= 2 and chi_i > chi_1 for i >= 2 (else t_0^2)
+    recover = (1, (0,) * (space.n_blocks - 1) + (2,)) in ctx.structure.admissible(2)
+    alpha = [0] * space.dim
+    alpha[space.block_slice(space.n_blocks).start if recover else 0] = 2
+    bump = PolyMap(space, space, 2, np.zeros(space.dim), {(0, tuple(alpha)): delta})
     # the re-solve reuses the table and degree operators of ctx
     result_alt = solve_normal_form(ctx, lift=bump)
     rep = gauge_compare(result, result_alt, tol=tol)
     details, limits = rep.to_dict(), rep.limits()
     details["delta"] = delta
-    details["slot"] = [degree, coord, list(alpha)]
-    if slot is None:
+    details["slot"] = [2, 0, alpha]
+    if not recover:
         diff = float(np.max(np.abs(result.conjugator_jets - result_alt.conjugator_jets)))
         details["mode"] = "unique"
         details["conjugator_gap"] = diff
         limits.append(_limit("conjugator_gap", diff, "tol", _UNIQUE_GAP_TOL))
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
-        col = degree_cols(space.dim, degree).start + _mono_table(space.dim, degree)[1][alpha]
-        err = float(np.max(np.abs(rep.transition[:, coord, col] + delta)))
+        col = degree_cols(space.dim, 2).start + _mono_table(space.dim, 2)[1][tuple(alpha)]
+        err = float(np.max(np.abs(rep.transition[:, 0, col] + delta)))
         details["mode"] = "recover"
         details["recovery_error"] = err
         limits.append(_limit("recovery_error", err, "tol", tol))
@@ -536,11 +508,6 @@ def run_scenario(config_arg: str, *, out_dir: str | None = None,
     return 0
 
 
-def list_builtins() -> dict[str, str]:
-    """Builtin scenario names with their one-line descriptions."""
-    return dict(BUILTIN_DESCRIPTIONS)
-
-
 # -- subcommands ------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
@@ -622,7 +589,7 @@ def _cmd_verify(args) -> int:
     validate_config(config, cocycle)
 
     ctx = _prepare_context(cocycle, config)
-    result = NormalFormResult.from_maps(*maps, ctx.spectrum, ctx.structure, order, diagnostics)
+    result = NormalFormResult.from_maps(*maps, ctx.spectrum, order, diagnostics)
     checks, failures = run_checks(ctx, result, cocycle, config)
     for entry in checks:
         if not entry["enabled"]:

@@ -442,7 +442,7 @@ class SandwichReport(_Report):
     lambda_min_gram: float
     n_max: int
     n_envelopes: int
-    tol: float = 1e-6
+    tol: float
 
     def limits(self) -> list[tuple[str, bool]]:
         return [("keps_ok false", self.keps_ok),

@@ -12,8 +12,10 @@ else can be removed degree by degree.  This module owns the degree bound
 d = floor(chi_1 / chi_ell), the admissible types, the spectral gap
 lambda = max over non-admissible types of (-chi_i + sum_j s_j chi_j) < 0,
 and the per-degree contraction factor exp(lambda + (n+1) eps) that drives the
-series solver.  The admissible types, the spectral gap and the check of
-resonance_tol read one table per spectrum,
+series solver.  ``Spectrum.structure`` is the one owner of admissibility:
+every stage asks it for the admissible types or slots (grouped by
+``_type_columns``) of a degree or a jet.  The admissible types, the spectral
+gap and the check of resonance_tol read one table per spectrum,
 ``Spectrum.resonance_table``: for each degree n = 1..d+1, degree after
 degree, the block degrees s (the exponent rows ``_exponents(ell, n)``, which
 also index the monomials of a jet), their weights s.chi and the admissible
@@ -24,8 +26,9 @@ degree <= d+1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -200,6 +203,11 @@ class Spectrum:
     def n_blocks(self) -> int:
         return len(self.exponents)
 
+    @cached_property
+    def structure(self) -> "SubResStructure":
+        """The sub-resonance structure, the one owner of admissibility."""
+        return SubResStructure(self)
+
     def to_dict(self) -> dict:
         return {
             "exponents": list(self.exponents),
@@ -209,19 +217,6 @@ class Spectrum:
             "degree_bound": self.degree_bound,
             "spectral_gap": self.spectral_gap,
         }
-
-
-def enumerate_types(spectrum: Spectrum, n: int) -> frozenset[Type]:
-    """All admissible types (i, s) of homogeneous degree |s| = n.
-
-    Empty for every n > spectrum.degree_bound.
-    """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    table = spectrum.resonance_table
-    rows, blocks = np.nonzero(table.admissible & (table.degrees.sum(axis=1) == n)[:, None])
-    degrees = table.degrees.tolist()
-    return frozenset((i + 1, tuple(degrees[a])) for a, i in zip(rows.tolist(), blocks.tolist()))
 
 
 def contraction_factor(spectrum: Spectrum, n: int) -> float:
@@ -242,33 +237,93 @@ def contraction_factor(spectrum: Spectrum, n: int) -> float:
     return value
 
 
+@lru_cache(maxsize=None)
+def _type_columns(block_dims: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
+    """The degree-n monomials in sum(block_dims) variables grouped by block
+    degrees s, one group per exponent row s of ``_exponents(len(block_dims), n)``
+    and in their order, which the table's degree-n rows share: the read-only
+    columns of its monomials, in sorted order.  Every block holds a coordinate,
+    so every s with |s| = n has a group."""
+    starts = list(accumulate(block_dims[:-1], initial=0))
+    s = np.add.reduceat(_exponents(sum(block_dims), n), starts, axis=1)
+    # s read as digits base n + 1 orders the groups as the rows s themselves
+    key = s @ (n + 1) ** np.arange(len(block_dims) - 1, -1, -1)
+    order = np.argsort(key, kind="stable")
+    order.setflags(write=False)
+    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(order)]
+    return tuple(order[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class SubResStructure:
-    """Admissible types of every degree 1..degree_bound for a fixed spectrum."""
+    """The sub-resonance decision of a spectrum, ``Spectrum.structure``.
 
-    degree_bound: int
-    n_blocks: int
-    types_by_degree: dict[int, frozenset[Type]]
-    spectral_gap: float
+    Everything it answers is read off the spectrum's resonance table: the
+    admissible types of every degree 1..degree_bound as sets (``admissible``,
+    ``types_by_degree``) and as slot masks over the m coordinates of the
+    multiplicities, per degree (``mask``) and jet-wide (``keep``).
+    """
 
-    @classmethod
-    def from_spectrum(cls, spectrum: Spectrum) -> "SubResStructure":
-        d = spectrum.degree_bound
-        by_degree = {n: enumerate_types(spectrum, n) for n in range(1, d + 1)}
-        for n, types in by_degree.items():
-            for i, s in types:
-                # admissible implies the target block sees no faster block
-                assert all(s[j] == 0 for j in range(i - 1)), (n, i, s)
-        return cls(
-            degree_bound=d,
-            n_blocks=spectrum.n_blocks,
-            types_by_degree=by_degree,
-            spectral_gap=spectrum.spectral_gap,
-        )
+    spectrum: Spectrum
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def degree_bound(self) -> int:
+        return self.spectrum.degree_bound
+
+    @property
+    def n_blocks(self) -> int:
+        return self.spectrum.n_blocks
+
+    @property
+    def spectral_gap(self) -> float:
+        return self.spectrum.spectral_gap
+
+    @cached_property
+    def types_by_degree(self) -> dict[int, frozenset[Type]]:
+        """The admissible types of every degree 1..degree_bound."""
+        table = self.spectrum.resonance_table
+        by_degree = {n: set() for n in range(1, self.degree_bound + 1)}
+        rows, blocks = np.nonzero(table.admissible)
+        degrees = table.degrees.tolist()
+        for a, i in zip(rows.tolist(), blocks.tolist()):
+            s = tuple(degrees[a])
+            # admissible implies the target block sees no faster block
+            assert not any(s[:i]), (i + 1, s)
+            by_degree[sum(s)].add((i + 1, s))
+        return {n: frozenset(types) for n, types in by_degree.items()}
 
     def admissible(self, n: int) -> frozenset[Type]:
         """Admissible types of degree n (empty above the degree bound)."""
         return self.types_by_degree.get(n, frozenset())
+
+    def mask(self, n: int) -> np.ndarray:
+        """True on the admissible degree-n slots: read-only, shape (m, number
+        of degree-n monomials in m variables), built once per n."""
+        if n not in self._masks:
+            dims, ell = self.spectrum.multiplicities, self.n_blocks
+            mask = np.zeros((sum(dims), math.comb(sum(dims) + n - 1, n)), dtype=bool)
+            if 0 < n <= self.degree_bound:
+                cols = _type_columns(dims, n)
+                # the table's degree-n rows follow its C(n-1+ell, ell) - 1 of lower degree
+                rows = math.comb(n - 1 + ell, ell) - 1 + np.arange(len(cols)).repeat(
+                    [len(c) for c in cols])
+                mask[:, np.concatenate(cols)] = self.spectrum.resonance_table.admissible[
+                    rows, np.arange(ell).repeat(dims)[:, None]]
+            mask.setflags(write=False)
+            self._masks[n] = mask
+        return self._masks[n]
+
+    def keep(self, degree: int) -> np.ndarray:
+        """True on the slots of the sub-resonance part of a jet through
+        `degree`, shape (m, jet_width(m, degree)): the constant and the
+        admissible slots up to the degree bound."""
+        m = sum(self.spectrum.multiplicities)
+        keep = np.zeros((m, math.comb(m + degree, m)), dtype=bool)
+        keep[:, 0] = True
+        for n in range(1, min(degree, self.degree_bound) + 1):
+            keep[:, math.comb(m + n - 1, m):math.comb(m + n, m)] = self.mask(n)
+        return keep
 
     def to_dict(self) -> dict:
         return {

@@ -59,10 +59,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cocycle import LyapunovFrames, OrbitCocycle, lyapunov_frames, monodromy_spectrum
-from .grading import Spectrum, SubResStructure, contraction_factor
-from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, admissible_mask,
-                      block_degree_groups, compose_jets, composition_table, degree_cols,
-                      jet_width, stack_jets, top_degree)
+from .grading import Spectrum, SubResStructure, _type_columns, contraction_factor
+from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, compose_jets,
+                      composition_table, degree_cols, jet_width, stack_jets, top_degree)
 
 # a window sweep whose norm outgrows its sources by this factor has diverged
 WINDOW_GROWTH_GUARD = 1e9
@@ -116,9 +115,9 @@ class _DegreeOperator:
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
-        self.mask = ~admissible_mask(space, space, n, structure.admissible(n))
+        self.mask = ~structure.mask(n)
         self.types = [(space.block_slice(i), cols)
-                      for _, cols in block_degree_groups(space, n)
+                      for cols in _type_columns(space.block_dims, n)
                       for i in range(1, space.n_blocks + 1)
                       if self.mask[space.block_slice(i).start, cols[0]]]
         self.table, self.linears, self.ainvs = table, linears, ainvs
@@ -265,7 +264,6 @@ class SolverContext:
 
     cocycle: OrbitCocycle
     spectrum: Spectrum
-    structure: SubResStructure
     order: int
     bases: np.ndarray = ()
     tail_tol: float = 1e-12
@@ -311,9 +309,12 @@ class SolverContext:
                 max_series_terms: int = 10_000) -> "SolverContext":
         """Extract spectrum and splitting from the cocycle, then build a context."""
         spectrum, bases = monodromy_spectrum(cocycle, epsilon, resonance_tol, cluster_tol)
-        structure = SubResStructure.from_spectrum(spectrum)
-        return cls(cocycle, spectrum, structure, order, bases, tail_tol,
+        return cls(cocycle, spectrum, order, bases, tail_tol,
                    series_tol=series_tol, max_series_terms=max_series_terms)
+
+    @property
+    def structure(self) -> SubResStructure:
+        return self.spectrum.structure
 
     @cached_property
     def frames(self) -> LyapunovFrames:
@@ -436,7 +437,7 @@ def _orbit_loop(ctx: "SolverContext", transfer: Transfer, lift: PolyMap | None =
         "table_bytes": sum(T.nbytes for T in ctx.table),
         "degrees": degree_diags,
     }
-    return NormalFormResult(conj, nf, ctx.spectrum, ctx.structure, ctx.order, diagnostics)
+    return NormalFormResult(conj, nf, ctx.spectrum, ctx.order, diagnostics)
 
 
 @dataclass(eq=False)
@@ -453,7 +454,6 @@ class NormalFormResult:
     conjugator_jets: np.ndarray
     normal_form_jets: np.ndarray
     spectrum: Spectrum
-    structure: SubResStructure
     order: int
     diagnostics: dict
 
@@ -462,12 +462,15 @@ class NormalFormResult:
             jets.setflags(write=False)
 
     @classmethod
-    def from_maps(cls, conjugator, normal_form, spectrum: Spectrum,
-                  structure: SubResStructure, order: int,
+    def from_maps(cls, conjugator, normal_form, spectrum: Spectrum, order: int,
                   diagnostics: dict) -> "NormalFormResult":
         """A result over loaded maps, each sequence stacked once at `order`."""
         return cls(stack_jets(conjugator, order), stack_jets(normal_form, order),
-                   spectrum, structure, order, diagnostics)
+                   spectrum, order, diagnostics)
+
+    @property
+    def structure(self) -> SubResStructure:
+        return self.spectrum.structure
 
     @property
     def period(self) -> int:

@@ -17,11 +17,9 @@ degree) (``_first_runs``, ``_recurrence``, ``_exponents``, from grading);
 the product tables of each dimension (``_product_tables``), grown to the
 largest degree asked for; the scatter plan of each multiplication-matrix
 window (``_mul_plan``, keyed by dimension, degree, row and column degrees);
-the steps of each power pass (``_power_plan``); the column degrees of each
-jet width (``_col_degrees``); and per graded space and degree the
-block-degree groups (``block_degree_groups``) and per admissible type set
-the admissible slots (``admissible_mask``), each once for all callers.
-``subresonance_mask`` joins the masks of a jet's degrees.
+the steps of each power pass (``_power_plan``); and the column degrees of
+each jet width (``_col_degrees``), each once for all callers.  The admissible
+slots are ``grading.SubResStructure``'s to answer.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
@@ -49,7 +47,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .grading import SubResStructure, Type, _exponents, _first_runs, _recurrence
+from .grading import _exponents, _first_runs, _recurrence
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[int, MultiIndex]
@@ -410,43 +408,6 @@ def stack_jets(maps, degree: int) -> np.ndarray:
     return np.stack([_fit(pm.jet, width) for pm in maps])
 
 
-@lru_cache(maxsize=None)
-def block_degree_groups(space: GradedSpace, n: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-    """The degree-n monomials grouped by block degrees s: (s, read-only
-    columns) pairs in increasing s, the columns in sorted monomial order.
-    Every block holds a coordinate, so every s with |s| = n has a group and
-    the keys are the exponent rows ``_exponents(n_blocks, n)``."""
-    s = np.add.reduceat(_exponents(space.dim, n), [sl.start for sl in space._block_slices],
-                        axis=1)
-    # s read as digits base n + 1 orders the keys as the s themselves
-    key = s @ (n + 1) ** np.arange(space.n_blocks - 1, -1, -1)
-    order = np.argsort(key, kind="stable")
-    order.setflags(write=False)
-    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(order)]
-    return tuple(zip(map(tuple, _exponents(space.n_blocks, n).tolist()),
-                     [order[a:b] for a, b in zip(bounds, bounds[1:])]))
-
-
-@lru_cache(maxsize=None)
-def admissible_mask(target: GradedSpace, source: GradedSpace, n: int,
-                    types: frozenset[Type]) -> np.ndarray:
-    """True on the degree-n slots whose type (i, s) is in `types`, the
-    admissible types ``SubResStructure.admissible(n)``; read-only, shape
-    (target.dim, number of degree-n monomials)."""
-    groups = block_degree_groups(source, n)
-    # whether block b keeps each group's type, spread over the group's columns
-    index = {s: g for g, (s, _) in enumerate(groups)}
-    kept = np.zeros((target.n_blocks, len(groups)), dtype=bool)
-    for i, s in types:
-        if 1 <= i <= target.n_blocks and s in index:
-            kept[i - 1, index[s]] = True
-    mask = np.empty((target.dim, math.comb(source.dim + n - 1, n)), dtype=bool)
-    mask[:, np.concatenate([cols for _, cols in groups])] = kept.repeat(
-        [len(cols) for _, cols in groups], axis=1)[np.array(target.block_of_coord) - 1]
-    mask.setflags(write=False)
-    return mask
-
-
 class PolyMap:
     """Polynomial map truncated at total degree `degree`.
 
@@ -686,32 +647,3 @@ def invert_truncated(pmap: PolyMap, max_degree: int) -> PolyMap:
         raise ValueError("inverse needs matching source and target gradings")
     jet = invert_jets(pmap.jet[None], pmap.source.dim, max_degree)[0]
     return PolyMap.from_jet(pmap.source, pmap.target, max_degree, jet)
-
-
-def project_subresonance(pmap: PolyMap, structure: SubResStructure
-                         ) -> tuple[PolyMap, PolyMap]:
-    """Split into (sub-resonance part, non-resonance part), slot by slot.
-
-    A term of homogeneous type (i, s) goes to the first component exactly when
-    the type is admissible for `structure`; degrees above the degree bound are
-    never admissible.  The constant term, if any, stays with the sub-resonance
-    part (translations commute with the grading).
-    """
-    if pmap.source.n_blocks != structure.n_blocks:
-        raise ValueError("grading does not match the sub-resonance structure")
-    s_jet = np.where(subresonance_mask(pmap.target, pmap.source, pmap.degree, structure),
-                     pmap.jet, 0.0)
-    return (PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, s_jet),
-            PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, pmap.jet - s_jet))
-
-
-def subresonance_mask(target: GradedSpace, source: GradedSpace, degree: int,
-                      structure: SubResStructure) -> np.ndarray:
-    """True on the slots of the sub-resonance part of a jet through `degree`:
-    the constant and the admissible slots up to the degree bound."""
-    keep = np.zeros((target.dim, jet_width(source.dim, degree)), dtype=bool)
-    keep[:, 0] = True
-    for n in range(1, min(degree, structure.degree_bound) + 1):
-        cols = degree_cols(source.dim, n)
-        keep[:, cols] = admissible_mask(target, source, n, structure.admissible(n))
-    return keep

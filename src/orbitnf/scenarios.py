@@ -16,7 +16,7 @@ import numpy as np
 
 from .cocycle import OrbitCocycle
 from .grading import Spectrum, SubResStructure
-from .polymap import GradedSpace, PolyMap, admissible_mask, degree_cols
+from .polymap import GradedSpace, PolyMap, degree_cols
 
 BUILTIN_DESCRIPTIONS = {
     "koenigs": "scalar contraction 0.5 t + 0.1 t^2, order-6 linearization",
@@ -93,7 +93,6 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_cocycle(rng: np.random.Generator, exponents, dims, period: int, *,
                    amp: float = 0.05, degree: int = 2,
-                   admissible_only: bool = False,
                    structure: SubResStructure | None = None,
                    wobble: float = 0.05) -> OrbitCocycle:
     """Random periodic cocycle with exactly the requested Lyapunov spectrum.
@@ -101,13 +100,11 @@ def random_cocycle(rng: np.random.Generator, exponents, dims, period: int, *,
     Linear parts are block diagonal, each block a random orthogonal matrix
     scaled by e^{chi_i + delta_k}; the wobbles delta_k sum to zero over the
     period so the monodromy moduli stay exact.  Nonlinear coefficients of
-    degrees 2..degree are uniform draws of size amp, optionally restricted
-    to the admissible set of the given structure.
+    degrees 2..degree are uniform draws of size amp, restricted to the
+    admissible slots of `structure` when one is given.
     """
     space = GradedSpace(tuple(dims))
     dim = space.dim
-    if admissible_only and structure is None:
-        raise ValueError("admissible_only needs the structure")
 
     deltas = rng.uniform(-wobble, wobble, size=(period, len(dims)))
     deltas -= deltas.mean(axis=0, keepdims=True)
@@ -122,8 +119,8 @@ def random_cocycle(rng: np.random.Generator, exponents, dims, period: int, *,
         jet = PolyMap.from_linear(A, space, space, degree).jet.copy()
         for n in range(2, degree + 1):
             cols = degree_cols(dim, n)
-            keep = (admissible_mask(space, space, n, structure.admissible(n)) if admissible_only
-                    else np.ones((dim, cols.stop - cols.start), dtype=bool))
+            keep = (np.ones((dim, cols.stop - cols.start), dtype=bool) if structure is None
+                    else structure.mask(n))
             # one draw per kept slot, monomial-major, which fixes every scenario
             drawn = np.zeros(keep.T.shape)
             drawn[keep.T] = amp * rng.uniform(-1.0, 1.0, size=int(keep.sum()))
@@ -160,11 +157,9 @@ def build_builtin(name: str, seed: int = 0) -> Scenario:
         config = _base_config(name, 0.02, 3, seed=seed)
     elif name == "random_subres":
         exponents, dims = (-2.0, -1.0), (2, 1)
-        spec = Spectrum(exponents, dims, epsilon=0.05)
-        structure = SubResStructure.from_spectrum(spec)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         cocycle = random_cocycle(rng, exponents, dims, 2, amp=0.1,
-                                 admissible_only=True, structure=structure)
+                                 structure=Spectrum(exponents, dims, epsilon=0.05).structure)
         config = _base_config(name, 0.05, 4, seed=seed)
     elif name == "random_full":
         exponents, dims = (-2.0, -0.9), (1, 2)

@@ -48,7 +48,7 @@ from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
 from .polymap import (PolyMap, _fit, _linear_jets, compose_jets, degree_cols, divide_jets,
-                      jet_width, subresonance_mask, top_degree)
+                      jet_width, top_degree)
 
 
 # field metadata of the jets a report keeps but does not serialize
@@ -58,11 +58,11 @@ _JETS = {"serialized": False}
 _COMMUTE_TOL = 1e-10
 
 
-def _npart_max(jets: np.ndarray, space, degree: int, structure) -> tuple[float, float]:
+def _npart_max(jets: np.ndarray, degree: int, structure) -> tuple[float, float]:
     """(largest non-admissible coefficient up to the degree bound, largest
     coefficient above it) of a stack of jets through `degree`; NaN propagates."""
-    n_part = jets - np.where(subresonance_mask(space, space, degree, structure), jets, 0.0)
-    width = jet_width(space.dim, structure.degree_bound)
+    n_part = jets - np.where(structure.keep(degree), jets, 0.0)
+    width = jet_width(jets.shape[-2], structure.degree_bound)
     return (float(np.max(np.abs(n_part[..., :width]))),
             float(np.max(np.abs(jets[..., width:]), initial=0.0)))
 
@@ -224,7 +224,7 @@ class GaugeReport(_Report):
     npart_max: float
     beyond_degree_max: float
     alignment_max: float
-    tol: float = 1e-9
+    tol: float
     _bounded = ("npart_max", "beyond_degree_max")
 
 
@@ -244,7 +244,7 @@ def gauge_compare(result: NormalFormResult, result_alt: NormalFormResult,
     h, h_alt = result.conjugator_jets, result_alt.conjugator_jets
     g = divide_jets(h, h_alt, space.dim, order)
     align = float(np.max(np.abs(compose_jets(g, h_alt, space.dim, order) - h)))
-    return GaugeReport(g, *_npart_max(g, space, order, result.structure), align, tol)
+    return GaugeReport(g, *_npart_max(g, order, result.structure), align, tol)
 
 
 def iterates(jets: np.ndarray, powers, order: int) -> list[np.ndarray]:
@@ -271,7 +271,7 @@ class CentralizerReport(_Report):
     commutation_residual: float
     npart_max: float
     beyond_degree_max: float
-    tol: float = 1e-9
+    tol: float
     _bounded = ("npart_max", "beyond_degree_max")
 
 
@@ -315,7 +315,7 @@ def centralizer_check(cocycle, result: NormalFormResult, families,
     conjugated = divide_jets(compose_jets(h[shifted], g, m, order).reshape(n_fam, K, m, -1),
                              h, m, order)
     return [CentralizerReport(c, shift, float(residual),
-                              *_npart_max(c, cocycle.space, order, result.structure), tol)
+                              *_npart_max(c, order, result.structure), tol)
             for (shift, _), residual, c in zip(families, comm, conjugated)]
 
 
@@ -324,7 +324,7 @@ class FlagReport(_Report):
     """Largest below-flag derivative coefficient of the checked maps."""
 
     max_below_flag: float
-    tol: float = 1e-12
+    tol: float
     _bounded = ("max_below_flag",)
 
 
@@ -360,7 +360,7 @@ class ChartReport(_Report):
     npart_max: float
     deviation_max: float
     eval_radius: float
-    tol: float = 1e-7
+    tol: float
     _bounded = ("npart_max", "deviation_max")
 
 
@@ -434,7 +434,7 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
 
     width = jet_width(m, ctx.structure.degree_bound)
     degrees = np.repeat(np.arange(order + 1), [math.comb(m + d - 1, d) for d in range(order + 1)])
-    keep = subresonance_mask(space, space, order, ctx.structure)
+    keep = ctx.structure.keep(order)
     reports = []
     for y, g_jet in zip(ys, g_jets):
         n_part = np.abs(g_jet - np.where(keep, g_jet, 0.0))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from orbitnf.polymap import (PolyMap, _fit, compose_truncated, degree_cols, divide_jets,
-                             jet_width, project_subresonance)
+                             jet_width)
 from orbitnf.verify import CentralizerReport, GaugeReport, ResidualReport, _compose_majorants
 
 
@@ -31,12 +31,30 @@ def divide(outer, inner, order: int) -> PolyMap:
     return PolyMap.from_jet(inner.source, outer.target, order, jet)
 
 
+def subresonance_split(pmap, structure) -> tuple[PolyMap, PolyMap]:
+    """(sub-resonance part, non-resonance part) of a map, slot by slot: the
+    first keeps the constant and the slots of ``structure.keep``."""
+    s_jet = np.where(structure.keep(pmap.degree), pmap.jet, 0.0)
+    return (PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, s_jet),
+            PolyMap.from_jet(pmap.source, pmap.target, pmap.degree, pmap.jet - s_jet))
+
+
 def npart_split(pmap, structure) -> tuple[float, float]:
     """(non-admissible max up to the degree bound, anything above it)."""
     width = jet_width(pmap.source.dim, structure.degree_bound)
-    _, n_part = project_subresonance(pmap, structure)
+    _, n_part = subresonance_split(pmap, structure)
     return (float(np.max(np.abs(n_part.jet[:, :width]))),
             float(np.max(np.abs(pmap.jet[:, width:]), initial=0.0)))
+
+
+def gauge_lift(ctx, delta: float) -> PolyMap:
+    """The gauge check's lift, delta t_j^2 into coordinate 0 with t_j the
+    first coordinate of the slowest block, on a context where it is admissible."""
+    space = ctx.cocycle.space
+    assert (1, (0,) * (space.n_blocks - 1) + (2,)) in ctx.structure.admissible(2)
+    alpha = [0] * space.dim
+    alpha[space.block_slice(space.n_blocks).start] = 2
+    return PolyMap(space, space, 2, np.zeros(space.dim), {(0, tuple(alpha)): delta})
 
 
 def majorant(pm, top: int) -> np.ndarray:

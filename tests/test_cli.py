@@ -11,7 +11,6 @@ from orbitnf.cli import (
     CHECK_ORDER,
     ConfigError,
     canonical_json,
-    list_builtins,
     main,
     resolve_config,
     run_checks,
@@ -20,7 +19,24 @@ from orbitnf.cli import (
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.normalform import NormalFormResult, solve_normal_form
 from orbitnf.polymap import GradedSpace, PolyMap, jet_width
-from orbitnf.scenarios import build_builtin, builtin_names, random_scenario
+from orbitnf.scenarios import BUILTIN_DESCRIPTIONS, build_builtin, builtin_names, random_scenario
+
+
+# the koenigs map 0.5 t + 0.1 t^2 as an inline cocycle
+INLINE_KOENIGS = {
+    "block_dims": [1],
+    "periodic": True,
+    "fiber_maps": [{
+        "degree": 2,
+        "source_blocks": [1],
+        "target_blocks": [1],
+        "constant": [0.0],
+        "terms": [
+            {"target_index": 0, "multi_index": [1], "coefficient": 0.5},
+            {"target_index": 0, "multi_index": [2], "coefficient": 0.1},
+        ],
+    }],
+}
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +125,14 @@ class TestListCommand:
                      "nonresonant2", "random_subres", "random_full"):
             assert name in out
 
-    def test_list_builtins_api(self):
-        table = list_builtins()
-        assert set(table) == set(builtin_names())
-        assert all(isinstance(v, str) and v for v in table.values())
+    def test_list_builtins_api(self, capsys):
+        # `list` prints the descriptions table, one builtin a line, in order
+        assert set(BUILTIN_DESCRIPTIONS) == set(builtin_names())
+        assert all(isinstance(v, str) and v for v in BUILTIN_DESCRIPTIONS.values())
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(None, 1) for line in lines] == [
+            [name, text] for name, text in BUILTIN_DESCRIPTIONS.items()]
 
 
 class TestRunBuiltins:
@@ -348,6 +368,31 @@ class TestErrorExits:
         cfg.write_text(json.dumps({"scenario": "koenigs", "order": 0}))
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("config, cause", [
+        ([1, 2], "config file must hold a JSON object"),
+        ({"scenario": "no_such_builtin"}, "unknown builtin scenario 'no_such_builtin'"),
+        ({"scenario": {"block_dims": [1]}, "epsilon": 0.05, "order": 2}, "bad inline cocycle"),
+        ({"scenario": 3}, "scenario must be a builtin name or an inline cocycle object"),
+        ({"scenario": "koenigs", "max_series_terms": 0}, "max_series_terms must be"),
+        ({"scenario": "koenigs", "checks": []}, "checks must be an object"),
+        ({"scenario": "koenigs", "checks": {"nope": {"enabled": True}}}, "unknown checks: nope"),
+        ({"scenario": "koenigs", "checks": {"flag": {"enabled": "yes"}}},
+         "check 'flag' needs an 'enabled' flag"),
+        ({"scenario": "koenigs", "checks": {"flag": 3}}, "check 'flag' needs an 'enabled' flag"),
+        # an inline scenario has no default epsilon or order
+        ({"scenario": INLINE_KOENIGS, "order": 4}, "epsilon must be a finite positive number"),
+        ({"scenario": INLINE_KOENIGS, "epsilon": 0.05}, "order must be an integer >= 1"),
+    ], ids=["not-an-object", "unknown-builtin", "bad-inline", "scenario-type",
+            "max-series-terms", "checks-type", "unknown-check", "enabled-type",
+            "entry-type", "inline-no-epsilon", "inline-no-order"])
+    def test_config_file_error_exit_2(self, config, cause, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 2
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, key", [
         # keys the checks no longer read are unknown
         ("checks.residual.radii=[]", "checks.residual.radii"),
@@ -522,25 +567,9 @@ class TestConfigHandling:
         assert report["result"]["order"] == 4
 
     def test_inline_cocycle_config(self, tmp_path):
-        scenario = {
-            "block_dims": [1],
-            "periodic": True,
-            "fiber_maps": [{
-                "degree": 2,
-                "source_blocks": [1],
-                "target_blocks": [1],
-                "constant": [0.0],
-                "terms": [
-                    {"target_index": 0, "multi_index": [1],
-                     "coefficient": 0.5},
-                    {"target_index": 0, "multi_index": [2],
-                     "coefficient": 0.1},
-                ],
-            }],
-        }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "scenario": scenario, "name": "inline_test",
+            "scenario": INLINE_KOENIGS, "name": "inline_test",
             "epsilon": 0.05, "order": 4}))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
@@ -602,6 +631,15 @@ class TestVerifyCommand:
         assert main(["run", str(cfg)]) == 0
         assert (out / "report.json").exists()
         assert main(["verify", str(cfg)]) == 0
+
+    def test_verify_skips_a_disabled_check(self, koenigs_run, capsys):
+        out, _ = koenigs_run
+        assert main(["verify", "koenigs", "--out-dir", str(out),
+                     "--tol-override", "checks.flag.enabled=false"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "flag: skipped" in lines
+        assert [line.split(":")[0] for line in lines] == list(CHECK_ORDER)
+        assert sum(line.endswith(": pass") for line in lines) == len(CHECK_ORDER) - 1
 
     def test_verify_missing_report_exit_2(self, tmp_path, capsys):
         code = main(["verify", "koenigs", "--out-dir", str(tmp_path)])
@@ -724,7 +762,7 @@ class TestStackedResult:
         result = NormalFormResult.from_maps(
             [PolyMap.from_dict(d) for d in stored["conjugator"]],
             [PolyMap.from_dict(d) for d in stored["normal_form"]],
-            ctx.spectrum, ctx.structure, int(stored["order"]), stored["diagnostics"])
+            ctx.spectrum, int(stored["order"]), stored["diagnostics"])
         checks, _ = run_checks(ctx, result, cocycle, report["config"])
         assert canonical_json(checks) == canonical_json(report["checks"])
 

@@ -92,6 +92,18 @@ class TestOrbitCocycle:
         with pytest.raises(ValueError, match="periodic"):
             OrbitCocycle.from_dict(dict(d, periodic=False))
 
+    def test_random_cocycle_draws_admissible_slots_only(self):
+        # with a structure every nonlinear coefficient sits in an admissible
+        # slot, and the draws fill all of them
+        spectrum = Spectrum((-2.0, -0.9), (2, 2), 0.05)
+        c = random_cocycle(np.random.default_rng(3), (-2.0, -0.9), (2, 2), 2, degree=3,
+                           structure=spectrum.structure)
+        keep = spectrum.structure.keep(3)[:, 5:]  # past the constant and linear columns
+        assert keep.any() and not keep.all()
+        for pm in c.fiber_maps:
+            assert not pm.jet[:, 5:][~keep].any()
+            assert pm.jet[:, 5:][keep].all()
+
     def test_serialization_roundtrip(self):
         c = linear_cocycle([np.diag([0.2, 0.5]), np.diag([0.3, 0.6])], block_dims=(1, 1))
         d = c.to_dict()

@@ -10,8 +10,8 @@ from orbitnf.grading import (
     ContractionBudgetError,
     Spectrum,
     SubResStructure,
+    _type_columns,
     contraction_factor,
-    enumerate_types,
 )
 
 
@@ -85,14 +85,14 @@ class TestDegreeBound:
 class TestEnumerateTypes:
     def test_linear_types_two_blocks(self):
         s = spec((-2.0, -1.0))
-        assert enumerate_types(s, 1) == {(1, (1, 0)), (1, (0, 1)), (2, (0, 1))}
+        assert s.structure.admissible(1) == {(1, (1, 0)), (1, (0, 1)), (2, (0, 1))}
 
     def test_resonant_quadratic(self):
         s = spec((-2.0, -1.0))
-        assert enumerate_types(s, 2) == {(1, (0, 2))}
+        assert s.structure.admissible(2) == {(1, (0, 2))}
 
     def test_scalar_no_quadratic(self):
-        assert enumerate_types(spec((-1.0,)), 2) == frozenset()
+        assert spec((-1.0,)).structure.admissible(2) == frozenset()
 
     @pytest.mark.parametrize(
         "chi",
@@ -101,14 +101,14 @@ class TestEnumerateTypes:
     def test_matches_bruteforce(self, chi):
         s = spec(chi)
         for n in range(1, 7):
-            assert enumerate_types(s, n) == brute_types(chi, n, s.resonance_tol)
+            assert s.structure.admissible(n) == brute_types(chi, n, s.resonance_tol)
 
     @pytest.mark.parametrize("chi", [(-2.0, -1.0), (-1.0, -0.4), (-3.5, -1.2, -1.0)])
     def test_empty_above_degree_bound(self, chi):
         s = spec(chi)
         d = s.degree_bound
         for n in range(d + 1, d + 4):
-            assert enumerate_types(s, n) == frozenset()
+            assert s.structure.admissible(n) == frozenset()
 
     def test_no_dependence_on_faster_blocks(self):
         rng = np.random.default_rng(7)
@@ -119,19 +119,19 @@ class TestEnumerateTypes:
                 continue
             s = spec(chi, eps=0.0)
             for n in range(1, s.degree_bound + 1):
-                for i, stype in enumerate_types(s, n):
+                for i, stype in s.structure.admissible(n):
                     assert all(stype[j] == 0 for j in range(i - 1))
 
     def test_scaling_invariance(self):
         base = (-2.0, -1.0, -0.75)
         s0 = spec(base)
         d0 = s0.degree_bound
-        sets0 = {n: enumerate_types(s0, n) for n in range(1, d0 + 2)}
+        sets0 = {n: s0.structure.admissible(n) for n in range(1, d0 + 2)}
         for c in (0.5, 2.0, 7.3):
             sc = spec(tuple(c * x for x in base))
             assert sc.degree_bound == d0
             for n, types in sets0.items():
-                assert enumerate_types(sc, n) == types
+                assert sc.structure.admissible(n) == types
 
 
 class TestSpectralGap:
@@ -210,7 +210,7 @@ class TestSpectrumValidation:
 class TestSubResStructure:
     def test_structure_contents(self):
         s = spec((-2.0, -1.0), eps=0.05)
-        st = SubResStructure.from_spectrum(s)
+        st = s.structure
         assert st.degree_bound == 2
         assert st.admissible(1) == {(1, (1, 0)), (1, (0, 1)), (2, (0, 1))}
         assert st.admissible(2) == {(1, (0, 2))}
@@ -218,6 +218,24 @@ class TestSubResStructure:
         assert (1, (0, 2)) in st.admissible(sum((0, 2)))
         assert (2, (1, 0)) not in st.admissible(sum((1, 0)))
         assert st.spectral_gap == pytest.approx(-1.0, abs=1e-12)
+
+    def test_one_structure_per_spectrum(self):
+        s = spec((-2.0, -1.0), mults=(2, 1), eps=0.05)
+        assert s.structure is s.structure
+        assert s.structure == SubResStructure(s)
+        assert s.structure.mask(2) is s.structure.mask(2)
+
+    def test_keep_joins_the_masks(self):
+        # the constant, the admissible slots of degrees 1..d and nothing above
+        st = spec((-2.0, -1.0), mults=(2, 1), eps=0.05).structure
+        keep = st.keep(4)
+        assert keep.shape == (3, math.comb(3 + 4, 3))
+        assert keep[:, 0].all()
+        for n in range(1, 5):
+            part = keep[:, math.comb(3 + n - 1, 3):math.comb(3 + n, 3)]
+            np.testing.assert_array_equal(part, st.mask(n))
+            assert part.any() == (n <= st.degree_bound)
+        np.testing.assert_array_equal(st.keep(1), keep[:, :4])
 
 
 @st.composite
@@ -256,7 +274,7 @@ class TestResonanceTable:
         assert d == math.floor(chi[0] / chi[-1] + tol / abs(chi[-1]))
         assert s.spectral_gap == brute_lambda(chi, tol, d + 3)
         for n in range(1, d + 4):
-            assert enumerate_types(s, n) == brute_types(chi, n, tol)
+            assert s.structure.admissible(n) == brute_types(chi, n, tol)
 
     def test_one_table_per_spectrum(self):
         s = spec((-3.5, -1.2, -1.0))

@@ -9,15 +9,15 @@ import pytest
 import series_reference
 import transfer_reference
 import window_reference
-from check_reference import coeff_diff
+from check_reference import coeff_diff, gauge_lift, subresonance_split
 from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitnf import grading, normalform, polymap
-from orbitnf.cli import _first_admissible_slot, _prepare_context, run_checks, run_scenario
+from orbitnf.cli import _prepare_context, run_checks, run_scenario
 from orbitnf.cocycle import OrbitCocycle
-from orbitnf.grading import Spectrum, SubResStructure, contraction_factor
+from orbitnf.grading import Spectrum, contraction_factor
 from orbitnf.normalform import (
     NormalFormResult,
     SeriesBudgetError,
@@ -39,12 +39,10 @@ from orbitnf.polymap import (
     _linear_jets,
     _linear_parts,
     _mono_table,
-    admissible_mask,
     composition_table,
     compose_truncated,
     degree_cols,
     jet_width,
-    project_subresonance,
     stack_jets,
 )
 from orbitnf.scenarios import builtin_names, random_cocycle, random_scenario
@@ -182,7 +180,7 @@ def sheared_operator(period, n):
     exceed one, so the reference certificate needs q > 1.
     """
     space = GradedSpace((2, 1))
-    structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.05))
+    structure = Spectrum((-2.0, -1.0), (2, 1), 0.05).structure
     linears = []
     for k in range(period):
         A = np.zeros((3, 3))
@@ -207,7 +205,7 @@ class TestTwistedTransfer:
         out = twisted_reference(R, np.array([[a]]))
         # Ainv R(At) = a^{-1} a^2 t^2 = a t^2
         assert out.coeffs[(0, (2,))] == pytest.approx(a, rel=1e-14)
-        structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
+        structure = Spectrum((-0.7,), (1,), 0.05).structure
         op = linear_operator(S1, structure, 2, [np.array([[a]])])
         assert apply(op, 0, R.part(2))[0, 0] == pytest.approx(a, rel=1e-14)
 
@@ -217,7 +215,7 @@ class TestTwistedTransfer:
         out = twisted_reference(R, A)
         # target block 2, source block 1: factor exp(chi_1 - chi_2) = e^{-1}
         assert out.coeffs[(1, (1, 0))] == pytest.approx(math.exp(-1.0), rel=1e-14)
-        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
+        structure = Spectrum((-2.0, -1.0), (1, 1), 0.05).structure
         op = linear_operator(S11, structure, 1, [A])
         via_matrix = apply(op, 0, R.part(1))
         assert via_matrix[1, _mono_table(2, 1)[1][(1, 0)]] == pytest.approx(math.exp(-1.0),
@@ -227,7 +225,7 @@ class TestTwistedTransfer:
         rng = np.random.default_rng(17)
         for dims, exponents in (((2, 1), (-2.0, -1.0)), ((2, 3), (-2.0, -0.8))):
             space = GradedSpace(dims)
-            structure = SubResStructure.from_spectrum(Spectrum(exponents, dims, 0.03))
+            structure = Spectrum(exponents, dims, 0.03).structure
             A = np.zeros((space.dim, space.dim))
             A[:2, :2] = 0.1 * rotation(0.4)
             Q, _ = np.linalg.qr(rng.standard_normal((dims[1], dims[1])))
@@ -241,7 +239,7 @@ class TestTwistedTransfer:
                 R = PolyMap(space, space, n, np.zeros(space.dim), coeffs)
                 via_matrix = apply(op, 0, R.part(n))
                 full = twisted_reference(R, A, max_degree=n)
-                _, n_part = project_subresonance(full, structure)
+                _, n_part = subresonance_split(full, structure)
                 assert np.max(np.abs(via_matrix - n_part.part(n))) <= 1e-13
 
 
@@ -265,7 +263,7 @@ class TestTypedOperator:
         # the types come from the cached grouping of the monomials, with no
         # block-degree call per monomial; in sorted block degrees, then blocks
         space = GradedSpace((2, 2, 1))
-        structure = SubResStructure.from_spectrum(Spectrum((-1.2, -0.8, -0.4), (2, 2, 1), 0.02))
+        structure = Spectrum((-1.2, -0.8, -0.4), (2, 2, 1), 0.02).structure
         A = np.diag(np.exp([-1.2, -1.2, -0.8, -0.8, -0.4]))
         monos = _mono_table(space.dim, 3)[0]
         want = [(i, [j for j, a in enumerate(monos) if space.block_degrees(a) == s])
@@ -297,7 +295,7 @@ class TestTypedOperator:
     def test_certificate_all_admissible_degree(self):
         # a single block at degree 1 keeps every type: nothing to transfer
         space = GradedSpace((2,))
-        structure = SubResStructure.from_spectrum(Spectrum((-1.0,), (2,), 0.05))
+        structure = Spectrum((-1.0,), (2,), 0.05).structure
         op = linear_operator(space, structure, 1,
                              [0.4 * rotation(0.7), 0.3 * rotation(-0.2)])
         assert op.types == [] and not op.mask.any()
@@ -322,7 +320,7 @@ class TestTypedOperator:
     def test_certificate_overflow_stops_at_once(self):
         # the T-period norms grow like e^{8T}: the doubling overflows near
         # T = 64 and must end with a named error, not a numpy warning
-        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.02))
+        structure = Spectrum((-2.0, -1.0), (2, 1), 0.02).structure
         A = np.zeros((3, 3))
         A[:2, :2] = math.exp(-2.0) * np.array([[1.0, 1.2], [0.0, 1.0]])
         A[2, 2] = math.exp(-12.0)
@@ -338,7 +336,7 @@ class TestTypedOperator:
         # type (2, x1^2) grows by 2.5 a period.  With no source its tail
         # bound is 0 * inf = NaN, which must not pass the stop test, though
         # every other type certifies at T = 64
-        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
+        structure = Spectrum((-2.0, -1.0), (1, 1), 0.05).structure
         op = linear_operator(S11, structure, 2, [np.diag([0.5, 0.1])])
         q_vecs = op.mask * np.ones((1,) + op.mask.shape)
         q_vecs[0, 1, _mono_table(2, 2)[1][(2, 0)]] = 0.0
@@ -432,7 +430,7 @@ class TestBatchedTransfer:
         # only: H(1) = 0.01 H(0), so after T periods the tail bound is
         # 0.005^T at phase 0 and 0.01 * 0.005^T at phase 1.  At T = 4 only
         # phase 1 is within 1e-11; both are at T = 8, 16 terms.
-        structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
+        structure = Spectrum((-0.7,), (1,), 0.05).structure
         op = linear_operator(S1, structure, 2, [np.array([[0.5]]), np.array([[0.01]])])
         q_vecs = np.zeros((2,) + op.mask.shape)
         q_vecs[0] = 1.0
@@ -515,7 +513,7 @@ class TestSeriesReference:
     def test_source_free_expanding_type(self):
         # diag(0.5, 0.1) against declared exponents (-2, -1): the type
         # (2, x1^2) grows by 2.5 a period and has no source
-        structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (1, 1), 0.05))
+        structure = Spectrum((-2.0, -1.0), (1, 1), 0.05).structure
         op = linear_operator(S11, structure, 2, [np.diag([0.5, 0.1])])
         q_vecs = op.mask * np.ones((1,) + op.mask.shape)
         q_vecs[0, 1, _mono_table(2, 2)[1][(2, 0)]] = 0.0
@@ -579,7 +577,7 @@ def window_case(seed):
     """Two flag-preserving maps over dims (2, 1) and conjugators with degree-2 terms."""
     rng = np.random.default_rng(seed)
     space = GradedSpace((2, 1))
-    structure = SubResStructure.from_spectrum(Spectrum((-2.0, -1.0), (2, 1), 0.05))
+    structure = Spectrum((-2.0, -1.0), (2, 1), 0.05).structure
     quad = _mono_table(3, 2)[0]
 
     def random_quadratic(base):
@@ -621,7 +619,7 @@ class TestFinishDegree:
             term = PolyMap.from_jet(space, space, n, source.jet
                                     + reference_compose(Hnext, A_map, n).jet
                                     - reference_compose(A_map, Hk, n).jet)
-            s_part, _ = project_subresonance(term, structure)
+            s_part, _ = subresonance_split(term, structure)
             assert np.max(np.abs(p_vecs[k] - s_part.part(n))) <= 1e-13
             residue = max(residue, coeff_diff(term, s_part))
         if n <= structure.degree_bound:
@@ -752,8 +750,8 @@ class TestLift:
         c = scenario.cocycle
         plain_fresh = solve_normal_form(_prepare_context(c, scenario.config))
         ctx = _prepare_context(c, scenario.config)
-        degree, coord, alpha = _first_admissible_slot(ctx.structure, c.space)
-        lift = PolyMap(c.space, c.space, degree, np.zeros(c.dim), {(coord, alpha): 0.05})
+        lift = gauge_lift(ctx, 0.05)
+        (slot,) = lift.coeffs
         built = []
 
         class Counted(_DegreeOperator):
@@ -781,8 +779,8 @@ class TestLift:
         for a, b in ((plain, plain_fresh), (lifted_again, lifted)):
             assert a.conjugator_jets.tobytes() == b.conjugator_jets.tobytes()
             assert a.normal_form_jets.tobytes() == b.normal_form_jets.tobytes()
-        assert plain.conjugator[0].coeffs.get((coord, alpha), 0.0) == 0.0
-        assert all(h.coeffs[(coord, alpha)] == 0.05 for h in lifted.conjugator)
+        assert plain.conjugator[0].coeffs.get(slot, 0.0) == 0.0
+        assert all(h.coeffs[slot] == 0.05 for h in lifted.conjugator)
         assert coeff_diff(lifted.conjugator_jets, direct.conjugator_jets) <= 1e-10
         assert coeff_diff(lifted.normal_form_jets, direct.normal_form_jets) <= 1e-10
 
@@ -801,9 +799,8 @@ class TestValidation:
         pm = PolyMap.from_linear(A, S11, S11, 1)
         c = OrbitCocycle(S11, (pm,))
         spec = Spectrum((-2.0, -1.0), (1, 1), 0.05)
-        structure = SubResStructure.from_spectrum(spec)
         with pytest.raises(ValueError):
-            SolverContext(c, spec, structure, 4)
+            SolverContext(c, spec, 4)
 
     def test_misordered_blocks_rejected(self):
         # coordinate block 1 contracts at the rate -0.5 and block 2 at -2,
@@ -817,9 +814,8 @@ class TestValidation:
     def test_grading_mismatch_rejected(self):
         c = resonant2_cocycle()
         spec = Spectrum((-1.5,), (2,), 0.05)
-        structure = SubResStructure.from_spectrum(spec)
         with pytest.raises(ValueError):
-            SolverContext(c, spec, structure, 4)
+            SolverContext(c, spec, 4)
 
 
 class TestLazyFrames:
@@ -858,7 +854,7 @@ class TestWindow:
     def test_below_flag_window_rejected(self):
         c = nonresonant2_cocycle()
         spec = Spectrum((-1.0, -0.4), (1, 1), 0.02)
-        structure = SubResStructure.from_spectrum(spec)
+        structure = spec.structure
         # recenter at a nonzero point: the linearization gains a below-flag entry
         F = c.map_at(0)
         y = np.array([0.1, 0.0])
@@ -887,7 +883,7 @@ class TestWindow:
         # like 2^steps, past the guard at 64 steps and past the float range at
         # 2000; at 5000 the overflow crosses from one scan chunk into the next
         expanding = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 2.0, (0, (2,)): 0.3})
-        structure = SubResStructure.from_spectrum(Spectrum((-0.7,), (1,), 0.05))
+        structure = Spectrum((-0.7,), (1,), 0.05).structure
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SeriesStagnationError, match="degree 2"):
@@ -927,7 +923,7 @@ class TestWindowSweep:
     def test_scan_matches_stepwise_reference(self, dims, W, P):
         rng = np.random.default_rng(1000 * W + 10 * P + len(dims) + dims[0])
         space = GradedSpace(dims)
-        structure = SubResStructure.from_spectrum(Spectrum(WINDOW_SPECTRA[dims], dims, 0.02))
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
         linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (W, P))
         for n in (2, 3, 4, 5):
             op = linear_operator(space, structure, n, linears)
@@ -947,7 +943,7 @@ class TestWindowSweep:
         # so the scan must work in chunks whose products stay far shorter
         dims, exponents = (1, 1), (-2.0, -0.8)
         rng = np.random.default_rng(3)
-        structure = SubResStructure.from_spectrum(Spectrum(exponents, dims, 0.02))
+        structure = Spectrum(exponents, dims, 0.02).structure
         op = linear_operator(GradedSpace(dims), structure, 2,
                              flag_preserving_linears(rng, dims, exponents, (W, 1)))
         q_vecs = op.mask * rng.uniform(-1, 1, (W, 1) + op.mask.shape)
@@ -994,7 +990,7 @@ class TestWindowSweep:
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         space = GradedSpace(dims)
-        structure = SubResStructure.from_spectrum(Spectrum(WINDOW_SPECTRA[dims], dims, 0.02))
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
         op = linear_operator(space, structure, n,
                              flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (1,)))
         X = ~op.mask * rng.uniform(-1, 1, op.mask.shape)
@@ -1024,8 +1020,7 @@ class TestLadderAgainstOracle:
             assert all(type(v) is int for v in sizes)
             assert rec["monomials"] == math.comb(m + n - 1, n)
             assert rec["slots"] == m * rec["monomials"]
-            assert rec["admissible_slots"] == admissible_mask(space, space, n,
-                                                              st.admissible(n)).sum()
+            assert rec["admissible_slots"] == st.mask(n).sum()
             # the non-admissible types (i, s): a target block and block degrees summing to n
             degrees = [s for s in itertools.product(range(n + 1), repeat=space.n_blocks)
                        if sum(s) == n]
@@ -1117,30 +1112,30 @@ class TestFirstUseBuilds:
 
     BUILDS = {
         ((2, 2), 2, 4, 0.04): {
-            "grading._first_runs": 8, "grading._recurrence": 8, "grading._exponents": 10,
+            "grading._first_runs": 7, "grading._recurrence": 7, "grading._exponents": 9,
             "polymap._binomials": 1, "polymap._col_degrees": 3, "polymap._mul_plan": 5,
-            "polymap._power_plan": 4, "polymap.block_degree_groups": 3,
-            "polymap.admissible_mask": 3, "polymap._product_tables": 1},
+            "polymap._power_plan": 4, "polymap._product_tables": 1,
+            "grading._type_columns": 3},
         ((1, 1, 1), 3, 5, 0.02): {
             "grading._first_runs": 5, "grading._recurrence": 5, "grading._exponents": 6,
             "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 9,
-            "polymap._power_plan": 5, "polymap.block_degree_groups": 4,
-            "polymap.admissible_mask": 4, "polymap._product_tables": 1},
+            "polymap._power_plan": 5, "polymap._product_tables": 1,
+            "grading._type_columns": 4},
         ((2, 2), 2, 6, 0.04): {
-            "grading._first_runs": 12, "grading._recurrence": 12, "grading._exponents": 14,
+            "grading._first_runs": 9, "grading._recurrence": 9, "grading._exponents": 11,
             "polymap._binomials": 1, "polymap._col_degrees": 5, "polymap._mul_plan": 9,
-            "polymap._power_plan": 6, "polymap.block_degree_groups": 5,
-            "polymap.admissible_mask": 5, "polymap._product_tables": 1},
+            "polymap._power_plan": 6, "polymap._product_tables": 1,
+            "grading._type_columns": 5},
         ((2, 3), 2, 5, 0.03): {
-            "grading._first_runs": 10, "grading._recurrence": 10, "grading._exponents": 12,
-            "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 7,
-            "polymap._power_plan": 5, "polymap.block_degree_groups": 4,
-            "polymap.admissible_mask": 4, "polymap._product_tables": 1},
-        ((3, 3), 1, 4, 0.03): {
             "grading._first_runs": 8, "grading._recurrence": 8, "grading._exponents": 10,
+            "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 7,
+            "polymap._power_plan": 5, "polymap._product_tables": 1,
+            "grading._type_columns": 4},
+        ((3, 3), 1, 4, 0.03): {
+            "grading._first_runs": 7, "grading._recurrence": 7, "grading._exponents": 9,
             "polymap._binomials": 1, "polymap._col_degrees": 3, "polymap._mul_plan": 5,
-            "polymap._power_plan": 4, "polymap.block_degree_groups": 3,
-            "polymap.admissible_mask": 3, "polymap._product_tables": 1},
+            "polymap._power_plan": 4, "polymap._product_tables": 1,
+            "grading._type_columns": 3},
     }
 
     @pytest.mark.parametrize("row", LADDER, ids=str)

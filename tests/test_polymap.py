@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import index_reference
-from check_reference import coeff_diff
+from check_reference import coeff_diff, subresonance_split
 from dict_reference import (
     dict_compose,
     dict_evaluate,
@@ -15,15 +15,13 @@ from dict_reference import (
 from sandwich_reference import euclidean_frames
 from orbitnf import polymap
 from orbitnf.cocycle import LyapunovFrames, OrbitCocycle, log_envelopes
-from orbitnf.grading import Spectrum, SubResStructure
+from orbitnf.grading import Spectrum, _type_columns
 from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
     _linear_jets,
     _linear_parts,
     _mono_table,
-    admissible_mask,
-    block_degree_groups,
     compose_jets,
     compose_truncated,
     composition_table,
@@ -31,7 +29,6 @@ from orbitnf.polymap import (
     invert_jets,
     invert_truncated,
     jet_width,
-    project_subresonance,
     stack_jets,
 )
 
@@ -100,15 +97,19 @@ class TestGradedSpace:
 
     @pytest.mark.parametrize("dims", [(1,), (2, 1), (1, 1, 1), (3, 3)], ids=str)
     def test_block_degree_groups(self, dims):
+        # the type columns group the monomials by block degrees, one group per
+        # exponent row s of the blocks, in the rows' order
         space = GradedSpace(dims)
         for n in range(4):
-            groups = block_degree_groups(space, n)
+            groups = _type_columns(dims, n)
             monos = _mono_table(space.dim, n)[0]
-            assert [s for s, _ in groups] == sorted({space.block_degrees(a) for a in monos})
-            for s, cols in groups:
+            keys = _mono_table(len(dims), n)[0]
+            assert list(keys) == sorted({space.block_degrees(a) for a in monos})
+            assert len(groups) == len(keys)
+            for s, cols in zip(keys, groups):
                 assert list(cols) == [j for j, a in enumerate(monos)
                                       if space.block_degrees(a) == s]
-            assert block_degree_groups(space, n) is groups
+            assert _type_columns(dims, n) is groups
 
 
 class TestEvaluate:
@@ -267,8 +268,8 @@ class TestInvert:
         assert np.max(np.abs(right.constant)) <= 1e-12
 
 
-def subres_structure(chi=(-2.0, -1.0), eps=0.05):
-    return SubResStructure.from_spectrum(Spectrum(chi, (1,) * len(chi), eps))
+def subres_structure(chi=(-2.0, -1.0), eps=0.05, dims=None):
+    return Spectrum(chi, dims or (1,) * len(chi), eps).structure
 
 
 def random_subres_map(rng, structure, space, degree, amplitude=0.4):
@@ -296,7 +297,7 @@ class TestProjectSubresonance:
     def test_resonant_pair_fully_admissible(self):
         st = subres_structure()
         F = resonant_pair_map()
-        s_part, n_part = project_subresonance(F, st)
+        s_part, n_part = subresonance_split(F, st)
         assert s_part.coeffs == F.coeffs
         assert n_part.coeffs == {}
 
@@ -304,16 +305,16 @@ class TestProjectSubresonance:
         st = subres_structure()
         coeffs = {(1, (2, 0)): 0.1, (0, (0, 2)): 0.3}  # t1^2 into block 2 is forbidden
         P = PolyMap(S11, S11, 2, np.zeros(2), coeffs)
-        s_part, n_part = project_subresonance(P, st)
+        s_part, n_part = subresonance_split(P, st)
         assert s_part.coeffs == {(0, (0, 2)): 0.3}
         assert n_part.coeffs == {(1, (2, 0)): 0.1}
 
     def test_split_is_exact_partition(self):
         rng = np.random.default_rng(9)
-        st = subres_structure((-2.0, -1.0))
+        st = subres_structure((-2.0, -1.0), dims=(2, 1))
         space = GradedSpace((2, 1))
         P = random_polymap(rng, space, 3)
-        s_part, n_part = P and project_subresonance(P, st)
+        s_part, n_part = P and subresonance_split(P, st)
         assert np.array_equal(s_part.jet + n_part.jet, P.jet)
         assert not (s_part.jet.astype(bool) & n_part.jet.astype(bool)).any()
 
@@ -322,17 +323,17 @@ class TestProjectSubresonance:
         # compositions and truncated inverses of sub-resonance maps stay
         # sub-resonance and never exceed the degree bound
         rng = np.random.default_rng(50 + seed)
-        st = subres_structure((-2.0, -1.0))
         space = GradedSpace((1, 2)) if seed % 2 else GradedSpace((1, 1))
+        st = subres_structure((-2.0, -1.0), dims=space.block_dims)
         d = st.degree_bound
         P = random_subres_map(rng, st, space, d)
         Q = random_subres_map(rng, st, space, d)
         C = compose_truncated(P, Q, d + 2)
         assert C.max_degree_present() <= d
-        assert coeff_diff(C, project_subresonance(C, st)[0]) <= 1e-12
+        assert coeff_diff(C, subresonance_split(C, st)[0]) <= 1e-12
         R = invert_truncated(P, d + 2)
         assert R.max_degree_present() <= d
-        assert coeff_diff(R, project_subresonance(R, st)[0]) <= 1e-12
+        assert coeff_diff(R, subresonance_split(R, st)[0]) <= 1e-12
 
 
 class TestLyapunovOpnorm:
@@ -530,9 +531,9 @@ class TestDictReference:
         rng = np.random.default_rng(4000 + sum(dims) * 10 + order)
         space = GradedSpace(dims)
         chi = {1: (-1.0,), 2: (-2.0, -1.0), 3: (-1.2, -0.8, -0.4)}[len(dims)]
-        st = SubResStructure.from_spectrum(Spectrum(chi, dims, 0.02))
+        st = Spectrum(chi, dims, 0.02).structure
         const, terms = random_pair(rng, space, order, 6, constant=True)
-        s_part, n_part = project_subresonance(to_polymap(space, order, (const, terms)), st)
+        s_part, n_part = subresonance_split(to_polymap(space, order, (const, terms)), st)
         admissible = {key: c for key, c in terms.items()
                       if (space.block_of_coord[key[0]], space.block_degrees(key[1]))
                       in st.admissible(sum(key[1]))}
@@ -733,32 +734,32 @@ class TestIndexReference:
         for dims in splits + [(1,) * 7] * (dim == 7):
             space = GradedSpace(dims)
             for n in range(9):
-                got = block_degree_groups(space, n)
+                got = _type_columns(dims, n)
                 want = index_reference.block_degree_groups(dims, n)
-                assert [s for s, _ in got] == [s for s, _ in want]
-                for (_, cols), (_, ref) in zip(got, want):
+                # one group per exponent row s of the blocks, in the rows' order
+                assert [s for s, _ in want] == list(_mono_table(len(dims), n)[0])
+                assert len(got) == len(want)
+                for cols, (_, ref) in zip(got, want):
                     np.testing.assert_array_equal(cols, ref)
                     assert not cols.flags.writeable
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_admissible_masks(self, dim):
-        rng = np.random.default_rng(dim)
+        # the masks of structures with degree bounds 1, 3 and 8 against the
+        # tuple-built reference, above the degree bound too
         for dims in dict.fromkeys([(dim,), (1,) * dim, (dim // 2 or 1, dim - (dim // 2 or 1))]):
             if 0 in dims:
                 continue
-            space = GradedSpace(dims)
-            for n in range(9):
-                every = [(i, s) for s, _ in block_degree_groups(space, n)
-                         for i in range(1, len(dims) + 1)]
-                for share in (0.0, 0.3, 1.0):
-                    types = frozenset(t for t in every if rng.random() < share)
-                    # a type of no block or of other block degrees keeps nothing
-                    noise = {(0, (n,) + (0,) * (len(dims) - 1)), (len(dims) + 1, (n,) * len(dims)),
-                             (1, (n + 1,) * len(dims))}
-                    got = admissible_mask(space, space, n, types | noise)
+            ell = len(dims)
+            for ratio in (1.13, 3.3, 8.7):
+                chi = tuple(-ratio ** ((ell - j) / max(ell - 1, 1)) for j in range(1, ell + 1))
+                structure = Spectrum(chi if ell > 1 else (-1.0,), dims, 0.0).structure
+                for n in range(9):
+                    got = structure.mask(n)
                     np.testing.assert_array_equal(
-                        got, index_reference.admissible_mask(dims, n, types))
+                        got, index_reference.admissible_mask(dims, n, structure.admissible(n)))
                     assert not got.flags.writeable
+                    assert structure.mask(n) is got
 
 
 class TestTermValidation:

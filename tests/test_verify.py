@@ -5,18 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from check_reference import (centralizer_reference, coeff_diff, gauge_reference,
-                             iterate_reference, oracle_reference, residual_reference)
+from check_reference import (centralizer_reference, coeff_diff, gauge_lift, gauge_reference,
+                             iterate_reference, oracle_reference, residual_reference,
+                             subresonance_split)
 from dict_reference import reference_compose
 
 from orbitnf import polymap, verify
-from orbitnf.cli import _check_centralizer, _first_admissible_slot
+from orbitnf.cli import _check_centralizer
 from orbitnf.cocycle import OrbitCocycle, SandwichReport
-from orbitnf.grading import Spectrum, SubResStructure
+from orbitnf.grading import Spectrum
 from orbitnf.normalform import (NormalFormResult, SolverContext, _orbit_loop, _source_vecs,
                                 solve_normal_form)
-from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, admissible_mask,
-                             compose_truncated, degree_cols, invert_jets, stack_jets)
+from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, compose_truncated,
+                             degree_cols, invert_jets, stack_jets)
 from orbitnf.scenarios import random_cocycle
 from orbitnf.verify import (
     CentralizerReport,
@@ -131,7 +132,7 @@ def ladder_solve(dims, period, order, epsilon, amp=0.05):
 
 def with_conjugators(res, conjugators):
     return NormalFormResult.from_maps(list(conjugators), res.normal_form, res.spectrum,
-                                      res.structure, res.order, res.diagnostics)
+                                      res.order, res.diagnostics)
 
 
 def assert_order_profile(rep):
@@ -211,7 +212,7 @@ class TestConjugacyResidual:
         # every non-admissible slot of one degree of every H_k off by 1e-9
         c, res = ladder_solve((2, 2), 2, 6, 0.04)
         space = c.space
-        mask = ~admissible_mask(space, space, degree, res.structure.admissible(degree))
+        mask = ~res.structure.mask(degree)
         cols = degree_cols(space.dim, degree)
         bad = []
         for h in res.conjugator:
@@ -319,9 +320,8 @@ class TestDirectOracle:
         c = OrbitCocycle(S11, (PolyMap.from_linear(A, S11, S11, 1),))
         spec = Spectrum((-2.0, chi2), (1, 1), epsilon=1e-14,
                         resonance_tol=1e-15)
-        structure = SubResStructure.from_spectrum(spec)
-        assert structure.degree_bound == 1
-        ctx = SolverContext(c, spec, structure, order=2)
+        assert spec.structure.degree_bound == 1
+        ctx = SolverContext(c, spec, order=2)
         h0 = [PolyMap.identity(S11, 2)]
         p0 = [PolyMap.from_linear(A, S11, S11, 1)]
         # all six degree-2 types are 1 x 1 systems, so the singular one is
@@ -419,8 +419,8 @@ def nan_in_normal_form(res, k):
     jet[:, degree_cols(p.source.dim, 1)] = np.nan
     forms = list(res.normal_form)
     forms[k] = PolyMap.from_jet(p.source, p.target, p.degree, jet)
-    return NormalFormResult.from_maps(res.conjugator, forms, res.spectrum, res.structure,
-                                      res.order, res.diagnostics)
+    return NormalFormResult.from_maps(res.conjugator, forms, res.spectrum, res.order,
+                                      res.diagnostics)
 
 
 class TestNaNInNormalForm:
@@ -491,11 +491,8 @@ def same_bits(a, b) -> bool:
 
 
 def lifted_result(ctx, delta=0.05):
-    """The result under the gauge check's lift of its first admissible slot."""
-    degree, coord, alpha = _first_admissible_slot(ctx.structure, ctx.cocycle.space)
-    space = ctx.cocycle.space
-    bump = PolyMap(space, space, degree, np.zeros(space.dim), {(coord, alpha): delta})
-    return solve_normal_form(ctx, bump)
+    """The result under the gauge check's lift."""
+    return solve_normal_form(ctx, gauge_lift(ctx, delta))
 
 
 def random_case(period, case, order=4):
@@ -751,7 +748,7 @@ class TestChartConsistency:
             pts = rep.eval_radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
             space = ctx.cocycle.space
             transition = PolyMap.from_jet(space, space, res.order, rep.transition)
-            n_part = polymap.project_subresonance(transition, ctx.structure)[1]
+            n_part = subresonance_split(transition, ctx.structure)[1]
             sampled = float(np.max(np.abs(n_part.evaluate_batch(pts))))
             assert sampled <= rep.deviation_max * (1 + 1e-12)
         if case == "within_block2":
