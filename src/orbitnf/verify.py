@@ -17,7 +17,8 @@ from a different direction:
 * ``chart_transitions`` rebuilds the normal form in charts centered at
   nearby non-periodic points, all in one window solve, and bounds the
   non-admissible part of each transition to the periodic chart by its
-  coefficients.
+  coefficients.  It recentres the maps only through the transient, until
+  they equal the base maps to the bit.
 
 Every check reads coefficients; none samples points or takes a seed.  The
 checks read the (K, m, w) jet stacks of the result
@@ -402,29 +403,56 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     values of the mismatch, |h_{M+1}| * (2 |offset|)^{M+1}.  Requires the
     recentered linear parts to be flag preserving, which holds whenever the
     cocycle maps themselves have admissible coefficients only.
+
+    The maps are recentred in blocks of steps 0-32, 32-64, 64-128, ..., the
+    orbits evaluated as far as the blocks reach, up to the first block whose
+    last period of K maps equals the base maps ``cocycle.jets`` bit for bit
+    in every window (one equal map proves nothing: 0.4 t is its own
+    recentring); the base maps fill the rest of the window.  No magnitude
+    decides, and the reports equal those of recentring every step as long as
+    the maps after the stop stay equal, which the tests check against a
+    full-window reference: rounding is not monotone along a rotating orbit.
+    A zero slot of the base maps that picked up a c-term stays nonzero until
+    c underflows, so the stop cannot come and the rest is recentred at once.
     """
     cocycle = ctx.cocycle
     space, m, K = cocycle.space, cocycle.dim, cocycle.period
     order = result.order
-    ys = np.asarray(offsets, dtype=float).reshape(-1, m)
+    ys = np.asarray(offsets, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != m:
+        raise ValueError(f"offsets must have shape (P, {m}), got {ys.shape}")
     P = len(ys)
     if not P:
         return []
     if window is None:
         window = default_chart_window(ctx)
+    if window < 1:
+        raise ValueError(f"window must be at least 1 step, got {window}")
 
-    # the orbits c_j of the offset points, one evaluation per step for all
+    # the shifts t -> c_j + t along the orbits c_j of the offset points, one
+    # evaluation per step for all, and the maps recentred on them, one
+    # composition per block of steps, up to the stop
     steps = (base + np.arange(window)) % K
-    centers = np.empty((window, P, m))
-    centers[0] = ys
-    for j in range(1, window):
-        centers[j] = cocycle.fiber_maps[steps[j - 1]].evaluate_batch(centers[j - 1])
-    # every map recentred on its point, t -> f_j(c_j + t) - c_{j+1}, in one composition
-    shifts = np.repeat(_linear_jets(np.eye(m))[None], window * P, axis=0)
-    shifts[:, :, 0] = centers.reshape(-1, m)
-    outer = np.repeat(cocycle.jets[steps], P, axis=0)
-    jets = compose_jets(outer, shifts, m, cocycle.degree).reshape(window, P, m, -1)
-    jets[..., 0] = 0.0
+    maps = cocycle.jets[steps]
+    shifts = np.repeat(_linear_jets(np.eye(m))[None], window * P, axis=0).reshape(
+        window, P, m, m + 1)
+    shifts[0, ..., 0] = ys
+    jets = np.empty((window, P) + maps.shape[1:])
+    start, end = 0, min(32, window)
+    while start < window:
+        for j in range(max(start, 1), end):
+            shifts[j, ..., 0] = cocycle.fiber_maps[steps[j - 1]].evaluate_batch(
+                shifts[j - 1, ..., 0])
+        jets[start:end] = compose_jets(np.repeat(maps[start:end], P, axis=0),
+                                       shifts[start:end].reshape(-1, m, m + 1), m,
+                                       cocycle.degree).reshape(end - start, P, m, -1)
+        jets[start:end, ..., 0] = 0.0
+        if end >= K and (jets[end - K:end].view(np.uint64)
+                         == maps[end - K:end, None].view(np.uint64)).all():
+            jets[end:] = maps[end:, None]
+            break
+        grown = ((maps[start:end, None] == 0.0) & (jets[start:end] != 0.0)).any()
+        start, end = end, window if grown else min(2 * end, window)
 
     h_win, _, _ = solve_window(jets, space, ctx.structure, order)
     to_local = np.repeat(_linear_jets(np.eye(m))[None], P, axis=0)

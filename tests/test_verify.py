@@ -5,20 +5,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from chart_reference import chart_reference, recentred_windows
 from check_reference import (centralizer_reference, coeff_diff, gauge_lift, gauge_reference,
                              iterate_reference, oracle_reference, residual_reference,
                              subresonance_split)
 from dict_reference import reference_compose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orbitnf import polymap, verify
 from orbitnf.cli import _check_centralizer
 from orbitnf.cocycle import OrbitCocycle, SandwichReport
 from orbitnf.grading import Spectrum
 from orbitnf.normalform import (NormalFormResult, SolverContext, _orbit_loop, _source_vecs,
-                                solve_normal_form)
+                                solve_normal_form, solve_window)
 from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, compose_truncated,
                              degree_cols, invert_jets, stack_jets)
-from orbitnf.scenarios import random_cocycle
+from orbitnf.scenarios import build_builtin, random_cocycle
 from orbitnf.verify import (
     CentralizerReport,
     ChartReport,
@@ -759,6 +763,159 @@ class TestChartConsistency:
         _, ctx, res = koenigs
         rep = chart_transitions(ctx, res, [[0.05]], window=4)[0]
         assert not rep.passed
+
+    @pytest.mark.parametrize("offsets", [[[0.03, 0.1]], [0.03], [[[0.03]]], 0.03])
+    def test_offsets_not_shaped_p_by_m_rejected(self, period2, offsets):
+        # [[0.03, 0.1]] on the 1-d cocycle used to be read as two points
+        _, ctx, res = period2
+        with pytest.raises(ValueError, match=r"offsets must have shape \(P, 1\)"):
+            chart_transitions(ctx, res, offsets)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_empty_window_rejected(self, koenigs, window):
+        _, ctx, res = koenigs
+        with pytest.raises(ValueError, match="window must be at least 1 step"):
+            chart_transitions(ctx, res, [[0.05]], window=window)
+
+
+def assert_equals_reference(ctx, res, offsets, base=0, stack=True):
+    """The chart reports, and with `stack` the window stack they solve, equal
+    those of the full recentring of every step to the bit."""
+    stacks = []
+
+    def capture(jets, *args):
+        stacks.append(jets.copy())
+        return solve_window(jets, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "solve_window", capture)
+        reports = chart_transitions(ctx, res, offsets, base=base)
+    if stack:
+        full = recentred_windows(ctx.cocycle, np.asarray(offsets, dtype=float), base,
+                                 reports[0].window)
+        assert stacks[0].tobytes() == full.tobytes()
+    reference = chart_reference(ctx, res, offsets, base=base)
+    assert len(reports) == len(reference)
+    for rep, ref in zip(reports, reference):
+        assert rep.transition.tobytes() == ref.transition.tobytes()
+        assert rep.npart_max.hex() == ref.npart_max.hex()
+        assert rep.deviation_max.hex() == ref.deviation_max.hex()
+        assert (rep.offset, rep.window, rep.eval_radius) == (ref.offset, ref.window,
+                                                              ref.eval_radius)
+
+
+def chart_work(monkeypatch):
+    """Record the orbit steps (evaluate_batch calls) and the rows of each
+    recentring composition (compose_jets calls before the window solve) of
+    the chart checks run after it."""
+    work = {"evaluations": 0, "compositions": [], "solved": False}
+    evaluate, compose, solve = (polymap.PolyMap.evaluate_batch, verify.compose_jets,
+                                verify.solve_window)
+
+    def counted_evaluate(self, points):
+        work["evaluations"] += 1
+        return evaluate(self, points)
+
+    def counted_compose(outer, inner, dim, degree):
+        if not work["solved"]:
+            work["compositions"].append(len(inner))
+        return compose(outer, inner, dim, degree)
+
+    def counted_solve(*args):
+        work["solved"] = True
+        return solve(*args)
+
+    monkeypatch.setattr(polymap.PolyMap, "evaluate_batch", counted_evaluate)
+    monkeypatch.setattr(verify, "compose_jets", counted_compose)
+    monkeypatch.setattr(verify, "solve_window", counted_solve)
+    return work
+
+
+def builtin_chart(name, seed):
+    scenario = build_builtin(name, seed)
+    config = scenario.config
+    ctx = SolverContext.prepare(scenario.cocycle, config["epsilon"], config["order"])
+    return ctx, solve_normal_form(ctx), config["checks"]["chart"]["points"]
+
+
+class TestChartTransient:
+    """The chart check recentres the maps only until they equal the base maps
+    to the bit, and gives the full-window reference to the bit."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name", ["koenigs", "koenigs_period2", "resonant2"])
+    def test_builtins_equal_full_window(self, name, seed):
+        assert_equals_reference(*builtin_chart(name, seed))
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_zero_offset_beside_a_moving_point(self, period2, base):
+        # the zero offset's maps are the base maps from step 0, the other
+        # window's only after its transient
+        _, ctx, res = period2
+        offsets = [[0.03], [0.0]]
+        assert_equals_reference(ctx, res, offsets, base)
+
+    def test_koenigs_stops_after_the_transient(self, monkeypatch):
+        ctx, res, points = builtin_chart("koenigs", 1)
+        window = default_chart_window(ctx)
+        work = chart_work(monkeypatch)
+        reports = chart_transitions(ctx, res, points)
+        assert window == 518
+        assert work["evaluations"] <= 63  # the full window takes 517
+        assert sum(work["compositions"]) <= 64 * len(points)
+        assert all(rep.window == window for rep in reports)
+
+    def test_resonant2_recentres_the_whole_window(self, monkeypatch):
+        # the recentred entry (0, 1) of the linear part is 0.6 c_1, which
+        # does not underflow in the window: no stop, every step recentred,
+        # steps 32 to 150 in one composition once that zero slot has grown
+        ctx, res, points = builtin_chart("resonant2", 1)
+        window = default_chart_window(ctx)
+        work = chart_work(monkeypatch)
+        reports = chart_transitions(ctx, res, points)
+        assert window == 150
+        assert work["evaluations"] == window - 1
+        assert sum(work["compositions"]) == window * len(points)
+        assert len(work["compositions"]) == 2
+        assert all(rep.window == window for rep in reports)
+        monkeypatch.undo()
+        assert_equals_reference(ctx, res, points)
+
+
+# (exponents, dims, epsilon) of one to three blocks with comfortable margins
+CHART_SPECTRA = (
+    ((-1.0,), (1,), 0.05),
+    ((-1.0,), (2,), 0.05),
+    ((-1.8, -0.75), (1, 1), 0.04),
+    ((-2.0, -1.1), (2, 1), 0.025),
+    ((-1.2, -0.8, -0.4), (1, 1, 1), 0.02),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from(CHART_SPECTRA), st.integers(1, 3),
+       st.floats(0.0, 0.3), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_chart_equals_full_window_on_random_cocycles(data, spectrum, period, wobble, seed,
+                                                     every_slot):
+    # admissible-only maps either stop at once (one block: the maps are
+    # linear) or never (several blocks: a slot held at zero grows); one block
+    # with every slot drawn stops after a transient, as koenigs does.  The
+    # reports are compared, not the stack: rounding is not monotone along a
+    # rotating orbit, so a map after the stop can differ from its base map in
+    # the last bit, far too deep in the window to reach a report
+    exponents, dims, epsilon = spectrum
+    every_slot = every_slot and len(dims) == 1
+    structure = None if every_slot else Spectrum(exponents, dims, epsilon=epsilon).structure
+    cocycle = random_cocycle(np.random.default_rng(seed), exponents, dims, period,
+                             amp=0.1, structure=structure, wobble=wobble)
+    order = max(3, math.floor(exponents[0] / exponents[-1] + 1e-9))
+    ctx = SolverContext.prepare(cocycle, epsilon, order)
+    res = solve_normal_form(ctx)
+    # offsets of size 0.005 to 0.05: a zero offset stops at once
+    offsets = data.draw(arrays(np.float64, (3, sum(dims)), elements=st.one_of(
+        st.floats(-0.05, -0.005), st.floats(0.005, 0.05))))
+    base = data.draw(st.integers(0, period - 1))
+    assert_equals_reference(ctx, res, offsets, base, stack=False)
 
 
 # one passing report of each class; every bound below is positive
