@@ -10,18 +10,20 @@ stack of bases.
 
 The frames built here, one LyapunovFrames object of (K, m, m) stacks, carry
 the epsilon-weighted inner product: per block a two-sided weighted sum of
-pushforward Grams.  Over a periodic orbit each time direction is a geometric
-series in the one-period map, summed by Smith's doubling until the squared
-norm of the doubled map bounds the dropped tail below a requested tolerance.
-Under that inner product one step of the cocycle moves block i vectors by a
-factor inside [exp(chi_i - eps), exp(chi_i + eps)], the paper's proof that
-the twisted transfer contracts; the solver bounds its tail by norms of the
-transfer itself instead.  The sandwich check tests the n-step version of
-that bound exactly: the extreme singular values of every frame-weighted
-n-step block map, taken in one batched SVD per block.  Every Gram is
-factorised once, when its LyapunovFrames is made: one stacked Cholesky
-factorisation and one stacked eigvalsh serve the envelopes, the comparison
-factors and the sandwich check.
+pushforward Grams.  Each time direction is the fixed point
+G_k = I + exp(-eps) F_k^T G_{k+1} F_k of a transfer along the orbit, like
+the degree series of ``normalform``, and ``_transported_sum`` sums both:
+Smith's doubling, stopped once Frobenius norms of the doubled transfer bound
+the dropped tail, on zero-padded stacks, here of every block and both time
+directions in one batch.  Under that inner product one step of the cocycle
+moves block i vectors by a factor inside [exp(chi_i - eps), exp(chi_i + eps)],
+the paper's proof that the twisted transfer contracts; the solver bounds its
+tail by norms of the transfer itself instead.  The sandwich check tests the
+n-step version of that bound exactly: the extreme singular values of every
+frame-weighted n-step block map, taken in one batched SVD per block.  Every
+Gram is factorised once, when its LyapunovFrames is made: one stacked
+Cholesky factorisation and one stacked eigvalsh serve the envelopes, the
+comparison factors and the sandwich check.
 
 The check reports are defined here, the lowest module with a report: a
 ``_Report`` states its bounded quantities once, as the (line, ok) limits of
@@ -50,6 +52,18 @@ class ClusterGapError(ValueError):
 
 class TailCertificationError(RuntimeError):
     """No power of the period map certifies decay of a truncated series."""
+
+
+class SeriesBudgetError(RuntimeError):
+    """Transported series did not settle within the term budget."""
+
+
+class SeriesStagnationError(RuntimeError):
+    """No certified contraction for the transported series.
+
+    Usually means epsilon is inconsistent with the spectral gap at this
+    degree, or the cocycle data does not match the declared spectrum.
+    """
 
 
 @dataclass(eq=False)
@@ -265,7 +279,8 @@ class LyapunovFrames:
     symmetrised on entry (the norm reads only the symmetric part), and
     bases[k] the orthonormal block basis of the splitting it was built in;
     horizon and tail_bound record per point how the defining series was
-    truncated.  The Grams are factorised once: one stacked Cholesky
+    truncated: the terms summed in each time direction, and the bound on the
+    dropped tail relative to the Frobenius norm of the sum in the block basis.  The Grams are factorised once: one stacked Cholesky
     factorisation, grams = cholesky cholesky^T, is the positive-definiteness
     test, and one stacked eigvalsh gives lambda_min, the least eigenvalue,
     and k_eps, the square root of the greatest, which bounds the comparison
@@ -308,61 +323,76 @@ def _block_restrictions(cocycle: OrbitCocycle, bases: np.ndarray,
     return C
 
 
-def _block_grams(restrictions: np.ndarray, chi: float, eps: float,
-                 tail_tol: float) -> tuple[np.ndarray, int, np.ndarray]:
-    """Two-sided weighted Gram sums of one block, one per start phase.
+def _frobenius(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Frobenius norms over `axis`, formed as np.linalg.norm forms them."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
-    Sums exp(-eps |n|) Z_n^T Z_n where Z_n is the n-step block cocycle from
-    the start point, normalized by exp(-chi n).  Row s of a (2K, mc, mc)
-    stack is the forward series from phase s (n >= 0), row K + s the
-    backward one (n <= -1).  In either direction the product of the first
-    n + K steps is Z_{n+K} = Z_n R with R the one-period map, so each series is sum_t c^t (R^t)^T S R^t with c = exp(-eps K) and S the
-    sum over its first period.  Smith's doubling sums it: from G = S and
-    M = sqrt(c) R, each G <- G + M^T G M, M <- M M doubles the T periods
-    summed.  The dropped tail sum_{k>=1} (M^k)^T G M^k has trace at most
-    theta/(1-theta) tr G with theta = ||M||_2^2, so every row stops at
-    tail_tol/2 of its own trace and the two directions together stay within
-    tail_tol.  As theta >= ||M||_F^2 / mc, a doubling forms no theta (no
-    SVD) while ||M||_F^2 > 2 mc stop in some row and 2 ||M||_F^2 tr G, a bound
-    of theta tr G, is finite in all.  Returns the (K, mc, mc) stack of grams
-    by start, the horizon T K and the (K,) tail bounds relative to the trace.
+
+def _rebalance(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each pair (L, M) of two stacks by 2^-e and 2^e, which leaves L X M exact.
+
+    e halves the gap between the binary exponents of their largest entries,
+    so a long product of expanding L and contracting M stays in float range.
     """
-    fwd = math.exp(-chi) * np.asarray(restrictions)
-    K, mc = fwd.shape[:2]
-    bwd = np.linalg.inv(fwd)
-    phase = np.arange(K)
-    n = np.arange(K + 1)
-    # forward rows sum n = 0..K-1, backward rows n = 1..K
-    weights = np.exp(-eps * n) * np.repeat([n < K, n > 0], K, axis=0)
-    Z = np.broadcast_to(np.eye(mc), (2 * K, mc, mc))
-    S = np.zeros((2 * K, mc, mc))
-    for j in range(K + 1):
-        S += weights[:, j, None, None] * (Z.transpose(0, 2, 1) @ Z)
-        if j < K:
-            Z = np.concatenate([fwd[(phase + j) % K], bwd[(phase - j - 1) % K]]) @ Z
-    G, M, T = S, math.exp(-eps * K / 2) * Z, 1
-    stop = tail_tol / (2.0 + tail_tol)  # theta / (1 - theta) <= tail_tol / 2
-    # theta tr G bounds the entries of the next M^T G M and M M, so the
-    # doubling stops on an overflowing (inf) theta tr G before they can
-    with np.errstate(over="ignore"):
+    e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
+         - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
+    return np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
+
+
+def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarray,
+                     K: int, tol: float, budget: int,
+                     what: str) -> tuple[np.ndarray, int, np.ndarray]:
+    """Fixed point G(p) = Q(p) + X_p G(nxt_p) Y_p of a transfer, by Smith's doubling.
+
+    Q, X and Y are (types, phases, r, c), (types, phases, r, r) and
+    (types, phases, c, c) stacks, zero-padded to one shape, and the phase
+    map nxt closes a cycle every K steps.  From phase p a type's G is
+    sum_t A^t S B^t with S the first-period sum, A = X_p X_{nxt p} ... (K
+    factors) and B = ... Y_{nxt p} Y_p, and every step G <- G + A G B,
+    A <- A A, B <- B B doubles the T periods summed, each pair (A, B) first
+    balanced by a power of two read off the Frobenius norms of the stop test
+    (the first-period products by ``_rebalance``).  The dropped tail
+    sum_{j>=1} A^j G B^j of a type has norm at most rho/(1-rho) ||G||_F with
+    rho = ||A||_F ||B||_F, so the doubling stops once the root sum of
+    squares of those bounds over the types is within tol * max(1, ||G(p)||_F)
+    at every phase p (NaN never passes).  A non-finite rho ||G||_F or
+    ||G(p)||_F, which the next step would overflow, raises
+    SeriesStagnationError; more than budget terms, at the first period or at
+    a doubling, raise SeriesBudgetError; both messages name the series by
+    ``what``.  Returns G, the terms summed T K and the (phases,) tail bounds.
+    """
+    G, A, B = Q, X, Y
+    for _ in range(K - 1):
+        G = Q + X @ G[:, nxt] @ Y
+        A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
+    T = 1
+    with np.errstate(all="ignore"):
         while True:
-            frob, traces = (M * M).sum(axis=(1, 2)), np.trace(G, axis1=1, axis2=2)
-            if not (frob.max() > 2.0 * mc * stop and 2 * T * K <= MAX_GRAM_STEPS
-                    and np.all(np.isfinite(2.0 * frob * traces))):
-                theta = np.linalg.norm(M, 2, axis=(1, 2)) ** 2
-                if np.all(theta <= stop):
-                    break
-                if 2 * T * K > MAX_GRAM_STEPS or not np.all(np.isfinite(theta * traces)):
-                    raise TailCertificationError(
-                        f"gram series not certified within the step budget {MAX_GRAM_STEPS}: "
-                        f"theta = {float(np.max(theta)):.3g} after {T * K} steps; "
-                        "epsilon is too small for this cocycle")
-            G = G + M.transpose(0, 2, 1) @ G @ M
-            M = M @ M
+            a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
+            rho = a * b
+            h = _frobenius(g, axis=0)
+            if not (np.isfinite(rho * g).all() and np.isfinite(h).all()):
+                raise SeriesStagnationError(
+                    f"transported series for {what} has no certified "
+                    f"contraction: the {T}-period transfer norm reached "
+                    f"rho = {float(np.max(rho)):.3g}; epsilon and spectrum are "
+                    "inconsistent with this cocycle")
+            # rho / (1 - rho) where rho < 1, else rho / 0 = inf
+            bound = rho / np.maximum(1.0 - rho, 0.0) * g
+            tail = _frobenius(bound, axis=0)
+            if T * K <= budget and (tail <= tol * np.maximum(1.0, h)).all():
+                return G, T * K, tail
+            if 2 * T * K > budget:
+                raise SeriesBudgetError(
+                    f"series for {what} did not settle within {budget} "
+                    f"terms (rho = {float(np.max(rho)):.3g} after {T * K})")
+            # halve the gap between the binary exponents of the norms; a
+            # power of two is exact, so neither A G B nor rho moves
+            e = ((np.frexp(a)[1] - np.frexp(b)[1]) // 2)[..., None, None]
+            A, B = np.ldexp(A, -e), np.ldexp(B, e)
+            G = G + A @ G @ B
+            A, B = A @ A, B @ B
             T *= 2
-    rel_tails = (theta / (1.0 - theta) * traces).reshape(2, K).sum(0) / traces.reshape(2, K).sum(0)
-    G = G[:K] + G[K:]
-    return 0.5 * (G + G.transpose(0, 2, 1)), T * K, rel_tails
 
 
 def lyapunov_frames(
@@ -373,8 +403,17 @@ def lyapunov_frames(
 ) -> LyapunovFrames:
     """Build the epsilon-weighted frames at every orbit point.
 
-    The ambient Gram is dim * blockdiag(per-block sums) pulled back through
-    the block basis, which makes it dominate the euclidean Gram.
+    Per block i, with F_k = exp(-chi_i) times the block step at point k, the
+    forward sum is the fixed point G_k = I + exp(-eps) F_k^T G_{k+1} F_k and
+    the backward one the same in the inverse steps, going back one point a
+    step.  One ``_transported_sum`` takes every block, zero-padded to the
+    largest, and both directions, as 2K phases, with X = exp(-eps/2) F^T and
+    Y = exp(-eps/2) F, each direction within tail_tol/2 of its own Frobenius
+    norm; the n = 0 identity of both is taken off once.  Either direction's
+    sum is at most the Gram, so the two tail bounds together stay within
+    tail_tol of the Gram's Frobenius norm, the recorded tail_bound.  The
+    ambient Gram is dim * blockdiag(per-block sums) pulled back through the
+    block basis, which makes it dominate the euclidean Gram.
     """
     if spectrum.epsilon <= 0.0:
         raise ValueError("frames need a positive epsilon")
@@ -385,13 +424,28 @@ def lyapunov_frames(
     if space.dim != m:
         raise ValueError("spectrum multiplicities do not match the cocycle dimension")
 
-    G_blocks, horizon, tail = np.zeros((K, m, m)), 0, np.zeros(K)
-    for i, chi in enumerate(spectrum.exponents, start=1):
-        sl = space.block_slice(i)
-        grams, steps, rel_tails = _block_grams(_block_restrictions(cocycle, bases, sl), chi,
-                                               spectrum.epsilon, tail_tol)
-        G_blocks[:, sl, sl] = grams
-        horizon, tail = max(horizon, steps), np.maximum(tail, rel_tails)
+    slices = [space.block_slice(i) for i in range(1, space.n_blocks + 1)]
+    dims = np.array(space.block_dims)
+    d = int(dims.max())
+    Y = np.zeros((space.n_blocks, 2 * K, d, d))
+    for t, (chi, sl) in enumerate(zip(spectrum.exponents, slices)):
+        F = math.exp(-chi) * _block_restrictions(cocycle, bases, sl)
+        # row k steps forward from point k, row K + k back from it
+        Y[t, :, :dims[t], :dims[t]] = np.concatenate([F, np.roll(np.linalg.inv(F), 1, axis=0)])
+    Y *= math.exp(-spectrum.epsilon / 2)
+    # the identity of every block, zero on its padding
+    Q = np.broadcast_to((np.eye(d) * (np.arange(d) < dims[:, None, None]))[:, None], Y.shape)
+    nxt = np.r_[np.arange(1, K + 1) % K, K + np.arange(-1, K - 1) % K]
+    try:
+        G, horizon, tails = _transported_sum(Q, Y.transpose(0, 1, 3, 2), Y, nxt, K,
+                                             tail_tol / 2, MAX_GRAM_STEPS, "the frame grams")
+    except (SeriesBudgetError, SeriesStagnationError) as exc:
+        raise TailCertificationError(str(exc)) from exc
+    G = G[:, :K] + G[:, K:] - Q[:, :K]
+    G_blocks = np.zeros((K, m, m))
+    for t, sl in enumerate(slices):
+        G_blocks[:, sl, sl] = G[t, :, :dims[t], :dims[t]]
+    tail = (tails[:K] + tails[K:]) / _frobenius(G_blocks)
     Binv = np.linalg.inv(bases)
     G_amb = Binv.transpose(0, 2, 1) @ (m * G_blocks) @ Binv
     frames = LyapunovFrames(G_amb, bases, horizon, tail)

@@ -36,7 +36,8 @@ finish.  Three transfer solvers plug into the loop:
 
 * the transported series (``solve_normal_form``): per type, a geometric
   series in the one-period transfer, summed by Smith's doubling until the
-  norms of the doubled factors bound the dropped tail;
+  norms of the doubled factors bound the dropped tail, in
+  ``cocycle._transported_sum``, which sums the Lyapunov frames too;
 * the dense oracle ``verify.direct_solve_oracle``, one linear solve;
 * the sweep of ``solve_window`` along finite orbit windows from a zero
   terminal condition, a suffix scan composed by doubling.  It accepts
@@ -58,7 +59,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cocycle import LyapunovFrames, OrbitCocycle, lyapunov_frames, monodromy_spectrum
+# the series errors are raised by cocycle._transported_sum and re-exported here
+from .cocycle import (LyapunovFrames, OrbitCocycle, SeriesBudgetError, SeriesStagnationError,
+                      _rebalance, _transported_sum, lyapunov_frames, monodromy_spectrum)
 from .grading import Spectrum, SubResStructure, _type_columns, contraction_factor
 from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, compose_jets,
                       composition_table, degree_cols, jet_width, stack_jets, top_degree)
@@ -72,18 +75,6 @@ WINDOW_CHUNK = 2048
 
 # (degree operator, stacked twisted sources Q(k)) -> (conjugator terms, diagnostics)
 Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[Sequence[np.ndarray], dict]]
-
-
-class SeriesBudgetError(RuntimeError):
-    """Transported series did not settle within the term budget."""
-
-
-class SeriesStagnationError(RuntimeError):
-    """No certified contraction for the transported series.
-
-    Usually means epsilon is inconsistent with the spectral gap at this
-    degree, or the cocycle data does not match the declared spectrum.
-    """
 
 
 class _DegreeOperator:
@@ -159,22 +150,6 @@ def _gather_types(stack: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
     return out
 
 
-def _frobenius(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """Frobenius norms over `axis`, formed as np.linalg.norm forms them."""
-    return np.sqrt(np.add.reduce(x * x, axis=axis))
-
-
-def _rebalance(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each pair (L, M) of two stacks by 2^-e and 2^e, which leaves L X M exact.
-
-    e halves the gap between the binary exponents of their largest entries,
-    so a long product of expanding L and contracting M stays in float range.
-    """
-    e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
-         - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
-    return np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
-
-
 def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
             max_terms: int) -> tuple[np.ndarray, dict]:
     """Fixed point H(k) = Q(k) + Phi_k(H(k+1)) around the orbit, by Smith's doubling.
@@ -183,17 +158,11 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     its part of H is sum_t A^t G B^t with G the first-period sum, A =
     Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
     The types are gathered into zero-padded stacks by ``op.type_index``, one
-    fancy index per stack, and every step G <- G + A G B, A <- A A,
-    B <- B B doubles the T periods summed, each pair (A, B) first balanced
-    by a power of two read off the Frobenius norms of the stop test (the
-    first-period products by ``_rebalance``).  The dropped tail
-    sum_{j>=1} A^j G B^j of a type has norm at most rho/(1-rho) ||G||_F with
-    rho = ||A||_F ||B||_F, so the doubling stops once the root sum of
-    squares of those bounds over the types is within
-    series_tol * max(1, ||H(p)||_F) at every phase p (NaN never passes).  A
-    non-finite rho ||G||_F or ||H(p)||_F, which the next step would
-    overflow, raises SeriesStagnationError; more than max_terms terms, at
-    the first period or at a doubling, raise SeriesBudgetError.
+    fancy index per stack, summed by ``cocycle._transported_sum`` and
+    scattered back.  The doubling stops once the root sum of squares of the
+    types' tail bounds is within series_tol * max(1, ||H(p)||_F) at every
+    phase p; no certified contraction raises SeriesStagnationError, more
+    than max_terms terms raise SeriesBudgetError.
     """
     K = len(q_vecs)
     info = {"short_circuit": not q_vecs.any(), "series_terms": 0, "tail_bound": 0.0}
@@ -203,43 +172,12 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     Q = _gather_types(q_vecs, (rows, rows_pad), (cols, cols_pad))
     X = _gather_types(op.ainvs, (rows, rows_pad), (rows, rows_pad))
     Y = _gather_types(op.substs, (cols, cols_pad), (cols, cols_pad))
-    nxt = (np.arange(K) + 1) % K
-    G, A, B = Q, X, Y
-    for _ in range(K - 1):
-        G = Q + X @ G[:, nxt] @ Y
-        A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
-    T = 1
-    with np.errstate(all="ignore"):
-        while True:
-            a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
-            rho = a * b
-            h = _frobenius(g, axis=0)
-            if not (np.isfinite(rho * g).all() and np.isfinite(h).all()):
-                raise SeriesStagnationError(
-                    f"transported series for degree {op.n} has no certified "
-                    f"contraction: the {T}-period transfer norm reached "
-                    f"rho = {float(np.max(rho)):.3g}; epsilon and spectrum are "
-                    "inconsistent with this cocycle")
-            # rho / (1 - rho) where rho < 1, else rho / 0 = inf
-            bound = rho / np.maximum(1.0 - rho, 0.0) * g
-            tail = _frobenius(bound, axis=0)
-            if T * K <= max_terms and (tail <= series_tol * np.maximum(1.0, h)).all():
-                break
-            if 2 * T * K > max_terms:
-                raise SeriesBudgetError(
-                    f"series for degree {op.n} did not settle within {max_terms} "
-                    f"terms (rho = {float(np.max(rho)):.3g} after {T * K})")
-            # halve the gap between the binary exponents of the norms; a
-            # power of two is exact, so neither A G B nor rho moves
-            e = ((np.frexp(a)[1] - np.frexp(b)[1]) // 2)[..., None, None]
-            A, B = np.ldexp(A, -e), np.ldexp(B, e)
-            G = G + A @ G @ B
-            A, B = A @ A, B @ B
-            T *= 2
+    G, terms, tail = _transported_sum(Q, X, Y, (np.arange(K) + 1) % K, K, series_tol,
+                                      max_terms, f"degree {op.n}")
     H = np.zeros_like(q_vecs)
     t, i, j, hr, hc = slots
     H[:, hr, hc] = G[t, :, i, j].T
-    info.update(series_terms=T * K, tail_bound=float(tail.max()))
+    info.update(series_terms=terms, tail_bound=float(tail.max()))
     return H, info
 
 

@@ -5,11 +5,9 @@ by doubling: every step n multiplies the block cocycle once more and adds
 exp(-eps |n|) Z_n^T Z_n, and after every chunk of q periods a decay
 certificate decides whether to stop, each time direction at half the
 requested relative tail.  The certificate is kept here, so the reference
-shares no summation code with ``orbitnf.cocycle._block_grams``, which the
-tests check against it.  ``doubling_block_grams`` is the doubling with a
-2-norm at every step, which the package must equal bit for bit.  The step
-budget is read from ``orbitnf.cocycle`` at call time, so a test that patches
-it there limits all of them.
+shares no summation code with ``orbitnf.cocycle.lyapunov_frames``, which the
+tests check against it.  The step budget is read from ``orbitnf.cocycle`` at
+call time, so a test that patches it there limits both.
 """
 
 import math
@@ -93,43 +91,3 @@ def block_gram(restrictions: list[np.ndarray], chi: float, eps: float, start: in
             else:
                 Z = step_maps[(start - n) % K] @ Z
     return 0.5 * (G + G.T), horizon, sum(tails) / max(total_trace, 1e-300)
-
-
-def doubling_block_grams(restrictions: list[np.ndarray], chi: float, eps: float,
-                         tail_tol: float) -> tuple[np.ndarray, int, np.ndarray]:
-    """``orbitnf.cocycle._block_grams`` with the 2-norm theta = ||M||_2^2 of
-    every row formed at every doubling: the stop and budget tests exactly as
-    the package took them before it skipped theta where ||M||_F^2 rules out a
-    stop.  The tests require the package to equal it bit for bit."""
-    K, mc = len(restrictions), restrictions[0].shape[0]
-    fwd = math.exp(-chi) * np.stack(restrictions)
-    bwd = np.linalg.inv(fwd)
-    phase = np.arange(K)
-    n = np.arange(K + 1)
-    weights = np.exp(-eps * n) * np.repeat([n < K, n > 0], K, axis=0)
-    Z = np.broadcast_to(np.eye(mc), (2 * K, mc, mc))
-    S = np.zeros((2 * K, mc, mc))
-    for j in range(K + 1):
-        S += weights[:, j, None, None] * (Z.transpose(0, 2, 1) @ Z)
-        if j < K:
-            Z = np.concatenate([fwd[(phase + j) % K], bwd[(phase - j - 1) % K]]) @ Z
-    G, M, T = S, math.exp(-eps * K / 2) * Z, 1
-    half = tail_tol / 2
-    with np.errstate(over="ignore"):
-        while True:
-            theta = np.linalg.norm(M, 2, axis=(1, 2)) ** 2
-            if np.all(theta <= half / (1.0 + half)):
-                break
-            if 2 * T * K > cocycle.MAX_GRAM_STEPS or not np.all(
-                    np.isfinite(theta * np.trace(G, axis1=1, axis2=2))):
-                raise TailCertificationError(
-                    f"gram series not certified within the step budget "
-                    f"{cocycle.MAX_GRAM_STEPS}: theta = {float(np.max(theta)):.3g} after "
-                    f"{T * K} steps; epsilon is too small for this cocycle")
-            G = G + M.transpose(0, 2, 1) @ G @ M
-            M = M @ M
-            T *= 2
-    traces = np.trace(G, axis1=1, axis2=2)
-    rel_tails = (theta / (1.0 - theta) * traces).reshape(2, K).sum(0) / traces.reshape(2, K).sum(0)
-    G = G[:K] + G[K:]
-    return 0.5 * (G + G.transpose(0, 2, 1)), T * K, rel_tails

@@ -16,7 +16,6 @@ from orbitnf.cocycle import (
     NonContractingError,
     OrbitCocycle,
     TailCertificationError,
-    _block_grams,
     _block_restrictions,
     log_envelopes,
     lyapunov_frames,
@@ -309,50 +308,36 @@ def jordan_block(shear):
     return [np.array([[math.exp(-1.0), shear], [0.0, math.exp(-1.0)]])]
 
 
-def counted_grams(grams_fn, *args):
-    """(grams or the type and message of the error, number of 2-norm
-    evaluations) of one block's gram sums."""
-    ords, norm = [], np.linalg.norm
-
-    def counted(x, ord=None, *rest, **kwargs):
-        ords.append(ord)
-        return norm(x, ord, *rest, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "norm", counted)
-        try:
-            G, horizon, tails = grams_fn(*args)
-            out = (G.tobytes(), horizon, tails.tobytes())
-        except TailCertificationError as exc:
-            out = (type(exc), str(exc))
-    return out, ords.count(2)
+def block_frames(restrictions, chi, eps, tail_tol=1e-12):
+    """Frames of the one-block cocycle stepping by the restrictions, in identity bases."""
+    K, mc = len(restrictions), len(restrictions[0])
+    return lyapunov_frames(linear_cocycle(restrictions), Spectrum((chi,), (mc,), eps),
+                           np.broadcast_to(np.eye(mc), (K, mc, mc)), tail_tol)
 
 
-def assert_equals_doubling_reference(restrictions, chi, eps, tail_tol=1e-12, contracting=True):
-    """Bit for bit the grams, horizons, tail bounds or errors of the doubling
-    with a 2-norm at every step, with at most two 2-norms per contracting block."""
-    got, norms = counted_grams(_block_grams, restrictions, chi, eps, tail_tol)
-    want, _ = counted_grams(gram_reference.doubling_block_grams, restrictions, chi, eps, tail_tol)
-    assert got == want
-    if contracting:
-        assert norms <= 2
+def assert_gram_within_tails(G, tail, restrictions, chi, eps, start, tail_tol):
+    """G, a block sum from start whose dropped tail has Frobenius norm at
+    most tail, and the stepwise sum, whose tail is bounded relative to its
+    trace, fall short of the full series by at most their certified tails,
+    up to rounding of the stepwise sum."""
+    G_ref, _, tail_ref = gram_reference.block_gram(restrictions, chi, eps, start, tail_tol)
+    gap = np.max(np.abs(G - G_ref))
+    assert gap <= tail + tail_ref * np.trace(G_ref) + 1e-13 * np.max(np.abs(G_ref))
 
 
 def assert_grams_match_reference(restrictions, chi, eps, tail_tol=1e-12):
-    assert_equals_doubling_reference(restrictions, chi, eps, tail_tol)
-    grams, horizon, tails = _block_grams(restrictions, chi, eps, tail_tol)
-    K = len(restrictions)
-    assert grams.shape[0] == K and tails.shape == (K,)
-    for start, (G, tail) in enumerate(zip(grams, tails)):
-        G_ref, _, tail_ref = gram_reference.block_gram(restrictions, chi, eps, start, tail_tol)
-        # T periods summed by doubling, T a power of two
-        assert horizon % K == 0 and (horizon // K).bit_count() == 1
-        assert 0.0 < tail <= tail_tol
-        # both sums fall short of the full series by at most their certified
-        # tails (relative to the trace), up to rounding of the stepwise sum
-        gap = np.max(np.abs(G - G_ref))
-        assert gap <= (tail + tail_ref) * np.trace(G_ref) + 1e-13 * np.max(np.abs(G_ref))
-    return grams
+    frames = block_frames(restrictions, chi, eps, tail_tol)
+    K, mc = len(restrictions), len(restrictions[0])
+    # T periods summed by doubling from every start, T a power of two
+    horizon = int(frames.horizon[0])
+    assert np.all(frames.horizon == horizon)
+    assert horizon % K == 0 and (horizon // K).bit_count() == 1
+    assert np.all((0.0 < frames.tail_bound) & (frames.tail_bound <= tail_tol))
+    # the ambient Gram is dim times the block sum, and the tail bound is
+    # relative to its Frobenius norm
+    for start, G in enumerate(frames.grams / mc):
+        assert_gram_within_tails(G, frames.tail_bound[start] * np.linalg.norm(G),
+                                 restrictions, chi, eps, start, tail_tol)
 
 
 class TestBlockGrams:
@@ -371,19 +356,16 @@ class TestBlockGrams:
 
     def test_step_budget_raises_in_both(self, monkeypatch):
         restrictions = skewed_block_cocycle(np.random.default_rng(5), 2, 3, chi=-0.5)
-        # every start doubles to the same number of periods
-        _, horizon, _ = _block_grams(restrictions, -0.5, 0.05, 1e-12)
+        horizon = int(block_frames(restrictions, -0.5, 0.05).horizon[0])
         ref_horizons = [gram_reference.block_gram(restrictions, -0.5, 0.05, start, 1e-12)[1]
                         for start in range(3)]
         # a budget of exactly the horizon still settles ...
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", horizon)
-        _block_grams(restrictions, -0.5, 0.05, 1e-12)
-        assert_equals_doubling_reference(restrictions, -0.5, 0.05)
+        assert block_frames(restrictions, -0.5, 0.05).horizon[0] == horizon
         # ... half of it does not, as the last doubling would pass it
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", horizon // 2)
-        with pytest.raises(TailCertificationError, match=f"step budget {horizon // 2}"):
-            _block_grams(restrictions, -0.5, 0.05, 1e-12)
-        assert_equals_doubling_reference(restrictions, -0.5, 0.05, contracting=False)
+        with pytest.raises(TailCertificationError, match=f"within {horizon // 2} terms"):
+            block_frames(restrictions, -0.5, 0.05)
         # the stepwise reference settles on its own horizon, not one step less
         start = int(np.argmax(ref_horizons))
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", max(ref_horizons) - 1)
@@ -391,38 +373,42 @@ class TestBlockGrams:
             gram_reference.block_gram(restrictions, -0.5, 0.05, start, 1e-12)
         monkeypatch.setattr(cocycle_module, "MAX_GRAM_STEPS", 10)
         with pytest.raises(TailCertificationError):
-            _block_grams(jordan_block(1.0), -1.0, 0.1, 1e-12)
-        assert_equals_doubling_reference(jordan_block(1.0), -1.0, 0.1, contracting=False)
+            block_frames(jordan_block(1.0), -1.0, 0.1)
         with pytest.raises(TailCertificationError):
             gram_reference.block_gram(jordan_block(1.0), -1.0, 0.1, 0, 1e-12)
 
     def test_epsilon_below_cluster_spread_raises(self):
         # one cluster with exponents -1 +- 0.01: at eps = 0.005 the weighted
-        # period map grows in both time directions, so theta never falls below 1
+        # period map grows in both time directions, so the doubled norms
+        # overflow before any stop
         restrictions = [np.diag([math.exp(-0.99), math.exp(-1.01)])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TailCertificationError) as info:
-                _block_grams(restrictions, -1.0, 0.005, 1e-12)
-        message = str(info.value)
-        assert "theta = " in message
-        assert f"step budget {cocycle_module.MAX_GRAM_STEPS}" in message
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert_equals_doubling_reference(restrictions, -1.0, 0.005, contracting=False)
+            with pytest.raises(TailCertificationError,
+                               match="no certified contraction: .* rho = "):
+                block_frames(restrictions, -1.0, 0.005)
 
-    def test_random_scenario_blocks_equal_doubling_reference(self):
-        for index in range(12, 72):
+    def test_random_scenario_blocks_match_stepwise_reference(self):
+        # one scenario of each period and block shape
+        for index in range(12, 24):
             scenario = random_scenario(index)
             c, config = scenario.cocycle, scenario.config
             spectrum, bases = monodromy_spectrum(c, float(config["epsilon"]),
                                                  float(config["resonance_tol"]),
                                                  float(config["cluster_tol"]))
+            tail_tol = float(config["tail_tol"])
+            frames = lyapunov_frames(c, spectrum, bases, tail_tol)
+            assert np.all((0.0 < frames.tail_bound) & (frames.tail_bound <= tail_tol))
+            # back in the block bases: dim times the block-diagonal sums
+            G = bases.transpose(0, 2, 1) @ frames.grams @ bases / c.dim
+            tails = frames.tail_bound * np.linalg.norm(G, axis=(1, 2))
             space = GradedSpace(spectrum.multiplicities)
             for i, chi in enumerate(spectrum.exponents, start=1):
-                assert_equals_doubling_reference(
-                    _block_restrictions(c, bases, space.block_slice(i)), chi,
-                    spectrum.epsilon, float(config["tail_tol"]))
+                sl = space.block_slice(i)
+                restrictions = list(_block_restrictions(c, bases, sl))
+                for k in range(c.period):
+                    assert_gram_within_tails(G[k, sl, sl], tails[k], restrictions, chi,
+                                             spectrum.epsilon, k, tail_tol)
 
 
 class TestSandwich:

@@ -778,7 +778,7 @@ class TestChartConsistency:
             chart_transitions(ctx, res, [[0.05]], window=window)
 
 
-def assert_equals_reference(ctx, res, offsets, base=0, stack=True):
+def assert_equals_reference(ctx, res, offsets, base=0, stack=True, window=None):
     """The chart reports, and with `stack` the window stack they solve, equal
     those of the full recentring of every step to the bit."""
     stacks = []
@@ -789,12 +789,12 @@ def assert_equals_reference(ctx, res, offsets, base=0, stack=True):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "solve_window", capture)
-        reports = chart_transitions(ctx, res, offsets, base=base)
+        reports = chart_transitions(ctx, res, offsets, base=base, window=window)
     if stack:
         full = recentred_windows(ctx.cocycle, np.asarray(offsets, dtype=float), base,
                                  reports[0].window)
         assert stacks[0].tobytes() == full.tobytes()
-    reference = chart_reference(ctx, res, offsets, base=base)
+    reference = chart_reference(ctx, res, offsets, base=base, window=window)
     assert len(reports) == len(reference)
     for rep, ref in zip(reports, reference):
         assert rep.transition.tobytes() == ref.transition.tobytes()
@@ -880,6 +880,19 @@ class TestChartTransient:
         assert all(rep.window == window for rep in reports)
         monkeypatch.undo()
         assert_equals_reference(ctx, res, points)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_stop_before_the_last_bit_settles(self, order):
+        # a random one-block cocycle whose stop fires at step 128 of a
+        # 700-step window while the recentred map there still differs from
+        # its base map by 4.3e-19 in one degree-2 slot: the stack moves,
+        # the reports must not
+        rng = np.random.default_rng(1567833589)
+        amp, degree = rng.uniform(0.01, 0.5), int(rng.integers(2, 4))
+        cocycle = random_cocycle(rng, (-0.3,), (3,), 1, amp=amp, degree=degree, wobble=0.3)
+        offsets = rng.uniform(-0.05, 0.05, (3, 3))
+        ctx = SolverContext.prepare(cocycle, 0.05, order)
+        assert_equals_reference(ctx, solve_normal_form(ctx), offsets, stack=False, window=700)
 
 
 # (exponents, dims, epsilon) of one to three blocks with comfortable margins
