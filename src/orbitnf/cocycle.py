@@ -332,11 +332,14 @@ def _rebalance(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each pair (L, M) of two stacks by 2^-e and 2^e, which leaves L X M exact.
 
     e halves the gap between the binary exponents of their largest entries,
-    so a long product of expanding L and contracting M stays in float range.
+    so a long product of expanding L and contracting M stays in float range;
+    a stack longer than its matrices' size is reduced across, which is faster.
     """
-    e = (np.frexp(np.abs(L).max(axis=(-2, -1)))[1]
-         - np.frexp(np.abs(M).max(axis=(-2, -1)))[1]) // 2
-    return np.ldexp(L, -e[..., None, None]), np.ldexp(M, e[..., None, None])
+    top = [t[:, 0] if t.shape[1] == 1 else np.ascontiguousarray(t.T).max(axis=0)
+           if len(t) > t.shape[1] else t.max(axis=1)
+           for t in (np.abs(X).reshape(-1, X.shape[-2] * X.shape[-1]) for X in (L, M))]
+    e = ((np.frexp(top[0])[1] - np.frexp(top[1])[1]) // 2).reshape(L.shape[:-2] + (1, 1))
+    return np.ldexp(L, -e), np.ldexp(M, e)
 
 
 def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarray,

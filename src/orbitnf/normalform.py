@@ -20,14 +20,14 @@ X -> Ainv_k[i] X subst_k[s], the paper's per-type operator, and the series
 and the dense oracle work type by type.
 
 One loop, ``_degree_loop``, runs the recursion on jet stacks of the
-conjugators and normal forms.  The powers of the fiber maps are formed once,
-in the composition table of the orbit (or window) stack: composing on the
-right of F_k is linear, so [H(k+1) o F_k]_n is a sum of products of the
-degree-d parts of H with blocks of the table, and the table's diagonal
-blocks are the substitution matrices of the degree operators.  Only
-P_k o H(k) is a composition per degree, whose powers of H stop at the top
-degree of P.  Each degree hands the twisted sources Q(k) to a transfer
-solver and finishes in coefficient space:
+conjugators and normal forms, H(nxt[k]) after map k: a cycle on an orbit, a
+forest of windows.  The powers of the fiber maps are formed once, in their
+composition table: composing on the right of F_k is linear, so
+[H(k+1) o F_k]_n is a sum of products of the degree-d parts of H with blocks
+of the table, and the table's diagonal blocks are the substitution matrices
+of the degree operators.  Only P_k o H(k) is a composition per degree, whose
+powers of H stop at the top degree of P.  Each degree hands the twisted
+sources Q(k) to a transfer solver and finishes in coefficient space:
 term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose admissible part
 is P_n(k) and whose rest must vanish.  H and P are unique only up to a
 sub-resonance polynomial; a solve may fix that gauge with one ``lift`` map,
@@ -40,17 +40,16 @@ finish.  Three transfer solvers plug into the loop:
   ``cocycle._transported_sum``, which sums the Lyapunov frames too;
 * the dense oracle ``verify.direct_solve_oracle``, one linear solve;
 * the sweep of ``solve_window`` along finite orbit windows from a zero
-  terminal condition, a suffix scan composed by doubling.  It accepts
-  flag-preserving (block-triangular) linear parts, whose steps send no
-  admissible slot to a non-admissible one, so the sweep needs no mask
-  between steps: masking the transported sums is exactly the quotient by
-  the sub-resonance directions.
+  terminal condition, a suffix scan composed by pointer jumping.  The steps
+  from which all windows' maps agree bit for bit are one chain of the
+  forest, solved once.  It accepts flag-preserving (block-triangular)
+  linear parts, whose steps send no admissible slot to a non-admissible
+  one, so the sweep needs no mask between steps: masking the transported
+  sums is exactly the quotient by the sub-resonance directions.
 
-The loop runs on jet stacks with any number of batch axes between the orbit
-axis and the coefficients, so the windows of several chart points are
-solved in one pass.  A periodic solve keeps its (K, m, w) stacks of H and P
-as they come out of the loop, in a ``NormalFormResult``; its PolyMap tuples
-are views of their rows, built on first read for the API and the report.
+A periodic solve keeps its (K, m, w) stacks of H and P as they come out of
+the loop, in a ``NormalFormResult``; its PolyMap tuples are views of their
+rows, built on first read for the API and the report.
 """
 
 from dataclasses import dataclass
@@ -77,6 +76,12 @@ WINDOW_CHUNK = 2048
 Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[Sequence[np.ndarray], dict]]
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on stacks of matrices; over an inner dimension of 1 each entry is
+    one product, added to 0.0 as matmul adds it, so elementwise is exact."""
+    return a * b + 0.0 if a.shape[-1] == 1 else a @ b
+
+
 class _DegreeOperator:
     """Coefficient-space form of the degree-n transfer along the orbit.
 
@@ -96,9 +101,8 @@ class _DegreeOperator:
     With block-diagonal A_k, subst_k maps the monomials of each block degree
     s among themselves, so Phi_k acts on the block X of type (i, s) alone, as
     X -> Ainv_k[i] X subst_k[s].  The series and the dense oracle use these
-    blocks.  A window operator holds block-triangular (flag-preserving)
-    linear parts of shape (W, P, m, m), one per step and window, and ainvs
-    and substs keep those leading axes.
+    blocks.  A window operator holds the block-triangular (flag-preserving)
+    linear parts of the rows of its forest.
     """
 
     def __init__(self, space: GradedSpace, structure: SubResStructure, n: int,
@@ -116,7 +120,7 @@ class _DegreeOperator:
 
     def source(self, s_vecs: np.ndarray) -> np.ndarray:
         """Masked twisted sources Q(k) = proj_N(Ainv_k o proj_N(S(k))) of a stack."""
-        return self.mask * (self.ainvs @ (self.mask * s_vecs))
+        return self.mask * _matmul(self.ainvs, self.mask * s_vecs)
 
     @cached_property
     def type_index(self) -> tuple[np.ndarray, ...]:
@@ -277,32 +281,30 @@ class SolverContext:
         return self.operators[n]
 
 
-def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray) -> np.ndarray:
-    """Degree-n sources S(k) = [H(k+1) o F_k - P_k o H(k)]_n.
+def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
+                 nxt: np.ndarray) -> np.ndarray:
+    """Degree-n sources S(k) = [H(nxt[k]) o F_k - P_k o H(k)]_n.
 
-    conj and nf are jet stacks of the conjugators H (k+1 wraps modulo their
-    number) and the normal forms P_k, with the batch axes of the fiber maps
-    F_k; in the loop the degree-n parts of H and P are still zero.  The
-    first term is linear in H, the sum over d <= n of H_d(k+1) times the
-    degree-n columns of the composition table's degree-d block; the second
-    is one stacked composition, whose powers of H stop at P's top degree.
+    conj and nf are (rows, m, w) jet stacks of the conjugators H and the
+    normal forms P_k, H(nxt[k]) the conjugator after map k; in the loop the
+    degree-n parts of H and P are still zero.  The first term is linear in
+    H, the sum over d <= n of H_d(nxt[k]) times the degree-n columns of the
+    composition table's degree-d block; the second is one stacked
+    composition, whose powers of H stop at P's top degree.
     """
     K, m, n = len(op.linears), op.space.dim, op.n
     cols = degree_cols(m, n)
-    nxt = (np.arange(K) + 1) % len(conj)
     hf = 0.0
     for d in range(1, n + 1):
         lo = cols.start - degree_cols(m, d).start
         block = op.table[d - 1][..., lo:lo + op.mask.shape[1]]
-        hf = hf + conj[nxt, ..., degree_cols(m, d)] @ block
+        hf = hf + _matmul(conj[nxt, :, degree_cols(m, d)], block)
     width = jet_width(m, n)
-    ph = compose_jets(nf[..., :width].reshape(-1, m, width),
-                      conj[:K, ..., :width].reshape(-1, m, width), m, n)
-    return hf - ph[..., cols].reshape(hf.shape)
+    return hf - compose_jets(nf[..., :width], conj[:K, :, :width], m, n)[..., cols]
 
 
 def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
-                             transfer: Transfer, lift: PolyMap | None = None
+                             nxt: np.ndarray, transfer: Transfer, lift: PolyMap | None = None
                              ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One degree of the conjugacy equation, solved in coefficient space.
 
@@ -313,13 +315,13 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
     non-admissible residue of the finished equation is the admissible
     violation; above it P_n vanishes and the residue is the defect.
     """
-    n, K, C = op.n, len(op.linears), len(conj)
-    s_vecs = _source_vecs(op, conj, nf)
+    n, K = op.n, len(op.linears)
+    s_vecs = _source_vecs(op, conj, nf, nxt)
     h_vecs, info = transfer(op, op.source(s_vecs))
     h_vecs = np.array(h_vecs)
     if lift is not None:
         h_vecs += ~op.mask * lift.part(n)
-    terms = s_vecs + h_vecs[(np.arange(K) + 1) % C] @ op.substs - op.linears @ h_vecs[:K]
+    terms = s_vecs + _matmul(h_vecs[nxt], op.substs) - _matmul(op.linears, h_vecs[:K])
     residue = float(np.max(np.abs(op.mask * terms)))
     below = n <= op.degree_bound
     diag = dict(info, degree=n, monomials=op.mask.shape[1], slots=op.mask.size,
@@ -331,28 +333,27 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
     return h_vecs, ~op.mask * terms, diag
 
 
-def _degree_loop(fibers: np.ndarray, n_conj: int,
+def _degree_loop(fibers: np.ndarray, nxt: np.ndarray,
                  operator: Callable[[int], _DegreeOperator], order: int,
                  transfer: Transfer, lift: PolyMap | None = None
                  ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Degrees 2..order along a jet stack of fiber maps, shape (K, ..., m, w).
+    """Degrees 2..order along a (K, m, w) jet stack of fiber maps.
 
-    operator(n) reads the composition table of those fiber maps.  Returns
-    the conjugator and normal form jet stacks through `order` and the
-    per-degree diagnostics.  There are n_conj conjugators: the period on
-    a periodic orbit, where the index k+1 wraps, or one more than the maps
-    on a window.  Axes between the first and the last two are batch axes.
-    Conjugators and normal forms grow one degree block at a time.
+    The conjugator after map k is row nxt[k]: a periodic orbit is the cycle
+    k -> k + 1 mod K, windows a forest whose roots, rows K on, are terminal
+    conjugators that stay the identity.  operator(n) reads the composition
+    table of the fiber maps.  Returns the conjugator and normal form jet
+    stacks through `order`, grown a degree at a time, and the diagnostics.
     """
     m = fibers.shape[-2]
     nf = np.zeros(fibers.shape[:-1] + (jet_width(m, order),))
     nf[..., :m + 1] = fibers[..., :m + 1]
-    conj = np.zeros((n_conj,) + nf.shape[1:])
+    conj = np.zeros((max(len(nf), nxt.max() + 1),) + nf.shape[1:])
     conj[..., :m + 1] = _linear_jets(np.eye(m))
     diags = []
     for n in range(2, order + 1):
         op = operator(n)
-        h_vecs, p_vecs, diag = solve_homogeneous_degree(op, conj, nf, transfer, lift)
+        h_vecs, p_vecs, diag = solve_homogeneous_degree(op, conj, nf, nxt, transfer, lift)
         cols = degree_cols(m, n)
         conj[..., cols] = h_vecs
         nf[..., cols] = p_vecs
@@ -364,11 +365,12 @@ def _orbit_loop(ctx: "SolverContext", transfer: Transfer, lift: PolyMap | None =
                 ) -> "NormalFormResult":
     """The degree loop around the orbit of ctx under `transfer`, its stacks
     wrapped as a result."""
-    conj, nf, degree_diags = _degree_loop(ctx.cocycle.jets, ctx.cocycle.period, ctx.operator,
-                                          ctx.order, transfer, lift)
+    K = ctx.cocycle.period
+    conj, nf, degree_diags = _degree_loop(ctx.cocycle.jets, (np.arange(K) + 1) % K,
+                                          ctx.operator, ctx.order, transfer, lift)
     diagnostics = {
         "order": ctx.order,
-        "period": ctx.cocycle.period,
+        "period": K,
         "degree_bound": ctx.structure.degree_bound,
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
@@ -454,42 +456,61 @@ def solve_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> Normal
     return _orbit_loop(ctx, series, lift)
 
 
-def _window_sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """R_k = q_k + mask * (Ainv_k R_{k+1} subst_k) for k < W and R_W = 0, by doubling.
+def _window_sweep(rows: np.ndarray) -> Transfer:
+    """The transfer R_k = q_k + mask * (Ainv_k R_{k+1} subst_k), R_W = 0, on
+    a forest of windows, by pointer jumping.
 
-    A flag-preserving step sends no admissible slot to a non-admissible one,
-    so the interior masks drop out and R_k is the masked suffix sum of
-    Ainv_k..Ainv_{j-1} q_j subst_{j-1}..subst_k over j >= k.  Chunks of
-    WINDOW_CHUNK steps are scanned last first, each closed by the chunk
-    after it.  Level s of a scan holds at every k the (Ainv-product,
-    subst-product) pair of steps k..k+s-1 and the sum over those steps, and
-    adds the sum at k+s, carried through the pair, to the sum at k.  Masking
-    each level's sums keeps the expanding admissible types out of them.
-    Each new pair is rebalanced by a power of two, which is exact, since the
-    Ainv-products alone overflow on long windows.  Every R_k is then checked
-    against WINDOW_GROWTH_GUARD times its window's largest source, and a
-    non-finite value counts as divergence.
+    rows[k, p] is the row of step k of window p, numbered by step, then
+    window; rows[W] are terminal rows past the maps.  A flag-preserving step
+    sends no admissible slot to a non-admissible one, so R_k is the masked
+    sum of Ainv_k..Ainv_{j-1} q_j subst_{j-1}..subst_k over j >= k.  Chunks
+    of WINDOW_CHUNK steps are scanned last first, each closed by the next.
+    At level s a row adds L_s R[ahead] M_s, ahead s steps on, while that row
+    lies in the chunk, and pairs combine as (L_s L_s[ahead], M_s[ahead] M_s),
+    rebalanced by a power of two (exact) against the Ainv-products'
+    overflow: every row sees the operands of its window scanned alone, in
+    the same association.  Masked sums keep the expanding admissible types
+    out.  A row past WINDOW_GROWTH_GUARD times the largest source of a window
+    through it, or not finite, diverges; the error names the last such step.
     """
-    W = len(q_vecs)
-    R = np.concatenate([q_vecs, np.zeros_like(q_vecs[:1])])
-    with np.errstate(all="ignore"):
-        for b0 in reversed(range(0, W, WINDOW_CHUNK)):
-            n = min(WINDOW_CHUNK, W - b0) + 1
-            L, M, Rc = op.ainvs[b0:], op.substs[b0:], R[b0:b0 + n]
-            s = 1
-            while s < n:
-                Rc[:n - s] += np.where(op.mask, L[:n - s] @ Rc[s:] @ M[:n - s], 0.0)
-                if 2 * s < n:
-                    L, M = _rebalance(L[:n - 2 * s] @ L[s:n - s], M[s:n - s] @ M[:n - 2 * s])
-                s *= 2
-        norms = np.linalg.norm(R, axis=(-2, -1))
-        q_scale = np.maximum(1.0, np.linalg.norm(q_vecs, axis=(-2, -1)).max(axis=0))
-        diverged = ~(norms <= WINDOW_GROWTH_GUARD * q_scale)
-    if diverged.any():
-        raise SeriesStagnationError(
-            f"window sweep diverged at degree {op.n}, step {np.nonzero(diverged)[0].max()}"
-        )
-    return R, {"max_sweep_norm": float(norms.max())}
+    # steps b..e hold the rows first[b]..last[e] - 1
+    W, first, last = len(rows) - 1, rows[:, 0], rows[:, -1] + 1
+    ahead = np.empty(last[-2], dtype=np.intp)
+    ahead[rows[:-1]] = rows[1:]
+    # per chunk, last first, and level: the rows s steps ahead of those within
+    # s steps of its end, and where the rows 2s steps ahead sit among them
+    chunks = []
+    for b0 in reversed(range(0, W, WINDOW_CHUNK)):
+        end, s, lo = min(b0 + WINDOW_CHUNK, W), 1, first[b0]
+        nxt, levels = ahead[lo:last[end - 1]], []
+        while len(nxt):
+            s *= 2
+            levels.append((nxt, nxt[:last[end - s] - lo if end - s >= b0 else 0] - lo))
+            nxt = nxt.take(levels[-1][1])
+        chunks.append((lo, levels))
+
+    def sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+        R = np.zeros((last[-1],) + q_vecs.shape[1:])
+        R[:len(q_vecs)] = q_vecs
+        with np.errstate(all="ignore"):
+            for lo, levels in chunks:
+                L, M = op.ainvs[lo:], op.substs[lo:]
+                for nxt, pos in levels:
+                    n, k = len(nxt), len(pos)
+                    R[lo:lo + n] += np.where(
+                        op.mask, _matmul(_matmul(L[:n], R.take(nxt, 0)), M[:n]), 0.0)
+                    if k:
+                        L, M = _rebalance(_matmul(L[:k], L.take(pos, 0)),
+                                          _matmul(M.take(pos, 0), M[:k]))
+            norms = np.linalg.norm(R, axis=(-2, -1))
+            q_scale = np.linalg.norm(q_vecs, axis=(-2, -1)).take(rows[:-1]).max(axis=0)
+            diverged = ~(norms.take(rows) <= WINDOW_GROWTH_GUARD * np.maximum(1.0, q_scale))
+        if diverged.any():
+            raise SeriesStagnationError(f"window sweep diverged at degree {op.n}, "
+                                        f"step {np.nonzero(diverged)[0].max()}")
+        return R, {"max_sweep_norm": float(norms.max())}
+
+    return sweep
 
 
 def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructure,
@@ -510,6 +531,9 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     what the degree-n normal form term absorbs.  Reliable near the window
     start; the terminal truncation error decays at the per-degree
     contraction rate.
+
+    The steps from the first J at which all windows' maps agree bit for bit
+    are solved once, as one chain of a forest, with each window's own bits.
     """
     jets = np.array(jets, dtype=float)
     m = space.dim
@@ -519,8 +543,7 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     if moved.any():
         raise ValueError(f"window map {np.argmax(moved)} does not fix the origin")
     linears = _linear_parts(jets, m)
-    block = np.array(space.block_of_coord)
-    below = block[:, None] > block[None, :]
+    below = np.subtract.outer(space.block_of_coord, space.block_of_coord) > 0
     scale = np.maximum(1.0, np.abs(linears).max(axis=(-2, -1)))
     flagged = (np.abs(linears[..., below]) > 1e-10 * scale[..., None]).any(axis=(1, 2))
     if flagged.any():
@@ -532,10 +555,20 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
     # the jets lose those entries too
     linears[..., below] = 0.0
 
-    table, linears = composition_table(jets, m, order), np.ascontiguousarray(linears)
+    # row k P + p is step k < J of window p, row J P + k - J step k >= J
+    W, P = jets.shape[:2]
+    split = np.flatnonzero(jets.view(np.uint64) != jets[:, :1].view(np.uint64))
+    J = split[-1] // jets[0].size + 1 if split.size else 0
+    rows = np.empty((W + 1, P), dtype=np.intp)
+    rows[:J] = np.arange(J * P).reshape(J, P)
+    rows[J:] = J * P + np.arange(W + 1 - J)[:, None]
+    fibers = np.concatenate([jets[:J].reshape(-1, m, jets.shape[-1]), jets[J:, 0]])
+    nxt = np.empty(len(fibers), dtype=np.intp)
+    nxt[rows[:-1]] = rows[1:]
+
+    table, linears = composition_table(fibers, m, order), _linear_parts(fibers, m).copy()
     ainvs = np.linalg.inv(linears)
     conj, nf, per_degree = _degree_loop(
-        jets, len(jets) + 1,
-        lambda n: _DegreeOperator(space, structure, n, table, linears, ainvs),
-        order, _window_sweep)
-    return conj, nf, {"window": len(jets), "per_degree": per_degree}
+        fibers, nxt, lambda n: _DegreeOperator(space, structure, n, table, linears, ainvs),
+        order, _window_sweep(rows))
+    return conj.take(rows, 0), nf.take(rows[:-1], 0), {"window": W, "per_degree": per_degree}

@@ -513,15 +513,7 @@ class PolyMap:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of `points`, shape (N, source.dim) -> (N, target.dim)."""
-        points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], self.target.dim))
-        out[:] = self.constant
-        vals = None
-        for first, parent, coeffs in self._eval_plan:
-            # the degree-1 monomials are the coordinates themselves
-            vals = points[:, first] if vals is None else vals[:, parent] * points[:, first]
-            out += vals @ coeffs
-        return out
+        return _evaluate(self._eval_plan, self.constant, np.asarray(points, dtype=float))
 
     def linear_matrix(self) -> np.ndarray:
         return _linear_parts(self.jet, self.source.dim).copy()
@@ -572,6 +564,16 @@ class PolyMap:
         return cls(source, target, int(data["degree"]),
                    np.asarray(data.get("constant", np.zeros(target.dim)), dtype=float),
                    coeffs)
+
+
+def _evaluate(plan: tuple, constant: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``PolyMap.evaluate_batch`` of the map with this `plan` and `constant`."""
+    out, vals = constant[None], None
+    for first, parent, coeffs in plan:
+        # the degree-1 monomials are the coordinates themselves
+        vals = points[:, first] if vals is None else vals[:, parent] * points[:, first]
+        out = out + vals @ coeffs
+    return out if plan else np.repeat(out, len(points), axis=0)
 
 
 def compose_truncated(outer: PolyMap, inner: PolyMap, max_degree: int) -> PolyMap:

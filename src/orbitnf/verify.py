@@ -48,8 +48,8 @@ from .cocycle import _limit, _Report
 from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _fit, _linear_jets, compose_jets, degree_cols, divide_jets,
-                      jet_width, top_degree)
+from .polymap import (PolyMap, _evaluate, _fit, _linear_jets, compose_jets, degree_cols,
+                      divide_jets, jet_width, top_degree)
 
 
 # field metadata of the jets a report keeps but does not serialize
@@ -432,6 +432,7 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     # the shifts t -> c_j + t along the orbits c_j of the offset points, one
     # evaluation per step for all, and the maps recentred on them, one
     # composition per block of steps, up to the stop
+    plans = [(pm._eval_plan, pm.constant) for pm in cocycle.fiber_maps]
     steps = (base + np.arange(window)) % K
     maps = cocycle.jets[steps]
     shifts = np.repeat(_linear_jets(np.eye(m))[None], window * P, axis=0).reshape(
@@ -441,8 +442,7 @@ def chart_transitions(ctx: SolverContext, result: NormalFormResult,
     start, end = 0, min(32, window)
     while start < window:
         for j in range(max(start, 1), end):
-            shifts[j, ..., 0] = cocycle.fiber_maps[steps[j - 1]].evaluate_batch(
-                shifts[j - 1, ..., 0])
+            shifts[j, ..., 0] = _evaluate(*plans[steps[j - 1]], shifts[j - 1, ..., 0])
         jets[start:end] = compose_jets(np.repeat(maps[start:end], P, axis=0),
                                        shifts[start:end].reshape(-1, m, m + 1), m,
                                        cocycle.degree).reshape(end - start, P, m, -1)

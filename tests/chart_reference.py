@@ -3,8 +3,10 @@
 This is ``orbitnf.verify.chart_transitions`` as the package ran it before
 the recentring stopped at the transient: the offset orbits are evaluated at
 every step of the window, and every map of every window is recentred, in one
-composition over all W * P rows.  It returns the package's own report type,
-so the tests can require the chart check to equal it bit for bit.
+composition over all W * P rows.  Each window is solved alone, as its own
+chain, so no step is shared between windows.  It returns the package's own
+report type, so the tests can require the chart check to equal it bit for
+bit.
 """
 
 import math
@@ -44,10 +46,12 @@ def chart_reference(ctx, result, offsets, *, base: int = 0, window: int | None =
         window = default_chart_window(ctx)
     jets = recentred_windows(cocycle, ys, base, window)
 
-    h_win, _, _ = solve_window(jets, cocycle.space, ctx.structure, order)
+    h_start = np.concatenate([
+        solve_window(jets[:, [p]], cocycle.space, ctx.structure, order)[0][0]
+        for p in range(len(ys))])
     to_local = np.repeat(_linear_jets(np.eye(m))[None], len(ys), axis=0)
     to_local[:, :, 0] = -ys
-    g_jets = divide_jets(compose_jets(h_win[0], to_local, m, order),
+    g_jets = divide_jets(compose_jets(h_start, to_local, m, order),
                          result.conjugator_jets[base % K], m, order)
 
     width = jet_width(m, ctx.structure.degree_bound)

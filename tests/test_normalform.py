@@ -101,8 +101,11 @@ def homogeneous(space, n, c):
 
 
 def jet_stacks(h_maps, p_maps, degree):
-    """Jet stacks of the conjugators and normal forms."""
-    return [stack_jets(group, degree) for group in (h_maps, p_maps)]
+    """Jet stacks of the conjugators and normal forms, and the successor map
+    of the normal forms: the cycle k -> k + 1 mod K with as many conjugators
+    as maps, the chain k -> k + 1 with one more."""
+    nxt = np.arange(1, len(p_maps) + 1) % len(h_maps)
+    return [stack_jets(group, degree) for group in (h_maps, p_maps)] + [nxt]
 
 
 def table_operator(space, structure, n, jets, order):
@@ -561,6 +564,7 @@ class TestSources:
             jets = stack_jets(maps, 5)
             jets[..., cols] = 0.0
             stacks.append(jets)
+        stacks.append((np.arange(ctx.cocycle.period) + 1) % ctx.cocycle.period)
         op = ctx.operator(5)
         expected = _source_vecs(op, *stacks)
         tracemalloc.start()
@@ -916,25 +920,56 @@ def flag_preserving_linears(rng, dims, exponents, shape):
     return out
 
 
+def forest_rows(W, P, J):
+    """Rows of step k of window p, shape (W + 1, P), numbered in step order
+    as ``solve_window`` numbers them when the P windows share steps J..W-1
+    and the terminal row."""
+    rows = np.empty((W + 1, P), dtype=np.intp)
+    rows[:J] = np.arange(J * P).reshape(J, P)
+    rows[J:] = J * P + np.arange(W + 1 - J)[:, None]
+    return rows
+
+
+def forest_successors(rows):
+    """The successor map of the map rows of a forest, for ``_degree_loop``."""
+    nxt = np.empty(rows[:-1].max() + 1, dtype=np.intp)
+    nxt[rows[:-1]] = rows[1:]
+    return nxt
+
+
+def assert_scan_matches_stepwise_reference(dims, W, P, J):
+    """The sweep over windows sharing steps J..W-1 equals the stepwise reference."""
+    rng = np.random.default_rng(1000 * W + 10 * P + len(dims) + dims[0] + (J < W))
+    space = GradedSpace(dims)
+    structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
+    rows = forest_rows(W, P, J)
+    N = rows.max()
+    linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (N,))
+    for n in (2, 3, 4, 5):
+        op = linear_operator(space, structure, n, linears)
+        q_vecs = op.mask * rng.uniform(-1, 1, (N,) + op.mask.shape)
+        R, info = _window_sweep(rows)(op, q_vecs)
+        R_ref, info_ref = window_reference.window_sweep(op, q_vecs, rows)
+        assert R.shape == R_ref.shape == (N + 1,) + op.mask.shape
+        assert not R[N].any() and not (~op.mask * R).any()
+        assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
+        assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"], rel=1e-13)
+
+
 class TestWindowSweep:
     @pytest.mark.parametrize("P", [1, 3])
     @pytest.mark.parametrize("W", [1, 2, 3, 7, 64, 588])
     @pytest.mark.parametrize("dims", list(WINDOW_SPECTRA))
     def test_scan_matches_stepwise_reference(self, dims, W, P):
-        rng = np.random.default_rng(1000 * W + 10 * P + len(dims) + dims[0])
-        space = GradedSpace(dims)
-        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
-        linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (W, P))
-        for n in (2, 3, 4, 5):
-            op = linear_operator(space, structure, n, linears)
-            q_vecs = op.mask * rng.uniform(-1, 1, (W, P) + op.mask.shape)
-            R, info = _window_sweep(op, q_vecs)
-            R_ref, info_ref = window_reference.window_sweep(op, q_vecs)
-            assert R.shape == R_ref.shape == (W + 1, P) + op.mask.shape
-            assert not R[W].any() and not (~op.mask * R).any()
-            assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
-            assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"],
-                                                           rel=1e-13)
+        # the P windows meet only at the terminal row
+        assert_scan_matches_stepwise_reference(dims, W, P, W)
+
+    @pytest.mark.parametrize("P", [1, 3])
+    @pytest.mark.parametrize("W", [1, 2, 3, 7, 64, 588])
+    @pytest.mark.parametrize("dims", list(WINDOW_SPECTRA))
+    def test_shared_scan_matches_stepwise_reference(self, dims, W, P):
+        # the P windows run as one chain from step W // 2
+        assert_scan_matches_stepwise_reference(dims, W, P, W // 2)
 
     @pytest.mark.parametrize("W", [5000, 9000])
     def test_long_windows_match_stepwise_reference(self, W):
@@ -945,12 +980,13 @@ class TestWindowSweep:
         rng = np.random.default_rng(3)
         structure = Spectrum(exponents, dims, 0.02).structure
         op = linear_operator(GradedSpace(dims), structure, 2,
-                             flag_preserving_linears(rng, dims, exponents, (W, 1)))
-        q_vecs = op.mask * rng.uniform(-1, 1, (W, 1) + op.mask.shape)
+                             flag_preserving_linears(rng, dims, exponents, (W,)))
+        q_vecs = op.mask * rng.uniform(-1, 1, (W,) + op.mask.shape)
+        rows = forest_rows(W, 1, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            R, info = _window_sweep(op, q_vecs)
-        R_ref, info_ref = window_reference.window_sweep(op, q_vecs)
+            R, info = _window_sweep(rows)(op, q_vecs)
+        R_ref, info_ref = window_reference.window_sweep(op, q_vecs, rows)
         assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
         assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"], rel=1e-13)
 
@@ -961,9 +997,12 @@ class TestWindowSweep:
         steps = rng.integers(0, len(maps), (W, P))
         jets = stack_jets(maps, 2)[steps]
         h, p, diag = solve_window(jets, space, structure, 4)
+        rows, fibers = forest_rows(W, P, W), jets.reshape(W * P, *jets.shape[2:])
         h_ref, p_ref, diags_ref = _degree_loop(
-            jets, W + 1, lambda n: table_operator(space, structure, n, jets, 4),
-            4, window_reference.window_sweep)
+            fibers, forest_successors(rows),
+            lambda n: table_operator(space, structure, n, fibers, 4), 4,
+            lambda op, q_vecs: window_reference.window_sweep(op, q_vecs, rows))
+        h_ref, p_ref = h_ref[rows], p_ref[rows[:-1]]
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
         assert [d["degree"] for d in diag["per_degree"]] == [2, 3, 4]
@@ -980,9 +1019,12 @@ class TestWindowSweep:
         space, structure, maps, _, _, _, _ = window_case(11)
         jets = stack_jets(maps, 2)[rng.integers(0, len(maps), (40, 3))]
         h, p, _ = solve_window(jets, space, structure, 4)
+        rows, fibers = forest_rows(40, 3, 40), jets.reshape(120, *jets.shape[2:])
         h_ref, p_ref, _ = _degree_loop(
-            jets, 41, lambda n: table_operator(space, structure, n, jets, 4), 4, _window_sweep)
-        assert np.array_equal(h, h_ref) and np.array_equal(p, p_ref)
+            fibers, forest_successors(rows),
+            lambda n: table_operator(space, structure, n, fibers, 4), 4,
+            _window_sweep(rows))
+        assert np.array_equal(h, h_ref[rows]) and np.array_equal(p, p_ref[rows[:-1]])
 
     @SETTINGS
     @given(st.data(), st.sampled_from(list(WINDOW_SPECTRA)), st.integers(1, 5))
@@ -996,6 +1038,158 @@ class TestWindowSweep:
         X = ~op.mask * rng.uniform(-1, 1, op.mask.shape)
         assert not (op.mask * (op.ainvs[0] @ X @ op.substs[0])).any()
 
+
+def shared_windows(rng, dims, W, P, J):
+    """(W, P, m, w) stack of flag-preserving maps with degree-2 terms, the P
+    windows drawn apart before step J and equal from it."""
+    m = sum(dims)
+    linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (W, P))
+    jets = np.zeros((W, P, m, jet_width(m, 2)))
+    jets[..., :m + 1] = _linear_jets(linears)
+    quad = degree_cols(m, 2)
+    jets[..., quad] = rng.uniform(-0.3, 0.3, (W, P, m, quad.stop - quad.start))
+    jets[J:] = jets[J:, :1]
+    return jets
+
+
+def solved_rows(monkeypatch):
+    """Record the number of map rows of every degree loop run after it."""
+    rows = []
+    loop = normalform._degree_loop
+
+    def counted(fibers, *args):
+        rows.append(len(fibers))
+        return loop(fibers, *args)
+
+    monkeypatch.setattr(normalform, "_degree_loop", counted)
+    return rows
+
+
+def assert_forest_equals_alone(jets, space, structure, order):
+    """solve_window on the stack equals solving every window alone, to the
+    bit: H, P and the per-degree diagnostics, whose norms and residues are
+    the largest over the windows."""
+    h, p, diag = solve_window(jets, space, structure, order)
+    alone = [solve_window(jets[:, [j]], space, structure, order) for j in range(jets.shape[1])]
+    assert h.tobytes() == np.concatenate([a[0] for a in alone], axis=1).tobytes()
+    assert p.tobytes() == np.concatenate([a[1] for a in alone], axis=1).tobytes()
+    assert diag["window"] == len(jets)
+    for got, each in zip(diag["per_degree"], zip(*(a[2]["per_degree"] for a in alone))):
+        assert got.keys() == each[0].keys()
+        for key, value in got.items():
+            values = [d[key] for d in each]
+            if isinstance(value, float):
+                assert value.hex() == max(values).hex(), key
+            else:
+                assert all(v == value for v in values), key
+
+
+class TestWindowForest:
+    """solve_window solves the steps its windows share once, to the bits of
+    solving every window alone."""
+
+    @SETTINGS
+    @given(st.data(), st.sampled_from(list(WINDOW_SPECTRA)), st.integers(1, 40),
+           st.integers(1, 4), st.integers(2, 4))
+    def test_shared_suffix_equals_windows_alone(self, data, dims, W, P, order):
+        J = data.draw(st.integers(0, W))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
+        assert_forest_equals_alone(shared_windows(rng, dims, W, P, J), GradedSpace(dims),
+                                   structure, order)
+
+    @pytest.mark.parametrize("J", [0, 30])
+    def test_no_shared_step_and_all_shared(self, monkeypatch, J):
+        # J = 0: one chain of W rows; J = W: the windows meet at the terminal row
+        rng = np.random.default_rng(J)
+        dims, W, P = (2, 1), 30, 3
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
+        jets = shared_windows(rng, dims, W, P, J)
+        rows = solved_rows(monkeypatch)
+        assert_forest_equals_alone(jets, GradedSpace(dims), structure, 3)
+        assert rows[0] == J * P + W - J
+
+    def test_signed_zero_is_not_shared(self, monkeypatch):
+        # the windows agree in value everywhere, but one degree-2 slot of
+        # window 1 at step 20 is -0.0 against 0.0: steps 0..20 stay apart
+        dims, W, P = (1, 1), 40, 2
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
+        jets = shared_windows(np.random.default_rng(5), dims, W, P, 0)
+        jets[:, :, 0, degree_cols(2, 2).start] = 0.0
+        jets[20, 1, 0, degree_cols(2, 2).start] = -0.0
+        assert np.array_equal(jets[:, 0], jets[:, 1])
+        rows = solved_rows(monkeypatch)
+        assert_forest_equals_alone(jets, GradedSpace(dims), structure, 3)
+        assert rows[0] == 21 * P + W - 21
+
+    @pytest.mark.parametrize("J", [2040, 2056])
+    def test_shared_suffix_across_the_chunk_boundary(self, monkeypatch, J):
+        # W = 2500 is scanned in two chunks, split at step 2048
+        dims, W, P = (1, 1), 2500, 2
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
+        jets = shared_windows(np.random.default_rng(J), dims, W, P, J)
+        rows = solved_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_forest_equals_alone(jets, GradedSpace(dims), structure, 3)
+        assert rows[0] == J * P + W - J
+
+    @pytest.mark.parametrize("dims", [(1,), (1, 1)])
+    @pytest.mark.parametrize("W,P,J", [(7, 3, 4), (588, 3, 300), (2500, 2, 2040),
+                                       (2500, 2, 2056), (4097, 1, 0)])
+    def test_sweep_has_the_bits_of_the_doubling_scan(self, dims, W, P, J):
+        # every row adds the operands of its window's own scan in the same
+        # association, so the forest reproduces the scan of the unshared
+        # (W, P) stacks bit for bit, across chunk boundaries too
+        rng = np.random.default_rng(W + J + len(dims))
+        space = GradedSpace(dims)
+        structure = Spectrum(WINDOW_SPECTRA[dims], dims, 0.02).structure
+        rows = forest_rows(W, P, J)
+        linears = flag_preserving_linears(rng, dims, WINDOW_SPECTRA[dims], (rows.max(),))
+        for n in (2, 3):
+            op = linear_operator(space, structure, n, linears)
+            q_vecs = op.mask * rng.uniform(-1, 1, (rows.max(),) + op.mask.shape)
+            R, _ = _window_sweep(rows)(op, q_vecs)
+            steps = rows[:-1]
+            scan = window_reference.doubling_scan(op.ainvs[steps], op.substs[steps], op.mask,
+                                                  q_vecs[steps])
+            assert R[rows].tobytes() == scan.tobytes()
+
+    def test_diverging_window_names_its_step(self):
+        # window 0 expands (a = 2) before the shared contracting steps from
+        # 70, window 1 contracts throughout: the forest raises at the step
+        # window 0 raises at alone
+        expanding = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 2.0, (0, (2,)): 0.3})
+        contracting = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 0.5, (0, (2,)): 0.1})
+        structure = Spectrum((-0.7,), (1,), 0.05).structure
+        jets = np.stack([stack_jets([expanding] * 70 + [contracting] * 30, 2),
+                         stack_jets([contracting] * 100, 2)], axis=1)
+        with pytest.raises(SeriesStagnationError, match="degree 2, step") as alone:
+            solve_window(jets[:, :1], S1, structure, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SeriesStagnationError) as forest:
+                solve_window(jets, S1, structure, 3)
+        assert str(forest.value) == str(alone.value)
+        solve_window(jets[:, 1:], S1, structure, 3)
+
+
+    def test_guard_reads_the_sources_of_each_window(self):
+        # window 0 expands for 40 steps, to about 1e12 times its sources;
+        # window 1 carries sources near 1e8: the guard must still hold
+        # window 0's rows to window 0's sources, as each window alone does
+        expanding = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 2.0, (0, (2,)): 0.3})
+        heavy = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 0.5, (0, (2,)): 1e8})
+        contracting = PolyMap(S1, S1, 2, np.zeros(1), {(0, (1,)): 0.5, (0, (2,)): 0.1})
+        structure = Spectrum((-0.7,), (1,), 0.05).structure
+        jets = np.stack([stack_jets([expanding] * 40 + [contracting] * 30, 2),
+                         stack_jets([heavy] * 40 + [contracting] * 30, 2)], axis=1)
+        solve_window(jets[:, 1:], S1, structure, 3)
+        with pytest.raises(SeriesStagnationError, match="degree 2, step") as alone:
+            solve_window(jets[:, :1], S1, structure, 3)
+        with pytest.raises(SeriesStagnationError) as forest:
+            solve_window(jets, S1, structure, 3)
+        assert str(forest.value) == str(alone.value)
 
 class TestLadderAgainstOracle:
     """Whole ladder solves against the dense oracle's degree loop (seed 1)."""

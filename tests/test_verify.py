@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from orbitnf import polymap, verify
+from orbitnf import normalform, polymap, verify
 from orbitnf.cli import _check_centralizer
 from orbitnf.cocycle import OrbitCocycle, SandwichReport
 from orbitnf.grading import Spectrum
@@ -281,7 +281,7 @@ def degree_inputs(ctx, n, h_maps, p_maps):
     """Degree-n operator and twisted sources Q(k), the oracle's arguments."""
     op = ctx.operator(n)
     stacks = [stack_jets(group, ctx.order) for group in (h_maps, p_maps)]
-    return op, op.source(_source_vecs(op, *stacks))
+    return op, op.source(_source_vecs(op, *stacks, (np.arange(len(p_maps)) + 1) % len(h_maps)))
 
 
 class TestDirectOracle:
@@ -805,16 +805,21 @@ def assert_equals_reference(ctx, res, offsets, base=0, stack=True, window=None):
 
 
 def chart_work(monkeypatch):
-    """Record the orbit steps (evaluate_batch calls) and the rows of each
-    recentring composition (compose_jets calls before the window solve) of
-    the chart checks run after it."""
-    work = {"evaluations": 0, "compositions": [], "solved": False}
-    evaluate, compose, solve = (polymap.PolyMap.evaluate_batch, verify.compose_jets,
-                                verify.solve_window)
+    """Record the orbit steps (evaluations of the offset points under one
+    fiber map), the reads of the fiber maps' evaluation plans and the rows of
+    each recentring composition (compose_jets calls before the window solve)
+    of the chart checks run after it."""
+    work = {"evaluations": 0, "plans": 0, "compositions": [], "solved": False}
+    evaluate, compose, solve = verify._evaluate, verify.compose_jets, verify.solve_window
+    eval_plan = polymap.PolyMap.__dict__["_eval_plan"]
 
-    def counted_evaluate(self, points):
+    def counted_evaluate(plan, constant, points):
         work["evaluations"] += 1
-        return evaluate(self, points)
+        return evaluate(plan, constant, points)
+
+    def counted_plan(self):
+        work["plans"] += 1
+        return eval_plan.func(self)
 
     def counted_compose(outer, inner, dim, degree):
         if not work["solved"]:
@@ -825,7 +830,8 @@ def chart_work(monkeypatch):
         work["solved"] = True
         return solve(*args)
 
-    monkeypatch.setattr(polymap.PolyMap, "evaluate_batch", counted_evaluate)
+    monkeypatch.setattr(verify, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(polymap.PolyMap, "_eval_plan", property(counted_plan))
     monkeypatch.setattr(verify, "compose_jets", counted_compose)
     monkeypatch.setattr(verify, "solve_window", counted_solve)
     return work
@@ -862,6 +868,7 @@ class TestChartTransient:
         reports = chart_transitions(ctx, res, points)
         assert window == 518
         assert work["evaluations"] <= 63  # the full window takes 517
+        assert work["plans"] == ctx.cocycle.period
         assert sum(work["compositions"]) <= 64 * len(points)
         assert all(rep.window == window for rep in reports)
 
@@ -875,11 +882,45 @@ class TestChartTransient:
         reports = chart_transitions(ctx, res, points)
         assert window == 150
         assert work["evaluations"] == window - 1
+        assert work["plans"] == ctx.cocycle.period
         assert sum(work["compositions"]) == window * len(points)
         assert len(work["compositions"]) == 2
         assert all(rep.window == window for rep in reports)
         monkeypatch.undo()
         assert_equals_reference(ctx, res, points)
+
+    @pytest.mark.parametrize("name,rows", [("koenigs", 665), ("koenigs_period2", 337),
+                                           ("resonant2", 150)])
+    def test_shared_steps_solved_once(self, monkeypatch, name, rows):
+        # after the stop the windows' maps agree to the bit, and the window
+        # solve runs those steps once: koenigs's 4 windows of 518 steps agree
+        # from step 49 (665 rows of 2072), koenigs_period2's 2 windows of 296
+        # from step 41 (337 of 592); resonant2 has one window of 150
+        ctx, res, points = builtin_chart(name, 1)
+        solved = []
+        loop = normalform._degree_loop
+
+        def counted(fibers, *args):
+            solved.append(len(fibers))
+            return loop(fibers, *args)
+
+        monkeypatch.setattr(normalform, "_degree_loop", counted)
+        chart_transitions(ctx, res, points)
+        assert solved == [rows]
+
+    def test_koenigs_chart_memory(self):
+        # the window solve's composition table spans the 665 distinct rows,
+        # not the 2072 of the (518, 4) stack, whose table took the peak of
+        # the check to 1.12 MB
+        ctx, res, points = builtin_chart("koenigs", 1)
+        chart_transitions(ctx, res, points)
+        tracemalloc.start()
+        try:
+            chart_transitions(ctx, res, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 800_000
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_stop_before_the_last_bit_settles(self, order):
