@@ -13,25 +13,30 @@ d = floor(chi_1 / chi_ell), the admissible types, the spectral gap
 lambda = max over non-admissible types of (-chi_i + sum_j s_j chi_j) < 0,
 and the per-degree contraction factor exp(lambda + (n+1) eps) that drives the
 series solver.  ``Spectrum.structure`` is the one owner of admissibility:
-every stage asks it for the admissible types or slots (grouped by
-``_type_columns``) of a degree or a jet.  The admissible types, the spectral
-gap and the check of resonance_tol read one table per spectrum,
-``Spectrum.resonance_table``: for each degree n = 1..d+1, degree after
-degree, the block degrees s (the exponent rows ``_exponents(ell, n)``, which
-also index the monomials of a jet), their weights s.chi and the admissible
-mask.  Degree d+1 is the last one needed: no type of degree n >= d+1 is
-admissible, and the value -chi_i + s.chi of a type of degree n is at most
--chi_1 + n chi_ell, which falls as n grows, so the gap is attained at a
-degree <= d+1.
+every stage asks it for the admissible types or slots of a degree or a jet.
+The admissible types, the spectral gap and the check of resonance_tol read
+one table per spectrum, ``Spectrum.resonance_table``: for each degree
+n = 1..d+1, degree after degree, the block degrees s (the exponent rows of
+the monomial index ``polymap._monomials(ell, d + 1)``, which also orders the
+monomials of a jet), their weights s.chi and the admissible mask.  Degree
+d+1 is the last one needed: no type of degree n >= d+1 is admissible, and
+the value -chi_i + s.chi of a type of degree n is at most -chi_1 + n chi_ell,
+which falls as n grows, so the gap is attained at a degree <= d+1.  The
+monomials of a grading, grouped by their block degrees s in the order of
+those rows, are its type table (``_type_table``), one per grading grown to
+the largest degree asked for; the slot masks and the degree operators read
+it.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+
+from .polymap import _grown, _monomials, degree_cols, jet_width
 
 # (target block, per-block source degrees), blocks 1-based to match the
 # ordering of the exponents.
@@ -40,55 +45,6 @@ Type = tuple[int, tuple[int, ...]]
 
 class ContractionBudgetError(ValueError):
     """epsilon is too large for the spectral gap: exp(lambda + (n+1) eps) >= 1."""
-
-
-@lru_cache(maxsize=None)
-def _first_runs(dim: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(start, stop) of the degree-n monomials whose first nonzero exponent
-    is at coordinate j, for each j, n >= 1.
-
-    The monomials with zeros before coordinate j are the leading
-    C(n + dim - j - 1, n) of the sorted order, and those among them with a
-    zero at j too lead those, so run j is their difference and the runs go
-    from j = dim - 1 down to 0.  Subtracting e_j maps run j onto the leading
-    stop - start monomials of degree n - 1, keeping their order.
-    """
-    stops = [math.comb(n + dim - j - 1, n) for j in range(dim)]
-    return tuple(zip(stops[1:] + [0], stops))
-
-
-@lru_cache(maxsize=None)
-def _recurrence(dim: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The power recurrence of the degree-n monomials, n >= 1, read-only:
-    first[a] is the first coordinate j with alpha_a[j] > 0 and parent[a] the
-    index of alpha_a - e_j one degree down, both read off ``_first_runs``."""
-    runs = _first_runs(dim, n)[::-1]
-    counts = [stop - start for start, stop in runs]
-    first = np.arange(dim - 1, -1, -1).repeat(counts)
-    parent = np.arange(runs[-1][1]) - np.array([start for start, _ in runs]).repeat(counts)
-    first.setflags(write=False)
-    parent.setflags(write=False)
-    return first, parent
-
-
-@lru_cache(maxsize=None)
-def _exponents(dim: int, n: int) -> np.ndarray:
-    """The degree-n monomials in dim variables as read-only exponent rows.
-
-    The rows are in lexicographic order and row a is jet column
-    ``degree_cols(dim, n).start + a``; ``polymap._rank`` maps a row back to
-    its index.  They are built degree by degree along the power recurrence,
-    alpha_a = alpha_parent[a] + e_first[a].  With one variable per block they
-    are the block degrees s of the types of degree n.
-    """
-    if n == 0:
-        exps = np.zeros((1, dim), dtype=np.intp)
-    else:
-        first, parent = _recurrence(dim, n)
-        exps = _exponents(dim, n - 1)[parent]
-        exps[np.arange(len(exps)), first] += 1
-    exps.setflags(write=False)
-    return exps
 
 
 class ResonanceTable(NamedTuple):
@@ -185,9 +141,8 @@ class Spectrum:
 
     @cached_property
     def resonance_table(self) -> ResonanceTable:
-        chi = np.array(self.exponents)
-        degrees = np.concatenate([_exponents(len(chi), n)
-                                  for n in range(1, self.degree_bound + 2)])
+        chi, top = np.array(self.exponents), self.degree_bound + 1
+        degrees = _monomials(len(chi), top).exps[1:jet_width(len(chi), top)]
         # s_j chi_j added in block order, as a scalar loop would (np.cumsum
         # would too, but maps in its accumulate kernels on first use)
         weights = sum(degrees[:, j] * c for j, c in enumerate(self.exponents))
@@ -237,21 +192,42 @@ def contraction_factor(spectrum: Spectrum, n: int) -> float:
     return value
 
 
-@lru_cache(maxsize=None)
-def _type_columns(block_dims: tuple[int, ...], n: int) -> tuple[np.ndarray, ...]:
-    """The degree-n monomials in sum(block_dims) variables grouped by block
-    degrees s, one group per exponent row s of ``_exponents(len(block_dims), n)``
-    and in their order, which the table's degree-n rows share: the read-only
-    columns of its monomials, in sorted order.  Every block holds a coordinate,
-    so every s with |s| = n has a group."""
-    starts = list(accumulate(block_dims[:-1], initial=0))
-    s = np.add.reduceat(_exponents(sum(block_dims), n), starts, axis=1)
-    # s read as digits base n + 1 orders the groups as the rows s themselves
-    key = s @ (n + 1) ** np.arange(len(block_dims) - 1, -1, -1)
-    order = np.argsort(key, kind="stable")
-    order.setflags(write=False)
-    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(order)]
-    return tuple(order[a:b] for a, b in zip(bounds, bounds[1:]))
+class _TypeTable(NamedTuple):
+    """The monomials of a grading grouped by block degrees (``_type_table``)."""
+
+    group: np.ndarray  # per jet column, the column of its block degrees s in ell variables
+    columns: tuple  # columns[n]: per s of degree n, in order, its degree-n monomials
+
+
+@_grown
+def _type_table(block_dims: tuple[int, ...], degree: int, held) -> _TypeTable:
+    """The type table of a grading through at least `degree`, read-only.
+
+    The block degrees s of the monomials in sum(block_dims) variables are
+    the exponent rows of the monomials in ell = len(block_dims) variables,
+    and group[c] is the jet column of the s of jet column c among those,
+    which for a degree n >= 1 is the resonance table's row group[c] - 1.
+    columns[n] holds, for every s of degree n in the order of those rows,
+    the columns of its degree-n monomials among them, in sorted order.
+    Every block holds a coordinate, so every s has a group.
+    """
+    index, ell = _monomials(sum(block_dims), degree), len(block_dims)
+    starts = index.starts[:degree + 2]
+    s = np.add.reduceat(index.exps[:starts[-1]], list(accumulate(block_dims[:-1], initial=0)),
+                        axis=1)
+    # |s| and then s read as digits base degree + 1 order the groups as the columns s
+    key = s @ ((degree + 1) ** ell + (degree + 1) ** np.arange(ell - 1, -1, -1))
+    order = key.argsort(kind="stable")
+    key = key[order]
+    bounds = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist(), len(order)]
+    group = np.empty_like(order)
+    group[order] = np.arange(len(bounds) - 1).repeat([b - a for a, b in zip(bounds, bounds[1:])])
+    # the columns of one degree sit at the same places in the order
+    local = order - np.array(starts[:-1]).repeat([b - a for a, b in zip(starts, starts[1:])])
+    group.setflags(write=False)
+    local.setflags(write=False)
+    groups = [local[a:b] for a, b in zip(bounds, bounds[1:])]
+    return _TypeTable(group, tuple(tuple(groups[degree_cols(ell, n)]) for n in range(degree + 1)))
 
 
 @dataclass(frozen=True)
@@ -301,15 +277,13 @@ class SubResStructure:
         """True on the admissible degree-n slots: read-only, shape (m, number
         of degree-n monomials in m variables), built once per n."""
         if n not in self._masks:
-            dims, ell = self.spectrum.multiplicities, self.n_blocks
-            mask = np.zeros((sum(dims), math.comb(sum(dims) + n - 1, n)), dtype=bool)
+            dims, m = self.spectrum.multiplicities, sum(self.spectrum.multiplicities)
             if 0 < n <= self.degree_bound:
-                cols = _type_columns(dims, n)
-                # the table's degree-n rows follow its C(n-1+ell, ell) - 1 of lower degree
-                rows = math.comb(n - 1 + ell, ell) - 1 + np.arange(len(cols)).repeat(
-                    [len(c) for c in cols])
-                mask[:, np.concatenate(cols)] = self.spectrum.resonance_table.admissible[
-                    rows, np.arange(ell).repeat(dims)[:, None]]
+                group = _type_table(dims, self.degree_bound).group[degree_cols(m, n)]
+                mask = self.spectrum.resonance_table.admissible[
+                    group - 1, np.arange(self.n_blocks).repeat(dims)[:, None]]
+            else:
+                mask = np.zeros((m, math.comb(m + n - 1, n)), dtype=bool)
             mask.setflags(write=False)
             self._masks[n] = mask
         return self._masks[n]

@@ -61,7 +61,7 @@ import numpy as np
 # the series errors are raised by cocycle._transported_sum and re-exported here
 from .cocycle import (LyapunovFrames, OrbitCocycle, SeriesBudgetError, SeriesStagnationError,
                       _rebalance, _transported_sum, lyapunov_frames, monodromy_spectrum)
-from .grading import Spectrum, SubResStructure, _type_columns, contraction_factor
+from .grading import Spectrum, SubResStructure, _type_table, contraction_factor
 from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, compose_jets,
                       composition_table, degree_cols, jet_width, stack_jets, top_degree)
 
@@ -110,9 +110,10 @@ class _DegreeOperator:
         self.space = space
         self.n = n
         self.degree_bound = structure.degree_bound
+        # the table through the solve's order, asked for before the mask's
+        columns = _type_table(space.block_dims, len(table)).columns[n]
         self.mask = ~structure.mask(n)
-        self.types = [(space.block_slice(i), cols)
-                      for cols in _type_columns(space.block_dims, n)
+        self.types = [(space.block_slice(i), cols) for cols in columns
                       for i in range(1, space.n_blocks + 1)
                       if self.mask[space.block_slice(i).start, cols[0]]]
         self.table, self.linears, self.ainvs = table, linears, ainvs

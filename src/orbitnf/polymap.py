@@ -3,23 +3,20 @@
 A PolyMap stores a map R^m -> R^m' truncated at a total degree as one dense
 jet of shape (m', jet_width(m, degree)): column 0 is the constant and the
 columns ``degree_cols(m, n)`` the degree-n part, one per monomial in the
-lexicographic order of the exponent rows ``_exponents(m, n)``, which
-``grading`` owns because one variable per block makes them the block degrees
-of its types; ``_rank`` gives the column of an exponent row.  A dict keyed
-by (target coordinate, multi-index) is only the input and output format,
-with tuple and dict views of the monomials (``_mono_table``) built on first
-use.  The blocks of a GradedSpace type every slot (target block, per-block
-degrees).
+lexicographic order of the exponent rows of the monomial index
+``_monomials(m, degree)``.  A dict keyed by (target coordinate,
+multi-index) is only the input and output format, with tuple and dict views
+of the monomials (``_mono_table``) built on first use.  The blocks of a
+GradedSpace type every slot (target block, per-block degrees).
 
-The index tables are built on first use and cached for the process, none at
-import: the runs, power recurrence and exponent rows of each (dimension,
-degree) (``_first_runs``, ``_recurrence``, ``_exponents``, from grading);
-the product tables of each dimension (``_product_tables``), grown to the
-largest degree asked for; the scatter plan of each multiplication-matrix
-window (``_mul_plan``, keyed by dimension, degree, row and column degrees);
-the steps of each power pass (``_power_plan``); and the column degrees of
-each jet width (``_col_degrees``), each once for all callers.  The admissible
-slots are ``grading.SubResStructure``'s to answer.
+The index tables are built on first use and kept for the process, none at
+import, each once for all callers.  Three are grown per key to the largest
+degree asked for (``_grown``): the monomial index of each dimension (exponent
+rows, power recurrence, runs and successor columns), the product tables of
+each dimension (``_product_tables``) and the type tables of each grading
+(``grading._type_table``).  The steps of each power pass (``_power_plan``)
+are cached per pass.  The admissible slots are ``grading.SubResStructure``'s
+to answer.
 
 ``compose_jets`` is the one composition kernel, on stacks of jets, built on
 the power recurrence G^alpha = G^(alpha - e_j) G_j: one batched matmul per
@@ -41,13 +38,12 @@ Iteration orders are fixed, so repeated runs give identical floats.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import accumulate
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
-
-from .grading import _exponents, _first_runs, _recurrence
 
 MultiIndex = tuple[int, ...]
 TermKey = tuple[int, MultiIndex]
@@ -110,34 +106,95 @@ class GradedSpace:
 
 # -- monomial tables -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _binomials(dim: int, top: int) -> np.ndarray:
-    """C(r + p, p), the number of degree-r monomials in p + 1 variables, at
-    [p, r] for p < dim and r <= top."""
-    return np.array([[math.comb(r + p, p) for r in range(top + 1)] for p in range(dim)])
+def _grown(build):
+    """A store of tables, one per key, each grown to the largest degree asked for.
+
+    build(key, degree, held) makes the table of `key` through `degree` from
+    the one it replaces, held, or from None; the store calls it only when
+    its table stops below the degree asked for.  ``store`` maps each key to
+    (degree, table, builds)."""
+    store = {}
+
+    @wraps(build)
+    def table(key, degree: int):
+        held = store.get(key, (-1, None, 0))
+        if held[0] < degree:
+            held = store[key] = (degree, build(key, degree, held[1]), held[2] + 1)
+        return held[1]
+
+    table.store = store
+    return table
 
 
-def _rank(exps: np.ndarray) -> np.ndarray:
-    """Index of every exponent row among the monomials of its own degree.
+class _Monomials(NamedTuple):
+    """The monomial index of one dimension, read-only (``_monomials``)."""
 
-    The rows before alpha in lexicographic order first fall short of it at
-    some coordinate i.  With r = alpha_i + ... + alpha_{m-1} and p = m - 1 - i
-    coordinates after i there are C(r + p, p) - C(r - alpha_i + p, p) of
-    them, summing the monomials of degree r - v in p variables over
-    v < alpha_i.
+    starts: list[int]  # the first jet column of each degree 0..degree + 1
+    exps: np.ndarray  # the exponent rows, one per jet column
+    first: np.ndarray  # the first coordinate with a positive exponent; dim for the constant
+    parent: np.ndarray  # the index of exps - e_first among the monomials one degree down
+    runs: tuple  # runs[n][j]: the (start, stop) of the degree-n monomials with first j
+    times: np.ndarray  # times[j, c]: the column of exps[c] + e_j, for c below the top degree
+
+
+@_grown
+def _monomials(dim: int, degree: int, held: _Monomials | None) -> _Monomials:
+    """The monomial index of `dim` variables through at least `degree`; the
+    degree-n monomials are at the columns ``degree_cols(dim, n)``.
+
+    They are in lexicographic order.  Those with zeros before coordinate j
+    are the leading C(n + dim - j - 1, n), and those among them with a zero
+    at j too lead those, so the monomials whose first nonzero exponent is at
+    j form one run, and the runs go from j = dim - 1 down to 0.  Subtracting
+    e_j maps run j onto the leading monomials of degree n - 1, keeping their
+    order: the power recurrence alpha = parent(alpha) + e_first(alpha), along
+    which the rows are built degree by degree, with no search.  The
+    successors follow from it: alpha + e_j has first j and parent alpha when
+    first(alpha) >= j, and otherwise first(alpha) and the parent
+    parent(alpha) + e_j, a successor one degree down.  With one variable per
+    block the rows are the block degrees of the types of ``grading``.  A
+    larger degree extends the index from its top degree.
     """
-    m = exps.shape[-1]
-    rest = exps[..., ::-1].cumsum(axis=-1)[..., ::-1]
-    binom = _binomials(m, int(rest.max(initial=0)))
-    p = np.arange(m - 1, -1, -1)
-    return (binom[p, rest] - binom[p, rest - exps]).sum(axis=-1)
+    if held is None:
+        held = _Monomials([0, 1], np.zeros((1, dim), dtype=np.intp), np.array([dim]),
+                          np.zeros(1, dtype=np.intp), ((),), np.zeros((dim, 0), dtype=np.intp))
+    starts, runs, top, new = held.starts.copy(), list(held.runs), len(held.starts) - 2, []
+    for n in range(top + 1, degree + 1):
+        # stops[j]: the degree-n monomials in the coordinates from j on; run j is
+        # stops[j + 1]:stops[j], of first j, and each parent is its place in the run
+        stops = [math.comb(n + dim - j - 1, n) for j in range(dim)] + [0]
+        runs.append(tuple(zip(stops[1:], stops)))
+        new += [(j, b - a, starts[-1] + a) for j, (a, b) in reversed(list(enumerate(runs[-1])))]
+        starts.append(starts[-1] + stops[0])
+    js, counts, offsets = np.array(new, dtype=np.intp).reshape(-1, 3).T
+    first = np.concatenate([held.first, js.repeat(counts)])
+    parent = np.concatenate([held.parent,
+                             np.arange(starts[top + 1], starts[-1]) - offsets.repeat(counts)])
+    exps, times, cols = [held.exps], [held.times], slice(starts[top], starts[top + 1])
+    # the degree-top rows and the successors of degree top - 1, in degree top
+    row, f, p = held.exps[cols], first[cols], parent[cols]
+    coords, eye = np.arange(dim)[:, None], np.eye(dim, dtype=np.intp)
+    succ = (held.times[:, starts[top - 1]:starts[top]] - starts[top] if top
+            else np.zeros((dim, 1), dtype=np.intp))
+    for n in range(top + 1, degree + 1):
+        # run j starts at begin[j]; the constant's first, dim, at 0
+        begin = np.array([b for b, _ in runs[n]] + [0])
+        succ = np.where(f >= coords, begin[:dim, None] + np.arange(len(f)), begin[f] + succ[:, p])
+        times.append(succ + starts[n])
+        f, p = first[starts[n]:starts[n + 1]], parent[starts[n]:starts[n + 1]]
+        row = row[p] + eye[f]
+        exps.append(row)
+    exps, times = np.concatenate(exps), np.concatenate(times, axis=1)
+    for array in (exps, first, parent, times):
+        array.setflags(write=False)
+    return _Monomials(starts, exps, first, parent, tuple(runs), times)
 
 
 @lru_cache(maxsize=None)
 def _mono_table(dim: int, n: int) -> tuple[tuple[MultiIndex, ...], dict[MultiIndex, int]]:
     """Tuple and dict views of the degree-n monomials, for the dict input
     and output of PolyMap: the multi-indices in order and their indices."""
-    monos = tuple(map(tuple, _exponents(dim, n).tolist()))
+    monos = tuple(map(tuple, _monomials(dim, n).exps[degree_cols(dim, n)].tolist()))
     return monos, {a: j for j, a in enumerate(monos)}
 
 
@@ -146,29 +203,18 @@ def jet_width(dim: int, degree: int) -> int:
     return math.comb(dim + degree, dim)
 
 
-def _col_starts(dim: int, top: int) -> list[int]:
-    """starts[d], the first jet column of degree d, for d = 0..top + 1."""
-    return [0] + [math.comb(dim + d, dim) for d in range(top + 1)]
-
-
 def degree_cols(dim: int, n: int) -> slice:
     """Jet columns of the degree-n monomials."""
     return slice(jet_width(dim, n - 1) if n else 0, jet_width(dim, n))
 
 
-@lru_cache(maxsize=None)
-def _col_degrees(dim: int, width: int) -> np.ndarray:
-    """Total degree of each of the first `width` jet columns."""
-    n = 0
-    while jet_width(dim, n) < width:
-        n += 1
-    return np.repeat(np.arange(n + 1), [math.comb(dim + d - 1, d) for d in range(n + 1)])[:width]
-
-
 def top_degree(jets: np.ndarray, dim: int) -> int:
     """Highest degree with a nonzero coefficient in a jet or stack of jets."""
-    nz = np.flatnonzero(jets.reshape(-1, jets.shape[-1]).any(axis=0))
-    return int(_col_degrees(dim, jets.shape[-1])[nz[-1]]) if nz.size else 0
+    cols = jets.reshape(-1, jets.shape[-1]).any(axis=0).nonzero()[0]
+    last, n = (int(cols[-1]) if cols.size else 0), 0
+    while jet_width(dim, n) <= last:
+        n += 1
+    return n
 
 
 def _fit(jets: np.ndarray, width: int) -> np.ndarray:
@@ -192,13 +238,8 @@ def _linear_parts(jets: np.ndarray, dim: int) -> np.ndarray:
     return jets[..., 1:1 + dim][..., ::-1]
 
 
-# per dimension: the largest degree asked for so far, its product tables
-# (``_product_tables``), which every smaller degree reads too, and how many
-# times the dimension's tables were built
-_products: dict[int, tuple[int, tuple[np.ndarray, ...], int]] = {}
-
-
-def _product_tables(dim: int, degree: int) -> tuple[np.ndarray, ...]:
+@_grown
+def _product_tables(dim: int, degree: int, held) -> tuple[np.ndarray, ...]:
     """The entries of the multiplication matrices Mul_j, p G_j = p @ Mul_j,
     on jets through at least `degree`, one table per factor degree t.
 
@@ -208,62 +249,27 @@ def _product_tables(dim: int, degree: int) -> tuple[np.ndarray, ...]:
     all as jet columns.  The entries of the eps_e of one degree a are the
     product block of (a, t), so a window of row degrees and column degrees
     reads one slice per t.  The columns of one g follow from those of its
-    parent by the power recurrence: with times[j, c] the column of
-    eps_c + e_j, col(eps_e + gamma_g) = times[first[g], col(eps_e +
-    gamma_parent[g])].  Built once per dimension, again when a higher degree
-    is asked for.
+    parent by the power recurrence of the monomial index, whose successors
+    times[j, c] are the columns of eps_c + e_j: col(eps_e + gamma_g) =
+    times[first[g], col(eps_e + gamma_parent[g])].
     """
-    built = _products.get(dim, (-1, (), 0))
-    if built[0] < degree:
-        below = np.concatenate([_exponents(dim, n) for n in range(max(degree, 1))])
-        starts = _col_starts(dim, degree)
-        ends = starts[1:max(degree, 1) + 1]
-        times = np.repeat(ends, [b - a for a, b in zip(starts, ends)]) + _rank(
-            below + np.eye(dim, dtype=below.dtype)[:, None])
-        shapes = [(starts[degree - t + 1], starts[t + 1] - starts[t]) for t in range(degree + 1)]
-        bounds = list(accumulate([r * n for r, n in shapes], initial=0))
-        entries = np.empty((3, bounds[-1]), dtype=np.intp)
-        e = np.arange(starts[-1])
-        cols = e[:, None]
-        for t, (rows, n) in enumerate(shapes):
-            if t:
-                first, parent = _recurrence(dim, t)
-                cols = times[first, cols[:rows, parent]]
-            table = entries[:, bounds[t]:bounds[t + 1]].reshape(3, rows, n)
-            table[0] = cols
-            table[1] = e[:rows, None]
-            table[2] = e[starts[t]:starts[t + 1]]
-        entries.setflags(write=False)
-        built = _products[dim] = (degree, tuple(entries[:, a:b] for a, b in
-                                                zip(bounds, bounds[1:])), built[2] + 1)
-    return built[1]
-
-
-@lru_cache(maxsize=None)
-def _mul_plan(dim: int, degree: int, rows: tuple[int, int], cols: tuple[int, int]):
-    """Scatter plan of Mul_j on jets through `degree`, cut to the rows of p of
-    degrees rows[0]..rows[1] and the product columns of degrees
-    cols[0]..cols[1]: (flat, src, shape) with Mul_j.flat[flat] = G_j[src],
-    the rows ending with the last that meets the window.  Both windows are
-    unions of degrees, so the plan is the product blocks of every (row
-    degree, factor degree) pair they hold: one slice per factor degree t of
-    ``_product_tables``, over the row degrees whose sum with t is a column
-    degree."""
-    (ra, rb), (ca, cb) = rows, cols
-    starts = _col_starts(dim, cb)
-    r0, c0 = starts[ra], starts[ca]
-    width, last = starts[cb + 1] - c0, min(rb, cb)
-    tables, blocks = _product_tables(dim, degree), []
-    for t in range(max(ca - last, 0), cb - ra + 1):
-        n = starts[t + 1] - starts[t]  # entries per row of table t
-        blocks.append(tables[t][:, n * starts[max(ra, ca - t)]:n * starts[min(last, cb - t) + 1]])
-    if not blocks:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), (0, width)
-    col, e, src = np.concatenate(blocks, axis=1)
-    flat = e * width
-    flat += col
-    flat -= r0 * width + c0
-    return flat, src.copy(), (starts[last + 1] - r0, width)
+    index = _monomials(dim, degree)
+    starts = index.starts[:degree + 2]
+    shapes = [(starts[degree - t + 1], starts[t + 1] - starts[t]) for t in range(degree + 1)]
+    bounds = list(accumulate([r * n for r, n in shapes], initial=0))
+    entries = np.empty((3, bounds[-1]), dtype=np.intp)
+    e = np.arange(starts[-1])
+    cols = e[:, None]
+    for t, (rows, n) in enumerate(shapes):
+        if t:
+            g = degree_cols(dim, t)
+            cols = index.times[index.first[g], cols[:rows, index.parent[g]]]
+        table = entries[:, bounds[t]:bounds[t + 1]].reshape(3, rows, n)
+        table[0] = cols
+        table[1] = e[:rows, None]
+        table[2] = e[starts[t]:starts[t + 1]]
+    entries.setflags(write=False)
+    return tuple(entries[:, a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -274,23 +280,37 @@ def _power_plan(m: int, dim: int, degree: int, top: int, low: int, step: int) ->
     Per degree k = 1..top: (lo, hi, monomials, mul, products), the power
     holding the jet columns lo:hi, of degrees k low to k step, of the
     degree-k monomials.  For k >= 2, mul is the scatter plan (flat, src,
-    rows, cols) of the multiplication matrix on the window of the power
-    below, and products lists per coordinate j the matmuls (parent rows,
-    inner width, columns, output rows): slices, the parent rows a view by
-    ``_first_runs``.
+    rows, cols) of the multiplication matrix, Mul_j.flat[flat] = G_j[src],
+    cut to the rows of the window of the power below, ending with the last
+    that meets this window, and to the columns of this one.  Both windows
+    are unions of degrees, so the plan is the product blocks of every (row
+    degree, factor degree) pair they hold: one slice per factor degree t of
+    ``_product_tables``, over the row degrees whose sum with t is a column
+    degree.  products lists per coordinate j the matmuls (parent rows, inner
+    width, columns, output rows): slices, the parent rows a view by the runs
+    of the monomial index.
     """
     plan, prev = [], None
-    starts = _col_starts(dim, max(degree, top))
+    starts, runs = _monomials(dim, max(degree, low * top)).starts, _monomials(m, top).runs
     for k in range(1, top + 1):
         # degrees k low..k step of the power; an empty window ends below its start
         window = (k * low, max(k * low - 1, min(degree, k * step)))
         lo, hi = starts[window[0]], starts[window[1] + 1]
-        runs = _first_runs(m, k)
         mul, products = None, ()
         if k > 1:
-            flat, src, (rows, cols) = _mul_plan(dim, degree, prev[2], window)
+            (ra, rb), (ca, cb) = prev[2], window
+            last, tables, blocks = min(rb, cb), _product_tables(dim, degree), []
+            for t in range(max(ca - last, 0), cb - ra + 1):
+                n = starts[t + 1] - starts[t]  # entries per row of table t
+                blocks.append(tables[t][:, n * starts[max(ra, ca - t)]:
+                                        n * starts[min(last, cb - t) + 1]])
+            rows, cols = (starts[last + 1] - prev[0] if blocks else 0), hi - lo
+            col, e, src = (np.concatenate(blocks, axis=1) if blocks
+                           else np.zeros((3, 0), dtype=np.intp))
+            flat = e * cols
+            flat += col - (prev[0] * cols + lo)
             # every G_j fills the same entries, so one matrix serves all j
-            mul = (flat, src, rows, cols)
+            mul = (flat, src.copy(), rows, cols)
             blocks = [(rows, 0, cols)]
             if low:
                 # the degree-k columns read only the degree k-1 rows; a product
@@ -300,7 +320,7 @@ def _power_plan(m: int, dim: int, degree: int, top: int, low: int, step: int) ->
             blocks = [(r, slice(c0, c1), max(1, PRODUCT_MACS // max(1, r * (c1 - c0))))
                       for r, c0, c1 in blocks if c0 < c1]
             products = []
-            for j, (a, b) in enumerate(runs):
+            for j, (a, b) in enumerate(runs[k]):
                 steps = []
                 for r, out_cols, chunk in blocks:
                     for c in range(a, b, chunk):
@@ -308,7 +328,7 @@ def _power_plan(m: int, dim: int, degree: int, top: int, low: int, step: int) ->
                         steps.append((slice(c - a, d - a), r, out_cols, slice(c, d)))
                 products.append((j, tuple(steps)))
             products = tuple(products)
-        plan.append((lo, hi, runs[0][1], mul, products))
+        plan.append((lo, hi, runs[k][0][1], mul, products))
         prev = (lo, hi, window)
     return tuple(plan)
 
@@ -330,20 +350,23 @@ def _powers(inner: np.ndarray, dim: int, degree: int, top: int):
     terms.
     """
     S, m = inner.shape[:2]
-    G = _fit(inner, jet_width(dim, degree))
+    width = jet_width(dim, degree)
+    G = inner if inner.shape[-1] == width else _fit(inner, width)
     low = 0 if G[..., 0].any() else 1
     if low:
         top = min(top, degree)  # powers of maps fixing the origin vanish beyond it
     plan = _power_plan(m, dim, degree, top, low, top_degree(G, dim))
     for k, (lo, hi, monos, mul_plan, products) in enumerate(plan, start=1):
         if k == 1:
-            power = G[:, _recurrence(m, 1)[0], lo:hi]
+            power = G[:, ::-1, lo:hi].copy()  # the degree-1 monomials run e_{m-1}..e_0
         else:
             flat, src, rows, cols = mul_plan
             prev, power = power, np.empty((S, monos, cols))
             mul = np.zeros((S, rows, cols))
+            # the plan's entries in the matrix of every stack entry
+            flat = (flat + rows * cols * np.arange(S)[:, None]).ravel()
             for j, steps in products:
-                mul.reshape(S, -1)[:, flat] = G[:, j, src]
+                mul.reshape(-1)[flat] = G[:, j].take(src, axis=1).ravel()
                 for parents, r, out_cols, out_rows in steps:
                     np.matmul(prev[:, parents, :r], mul[:, :r, out_cols],
                               out=power[:, out_rows, out_cols])
@@ -508,8 +531,10 @@ class PolyMap:
     def _eval_plan(self) -> tuple:
         """Per degree n >= 1: the power recurrence of its monomials and its
         coefficients transposed."""
-        return tuple(_recurrence(self.source.dim, n) + (self.part(n).T,)
-                     for n in range(1, self.degree + 1))
+        dim = self.source.dim
+        index = _monomials(dim, self.degree)
+        return tuple((index.first[degree_cols(dim, n)], index.parent[degree_cols(dim, n)],
+                      self.part(n).T) for n in range(1, self.degree + 1))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of `points`, shape (N, source.dim) -> (N, target.dim)."""

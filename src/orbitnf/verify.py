@@ -45,11 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import _limit, _Report
-from .grading import _exponents
 from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
                          solve_window)
-from .polymap import (PolyMap, _evaluate, _fit, _linear_jets, compose_jets, degree_cols,
-                      divide_jets, jet_width, top_degree)
+from .polymap import (PolyMap, _evaluate, _fit, _linear_jets, _monomials, compose_jets,
+                      degree_cols, divide_jets, jet_width, top_degree)
 
 
 # field metadata of the jets a report keeps but does not serialize
@@ -344,10 +343,11 @@ def flag_invariance(jets: np.ndarray, space, tol: float = 1e-12) -> FlagReport:
         raise ValueError(f"no jets over {m} coordinates to check")
     block = np.array(space.block_of_coord)
     below = block[None, :] < block[:, None]
-    worst = [(np.abs(jets[..., degree_cols(m, n), None]) * _exponents(m, n)
-              * below[:, None, :]).max(initial=0.0)
-             for n in range(1, top_degree(jets, m) + 1)]
-    return FlagReport(float(np.max(worst, initial=0.0)), tol)
+    top = top_degree(jets, m)
+    width = jet_width(m, top)
+    worst = (np.abs(jets[..., 1:width, None]) * _monomials(m, top).exps[1:width]
+             * below[:, None, :]).max(initial=0.0)
+    return FlagReport(float(worst), tol)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from orbitnf.grading import (
     ContractionBudgetError,
     Spectrum,
     SubResStructure,
-    _type_columns,
     contraction_factor,
 )
 

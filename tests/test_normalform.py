@@ -1225,33 +1225,22 @@ class TestLadderAgainstOracle:
         assert diagnostics["table_bytes"] == 8 * ctx.cocycle.period * floats
 
 
-def column_window(dim, degrees):
-    """Jet columns lo:hi of the degrees lo..hi, empty when hi < lo."""
-    lo = degree_cols(dim, degrees[0]).start
-    return lo, max(lo, jet_width(dim, degrees[1]))
-
-
 @pytest.fixture(scope="module")
 def workload_plans(tmp_path_factory):
-    """The arguments of every power plan and multiplication plan that one pass
-    of each benchmark workload asks for, every plan built again: prepare and
-    solve of the ladder rows; prepare, solve and checks of
-    random_scenario(12..23); run_scenario on the six builtins, chart check
-    and window solves included."""
-    powers, windows = set(), set()
-    power_plan, mul_plan = polymap._power_plan, polymap._mul_plan
+    """The arguments of every power plan that one pass of each benchmark
+    workload asks for, every plan built again: prepare and solve of the
+    ladder rows; prepare, solve and checks of random_scenario(12..23);
+    run_scenario on the six builtins, chart check and window solves
+    included."""
+    powers = set()
+    power_plan = polymap._power_plan
 
     def record_power(*args):
         powers.add(args)
         return power_plan(*args)
 
-    def record_window(*args):
-        windows.add(args)
-        return mul_plan(*args)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polymap, "_power_plan", record_power)
-        patch.setattr(polymap, "_mul_plan", record_window)
         power_plan.cache_clear()  # so that every plan is built again
         for row in LADDER:
             solve_normal_form(ladder_context(*row))
@@ -1262,74 +1251,68 @@ def workload_plans(tmp_path_factory):
         out = tmp_path_factory.mktemp("builtins")
         for name in builtin_names():
             assert run_scenario(name, out_dir=str(out / name)) == 0
-    return powers, windows
+    return powers
 
 
 class TestPowerPlans:
     def test_row_windows_cut_the_filtered_plans(self, workload_plans):
-        """Every multiplication plan that the workloads reach holds the
-        entries of the full list filtered by both column windows, as sets."""
-        windows = workload_plans[1]
+        """The multiplication plan of every step that the workloads' power
+        plans hold is the full entry list filtered by the column windows of
+        the power below and of the step, as sets."""
+        windows = set()
+        for args in workload_plans:
+            dim, degree, plan = *args[1:3], polymap._power_plan(*args)
+            for (lo, hi, *_), (lo_k, hi_k, _, mul, _) in zip(plan, plan[1:]):
+                windows.add((dim, degree, lo, hi, lo_k, hi_k))
+                flat, src, rows, cols = mul
+                want_flat, want_src, want_shape = index_reference.mul_plan(
+                    dim, degree, (lo, hi), (lo_k, hi_k))
+                assert (rows, cols) == want_shape
+                assert len(set(flat.tolist())) == len(flat)
+                assert (set(zip(flat.tolist(), src.tolist()))
+                        == set(zip(want_flat.tolist(), want_src.tolist())))
         assert len(windows) > 50
-        for dim, degree, rows, cols in windows:
-            flat, src, shape = polymap._mul_plan(dim, degree, rows, cols)
-            want_flat, want_src, want_shape = index_reference.mul_plan(
-                dim, degree, column_window(dim, rows), column_window(dim, cols))
-            assert shape == want_shape
-            assert len(set(flat.tolist())) == len(flat)
-            assert (set(zip(flat.tolist(), src.tolist()))
-                    == set(zip(want_flat.tolist(), want_src.tolist())))
 
     def test_workload_plans_equal_the_reference(self, workload_plans):
         """Every power plan that the workloads ask for equals the one built
         from filtered full entry lists: the same scatter entries as a set,
         and the same windows, matmul shapes, slices and chunks."""
-        powers = workload_plans[0]
-        assert len(powers) > 50
-        for args in powers:
+        assert len(workload_plans) > 50
+        for args in workload_plans:
             index_reference.assert_same_plan(
                 polymap._power_plan(*args),
                 index_reference.power_plan(*args, polymap.PRODUCT_MACS))
 
 
-def index_caches():
-    """Every index-table cache of grading and polymap, by name."""
+def index_stores():
+    """Every index-table store of grading and polymap by name: the caches
+    and the tables grown per key."""
     return {f"{f.__module__.rsplit('.', 1)[1]}.{f.__qualname__}": f
             for module in (grading, polymap) for f in vars(module).values()
-            if hasattr(f, "cache_info")}
+            if hasattr(f, "cache_info") or hasattr(f, "store")}
 
 
 class TestFirstUseBuilds:
     """The index tables a cold solve of each ladder row builds: every cache
-    miss, and the product tables' builds.  A change that builds more of them
-    in a fresh interpreter shows here before it shows in the benchmark."""
+    miss, and every build of a grown table.  A change that builds more of
+    them in a fresh interpreter shows here before it shows in the
+    benchmark."""
 
+    # one index per dimension (the blocks' for the resonance table, the
+    # coordinates' for the solve; the same dimension grown once more for
+    # (1, 1, 1), from degree d + 1 = 4 to the order 5), one type table,
+    # one set of product tables and one power plan per degree
     BUILDS = {
-        ((2, 2), 2, 4, 0.04): {
-            "grading._first_runs": 7, "grading._recurrence": 7, "grading._exponents": 9,
-            "polymap._binomials": 1, "polymap._col_degrees": 3, "polymap._mul_plan": 5,
-            "polymap._power_plan": 4, "polymap._product_tables": 1,
-            "grading._type_columns": 3},
-        ((1, 1, 1), 3, 5, 0.02): {
-            "grading._first_runs": 5, "grading._recurrence": 5, "grading._exponents": 6,
-            "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 9,
-            "polymap._power_plan": 5, "polymap._product_tables": 1,
-            "grading._type_columns": 4},
-        ((2, 2), 2, 6, 0.04): {
-            "grading._first_runs": 9, "grading._recurrence": 9, "grading._exponents": 11,
-            "polymap._binomials": 1, "polymap._col_degrees": 5, "polymap._mul_plan": 9,
-            "polymap._power_plan": 6, "polymap._product_tables": 1,
-            "grading._type_columns": 5},
-        ((2, 3), 2, 5, 0.03): {
-            "grading._first_runs": 8, "grading._recurrence": 8, "grading._exponents": 10,
-            "polymap._binomials": 1, "polymap._col_degrees": 4, "polymap._mul_plan": 7,
-            "polymap._power_plan": 5, "polymap._product_tables": 1,
-            "grading._type_columns": 4},
-        ((3, 3), 1, 4, 0.03): {
-            "grading._first_runs": 7, "grading._recurrence": 7, "grading._exponents": 9,
-            "polymap._binomials": 1, "polymap._col_degrees": 3, "polymap._mul_plan": 5,
-            "polymap._power_plan": 4, "polymap._product_tables": 1,
-            "grading._type_columns": 3},
+        ((2, 2), 2, 4, 0.04): {"polymap._monomials": 2, "grading._type_table": 1,
+                               "polymap._product_tables": 1, "polymap._power_plan": 4},
+        ((1, 1, 1), 3, 5, 0.02): {"polymap._monomials": 2, "grading._type_table": 1,
+                                  "polymap._product_tables": 1, "polymap._power_plan": 5},
+        ((2, 2), 2, 6, 0.04): {"polymap._monomials": 2, "grading._type_table": 1,
+                               "polymap._product_tables": 1, "polymap._power_plan": 6},
+        ((2, 3), 2, 5, 0.03): {"polymap._monomials": 2, "grading._type_table": 1,
+                               "polymap._product_tables": 1, "polymap._power_plan": 5},
+        ((3, 3), 1, 4, 0.03): {"polymap._monomials": 2, "grading._type_table": 1,
+                               "polymap._product_tables": 1, "polymap._power_plan": 4},
     }
 
     @pytest.mark.parametrize("row", LADDER, ids=str)
@@ -1337,13 +1320,12 @@ class TestFirstUseBuilds:
         dims, period, order, epsilon = row
         cocycle = random_cocycle(np.random.default_rng(1), LADDER_EXPONENTS[len(dims)], dims,
                                  period, amp=0.05)
-        caches = index_caches()
-        for cache in caches.values():
-            cache.cache_clear()
-        polymap._products.clear()
+        stores = index_stores()
+        for f in stores.values():
+            f.cache_clear() if hasattr(f, "cache_clear") else f.store.clear()
         solve_normal_form(SolverContext.prepare(cocycle, epsilon, order))
-        builds = {name: cache.cache_info().misses for name, cache in caches.items()}
-        builds["polymap._product_tables"] = sum(b for *_, b in polymap._products.values())
+        builds = {name: f.cache_info().misses if hasattr(f, "cache_info")
+                  else sum(b for *_, b in f.store.values()) for name, f in stores.items()}
         assert {name: n for name, n in builds.items() if n} == self.BUILDS[row]
 
 

@@ -1,8 +1,11 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import index_reference
 from check_reference import coeff_diff, subresonance_split
@@ -15,7 +18,7 @@ from dict_reference import (
 from sandwich_reference import euclidean_frames
 from orbitnf import polymap
 from orbitnf.cocycle import LyapunovFrames, OrbitCocycle, log_envelopes
-from orbitnf.grading import Spectrum, _type_columns
+from orbitnf.grading import Spectrum, _type_table
 from orbitnf.polymap import (
     GradedSpace,
     PolyMap,
@@ -100,8 +103,10 @@ class TestGradedSpace:
         # the type columns group the monomials by block degrees, one group per
         # exponent row s of the blocks, in the rows' order
         space = GradedSpace(dims)
+        _type_table.store.pop(dims, None)
+        table = _type_table(dims, 3)
         for n in range(4):
-            groups = _type_columns(dims, n)
+            groups = table.columns[n]
             monos = _mono_table(space.dim, n)[0]
             keys = _mono_table(len(dims), n)[0]
             assert list(keys) == sorted({space.block_degrees(a) for a in monos})
@@ -109,7 +114,9 @@ class TestGradedSpace:
             for s, cols in zip(keys, groups):
                 assert list(cols) == [j for j, a in enumerate(monos)
                                       if space.block_degrees(a) == s]
-            assert _type_columns(dims, n) is groups
+            # a smaller degree reads the table built for the larger one
+            assert _type_table(dims, n) is table
+        assert _type_table.store[dims][2] == 1
 
 
 class TestEvaluate:
@@ -645,31 +652,78 @@ def compositions(total, parts):
             yield (head,) + rest
 
 
+def assert_index_is_reference(index, dim, top):
+    """The monomial index through `top` holds the tuple-built monomials,
+    their recurrence and runs, and the columns of alpha + e_j."""
+    assert index.starts[:top + 2] == [0] + [jet_width(dim, n) for n in range(top + 1)]
+    for n in range(top + 1):
+        monos, _, first, parent = index_reference.mono_table(dim, n)
+        cols = degree_cols(dim, n)
+        assert index.exps[cols].tolist() == [list(a) for a in monos]
+        if n:
+            np.testing.assert_array_equal(index.first[cols], first)
+            np.testing.assert_array_equal(index.parent[cols], parent)
+            assert index.runs[n] == index_reference.first_runs(dim, n)
+        if n < top:
+            up = index_reference.mono_table(dim, n + 1)[1]
+            want = [[jet_width(dim, n) + up[a[:j] + (a[j] + 1,) + a[j + 1:]] for a in monos]
+                    for j in range(dim)]
+            assert index.times[:, cols].tolist() == want
+
+
+def assert_type_table_is_reference(table, dims, top):
+    """The type table through `top` groups the monomials as the np.unique
+    reference does, one group per exponent row s of the blocks, in the
+    rows' order, and group[c] is the column of the s of column c."""
+    for n in range(top + 1):
+        want = index_reference.block_degree_groups(dims, n)
+        assert [s for s, _ in want] == list(_mono_table(len(dims), n)[0])
+        assert len(table.columns[n]) == len(want)
+        group = table.group[degree_cols(sum(dims), n)]
+        for g, (cols, (_, ref)) in enumerate(zip(table.columns[n], want)):
+            np.testing.assert_array_equal(cols, ref)
+            assert not cols.flags.writeable
+            assert (group[ref] == degree_cols(len(dims), n).start + g).all()
+    assert not table.group.flags.writeable
+
+
 class TestIndexReference:
     """The tables read from exponent arrays equal the tuple-built ones."""
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_monomials_and_recurrence(self, dim):
+        index = polymap._monomials(dim, 8)
+        for array in (index.exps, index.first, index.parent, index.times):
+            assert not array.flags.writeable
+        assert_index_is_reference(index, dim, 8)
         for n in range(9):
-            monos, index, first, parent = index_reference.mono_table(dim, n)
-            exps = polymap._exponents(dim, n)
-            assert exps.tolist() == [list(a) for a in monos]
-            assert not exps.flags.writeable
-            assert polymap._mono_table(dim, n) == (monos, index)
-            np.testing.assert_array_equal(polymap._rank(exps), np.arange(len(monos)))
-            if n:
-                got_first, got_parent = polymap._recurrence(dim, n)
-                np.testing.assert_array_equal(got_first, first)
-                np.testing.assert_array_equal(got_parent, parent)
-                assert polymap._first_runs(dim, n) == index_reference.first_runs(dim, n)
+            monos, ref_index = index_reference.mono_table(dim, n)[:2]
+            assert polymap._mono_table(dim, n) == (monos, ref_index)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(1, 5), min_size=1, max_size=5).filter(lambda d: sum(d) <= 5),
+           degrees=st.lists(st.integers(0, 6), min_size=1, max_size=6))
+    def test_grown_tables_equal_the_reference(self, dims, degrees):
+        # asked for in any order, the index and the type table hold every
+        # degree up to the largest asked for, built once per larger degree
+        dims, dim = tuple(dims), sum(dims)
+        polymap._monomials.store.pop(dim, None)
+        _type_table.store.pop(dims, None)
+        for top in itertools.accumulate(degrees, max):
+            table = _type_table(dims, top)
+            assert_index_is_reference(polymap._monomials(dim, top), dim, top)
+            assert_type_table_is_reference(table, dims, top)
+        assert polymap._monomials.store[dim][2] == len(set(itertools.accumulate(degrees, max)))
+        assert _type_table.store[dims][2] == len(set(itertools.accumulate(degrees, max)))
 
     def test_first_runs_lead_their_parents(self):
         # the parents of run j are the leading b - a monomials one degree
         # down, in order, so the power kernel reads them as a view
         for m in range(1, 9):
+            index = polymap._monomials(m, 9)
             for k in range(1, 10):
-                parent = polymap._recurrence(m, k)[1]
-                for a, b in polymap._first_runs(m, k):
+                parent = index.parent[degree_cols(m, k)]
+                for a, b in index.runs[k]:
                     np.testing.assert_array_equal(parent[a:b], np.arange(b - a))
 
     @pytest.mark.parametrize("dim", range(1, 8))
@@ -687,17 +741,18 @@ class TestIndexReference:
             order = np.lexsort((src, e))
             return np.array([e[order], col[order], src[order]])
 
-        polymap._products.pop(dim, None)
+        products = polymap._product_tables.store
+        products.pop(dim, None)
         # tables grown to degree 8 serve every lower degree with their leading rows
         polymap._product_tables(dim, 8)
         for degree in range(9):
             np.testing.assert_array_equal(entries(degree), reference(degree))
-        assert polymap._products[dim][2] == 1
-        polymap._products.pop(dim)
+        assert products[dim][2] == 1
+        products.pop(dim)
         # asked for degree by degree, they are built again for each higher one
         for degree in range(9):
             np.testing.assert_array_equal(entries(degree), reference(degree))
-        assert polymap._products[dim][2] == 9
+        assert products[dim][2] == 9
         for t, table in enumerate(polymap._product_tables(dim, 8)):
             assert not table.flags.writeable
             # table t is e-major, its g the degree-t monomials in order
@@ -706,7 +761,7 @@ class TestIndexReference:
             np.testing.assert_array_equal(g, np.broadcast_to(np.arange(cols.start, cols.stop),
                                                              g.shape))
             np.testing.assert_array_equal(table[1].reshape(g.shape)[:, 0], np.arange(len(g)))
-        polymap._products.pop(dim)  # degree 8 in dimension 7 is 7.7 MB
+        products.pop(dim)  # degree 8 in dimension 7 is 7.7 MB
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_power_plans(self, dim):
@@ -732,16 +787,7 @@ class TestIndexReference:
         splits = [dims for parts in range(1, dim + 1) if dim < 7 or parts < 3
                   for dims in compositions(dim, parts)]
         for dims in splits + [(1,) * 7] * (dim == 7):
-            space = GradedSpace(dims)
-            for n in range(9):
-                got = _type_columns(dims, n)
-                want = index_reference.block_degree_groups(dims, n)
-                # one group per exponent row s of the blocks, in the rows' order
-                assert [s for s, _ in want] == list(_mono_table(len(dims), n)[0])
-                assert len(got) == len(want)
-                for cols, (_, ref) in zip(got, want):
-                    np.testing.assert_array_equal(cols, ref)
-                    assert not cols.flags.writeable
+            assert_type_table_is_reference(_type_table(dims, 8), dims, 8)
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_admissible_masks(self, dim):
