@@ -3,10 +3,12 @@
 The package builds, degree by degree, a coordinate change H at every point of
 a periodic orbit that conjugates a cocycle of contracting polynomial fiber
 maps to a normal form P containing only sub-resonance terms of the Lyapunov
-spectrum.  The pipeline is
+spectrum.  The coordinate blocks of the cocycle's grading are the Lyapunov
+splitting, and the pipeline is
 
-    OrbitCocycle -> monodromy_spectrum -> Spectrum.structure -> SolverContext
-                 -> solve_normal_form -> verification
+    OrbitCocycle -> monodromy_spectrum (one exponent per coordinate block)
+                 -> Spectrum.structure -> SolverContext -> solve_normal_form
+                 -> verification
 
 with a JSON-driven CLI (`orbitnf run/list/spectrum/verify`) on top.  The
 Lyapunov frames are no solver input: ``SolverContext.frames`` builds them with

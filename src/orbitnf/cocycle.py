@@ -1,12 +1,15 @@
 """Polynomial cocycles over a periodic orbit and their Lyapunov data.
 
 An OrbitCocycle is a finite sequence of polynomial fiber maps, one per orbit
-point, composed cyclically; its linear parts are one (K, m, m) stack.  From
-the monodromy (the product of the linear parts around one period) we extract
-Lyapunov exponents as log moduli of eigenvalues, cluster them into blocks,
-and recover the invariant splitting as null spaces of annihilating
-polynomials of the monodromy, transported along the orbit into a (K, m, m)
-stack of bases.
+point, composed cyclically; its linear parts are one (K, m, m) stack.  The
+coordinate blocks of its grading are the invariant splitting: the linear
+parts of a grading-adapted cocycle are block diagonal, and block i carries
+one Lyapunov exponent chi_i.  The spectrum is read block by block: chi_i
+from the log determinants of the block's steps, and the test that the block
+carries one rate from the monodromy of exp(-chi_i) times its steps,
+renormalised every step with its log scale kept.  No product of the whole
+space is formed, so a fast block never sinks below the rounding of a slow
+one and no product leaves the float range, however long the period.
 
 The frames built here, one LyapunovFrames object of (K, m, m) stacks, carry
 the epsilon-weighted inner product: per block a two-sided weighted sum of
@@ -43,11 +46,11 @@ MAX_GRAM_STEPS = 200_000
 
 
 class NonContractingError(ValueError):
-    """Monodromy has an eigenvalue of modulus >= 1."""
+    """A coordinate block has a Lyapunov exponent >= 0."""
 
 
 class ClusterGapError(ValueError):
-    """Eigenvalue moduli cannot be split into well-separated clusters."""
+    """Rates or exponents lie too close to tell one cluster from two."""
 
 
 class TailCertificationError(RuntimeError):
@@ -114,25 +117,6 @@ class OrbitCocycle:
     def map_at(self, k: int) -> PolyMap:
         return self.fiber_maps[k % self.period]
 
-    def linear(self, k: int) -> np.ndarray:
-        return self.linears[k % self.period]
-
-    def monodromy(self, base: int = 0) -> np.ndarray:
-        """Product of the linear parts over one period, starting at base."""
-        return self.linear_iterate(base, self.period)
-
-    def linear_iterate(self, base: int, n: int) -> np.ndarray:
-        """Matrix of the n-step linear cocycle from orbit point base."""
-        if n >= 0:
-            M = np.eye(self.dim)
-            for j in range(n):
-                M = self.linear(base + j) @ M
-            return M
-        M = np.eye(self.dim)
-        for j in range(-n):
-            M = M @ self.linear(base - 1 - j)
-        return np.linalg.inv(M)
-
     def to_dict(self) -> dict:
         return {
             "block_dims": list(self.space.block_dims),
@@ -148,76 +132,53 @@ class OrbitCocycle:
         return cls(space, tuple(PolyMap.from_dict(d) for d in data["fiber_maps"]))
 
 
-def _cluster_chain(values: np.ndarray, tol: float) -> list[list[int]]:
-    order = np.argsort(values, kind="stable")
-    scale = max(1.0, float(np.max(np.abs(values))))
-    clusters = [[int(order[0])]]
-    for idx in order[1:]:
-        prev = clusters[-1][-1]
-        if values[idx] - values[prev] <= tol * scale:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    return clusters
+def _block_rates(cocycle: OrbitCocycle) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per coordinate block i, its exponent chi_i and the rates it carries.
 
-
-def _fix_column_signs(B: np.ndarray) -> np.ndarray:
-    B = B.copy()
-    for j in range(B.shape[1]):
-        i = int(np.argmax(np.abs(B[:, j])))
-        if B[i, j] < 0:
-            B[:, j] = -B[:, j]
-    return B
-
-
-def _cluster_basis(M: np.ndarray, eigs: np.ndarray, members: list[int]) -> np.ndarray:
-    """Orthonormal basis of the monodromy spectral subspace for one cluster.
-
-    Null space of the real annihilating polynomial of the cluster eigenvalues,
-    raised to the cluster multiplicity so Jordan chains are killed too.
+    The cocycle must be grading-adapted: linear parts with off-block entries
+    beyond 1e-12 relative raise.  chi_i = sum_k log|det A_k[i]| / (K m_i) is
+    read from the (K, m_i, m_i) stack of block-i steps A_k[i].  The rates of
+    block i are chi_i plus the log moduli per period of the eigenvalues of
+    the monodromy of exp(-chi_i) A_k[i], renormalised every step by a power
+    of two (exact), whose exponents add up to its log scale; so no product
+    leaves the float range, however long the period.  A rate too far below
+    the block's largest for the product to resolve reads -inf.
     """
-    m = M.shape[0]
-    mc = len(members)
-    if mc == m:
-        return np.eye(m)
-    prod = np.eye(m)
-    used = set()
-    for j in members:
-        if j in used:
-            continue
-        lam = eigs[j]
-        if abs(lam.imag) <= 1e-12 * max(1.0, abs(lam)):
-            prod = (M - lam.real * np.eye(m)) @ prod
-            used.add(j)
-        else:
-            # real quadratic factor absorbs the conjugate partner
-            prod = (M @ M - 2.0 * lam.real * M + (abs(lam) ** 2) * np.eye(m)) @ prod
-            used.add(j)
-            partner = None
-            for j2 in members:
-                if j2 not in used and abs(eigs[j2] - np.conj(lam)) <= 1e-8 * max(1.0, abs(lam)):
-                    partner = j2
-                    break
-            if partner is None:
-                raise ClusterGapError("complex eigenvalue without conjugate partner in cluster")
-            used.add(partner)
-    N = np.linalg.matrix_power(prod, mc)
-    _, s, Vh = np.linalg.svd(N)
-    tol_null = max(s[0], 1e-300) * 1e-8
-    n_null = int(np.sum(s <= tol_null))
-    if n_null != mc or (mc < m and s[m - mc - 1] <= 10.0 * tol_null):
-        raise ClusterGapError(
-            f"annihilator null space has dimension {n_null}, expected {mc}; "
-            "eigenvalue clusters are numerically ill-separated"
-        )
-    return _fix_column_signs(Vh[m - mc:].T)
+    A, space, K = cocycle.linears, cocycle.space, cocycle.period
+    block = np.array(space.block_of_coord)
+    off = np.max(np.abs(A) * (block[:, None] != block[None, :]), axis=(1, 2))
+    mixed = np.flatnonzero(off > 1e-12 * np.maximum(1.0, np.max(np.abs(A), axis=(1, 2))))
+    if mixed.size:
+        raise ValueError(f"fiber map {mixed[0]} is not grading-adapted "
+                         "(linear part has off-block entries)")
+    chi, rates = [], []
+    for i in range(1, space.n_blocks + 1):
+        sl = space.block_slice(i)
+        steps, mi = A[:, sl, sl], sl.stop - sl.start
+        chi.append(float(np.linalg.slogdet(steps)[1].sum()) / (K * mi))
+        P, scale = np.eye(mi), 0
+        for step in math.exp(-chi[-1]) * steps:
+            P = step @ P
+            e = int(np.frexp(np.abs(P).max())[1])
+            P, scale = np.ldexp(P, -e), scale + e
+        with np.errstate(divide="ignore"):
+            log_moduli = np.log(np.abs(np.linalg.eigvals(P))) + scale * math.log(2.0)
+        rates.append(chi[-1] + log_moduli / K)
+    return np.array(chi), rates
 
 
-def _qr_positive(Z: np.ndarray) -> np.ndarray:
-    Q, R = np.linalg.qr(Z)
-    d = np.sign(np.diag(R))
-    d[d == 0.0] = 1.0
-    return Q * d
+def _check_carried(rates: list[np.ndarray], exponents: tuple[float, ...]) -> None:
+    """Raise unless every rate of coordinate block i is nearest chi_i among
+    the exponents."""
+    chi = np.array(exponents)
+    for i, r in enumerate(rates, start=1):
+        astray = r[np.abs(r[:, None] - chi).argmin(axis=1) != i - 1]
+        if astray.size:
+            raise ValueError(
+                f"coordinate block {i} does not carry its exponent chi_{i} = "
+                f"{chi[i - 1]:.6g}: its monodromy has the rate {astray[0]:.6g} (log "
+                "modulus / period), nearest another exponent; order the coordinate "
+                "blocks by increasing exponent")
 
 
 def monodromy_spectrum(
@@ -225,77 +186,70 @@ def monodromy_spectrum(
     epsilon: float,
     resonance_tol: float = 1e-9,
     cluster_tol: float = 1e-6,
-) -> tuple[Spectrum, np.ndarray]:
-    """Lyapunov spectrum and invariant block bases along the orbit.
+) -> Spectrum:
+    """Lyapunov spectrum of a grading-adapted cocycle, one exponent per coordinate block.
 
-    Exponents are log moduli of monodromy eigenvalues divided by the period,
-    clustered with relative tolerance cluster_tol.  Returns the spectrum and
-    the read-only (K, m, m) stack of orthonormal basis matrices, one per
-    orbit point, whose column blocks span the splitting, transported by the
-    cocycle with per-block QR.
+    Exponents and rates are read block by block (``_block_rates``), with
+    the clustering margin cluster_tol * max(1, largest |chi_i|).  The rates
+    of a block chain into one cluster when each is within the margin of the
+    next.  A block whose rates split within ten margins raises
+    ClusterGapError; split wider, it carries two rates, a ValueError naming
+    the block and its extreme rates.  A block with chi_i >= 0 raises
+    NonContractingError, exponents of two blocks within ten margins raise
+    ClusterGapError, and blocks out of increasing order raise a ValueError
+    naming the first block whose rate sits nearest another exponent.
     """
-    K = cocycle.period
-    M = cocycle.monodromy(0)
-    eigs = np.linalg.eigvals(M)
-    moduli = np.abs(eigs)
-    if np.any(moduli >= 1.0):
-        raise NonContractingError(
-            f"monodromy spectral radius {float(np.max(moduli)):.6g} is not < 1"
-        )
-    if np.any(moduli <= 0.0):
-        raise NonContractingError("monodromy is singular")
-    values = np.log(moduli) / K
-
-    clusters = _cluster_chain(values, cluster_tol)
-    scale = max(1.0, float(np.max(np.abs(values))))
-    for a, b in zip(clusters, clusters[1:]):
-        gap = values[b[0]] - values[a[-1]]
-        if gap <= 10.0 * cluster_tol * scale:
-            raise ClusterGapError(
-                f"exponent gap {gap:.3e} is inside the clustering margin "
-                f"{10.0 * cluster_tol * scale:.3e}"
-            )
-
-    exponents = tuple(float(np.mean(values[c])) for c in clusters)
-    multiplicities = tuple(len(c) for c in clusters)
-    spectrum = Spectrum(exponents, multiplicities, epsilon, resonance_tol)
-
-    space = GradedSpace(multiplicities)
-    bases = np.empty((K, cocycle.dim, cocycle.dim))
-    bases[0] = np.hstack([_cluster_basis(M, eigs, c) for c in clusters])
-    for k in range(K - 1):
-        for i in range(1, space.n_blocks + 1):
-            sl = space.block_slice(i)
-            bases[k + 1, :, sl] = _qr_positive(cocycle.linears[k] @ bases[k, :, sl])
-    bases.setflags(write=False)
-    return spectrum, bases
+    chi, rates = _block_rates(cocycle)
+    margin = cluster_tol * max(1.0, float(np.max(np.abs(chi))))
+    for i, r in enumerate(rates, start=1):
+        r = sorted(r.tolist())
+        # equal rates, -inf ones too, are no gap
+        gap = max((b - a for a, b in zip(r, r[1:]) if b > a), default=0.0)
+        if gap > 10.0 * margin:
+            raise ValueError(f"coordinate block {i} carries two rates, {r[0]:.6g} and "
+                             f"{r[-1]:.6g} (log modulus / period); give each rate its "
+                             "own coordinate block")
+        if gap > margin:
+            raise ClusterGapError(f"coordinate block {i} has the rate gap {gap:.3e}, "
+                                  f"inside the clustering margin {10.0 * margin:.3e}")
+    hot = np.flatnonzero(chi >= 0.0)
+    if hot.size:
+        raise NonContractingError(f"coordinate block {hot[0] + 1} has the exponent "
+                                  f"{chi[hot[0]]:.6g} >= 0: it does not contract")
+    exponents = sorted(chi.tolist())
+    for a, b in zip(exponents, exponents[1:]):
+        if b - a <= 10.0 * margin:
+            raise ClusterGapError(f"exponent gap {b - a:.3e} is inside the clustering "
+                                  f"margin {10.0 * margin:.3e}")
+    _check_carried(rates, exponents)
+    return Spectrum(tuple(chi.tolist()), cocycle.space.block_dims, epsilon, resonance_tol)
 
 
 @dataclass(eq=False)
 class LyapunovFrames:
     """Epsilon-weighted inner products at every orbit point, as (K, m, m) stacks.
 
-    grams[k] is the ambient SPD matrix of the inner product at point k,
-    symmetrised on entry (the norm reads only the symmetric part), and
-    bases[k] the orthonormal block basis of the splitting it was built in;
-    horizon and tail_bound record per point how the defining series was
-    truncated: the terms summed in each time direction, and the bound on the
-    dropped tail relative to the Frobenius norm of the sum in the block basis.  The Grams are factorised once: one stacked Cholesky
-    factorisation, grams = cholesky cholesky^T, is the positive-definiteness
-    test, and one stacked eigvalsh gives lambda_min, the least eigenvalue,
-    and k_eps, the square root of the greatest, which bounds the comparison
-    with the euclidean norm from above.
+    grams[k] is the SPD matrix of the inner product at point k in the
+    cocycle's coordinates, symmetrised on entry (the norm reads only the
+    symmetric part); ``lyapunov_frames`` builds it block diagonal over the
+    coordinate blocks.  horizon and tail_bound record per point how the
+    defining series was truncated: the terms summed in each time direction,
+    and the bound on the dropped tail relative to the Frobenius norm of the
+    block-diagonal sum.  The Grams are factorised once: one stacked
+    Cholesky factorisation, grams = cholesky cholesky^T, is the
+    positive-definiteness test, and one stacked eigvalsh gives lambda_min,
+    the least eigenvalue, and k_eps, the square root of the greatest, which
+    bounds the comparison with the euclidean norm from above.
     """
 
     grams: np.ndarray
-    bases: np.ndarray
     horizon: np.ndarray | int = 0
     tail_bound: np.ndarray | float = 0.0
 
     def __post_init__(self):
         G = np.asarray(self.grams, dtype=float)
-        if G.ndim != 3 or G.shape[1] != G.shape[2] or np.shape(self.bases) != G.shape:
-            raise ValueError("grams and bases must be (K, m, m) stacks of one shape")
+        if G.ndim != 3 or G.shape[1] != G.shape[2]:
+            raise ValueError("grams must be a (K, m, m) stack")
         self.grams = 0.5 * (G + G.transpose(0, 2, 1))
         self.horizon = np.broadcast_to(self.horizon, len(G))
         self.tail_bound = np.broadcast_to(self.tail_bound, len(G))
@@ -307,20 +261,6 @@ class LyapunovFrames:
         self.lambda_min, self.k_eps = eigs[:, 0], np.sqrt(eigs[:, -1])
         self.grams.setflags(write=False)
         self.cholesky.setflags(write=False)
-
-
-def _block_restrictions(cocycle: OrbitCocycle, bases: np.ndarray,
-                        block_slice: slice) -> np.ndarray:
-    """(K, mc, mc) stack of the cocycle's steps restricted to one invariant block."""
-    A, V = cocycle.linears, bases[:, :, block_slice]
-    W = np.roll(V, -1, axis=0)
-    C = W.transpose(0, 2, 1) @ A @ V
-    residual = np.linalg.norm(A @ V - W @ C, axis=(1, 2))
-    moved = np.flatnonzero(residual > 1e-8 * np.maximum(1.0, np.linalg.norm(A, axis=(1, 2))))
-    if moved.size:
-        raise ValueError(f"block basis is not invariant under fiber map {moved[0]} "
-                         f"(residual {residual[moved[0]]:.3e})")
-    return C
 
 
 def _frobenius(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
@@ -401,38 +341,35 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
 def lyapunov_frames(
     cocycle: OrbitCocycle,
     spectrum: Spectrum,
-    bases: np.ndarray,
     tail_tol: float = 1e-12,
 ) -> LyapunovFrames:
     """Build the epsilon-weighted frames at every orbit point.
 
-    Per block i, with F_k = exp(-chi_i) times the block step at point k, the
-    forward sum is the fixed point G_k = I + exp(-eps) F_k^T G_{k+1} F_k and
-    the backward one the same in the inverse steps, going back one point a
-    step.  One ``_transported_sum`` takes every block, zero-padded to the
-    largest, and both directions, as 2K phases, with X = exp(-eps/2) F^T and
-    Y = exp(-eps/2) F, each direction within tail_tol/2 of its own Frobenius
-    norm; the n = 0 identity of both is taken off once.  Either direction's
-    sum is at most the Gram, so the two tail bounds together stay within
-    tail_tol of the Gram's Frobenius norm, the recorded tail_bound.  The
-    ambient Gram is dim * blockdiag(per-block sums) pulled back through the
-    block basis, which makes it dominate the euclidean Gram.
+    The coordinate blocks are the splitting, so the step of block i at point
+    k is the block slice A_k[i] of the linear parts.  Per block i, with F_k
+    = exp(-chi_i) A_k[i], the forward sum is the fixed point G_k = I +
+    exp(-eps) F_k^T G_{k+1} F_k and the backward one the same in the inverse
+    steps, going back one point a step.  One ``_transported_sum`` takes every
+    block, zero-padded to the largest, and both directions, as 2K phases,
+    with X = exp(-eps/2) F^T and Y = exp(-eps/2) F, each direction within
+    tail_tol/2 of its own Frobenius norm; the n = 0 identity of both is taken
+    off once.  Either direction's sum is at most the Gram, so the two tail
+    bounds together stay within tail_tol of the Gram's Frobenius norm, the
+    recorded tail_bound.  The ambient Gram is dim * blockdiag(per-block
+    sums), which makes it dominate the euclidean Gram.
     """
     if spectrum.epsilon <= 0.0:
         raise ValueError("frames need a positive epsilon")
-    K, m = cocycle.period, cocycle.dim
-    if np.shape(bases) != (K, m, m):
-        raise ValueError("need one basis per orbit point")
-    space = GradedSpace(spectrum.multiplicities)
-    if space.dim != m:
-        raise ValueError("spectrum multiplicities do not match the cocycle dimension")
+    K, m, space = cocycle.period, cocycle.dim, cocycle.space
+    if spectrum.multiplicities != space.block_dims:
+        raise ValueError("spectrum multiplicities do not match the coordinate grading")
 
     slices = [space.block_slice(i) for i in range(1, space.n_blocks + 1)]
     dims = np.array(space.block_dims)
     d = int(dims.max())
     Y = np.zeros((space.n_blocks, 2 * K, d, d))
     for t, (chi, sl) in enumerate(zip(spectrum.exponents, slices)):
-        F = math.exp(-chi) * _block_restrictions(cocycle, bases, sl)
+        F = math.exp(-chi) * cocycle.linears[:, sl, sl]
         # row k steps forward from point k, row K + k back from it
         Y[t, :, :dims[t], :dims[t]] = np.concatenate([F, np.roll(np.linalg.inv(F), 1, axis=0)])
     Y *= math.exp(-spectrum.epsilon / 2)
@@ -449,9 +386,7 @@ def lyapunov_frames(
     for t, sl in enumerate(slices):
         G_blocks[:, sl, sl] = G[t, :, :dims[t], :dims[t]]
     tail = (tails[:K] + tails[K:]) / _frobenius(G_blocks)
-    Binv = np.linalg.inv(bases)
-    G_amb = Binv.transpose(0, 2, 1) @ (m * G_blocks) @ Binv
-    frames = LyapunovFrames(G_amb, bases, horizon, tail)
+    frames = LyapunovFrames(m * G_blocks, horizon, tail)
     low = np.flatnonzero(frames.lambda_min < 1.0 - 1e-6)
     if low.size:
         raise ValueError(f"frame gram fails to dominate the euclidean product "
@@ -515,11 +450,12 @@ def log_envelopes(
     """Exact extreme log growth of every block in the frame norms.
 
     For orbit point k, block i and step n, the log of the least and the
-    greatest ratio ||Phi(k, n) u||_{k+n} / ||u||_k over the block-i vectors u
-    of frames.bases[k].  With the frames' Cholesky factors G_k = L_k L_k^T
-    and R_{k,i} the triangular factor of L_k^T V_{k,i}, so that ||V c||_k =
-    ||R c||, these are the log extreme singular values of
-    L_{k+n}^T Phi(k, n) V_{k,i} R_{k,i}^{-1}.  Returns the steps
+    greatest ratio ||Phi(k, n) u||_{k+n} / ||u||_k over the vectors u on the
+    coordinates of block i.  With the frames' Cholesky factors
+    G_k = L_k L_k^T and R_{k,i} the triangular factor of the block-i columns
+    of L_k^T, so that ||u||_k = ||R_{k,i} u_i|| for u_i the block-i part of
+    u, these are the log extreme singular values of the block-i columns of
+    L_{k+n}^T Phi(k, n), times R_{k,i}^{-1}.  Returns the steps
     -n_max..-1, 1..n_max and, per block, an array of shape (K, 2 n_max, 2)
     holding (log sigma_min, log sigma_max).
     """
@@ -541,9 +477,9 @@ def log_envelopes(
     space = GradedSpace(tuple(block_dims))
     envelopes = []
     for i in range(1, space.n_blocks + 1):
-        V = frames.bases[:, :, space.block_slice(i)]
-        R = np.linalg.qr(LT @ V, mode="r")
-        sigma = np.linalg.svd(pushed @ (V @ np.linalg.inv(R))[:, None], compute_uv=False)
+        sl = space.block_slice(i)
+        R = np.linalg.qr(LT[..., sl], mode="r")
+        sigma = np.linalg.svd(pushed[..., sl] @ np.linalg.inv(R)[:, None], compute_uv=False)
         envelopes.append(np.log(sigma[..., [-1, 0]]))
     return steps, envelopes
 

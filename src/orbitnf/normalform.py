@@ -60,7 +60,8 @@ import numpy as np
 
 # the series errors are raised by cocycle._transported_sum and re-exported here
 from .cocycle import (LyapunovFrames, OrbitCocycle, SeriesBudgetError, SeriesStagnationError,
-                      _rebalance, _transported_sum, lyapunov_frames, monodromy_spectrum)
+                      _block_rates, _check_carried, _rebalance, _transported_sum,
+                      lyapunov_frames, monodromy_spectrum)
 from .grading import Spectrum, SubResStructure, _type_table, contraction_factor
 from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, compose_jets,
                       composition_table, degree_cols, jet_width, stack_jets, top_degree)
@@ -193,12 +194,13 @@ class SolverContext:
     The periodic solver requires a grading-adapted cocycle: the coordinate
     blocks are the splitting, so the linear parts must be block diagonal (up
     to 1e-12 relative), their block sizes must match the spectrum
-    multiplicities, and block i must carry exponent chi_i: every eigenvalue
-    of its monodromy has log modulus / K nearest chi_i among the exponents.  That is what splits the degree operators type by type.
+    multiplicities, and block i must carry exponent chi_i: every rate that
+    ``cocycle._block_rates`` reads from block i is nearest chi_i among the
+    exponents.  That is what splits the degree operators type by type.
 
     The solve bounds its series tails by per-type transfer norms, not by
-    the Lyapunov frames: ``frames`` builds them from ``bases`` and
-    ``tail_tol`` on first read, for the sandwich check and the report.
+    the Lyapunov frames: ``frames`` builds them with ``tail_tol`` on first
+    read, for the sandwich check and the report.
     The composition table of the fiber maps (``table``), the inverses of the
     linear parts (``ainvs``) and the degree operators (``operators``, by
     degree) are built on first use in a solve, and every later solve on the
@@ -208,7 +210,6 @@ class SolverContext:
     cocycle: OrbitCocycle
     spectrum: Spectrum
     order: int
-    bases: np.ndarray = ()
     tail_tol: float = 1e-12
     series_tol: float = 1e-13
     max_series_terms: int = 10_000
@@ -224,25 +225,7 @@ class SolverContext:
             )
         if self.order >= 2:
             contraction_factor(self.spectrum, self.order)
-        A, space = np.abs(self.cocycle.linears), self.cocycle.space
-        block = np.array(space.block_of_coord)
-        off = np.max(A * (block[:, None] != block[None, :]), axis=(1, 2))
-        mixed = np.flatnonzero(off > 1e-12 * np.maximum(1.0, np.max(A, axis=(1, 2))))
-        if mixed.size:
-            raise ValueError(f"fiber map {mixed[0]} is not grading-adapted "
-                             "(linear part has off-block entries)")
-        chi = np.array(self.spectrum.exponents)
-        M = self.cocycle.monodromy(0)
-        for i in range(1, space.n_blocks + 1):
-            sl = space.block_slice(i)
-            rates = np.log(np.abs(np.linalg.eigvals(M[sl, sl]))) / self.cocycle.period
-            astray = rates[np.abs(rates[:, None] - chi).argmin(axis=1) != i - 1]
-            if astray.size:
-                raise ValueError(
-                    f"coordinate block {i} does not carry its exponent chi_{i} = "
-                    f"{chi[i - 1]:.6g}: its monodromy has the rate {astray[0]:.6g} (log "
-                    "modulus / period), nearest another exponent; order the coordinate "
-                    "blocks by increasing exponent")
+        _check_carried(_block_rates(self.cocycle)[1], self.spectrum.exponents)
         self.operators: dict[int, _DegreeOperator] = {}
 
     @classmethod
@@ -250,10 +233,9 @@ class SolverContext:
                 resonance_tol: float = 1e-9, cluster_tol: float = 1e-6,
                 tail_tol: float = 1e-12, series_tol: float = 1e-13,
                 max_series_terms: int = 10_000) -> "SolverContext":
-        """Extract spectrum and splitting from the cocycle, then build a context."""
-        spectrum, bases = monodromy_spectrum(cocycle, epsilon, resonance_tol, cluster_tol)
-        return cls(cocycle, spectrum, order, bases, tail_tol,
-                   series_tol=series_tol, max_series_terms=max_series_terms)
+        """Read the spectrum from the coordinate blocks, then build a context."""
+        spectrum = monodromy_spectrum(cocycle, epsilon, resonance_tol, cluster_tol)
+        return cls(cocycle, spectrum, order, tail_tol, series_tol, max_series_terms)
 
     @property
     def structure(self) -> SubResStructure:
@@ -262,7 +244,7 @@ class SolverContext:
     @cached_property
     def frames(self) -> LyapunovFrames:
         """The epsilon-weighted frames at every orbit point, built once."""
-        return lyapunov_frames(self.cocycle, self.spectrum, self.bases, self.tail_tol)
+        return lyapunov_frames(self.cocycle, self.spectrum, self.tail_tol)
 
     @cached_property
     def table(self) -> tuple[np.ndarray, ...]:

@@ -19,9 +19,20 @@ from orbitnf.polymap import GradedSpace
 
 
 def euclidean_frames(period, dim):
-    """Frames whose Grams and bases are all the identity."""
-    eye = np.broadcast_to(np.eye(dim), (period, dim, dim))
-    return LyapunovFrames(eye, eye)
+    """Frames whose Grams are all the identity."""
+    return LyapunovFrames(np.broadcast_to(np.eye(dim), (period, dim, dim)))
+
+
+def linear_iterate(cocycle, base, n):
+    """Matrix of the n-step linear cocycle from orbit point base, one step at a time."""
+    M = np.eye(cocycle.dim)
+    if n >= 0:
+        for j in range(n):
+            M = cocycle.linears[(base + j) % cocycle.period] @ M
+        return M
+    for j in range(-n):
+        M = M @ cocycle.linears[(base - 1 - j) % cocycle.period]
+    return np.linalg.inv(M)
 
 
 def frame_norm(frames, k, u):
@@ -43,7 +54,7 @@ def sandwich_sample(cocycle, spectrum, frames, n_max=None, samples=8, seed=0):
     keps_ok = True
     ratios = {}
     for k in range(K):
-        iterates = {n: cocycle.linear_iterate(k, n)
+        iterates = {n: linear_iterate(cocycle, k, n)
                     for n in range(-n_max, n_max + 1) if n != 0}
         for _ in range(samples):
             w = rng.standard_normal(cocycle.dim)
@@ -54,10 +65,9 @@ def sandwich_sample(cocycle, spectrum, frames, n_max=None, samples=8, seed=0):
         for i in range(1, space.n_blocks + 1):
             sl = space.block_slice(i)
             chi = spectrum.exponents[i - 1]
-            Vb = frames.bases[k][:, sl]
             for _ in range(samples):
-                c = rng.standard_normal(Vb.shape[1])
-                u = Vb @ c
+                u = np.zeros(cocycle.dim)
+                u[sl] = rng.standard_normal(sl.stop - sl.start)
                 nu = frame_norm(frames, k, u)
                 if nu == 0.0:
                     continue

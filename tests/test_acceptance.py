@@ -181,15 +181,15 @@ def test_08_lyapunov_machinery(solved):
     space2 = GradedSpace((1, 1))
     maps = (PolyMap.from_linear(np.diag([0.2, 0.5]), space2, space2, 1),
             PolyMap.from_linear(np.diag([0.3, 0.6]), space2, space2, 1))
-    spec2, _ = monodromy_spectrum(OrbitCocycle(space2, maps), epsilon=0.05)
+    spec2 = monodromy_spectrum(OrbitCocycle(space2, maps), epsilon=0.05)
     closed = (math.log(0.06) / 2.0, math.log(0.30) / 2.0)
     mono_err = max(abs(a - b) for a, b in zip(spec2.exponents, closed))
 
     space1 = GradedSpace((1,))
     scalar = OrbitCocycle(space1, (PolyMap.from_linear(
         np.array([[math.exp(-1.0)]]), space1, space1, 1),))
-    spec1, bases1 = monodromy_spectrum(scalar, epsilon=0.1)
-    frames1 = lyapunov_frames(scalar, spec1, bases1)
+    spec1 = monodromy_spectrum(scalar, epsilon=0.1)
+    frames1 = lyapunov_frames(scalar, spec1)
     keps_err = abs(frames1.k_eps[0]
                    - math.sqrt(2.0 / (1.0 - math.exp(-0.1)) - 1.0))
 

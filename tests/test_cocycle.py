@@ -16,13 +16,13 @@ from orbitnf.cocycle import (
     NonContractingError,
     OrbitCocycle,
     TailCertificationError,
-    _block_restrictions,
     log_envelopes,
     lyapunov_frames,
     monodromy_spectrum,
     sandwich_check,
 )
 from orbitnf.grading import Spectrum
+from orbitnf.normalform import SolverContext
 from orbitnf.polymap import GradedSpace, PolyMap
 from orbitnf.scenarios import build_builtin, random_cocycle, random_scenario
 
@@ -71,20 +71,21 @@ class TestOrbitCocycle:
             OrbitCocycle(plane, maps)
 
     def test_linear_iterate_composition(self):
+        # the n-step products of the sampled reference sandwich check, whose
+        # steps are taken modulo the period
         A0 = np.diag([0.2, 0.5]) @ rotation(0.3)
         A1 = rotation(-0.7) @ np.diag([0.3, 0.6])
         c = linear_cocycle([A0, A1])
-        fwd = c.linear_iterate(0, 3)
+        fwd = sandwich_reference.linear_iterate(c, 0, 3)
         assert np.allclose(fwd, A0 @ A1 @ A0, atol=1e-14)
-        back = c.linear_iterate(3, -3)
+        back = sandwich_reference.linear_iterate(c, 3, -3)
         assert np.allclose(back @ fwd, np.eye(2), atol=1e-12)
-        assert np.allclose(c.linear_iterate(1, -1), np.linalg.inv(A0), atol=1e-13)
+        assert np.allclose(sandwich_reference.linear_iterate(c, 1, -1), np.linalg.inv(A0),
+                           atol=1e-13)
 
     def test_aperiodic_dict_rejected(self):
         c = linear_cocycle([np.diag([0.5, 0.5])])
-        # linear(k) is a read-only view of the stack, taken modulo the period
         assert c.linears.shape == (1, 2, 2) and not c.linears.flags.writeable
-        assert np.shares_memory(c.linear(3), c.linears[0])
         d = c.to_dict()
         assert "periodic" not in d
         assert OrbitCocycle.from_dict(dict(d, periodic=True)).period == 1
@@ -113,100 +114,120 @@ class TestOrbitCocycle:
             assert a.coeffs == b.coeffs
 
 
+def two_rates(block, low, high):
+    """The error of a coordinate block carrying the rates low and high."""
+    return (f"coordinate block {block} carries two rates, {low:.6g} and {high:.6g} "
+            r"\(log modulus / period\)")
+
+
 class TestMonodromySpectrum:
     def test_period2_diagonal_exact(self):
-        c = linear_cocycle([np.diag([0.2, 0.5]), np.diag([0.3, 0.6])])
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
-        assert spec.exponents == pytest.approx(
-            (math.log(0.06) / 2.0, math.log(0.30) / 2.0), abs=1e-14
-        )
+        rates = (math.log(0.06) / 2.0, math.log(0.30) / 2.0)
+        steps = [np.diag([0.2, 0.5]), np.diag([0.3, 0.6])]
+        spec = monodromy_spectrum(linear_cocycle(steps, block_dims=(1, 1)), epsilon=0.05)
+        assert spec.exponents == pytest.approx(rates, abs=1e-14)
         assert spec.multiplicities == (1, 1)
-        assert len(bases) == 2
-        for B in bases:
-            assert np.allclose(np.abs(B), np.eye(2), atol=1e-12)
+        # one coordinate block carrying both rates is no splitting
+        with pytest.raises(ValueError, match=two_rates(1, *rates)):
+            monodromy_spectrum(linear_cocycle(steps), epsilon=0.05)
 
     def test_jordan_single_cluster(self):
         A = np.array([[math.exp(-1.0), 1.0], [0.0, math.exp(-1.0)]])
         c = linear_cocycle([A])
-        spec, bases = monodromy_spectrum(c, epsilon=0.1)
+        spec = monodromy_spectrum(c, epsilon=0.1)
         assert spec.multiplicities == (2,)
         assert spec.exponents[0] == pytest.approx(-1.0, abs=1e-12)
-        assert np.allclose(bases[0], np.eye(2))
 
     def test_complex_pair_plus_real(self):
         A = np.zeros((3, 3))
         A[:2, :2] = 0.4 * rotation(0.9)
         A[2, 2] = 0.7
-        c = linear_cocycle([A])
-        spec, bases = monodromy_spectrum(c, epsilon=0.02)
+        spec = monodromy_spectrum(linear_cocycle([A], block_dims=(2, 1)), epsilon=0.02)
         assert spec.exponents == pytest.approx((math.log(0.4), math.log(0.7)), abs=1e-12)
         assert spec.multiplicities == (2, 1)
-        B = bases[0]
-        P_fast = B[:, :2] @ B[:, :2].T
-        expected = np.diag([1.0, 1.0, 0.0])
-        assert np.allclose(P_fast, expected, atol=1e-10)
-        assert np.allclose(np.abs(B[:, 2]), [0.0, 0.0, 1.0], atol=1e-10)
+        with pytest.raises(ValueError, match=two_rates(1, math.log(0.4), math.log(0.7))):
+            monodromy_spectrum(linear_cocycle([A]), epsilon=0.02)
 
     def test_rotated_splitting_recovered(self):
+        # a splitting that is not the coordinate blocks is not recovered: the
+        # blocks (2, 1) are not invariant, and one block carries two rates
         rng = np.random.default_rng(7)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         D = np.diag([0.1, 0.1 * (1.0 + 5e-8), 0.5])
         A = Q @ D @ Q.T
-        c = linear_cocycle([A])
-        spec, bases = monodromy_spectrum(c, epsilon=0.01)
-        # near-equal fast moduli merge into one block
+        with pytest.raises(ValueError, match="fiber map 0 is not grading-adapted"):
+            monodromy_spectrum(linear_cocycle([A], block_dims=(2, 1)), epsilon=0.01)
+        # the near-equal fast moduli chain into one rate
+        with pytest.raises(ValueError, match=two_rates(1, math.log(0.1), math.log(0.5))):
+            monodromy_spectrum(linear_cocycle([A]), epsilon=0.01)
+        # in the adapted coordinates the fast pair is one block
+        spec = monodromy_spectrum(linear_cocycle([D], block_dims=(2, 1)), epsilon=0.01)
         assert spec.multiplicities == (2, 1)
-        B = bases[0]
-        proj = B[:, :2] @ B[:, :2].T
-        true_proj = Q[:, :2] @ Q[:, :2].T
-        assert np.linalg.norm(proj - true_proj) <= 1e-9
+        assert spec.exponents == pytest.approx((math.log(0.1), math.log(0.5)), abs=1e-7)
 
     def test_invariance_along_orbit(self):
+        # the coordinate blocks are invariant: every frame Gram is exactly
+        # zero off them
         A0 = np.diag([0.2, 0.5]) @ rotation(0.0)
         A1 = np.diag([0.3, 0.6])
-        c = linear_cocycle([A0, A1])
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
-        space = GradedSpace(spec.multiplicities)
-        for k in range(2):
-            A = c.linear(k)
-            Bn = bases[(k + 1) % 2]
-            for i in range(1, space.n_blocks + 1):
-                sl = space.block_slice(i)
-                V = bases[k][:, sl]
-                W = Bn[:, sl]
-                resid = np.linalg.norm(A @ V - W @ (W.T @ A @ V))
-                assert resid <= 1e-12
+        c = linear_cocycle([A0, A1], block_dims=(1, 1))
+        spec = monodromy_spectrum(c, epsilon=0.05)
+        frames = lyapunov_frames(c, spec)
+        assert np.all(frames.grams[:, 0, 1] == 0.0) and np.all(frames.grams[:, 1, 0] == 0.0)
 
     def test_non_contracting_raises(self):
-        c = linear_cocycle([np.diag([1.2, 0.5])])
-        with pytest.raises(NonContractingError):
+        c = linear_cocycle([np.diag([0.5, 1.2])], block_dims=(1, 1))
+        with pytest.raises(NonContractingError, match="coordinate block 2 has the exponent"):
             monodromy_spectrum(c, epsilon=0.05)
+        with pytest.raises(ValueError, match=two_rates(1, math.log(0.5), math.log(1.2))):
+            monodromy_spectrum(linear_cocycle([np.diag([1.2, 0.5])]), epsilon=0.05)
 
     def test_cluster_gap_raises(self):
-        c = linear_cocycle([np.diag([0.5, 0.5 * (1.0 + 3e-6)])])
-        with pytest.raises(ClusterGapError):
-            monodromy_spectrum(c, epsilon=0.05, cluster_tol=1e-6)
+        # rates 3e-6 apart, between one and ten margins of 1e-6: inside the
+        # margin whether they sit in two blocks or in one
+        A = np.diag([0.5, 0.5 * (1.0 + 3e-6)])
+        for dims in ((1, 1), (2,)):
+            with pytest.raises(ClusterGapError, match="inside the clustering margin"):
+                monodromy_spectrum(linear_cocycle([A], dims), epsilon=0.05, cluster_tol=1e-6)
 
     def test_near_equal_moduli_merge(self):
         c = linear_cocycle([np.diag([0.5, 0.5 * (1.0 + 1e-9)])])
-        spec, bases = monodromy_spectrum(c, epsilon=0.05, cluster_tol=1e-6)
+        spec = monodromy_spectrum(c, epsilon=0.05, cluster_tol=1e-6)
         assert spec.multiplicities == (2,)
         assert spec.exponents[0] == pytest.approx(math.log(0.5), abs=1e-9)
+        # a hundredth of that margin tells the two rates apart
+        with pytest.raises(ValueError, match="coordinate block 1 carries two rates"):
+            monodromy_spectrum(c, epsilon=0.05, cluster_tol=1e-11)
+
+    @pytest.mark.parametrize("period", [32, 64, 256, 1024])
+    def test_long_period_prepare(self, period):
+        # the product over a period sinks the fast block e^(-1.2 K) below the
+        # slow one's rounding from K ~ 32 and underflows at 1024; read block
+        # by block, each exponent stays exact
+        c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), period,
+                           amp=0.05, degree=4, wobble=0.05)
+        ctx = SolverContext.prepare(c, 0.04, 4)
+        assert ctx.spectrum.multiplicities == (2, 2)
+        assert ctx.spectrum.exponents == pytest.approx((-2.0, -0.8), abs=1e-12)
+        # as one block, the fast rate may sink below what the renormalised
+        # product resolves, and still splits off
+        with pytest.raises(ValueError, match="coordinate block 1 carries two rates"):
+            monodromy_spectrum(linear_cocycle(c.linears), 0.04)
 
 
 class TestLyapunovFrames:
     def test_scalar_closed_form(self):
         c = linear_cocycle([np.array([[math.exp(-1.0)]])])
-        spec, bases = monodromy_spectrum(c, epsilon=0.1)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=0.1)
+        frames = lyapunov_frames(c, spec)
         expected = math.sqrt(scalar_closed_form(0.1))
         assert frames.k_eps[0] == pytest.approx(expected, rel=1e-9)
         assert frames.tail_bound[0] <= 1e-10
 
     def test_two_block_diagonal(self):
         c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
-        spec, bases = monodromy_spectrum(c, epsilon=0.1)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=0.1)
+        frames = lyapunov_frames(c, spec)
         G = frames.grams[0]
         S = scalar_closed_form(0.1)
         assert abs(G[0, 1]) <= 1e-12
@@ -214,19 +235,26 @@ class TestLyapunovFrames:
         assert G[1, 1] == pytest.approx(2.0 * S, rel=1e-9)
 
     def test_gram_dominates_euclidean(self):
+        # a rotating two-dimensional block beside a scalar one, each carrying
+        # one rate
         rng = np.random.default_rng(11)
-        c = linear_cocycle(
-            [np.diag([0.2, 0.5]) @ rotation(0.4), rotation(-0.2) @ np.diag([0.3, 0.6])]
-        )
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
-        frames = lyapunov_frames(c, spec, bases)
-        assert frames.grams.shape == (2, 2, 2)
+        steps = []
+        for fast, slow, theta in ((0.2, 0.5, 0.4), (0.3, 0.6, -0.2)):
+            A = np.zeros((3, 3))
+            A[:2, :2], A[2, 2] = fast * rotation(theta), slow
+            steps.append(A)
+        c = linear_cocycle(steps, block_dims=(2, 1))
+        spec = monodromy_spectrum(c, epsilon=0.05)
+        assert spec.exponents == pytest.approx((math.log(0.06) / 2.0, math.log(0.30) / 2.0),
+                                               abs=1e-14)
+        frames = lyapunov_frames(c, spec)
+        assert frames.grams.shape == (2, 3, 3)
         for k, G in enumerate(frames.grams):
             lam = np.linalg.eigvalsh(G)
             assert lam[0] >= 1.0 - 1e-6
             assert frames.lambda_min[k] == lam[0]
             for _ in range(20):
-                u = rng.standard_normal(2)
+                u = rng.standard_normal(3)
                 norm = sandwich_reference.frame_norm(frames, k, u)
                 assert norm >= np.linalg.norm(u) * (1.0 - 1e-9)
                 assert norm <= frames.k_eps[k] * np.linalg.norm(u) * (1.0 + 1e-9)
@@ -234,8 +262,8 @@ class TestLyapunovFrames:
     def test_jordan_block_certified(self):
         A = np.array([[math.exp(-1.0), 1.0], [0.0, math.exp(-1.0)]])
         c = linear_cocycle([A])
-        spec, bases = monodromy_spectrum(c, epsilon=0.1)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=0.1)
+        frames = lyapunov_frames(c, spec)
         assert frames.tail_bound[0] <= 1e-10
         assert frames.horizon[0] > 10
 
@@ -246,8 +274,8 @@ class TestLyapunovFrames:
         eps = 0.02
         A = np.array([[math.exp(-1.0), shear], [0.0, math.exp(-1.0)]])
         c = linear_cocycle([A])
-        spec, bases = monodromy_spectrum(c, epsilon=eps)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=eps)
+        frames = lyapunov_frames(c, spec)
         rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-8
         assert rep.keps_ok and rep.passed
@@ -255,8 +283,7 @@ class TestLyapunovFrames:
         R_inv = np.linalg.inv(R)
         G = (kronecker_gram(np.eye(2), R, math.exp(-eps))
              + kronecker_gram(math.exp(-eps) * R_inv.T @ R_inv, R_inv, math.exp(-eps)))
-        B_inv = np.linalg.inv(frames.bases[0])
-        expected = B_inv.T @ (2.0 * G) @ B_inv
+        expected = 2.0 * G
         assert np.max(np.abs(frames.grams[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_one_stacked_factorisation_equals_per_point(self):
@@ -264,10 +291,8 @@ class TestLyapunovFrames:
         # bits of one factorisation per orbit point
         c = random_cocycle(np.random.default_rng(3), (-2.0, -0.8), (2, 1), 3,
                            degree=1, wobble=0.3)
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
-        assert bases.shape == (3, 3, 3) and not bases.flags.writeable
-        frames = lyapunov_frames(c, spec, bases)
-        assert frames.bases is bases
+        spec = monodromy_spectrum(c, epsilon=0.05)
+        frames = lyapunov_frames(c, spec)
         assert frames.horizon.shape == frames.tail_bound.shape == (3,)
         for k, G in enumerate(frames.grams):
             lam = np.linalg.eigvalsh(G)
@@ -277,14 +302,14 @@ class TestLyapunovFrames:
 
     def test_zero_epsilon_rejected(self):
         c = linear_cocycle([np.array([[0.5]])])
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
+        spec = monodromy_spectrum(c, epsilon=0.05)
         spec0 = type(spec)(spec.exponents, spec.multiplicities, 0.0)
         with pytest.raises(ValueError):
-            lyapunov_frames(c, spec0, bases)
+            lyapunov_frames(c, spec0)
 
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError, match="not positive definite"):
-            LyapunovFrames(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.eye(2)[None])
+            LyapunovFrames(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
 
 
 def skewed_block_cocycle(rng, dim, period, chi, wobble=0.2):
@@ -309,10 +334,10 @@ def jordan_block(shear):
 
 
 def block_frames(restrictions, chi, eps, tail_tol=1e-12):
-    """Frames of the one-block cocycle stepping by the restrictions, in identity bases."""
-    K, mc = len(restrictions), len(restrictions[0])
+    """Frames of the one-block cocycle stepping by the restrictions."""
+    mc = len(restrictions[0])
     return lyapunov_frames(linear_cocycle(restrictions), Spectrum((chi,), (mc,), eps),
-                           np.broadcast_to(np.eye(mc), (K, mc, mc)), tail_tol)
+                           tail_tol)
 
 
 def assert_gram_within_tails(G, tail, restrictions, chi, eps, start, tail_tol):
@@ -393,19 +418,19 @@ class TestBlockGrams:
         for index in range(12, 24):
             scenario = random_scenario(index)
             c, config = scenario.cocycle, scenario.config
-            spectrum, bases = monodromy_spectrum(c, float(config["epsilon"]),
-                                                 float(config["resonance_tol"]),
-                                                 float(config["cluster_tol"]))
+            spectrum = monodromy_spectrum(c, float(config["epsilon"]),
+                                          float(config["resonance_tol"]),
+                                          float(config["cluster_tol"]))
             tail_tol = float(config["tail_tol"])
-            frames = lyapunov_frames(c, spectrum, bases, tail_tol)
+            frames = lyapunov_frames(c, spectrum, tail_tol)
             assert np.all((0.0 < frames.tail_bound) & (frames.tail_bound <= tail_tol))
-            # back in the block bases: dim times the block-diagonal sums
-            G = bases.transpose(0, 2, 1) @ frames.grams @ bases / c.dim
+            # dim times the block-diagonal sums
+            G = frames.grams / c.dim
             tails = frames.tail_bound * np.linalg.norm(G, axis=(1, 2))
             space = GradedSpace(spectrum.multiplicities)
             for i, chi in enumerate(spectrum.exponents, start=1):
                 sl = space.block_slice(i)
-                restrictions = list(_block_restrictions(c, bases, sl))
+                restrictions = list(c.linears[:, sl, sl])
                 for k in range(c.period):
                     assert_gram_within_tails(G[k, sl, sl], tails[k], restrictions, chi,
                                              spectrum.epsilon, k, tail_tol)
@@ -414,8 +439,8 @@ class TestBlockGrams:
 class TestSandwich:
     def test_diagonal_tight(self):
         c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
-        spec, bases = monodromy_spectrum(c, epsilon=0.1)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=0.1)
+        frames = lyapunov_frames(c, spec)
         rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-8
         assert rep.keps_ok
@@ -432,7 +457,7 @@ class TestSandwich:
         c = linear_cocycle(
             [np.diag([a1[0], a2[0]]), np.diag([a1[1], a2[1]])], block_dims=(1, 1)
         )
-        spec, _ = monodromy_spectrum(c, epsilon=0.05)
+        spec = monodromy_spectrum(c, epsilon=0.05)
         frames = sandwich_reference.euclidean_frames(2, 2)
         narrow = dataclasses.replace(spec, epsilon=0.01)
         violation = sandwich_check(c, narrow, frames).max_violation
@@ -450,9 +475,9 @@ class TestSandwich:
         c = linear_cocycle(
             [np.diag([a1[0], a2[0]]), np.diag([a1[1], a2[1]])], block_dims=(1, 1)
         )
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
+        spec = monodromy_spectrum(c, epsilon=0.05)
         assert spec.exponents == pytest.approx((-2.0, -1.0), abs=1e-12)
-        frames = lyapunov_frames(c, spec, bases)
+        frames = lyapunov_frames(c, spec)
         rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-6
         assert rep.keps_ok
@@ -465,9 +490,9 @@ class TestSandwich:
         A1[:2, :2] = math.exp(-1.5) * rotation(-0.3)
         A1[2, 2] = math.exp(-0.5)
         c = linear_cocycle([A0, A1], block_dims=(2, 1))
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
+        spec = monodromy_spectrum(c, epsilon=0.05)
         assert spec.multiplicities == (2, 1)
-        frames = lyapunov_frames(c, spec, bases)
+        frames = lyapunov_frames(c, spec)
         rep = sandwich_check(c, spec, frames)
         assert rep.max_violation <= 1e-6
 
@@ -478,7 +503,7 @@ class TestSandwich:
         A0 = np.diag([math.exp(-1.0 + 0.03), math.exp(-1.0 - 0.03)])
         A1 = np.diag([math.exp(-1.0 - 0.03), math.exp(-1.0 + 0.03)])
         c = linear_cocycle([A0, A1])
-        spec, _ = monodromy_spectrum(c, epsilon=0.01)
+        spec = monodromy_spectrum(c, epsilon=0.01)
         assert spec.multiplicities == (2,)
         frames = sandwich_reference.euclidean_frames(2, 2)
         rep = sandwich_check(c, spec, frames)
@@ -492,8 +517,8 @@ class TestSandwich:
         # one that a running maximum drops
         scenario = build_builtin("koenigs_period2")
         c = scenario.cocycle
-        spec, bases = monodromy_spectrum(c, float(scenario.config["epsilon"]))
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, float(scenario.config["epsilon"]))
+        frames = lyapunov_frames(c, spec)
         assert sandwich_check(c, spec, frames).passed
 
         def with_nan(*args, _fn=cocycle_module.log_envelopes):
@@ -506,15 +531,26 @@ class TestSandwich:
         assert math.isnan(rep.max_violation)
         assert rep.passed is False and rep.to_dict()["passed"] is False
 
+    @pytest.mark.parametrize("period", [32, 64])
+    def test_long_period_verdict(self, period):
+        # a splitting off the coordinate blocks by rounding alone leaks the
+        # slow block into the fast one by e^(1.2 n) times that rounding;
+        # block-diagonal products keep exact zeros off the blocks
+        c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), period,
+                           amp=0.05, degree=4, wobble=0.05)
+        ctx = SolverContext.prepare(c, 0.04, 4)
+        rep = sandwich_check(c, ctx.spectrum, ctx.frames)
+        assert rep.max_violation <= rep.tol and rep.passed
+
     def test_narrow_gram_deficit_fails_comparison(self):
         # a frame whose Gram dips just below 1 along one eigenvector, a
         # direction random vectors all but never hit
         c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
-        spec, bases = monodromy_spectrum(c, epsilon=0.1)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=0.1)
+        frames = lyapunov_frames(c, spec)
         lam, U = np.linalg.eigh(frames.grams[0])
         lam[0] = 1.0 - 1e-8
-        narrow = LyapunovFrames(((U * lam) @ U.T)[None], frames.bases)
+        narrow = LyapunovFrames(((U * lam) @ U.T)[None])
         rep = sandwich_check(c, spec, narrow)
         assert rep.lambda_min_gram == pytest.approx(1.0 - 1e-8, abs=1e-12)
         assert rep.keps_ok is False and rep.passed is False
@@ -532,15 +568,14 @@ def test_envelopes_contain_every_sampled_ratio(period, dims, seed, built_frames)
     exponents = EXPONENTS[len(dims)]
     c = random_cocycle(rng, exponents, dims, period, degree=1, wobble=0.3)
     if built_frames:
-        spec, bases = monodromy_spectrum(c, epsilon=0.05)
-        frames = lyapunov_frames(c, spec, bases)
+        spec = monodromy_spectrum(c, epsilon=0.05)
+        frames = lyapunov_frames(c, spec)
     else:
         # any positive definite Grams over the coordinate blocks
         spec = Spectrum(exponents, tuple(dims), 0.05)
         m = c.dim
         C = rng.standard_normal((period, m, m))
-        frames = LyapunovFrames(np.eye(m) + C @ C.transpose(0, 2, 1),
-                                np.broadcast_to(np.eye(m), (period, m, m)))
+        frames = LyapunovFrames(np.eye(m) + C @ C.transpose(0, 2, 1))
     n_max = 4
     steps, envelopes = log_envelopes(c, frames, spec.multiplicities, n_max)
     rep = sandwich_check(c, spec, frames, n_max=n_max)

@@ -361,8 +361,7 @@ class TestLyapunovOpnorm:
         A = np.array([[0.2, 0.0], [0.0, 0.5]])
         c = OrbitCocycle(space, (PolyMap.from_linear(A, space, space, 1),
                                  PolyMap.from_linear(np.eye(2), space, space, 1)))
-        frames = LyapunovFrames(np.stack([np.diag([4.0, 1.0]), np.diag([1.0, 9.0])]),
-                                np.broadcast_to(np.eye(2), (2, 2, 2)))
+        frames = LyapunovFrames(np.stack([np.diag([4.0, 1.0]), np.diag([1.0, 9.0])]))
         steps, (env,) = log_envelopes(c, frames, (2,), 1)
         lo, hi = np.exp(env[0, list(steps).index(1)])
         assert hi == pytest.approx(max(0.2 / 2.0, 0.5 * 3.0), abs=1e-12)
@@ -382,10 +381,10 @@ class TestLyapunovOpnorm:
     def test_degenerate_frame_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError, match="not positive definite"):
-            LyapunovFrames(bad[None], np.eye(2)[None])
+            LyapunovFrames(bad[None])
         # the one stacked Cholesky factorisation rejects it at any orbit point
         with pytest.raises(ValueError, match="not positive definite"):
-            LyapunovFrames(np.stack([np.eye(2), bad]), np.broadcast_to(np.eye(2), (2, 2, 2)))
+            LyapunovFrames(np.stack([np.eye(2), bad]))
 
 
 class TestSum:
