@@ -42,13 +42,14 @@ from operator import itemgetter
 import numpy as np
 
 from .cocycle import OrbitCocycle, _limit, sandwich_check
-from .normalform import NormalFormResult, SolverContext, solve_normal_form
+from .normalform import NormalFormResult, SolverContext, solve_cycles, solve_normal_form
 from .polymap import PolyMap, _mono_table, degree_cols
 from .scenarios import BUILTIN_DESCRIPTIONS, _base_config, build_builtin, default_checks
 from .verify import (
     centralizer_check,
     chart_transitions,
     conjugacy_residual,
+    direct_solve_oracle,
     flag_invariance,
     gauge_compare,
     iterates,
@@ -317,15 +318,16 @@ def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
 # A runner returns (details, limits): the details its report entry holds, and
 # its bounded quantities as the (line, ok) pairs of ``_limit``.  The check
 # passes exactly when every limit holds, and the broken ones are its stderr
-# lines; a nested ``passed`` reads the limits of its own part.
+# lines; a nested ``passed`` reads the limits of its own part.  The gauge and
+# oracle runners take their re-solved result from ``_solve``, or solve it alone.
 
 def _check_residual(ctx, result, cfg):
     rep = conjugacy_residual(ctx.cocycle, result, series_tol=ctx.series_tol)
     return rep.to_dict(), rep.limits()
 
 
-def _check_oracle(ctx, result, cfg):
-    gap = series_vs_direct(ctx, result)
+def _check_oracle(ctx, result, cfg, direct=None):
+    gap = series_vs_direct(ctx, result, direct)
     tol = float(cfg["tol"])
     return ({"max_coefficient_gap": gap, "tol": tol},
             [_limit("max_coefficient_gap", gap, "tol", tol)])
@@ -336,16 +338,8 @@ def _check_sandwich(ctx, result, cfg):
     return rep.to_dict(), rep.limits()
 
 
-def _check_gauge(ctx, result, cfg):
-    """Solve again under a lifted gauge and test the transition map.
-
-    With admissible slots (degree bound >= 2) the lift adds a known delta,
-    and the transition between the two conjugators must recover it exactly.
-    With degree bound 1 the solution is unique, so the lift is ignored and
-    both conjugators must come out identical.
-    """
-    tol = float(cfg["tol"])
-    delta = float(cfg.get("delta", 0.05))
+def _gauge_lift(ctx, cfg) -> tuple[PolyMap, list[int], bool]:
+    """The gauge lift delta t^alpha into coordinate 0, alpha, and whether it is admissible."""
     space = ctx.cocycle.space
     # t_j^2 into coordinate 0, t_j the first coordinate of the slowest block: the
     # smallest type of degree 2, admissible when any type of degree >= 2 is, as
@@ -353,13 +347,25 @@ def _check_gauge(ctx, result, cfg):
     recover = (1, (0,) * (space.n_blocks - 1) + (2,)) in ctx.structure.admissible(2)
     alpha = [0] * space.dim
     alpha[space.block_slice(space.n_blocks).start if recover else 0] = 2
-    bump = PolyMap(space, space, 2, np.zeros(space.dim), {(0, tuple(alpha)): delta})
-    # the re-solve reuses the table and degree operators of ctx
-    result_alt = solve_normal_form(ctx, lift=bump)
+    lift = {(0, tuple(alpha)): float(cfg.get("delta", 0.05))}
+    return PolyMap(space, space, 2, np.zeros(space.dim), lift), alpha, recover
+
+
+def _check_gauge(ctx, result, cfg, result_alt=None):
+    """Solve again under a lifted gauge and test the transition map.
+
+    With admissible slots (degree bound >= 2) the lift adds a known delta,
+    and the transition between the two conjugators must recover it exactly.
+    With degree bound 1 the solution is unique, so the lift is ignored and
+    both conjugators must come out identical.
+    """
+    tol, delta, m = float(cfg["tol"]), float(cfg.get("delta", 0.05)), ctx.cocycle.dim
+    bump, alpha, recover = _gauge_lift(ctx, cfg)
+    if result_alt is None:  # the re-solve reuses the table and degree operators of ctx
+        result_alt = solve_normal_form(ctx, lift=bump)
     rep = gauge_compare(result, result_alt, tol=tol)
     details, limits = rep.to_dict(), rep.limits()
-    details["delta"] = delta
-    details["slot"] = [2, 0, alpha]
+    details.update(delta=delta, slot=[2, 0, alpha])
     if not recover:
         diff = float(np.max(np.abs(result.conjugator_jets - result_alt.conjugator_jets)))
         details["mode"] = "unique"
@@ -367,7 +373,7 @@ def _check_gauge(ctx, result, cfg):
         limits.append(_limit("conjugator_gap", diff, "tol", _UNIQUE_GAP_TOL))
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
-        col = degree_cols(space.dim, 2).start + _mono_table(space.dim, 2)[1][tuple(alpha)]
+        col = degree_cols(m, 2).start + _mono_table(m, 2)[1][tuple(alpha)]
         err = float(np.max(np.abs(rep.transition[:, 0, col] + delta)))
         details["mode"] = "recover"
         details["recovery_error"] = err
@@ -418,19 +424,39 @@ _CHECK_RUNNERS = {
 CHECK_ORDER = tuple(_CHECK_RUNNERS)
 
 
+def _solve(ctx, config, result=None):
+    """The main solve, unless ``result`` is handed in, and the re-solves of the
+    enabled gauge and oracle checks, as the cycles of one degree loop;
+    returns the result and the re-solved results by check name."""
+    checks = config["checks"]
+    re_solves = {"gauge": lambda: (ctx.series, _gauge_lift(ctx, checks["gauge"])[0]),
+                 "oracle": lambda: (direct_solve_oracle, None)}
+    names = [name for name in re_solves if checks.get(name, {}).get("enabled")]
+    cycles = [(ctx.series, None)] * (result is None) + [re_solves[name]() for name in names]
+    solved = solve_cycles(ctx, cycles) if cycles else []
+    return (solved.pop(0) if result is None else result), dict(zip(names, solved))
+
+
 def run_checks(ctx, result, cocycle, config):
     """Run the enabled checks in fixed order; returns (entries, failures):
     one report entry per check, and the line ``"{check}: {limit}"`` of every
-    limit an enabled check broke, in check order.
+    limit an enabled check broke, in check order.  The checks' re-solves
+    share one degree loop.
 
     The checks read the cocycle from ``ctx``, so ``cocycle`` is ``ctx.cocycle``."""
+    return _run_checks(ctx, *_solve(ctx, config, result), config)
+
+
+def _run_checks(ctx, result, solved, config):
+    """``run_checks`` with the re-solved results by check name."""
     entries, failures = [], []
     for name in CHECK_ORDER:
         cfg = config["checks"].get(name)
         if not cfg or not cfg.get("enabled", False):
             entries.append({"name": name, "enabled": False, "passed": None})
             continue
-        details, limits = _CHECK_RUNNERS[name](ctx, result, cfg)
+        details, limits = _CHECK_RUNNERS[name](
+            ctx, result, cfg, *([solved[name]] if name in solved else []))
         entries.append({"name": name, "enabled": True,
                         "passed": all(ok for _, ok in limits), "details": details})
         failures += [f"{name}: {line}" for line, ok in limits if not ok]
@@ -490,8 +516,8 @@ def run_scenario(config_arg: str, *, out_dir: str | None = None,
     name, cocycle, config = resolve_config(config_arg, seed=seed,
                                            overrides=overrides)
     ctx = _prepare_context(cocycle, config)
-    result = solve_normal_form(ctx)
-    checks, failures = run_checks(ctx, result, cocycle, config)
+    result, solved = _solve(ctx, config)
+    checks, failures = _run_checks(ctx, result, solved, config)
 
     directory = _resolve_out_dir(out_dir, config, name)
     os.makedirs(directory, exist_ok=True)

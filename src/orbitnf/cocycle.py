@@ -114,6 +114,10 @@ class OrbitCocycle:
     def degree(self) -> int:
         return max(pm.degree for pm in self.fiber_maps)
 
+    @cached_property
+    def block_rates(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        return _block_rates(self)
+
     def map_at(self, k: int) -> PolyMap:
         return self.fiber_maps[k % self.period]
 
@@ -141,8 +145,9 @@ def _block_rates(cocycle: OrbitCocycle) -> tuple[np.ndarray, list[np.ndarray]]:
     block i are chi_i plus the log moduli per period of the eigenvalues of
     the monodromy of exp(-chi_i) A_k[i], renormalised every step by a power
     of two (exact), whose exponents add up to its log scale; so no product
-    leaves the float range, however long the period.  A rate too far below
-    the block's largest for the product to resolve reads -inf.
+    leaves the float range, however long the period.  Rates too far below the
+    block's largest for the product to resolve (modulus 0) share what the
+    others leave of m_i chi_i, the sum of the block's rates.
     """
     A, space, K = cocycle.linears, cocycle.space, cocycle.period
     block = np.array(space.block_of_coord)
@@ -163,7 +168,10 @@ def _block_rates(cocycle: OrbitCocycle) -> tuple[np.ndarray, list[np.ndarray]]:
             P, scale = np.ldexp(P, -e), scale + e
         with np.errstate(divide="ignore"):
             log_moduli = np.log(np.abs(np.linalg.eigvals(P))) + scale * math.log(2.0)
-        rates.append(chi[-1] + log_moduli / K)
+        r = chi[-1] + log_moduli / K
+        lost = np.isneginf(r)
+        r[lost] = (mi * chi[-1] - r[~lost].sum()) / max(lost.sum(), 1)
+        rates.append(r)
     return np.array(chi), rates
 
 
@@ -189,7 +197,7 @@ def monodromy_spectrum(
 ) -> Spectrum:
     """Lyapunov spectrum of a grading-adapted cocycle, one exponent per coordinate block.
 
-    Exponents and rates are read block by block (``_block_rates``), with
+    Exponents and rates are read block by block once (``block_rates``), with
     the clustering margin cluster_tol * max(1, largest |chi_i|).  The rates
     of a block chain into one cluster when each is within the margin of the
     next.  A block whose rates split within ten margins raises
@@ -199,11 +207,11 @@ def monodromy_spectrum(
     ClusterGapError, and blocks out of increasing order raise a ValueError
     naming the first block whose rate sits nearest another exponent.
     """
-    chi, rates = _block_rates(cocycle)
+    chi, rates = cocycle.block_rates
     margin = cluster_tol * max(1.0, float(np.max(np.abs(chi))))
     for i, r in enumerate(rates, start=1):
         r = sorted(r.tolist())
-        # equal rates, -inf ones too, are no gap
+        # equal rates are no gap
         gap = max((b - a for a, b in zip(r, r[1:]) if b > a), default=0.0)
         if gap > 10.0 * margin:
             raise ValueError(f"coordinate block {i} carries two rates, {r[0]:.6g} and "
@@ -284,36 +292,39 @@ def _rebalance(L: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarray,
                      K: int, tol: float, budget: int,
-                     what: str) -> tuple[np.ndarray, int, np.ndarray]:
+                     what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed point G(p) = Q(p) + X_p G(nxt_p) Y_p of a transfer, by Smith's doubling.
 
     Q, X and Y are (types, phases, r, c), (types, phases, r, r) and
-    (types, phases, c, c) stacks, zero-padded to one shape, and the phase
-    map nxt closes a cycle every K steps.  From phase p a type's G is
-    sum_t A^t S B^t with S the first-period sum, A = X_p X_{nxt p} ... (K
-    factors) and B = ... Y_{nxt p} Y_p, and every step G <- G + A G B,
-    A <- A A, B <- B B doubles the T periods summed, each pair (A, B) first
-    balanced by a power of two read off the Frobenius norms of the stop test
-    (the first-period products by ``_rebalance``).  The dropped tail
-    sum_{j>=1} A^j G B^j of a type has norm at most rho/(1-rho) ||G||_F with
-    rho = ||A||_F ||B||_F, so the doubling stops once the root sum of
-    squares of those bounds over the types is within tol * max(1, ||G(p)||_F)
-    at every phase p (NaN never passes).  A non-finite rho ||G||_F or
-    ||G(p)||_F, which the next step would overflow, raises
+    (types, phases, c, c) stacks, zero-padded to one shape, Q optionally
+    with a leading axis of stop groups, and the phase map nxt closes a cycle
+    every K steps.  From phase p a type's G is sum_t A^t S B^t with S the
+    first-period sum, A = X_p X_{nxt p} ... (K factors) and B = ... Y_{nxt p}
+    Y_p, and every step G <- G + A G B, A <- A A, B <- B B doubles the T
+    periods summed, each pair (A, B) first balanced by a power of two read
+    off the Frobenius norms of the stop test (the first-period products by
+    ``_rebalance``).  The dropped tail sum_{j>=1} A^j G B^j of a type has
+    norm at most rho/(1-rho) ||G||_F with rho = ||A||_F ||B||_F, so a group
+    stops, and takes no more doublings, once the root sum of squares of
+    those bounds over its types is within tol * max(1, ||G(p)||_F) at every
+    phase p (NaN never passes); A and B do not read Q, so each group gets the
+    bits of a call of its own.  A non-finite rho ||G||_F or ||G(p)||_F of a
+    group still summing, which the next step would overflow, raises
     SeriesStagnationError; more than budget terms, at the first period or at
     a doubling, raise SeriesBudgetError; both messages name the series by
     ``what``.  Returns G, the terms summed T K and the (phases,) tail bounds.
     """
     G, A, B = Q, X, Y
     for _ in range(K - 1):
-        G = Q + X @ G[:, nxt] @ Y
+        G = Q + X @ G[..., nxt, :, :] @ Y
         A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
-    T = 1
+    # the groups still summing, and once one stops alone G, T K and the tails of all
+    live, out, T = np.arange(len(G)), None, 1
     with np.errstate(all="ignore"):
         while True:
             a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
             rho = a * b
-            h = _frobenius(g, axis=0)
+            h = _frobenius(g, axis=-2)
             if not (np.isfinite(rho * g).all() and np.isfinite(h).all()):
                 raise SeriesStagnationError(
                     f"transported series for {what} has no certified "
@@ -322,9 +333,19 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
                     "inconsistent with this cocycle")
             # rho / (1 - rho) where rho < 1, else rho / 0 = inf
             bound = rho / np.maximum(1.0 - rho, 0.0) * g
-            tail = _frobenius(bound, axis=0)
-            if T * K <= budget and (tail <= tol * np.maximum(1.0, h)).all():
-                return G, T * K, tail
+            tail = _frobenius(bound, axis=-2)
+            ok = tail <= tol * np.maximum(1.0, h)
+            if T * K <= budget and ok.any():
+                done = ok.all(axis=-1)
+                if done.all() and out is None:  # every group at once
+                    return G, np.full(done.shape, T * K), tail
+                if done.any():
+                    out = out or (np.empty(Q.shape), np.zeros(len(Q), int), np.empty(tail.shape))
+                    for part, value in zip(out, (G[done], T * K, tail[done])):
+                        part[live[done]] = value
+                    if done.all():
+                        return out
+                    live, G = live[~done], G[~done]
             if 2 * T * K > budget:
                 raise SeriesBudgetError(
                     f"series for {what} did not settle within {budget} "
@@ -350,13 +371,13 @@ def lyapunov_frames(
     = exp(-chi_i) A_k[i], the forward sum is the fixed point G_k = I +
     exp(-eps) F_k^T G_{k+1} F_k and the backward one the same in the inverse
     steps, going back one point a step.  One ``_transported_sum`` takes every
-    block, zero-padded to the largest, and both directions, as 2K phases,
-    with X = exp(-eps/2) F^T and Y = exp(-eps/2) F, each direction within
-    tail_tol/2 of its own Frobenius norm; the n = 0 identity of both is taken
-    off once.  Either direction's sum is at most the Gram, so the two tail
-    bounds together stay within tail_tol of the Gram's Frobenius norm, the
-    recorded tail_bound.  The ambient Gram is dim * blockdiag(per-block
-    sums), which makes it dominate the euclidean Gram.
+    block, zero-padded to the largest, and both directions, as 2K phases of
+    one stop group, with X = exp(-eps/2) F^T and Y = exp(-eps/2) F, each
+    direction within tail_tol/2 of its own Frobenius norm; the n = 0
+    identity of both is taken off once.  Either direction's sum is at most
+    the Gram, so the two tail bounds together stay within tail_tol of the
+    Gram's Frobenius norm, the recorded tail_bound.  The ambient Gram, dim *
+    blockdiag(per-block sums), dominates the euclidean Gram.
     """
     if spectrum.epsilon <= 0.0:
         raise ValueError("frames need a positive epsilon")

@@ -54,13 +54,15 @@ rows, built on first read for the API and the report.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 # the series errors are raised by cocycle._transported_sum and re-exported here
 from .cocycle import (LyapunovFrames, OrbitCocycle, SeriesBudgetError, SeriesStagnationError,
-                      _block_rates, _check_carried, _rebalance, _transported_sum,
+                      _check_carried, _rebalance, _transported_sum,
                       lyapunov_frames, monodromy_spectrum)
 from .grading import Spectrum, SubResStructure, _type_table, contraction_factor
 from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, compose_jets,
@@ -73,8 +75,10 @@ WINDOW_GROWTH_GUARD = 1e9
 # stay inside the float range
 WINDOW_CHUNK = 2048
 
-# (degree operator, stacked twisted sources Q(k)) -> (conjugator terms, diagnostics)
-Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[Sequence[np.ndarray], dict]]
+# (degree operator, (cycles, K, m, n) twisted sources Q(k)) -> (conjugator terms,
+# diagnostics per cycle); a cycle of the degree loop is a (transfer, lift) pair
+Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[np.ndarray, list[dict]]]
+Cycle = tuple[Transfer, "PolyMap | None"]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,44 +151,51 @@ class _DegreeOperator:
 
 
 def _gather_types(stack: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
-    """Blocks of a (K, p, q) stack at padded (index, padding) rows and cols
-    of every type, in one fancy index: shape (types, K, rows, cols), zero on
-    the padding."""
+    """Blocks of a (..., K, p, q) stack at padded (index, padding) rows and
+    cols of every type, in one fancy index: shape (..., types, K, rows,
+    cols), zero on the padding."""
     (r, r_pad), (c, c_pad) = rows, cols
-    out = stack[np.arange(len(stack))[:, None, None], r[:, None, :, None], c[:, None, None, :]]
+    out = stack[..., np.arange(stack.shape[-3])[:, None, None], r[:, None, :, None],
+                c[:, None, None, :]]
     np.copyto(out, 0.0, where=r_pad[:, None, :, None] | c_pad[:, None, None, :])
     return out
 
 
 def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
-            max_terms: int) -> tuple[np.ndarray, dict]:
+            max_terms: int) -> tuple[np.ndarray, list[dict]]:
     """Fixed point H(k) = Q(k) + Phi_k(H(k+1)) around the orbit, by Smith's doubling.
 
     A type (i, s) moves alone, X -> Ainv_k[i] X subst_k[s], so from phase p
     its part of H is sum_t A^t G B^t with G the first-period sum, A =
     Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
     The types are gathered into zero-padded stacks by ``op.type_index``, one
-    fancy index per stack, summed by ``cocycle._transported_sum`` and
-    scattered back.  The doubling stops once the root sum of squares of the
+    fancy index per stack, summed by one ``cocycle._transported_sum`` call,
+    each cycle with sources a stop group (a lone one needs no group axis),
+    and scattered back.  A cycle stops once the root sum of squares of its
     types' tail bounds is within series_tol * max(1, ||H(p)||_F) at every
     phase p; no certified contraction raises SeriesStagnationError, more
     than max_terms terms raise SeriesBudgetError.
     """
-    K = len(q_vecs)
-    info = {"short_circuit": not q_vecs.any(), "series_terms": 0, "tail_bound": 0.0}
-    if info["short_circuit"]:
-        return np.zeros_like(q_vecs), info
+    K = q_vecs.shape[1]
+    live = [c for c, q in enumerate(q_vecs) if q.any()]
+    infos = [{"short_circuit": True, "series_terms": 0, "tail_bound": 0.0} for _ in q_vecs]
+    H = np.zeros_like(q_vecs)
+    if not live:
+        return H, infos
+    at = live[0] if len(live) == 1 else live
     rows, cols, rows_pad, cols_pad, slots = op.type_index
-    Q = _gather_types(q_vecs, (rows, rows_pad), (cols, cols_pad))
+    Q = _gather_types(q_vecs[at], (rows, rows_pad), (cols, cols_pad))
     X = _gather_types(op.ainvs, (rows, rows_pad), (rows, rows_pad))
     Y = _gather_types(op.substs, (cols, cols_pad), (cols, cols_pad))
-    G, terms, tail = _transported_sum(Q, X, Y, (np.arange(K) + 1) % K, K, series_tol,
-                                      max_terms, f"degree {op.n}")
-    H = np.zeros_like(q_vecs)
+    G, terms, tails = _transported_sum(Q, X, Y, (np.arange(K) + 1) % K, K, series_tol,
+                                       max_terms, f"degree {op.n}")
     t, i, j, hr, hc = slots
-    H[:, hr, hc] = G[t, :, i, j].T
-    info.update(series_terms=terms, tail_bound=float(tail.max()))
-    return H, info
+    h, g = np.zeros(Q.shape[:-4] + q_vecs.shape[1:]), G[..., t, :, i, j]
+    h[..., hr, hc] = g.transpose(*range(1, g.ndim), 0)
+    H[at] = h
+    for c, T, tail in zip(live, terms.flat, tails.reshape(len(live), -1).max(axis=1)):
+        infos[c] = {"short_circuit": False, "series_terms": int(T), "tail_bound": float(tail)}
+    return H, infos
 
 
 @dataclass(eq=False)
@@ -195,7 +206,7 @@ class SolverContext:
     blocks are the splitting, so the linear parts must be block diagonal (up
     to 1e-12 relative), their block sizes must match the spectrum
     multiplicities, and block i must carry exponent chi_i: every rate that
-    ``cocycle._block_rates`` reads from block i is nearest chi_i among the
+    ``OrbitCocycle.block_rates`` reads from block i is nearest chi_i among the
     exponents.  That is what splits the degree operators type by type.
 
     The solve bounds its series tails by per-type transfer norms, not by
@@ -203,8 +214,9 @@ class SolverContext:
     read, for the sandwich check and the report.
     The composition table of the fiber maps (``table``), the inverses of the
     linear parts (``ainvs``) and the degree operators (``operators``, by
-    degree) are built on first use in a solve, and every later solve on the
-    context reuses them, lifted or not.
+    degree) are built on first use in a solve, and every cycle of every
+    later solve on the context reads them.  ``series`` is the transfer of
+    the transported series on the context's tolerances.
     """
 
     cocycle: OrbitCocycle
@@ -225,7 +237,7 @@ class SolverContext:
             )
         if self.order >= 2:
             contraction_factor(self.spectrum, self.order)
-        _check_carried(_block_rates(self.cocycle)[1], self.spectrum.exponents)
+        _check_carried(self.cocycle.block_rates[1], self.spectrum.exponents)
         self.operators: dict[int, _DegreeOperator] = {}
 
     @classmethod
@@ -263,94 +275,108 @@ class SolverContext:
                                                 self.table, self.cocycle.linears, self.ainvs)
         return self.operators[n]
 
+    def series(self, op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+        h_vecs, infos = _series(op, q_vecs, self.series_tol, self.max_series_terms)
+        for info in infos:
+            info["contraction_factor"] = contraction_factor(self.spectrum, op.n)
+        return h_vecs, infos
+
 
 def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
                  nxt: np.ndarray) -> np.ndarray:
-    """Degree-n sources S(k) = [H(nxt[k]) o F_k - P_k o H(k)]_n.
+    """Degree-n sources S(k) = [H(nxt[k]) o F_k - P_k o H(k)]_n of every cycle.
 
-    conj and nf are (rows, m, w) jet stacks of the conjugators H and the
-    normal forms P_k, H(nxt[k]) the conjugator after map k; in the loop the
-    degree-n parts of H and P are still zero.  The first term is linear in
-    H, the sum over d <= n of H_d(nxt[k]) times the degree-n columns of the
-    composition table's degree-d block; the second is one stacked
-    composition, whose powers of H stop at P's top degree.
+    conj and nf are (cycles, rows, m, w) jet stacks of the conjugators H and
+    the normal forms P_k, H(nxt[k]) the conjugator after map k; in the loop
+    the degree-n parts of H and P are still zero.  The first term is linear
+    in H, the sum over d <= n of H_d(nxt[k]) times the degree-n columns of
+    the composition table's degree-d block; the second is one stacked
+    composition per cycle, whose powers of H stop at P's top degree.
     """
     K, m, n = len(op.linears), op.space.dim, op.n
-    cols = degree_cols(m, n)
-    hf = 0.0
+    cols, width = degree_cols(m, n), jet_width(m, n)
+    after, hf = conj[:, nxt, :, :width], 0.0
     for d in range(1, n + 1):
         lo = cols.start - degree_cols(m, d).start
         block = op.table[d - 1][..., lo:lo + op.mask.shape[1]]
-        hf = hf + _matmul(conj[nxt, :, degree_cols(m, d)], block)
-    width = jet_width(m, n)
-    return hf - compose_jets(nf[..., :width], conj[:K, :, :width], m, n)[..., cols]
+        hf = hf + _matmul(after[..., degree_cols(m, d)], block)
+    for p, h, s in zip(nf, conj, hf):
+        s -= compose_jets(p[..., :width], h[:K, :, :width], m, n)[..., cols]
+    return hf
 
 
 def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
-                             nxt: np.ndarray, transfer: Transfer, lift: PolyMap | None = None
-                             ) -> tuple[np.ndarray, np.ndarray, dict]:
+                             nxt: np.ndarray, cycles: Sequence[Cycle]
+                             ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """One degree of the conjugacy equation, solved in coefficient space.
 
-    Takes jet stacks as ``_source_vecs`` does; the admissible degree-n part
-    of `lift` is added to every conjugator.  Returns the degree-n
-    conjugator terms (one array per conjugator), the normal form terms P_n
-    (one per map) and the degree's diagnostics.  Below the degree bound the
-    non-admissible residue of the finished equation is the admissible
-    violation; above it P_n vanishes and the residue is the defect.
+    Takes jet stacks as ``_source_vecs`` does and one (transfer, lift) pair
+    per cycle; a transfer solves each run of cycles it serves in one call,
+    and the admissible degree-n part of a lift is added to the conjugators
+    of its cycle.  Returns per cycle the degree-n conjugator terms (one
+    array per conjugator), the normal form terms P_n (one per map) and the
+    degree's diagnostics.  Below the degree bound the non-admissible residue
+    of the finished equation is the admissible violation; above it P_n
+    vanishes and the residue is the defect.
     """
     n, K = op.n, len(op.linears)
     s_vecs = _source_vecs(op, conj, nf, nxt)
-    h_vecs, info = transfer(op, op.source(s_vecs))
-    h_vecs = np.array(h_vecs)
-    if lift is not None:
-        h_vecs += ~op.mask * lift.part(n)
-    terms = s_vecs + _matmul(h_vecs[nxt], op.substs) - _matmul(op.linears, h_vecs[:K])
-    residue = float(np.max(np.abs(op.mask * terms)))
+    q_vecs, h_vecs, infos = op.source(s_vecs), [], []
+    for transfer, run in groupby(cycles, key=itemgetter(0)):
+        h, solved = transfer(op, q_vecs[len(infos):len(infos) + len(list(run))])
+        h_vecs.append(h)
+        infos += solved
+    h_vecs = h_vecs[0] if len(h_vecs) == 1 else np.concatenate(h_vecs)
+    for c, (_, lift) in enumerate(cycles):
+        if lift is not None:
+            h_vecs[c] += ~op.mask * lift.part(n)
+    terms = s_vecs + _matmul(h_vecs[:, nxt], op.substs) - _matmul(op.linears, h_vecs[:, :K])
+    residues = np.abs(op.mask * terms).max(axis=(1, 2, 3))
     below = n <= op.degree_bound
-    diag = dict(info, degree=n, monomials=op.mask.shape[1], slots=op.mask.size,
-                admissible_slots=int(op.mask.size - op.mask.sum()), types=len(op.types),
-                source_norm=float(np.linalg.norm(s_vecs, axis=(-2, -1)).max()),
-                solution_norm=float(np.linalg.norm(h_vecs, axis=(-2, -1)).max()),
-                admissible_violation=residue if below else None,
-                defect=None if below else residue)
-    return h_vecs, ~op.mask * terms, diag
+    norms = (np.linalg.norm(x, axis=(-2, -1)).max(axis=1) for x in (s_vecs, h_vecs))
+    diags = [dict(info, degree=n, monomials=op.mask.shape[1], slots=op.mask.size,
+                  admissible_slots=int(op.mask.size - op.mask.sum()), types=len(op.types),
+                  source_norm=float(s), solution_norm=float(h),
+                  admissible_violation=float(r) if below else None,
+                  defect=None if below else float(r))
+             for info, s, h, r in zip(infos, *norms, residues)]
+    return h_vecs, ~op.mask * terms, diags
 
 
 def _degree_loop(fibers: np.ndarray, nxt: np.ndarray,
                  operator: Callable[[int], _DegreeOperator], order: int,
-                 transfer: Transfer, lift: PolyMap | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Degrees 2..order along a (K, m, w) jet stack of fiber maps.
+                 cycles: Sequence[Cycle]) -> tuple[np.ndarray, np.ndarray, list[list[dict]]]:
+    """Degrees 2..order along a (K, m, w) jet stack of fiber maps, for every cycle.
 
     The conjugator after map k is row nxt[k]: a periodic orbit is the cycle
     k -> k + 1 mod K, windows a forest whose roots, rows K on, are terminal
-    conjugators that stay the identity.  operator(n) reads the composition
-    table of the fiber maps.  Returns the conjugator and normal form jet
-    stacks through `order`, grown a degree at a time, and the diagnostics.
+    conjugators that stay the identity.  Every (transfer, lift) cycle solves
+    the same maps on a leading axis of the stacks, which broadcasts over
+    the composition table that operator(n) reads, and gets the bits of a
+    loop of its own.  Returns the conjugator and normal form jet stacks
+    through `order`, grown a degree at a time, and the diagnostics per cycle.
     """
     m = fibers.shape[-2]
-    nf = np.zeros(fibers.shape[:-1] + (jet_width(m, order),))
+    nf = np.zeros((len(cycles),) + fibers.shape[:-1] + (jet_width(m, order),))
     nf[..., :m + 1] = fibers[..., :m + 1]
-    conj = np.zeros((max(len(nf), nxt.max() + 1),) + nf.shape[1:])
+    conj = np.zeros((len(cycles), max(len(fibers), nxt.max() + 1)) + nf.shape[2:])
     conj[..., :m + 1] = _linear_jets(np.eye(m))
-    diags = []
+    diags: list[list[dict]] = [[] for _ in cycles]
     for n in range(2, order + 1):
-        op = operator(n)
-        h_vecs, p_vecs, diag = solve_homogeneous_degree(op, conj, nf, nxt, transfer, lift)
+        h_vecs, p_vecs, degree = solve_homogeneous_degree(operator(n), conj, nf, nxt, cycles)
         cols = degree_cols(m, n)
         conj[..., cols] = h_vecs
         nf[..., cols] = p_vecs
-        diags.append(diag)
+        for diag, rec in zip(diags, degree):
+            diag.append(rec)
     return conj, nf, diags
 
 
-def _orbit_loop(ctx: "SolverContext", transfer: Transfer, lift: PolyMap | None = None
-                ) -> "NormalFormResult":
-    """The degree loop around the orbit of ctx under `transfer`, its stacks
-    wrapped as a result."""
+def solve_cycles(ctx: "SolverContext", cycles: Sequence[Cycle]) -> list["NormalFormResult"]:
+    """The degree loop around the orbit of ctx, one result per (transfer, lift) cycle."""
     K = ctx.cocycle.period
     conj, nf, degree_diags = _degree_loop(ctx.cocycle.jets, (np.arange(K) + 1) % K,
-                                          ctx.operator, ctx.order, transfer, lift)
+                                          ctx.operator, ctx.order, cycles)
     diagnostics = {
         "order": ctx.order,
         "period": K,
@@ -358,9 +384,9 @@ def _orbit_loop(ctx: "SolverContext", transfer: Transfer, lift: PolyMap | None =
         "spectral_gap": ctx.structure.spectral_gap,
         "epsilon": ctx.spectrum.epsilon,
         "table_bytes": sum(T.nbytes for T in ctx.table),
-        "degrees": degree_diags,
     }
-    return NormalFormResult(conj, nf, ctx.spectrum, ctx.order, diagnostics)
+    return [NormalFormResult(h, p, ctx.spectrum, ctx.order, dict(diagnostics, degrees=d))
+            for h, p, d in zip(conj, nf, degree_diags)]
 
 
 @dataclass(eq=False)
@@ -427,16 +453,12 @@ class NormalFormResult:
 
 
 def solve_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> NormalFormResult:
-    """Run the degree loop 2..order with the transported series.
+    """Run the degree loop 2..order with the transported series, one cycle
+    of ``solve_cycles``.
 
     `lift` fixes the gauge: its admissible part is added to every conjugator.
     """
-    def series(op, q_vecs):
-        h_vecs, info = _series(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
-        info["contraction_factor"] = contraction_factor(ctx.spectrum, op.n)
-        return h_vecs, info
-
-    return _orbit_loop(ctx, series, lift)
+    return solve_cycles(ctx, [(ctx.series, lift)])[0]
 
 
 def _window_sweep(rows: np.ndarray) -> Transfer:
@@ -472,7 +494,8 @@ def _window_sweep(rows: np.ndarray) -> Transfer:
             nxt = nxt.take(levels[-1][1])
         chunks.append((lo, levels))
 
-    def sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+    def sweep(op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+        (q_vecs,) = q_vecs  # one cycle
         R = np.zeros((last[-1],) + q_vecs.shape[1:])
         R[:len(q_vecs)] = q_vecs
         with np.errstate(all="ignore"):
@@ -491,7 +514,7 @@ def _window_sweep(rows: np.ndarray) -> Transfer:
         if diverged.any():
             raise SeriesStagnationError(f"window sweep diverged at degree {op.n}, "
                                         f"step {np.nonzero(diverged)[0].max()}")
-        return R, {"max_sweep_norm": float(norms.max())}
+        return R[None], [{"max_sweep_norm": float(norms.max())}]
 
     return sweep
 
@@ -551,7 +574,7 @@ def solve_window(jets: np.ndarray, space: GradedSpace, structure: SubResStructur
 
     table, linears = composition_table(fibers, m, order), _linear_parts(fibers, m).copy()
     ainvs = np.linalg.inv(linears)
-    conj, nf, per_degree = _degree_loop(
+    (conj,), (nf,), (per_degree,) = _degree_loop(
         fibers, nxt, lambda n: _DegreeOperator(space, structure, n, table, linears, ainvs),
-        order, _window_sweep(rows))
+        order, [(_window_sweep(rows), None)])
     return conj.take(rows, 0), nf.take(rows[:-1], 0), {"window": W, "per_degree": per_degree}

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import _limit, _Report
-from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _orbit_loop,
+from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, solve_cycles,
                          solve_window)
 from .polymap import (PolyMap, _evaluate, _fit, _linear_jets, _monomials, compose_jets,
                       degree_cols, divide_jets, jet_width, top_degree)
@@ -154,19 +154,20 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     """Degree-n conjugator via dense solves coupling all orbit points.
 
     A transfer for the shared degree loop: takes the degree operator and the
-    twisted sources Q(k), returns their stack of coefficient arrays and no
-    diagnostics.  Each non-admissible type (i, s) is one dense K-cyclic
-    system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The types of one
-    shape (rows, cols) go together: one gather each for their blocks of
-    Ainv, subst and Q, one einsum and one assignment for all their Kronecker
-    blocks, one stacked SVD and one stacked solve.  The singularity test
+    (cycles, K, m, n) twisted sources Q(k), returns their stack of
+    coefficient arrays and empty diagnostics.  Each non-admissible type
+    (i, s) is one dense K-cyclic system X_k - Ainv_k[i] X_{k+1} subst_k[s] =
+    Q_k[i, s].  The types of one shape (rows, cols) go together: one gather
+    each for their blocks of Ainv, subst and Q, one einsum and one
+    assignment for all their Kronecker blocks, one stacked SVD and one
+    stacked solve, every cycle a right-hand side.  The singularity test
     takes the extreme singular values over all types, which are those of the
     full system: it is block diagonal in the types up to a permutation.  The
     oracle stays independent of the series: it shares only the loop around
     the transfer (source assembly, lift, finishing), so agreement is
     evidence for both.
     """
-    K, q_vecs = len(q_vecs), np.asarray(q_vecs)
+    K = q_vecs.shape[1]
     step = np.arange(K)
     rows, cols = op.type_index[:2]
     shapes = [(r.stop - r.start, len(c)) for r, c in op.types]
@@ -180,7 +181,7 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
         L.reshape(len(t), K, nn, K, nn)[:, step, :, (step + 1) % K] -= np.einsum(
             "ktij,ktba->ktiajb", op.ainvs[:, R, R.transpose(0, 2, 1)],
             op.substs[:, C.transpose(0, 2, 1), C]).reshape(K, len(t), nn, nn)
-        rhs = q_vecs[:, R, C].transpose(1, 0, 2, 3).reshape(len(t), K * nn)
+        rhs = q_vecs[:, :, R, C].transpose(2, 1, 3, 4, 0).reshape(len(t), K * nn, -1)
         systems.append((R, C, L, rhs, np.linalg.svd(L, compute_uv=False)))
 
     sv_min = min((float(sv[:, -1].min()) for *_, sv in systems), default=1.0)
@@ -194,23 +195,27 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
 
     out = np.zeros_like(q_vecs)
     for R, C, L, rhs, _ in systems:
-        out[:, R, C] = np.linalg.solve(L, rhs[..., None]).reshape(
-            len(L), K, R.shape[1], C.shape[2]).transpose(1, 0, 2, 3)
-    return out, {}
+        out[:, :, R, C] = np.linalg.solve(L, rhs).reshape(
+            len(L), K, R.shape[1], C.shape[2], -1).transpose(4, 1, 0, 2, 3)
+    return out, [{} for _ in q_vecs]
 
 
 def direct_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> NormalFormResult:
     """Full degree loop with the dense oracle in place of the series, under
-    the gauge of `lift` as in ``solve_normal_form``."""
-    return _orbit_loop(ctx, direct_solve_oracle, lift)
+    the gauge of `lift` as in ``solve_normal_form``: the one-cycle case of
+    ``solve_cycles``."""
+    return solve_cycles(ctx, [(direct_solve_oracle, lift)])[0]
 
 
-def series_vs_direct(ctx: SolverContext, result: NormalFormResult) -> float:
+def series_vs_direct(ctx: SolverContext, result: NormalFormResult,
+                     direct: NormalFormResult | None = None) -> float:
     """Largest coefficient gap between the series and dense-solve pipelines,
-    over both pairs of stacks; NaN propagates."""
+    over both pairs of stacks; NaN propagates.  ``direct`` is
+    ``direct_normal_form(ctx)``, solved here unless handed in."""
     if result.period != ctx.cocycle.period or result.order != ctx.order:
         raise ValueError("result does not match the solver context")
-    direct = direct_normal_form(ctx)
+    if direct is None:
+        direct = direct_normal_form(ctx)
     return float(np.max(np.abs(np.stack([result.conjugator_jets - direct.conjugator_jets,
                                           result.normal_form_jets - direct.normal_form_jets]))))
 

@@ -5,11 +5,14 @@ each type's blocks are copied into zero-padded stacks by a Python loop over
 the types, every Frobenius norm goes through ``np.linalg.norm``, and the
 doubled factors are rebalanced by the binary exponents of their largest
 entries.  The tests require ``normalform._series`` to give the same bytes,
-the same diagnostics and the same errors.
+the same diagnostics and the same errors.  ``transported_sum`` is
+``cocycle._transported_sum`` as it was before it took stop groups: one set
+of sources, which stops as a whole.
 """
 
 import numpy as np
 
+from orbitnf.cocycle import _frobenius, _rebalance
 from orbitnf.normalform import SeriesBudgetError, SeriesStagnationError
 
 
@@ -87,3 +90,38 @@ def series(op, q_vecs: np.ndarray, series_tol: float,
         H[:, rows, cols] = G[t, :, :dt, :ct]
     info.update(series_terms=T * K, tail_bound=float(tail.max()))
     return H, info
+
+
+def transported_sum(Q, X, Y, nxt, K, tol, budget, what):
+    """Smith's doubling of G(p) = Q(p) + X_p G(nxt_p) Y_p on (types, phases,
+    r, c) stacks, stopped once the tails of every type and phase are within
+    tol; returns G, the terms summed T K and the (phases,) tail bounds."""
+    G, A, B = Q, X, Y
+    for _ in range(K - 1):
+        G = Q + X @ G[:, nxt] @ Y
+        A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
+    T = 1
+    with np.errstate(all="ignore"):
+        while True:
+            a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
+            rho = a * b
+            h = _frobenius(g, axis=0)
+            if not (np.isfinite(rho * g).all() and np.isfinite(h).all()):
+                raise SeriesStagnationError(
+                    f"transported series for {what} has no certified "
+                    f"contraction: the {T}-period transfer norm reached "
+                    f"rho = {float(np.max(rho)):.3g}; epsilon and spectrum are "
+                    "inconsistent with this cocycle")
+            bound = rho / np.maximum(1.0 - rho, 0.0) * g
+            tail = _frobenius(bound, axis=0)
+            if T * K <= budget and (tail <= tol * np.maximum(1.0, h)).all():
+                return G, T * K, tail
+            if 2 * T * K > budget:
+                raise SeriesBudgetError(
+                    f"series for {what} did not settle within {budget} "
+                    f"terms (rho = {float(np.max(rho)):.3g} after {T * K})")
+            e = ((np.frexp(a)[1] - np.frexp(b)[1]) // 2)[..., None, None]
+            A, B = np.ldexp(A, -e), np.ldexp(B, e)
+            G = G + A @ G @ B
+            A, B = A @ A, B @ B
+            T *= 2

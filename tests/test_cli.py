@@ -327,8 +327,12 @@ class TestGaugeCheck:
 
 
 def drop_lift(monkeypatch):
-    """Make the runner's solves ignore the gauge lift, as a broken solver would."""
+    """Make the runner's solves ignore the gauge lift, as a broken solver
+    would: the gauge runner's own re-solve, and every cycle of the one
+    degree loop that solves the checks' re-solves."""
     monkeypatch.setattr(cli, "solve_normal_form", lambda ctx, lift=None: solve_normal_form(ctx))
+    monkeypatch.setattr(cli, "solve_cycles", lambda ctx, cycles: normalform.solve_cycles(
+        ctx, [(transfer, None) for transfer, _ in cycles]))
 
 
 class TestErrorExits:
@@ -767,6 +771,42 @@ class TestStackedResult:
         assert canonical_json(checks) == canonical_json(report["checks"])
 
 
+class TestOneLoop:
+    """A run solves the main cycle and the enabled checks' re-solves in one
+    degree loop; run_checks handed a result solves the re-solves in one."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_one_degree_loop_per_pass(self, name, tmp_path, monkeypatch):
+        loops = []
+
+        def counted(ctx, cycles, _fn=cli.solve_cycles):
+            loops.append(len(cycles))
+            return _fn(ctx, cycles)
+
+        monkeypatch.setattr(cli, "solve_cycles", counted)
+        assert run_scenario(name, out_dir=str(tmp_path)) == 0
+        _, cocycle, config = resolve_config(name)
+        ctx = cli._prepare_context(cocycle, config)
+        result = solve_normal_form(ctx)
+        run_checks(ctx, result, cocycle, config)
+        assert loops == [3, 2]  # the run; the re-solves of run_checks
+        overrides = [f"checks.{check}.enabled=false" for check in ("gauge", "oracle")]
+        _, _, config = resolve_config(name, overrides=overrides)
+        run_checks(ctx, result, cocycle, config)
+        assert loops == [3, 2]  # nothing to re-solve, no loop
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_checks_do_not_move_the_solve(self, name, tmp_path):
+        reports = []
+        for overrides in ([], ["checks.gauge.enabled=false", "checks.oracle.enabled=false"]):
+            assert run_scenario(name, out_dir=str(tmp_path), overrides=overrides) == 0
+            reports.append(json.loads((tmp_path / "report.json").read_text()))
+        full, bare = reports
+        assert full["result"] == bare["result"]
+        assert [c for c in full["checks"] if c["name"] not in ("gauge", "oracle")] == \
+            [c for c in bare["checks"] if c["name"] not in ("gauge", "oracle")]
+
+
 class TestFailedQuantities:
     """A failing check names every quantity that broke its bound on stderr,
     with its value and the bound, one line each after the failed checks."""
@@ -837,14 +877,16 @@ class TestFailedQuantities:
     def test_stderr_lines_are_the_failures_of_run_checks(self, command, koenigs_run,
                                                          tmp_path, capsys, monkeypatch):
         """The lines after the failed checks are the broken limits that
-        run_checks returns, and every failed check has at least one."""
+        run_checks returns, and every failed check has at least one.  A run
+        hands its re-solves to ``_run_checks``, which ``run_checks`` calls
+        with its own."""
         returned = []
 
-        def recorded(*args, _fn=cli.run_checks):
+        def recorded(*args, _fn=cli._run_checks):
             returned.append(_fn(*args))
             return returned[-1]
 
-        monkeypatch.setattr(cli, "run_checks", recorded)
+        monkeypatch.setattr(cli, "_run_checks", recorded)
         if command == "run":
             # every check with a tol fails, the residual with its own bounds passes
             args = [arg for check in CHECK_ORDER[1:]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gram_reference
 import sandwich_reference
+import series_reference
 from orbitnf import cocycle as cocycle_module
 from orbitnf.cocycle import (
     ClusterGapError,
@@ -16,6 +17,7 @@ from orbitnf.cocycle import (
     NonContractingError,
     OrbitCocycle,
     TailCertificationError,
+    _transported_sum,
     log_envelopes,
     lyapunov_frames,
     monodromy_spectrum,
@@ -213,6 +215,40 @@ class TestMonodromySpectrum:
         # product resolves, and still splits off
         with pytest.raises(ValueError, match="coordinate block 1 carries two rates"):
             monodromy_spectrum(linear_cocycle(c.linears), 0.04)
+
+    def test_unresolved_fast_rate_named(self):
+        # at K = 1024 the fast rates of the (2, 2) cocycle read as one block
+        # sink below what one renormalised product resolves, their moduli 0;
+        # the rates of a block sum to m_i chi_i, so they share 4 chi - 2 (-0.8)
+        c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), 1024,
+                           amp=0.05, degree=4, wobble=0.05)
+        with pytest.raises(ValueError, match=two_rates(1, -2.0, -0.8)):
+            monodromy_spectrum(linear_cocycle(c.linears), 0.04)
+
+    def test_prepare_reads_the_rates_once(self, monkeypatch):
+        # the K-step rate loop of a block ends in one eigvals call; the
+        # spectrum and the context's check read the same rates
+        calls = []
+
+        def counted(a, _fn=np.linalg.eigvals):
+            calls.append(a.shape)
+            return _fn(a)
+
+        c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), 64,
+                           amp=0.05, degree=4, wobble=0.05)
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        ctx = SolverContext.prepare(c, 0.04, 4)
+        assert calls == [(2, 2), (2, 2)]
+        # a context built from a supplied spectrum still checks it, on the
+        # rates its cocycle read once
+        SolverContext(c, ctx.spectrum, 4)
+        assert calls == [(2, 2), (2, 2)]
+        steps = [np.diag([math.exp(-0.5), math.exp(-2.0)])]
+        with pytest.raises(ValueError, match="coordinate block 1 does not carry its "
+                                             "exponent chi_1 = -2:"):
+            SolverContext(linear_cocycle(steps, block_dims=(1, 1)),
+                          Spectrum((-2.0, -0.5), (1, 1), 0.05), 6)
+        assert calls == [(2, 2), (2, 2), (1, 1), (1, 1)]
 
 
 class TestLyapunovFrames:
@@ -434,6 +470,55 @@ class TestBlockGrams:
                 for k in range(c.period):
                     assert_gram_within_tails(G[k, sl, sl], tails[k], restrictions, chi,
                                              spectrum.epsilon, k, tail_tol)
+
+
+class TestStopGroups:
+    """One ``_transported_sum`` call over several stop groups gives every
+    group the bits of a call of its own."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.integers(1, 3))
+    def test_groups_have_the_bits_of_calls_of_their_own(self, data, K, groups):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        types, r, c = rng.integers(1, 4, 3)
+        X = rng.uniform(-1, 1, (types, K, r, r)) * rng.uniform(0.2, 0.9) / r
+        Y = rng.uniform(-1, 1, (types, K, c, c)) * rng.uniform(0.2, 0.9) / c
+        # sources of many sizes stop at different doublings; one group may have none
+        Q = rng.uniform(-1, 1, (groups, types, K, r, c)) * 10.0 ** rng.integers(
+            -8, 4, (groups, 1, 1, 1, 1))
+        zero = data.draw(st.integers(0, groups))
+        if zero < groups:
+            Q[zero] = 0.0
+        nxt = (np.arange(K) + 1) % K
+        G, terms, tails = _transported_sum(Q, X, Y, nxt, K, 1e-13, 10_000, "the test")
+        assert G.shape == Q.shape and terms.shape == (groups,) and tails.shape == (groups, K)
+        for g in range(groups):
+            alone = _transported_sum(Q[g], X, Y, nxt, K, 1e-13, 10_000, "the test")
+            want = series_reference.transported_sum(Q[g], X, Y, nxt, K, 1e-13, 10_000, "x")
+            for got in (alone, want):
+                assert G[g].tobytes() == got[0].tobytes() and terms[g] == got[1]
+                assert tails[g].tobytes() == got[2].tobytes()
+
+    def test_frames_are_one_stop_group(self, monkeypatch):
+        # both time directions of every block are one group: the frames are
+        # those of the single-group doubling, bit for bit
+        calls = []
+
+        def single(Q, *args):
+            calls.append(Q.ndim)
+            return series_reference.transported_sum(Q, *args)
+
+        for index in range(12, 24):
+            scenario = random_scenario(index)
+            c, config = scenario.cocycle, scenario.config
+            spectrum = monodromy_spectrum(c, float(config["epsilon"]))
+            got = lyapunov_frames(c, spectrum, float(config["tail_tol"]))
+            monkeypatch.setattr(cocycle_module, "_transported_sum", single)
+            want = lyapunov_frames(c, spectrum, float(config["tail_tol"]))
+            monkeypatch.undo()
+            assert calls.pop() == 4
+            for field in ("grams", "horizon", "tail_bound", "k_eps", "lambda_min"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 class TestSandwich:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitnf import grading, normalform, polymap
-from orbitnf.cli import _prepare_context, run_checks, run_scenario
+from orbitnf.cli import _gauge_lift, _prepare_context, run_checks, run_scenario
 from orbitnf.cocycle import OrbitCocycle
 from orbitnf.grading import Spectrum, contraction_factor
 from orbitnf.normalform import (
@@ -25,10 +25,10 @@ from orbitnf.normalform import (
     SolverContext,
     _degree_loop,
     _DegreeOperator,
-    _orbit_loop,
     _series,
     _source_vecs,
     _window_sweep,
+    solve_cycles,
     solve_homogeneous_degree,
     solve_normal_form,
     solve_window,
@@ -45,7 +45,7 @@ from orbitnf.polymap import (
     jet_width,
     stack_jets,
 )
-from orbitnf.scenarios import builtin_names, random_cocycle, random_scenario
+from orbitnf.scenarios import build_builtin, builtin_names, random_cocycle, random_scenario
 from orbitnf.verify import direct_normal_form, direct_solve_oracle
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -101,11 +101,25 @@ def homogeneous(space, n, c):
 
 
 def jet_stacks(h_maps, p_maps, degree):
-    """Jet stacks of the conjugators and normal forms, and the successor map
-    of the normal forms: the cycle k -> k + 1 mod K with as many conjugators
-    as maps, the chain k -> k + 1 with one more."""
+    """Jet stacks of the conjugators and normal forms of one cycle of the
+    degree loop, and the successor map of the normal forms: the cycle
+    k -> k + 1 mod K with as many conjugators as maps, the chain k -> k + 1
+    with one more."""
     nxt = np.arange(1, len(p_maps) + 1) % len(h_maps)
-    return [stack_jets(group, degree) for group in (h_maps, p_maps)] + [nxt]
+    return [stack_jets(group, degree)[None] for group in (h_maps, p_maps)] + [nxt]
+
+
+def series_alone(op, q_vecs, series_tol, max_terms):
+    """``_series`` on the (K, m, n) sources of one cycle: its conjugator
+    terms and diagnostics."""
+    H, (info,) = _series(op, np.asarray(q_vecs)[None], series_tol, max_terms)
+    return H[0], info
+
+
+def sweep_alone(rows, op, q_vecs):
+    """``_window_sweep(rows)`` on the sources of one forest: R and its diagnostics."""
+    R, (info,) = _window_sweep(rows)(op, q_vecs[None])
+    return R[0], info
 
 
 def table_operator(space, structure, n, jets, order):
@@ -304,7 +318,7 @@ class TestTypedOperator:
         assert op.types == [] and not op.mask.any()
         q, rho = transfer_reference.series_certificate(op, 2)
         assert (q, rho) == (1, 0.0) == dense_certificate(op, 2)
-        H, info = _series(op, np.zeros((2,) + op.mask.shape), 1e-13, 10_000)
+        H, info = series_alone(op, np.zeros((2,) + op.mask.shape), 1e-13, 10_000)
         assert info["short_circuit"] and info["series_terms"] == 0 and not H.any()
 
     def test_certificate_memory_on_ladder_degree5(self):
@@ -313,7 +327,7 @@ class TestTypedOperator:
         q_vecs = op.mask * np.random.default_rng(5).uniform(-1, 1, (2,) + op.mask.shape)
         tracemalloc.start()
         try:
-            H, info = _series(op, q_vecs, 1e-13, 10_000)
+            H, info = series_alone(op, q_vecs, 1e-13, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -332,7 +346,7 @@ class TestTypedOperator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SeriesStagnationError, match=r"degree 2 .* rho = "):
-                _series(op, q_vecs, 1e-13, 10_000)
+                series_alone(op, q_vecs, 1e-13, 10_000)
 
     def test_expanding_type_without_source_refused(self):
         # linear parts diag(0.5, 0.1) against declared exponents (-2, -1): the
@@ -346,7 +360,7 @@ class TestTypedOperator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SeriesStagnationError, match="degree 2"):
-                _series(op, q_vecs, 1e-13, 10_000)
+                series_alone(op, q_vecs, 1e-13, 10_000)
 
     @pytest.mark.parametrize("period", [1, 2, 3])
     def test_oracle_matches_dense_solve(self, period):
@@ -354,7 +368,7 @@ class TestTypedOperator:
         for n in (2, 3):
             op = sheared_operator(period, n)
             q_vecs = [op.mask * rng.uniform(-1, 1, op.mask.shape) for _ in range(period)]
-            h_vecs, _ = direct_solve_oracle(op, q_vecs)
+            (h_vecs,), _ = direct_solve_oracle(op, np.array(q_vecs)[None])
             for h, h_ref in zip(h_vecs, dense_oracle(op, q_vecs)):
                 assert np.max(np.abs(h - h_ref)) <= 1e-12 * max(1.0, np.max(np.abs(h_ref)))
 
@@ -404,7 +418,7 @@ class TestBatchedTransfer:
     def check(op, period, seed):
         rng = np.random.default_rng(seed)
         q_vecs = op.mask * rng.uniform(-1, 1, (period,) + op.mask.shape)
-        H, info = _series(op, q_vecs, 1e-13, 10_000)
+        H, info = series_alone(op, q_vecs, 1e-13, 10_000)
         assert_series_matches_reference(op, q_vecs, H, info)
 
     @pytest.mark.parametrize("period", [1, 2, 3])
@@ -419,14 +433,14 @@ class TestBatchedTransfer:
     def test_term_budget(self):
         op = sheared_operator(2, 2)
         q_vecs = op.mask * np.random.default_rng(3).uniform(-1, 1, (2,) + op.mask.shape)
-        H, info = _series(op, q_vecs, 1e-13, 10_000)
+        H, info = series_alone(op, q_vecs, 1e-13, 10_000)
         terms = info["series_terms"]
-        H_cap, info_cap = _series(op, q_vecs, 1e-13, terms)
+        H_cap, info_cap = series_alone(op, q_vecs, 1e-13, terms)
         assert np.array_equal(H, H_cap) and info_cap == info
         for cap in (terms - 1, 1):
             # one term is below the period: not even the first period fits
             with pytest.raises(SeriesBudgetError, match=f"degree 2 .* within {cap} terms"):
-                _series(op, q_vecs, 1e-13, cap)
+                series_alone(op, q_vecs, 1e-13, cap)
 
     def test_every_phase_certified(self):
         # X -> a_k X at degree 2 with a = (0.5, 0.01) and sources at phase 0
@@ -437,7 +451,7 @@ class TestBatchedTransfer:
         op = linear_operator(S1, structure, 2, [np.array([[0.5]]), np.array([[0.01]])])
         q_vecs = np.zeros((2,) + op.mask.shape)
         q_vecs[0] = 1.0
-        H, info = _series(op, q_vecs, 1e-11, 10_000)
+        H, info = series_alone(op, q_vecs, 1e-11, 10_000)
         assert info["series_terms"] == 16
         assert info["tail_bound"] == pytest.approx(0.005 ** 8, rel=1e-12)
         exact = np.array([1.0, 0.01]) / (1.0 - 0.005)
@@ -451,7 +465,7 @@ class TestBatchedTransfer:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SeriesStagnationError, match="degree 2"):
-                _series(op, q_vecs, 1e-13, 10_000)
+                series_alone(op, q_vecs, 1e-13, 10_000)
 
 
 def series_inputs(ctx):
@@ -459,10 +473,10 @@ def series_inputs(ctx):
     seen = []
 
     def transfer(op, q_vecs):
-        seen.append((op, q_vecs.copy()))
+        seen.append((op, q_vecs[0].copy()))
         return _series(op, q_vecs, ctx.series_tol, ctx.max_series_terms)
 
-    _orbit_loop(ctx, transfer)
+    solve_cycles(ctx, [(transfer, None)])
     return seen
 
 
@@ -474,10 +488,10 @@ def assert_series_as_reference(op, q_vecs, series_tol=1e-13, max_terms=10_000):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(type(exc)) as got:
-                _series(op, q_vecs, series_tol, max_terms)
+                series_alone(op, q_vecs, series_tol, max_terms)
         assert str(got.value) == str(exc)
         return
-    H, info = _series(op, q_vecs, series_tol, max_terms)
+    H, info = series_alone(op, q_vecs, series_tol, max_terms)
     assert H.dtype == want[0].dtype and H.shape == want[0].shape
     assert H.tobytes() == want[0].tobytes()
     assert info == want[1]
@@ -534,7 +548,7 @@ class TestSources:
         ctx = SolverContext.prepare(c, 0.05, 6)
         h, p = koenigs_start(ctx)
         op = ctx.operator(2)
-        s_vecs = _source_vecs(op, *jet_stacks(h, p, ctx.order))
+        (s_vecs,) = _source_vecs(op, *jet_stacks(h, p, ctx.order))
         assert homogeneous(S1, 2, s_vecs[0]).coeffs == {(0, (2,)): 0.1}
         q = op.source(s_vecs)[0]
         assert q[0, _mono_table(1, 2)[1][(2,)]] == pytest.approx(0.2, abs=1e-15)
@@ -544,13 +558,13 @@ class TestSources:
         ctx = SolverContext.prepare(c, 0.05, 6)
         h, p = koenigs_start(ctx)
         op2 = ctx.operator(2)
-        series = lambda op, q: _series(op, q, ctx.series_tol, ctx.max_series_terms)
-        H2, P2, _ = solve_homogeneous_degree(op2, *jet_stacks(h, p, ctx.order), series)
+        (H2,), (P2,), _ = solve_homogeneous_degree(op2, *jet_stacks(h, p, ctx.order),
+                                                   [(ctx.series, None)])
         jet = h[0].jet.copy()
         jet[:, degree_cols(1, 2)] += H2[0]
         h[0] = PolyMap.from_jet(S1, S1, h[0].degree, jet)
         op3 = ctx.operator(3)
-        q = op3.source(_source_vecs(op3, *jet_stacks(h, p, ctx.order)))[0]
+        q = op3.source(_source_vecs(op3, *jet_stacks(h, p, ctx.order)))[0, 0]
         assert q[0, _mono_table(1, 3)[1][(3,)]] == pytest.approx(0.08, abs=1e-12)
 
     def test_source_composition_memory_on_ladder_degree5(self):
@@ -563,7 +577,7 @@ class TestSources:
         for maps in (res.conjugator, res.normal_form):
             jets = stack_jets(maps, 5)
             jets[..., cols] = 0.0
-            stacks.append(jets)
+            stacks.append(jets[None])
         stacks.append((np.arange(ctx.cocycle.period) + 1) % ctx.cocycle.period)
         op = ctx.operator(5)
         expected = _source_vecs(op, *stacks)
@@ -610,10 +624,10 @@ class TestFinishDegree:
         h_vecs = [rng.uniform(-1, 1, op.mask.shape) for _ in range(3)]
 
         def given(op_, q_vecs):
-            return [h.copy() for h in h_vecs], {}
+            return np.array([h_vecs]), [{}]
 
-        _, p_vecs, diag = solve_homogeneous_degree(
-            op, *jet_stacks(h_maps, p_maps, 3), given)
+        _, (p_vecs,), (diag,) = solve_homogeneous_degree(
+            op, *jet_stacks(h_maps, p_maps, 3), [(given, None)])
         residue = 0.0
         for k in range(2):
             A_map = PolyMap.from_linear(linears[k], space, space, 1)
@@ -822,6 +836,48 @@ class TestValidation:
             SolverContext(c, spec, 4)
 
 
+def same_solve(got, want) -> bool:
+    """Two results with the same bytes of jets and the same diagnostics."""
+    return (got.conjugator_jets.tobytes() == want.conjugator_jets.tobytes()
+            and got.normal_form_jets.tobytes() == want.normal_form_jets.tobytes()
+            and repr(got.diagnostics) == repr(want.diagnostics))
+
+
+class TestOneLoop:
+    """The main solve, the gauge check's lifted twin and the oracle's dense
+    re-solve as cycles of one degree loop, each with the bits of its own loop."""
+
+    @pytest.mark.parametrize("case", builtin_names() + list(range(48)), ids=str)
+    def test_cycles_have_the_bits_of_loops_of_their_own(self, case):
+        scenario = build_builtin(case) if isinstance(case, str) else random_scenario(case)
+        ctx = _prepare_context(scenario.cocycle, scenario.config)
+        lift = _gauge_lift(ctx, {"delta": 0.05})[0]
+        fused = solve_cycles(ctx, [(ctx.series, None), (ctx.series, lift),
+                                   (direct_solve_oracle, None)])
+        alone = [solve_normal_form(ctx), solve_normal_form(ctx, lift), direct_normal_form(ctx)]
+        assert all(same_solve(got, want) for got, want in zip(fused, alone, strict=True))
+
+    def test_series_cycles_share_one_sum(self, monkeypatch):
+        # both series cycles go through one doubling per degree, the oracle
+        # through one call of its own
+        scenario = build_builtin("koenigs_period2")
+        ctx = _prepare_context(scenario.cocycle, scenario.config)
+        sums, oracles = [], []
+
+        def counted_sum(Q, *args, _fn=normalform._transported_sum):
+            sums.append(Q.shape[:-4])
+            return _fn(Q, *args)
+
+        def counted_oracle(op, q_vecs):
+            oracles.append(len(q_vecs))
+            return direct_solve_oracle(op, q_vecs)
+
+        monkeypatch.setattr(normalform, "_transported_sum", counted_sum)
+        lift = _gauge_lift(ctx, {"delta": 0.05})[0]
+        solve_cycles(ctx, [(ctx.series, None), (ctx.series, lift), (counted_oracle, None)])
+        assert sums == [(2,)] * (ctx.order - 1) and oracles == [1] * (ctx.order - 1)
+
+
 class TestLazyFrames:
     def test_solve_builds_no_frames(self, monkeypatch):
         calls = []
@@ -948,7 +1004,7 @@ def assert_scan_matches_stepwise_reference(dims, W, P, J):
     for n in (2, 3, 4, 5):
         op = linear_operator(space, structure, n, linears)
         q_vecs = op.mask * rng.uniform(-1, 1, (N,) + op.mask.shape)
-        R, info = _window_sweep(rows)(op, q_vecs)
+        R, info = sweep_alone(rows, op, q_vecs)
         R_ref, info_ref = window_reference.window_sweep(op, q_vecs, rows)
         assert R.shape == R_ref.shape == (N + 1,) + op.mask.shape
         assert not R[N].any() and not (~op.mask * R).any()
@@ -985,7 +1041,7 @@ class TestWindowSweep:
         rows = forest_rows(W, 1, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            R, info = _window_sweep(rows)(op, q_vecs)
+            R, info = sweep_alone(rows, op, q_vecs)
         R_ref, info_ref = window_reference.window_sweep(op, q_vecs, rows)
         assert np.max(np.abs(R - R_ref)) <= 1e-13 * np.max(np.abs(R_ref))
         assert info["max_sweep_norm"] == pytest.approx(info_ref["max_sweep_norm"], rel=1e-13)
@@ -998,10 +1054,11 @@ class TestWindowSweep:
         jets = stack_jets(maps, 2)[steps]
         h, p, diag = solve_window(jets, space, structure, 4)
         rows, fibers = forest_rows(W, P, W), jets.reshape(W * P, *jets.shape[2:])
-        h_ref, p_ref, diags_ref = _degree_loop(
+        (h_ref,), (p_ref,), (diags_ref,) = _degree_loop(
             fibers, forest_successors(rows),
             lambda n: table_operator(space, structure, n, fibers, 4), 4,
-            lambda op, q_vecs: window_reference.window_sweep(op, q_vecs, rows))
+            [(transfer_reference.one_cycle(
+                lambda op, q_vecs: window_reference.window_sweep(op, q_vecs, rows)), None)])
         h_ref, p_ref = h_ref[rows], p_ref[rows[:-1]]
         assert np.max(np.abs(h - h_ref)) <= 1e-13 * np.max(np.abs(h_ref))
         assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
@@ -1020,10 +1077,10 @@ class TestWindowSweep:
         jets = stack_jets(maps, 2)[rng.integers(0, len(maps), (40, 3))]
         h, p, _ = solve_window(jets, space, structure, 4)
         rows, fibers = forest_rows(40, 3, 40), jets.reshape(120, *jets.shape[2:])
-        h_ref, p_ref, _ = _degree_loop(
+        (h_ref,), (p_ref,), _ = _degree_loop(
             fibers, forest_successors(rows),
             lambda n: table_operator(space, structure, n, fibers, 4), 4,
-            _window_sweep(rows))
+            [(_window_sweep(rows), None)])
         assert np.array_equal(h, h_ref[rows]) and np.array_equal(p, p_ref[rows[:-1]])
 
     @SETTINGS
@@ -1149,7 +1206,7 @@ class TestWindowForest:
         for n in (2, 3):
             op = linear_operator(space, structure, n, linears)
             q_vecs = op.mask * rng.uniform(-1, 1, (rows.max(),) + op.mask.shape)
-            R, _ = _window_sweep(rows)(op, q_vecs)
+            R, _ = sweep_alone(rows, op, q_vecs)
             steps = rows[:-1]
             scan = window_reference.doubling_scan(op.ainvs[steps], op.substs[steps], op.mask,
                                                   q_vecs[steps])

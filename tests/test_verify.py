@@ -13,12 +13,13 @@ from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from transfer_reference import one_cycle
 
 from orbitnf import normalform, polymap, verify
 from orbitnf.cli import _check_centralizer
 from orbitnf.cocycle import OrbitCocycle, SandwichReport
 from orbitnf.grading import Spectrum
-from orbitnf.normalform import (NormalFormResult, SolverContext, _orbit_loop, _source_vecs,
+from orbitnf.normalform import (NormalFormResult, SolverContext, _source_vecs, solve_cycles,
                                 solve_normal_form, solve_window)
 from orbitnf.polymap import (GradedSpace, PolyMap, _mono_table, compose_truncated,
                              degree_cols, invert_jets, stack_jets)
@@ -280,7 +281,7 @@ class TestConjugacyResidual:
 def degree_inputs(ctx, n, h_maps, p_maps):
     """Degree-n operator and twisted sources Q(k), the oracle's arguments."""
     op = ctx.operator(n)
-    stacks = [stack_jets(group, ctx.order) for group in (h_maps, p_maps)]
+    stacks = [stack_jets(group, ctx.order)[None] for group in (h_maps, p_maps)]
     return op, op.source(_source_vecs(op, *stacks, (np.arange(len(p_maps)) + 1) % len(h_maps)))
 
 
@@ -289,7 +290,7 @@ class TestDirectOracle:
         _, ctx, _ = koenigs
         h0 = [PolyMap.identity(S1, ctx.order)]
         p0 = [PolyMap.from_linear(np.array([[0.5]]), S1, S1, 1)]
-        Hn, _ = direct_solve_oracle(*degree_inputs(ctx, 2, h0, p0))
+        (Hn,), _ = direct_solve_oracle(*degree_inputs(ctx, 2, h0, p0))
         assert abs(Hn[0][0, _mono_table(1, 2)[1][(2,)]] - 0.4) <= 1e-12
 
     def test_series_matches_direct_koenigs(self, koenigs):
@@ -527,7 +528,8 @@ class TestBatchedChecks:
         _, ctx, _ = batched
         sizes = [(r.stop - r.start) * len(cols) for r, cols in ctx.operator(2).types]
         assert len(set(sizes)) < len(sizes)  # some systems share a size
-        got, want = direct_normal_form(ctx), _orbit_loop(ctx, oracle_reference)
+        got = direct_normal_form(ctx)
+        (want,) = solve_cycles(ctx, [(one_cycle(oracle_reference), None)])
         assert same_bits(got.conjugator_jets, want.conjugator_jets)
         assert same_bits(got.normal_form_jets, want.normal_form_jets)
 

@@ -7,7 +7,8 @@ their spectral norms is below one, and the series moves each phase through
 its own transfer step, one term at a time, until the certified tail of a
 q-period chunk is below the tolerance.  The certificate's power cap is kept
 here, so the reference shares no code with the package.  The tests check
-``orbitnf.normalform._series`` against them.
+``orbitnf.normalform._series`` against them.  ``one_cycle`` runs a
+one-cycle transfer in the degree loop.
 """
 
 from functools import reduce
@@ -79,3 +80,15 @@ def run_series(op, q_vecs, series_tol: float, max_terms: int,
             raise SeriesBudgetError(f"series for degree {op.n} did not settle")
         terms = [op.mask * (op.ainvs[k] @ terms[(k + 1) % period] @ op.substs[k])
                  for k in range(period)]
+
+
+def one_cycle(transfer):
+    """A transfer of one cycle's (K, m, n) sources, returning its conjugator
+    terms and diagnostics, as a transfer of the degree loop, which hands a
+    transfer the stacked sources of every cycle it solves."""
+    def stacked(op, q_vecs):
+        solved = [transfer(op, q) for q in q_vecs]
+        return np.array([np.asarray(h) for h, _ in solved]), [info for _, info in solved]
+
+    return stacked
+
