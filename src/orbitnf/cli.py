@@ -319,7 +319,7 @@ def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
 # its bounded quantities as the (line, ok) pairs of ``_limit``.  The check
 # passes exactly when every limit holds, and the broken ones are its stderr
 # lines; a nested ``passed`` reads the limits of its own part.  The gauge and
-# oracle runners take their re-solved result from ``_solve``, or solve it alone.
+# oracle runners take their re-solve from ``_solve``, or solve it alone.
 
 def _check_residual(ctx, result, cfg):
     rep = conjugacy_residual(ctx.cocycle, result, series_tol=ctx.series_tol)
@@ -368,15 +368,13 @@ def _check_gauge(ctx, result, cfg, result_alt=None):
     details.update(delta=delta, slot=[2, 0, alpha])
     if not recover:
         diff = float(np.max(np.abs(result.conjugator_jets - result_alt.conjugator_jets)))
-        details["mode"] = "unique"
-        details["conjugator_gap"] = diff
+        details.update(mode="unique", conjugator_gap=diff)
         limits.append(_limit("conjugator_gap", diff, "tol", _UNIQUE_GAP_TOL))
     else:
         # H = G o H_alt, so G carries the lifted coefficient negated
         col = degree_cols(m, 2).start + _mono_table(m, 2)[1][tuple(alpha)]
         err = float(np.max(np.abs(rep.transition[:, 0, col] + delta)))
-        details["mode"] = "recover"
-        details["recovery_error"] = err
+        details.update(mode="recover", recovery_error=err)
         limits.append(_limit("recovery_error", err, "tol", tol))
     details["passed"] = all(ok for _, ok in limits)
     return details, limits
@@ -425,9 +423,8 @@ CHECK_ORDER = tuple(_CHECK_RUNNERS)
 
 
 def _solve(ctx, config, result=None):
-    """The main solve, unless ``result`` is handed in, and the re-solves of the
-    enabled gauge and oracle checks, as the cycles of one degree loop;
-    returns the result and the re-solved results by check name."""
+    """The main solve, unless ``result`` is handed in, and the enabled gauge and
+    oracle re-solves as cycles of one degree loop: (result, re-solves by name)."""
     checks = config["checks"]
     re_solves = {"gauge": lambda: (ctx.series, _gauge_lift(ctx, checks["gauge"])[0]),
                  "oracle": lambda: (direct_solve_oracle, None)}
@@ -441,9 +438,8 @@ def run_checks(ctx, result, cocycle, config):
     """Run the enabled checks in fixed order; returns (entries, failures):
     one report entry per check, and the line ``"{check}: {limit}"`` of every
     limit an enabled check broke, in check order.  The checks' re-solves
-    share one degree loop.
-
-    The checks read the cocycle from ``ctx``, so ``cocycle`` is ``ctx.cocycle``."""
+    share one degree loop.  The checks read the cocycle from ``ctx``, so
+    ``cocycle`` is ``ctx.cocycle``."""
     return _run_checks(ctx, *_solve(ctx, config, result), config)
 
 

@@ -146,8 +146,7 @@ def _block_rates(cocycle: OrbitCocycle) -> tuple[np.ndarray, list[np.ndarray]]:
     the monodromy of exp(-chi_i) A_k[i], renormalised every step by a power
     of two (exact), whose exponents add up to its log scale; so no product
     leaves the float range, however long the period.  Rates too far below the
-    block's largest for the product to resolve (modulus 0) share what the
-    others leave of m_i chi_i, the sum of the block's rates.
+    largest to resolve (modulus 0) share what the others leave of m_i chi_i.
     """
     A, space, K = cocycle.linears, cocycle.space, cocycle.period
     block = np.array(space.block_of_coord)
@@ -296,30 +295,29 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
     """Fixed point G(p) = Q(p) + X_p G(nxt_p) Y_p of a transfer, by Smith's doubling.
 
     Q, X and Y are (types, phases, r, c), (types, phases, r, r) and
-    (types, phases, c, c) stacks, zero-padded to one shape, Q optionally
-    with a leading axis of stop groups, and the phase map nxt closes a cycle
-    every K steps.  From phase p a type's G is sum_t A^t S B^t with S the
+    (types, phases, c, c) stacks, zero-padded to one shape, Q maybe with a
+    leading axis of stop groups, and the phase map nxt closes a cycle every
+    K steps.  From phase p a type's G is sum_t A^t S B^t with S the
     first-period sum, A = X_p X_{nxt p} ... (K factors) and B = ... Y_{nxt p}
     Y_p, and every step G <- G + A G B, A <- A A, B <- B B doubles the T
     periods summed, each pair (A, B) first balanced by a power of two read
     off the Frobenius norms of the stop test (the first-period products by
-    ``_rebalance``).  The dropped tail sum_{j>=1} A^j G B^j of a type has
-    norm at most rho/(1-rho) ||G||_F with rho = ||A||_F ||B||_F, so a group
-    stops, and takes no more doublings, once the root sum of squares of
-    those bounds over its types is within tol * max(1, ||G(p)||_F) at every
-    phase p (NaN never passes); A and B do not read Q, so each group gets the
-    bits of a call of its own.  A non-finite rho ||G||_F or ||G(p)||_F of a
-    group still summing, which the next step would overflow, raises
+    ``_rebalance``).  The tail sum_{j>=1} A^j G B^j of a type has norm at
+    most rho/(1-rho) ||G||_F, rho = ||A||_F ||B||_F, so a group stops, and
+    takes no more doublings, once the root sum of squares of those bounds
+    over its types is within tol * max(1, ||G(p)||_F) at every phase p (NaN
+    never passes); A and B do not read Q, so each group has the bits of a
+    call of its own.  A non-finite rho ||G||_F or ||G(p)||_F of a group still
+    summing, which the next step would overflow, raises
     SeriesStagnationError; more than budget terms, at the first period or at
-    a doubling, raise SeriesBudgetError; both messages name the series by
-    ``what``.  Returns G, the terms summed T K and the (phases,) tail bounds.
+    a doubling, SeriesBudgetError; both name the series by ``what``.
+    Returns G, the terms summed T K and the (phases,) tail bounds.
     """
     G, A, B = Q, X, Y
     for _ in range(K - 1):
         G = Q + X @ G[..., nxt, :, :] @ Y
         A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
-    # the groups still summing, and once one stops alone G, T K and the tails of all
-    live, out, T = np.arange(len(G)), None, 1
+    out, T = None, 1  # G, T K and the tails once a group stops alone
     with np.errstate(all="ignore"):
         while True:
             a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
@@ -340,7 +338,9 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
                 if done.all() and out is None:  # every group at once
                     return G, np.full(done.shape, T * K), tail
                 if done.any():
-                    out = out or (np.empty(Q.shape), np.zeros(len(Q), int), np.empty(tail.shape))
+                    if out is None:
+                        live = np.arange(len(Q))
+                        out = np.empty(Q.shape), np.zeros(len(Q), int), np.empty(tail.shape)
                     for part, value in zip(out, (G[done], T * K, tail[done])):
                         part[live[done]] = value
                     if done.all():

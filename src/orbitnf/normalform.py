@@ -21,7 +21,10 @@ and the dense oracle work type by type.
 
 One loop, ``_degree_loop``, runs the recursion on jet stacks of the
 conjugators and normal forms, H(nxt[k]) after map k: a cycle on an orbit, a
-forest of windows.  The powers of the fiber maps are formed once, in their
+forest of windows.  It solves several cycles of one orbit at once, on a
+leading axis of the stacks (``solve_cycles``: the main solve, the gauge
+check's lifted twin, the oracle's dense re-solve), each with its own
+transfer and lift.  The powers of the fiber maps are formed once, in their
 composition table: composing on the right of F_k is linear, so
 [H(k+1) o F_k]_n is a sum of products of the degree-d parts of H with blocks
 of the table, and the table's diagonal blocks are the substitution matrices
@@ -37,7 +40,8 @@ finish.  Three transfer solvers plug into the loop:
 * the transported series (``solve_normal_form``): per type, a geometric
   series in the one-period transfer, summed by Smith's doubling until the
   norms of the doubled factors bound the dropped tail, in
-  ``cocycle._transported_sum``, which sums the Lyapunov frames too;
+  ``cocycle._transported_sum``, which sums the Lyapunov frames too, every
+  series cycle a stop group of one call;
 * the dense oracle ``verify.direct_solve_oracle``, one linear solve;
 * the sweep of ``solve_window`` along finite orbit windows from a zero
   terminal condition, a suffix scan composed by pointer jumping.  The steps
@@ -55,14 +59,13 @@ rows, built on first read for the API and the report.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 # the series errors are raised by cocycle._transported_sum and re-exported here
 from .cocycle import (LyapunovFrames, OrbitCocycle, SeriesBudgetError, SeriesStagnationError,
-                      _check_carried, _rebalance, _transported_sum,
+                      _check_carried, _frobenius, _rebalance, _transported_sum,
                       lyapunov_frames, monodromy_spectrum)
 from .grading import Spectrum, SubResStructure, _type_table, contraction_factor
 from .polymap import (GradedSpace, PolyMap, _linear_jets, _linear_parts, compose_jets,
@@ -169,12 +172,12 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     its part of H is sum_t A^t G B^t with G the first-period sum, A =
     Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
     The types are gathered into zero-padded stacks by ``op.type_index``, one
-    fancy index per stack, summed by one ``cocycle._transported_sum`` call,
-    each cycle with sources a stop group (a lone one needs no group axis),
-    and scattered back.  A cycle stops once the root sum of squares of its
-    types' tail bounds is within series_tol * max(1, ||H(p)||_F) at every
-    phase p; no certified contraction raises SeriesStagnationError, more
-    than max_terms terms raise SeriesBudgetError.
+    fancy index per stack, summed by ``cocycle._transported_sum``, every
+    cycle with sources its own stop group, and scattered back.  A cycle
+    stops once the root sum of squares of its types' tail bounds is within
+    series_tol * max(1, ||H(p)||_F) at every phase p; no certified
+    contraction raises SeriesStagnationError, more than max_terms terms
+    raise SeriesBudgetError.
     """
     K = q_vecs.shape[1]
     live = [c for c, q in enumerate(q_vecs) if q.any()]
@@ -190,9 +193,7 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     G, terms, tails = _transported_sum(Q, X, Y, (np.arange(K) + 1) % K, K, series_tol,
                                        max_terms, f"degree {op.n}")
     t, i, j, hr, hc = slots
-    h, g = np.zeros(Q.shape[:-4] + q_vecs.shape[1:]), G[..., t, :, i, j]
-    h[..., hr, hc] = g.transpose(*range(1, g.ndim), 0)
-    H[at] = h
+    H[np.reshape(live, (-1, 1)), ..., hr, hc] = G[..., t, :, i, j].swapaxes(0, -2)
     for c, T, tail in zip(live, terms.flat, tails.reshape(len(live), -1).max(axis=1)):
         infos[c] = {"short_circuit": False, "series_terms": int(T), "tail_bound": float(tail)}
     return H, infos
@@ -215,8 +216,7 @@ class SolverContext:
     The composition table of the fiber maps (``table``), the inverses of the
     linear parts (``ainvs``) and the degree operators (``operators``, by
     degree) are built on first use in a solve, and every cycle of every
-    later solve on the context reads them.  ``series`` is the transfer of
-    the transported series on the context's tolerances.
+    later solve on the context reads them; ``series`` is its series transfer.
     """
 
     cocycle: OrbitCocycle
@@ -277,9 +277,8 @@ class SolverContext:
 
     def series(self, op: _DegreeOperator, q_vecs: np.ndarray) -> tuple[np.ndarray, list[dict]]:
         h_vecs, infos = _series(op, q_vecs, self.series_tol, self.max_series_terms)
-        for info in infos:
-            info["contraction_factor"] = contraction_factor(self.spectrum, op.n)
-        return h_vecs, infos
+        rate = contraction_factor(self.spectrum, op.n)
+        return h_vecs, [dict(info, contraction_factor=rate) for info in infos]
 
 
 def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
@@ -290,8 +289,8 @@ def _source_vecs(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarray,
     the normal forms P_k, H(nxt[k]) the conjugator after map k; in the loop
     the degree-n parts of H and P are still zero.  The first term is linear
     in H, the sum over d <= n of H_d(nxt[k]) times the degree-n columns of
-    the composition table's degree-d block; the second is one stacked
-    composition per cycle, whose powers of H stop at P's top degree.
+    the table's degree-d block; the second is one stacked composition per
+    cycle, whose powers of H stop at P's top degree.
     """
     K, m, n = len(op.linears), op.space.dim, op.n
     cols, width = degree_cols(m, n), jet_width(m, n)
@@ -310,19 +309,19 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
                              ) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """One degree of the conjugacy equation, solved in coefficient space.
 
-    Takes jet stacks as ``_source_vecs`` does and one (transfer, lift) pair
-    per cycle; a transfer solves each run of cycles it serves in one call,
-    and the admissible degree-n part of a lift is added to the conjugators
-    of its cycle.  Returns per cycle the degree-n conjugator terms (one
-    array per conjugator), the normal form terms P_n (one per map) and the
-    degree's diagnostics.  Below the degree bound the non-admissible residue
-    of the finished equation is the admissible violation; above it P_n
-    vanishes and the residue is the defect.
+    Takes jet stacks as ``_source_vecs`` does and a (transfer, lift) pair
+    per cycle: a transfer solves each run of its cycles in one call, and the
+    admissible degree-n part of a lift joins the conjugators of its cycle.
+    Returns per cycle the degree-n conjugator terms (one array per
+    conjugator), the normal form terms P_n (one per map) and diagnostics.
+    Below the degree bound the non-admissible residue of the finished
+    equation is the admissible violation; above it P_n vanishes and the
+    residue is the defect.
     """
     n, K = op.n, len(op.linears)
     s_vecs = _source_vecs(op, conj, nf, nxt)
     q_vecs, h_vecs, infos = op.source(s_vecs), [], []
-    for transfer, run in groupby(cycles, key=itemgetter(0)):
+    for transfer, run in groupby(cycles, key=lambda cycle: cycle[0]):
         h, solved = transfer(op, q_vecs[len(infos):len(infos) + len(list(run))])
         h_vecs.append(h)
         infos += solved
@@ -333,7 +332,7 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
     terms = s_vecs + _matmul(h_vecs[:, nxt], op.substs) - _matmul(op.linears, h_vecs[:, :K])
     residues = np.abs(op.mask * terms).max(axis=(1, 2, 3))
     below = n <= op.degree_bound
-    norms = (np.linalg.norm(x, axis=(-2, -1)).max(axis=1) for x in (s_vecs, h_vecs))
+    norms = (_frobenius(x).max(axis=1) for x in (s_vecs, h_vecs))
     diags = [dict(info, degree=n, monomials=op.mask.shape[1], slots=op.mask.size,
                   admissible_slots=int(op.mask.size - op.mask.sum()), types=len(op.types),
                   source_norm=float(s), solution_norm=float(h),
@@ -377,14 +376,9 @@ def solve_cycles(ctx: "SolverContext", cycles: Sequence[Cycle]) -> list["NormalF
     K = ctx.cocycle.period
     conj, nf, degree_diags = _degree_loop(ctx.cocycle.jets, (np.arange(K) + 1) % K,
                                           ctx.operator, ctx.order, cycles)
-    diagnostics = {
-        "order": ctx.order,
-        "period": K,
-        "degree_bound": ctx.structure.degree_bound,
-        "spectral_gap": ctx.structure.spectral_gap,
-        "epsilon": ctx.spectrum.epsilon,
-        "table_bytes": sum(T.nbytes for T in ctx.table),
-    }
+    diagnostics = {"order": ctx.order, "period": K, "degree_bound": ctx.structure.degree_bound,
+                   "spectral_gap": ctx.structure.spectral_gap, "epsilon": ctx.spectrum.epsilon,
+                   "table_bytes": sum(T.nbytes for T in ctx.table)}
     return [NormalFormResult(h, p, ctx.spectrum, ctx.order, dict(diagnostics, degrees=d))
             for h, p, d in zip(conj, nf, degree_diags)]
 
