@@ -318,8 +318,7 @@ def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
 # A runner returns (details, limits): the details its report entry holds, and
 # its bounded quantities as the (line, ok) pairs of ``_limit``.  The check
 # passes exactly when every limit holds, and the broken ones are its stderr
-# lines; a nested ``passed`` reads the limits of its own part.  The gauge and
-# oracle runners take their re-solve from ``_solve``, or solve it alone.
+# lines; a nested ``passed`` reads the limits of its own part.
 
 def _check_residual(ctx, result, cfg):
     rep = conjugacy_residual(ctx.cocycle, result, series_tol=ctx.series_tol)
@@ -424,35 +423,33 @@ CHECK_ORDER = tuple(_CHECK_RUNNERS)
 
 def _solve(ctx, config, result=None):
     """The main solve, unless ``result`` is handed in, and the enabled gauge and
-    oracle re-solves as cycles of one degree loop: (result, re-solves by name)."""
-    checks = config["checks"]
-    re_solves = {"gauge": lambda: (ctx.series, _gauge_lift(ctx, checks["gauge"])[0]),
+    oracle re-solves as cycles of one loop: the result, and by check name the
+    runner arguments that a re-solve adds."""
+    re_solves = {"gauge": lambda: (ctx.series, _gauge_lift(ctx, config["checks"]["gauge"])[0]),
                  "oracle": lambda: (direct_solve_oracle, None)}
-    names = [name for name in re_solves if checks.get(name, {}).get("enabled")]
+    names = [name for name in re_solves if config["checks"].get(name, {}).get("enabled")]
     cycles = [(ctx.series, None)] * (result is None) + [re_solves[name]() for name in names]
     solved = solve_cycles(ctx, cycles) if cycles else []
-    return (solved.pop(0) if result is None else result), dict(zip(names, solved))
+    return (solved.pop(0) if result is None else result), {n: (r,) for n, r in zip(names, solved)}
 
 
 def run_checks(ctx, result, cocycle, config):
     """Run the enabled checks in fixed order; returns (entries, failures):
     one report entry per check, and the line ``"{check}: {limit}"`` of every
-    limit an enabled check broke, in check order.  The checks' re-solves
-    share one degree loop.  The checks read the cocycle from ``ctx``, so
-    ``cocycle`` is ``ctx.cocycle``."""
+    limit an enabled check broke, in check order; the re-solves run as one
+    degree loop.  The checks read the cocycle from ``ctx``: ``cocycle`` is ``ctx.cocycle``."""
     return _run_checks(ctx, *_solve(ctx, config, result), config)
 
 
 def _run_checks(ctx, result, solved, config):
-    """``run_checks`` with the re-solved results by check name."""
+    """``run_checks`` with the re-solves of ``_solve``."""
     entries, failures = [], []
     for name in CHECK_ORDER:
         cfg = config["checks"].get(name)
         if not cfg or not cfg.get("enabled", False):
             entries.append({"name": name, "enabled": False, "passed": None})
             continue
-        details, limits = _CHECK_RUNNERS[name](
-            ctx, result, cfg, *([solved[name]] if name in solved else []))
+        details, limits = _CHECK_RUNNERS[name](ctx, result, cfg, *solved.get(name, ()))
         entries.append({"name": name, "enabled": True,
                         "passed": all(ok for _, ok in limits), "details": details})
         failures += [f"{name}: {line}" for line, ok in limits if not ok]

@@ -167,10 +167,9 @@ def _block_rates(cocycle: OrbitCocycle) -> tuple[np.ndarray, list[np.ndarray]]:
             P, scale = np.ldexp(P, -e), scale + e
         with np.errstate(divide="ignore"):
             log_moduli = np.log(np.abs(np.linalg.eigvals(P))) + scale * math.log(2.0)
-        r = chi[-1] + log_moduli / K
-        lost = np.isneginf(r)
-        r[lost] = (mi * chi[-1] - r[~lost].sum()) / max(lost.sum(), 1)
-        rates.append(r)
+        rates.append(chi[-1] + log_moduli / K)
+        lost = np.isneginf(rates[-1])
+        rates[-1][lost] = (mi * chi[-1] - rates[-1][~lost].sum()) / max(lost.sum(), 1)
     return np.array(chi), rates
 
 
@@ -296,19 +295,18 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
 
     Q, X and Y are (types, phases, r, c), (types, phases, r, r) and
     (types, phases, c, c) stacks, zero-padded to one shape, Q maybe with a
-    leading axis of stop groups, and the phase map nxt closes a cycle every
-    K steps.  From phase p a type's G is sum_t A^t S B^t with S the
-    first-period sum, A = X_p X_{nxt p} ... (K factors) and B = ... Y_{nxt p}
-    Y_p, and every step G <- G + A G B, A <- A A, B <- B B doubles the T
-    periods summed, each pair (A, B) first balanced by a power of two read
-    off the Frobenius norms of the stop test (the first-period products by
-    ``_rebalance``).  The tail sum_{j>=1} A^j G B^j of a type has norm at
-    most rho/(1-rho) ||G||_F, rho = ||A||_F ||B||_F, so a group stops, and
-    takes no more doublings, once the root sum of squares of those bounds
-    over its types is within tol * max(1, ||G(p)||_F) at every phase p (NaN
-    never passes); A and B do not read Q, so each group has the bits of a
-    call of its own.  A non-finite rho ||G||_F or ||G(p)||_F of a group still
-    summing, which the next step would overflow, raises
+    leading axis of stop groups, and nxt closes a cycle every K phases.  From
+    phase p a type's G is sum_t A^t S B^t with S the first-period sum, A =
+    X_p X_{nxt p} ... (K factors) and B = ... Y_{nxt p} Y_p, and every step
+    G <- G + A G B, A <- A A, B <- B B doubles the T periods summed, (A, B)
+    first balanced by a power of two read off the norms of the stop test
+    (the first-period products by ``_rebalance``).  The tail sum_{j>=1}
+    A^j G B^j of a type has norm at most rho/(1-rho) ||G||_F, rho =
+    ||A||_F ||B||_F, so a group stops, and takes no more doublings, once the
+    root sum of squares of those bounds over its types is within tol *
+    max(1, ||G(p)||_F) at every phase p (NaN never passes); A and B do not
+    read Q, so each group has the bits of a call of its own.  A non-finite
+    rho ||G||_F or ||G(p)||_F of a group still summing raises
     SeriesStagnationError; more than budget terms, at the first period or at
     a doubling, SeriesBudgetError; both name the series by ``what``.
     Returns G, the terms summed T K and the (phases,) tail bounds.
@@ -317,7 +315,7 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
     for _ in range(K - 1):
         G = Q + X @ G[..., nxt, :, :] @ Y
         A, B = _rebalance(X @ A[:, nxt], B[:, nxt] @ Y)
-    out, T = None, 1  # G, T K and the tails once a group stops alone
+    live, out, T = np.arange(len(Q)), None, 1  # out: G, T K, tails once a group stops alone
     with np.errstate(all="ignore"):
         while True:
             a, b, g = _frobenius(A), _frobenius(B), _frobenius(G)
@@ -336,11 +334,9 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
             if T * K <= budget and ok.any():
                 done = ok.all(axis=-1)
                 if done.all() and out is None:  # every group at once
-                    return G, np.full(done.shape, T * K), tail
+                    return G, done * (T * K), tail
                 if done.any():
-                    if out is None:
-                        live = np.arange(len(Q))
-                        out = np.empty(Q.shape), np.zeros(len(Q), int), np.empty(tail.shape)
+                    out = out or (np.empty(Q.shape), np.zeros(len(Q), int), np.empty(tail.shape))
                     for part, value in zip(out, (G[done], T * K, tail[done])):
                         part[live[done]] = value
                     if done.all():

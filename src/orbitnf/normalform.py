@@ -21,27 +21,26 @@ and the dense oracle work type by type.
 
 One loop, ``_degree_loop``, runs the recursion on jet stacks of the
 conjugators and normal forms, H(nxt[k]) after map k: a cycle on an orbit, a
-forest of windows.  It solves several cycles of one orbit at once, on a
-leading axis of the stacks (``solve_cycles``: the main solve, the gauge
-check's lifted twin, the oracle's dense re-solve), each with its own
-transfer and lift.  The powers of the fiber maps are formed once, in their
+forest of windows, and several cycles of one orbit at once on a leading
+axis (``solve_cycles``: the main solve, the gauge check's lifted twin, the
+oracle's re-solve).  The powers of the fiber maps are formed once, in their
 composition table: composing on the right of F_k is linear, so
 [H(k+1) o F_k]_n is a sum of products of the degree-d parts of H with blocks
 of the table, and the table's diagonal blocks are the substitution matrices
 of the degree operators.  Only P_k o H(k) is a composition per degree, whose
 powers of H stop at the top degree of P.  Each degree hands the twisted
-sources Q(k) to a transfer solver and finishes in coefficient space:
-term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose admissible part
-is P_n(k) and whose rest must vanish.  H and P are unique only up to a
-sub-resonance polynomial; a solve may fix that gauge with one ``lift`` map,
-whose admissible degree-n part is added to every conjugator before the
-finish.  Three transfer solvers plug into the loop:
+sources Q(k) of a cycle to its transfer solver and finishes in coefficient
+space: term_k = S_n(k) + H_n(k+1) @ subst_k - A_k @ H_n(k), whose
+admissible part is P_n(k) and whose rest must vanish.  H and P are unique
+only up to a sub-resonance polynomial; a cycle may fix that gauge with a
+``lift`` map, whose admissible degree-n part joins its conjugators before
+the finish.  Three transfer solvers plug into the loop:
 
 * the transported series (``solve_normal_form``): per type, a geometric
   series in the one-period transfer, summed by Smith's doubling until the
   norms of the doubled factors bound the dropped tail, in
-  ``cocycle._transported_sum``, which sums the Lyapunov frames too, every
-  series cycle a stop group of one call;
+  ``cocycle._transported_sum``, one call for all series cycles, which sums
+  the Lyapunov frames too;
 * the dense oracle ``verify.direct_solve_oracle``, one linear solve;
 * the sweep of ``solve_window`` along finite orbit windows from a zero
   terminal condition, a suffix scan composed by pointer jumping.  The steps
@@ -78,10 +77,9 @@ WINDOW_GROWTH_GUARD = 1e9
 # stay inside the float range
 WINDOW_CHUNK = 2048
 
-# (degree operator, (cycles, K, m, n) twisted sources Q(k)) -> (conjugator terms,
-# diagnostics per cycle); a cycle of the degree loop is a (transfer, lift) pair
+# (degree operator, (cycles, K, m, n) sources Q(k)) -> (conjugator terms, diagnostics per cycle)
 Transfer = Callable[["_DegreeOperator", np.ndarray], tuple[np.ndarray, list[dict]]]
-Cycle = tuple[Transfer, "PolyMap | None"]
+Cycle = tuple[Transfer, "PolyMap | None"]  # a cycle of the degree loop
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,20 +170,19 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     its part of H is sum_t A^t G B^t with G the first-period sum, A =
     Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
     The types are gathered into zero-padded stacks by ``op.type_index``, one
-    fancy index per stack, summed by ``cocycle._transported_sum``, every
-    cycle with sources its own stop group, and scattered back.  A cycle
-    stops once the root sum of squares of its types' tail bounds is within
-    series_tol * max(1, ||H(p)||_F) at every phase p; no certified
-    contraction raises SeriesStagnationError, more than max_terms terms
-    raise SeriesBudgetError.
+    fancy index per stack, summed by ``cocycle._transported_sum``, each cycle
+    a stop group (one alone needs no group axis; one without sources stops
+    no later than the rest and stays zero), and scattered back.  A cycle stops once the root
+    sum of squares of its types' tail bounds is within series_tol * max(1,
+    ||H(p)||_F) at every phase p; no certified contraction raises
+    SeriesStagnationError, more than max_terms terms SeriesBudgetError.
     """
-    K = q_vecs.shape[1]
-    live = [c for c, q in enumerate(q_vecs) if q.any()]
-    infos = [{"short_circuit": True, "series_terms": 0, "tail_bound": 0.0} for _ in q_vecs]
+    K, live = q_vecs.shape[1], q_vecs.any(axis=(1, 2, 3))
+    infos = [{"short_circuit": not on, "series_terms": 0, "tail_bound": 0.0} for on in live]
     H = np.zeros_like(q_vecs)
-    if not live:
+    if not live.any():
         return H, infos
-    at = live[0] if len(live) == 1 else live
+    at = 0 if len(q_vecs) == 1 else slice(None)
     rows, cols, rows_pad, cols_pad, slots = op.type_index
     Q = _gather_types(q_vecs[at], (rows, rows_pad), (cols, cols_pad))
     X = _gather_types(op.ainvs, (rows, rows_pad), (rows, rows_pad))
@@ -193,9 +190,11 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     G, terms, tails = _transported_sum(Q, X, Y, (np.arange(K) + 1) % K, K, series_tol,
                                        max_terms, f"degree {op.n}")
     t, i, j, hr, hc = slots
-    H[np.reshape(live, (-1, 1)), ..., hr, hc] = G[..., t, :, i, j].swapaxes(0, -2)
-    for c, T, tail in zip(live, terms.flat, tails.reshape(len(live), -1).max(axis=1)):
-        infos[c] = {"short_circuit": False, "series_terms": int(T), "tail_bound": float(tail)}
+    H[at][..., hr, hc] = G.swapaxes(-4, -3)[..., t, i, j]
+    H[~live] = 0.0
+    for info, on, T, tail in zip(infos, live, terms.flat, tails.reshape(len(live), -1).max(1)):
+        if on:
+            info.update(series_terms=int(T), tail_bound=float(tail))
     return H, infos
 
 
@@ -315,8 +314,7 @@ def solve_homogeneous_degree(op: _DegreeOperator, conj: np.ndarray, nf: np.ndarr
     Returns per cycle the degree-n conjugator terms (one array per
     conjugator), the normal form terms P_n (one per map) and diagnostics.
     Below the degree bound the non-admissible residue of the finished
-    equation is the admissible violation; above it P_n vanishes and the
-    residue is the defect.
+    equation is the admissible violation, above it the defect.
     """
     n, K = op.n, len(op.linears)
     s_vecs = _source_vecs(op, conj, nf, nxt)
@@ -350,10 +348,9 @@ def _degree_loop(fibers: np.ndarray, nxt: np.ndarray,
     The conjugator after map k is row nxt[k]: a periodic orbit is the cycle
     k -> k + 1 mod K, windows a forest whose roots, rows K on, are terminal
     conjugators that stay the identity.  Every (transfer, lift) cycle solves
-    the same maps on a leading axis of the stacks, which broadcasts over
-    the composition table that operator(n) reads, and gets the bits of a
-    loop of its own.  Returns the conjugator and normal form jet stacks
-    through `order`, grown a degree at a time, and the diagnostics per cycle.
+    the same maps on a leading axis of the stacks, which broadcasts over the
+    table that operator(n) reads, with the bits of a loop of its own.
+    Returns the jet stacks through `order` and the diagnostics per cycle.
     """
     m = fibers.shape[-2]
     nf = np.zeros((len(cycles),) + fibers.shape[:-1] + (jet_width(m, order),))
@@ -447,11 +444,9 @@ class NormalFormResult:
 
 
 def solve_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> NormalFormResult:
-    """Run the degree loop 2..order with the transported series, one cycle
-    of ``solve_cycles``.
-
-    `lift` fixes the gauge: its admissible part is added to every conjugator.
-    """
+    """Run the degree loop 2..order with the transported series, one cycle of
+    ``solve_cycles``; `lift` fixes the gauge: its admissible part is added to
+    every conjugator."""
     return solve_cycles(ctx, [(ctx.series, lift)])[0]
 
 

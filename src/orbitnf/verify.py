@@ -150,22 +150,21 @@ def conjugacy_residual(cocycle, result: NormalFormResult,
 
 
 def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
-                        ) -> tuple[list[np.ndarray], dict]:
+                        ) -> tuple[np.ndarray, list[dict]]:
     """Degree-n conjugator via dense solves coupling all orbit points.
 
     A transfer for the shared degree loop: takes the degree operator and the
-    (cycles, K, m, n) twisted sources Q(k), returns their stack of
-    coefficient arrays and empty diagnostics.  Each non-admissible type
-    (i, s) is one dense K-cyclic system X_k - Ainv_k[i] X_{k+1} subst_k[s] =
-    Q_k[i, s].  The types of one shape (rows, cols) go together: one gather
-    each for their blocks of Ainv, subst and Q, one einsum and one
-    assignment for all their Kronecker blocks, one stacked SVD and one
-    stacked solve, every cycle a right-hand side.  The singularity test
-    takes the extreme singular values over all types, which are those of the
-    full system: it is block diagonal in the types up to a permutation.  The
-    oracle stays independent of the series: it shares only the loop around
-    the transfer (source assembly, lift, finishing), so agreement is
-    evidence for both.
+    twisted sources Q(k) of its cycles, returns their coefficient arrays and
+    no diagnostics.  Each non-admissible type (i, s) is one dense K-cyclic
+    system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The types of one
+    shape (rows, cols) go together: one gather each for their blocks of
+    Ainv, subst and Q, one einsum and one assignment for all their Kronecker
+    blocks, one stacked SVD and one stacked solve, a column per cycle.  The
+    singularity test takes the extreme singular values over all types,
+    which are those of the full system: it is block diagonal in the types up
+    to a permutation.  The oracle stays independent of the series: it shares
+    only the loop around the transfer (source assembly, lift, finishing), so
+    agreement is evidence for both.
     """
     K = q_vecs.shape[1]
     step = np.arange(K)
@@ -201,17 +200,15 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
 
 
 def direct_normal_form(ctx: SolverContext, lift: PolyMap | None = None) -> NormalFormResult:
-    """Full degree loop with the dense oracle in place of the series, under
-    the gauge of `lift` as in ``solve_normal_form``: the one-cycle case of
-    ``solve_cycles``."""
+    """The dense oracle in place of the series, under the gauge of `lift` as
+    in ``solve_normal_form``: one cycle of ``solve_cycles``."""
     return solve_cycles(ctx, [(direct_solve_oracle, lift)])[0]
 
 
 def series_vs_direct(ctx: SolverContext, result: NormalFormResult,
                      direct: NormalFormResult | None = None) -> float:
-    """Largest coefficient gap between the series and dense-solve pipelines,
-    over both pairs of stacks; NaN propagates.  ``direct`` is
-    ``direct_normal_form(ctx)``, solved here unless handed in."""
+    """Largest coefficient gap between the series and dense-solve pipelines
+    (``direct_normal_form``, solved unless handed in); NaN propagates."""
     if result.period != ctx.cocycle.period or result.order != ctx.order:
         raise ValueError("result does not match the solver context")
     if direct is None:
