@@ -170,12 +170,12 @@ def _series(op: _DegreeOperator, q_vecs: np.ndarray, series_tol: float,
     its part of H is sum_t A^t G B^t with G the first-period sum, A =
     Ainv_p[i] ... Ainv_{p+K-1}[i] and B = subst_{p+K-1}[s] ... subst_p[s].
     The types are gathered into zero-padded stacks by ``op.type_index``, one
-    fancy index per stack, summed by ``cocycle._transported_sum``, each cycle
-    a stop group (one alone needs no group axis; one without sources stops
-    no later than the rest and stays zero), and scattered back.  A cycle stops once the root
-    sum of squares of its types' tail bounds is within series_tol * max(1,
-    ||H(p)||_F) at every phase p; no certified contraction raises
-    SeriesStagnationError, more than max_terms terms SeriesBudgetError.
+    fancy index per stack, summed by ``cocycle._transported_sum`` with each
+    cycle a stop group (one alone needs no group axis; one without sources
+    stops no later than the rest and stays zero), and scattered back.  A
+    cycle stops once the root sum of squares of its types' tail bounds is
+    within series_tol * max(1, ||H(p)||_F) at every phase p; no certified
+    contraction raises SeriesStagnationError, over max_terms SeriesBudgetError.
     """
     K, live = q_vecs.shape[1], q_vecs.any(axis=(1, 2, 3))
     infos = [{"short_circuit": not on, "series_terms": 0, "tail_bound": 0.0} for on in live]
