@@ -351,7 +351,7 @@ def _gauge_lift(ctx, cfg) -> tuple[PolyMap, list[int], bool]:
 
 
 def _check_gauge(ctx, result, cfg, result_alt=None):
-    """Solve again under a lifted gauge and test the transition map.
+    """Solve again under a lifted gauge, unless handed that solve, and test the transition.
 
     With admissible slots (degree bound >= 2) the lift adds a known delta,
     and the transition between the two conjugators must recover it exactly.

@@ -333,7 +333,7 @@ def _transported_sum(Q: np.ndarray, X: np.ndarray, Y: np.ndarray, nxt: np.ndarra
             ok = tail <= tol * np.maximum(1.0, h)
             if T * K <= budget and ok.any():
                 done = ok.all(axis=-1)
-                if done.all() and out is None:  # every group at once
+                if done.all() and out is None:  # every group at once, done all True
                     return G, done * (T * K), tail
                 if done.any():
                     out = out or (np.empty(Q.shape), np.zeros(len(Q), int), np.empty(tail.shape))
