@@ -14,14 +14,15 @@ Subcommands:
 <config> is either a builtin scenario name or a path to a JSON file.  A file
 holds an object whose "scenario" entry is a builtin name or an inline cocycle
 object (the serialization format produced in reports); remaining entries
-override the scenario defaults.  A check entry holds only the keys of its
-default (``scenarios.default_checks``); any other key is a configuration
-error.  Each check states its bounded quantities once, as the limits of
-``cocycle._limit``: it passes exactly when all of them hold, and the broken
+override the scenario defaults.  A config file, a --tol-override and the
+config echo of a cached report obey one rule: the config holds exactly the keys
+of ``_SCHEMA``, bar the optional name, out_dir and max_series_terms, and each
+passes its test.  Each check states its bounded quantities once, as the limits
+of ``cocycle._limit``: it passes exactly when all of them hold, and the broken
 ones, each a quantity with its value and bound, are its stderr lines.  Exit
 status: 0 when every enabled check passes, 1 when a check fails (named on
 stderr, followed by its broken limits), 2 on configuration errors, a cached
-report.json that lacks a key verify reads among them.
+report.json that lacks a key verify reads or breaks the rule among them.
 
 Reports are deterministic: a fixed config and seed reproduce report.json byte
 for byte.  Numbers are printed with 17 significant digits, object keys sorted,
@@ -42,6 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .cocycle import OrbitCocycle, _limit, sandwich_check
+# solve_normal_form: no call here, the binding where bench/spans.py traces a solve
 from .normalform import NormalFormResult, SolverContext, solve_cycles, solve_normal_form
 from .polymap import PolyMap, _mono_table, degree_cols
 from .scenarios import BUILTIN_DESCRIPTIONS, _base_config, build_builtin, default_checks
@@ -169,33 +171,34 @@ def load_raw_config(arg: str) -> dict:
     return raw
 
 
-def apply_overrides(config: dict, overrides) -> None:
-    """Apply --tol-override entries key.path=value in place."""
+def apply_overrides(config: dict, overrides) -> dict:
+    """The config with --tol-override entries key.path=value merged in as the
+    entries of a config file are: any key of the table may be set."""
     for item in overrides:
         key, sep, text = item.partition("=")
         if not sep or not key:
             raise ConfigError(f"--tol-override needs key=value, got {item!r}")
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                raise ConfigError(f"unknown config path {key!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown config key {key!r}")
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        config = _merge(config, value)
+    return config
 
 
 def resolve_config(arg: str, *, seed: int | None = None,
                    overrides=()) -> tuple[str, OrbitCocycle, dict]:
     """Load, merge, override and validate; returns (name, cocycle, config)."""
     raw = load_raw_config(arg)
-    scenario = raw.get("scenario")
-    seed = _valid_seed(raw.get("rng_seed", 0) if seed is None else seed)
+    if seed is not None:
+        raw["rng_seed"] = seed
+    raw = apply_overrides(raw, overrides)  # before the seed draws a cocycle
+    seed = _valid("rng_seed", raw.get("rng_seed", 0))
+    scenario = _valid("scenario", raw.get("scenario"))
     if isinstance(scenario, str):
         try:
             built = build_builtin(scenario, seed=seed)
@@ -203,7 +206,7 @@ def resolve_config(arg: str, *, seed: int | None = None,
             raise ConfigError(str(exc)) from None
         name, cocycle = scenario, built.cocycle
         config = _merge(built.config, raw)
-    elif isinstance(scenario, dict):
+    else:
         try:
             cocycle = OrbitCocycle.from_dict(scenario)
         except (KeyError, TypeError, ValueError) as exc:
@@ -211,28 +214,12 @@ def resolve_config(arg: str, *, seed: int | None = None,
         name = str(raw.get("name", "inline"))
         # no default epsilon or order: validation names the one a file leaves out
         config = _merge(_base_config(scenario, None, None), raw)
-    else:
-        raise ConfigError(
-            "scenario must be a builtin name or an inline cocycle object")
-    config["rng_seed"] = seed
-
-    apply_overrides(config, overrides)
-    if isinstance(scenario, str) and config["rng_seed"] != seed:
-        # an override changed the seed after the cocycle was built
-        cocycle = build_builtin(scenario, seed=_valid_seed(config["rng_seed"])).cocycle
     validate_config(config, cocycle)
     return name, cocycle, config
 
 
-def _is_int(value, low: int | None = None) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and (low is None or value >= low)
-
-
-def _valid_seed(value):
-    if not _is_int(value, 0):
-        raise ConfigError(f"rng_seed must be an integer >= 0, got {value!r}")
-    return value
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _is_number(value) -> bool:
@@ -240,77 +227,100 @@ def _is_number(value) -> bool:
         and math.isfinite(value)
 
 
-# (check, key, test, rule) for the check parameters that need more than a cast
-_CHECK_PARAMS = (
-    ("gauge", "delta", lambda v: _is_number(v) and v != 0.0, "a finite nonzero number"),
-    ("centralizer", "powers",
-     lambda v: isinstance(v, list) and all(_is_int(p, 1) for p in v),
-     "a list of integers >= 1"),
-)
+def _schema() -> dict:
+    """Every key a run config may hold, by dotted path, an object before its keys:
+    (test, error).  A check entry holds the keys of its ``default_checks`` entry."""
+    top = {
+        "scenario": (lambda v: isinstance(v, (str, dict)),
+                     "a builtin name or an inline cocycle object"),
+        "name": (lambda v: True, "any value"),  # printed with str
+        "out_dir": (lambda v: isinstance(v, str), "a string"),
+        "order": (lambda v: _is_int(v, 1), "an integer >= 1"),
+        **dict.fromkeys(("epsilon", "resonance_tol", "cluster_tol", "tail_tol", "series_tol"),
+                        (lambda v: _is_number(v) and v > 0.0, "a finite positive number")),
+        "rng_seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+        "max_series_terms": (lambda v: _is_int(v, 1), "an integer >= 1"),
+        "checks": (lambda v: isinstance(v, dict), "an object"),
+    }
+    entry_keys = {
+        "tol": (_is_number, "a finite number"),
+        "delta": (lambda v: _is_number(v) and v != 0.0, "a finite nonzero number"),
+        "powers": (lambda v: isinstance(v, list) and all(_is_int(p, 1) for p in v),
+                   "a list of integers >= 1"),
+        "points": (lambda v: isinstance(v, list) and all(
+            isinstance(p, list) and all(map(_is_number, p)) for p in v),
+                   "a list of points, each a list of numbers"),
+    }
+    schema = {path: (test, f"{path} must be {rule}") for path, (test, rule) in top.items()}
+    for name, entry in default_checks().items():
+        needs = f"check {name!r} needs an 'enabled' flag"
+        schema[f"checks.{name}"] = (lambda v: isinstance(v, dict), needs)
+        schema[f"checks.{name}.enabled"] = (lambda v: isinstance(v, bool), needs)
+        schema.update({f"checks.{name}.{key}": (test, f"checks.{name}.{key} must be {rule}")
+                       for key, (test, rule) in entry_keys.items() if key in entry})
+    return schema
 
 
-def validate_config(config: dict, cocycle: OrbitCocycle) -> None:
-    if not _is_int(config.get("order"), 1):
-        raise ConfigError("order must be an integer >= 1")
-    for key in ("epsilon", "resonance_tol", "cluster_tol",
-                "tail_tol", "series_tol"):
-        value = config.get(key)
-        if not _is_number(value) or not value > 0.0:
-            raise ConfigError(f"{key} must be a finite positive number")
-    if not isinstance(config.get("out_dir", ""), str):
-        raise ConfigError("out_dir must be a string")
-    _valid_seed(config.get("rng_seed"))
-    if not _is_int(config.get("max_series_terms", 10_000), 1):
-        raise ConfigError("max_series_terms must be an integer >= 1")
-    checks = config.get("checks")
-    if not isinstance(checks, dict):
-        raise ConfigError("checks must be an object")
-    unknown = sorted(set(checks) - set(CHECK_ORDER))
-    if unknown:
-        raise ConfigError(f"unknown checks: {', '.join(unknown)}")
-    allowed = default_checks()
-    for check_name, entry in checks.items():
-        if not isinstance(entry, dict) or not isinstance(
-                entry.get("enabled", False), bool):
-            raise ConfigError(f"check {check_name!r} needs an 'enabled' flag")
-        extra = sorted(set(entry) - set(allowed[check_name]))
-        if extra:
-            raise ConfigError(f"unknown config key 'checks.{check_name}.{extra[0]}'")
-        if "tol" in entry and not _is_number(entry["tol"]):
-            raise ConfigError(f"checks.{check_name}.tol must be a finite number")
-    for check_name, key, valid, rule in _CHECK_PARAMS:
-        entry = checks.get(check_name, {})
-        if key in entry and not valid(entry[key]):
-            raise ConfigError(f"checks.{check_name}.{key} must be {rule}")
-    points = checks.get("chart", {}).get("points", [])
-    if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == cocycle.dim and all(map(_is_number, p))
-            for p in points):
+_SCHEMA = _schema()
+_OPTIONAL = ("name", "out_dir", "max_series_terms")
+
+
+def _valid(path: str, value):
+    """``value``, when it passes the test of its key; else the key's ConfigError."""
+    test, error = _SCHEMA[path]
+    if not test(value):
+        raise ConfigError(error)
+    return value
+
+
+def _entry(root, path: str, where: str):
+    """The entry of ``root`` at a dotted path, ``root`` itself at ""; a missing
+    one, or one under a non-object, is a ConfigError naming it and ``where``."""
+    node, keys = root, path.split(".") if path else []
+    for depth, key in enumerate(keys):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where}: {path!r} is not in an object")
+        if key not in node:
+            parent = f": {'.'.join(keys[:depth])!r}" if depth else ""
+            raise ConfigError(f"{where}{parent} has no key {key!r}")
+        node = node[key]
+    return node
+
+
+def validate_config(config: dict, cocycle: OrbitCocycle, where: str = "config") -> None:
+    """Check that ``config`` holds the table's keys, bar optional ones, and no other,
+    each passing its test, and that every enabled check has something to test."""
+    for path in _SCHEMA:
+        if path not in _OPTIONAL or path in config:
+            _valid(path, _entry(config, path, where))
+    for prefix in dict.fromkeys(path[:path.rfind(".") + 1] for path in _SCHEMA):
+        unknown = sorted(key for key in _entry(config, prefix[:-1], where)
+                         if prefix + key not in _SCHEMA)
+        if unknown:
+            raise ConfigError(f"unknown checks: {', '.join(unknown)}" if prefix == "checks."
+                              else f"unknown config key {prefix + unknown[0]!r}")
+    centralizer, chart, gauge = map(config["checks"].get, ("centralizer", "chart", "gauge"))
+    if any(len(p) != cocycle.dim for p in chart["points"]):
         raise ConfigError(
             f"checks.chart.points must be a list of points, each a list of "
             f"{cocycle.dim} numbers")
     # an enabled check must have something to test: a power, a point, and a
     # lifted coefficient that a solve ignoring the lift cannot recover within tol
-    enabled = {name: entry for name, entry in checks.items() if entry.get("enabled", False)}
-    if "centralizer" in enabled and not enabled["centralizer"].get("powers", [2, 3]):
+    if centralizer["enabled"] and not centralizer["powers"]:
         raise ConfigError("checks.centralizer.powers must not be empty while the check is enabled")
-    if "chart" in enabled and not points:
+    if chart["enabled"] and not chart["points"]:
         raise ConfigError("checks.chart.points must not be empty while the check is enabled")
-    gauge = enabled.get("gauge", {})
-    if "tol" in gauge and not abs(gauge.get("delta", 0.05)) > gauge["tol"]:
+    if gauge["enabled"] and not abs(gauge["delta"]) > gauge["tol"]:
         raise ConfigError(
             "checks.gauge.delta must exceed checks.gauge.tol in magnitude while the "
             "check is enabled: a solve that ignores the lift misses it by |delta|")
 
 
 def _prepare_context(cocycle: OrbitCocycle, config: dict) -> SolverContext:
-    return SolverContext.prepare(
-        cocycle, float(config["epsilon"]), int(config["order"]),
-        resonance_tol=float(config["resonance_tol"]),
-        cluster_tol=float(config["cluster_tol"]),
-        tail_tol=float(config["tail_tol"]),
-        series_tol=float(config["series_tol"]),
-        max_series_terms=int(config.get("max_series_terms", 10_000)))
+    """The solver context of a validated config; max_series_terms is optional."""
+    return SolverContext.prepare(cocycle, config["epsilon"], config["order"], **{
+        key: config[key] for key in ("resonance_tol", "cluster_tol", "tail_tol",
+                                     "series_tol", "max_series_terms") if key in config})
 
 
 # -- checks ---------------------------------------------------------------------
@@ -325,7 +335,7 @@ def _check_residual(ctx, result, cfg):
     return rep.to_dict(), rep.limits()
 
 
-def _check_oracle(ctx, result, cfg, direct=None):
+def _check_oracle(ctx, result, cfg, direct):
     gap = series_vs_direct(ctx, result, direct)
     tol = float(cfg["tol"])
     return ({"max_coefficient_gap": gap, "tol": tol},
@@ -346,22 +356,20 @@ def _gauge_lift(ctx, cfg) -> tuple[PolyMap, list[int], bool]:
     recover = (1, (0,) * (space.n_blocks - 1) + (2,)) in ctx.structure.admissible(2)
     alpha = [0] * space.dim
     alpha[space.block_slice(space.n_blocks).start if recover else 0] = 2
-    lift = {(0, tuple(alpha)): float(cfg.get("delta", 0.05))}
+    lift = {(0, tuple(alpha)): float(cfg["delta"])}
     return PolyMap(space, space, 2, np.zeros(space.dim), lift), alpha, recover
 
 
-def _check_gauge(ctx, result, cfg, result_alt=None):
-    """Solve again under a lifted gauge, unless handed that solve, and test the transition.
+def _check_gauge(ctx, result, cfg, result_alt):
+    """Test the transition to ``result_alt``, the solve under the lift of ``_gauge_lift``.
 
     With admissible slots (degree bound >= 2) the lift adds a known delta,
     and the transition between the two conjugators must recover it exactly.
     With degree bound 1 the solution is unique, so the lift is ignored and
     both conjugators must come out identical.
     """
-    tol, delta, m = float(cfg["tol"]), float(cfg.get("delta", 0.05)), ctx.cocycle.dim
-    bump, alpha, recover = _gauge_lift(ctx, cfg)
-    if result_alt is None:  # the re-solve reuses the table and degree operators of ctx
-        result_alt = solve_normal_form(ctx, lift=bump)
+    tol, delta, m = float(cfg["tol"]), float(cfg["delta"]), ctx.cocycle.dim
+    _, alpha, recover = _gauge_lift(ctx, cfg)
     rep = gauge_compare(result, result_alt, tol=tol)
     details, limits = rep.to_dict(), rep.limits()
     details.update(delta=delta, slot=[2, 0, alpha])
@@ -382,7 +390,7 @@ def _check_gauge(ctx, result, cfg, result_alt=None):
 def _check_centralizer(ctx, result, cfg):
     tol = float(cfg["tol"])
     cocycle, order = ctx.cocycle, result.order
-    powers = cfg.get("powers", [2, 3])
+    powers = cfg["powers"]
     reports = centralizer_check(cocycle, result,
                                 list(zip(powers, iterates(cocycle.jets, powers, order))), tol=tol)
     runs, limits = [], []
@@ -403,7 +411,7 @@ def _check_flag(ctx, result, cfg):
 
 def _check_chart(ctx, result, cfg):
     tol = float(cfg["tol"])
-    reports = chart_transitions(ctx, result, cfg.get("points", []), tol=tol)
+    reports = chart_transitions(ctx, result, cfg["points"], tol=tol)
     return ({"points": [rep.to_dict() for rep in reports], "tol": tol},
             [(f"point {i} {line}", ok) for i, rep in enumerate(reports)
              for line, ok in rep.limits()])
@@ -427,7 +435,7 @@ def _solve(ctx, config, result=None):
     runner arguments that a re-solve adds."""
     re_solves = {"gauge": lambda: (ctx.series, _gauge_lift(ctx, config["checks"]["gauge"])[0]),
                  "oracle": lambda: (direct_solve_oracle, None)}
-    names = [name for name in re_solves if config["checks"].get(name, {}).get("enabled")]
+    names = [name for name in re_solves if config["checks"][name]["enabled"]]
     cycles = [(ctx.series, None)] * (result is None) + [re_solves[name]() for name in names]
     solved = solve_cycles(ctx, cycles) if cycles else []
     return (solved.pop(0) if result is None else result), {n: (r,) for n, r in zip(names, solved)}
@@ -445,8 +453,8 @@ def _run_checks(ctx, result, solved, config):
     """``run_checks`` with the re-solves of ``_solve``."""
     entries, failures = [], []
     for name in CHECK_ORDER:
-        cfg = config["checks"].get(name)
-        if not cfg or not cfg.get("enabled", False):
+        cfg = config["checks"][name]
+        if not cfg["enabled"]:
             entries.append({"name": name, "enabled": False, "passed": None})
             continue
         details, limits = _CHECK_RUNNERS[name](ctx, result, cfg, *solved.get(name, ()))
@@ -558,26 +566,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cached_entry(report, report_path: str, path: str, kind, parse=None):
-    """parse(entry) for the entry of a cached report at a dotted path; one
-    that is missing, not of `kind` or unreadable is a ConfigError naming it."""
-    node = report
-    for key in path.split("."):
-        if not isinstance(node, dict):
-            raise ConfigError(f"cached report {report_path}: {path!r} is not in an object")
-        if key not in node:
-            raise ConfigError(f"cached report {report_path} has no key {key!r}")
-        node = node[key]
-    try:
-        if not isinstance(node, kind) or isinstance(node, bool):
-            raise TypeError(f"{type(node).__name__} is not {kind.__name__}")
-        return node if parse is None else parse(node)
-    except KeyError as exc:
-        raise ConfigError(f"cached report {report_path} has no key {exc} in {path!r}") from None
-    except (TypeError, AttributeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"cached report {report_path} has a malformed {path!r}: {exc}") from None
-
-
 def _cached_maps(maps: list) -> list:
     if not maps:
         raise ValueError("no maps")
@@ -595,17 +583,28 @@ def _cmd_verify(args) -> int:
         report = json.load(fh)
 
     # the cached run is self-contained: take its cocycle and config echo,
-    # then let command line overrides adjust tolerances on top
+    # which obeys the rule of a config file, and let overrides adjust it
+    where = f"cached report {report_path}"
+
     def read(path, kind, parse=None):
-        return _cached_entry(report, report_path, path, kind, parse)
+        """parse(entry) for the entry of the report at a dotted path; one that
+        is missing, not of `kind` or unreadable is a ConfigError naming it."""
+        node = _entry(report, path, where)
+        try:
+            if not isinstance(node, kind) or isinstance(node, bool):
+                raise TypeError(f"{type(node).__name__} is not {kind.__name__}")
+            return node if parse is None else parse(node)
+        except KeyError as exc:
+            raise ConfigError(f"{where} has no key {exc} in {path!r}") from None
+        except (TypeError, AttributeError, IndexError, ValueError) as exc:
+            raise ConfigError(f"{where} has a malformed {path!r}: {exc}") from None
 
     cocycle = read("cocycle", dict, OrbitCocycle.from_dict)
-    config = read("config", dict, dict)
+    config = apply_overrides(read("config", dict), args.tol_override)
     maps = [read(f"result.{part}", list, _cached_maps) for part in ("conjugator", "normal_form")]
     order = read("result.order", int)
     diagnostics = read("result.diagnostics", dict) if "diagnostics" in read("result", dict) else {}
-    apply_overrides(config, args.tol_override)
-    validate_config(config, cocycle)
+    validate_config(config, cocycle, f"{where} config")
 
     ctx = _prepare_context(cocycle, config)
     result = NormalFormResult.from_maps(*maps, ctx.spectrum, order, diagnostics)

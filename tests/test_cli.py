@@ -267,6 +267,12 @@ class TestLyapunovStage:
         assert sorted(calls) == ["cholesky", "eigvalsh"]
 
 
+def gauge_check(ctx, result, config):
+    """The gauge runner on ``result``, handed its lifted re-solve by ``cli._solve``."""
+    _, solved = cli._solve(ctx, config, result)
+    return cli._check_gauge(ctx, result, config["checks"]["gauge"], *solved["gauge"])
+
+
 class TestGaugeCheck:
     @pytest.mark.parametrize("name", builtin_names())
     def test_reuses_the_lyapunov_stage(self, name, monkeypatch):
@@ -286,8 +292,7 @@ class TestGaugeCheck:
         assert calls == []
 
         # the same details as a lifted solve on a context prepared from scratch
-        fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result,
-                                    config["checks"]["gauge"])
+        fresh, _ = gauge_check(cli._prepare_context(cocycle, config), result, config)
         # the re-solve reads no frames, so a fresh context builds none
         assert calls == ["monodromy_spectrum"]
         assert canonical_json(fresh) == canonical_json(gauge["details"])
@@ -295,7 +300,6 @@ class TestGaugeCheck:
     @pytest.mark.parametrize("name", builtin_names())
     def test_reuses_the_degree_operators(self, name, monkeypatch):
         _, cocycle, config = resolve_config(name)
-        gauge_cfg = config["checks"]["gauge"]
         calls, tables = [], []
 
         class Counted(normalform._DegreeOperator):
@@ -314,7 +318,7 @@ class TestGaugeCheck:
         result = solve_normal_form(ctx)
         assert calls == list(range(2, ctx.order + 1))
         assert tables == [(cocycle.dim, ctx.order)]
-        details, limits = cli._check_gauge(ctx, result, gauge_cfg)
+        details, limits = gauge_check(ctx, result, config)
         assert all(ok for _, ok in limits)
         # the lifted solve builds no operator and no table of its own, and
         # neither does the dense oracle's degree loop
@@ -322,15 +326,14 @@ class TestGaugeCheck:
         assert calls == list(range(2, ctx.order + 1))
         assert tables == [(cocycle.dim, ctx.order)]
         # the same details as a context that has solved nothing
-        fresh, _ = cli._check_gauge(cli._prepare_context(cocycle, config), result, gauge_cfg)
+        fresh, _ = gauge_check(cli._prepare_context(cocycle, config), result, config)
         assert canonical_json(details) == canonical_json(fresh)
 
 
 def drop_lift(monkeypatch):
     """Make the runner's solves ignore the gauge lift, as a broken solver
-    would: the gauge runner's own re-solve, and every cycle of the one
-    degree loop that solves the checks' re-solves."""
-    monkeypatch.setattr(cli, "solve_normal_form", lambda ctx, lift=None: solve_normal_form(ctx))
+    would: every cycle of the one degree loop that solves the checks'
+    re-solves, the gauge runner's among them."""
     monkeypatch.setattr(cli, "solve_cycles", lambda ctx, cycles: normalform.solve_cycles(
         ctx, [(transfer, None) for transfer, _ in cycles]))
 
@@ -386,9 +389,11 @@ class TestErrorExits:
         # an inline scenario has no default epsilon or order
         ({"scenario": INLINE_KOENIGS, "order": 4}, "epsilon must be a finite positive number"),
         ({"scenario": INLINE_KOENIGS, "epsilon": 0.05}, "order must be an integer >= 1"),
+        # the top level holds only the keys of the config table, as a check entry does
+        ({"scenario": "koenigs", "seires_tol": 1e-3}, "unknown config key 'seires_tol'"),
     ], ids=["not-an-object", "unknown-builtin", "bad-inline", "scenario-type",
             "max-series-terms", "checks-type", "unknown-check", "enabled-type",
-            "entry-type", "inline-no-epsilon", "inline-no-order"])
+            "entry-type", "inline-no-epsilon", "inline-no-order", "unknown-key"])
     def test_config_file_error_exit_2(self, config, cause, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -551,6 +556,31 @@ class TestErrorExits:
         assert report["passed"] is False
 
 
+# a valid and an invalid --tol-override value for each key of the config
+# table on koenigs, by top-level key, "entry" for a check entry, or the key
+# of a check entry; a name may be any value
+OVERRIDE_VALUES = {
+    "scenario": ('"koenigs_period2"', "3"),
+    "name": ('"renamed"', None),
+    "out_dir": ('"elsewhere"', "5"),
+    "order": ("5", "0"),
+    "epsilon": ("0.04", "0"),
+    "resonance_tol": ("1e-10", "-1e-9"),
+    "cluster_tol": ("1e-7", "NaN"),
+    "tail_tol": ("1e-11", '"small"'),
+    "series_tol": ("1e-12", "Infinity"),
+    "rng_seed": ("3", "-1"),
+    "max_series_terms": ("5", "0"),
+    "checks": ('{"flag": {"enabled": false, "tol": 1e-12}}', "[]"),
+    "entry": ('{"enabled": false}', "3"),
+    "enabled": ("false", '"yes"'),
+    "tol": ("1e-8", "NaN"),
+    "delta": ("0.1", "0"),
+    "powers": ("[2]", "[0]"),
+    "points": ("[[0.01]]", "0.05"),
+}
+
+
 class TestConfigHandling:
     def test_override_plumbs_into_report(self, tmp_path):
         code = main(["run", "koenigs", "--out-dir", str(tmp_path),
@@ -580,6 +610,30 @@ class TestConfigHandling:
         report = json.loads((out / "report.json").read_text())
         assert report["name"] == "inline_test"
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("path", list(cli._SCHEMA))
+    def test_override_reaches_every_key(self, path, capsys):
+        # an override sets exactly the keys a config file may hold: a valid
+        # value is merged in as a file's would be, an invalid one exits 2
+        # with the error of its key
+        valid, invalid = OVERRIDE_VALUES[path if "." not in path else (
+            "entry" if path.count(".") == 1 else path.rpartition(".")[2])]
+        _, _, config = resolve_config("koenigs", overrides=[f"{path}={valid}"])
+        value, got = json.loads(valid), cli._entry(config, path, "config")
+        assert value.items() <= got.items() if isinstance(value, dict) else got == value
+        if invalid is not None:
+            assert main(["spectrum", "koenigs", "--tol-override", f"{path}={invalid}"]) == 2
+            err = capsys.readouterr().err
+            assert cli._SCHEMA[path][1] in err and path.rpartition(".")[2] in err
+
+    def test_optional_key_override_reaches_the_solver(self):
+        _, cocycle, config = resolve_config("koenigs", overrides=["max_series_terms=5"])
+        assert cli._prepare_context(cocycle, config).max_series_terms == 5
+        # a run without the override leaves the optional keys out of its echo
+        _, cocycle, config = resolve_config("koenigs")
+        assert not set(cli._OPTIONAL) & set(config)
+        assert cli._prepare_context(cocycle, config).max_series_terms == \
+            normalform.SolverContext.max_series_terms
 
     def test_resolve_config_validates(self):
         with pytest.raises(ConfigError):
@@ -660,7 +714,9 @@ class TestVerifyCommand:
         assert "checks.residual.radii" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", ["cocycle", "config", "result", "result.conjugator",
-                                      "result.normal_form", "result.order"])
+                                      "result.normal_form", "result.order",
+                                      "config.checks.oracle.tol", "config.checks.flag",
+                                      "config.checks.gauge.delta"])
     def test_verify_report_missing_a_key_exit_2(self, path, koenigs_run, tmp_path, capsys):
         # a missing entry is a config error naming the key, not a traceback
         # with the exit status of a failed check
