@@ -223,8 +223,10 @@ def _is_int(value, low: int) -> bool:
 
 
 def _is_number(value) -> bool:
+    """A float or int within the float range: not NaN, not infinite, and no
+    integer too large to convert."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
 
 
 def _schema() -> dict:
@@ -233,7 +235,7 @@ def _schema() -> dict:
     top = {
         "scenario": (lambda v: isinstance(v, (str, dict)),
                      "a builtin name or an inline cocycle object"),
-        "name": (lambda v: True, "any value"),  # printed with str
+        "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
         "out_dir": (lambda v: isinstance(v, str), "a string"),
         "order": (lambda v: _is_int(v, 1), "an integer >= 1"),
         **dict.fromkeys(("epsilon", "resonance_tol", "cluster_tol", "tail_tol", "series_tol"),

@@ -41,7 +41,8 @@ the finish.  Three transfer solvers plug into the loop:
   norms of the doubled factors bound the dropped tail, in
   ``cocycle._transported_sum``, one call for all series cycles, which sums
   the Lyapunov frames too;
-* the dense oracle ``verify.direct_solve_oracle``, one linear solve;
+* the dense oracle ``verify.direct_solve_oracle``, per type one linear
+  solve of the K-cyclic system, by block-cyclic elimination;
 * the sweep of ``solve_window`` along finite orbit windows from a zero
   terminal condition, a suffix scan composed by pointer jumping.  The steps
   from which all windows' maps agree bit for bit are one chain of the

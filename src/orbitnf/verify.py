@@ -6,8 +6,9 @@ from a different direction:
 * ``conjugacy_residual`` composes both sides of the conjugacy to one degree
   above the solve order and bounds the coefficients of their difference
   degree by degree.
-* ``direct_solve_oracle`` solves each degree type by type, one dense linear
-  system over all orbit points per type, no series, no contraction argument.
+* ``direct_solve_oracle`` solves each degree type by type, the dense linear
+  system over all orbit points of each type by block-cyclic elimination, no
+  series, no contraction argument.
 * ``gauge_compare`` measures whether two solutions differ by a sub-resonance
   coordinate change only, which is the uniqueness statement.
 * ``centralizer_check`` conjugates a commuting family and tests that it lands
@@ -29,8 +30,8 @@ reports keep are jets.  The checks hold at every orbit point, and each
 check step is one stacked kernel call whatever the period K: one
 ``compose_jets`` call per side of an identity on K maps (K per family for
 all centralizer families at once), one ``divide_jets`` call where a check
-composes with an inverse, and one assembly, SVD and solve per system shape
-in the oracle.  Read-outs are numpy maxima: NaN fails.
+composes with an inverse, and one elimination, SVD and solve per stack of
+types in the oracle.  Read-outs are numpy maxima: NaN fails.
 
 Each report lists its bounded quantities once, in ``limits()`` (the
 ``_Report`` of ``cocycle``): its ``passed``, the verdicts of the command
@@ -45,10 +46,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cocycle import _limit, _Report
-from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, solve_cycles,
-                         solve_window)
-from .polymap import (PolyMap, _evaluate, _fit, _linear_jets, _monomials, compose_jets,
-                      degree_cols, divide_jets, jet_width, top_degree)
+from .normalform import (NormalFormResult, SolverContext, _DegreeOperator, _gather_types,
+                         solve_cycles, solve_window)
+from .polymap import (PolyMap, _evaluate, _fit, _linear_jets, _mono_table, _monomials,
+                      compose_jets, degree_cols, divide_jets, jet_width, top_degree)
 
 
 # field metadata of the jets a report keeps but does not serialize
@@ -56,6 +57,10 @@ _JETS = {"serialized": False}
 # a family commutes with the cocycle when its residual is within this
 # fraction of its largest coefficient
 _COMMUTE_TOL = 1e-10
+# the oracle stacks the types of at most this many slots (rows x cols) in one
+# zero-padded stack per degree, and larger ones by exact shape; padding pays
+# up to about 32 slots and costs from about 48 on (below)
+ORACLE_PAD_SLOTS = 32
 
 
 def _npart_max(jets: np.ndarray, degree: int, structure) -> tuple[float, float]:
@@ -156,46 +161,67 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     A transfer for the shared degree loop: takes the degree operator and the
     twisted sources Q(k) of its cycles, returns their coefficient arrays and
     no diagnostics.  Each non-admissible type (i, s) is one dense K-cyclic
-    system X_k - Ainv_k[i] X_{k+1} subst_k[s] = Q_k[i, s].  The types of one
-    shape (rows, cols) go together: one gather each for their blocks of
-    Ainv, subst and Q, one einsum and one assignment for all their Kronecker
-    blocks, one stacked SVD and one stacked solve, a column per cycle.  The
-    singularity test takes the extreme singular values over all types,
-    which are those of the full system: it is block diagonal in the types up
-    to a permutation.  The oracle stays independent of the series: it shares
-    only the loop around the transfer (source assembly, lift, finishing), so
-    agreement is evidence for both.
+    system X_k - T_k X_{k+1} = Q_k in its block X_k, a vector of rows x cols
+    slots, with T_k = Ainv_k[i] kron subst_k[s]^T.  Block-cyclic elimination
+    folds it to phase 0, R <- Q_k + T_k R and M <- T_k M for k = K-1..0,
+    solves the reduced system (I - M) X_0 = R and back-substitutes X_k =
+    Q_k + T_k X_{k+1} for k = K-1..1: stacked products on rows*cols square
+    blocks, linear in K.  The types of at most ORACLE_PAD_SLOTS slots share
+    one stack zero-padded to their largest (rows, cols), gathered through
+    ``op.type_index``; on the padding I - M is the identity and X zero.
+    Larger types go by exact shape, one stack per (rows, cols): with one
+    BLAS thread, the oracle of the (2,3) K=2 M=5 ladder row took 8.0 ms at
+    a bound of 32 slots, 9.2 at 48 and 10.6 at 64, and padding every type
+    of dims (4,4) K=1 M=5 doubled its time.  A reduced
+    block I - M is singular exactly when the one-period transfer of its type
+    has eigenvalue 1, a resonance: the least singular value over all types
+    must reach 1e-12 max(1, largest), or the error names the type.  The
+    oracle stays independent of the series: it shares only the loop around
+    the transfer (source assembly, lift, finishing), so agreement is
+    evidence for both.
     """
     K = q_vecs.shape[1]
-    step = np.arange(K)
-    rows, cols = op.type_index[:2]
+    rows, cols, rows_pad, cols_pad, (t, i, j, hr, hc) = op.type_index
     shapes = [(r.stop - r.start, len(c)) for r, c in op.types]
-    systems = []
-    for r, c in dict.fromkeys(shapes):
-        t = [j for j, shape in enumerate(shapes) if shape == (r, c)]
-        R, C = rows[t, :r, None], cols[t, None, :c]
-        nn = r * c
-        L = np.tile(np.eye(K * nn), (len(t), 1, 1))
-        # the block of step k at row k, column k + 1: Ainv_k[i] kron subst_k[s]^T
-        L.reshape(len(t), K, nn, K, nn)[:, step, :, (step + 1) % K] -= np.einsum(
-            "ktij,ktba->ktiajb", op.ainvs[:, R, R.transpose(0, 2, 1)],
-            op.substs[:, C.transpose(0, 2, 1), C]).reshape(K, len(t), nn, nn)
-        rhs = q_vecs[:, :, R, C].transpose(2, 1, 3, 4, 0).reshape(len(t), K * nn, -1)
-        systems.append((R, C, L, rhs, np.linalg.svd(L, compute_uv=False)))
+    groups = [(0, 0) if r * c <= ORACLE_PAD_SLOTS else (r, c) for r, c in shapes]
+    systems, least, largest = [], np.empty(len(shapes)), 1.0
+    for group in dict.fromkeys(groups):
+        g = [n for n, other in enumerate(groups) if other == group]
+        r, c = (max(shapes[n][a] for n in g) for a in (0, 1))
+        R, C = (rows[g, :r], rows_pad[g, :r]), (cols[g, :c], cols_pad[g, :c])
+        T = np.einsum("tkij,tkba->tkiajb", _gather_types(op.ainvs, R, R),
+                      _gather_types(op.substs, C, C)).reshape(len(g), K, r * c, r * c)
+        Q = _gather_types(q_vecs, R, C).transpose(1, 2, 3, 4, 0).reshape(len(g), K, r * c, -1)
+        rhs, M = Q[:, -1], T[:, -1]
+        for k in range(K - 2, -1, -1):
+            rhs, M = Q[:, k] + T[:, k] @ rhs, T[:, k] @ M
+        # at K = 1, M is T[:, 0], which the back-substitution never reads
+        L = np.subtract(np.eye(r * c), M, out=M)
+        sv = np.linalg.svd(L, compute_uv=False)
+        least[g], largest = sv[:, -1], max(largest, float(sv[:, 0].max()))
+        systems.append((g, r, c, T, Q, rhs, L))
 
-    sv_min = min((float(sv[:, -1].min()) for *_, sv in systems), default=1.0)
-    sv_max = max((float(sv[:, 0].max()) for *_, sv in systems), default=1.0)
-    if sv_min < 1e-12 * max(1.0, sv_max):
+    worst = int(np.argmin(least))
+    bound = 1e-12 * largest
+    if least[worst] < bound:
+        rows_w, cols_w = op.types[worst]
+        s = op.space.block_degrees(_mono_table(op.space.dim, op.n)[0][cols_w[0]])
         raise ValueError(
-            f"the degree-{op.n} transfer system is numerically singular; a "
-            "resonant type appears to be classified as non-resonant (widen "
-            "resonance_tol or shrink epsilon)"
+            f"the degree-{op.n} transfer system is numerically singular at type (i, s) = "
+            f"({op.space.block_of_coord[rows_w.start]}, {s}): least singular value "
+            f"{least[worst]:.3g} < bound {bound:.3g}; a resonant type appears to be "
+            "classified as non-resonant (widen resonance_tol or shrink epsilon)"
         )
 
+    G = np.zeros((len(q_vecs), len(shapes), K) + rows.shape[1:] + cols.shape[1:])
+    for g, r, c, T, Q, rhs, L in systems:
+        X = np.empty_like(Q)
+        X[:, 0] = np.linalg.solve(L, rhs)
+        for k in range(K - 1, 0, -1):
+            X[:, k] = Q[:, k] + T[:, k] @ X[:, (k + 1) % K]
+        G[:, g, :, :r, :c] = X.reshape(len(g), K, r, c, -1).transpose(4, 0, 1, 2, 3)
     out = np.zeros_like(q_vecs)
-    for R, C, L, rhs, _ in systems:
-        out[:, :, R, C] = np.linalg.solve(L, rhs).reshape(
-            len(L), K, R.shape[1], C.shape[2], -1).transpose(4, 1, 0, 2, 3)
+    out[..., hr, hc] = G.swapaxes(1, 2)[..., t, i, j]
     return out, [{} for _ in q_vecs]
 
 

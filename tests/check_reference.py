@@ -3,9 +3,11 @@
 These are the loop bodies of ``orbitnf.verify`` as the package ran them
 before every check step became one stacked kernel call over the orbit: one
 ``compose_truncated`` or ``divide_jets`` call per orbit point, and one
-``np.kron`` block per point in the dense oracle.  They return the package's
-own report types, so the tests can require the batched checks to equal them
-bit for bit.
+``np.kron`` block per point in the oracles.  They return the package's own
+report types, so the tests can require the batched checks to equal them
+bit for bit.  The oracle has two references: its block-cyclic elimination
+one type at a time, and the dense cyclic system it eliminates, an
+independent cross-check.
 """
 
 import math
@@ -85,9 +87,44 @@ def residual_reference(cocycle, result, series_tol: float = 1e-13) -> ResidualRe
                           tuple(map(float, bounds)), float(residuals[-1]))
 
 
+def _singular_test(op, svs) -> None:
+    """The oracle's rule on the singular values of every type's system."""
+    sv_min = min((float(sv[-1]) for sv in svs), default=1.0)
+    sv_max = max((float(sv[0]) for sv in svs), default=1.0)
+    if sv_min < 1e-12 * max(1.0, sv_max):
+        raise ValueError(f"the degree-{op.n} transfer system is numerically singular")
+
+
+def cyclic_oracle_reference(op, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``verify.direct_solve_oracle`` one type at a time: one kron block per
+    orbit point, the fold to phase 0 and the back-substitution one point at
+    a time, and one SVD and solve per type."""
+    K, q_vecs = len(q_vecs), np.asarray(q_vecs)
+    systems = []
+    for rows, cols in op.types:
+        T = [np.kron(op.ainvs[k][rows, rows], op.substs[k][np.ix_(cols, cols)].T)
+             for k in range(K)]
+        Q = [q[rows, cols].ravel() for q in q_vecs]
+        rhs, M = Q[-1], T[-1]
+        for k in reversed(range(K - 1)):
+            rhs, M = Q[k] + T[k] @ rhs, T[k] @ M
+        L = np.eye(len(rhs)) - M
+        systems.append((rows, cols, T, Q, rhs, L, np.linalg.svd(L, compute_uv=False)))
+    _singular_test(op, [sv for *_, sv in systems])
+
+    out = np.zeros_like(q_vecs)
+    for rows, cols, T, Q, rhs, L, _ in systems:
+        X = [np.linalg.solve(L, rhs)] + [None] * (K - 1)
+        for k in reversed(range(1, K)):
+            X[k] = Q[k] + T[k] @ X[(k + 1) % K]
+        out[:, rows, cols] = np.reshape(X, (K, rows.stop - rows.start, -1))
+    return out, {}
+
+
 def oracle_reference(op, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``verify.direct_solve_oracle`` with one kron block per orbit point and
-    one SVD and solve per type."""
+    """The dense K-cyclic system of every type that ``verify.direct_solve_oracle``
+    eliminates, with one kron block per orbit point and one SVD and solve per
+    type."""
     K = len(q_vecs)
     systems = []
     for rows, cols in op.types:
@@ -99,11 +136,7 @@ def oracle_reference(op, q_vecs: np.ndarray) -> tuple[np.ndarray, dict]:
                 op.ainvs[k][rows, rows], op.substs[k][np.ix_(cols, cols)].T)
         rhs = np.asarray(q_vecs)[:, rows, cols].ravel()
         systems.append((rows, cols, L, rhs, np.linalg.svd(L, compute_uv=False)))
-
-    sv_min = min((float(sv[-1]) for *_, sv in systems), default=1.0)
-    sv_max = max((float(sv[0]) for *_, sv in systems), default=1.0)
-    if sv_min < 1e-12 * max(1.0, sv_max):
-        raise ValueError(f"the degree-{op.n} transfer system is numerically singular")
+    _singular_test(op, [sv for *_, sv in systems])
 
     out = np.zeros_like(q_vecs)
     for rows, cols, L, rhs, _ in systems:

@@ -465,6 +465,32 @@ class TestErrorExits:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"series_tol": 10 ** 400}, "series_tol"),
+        ({"checks": {"oracle": {"enabled": True, "tol": -10 ** 400}}}, "checks.oracle.tol"),
+        ({"checks": {"chart": {"enabled": True, "points": [[10 ** 400]]}}}, "checks.chart.points"),
+    ], ids=["series_tol", "oracle_tol", "chart_points"])
+    def test_integer_past_the_float_range_exit_2(self, config, key, tmp_path, capsys):
+        # JSON reads such a number as an int that no float holds
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "koenigs", **config}))
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        override = "series_tol=1" + "0" * 400
+        assert main(["spectrum", "koenigs", "--tol-override", override]) == 2
+        assert "series_tol must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [{"a": 1}, ["x"], 3, ""])
+    def test_name_must_be_a_string(self, name, tmp_path, monkeypatch, capsys):
+        # the name titles the report and the default output directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": INLINE_KOENIGS, "name": name,
+                                   "epsilon": 0.05, "order": 4}))
+        assert main(["run", str(cfg)]) == 2
+        assert "name must be a non-empty string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_negative_check_tol_fails_the_check(self, tmp_path, capsys):
         # a negative tol stays valid: it makes the check fail on purpose
         code = main(["run", "resonant2", "--out-dir", str(tmp_path),
@@ -558,10 +584,10 @@ class TestErrorExits:
 
 # a valid and an invalid --tol-override value for each key of the config
 # table on koenigs, by top-level key, "entry" for a check entry, or the key
-# of a check entry; a name may be any value
+# of a check entry
 OVERRIDE_VALUES = {
     "scenario": ('"koenigs_period2"', "3"),
-    "name": ('"renamed"', None),
+    "name": ('"renamed"', '{"a": 1}'),
     "out_dir": ('"elsewhere"', "5"),
     "order": ("5", "0"),
     "epsilon": ("0.04", "0"),

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from chart_reference import chart_reference, recentred_windows
-from check_reference import (centralizer_reference, coeff_diff, gauge_lift, gauge_reference,
-                             iterate_reference, oracle_reference, residual_reference,
-                             subresonance_split)
+from check_reference import (centralizer_reference, coeff_diff, cyclic_oracle_reference,
+                             gauge_lift, gauge_reference, iterate_reference, oracle_reference,
+                             residual_reference, subresonance_split)
 from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,26 +315,79 @@ class TestDirectOracle:
         assert coeff_diff(res.conjugator_jets, direct.conjugator_jets) <= 1e-10
         assert coeff_diff(res.normal_form_jets, direct.normal_form_jets) <= 1e-10
 
-    def test_misclassified_resonance_detected(self):
-        # exponents sit a hair off the 2:1 resonance; with a resonance
-        # tolerance far below that hair the resonant slot is kept in the
-        # equation and the transfer system is singular to working precision
+    @staticmethod
+    def near_resonant_inputs(wobbles):
+        """Degree-2 oracle inputs at exponents a hair off the 2:1 resonance,
+        one orbit point per wobble w: A_k = diag(e^(-2 + w), e^(chi_2 - w)).
+        With a resonance tolerance far below that hair, the resonant slot
+        (1, (0, 2)) is kept in the equation, and its transfer system is
+        singular to working precision."""
         delta = 5e-14
         chi2 = -1.0 - delta
-        A = np.diag([math.exp(-2.0), math.exp(chi2)])
-        c = OrbitCocycle(S11, (PolyMap.from_linear(A, S11, S11, 1),))
+        linears = [np.diag([math.exp(-2.0 + w), math.exp(chi2 - w)]) for w in wobbles]
+        c = OrbitCocycle(S11, tuple(PolyMap.from_linear(A, S11, S11, 1) for A in linears))
         spec = Spectrum((-2.0, chi2), (1, 1), epsilon=1e-14,
                         resonance_tol=1e-15)
         assert spec.structure.degree_bound == 1
         ctx = SolverContext(c, spec, order=2)
-        h0 = [PolyMap.identity(S11, 2)]
-        p0 = [PolyMap.from_linear(A, S11, S11, 1)]
+        h0 = [PolyMap.identity(S11, 2)] * len(linears)
+        p0 = [PolyMap.from_linear(A, S11, S11, 1) for A in linears]
+        return degree_inputs(ctx, 2, h0, p0)
+
+    @staticmethod
+    def least_singular_value(err) -> float:
+        return float(str(err.value).split("least singular value ")[1].split()[0])
+
+    def test_misclassified_resonance_detected(self):
         # all six degree-2 types are 1 x 1 systems, so the singular one is
-        # found inside one stacked SVD of six
-        op, q_vecs = degree_inputs(ctx, 2, h0, p0)
+        # found inside one stacked SVD of six, and named
+        op, q_vecs = self.near_resonant_inputs([0.0])
         assert [(r.stop - r.start) * len(cols) for r, cols in op.types] == [1] * 6
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match=r"numerically singular at type \(i, s\) = "
+                           r"\(1, \(0, 2\)\): least singular value \S+ < bound 1e-12; a "
+                           r"resonant type appears to be classified as non-resonant "
+                           r"\(widen resonance_tol") as err:
             direct_solve_oracle(op, q_vecs)
+        # the slot's one-step transfer is e^(-2 delta), 1e-13 away from 1
+        assert self.least_singular_value(err) == pytest.approx(1e-13, rel=0.01)
+
+    def test_misclassified_resonance_detected_period2(self):
+        # the steps of period 2 are far from resonant, e^(+-1/2) apart, and
+        # only their one-period product sits a hair off it: the reduced
+        # block I - M of phase 0, the system tested at K > 1, catches it
+        op, q_vecs = self.near_resonant_inputs([0.5, -0.5])
+        with pytest.raises(ValueError, match=r"degree-2 transfer system is numerically "
+                           r"singular at type \(i, s\) = \(1, \(0, 2\)\): least singular "
+                           r"value \S+ < bound 1e-12") as err:
+            direct_solve_oracle(op, q_vecs)
+        # the one-period product e^(-4 delta) of phase 0
+        assert self.least_singular_value(err) == pytest.approx(2e-13, rel=0.01)
+
+    @staticmethod
+    def long_period_agreement(period, wobble):
+        """Largest gap between the oracle's and the series' jets relative to
+        max(1, max|H|), on the seed-1 (2,2) cocycle of exponents (-2, -0.8)."""
+        c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), period,
+                           amp=0.05, degree=4, wobble=wobble)
+        ctx = SolverContext.prepare(c, 0.04, 4)
+        res, direct = solve_normal_form(ctx), direct_normal_form(ctx)
+        scale = max(1.0, float(np.max(np.abs(res.conjugator_jets))))
+        return series_vs_direct(ctx, res, direct) / scale
+
+    def test_long_period_oracle_blames_no_resonance(self):
+        # a wobble of 2 grows the steps' transfers far along the orbit,
+        # which left the dense K-cyclic system of 64 points singular to
+        # working precision; no type is near resonance, and the reduced
+        # block that the singularity test reads is well conditioned
+        assert self.long_period_agreement(64, 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("wobble", [0.05, 2.0])
+    @pytest.mark.parametrize("period", [16, 64, 256])
+    def test_long_periods_agree_with_the_series(self, period, wobble):
+        # Tier-1 budget: 4 s for the six cases together (about 2.3 s on a
+        # 2-core machine, most of it the series at K = 256; the oracle's
+        # elimination is linear in K, 0.03 s there)
+        assert self.long_period_agreement(period, wobble) <= 1e-12
 
 
 class TestGauge:
@@ -525,13 +578,27 @@ class TestBatchedChecks:
         assert json.dumps(rep.to_dict()) == json.dumps(residual_reference(c, res).to_dict())
 
     def test_oracle(self, batched):
+        """On the sources the degree loop hands it, the stacked oracle equals
+        its elimination one type at a time within rounding, not to the bit:
+        padding and stacking change the shapes, and with them the order of
+        the BLAS sums.  The dense cyclic system it eliminates agrees within
+        1e-13."""
         _, ctx, _ = batched
         sizes = [(r.stop - r.start) * len(cols) for r, cols in ctx.operator(2).types]
         assert len(set(sizes)) < len(sizes)  # some systems share a size
-        got = direct_normal_form(ctx)
-        (want,) = solve_cycles(ctx, [(one_cycle(oracle_reference), None)])
-        assert same_bits(got.conjugator_jets, want.conjugator_jets)
-        assert same_bits(got.normal_form_jets, want.normal_form_jets)
+        calls = []
+
+        def recorded(op, q_vecs):
+            calls.append((op, q_vecs))
+            return direct_solve_oracle(op, q_vecs)
+
+        solve_cycles(ctx, [(recorded, None)])
+        assert len(calls) == ctx.order - 1
+        for op, q_vecs in calls:
+            (got,), _ = direct_solve_oracle(op, q_vecs)
+            for reference, tol in ((cyclic_oracle_reference, 1e-15), (oracle_reference, 1e-13)):
+                want, _ = reference(op, q_vecs[0])
+                assert coeff_diff(got, want) <= tol * max(1.0, float(np.max(np.abs(want))))
 
     def test_gauge(self, batched):
         _, ctx, res = batched
