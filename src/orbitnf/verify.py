@@ -172,17 +172,18 @@ def direct_solve_oracle(op: _DegreeOperator, q_vecs: np.ndarray
     Larger types go by exact shape, one stack per (rows, cols): with one
     BLAS thread, the oracle of the (2,3) K=2 M=5 ladder row took 8.0 ms at
     a bound of 32 slots, 9.2 at 48 and 10.6 at 64, and padding every type
-    of dims (4,4) K=1 M=5 doubled its time.  A reduced
-    block I - M is singular exactly when the one-period transfer of its type
-    has eigenvalue 1, a resonance: the least singular value over all types
-    must reach 1e-12 max(1, largest), or the error names the type.  The
-    oracle stays independent of the series: it shares only the loop around
-    the transfer (source assembly, lift, finishing), so agreement is
-    evidence for both.
+    of dims (4,4) K=1 M=5 doubled its time.  A reduced block I - M is
+    singular exactly when the one-period transfer of its type has
+    eigenvalue 1, a resonance: the least singular value over all types must
+    reach 1e-12 max(1, largest), or the error names the type.  The oracle
+    stays independent of the series: it shares only the loop around the
+    transfer (source assembly, lift, finishing), so agreement is evidence
+    for both.
     """
     K = q_vecs.shape[1]
     rows, cols, rows_pad, cols_pad, (t, i, j, hr, hc) = op.type_index
     shapes = [(r.stop - r.start, len(c)) for r, c in op.types]
+    # the key of a type's stack: (0, 0) for the padded one, else its shape
     groups = [(0, 0) if r * c <= ORACLE_PAD_SLOTS else (r, c) for r, c in shapes]
     systems, least, largest = [], np.empty(len(shapes)), 1.0
     for group in dict.fromkeys(groups):

@@ -13,7 +13,6 @@ from dict_reference import reference_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from transfer_reference import one_cycle
 
 from orbitnf import normalform, polymap, verify
 from orbitnf.cli import _check_centralizer
@@ -352,9 +351,9 @@ class TestDirectOracle:
         assert self.least_singular_value(err) == pytest.approx(1e-13, rel=0.01)
 
     def test_misclassified_resonance_detected_period2(self):
-        # the steps of period 2 are far from resonant, e^(+-1/2) apart, and
-        # only their one-period product sits a hair off it: the reduced
-        # block I - M of phase 0, the system tested at K > 1, catches it
+        # the slot's one-step transfers are e^(-+3/2) away from 1, and only
+        # their one-period product sits a hair off it: the reduced block
+        # I - M of phase 0, the system tested at K > 1, catches it
         op, q_vecs = self.near_resonant_inputs([0.5, -0.5])
         with pytest.raises(ValueError, match=r"degree-2 transfer system is numerically "
                            r"singular at type \(i, s\) = \(1, \(0, 2\)\): least singular "
