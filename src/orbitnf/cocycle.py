@@ -23,10 +23,11 @@ moves block i vectors by a factor inside [exp(chi_i - eps), exp(chi_i + eps)],
 the paper's proof that the twisted transfer contracts; the solver bounds its
 tail by norms of the transfer itself instead.  The sandwich check tests the
 n-step version of that bound exactly: the extreme singular values of every
-frame-weighted n-step block map, taken in one batched SVD per block.  Every
-Gram is factorised once, when its LyapunovFrames is made: one stacked
-Cholesky factorisation and one stacked eigvalsh serve the envelopes, the
-comparison factors and the sandwich check.
+frame-weighted n-step block map, taken in one batched SVD per block, each
+block's steps scaled by exp(-chi_i) so that no product leaves the float
+range either.  One stacked eigvalsh, when a LyapunovFrames is made, tests
+every Gram and gives the comparison factors; the sandwich check factorises
+the Gram of each block once.
 
 The check reports are defined here, the lowest module with a report: a
 ``_Report`` states its bounded quantities once, as the (line, ok) limits of
@@ -156,8 +157,7 @@ def _block_rates(cocycle: OrbitCocycle) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError(f"fiber map {mixed[0]} is not grading-adapted "
                          "(linear part has off-block entries)")
     chi, rates = [], []
-    for i in range(1, space.n_blocks + 1):
-        sl = space.block_slice(i)
+    for sl in space.block_slices:
         steps, mi = A[:, sl, sl], sl.stop - sl.start
         chi.append(float(np.linalg.slogdet(steps)[1].sum()) / (K * mi))
         P, scale = np.eye(mi), 0
@@ -241,11 +241,10 @@ class LyapunovFrames:
     coordinate blocks.  horizon and tail_bound record per point how the
     defining series was truncated: the terms summed in each time direction,
     and the bound on the dropped tail relative to the Frobenius norm of the
-    block-diagonal sum.  The Grams are factorised once: one stacked
-    Cholesky factorisation, grams = cholesky cholesky^T, is the
-    positive-definiteness test, and one stacked eigvalsh gives lambda_min,
-    the least eigenvalue, and k_eps, the square root of the greatest, which
-    bounds the comparison with the euclidean norm from above.
+    block-diagonal sum.  One stacked eigvalsh of the finite Grams is the
+    positive-definiteness test and gives lambda_min, the least eigenvalue,
+    and k_eps, the square root of the greatest, which bounds the comparison
+    with the euclidean norm from above.
     """
 
     grams: np.ndarray
@@ -259,14 +258,13 @@ class LyapunovFrames:
         self.grams = 0.5 * (G + G.transpose(0, 2, 1))
         self.horizon = np.broadcast_to(self.horizon, len(G))
         self.tail_bound = np.broadcast_to(self.tail_bound, len(G))
-        try:
-            self.cholesky = np.linalg.cholesky(self.grams)
-        except np.linalg.LinAlgError:
-            raise ValueError("gram matrix is not positive definite") from None
+        if not np.isfinite(self.grams).all():
+            raise ValueError("gram matrix is not positive definite")
         eigs = np.linalg.eigvalsh(self.grams)
+        if not (eigs[:, 0] > 0.0).all():
+            raise ValueError("gram matrix is not positive definite")
         self.lambda_min, self.k_eps = eigs[:, 0], np.sqrt(eigs[:, -1])
         self.grams.setflags(write=False)
-        self.cholesky.setflags(write=False)
 
 
 def _frobenius(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
@@ -381,11 +379,10 @@ def lyapunov_frames(
     if spectrum.multiplicities != space.block_dims:
         raise ValueError("spectrum multiplicities do not match the coordinate grading")
 
-    slices = [space.block_slice(i) for i in range(1, space.n_blocks + 1)]
     dims = np.array(space.block_dims)
     d = int(dims.max())
     Y = np.zeros((space.n_blocks, 2 * K, d, d))
-    for t, (chi, sl) in enumerate(zip(spectrum.exponents, slices)):
+    for t, (chi, sl) in enumerate(zip(spectrum.exponents, space.block_slices)):
         F = math.exp(-chi) * cocycle.linears[:, sl, sl]
         # row k steps forward from point k, row K + k back from it
         Y[t, :, :dims[t], :dims[t]] = np.concatenate([F, np.roll(np.linalg.inv(F), 1, axis=0)])
@@ -400,7 +397,7 @@ def lyapunov_frames(
         raise TailCertificationError(str(exc)) from exc
     G = G[:, :K] + G[:, K:] - Q[:, :K]
     G_blocks = np.zeros((K, m, m))
-    for t, sl in enumerate(slices):
+    for t, sl in enumerate(space.block_slices):
         G_blocks[:, sl, sl] = G[t, :, :dims[t], :dims[t]]
     tail = (tails[:K] + tails[K:]) / _frobenius(G_blocks)
     frames = LyapunovFrames(m * G_blocks, horizon, tail)
@@ -461,43 +458,45 @@ class SandwichReport(_Report):
 def log_envelopes(
     cocycle: OrbitCocycle,
     frames: LyapunovFrames,
-    block_dims: tuple[int, ...],
     n_max: int,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Exact extreme log growth of every block in the frame norms.
 
     For orbit point k, block i and step n, the log of the least and the
     greatest ratio ||Phi(k, n) u||_{k+n} / ||u||_k over the vectors u on the
-    coordinates of block i.  With the frames' Cholesky factors
-    G_k = L_k L_k^T and R_{k,i} the triangular factor of the block-i columns
-    of L_k^T, so that ||u||_k = ||R_{k,i} u_i|| for u_i the block-i part of
-    u, these are the log extreme singular values of the block-i columns of
-    L_{k+n}^T Phi(k, n), times R_{k,i}^{-1}.  Returns the steps
-    -n_max..-1, 1..n_max and, per block, an array of shape (K, 2 n_max, 2)
-    holding (log sigma_min, log sigma_max).
+    coordinates of block i.  The blocks are the splitting (``block_rates``
+    rejects a cocycle that is not grading-adapted), and ||u||_k = ||R_{k,i}
+    u_i|| with R_{k,i}^T R_{k,i} the Cholesky factorisation of the block
+    Gram G_k[i, i]: these are the log extreme singular values of R_{k+n,i}
+    Phi_i(k, n) R_{k,i}^{-1}, one batched SVD per block.  The products take
+    block i's rows of the linear parts times exp(-chi_i), so they stay in
+    float range at any period, and chi_i n is added back to the logs.
+    Returns the steps -n_max..-1, 1..n_max and, per block, an array of shape
+    (K, 2 n_max, 2) holding (log sigma_min, log sigma_max).
     """
-    K = cocycle.period
+    K, space, (chi, _) = cocycle.period, cocycle.space, cocycle.block_rates
     if len(frames.grams) != K:
         raise ValueError("need one frame per orbit point")
+    if n_max < 1:
+        raise ValueError(f"n_max must satisfy n_max >= 1, got {n_max}")
     steps = np.r_[-n_max:0, 1:n_max + 1]
-    A = cocycle.linears
+    A = cocycle.linears.copy()
+    for c, sl in zip(chi, space.block_slices):
+        A[:, sl] *= math.exp(-c)
     A_inv = np.linalg.inv(A)
     points = np.arange(K)
     # Phi(k, n) = A_{k+n-1} Phi(k, n-1) forward, A_{k-n}^{-1} Phi(k, 1-n) backward
-    fwd, bwd = [A], [A_inv[(points - 1) % K]]
+    phi = np.empty((K, 2 * n_max) + A.shape[1:])
+    phi[:, n_max - 1], phi[:, n_max] = A_inv[(points - 1) % K], A
     for n in range(2, n_max + 1):
-        fwd.append(A[(points + n - 1) % K] @ fwd[-1])
-        bwd.append(A_inv[(points - n) % K] @ bwd[-1])
-    phi = np.stack(bwd[::-1] + fwd, axis=1)
-    LT = frames.cholesky.transpose(0, 2, 1)
-    pushed = LT[(points[:, None] + steps) % K] @ phi
-    space = GradedSpace(tuple(block_dims))
+        phi[:, n_max + n - 1] = A[(points + n - 1) % K] @ phi[:, n_max + n - 2]
+        phi[:, n_max - n] = A_inv[(points - n) % K] @ phi[:, n_max - n + 1]
     envelopes = []
-    for i in range(1, space.n_blocks + 1):
-        sl = space.block_slice(i)
-        R = np.linalg.qr(LT[..., sl], mode="r")
-        sigma = np.linalg.svd(pushed[..., sl] @ np.linalg.inv(R)[:, None], compute_uv=False)
-        envelopes.append(np.log(sigma[..., [-1, 0]]))
+    for c, sl in zip(chi, space.block_slices):
+        R = np.linalg.cholesky(frames.grams[:, sl, sl]).transpose(0, 2, 1)
+        sigma = np.linalg.svd(R[(points[:, None] + steps) % K] @ phi[..., sl, sl]
+                              @ np.linalg.inv(R)[:, None], compute_uv=False)
+        envelopes.append(np.log(sigma[..., [-1, 0]]) + c * steps[:, None])
     return steps, envelopes
 
 
@@ -521,7 +520,7 @@ def sandwich_check(
     K = cocycle.period
     if n_max is None:
         n_max = max(2 * K, 12)
-    steps, envelopes = log_envelopes(cocycle, frames, spectrum.multiplicities, n_max)
+    steps, envelopes = log_envelopes(cocycle, frames, n_max)
     slack = spectrum.epsilon * np.abs(steps)
     env, chi = np.stack(envelopes), np.array(spectrum.exponents)[:, None, None]
     violations = np.stack([env[..., 1] - (chi * steps + slack),

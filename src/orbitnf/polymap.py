@@ -87,13 +87,14 @@ class GradedSpace:
         return tuple(b for b, m in enumerate(self.block_dims, start=1) for _ in range(m))
 
     @cached_property
-    def _block_slices(self) -> tuple[slice, ...]:
+    def block_slices(self) -> tuple[slice, ...]:
+        """Coordinate slice of every block, in block order."""
         ends = np.cumsum(self.block_dims)
         return tuple(slice(int(e) - m, int(e)) for e, m in zip(ends, self.block_dims))
 
     def block_slice(self, i: int) -> slice:
         """Coordinate slice of 1-based block i."""
-        return self._block_slices[i - 1]
+        return self.block_slices[i - 1]
 
     def block_degrees(self, alpha: MultiIndex) -> tuple[int, ...]:
         """Per-block total degrees s of a multi-index."""

@@ -8,6 +8,10 @@ envelope.  The comparison factor is tested on `samples` random ambient
 vectors.  The tests check ``orbitnf.cocycle.sandwich_check`` and
 ``orbitnf.cocycle.log_envelopes`` against it: every sampled ratio lies
 inside the exact envelope, so the exact violation is never the smaller.
+
+``ambient_log_envelopes`` is the exact envelope as the package first formed
+it, from unscaled products of the whole space; the tests require the block
+envelopes to agree with it wherever those products stay in float range.
 """
 
 import math
@@ -81,3 +85,33 @@ def sandwich_sample(cocycle, spectrum, frames, n_max=None, samples=8, seed=0):
                     lo = chi * n - eps * abs(n)
                     max_violation = max(max_violation, r - hi, lo - r)
     return max(max_violation, 0.0), keps_ok, ratios
+
+
+def ambient_log_envelopes(cocycle, frames, n_max):
+    """Exact log envelopes from ambient products, in the layout of log_envelopes.
+
+    With the Cholesky factors G_k = L_k L_k^T of the frame Grams and R_{k,i}
+    the triangular factor of the QR factorisation of the block-i columns of
+    L_k^T, so that ||u||_k = ||R_{k,i} u_i||, the envelopes are the log
+    extreme singular values of the block-i columns of L_{k+n}^T Phi(k, n),
+    times R_{k,i}^{-1}, with Phi(k, n) the unscaled n-step map of the whole
+    space.
+    """
+    K = cocycle.period
+    steps = np.r_[-n_max:0, 1:n_max + 1]
+    A = cocycle.linears
+    A_inv = np.linalg.inv(A)
+    points = np.arange(K)
+    fwd, bwd = [A], [A_inv[(points - 1) % K]]
+    for n in range(2, n_max + 1):
+        fwd.append(A[(points + n - 1) % K] @ fwd[-1])
+        bwd.append(A_inv[(points - n) % K] @ bwd[-1])
+    phi = np.stack(bwd[::-1] + fwd, axis=1)
+    LT = np.linalg.cholesky(frames.grams).transpose(0, 2, 1)
+    pushed = LT[(points[:, None] + steps) % K] @ phi
+    envelopes = []
+    for sl in cocycle.space.block_slices:
+        R = np.linalg.qr(LT[..., sl], mode="r")
+        sigma = np.linalg.svd(pushed[..., sl] @ np.linalg.inv(R)[:, None], compute_uv=False)
+        envelopes.append(np.log(sigma[..., [-1, 0]]))
+    return steps, envelopes

@@ -26,7 +26,7 @@ from orbitnf.cocycle import (
 from orbitnf.grading import Spectrum
 from orbitnf.normalform import SolverContext
 from orbitnf.polymap import GradedSpace, PolyMap
-from orbitnf.scenarios import build_builtin, random_cocycle, random_scenario
+from orbitnf.scenarios import build_builtin, builtin_names, random_cocycle, random_scenario
 
 
 def rotation(theta):
@@ -334,7 +334,6 @@ class TestLyapunovFrames:
             lam = np.linalg.eigvalsh(G)
             assert frames.lambda_min[k] == lam[0]
             assert frames.k_eps[k] == math.sqrt(lam[-1])
-            assert frames.cholesky[k].tobytes() == np.linalg.cholesky(G).tobytes()
 
     def test_zero_epsilon_rejected(self):
         c = linear_cocycle([np.array([[0.5]])])
@@ -346,6 +345,15 @@ class TestLyapunovFrames:
     def test_indefinite_gram_rejected(self):
         with pytest.raises(ValueError, match="not positive definite"):
             LyapunovFrames(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_gram_rejected(self, entry):
+        # a NaN or an infinite entry is no inner product, on or off the diagonal
+        for where in ((0, 0), (0, 1)):
+            G = np.eye(2)[None].repeat(2, axis=0)
+            G[1][where] = entry
+            with pytest.raises(ValueError, match="gram matrix is not positive definite"):
+                LyapunovFrames(G)
 
 
 def skewed_block_cocycle(rng, dim, period, chi, wobble=0.2):
@@ -616,16 +624,56 @@ class TestSandwich:
         assert math.isnan(rep.max_violation)
         assert rep.passed is False and rep.to_dict()["passed"] is False
 
-    @pytest.mark.parametrize("period", [32, 64])
-    def test_long_period_verdict(self, period):
+    @pytest.mark.parametrize("period, wobble", [
+        (32, 0.05), (64, 0.05), (256, 0.05), (32, 2.0), (64, 2.0), (256, 2.0)],
+        ids=["32", "64", "256", "32-wobble2", "64-wobble2", "256-wobble2"])
+    def test_long_period_verdict(self, period, wobble):
         # a splitting off the coordinate blocks by rounding alone leaks the
         # slow block into the fast one by e^(1.2 n) times that rounding;
-        # block-diagonal products keep exact zeros off the blocks
+        # block-diagonal products keep exact zeros off the blocks.  Unscaled,
+        # the backward products over n = 2K steps grow as e^(2 n) and leave
+        # the float range at K = 256; scaled by exp(-chi_i) they do not
         c = random_cocycle(np.random.default_rng(1), (-2.0, -0.8), (2, 2), period,
-                           amp=0.05, degree=4, wobble=0.05)
+                           amp=0.05, degree=4, wobble=wobble)
         ctx = SolverContext.prepare(c, 0.04, 4)
         rep = sandwich_check(c, ctx.spectrum, ctx.frames)
         assert rep.max_violation <= rep.tol and rep.passed
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_n_max_below_one_rejected(self, n_max):
+        c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)])], block_dims=(1, 1))
+        spec = monodromy_spectrum(c, epsilon=0.1)
+        frames = lyapunov_frames(c, spec)
+        with pytest.raises(ValueError, match=r"n_max must satisfy n_max >= 1"):
+            sandwich_check(c, spec, frames, n_max=n_max)
+
+    def test_off_block_linear_entry_rejected(self):
+        # block slices of the n-step maps are exact only on a grading-adapted
+        # cocycle, so one with an off-block linear entry is refused by name
+        A1 = np.diag([math.exp(-2.0), math.exp(-1.0)])
+        A1[1, 0] = 0.1
+        c = linear_cocycle([np.diag([math.exp(-2.0), math.exp(-1.0)]), A1], block_dims=(1, 1))
+        frames = sandwich_reference.euclidean_frames(2, 2)
+        spec = Spectrum((-2.0, -1.0), (1, 1), 0.1)
+        for run in (lambda: log_envelopes(c, frames, 3), lambda: sandwich_check(c, spec, frames)):
+            with pytest.raises(ValueError, match="fiber map 1 is not grading-adapted"):
+                run()
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_envelopes_match_ambient_reference(self, name, seed):
+        scenario = build_builtin(name, seed)
+        c = scenario.cocycle
+        frames = lyapunov_frames(c, monodromy_spectrum(c, float(scenario.config["epsilon"])))
+        assert envelope_gap(c, frames, max(2 * c.period, 12)) <= 1e-12
+
+    def test_random_envelopes_match_ambient_reference(self):
+        for index in range(48):
+            scenario = random_scenario(index)
+            c = scenario.cocycle
+            spec = monodromy_spectrum(c, float(scenario.config["epsilon"]))
+            frames = lyapunov_frames(c, spec, float(scenario.config["tail_tol"]))
+            assert envelope_gap(c, frames, max(2 * c.period, 12)) <= 1e-12, index
 
     def test_narrow_gram_deficit_fails_comparison(self):
         # a frame whose Gram dips just below 1 along one eigenvector, a
@@ -640,6 +688,15 @@ class TestSandwich:
         assert rep.lambda_min_gram == pytest.approx(1.0 - 1e-8, abs=1e-12)
         assert rep.keps_ok is False and rep.passed is False
         assert sandwich_reference.sandwich_sample(c, spec, narrow)[1] is True
+
+
+def envelope_gap(c, frames, n_max):
+    """Largest gap, in log units, between the block envelopes and those of
+    the ambient products of the reference."""
+    steps, envelopes = log_envelopes(c, frames, n_max)
+    ref_steps, reference = sandwich_reference.ambient_log_envelopes(c, frames, n_max)
+    assert steps.tobytes() == ref_steps.tobytes()
+    return max(float(np.max(np.abs(e - r))) for e, r in zip(envelopes, reference))
 
 
 EXPONENTS = {1: (-1.0,), 2: (-2.0, -0.8), 3: (-1.2, -0.8, -0.4)}
@@ -662,7 +719,8 @@ def test_envelopes_contain_every_sampled_ratio(period, dims, seed, built_frames)
         C = rng.standard_normal((period, m, m))
         frames = LyapunovFrames(np.eye(m) + C @ C.transpose(0, 2, 1))
     n_max = 4
-    steps, envelopes = log_envelopes(c, frames, spec.multiplicities, n_max)
+    steps, envelopes = log_envelopes(c, frames, n_max)
+    assert envelope_gap(c, frames, n_max) <= 1e-12
     rep = sandwich_check(c, spec, frames, n_max=n_max)
     sampled, keps_ok, ratios = sandwich_reference.sandwich_sample(c, spec, frames, n_max=n_max)
     for (k, i, n), values in ratios.items():

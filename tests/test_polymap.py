@@ -349,7 +349,7 @@ class TestLyapunovOpnorm:
 
     def test_linear_exact(self):
         c = OrbitCocycle(S1, (scalar_map({1: 0.5}, 1),))
-        steps, (env,) = log_envelopes(c, euclidean_frames(1, 1), (1,), 1)
+        steps, (env,) = log_envelopes(c, euclidean_frames(1, 1), 1)
         assert list(steps) == [-1, 1]
         # (least, greatest) ratio one step back and one step forward
         assert np.exp(env[0, 0]) == pytest.approx([2.0, 2.0], abs=1e-14)
@@ -362,7 +362,7 @@ class TestLyapunovOpnorm:
         c = OrbitCocycle(space, (PolyMap.from_linear(A, space, space, 1),
                                  PolyMap.from_linear(np.eye(2), space, space, 1)))
         frames = LyapunovFrames(np.stack([np.diag([4.0, 1.0]), np.diag([1.0, 9.0])]))
-        steps, (env,) = log_envelopes(c, frames, (2,), 1)
+        steps, (env,) = log_envelopes(c, frames, 1)
         lo, hi = np.exp(env[0, list(steps).index(1)])
         assert hi == pytest.approx(max(0.2 / 2.0, 0.5 * 3.0), abs=1e-12)
         assert lo == pytest.approx(min(0.2 / 2.0, 0.5 * 3.0), abs=1e-12)
@@ -382,7 +382,7 @@ class TestLyapunovOpnorm:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError, match="not positive definite"):
             LyapunovFrames(bad[None])
-        # the one stacked Cholesky factorisation rejects it at any orbit point
+        # the one stacked eigvalsh rejects it at any orbit point
         with pytest.raises(ValueError, match="not positive definite"):
             LyapunovFrames(np.stack([np.eye(2), bad]))
 
